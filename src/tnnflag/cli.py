@@ -106,8 +106,19 @@ def parse_params(text: str) -> list[Fraction]:
         token = piece.strip()
         if not token:
             continue
-        out.append(Fraction(token))
+        try:
+            out.append(Fraction(token))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"bad parameter {token!r}") from None
     return out
+
+
+def nonnegative_int(text: str) -> int:
+    """argparse type for counts, caps and budgets."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _emit(report: dict, path: str | None) -> None:
@@ -151,8 +162,8 @@ def cmd_poset(args) -> int:
             report.add("eulerian", posets.is_eulerian(poset))
         elif name == "shelling":
             res = posets.find_shelling(poset, budget=args.budget)
-            status = {"shellable": "pass", "not_shellable": "fail", "inconclusive": "inconclusive"}
-            report.add("shelling", status[res.status], {"facets": res.facets, "attempts": res.attempts})
+            witness = {"facets": res.facets, "attempts": res.attempts}
+            report.add("shelling", res.check_status, witness)
         elif name == "ball":
             ball = check_regular_ball(top, node_cap=args.node_cap, budget=args.budget)
             report.add("ball", ball["status"], {"checks": ball["checks"]})
@@ -259,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", default="ball", help="csv of pure,thin,eulerian,shelling,ball")
     p.add_argument("--dot", help="write the Hasse diagram to this DOT file")
     p.add_argument("--json", help="also write the report to this file")
-    p.add_argument("--node-cap", type=int, default=posets.DEFAULT_NODE_CAP)
-    p.add_argument("--budget", type=int, default=posets.DEFAULT_SHELLING_BUDGET)
+    p.add_argument("--node-cap", type=nonnegative_int, default=posets.DEFAULT_NODE_CAP)
+    p.add_argument("--budget", type=nonnegative_int, default=posets.DEFAULT_SHELLING_BUDGET)
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p.set_defaults(func=cmd_poset)
 
@@ -270,14 +281,17 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--v", default="e", help="v word, e.g. \"1\" or e")
     c.add_argument("--w", required=True, help='factor words, e.g. "(1,2);(2,1)"')
     c.add_argument("--params", help="csv of positive rationals, e.g. 3/2,1")
-    c.add_argument("--random", type=int, default=0, help="sample this many seeded parameter vectors")
+    c.add_argument(
+        "--random", type=nonnegative_int, default=0,
+        help="sample this many seeded parameter vectors",
+    )
     c.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     c.add_argument("--json", help="also write the report to this file")
     c.set_defaults(func=cmd_cell)
 
     v = sub.add_parser("verify", help="run a named verification suite")
     v.add_argument("suite", help="one of: " + ", ".join(sorted(verify.SUITES)))
-    v.add_argument("--budget", type=int, default=None)
+    v.add_argument("--budget", type=nonnegative_int, default=None)
     v.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     v.add_argument("--json", help="also write the report to this file")
     v.set_defaults(func=cmd_verify)
@@ -289,7 +303,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except WordParseError as exc:
+    # the only files the commands open are the --dot and --json outputs
+    except (WordParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

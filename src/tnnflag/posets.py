@@ -3,7 +3,7 @@
 A stratum label is a pair (v, wbar) with v below the Demazure product of
 wbar; its rank is the total factor length minus the length of v.  The
 order is (v', wbar') <= (v, wbar) iff v <= v' and wbar' <= wbar
-componentwise.  Posets are finite, carry an explicit synthetic bottom,
+componentwise.  Posets are finite, carry the synthetic bottom at node 0,
 and are immutable after construction.
 
 Checks: purity (all maximal chains between comparable pairs have equal
@@ -37,7 +37,6 @@ class _Sentinel:
 
 
 BOTTOM = _Sentinel("0^")
-TOP = _Sentinel("1^")
 
 
 @dataclass(frozen=True)
@@ -75,18 +74,19 @@ def qnode_leq(a: QNode, b: QNode) -> bool:
 
 
 class FacePoset:
-    """Finite poset with an explicit rank function and synthetic bottom.
+    """Finite augmented face poset with an explicit rank function.
 
-    ``nodes[0]`` is the BOTTOM sentinel when ``has_bottom`` is set; ranks
-    are arbitrary integers that strictly increase along the order.
+    Node 0 is the synthetic bottom (the empty face, ``BOTTOM`` for every
+    poset built here), below every other node, and the nodes are stored in
+    rank order: ranks strictly increase along the order, so every node
+    strictly below node ``i`` has an index smaller than ``i``.
     """
 
-    def __init__(self, nodes, ranks, below, has_bottom: bool):
+    def __init__(self, nodes, ranks, below):
         self.nodes: tuple = tuple(nodes)
         self.ranks: tuple[int, ...] = tuple(ranks)
         # below[i]: frozenset of indices strictly below i
         self.below: tuple[frozenset, ...] = tuple(frozenset(b) for b in below)
-        self.has_bottom = has_bottom
         n = len(self.nodes)
         above = [set() for _ in range(n)]
         for i in range(n):
@@ -95,62 +95,28 @@ class FacePoset:
         self.above: tuple[frozenset, ...] = tuple(frozenset(a) for a in above)
         self._covers = None
         self._mobius_cache: dict[tuple[int, int], int] = {}
-        self._chain_bounds = None
-
-    # -- construction -------------------------------------------------------
 
     @classmethod
-    def from_elements(cls, elements, leq, rank, add_bottom=True, node_cap=DEFAULT_NODE_CAP):
-        elements = list(elements)
-        if len(elements) + 1 > node_cap:
-            raise CapExceededError(f"poset would have {len(elements) + 1} nodes (cap {node_cap})")
-        elements.sort(key=rank)
-        nodes: list = []
-        ranks: list[int] = []
-        if add_bottom:
-            nodes.append(BOTTOM)
-            ranks.append(min((rank(e) for e in elements), default=0) - 1)
-        offset = len(nodes)
-        nodes.extend(elements)
-        ranks.extend(rank(e) for e in elements)
-        n = len(nodes)
-        below = [set() for _ in range(n)]
-        for i in range(offset, n):
-            if add_bottom:
-                below[i].add(0)
-            for j in range(offset, n):
-                if i != j and ranks[j] < ranks[i] and leq(nodes[j], nodes[i]):
-                    below[i].add(j)
-        return cls(nodes, ranks, below, add_bottom)
+    def from_qnodes(cls, qnodes, node_cap: int = DEFAULT_NODE_CAP) -> "FacePoset":
+        """Stratum labels ordered by :func:`qnode_leq`, plus the bottom.
 
-    @classmethod
-    def from_covers(cls, elements, cover_pairs):
-        """Test helper: poset generated by explicit cover pairs (lo, hi)."""
-        elements = list(elements)
-        index = {e: i for i, e in enumerate(elements)}
-        n = len(elements)
-        up = [set() for _ in range(n)]
-        for lo, hi in cover_pairs:
-            up[index[lo]].add(index[hi])
-        below = [set() for _ in range(n)]
-        changed = True
-        reach = [set(u) for u in up]
-        while changed:
-            changed = False
-            for i in range(n):
-                extra = set()
-                for j in reach[i]:
-                    extra |= reach[j]
-                if not extra <= reach[i]:
-                    reach[i] |= extra
-                    changed = True
-        for i in range(n):
-            for j in reach[i]:
-                below[j].add(i)
-        heights = [0] * n
-        for i in sorted(range(n), key=lambda i: len(below[i])):
-            heights[i] = max((heights[j] + 1 for j in below[i]), default=0)
-        return cls(elements, heights, below, has_bottom=False)
+        ``node_cap`` bounds the node count, bottom included; an iterator of
+        labels is abandoned as soon as it passes the cap.
+        """
+        elements = []
+        for q in qnodes:
+            elements.append(q)
+            if len(elements) + 1 > node_cap:
+                raise CapExceededError(f"poset exceeds node cap {node_cap}")
+        elements.sort(key=lambda q: q.rank)
+        nodes = [BOTTOM, *elements]
+        ranks = [min((q.rank for q in elements), default=0) - 1]
+        ranks.extend(q.rank for q in elements)
+        below = [()] + [
+            {0} | {j for j in range(1, i) if ranks[j] < ranks[i] and qnode_leq(nodes[j], nodes[i])}
+            for i in range(1, len(nodes))
+        ]
+        return cls(nodes, ranks, below)
 
     # -- basic structure -----------------------------------------------------
 
@@ -182,76 +148,16 @@ class FacePoset:
             ups[lo].append(hi)
         return ups
 
-    def maximal_indices(self) -> list[int]:
-        return [i for i in range(len(self.nodes)) if not self.above[i]]
-
-    def minimal_indices(self, skip_bottom=True) -> list[int]:
-        start = 1 if (self.has_bottom and skip_bottom) else 0
-        return [
-            i
-            for i in range(start, len(self.nodes))
-            if not (self.below[i] - ({0} if (self.has_bottom and skip_bottom) else set()))
-        ]
-
     def f_vector(self) -> tuple[int, ...]:
         """Node counts per rank, bottom excluded."""
-        start = 1 if self.has_bottom else 0
-        if len(self.nodes) == start:
+        ranks = self.ranks[1:]
+        if not ranks:
             return ()
-        ranks = self.ranks[start:]
         lo, hi = min(ranks), max(ranks)
         out = [0] * (hi - lo + 1)
         for r in ranks:
             out[r - lo] += 1
         return tuple(out)
-
-    def restrict(self, keep, ranks=None, add_bottom=True) -> "FacePoset":
-        """Induced subposet on the given indices (bottom re-attached)."""
-        keep = [i for i in keep if not (self.has_bottom and i == 0)]
-        keep.sort(key=lambda i: self.ranks[i])
-        pos = {old: new for new, old in enumerate(keep)}
-        nodes = [self.nodes[i] for i in keep]
-        if ranks is None:
-            newranks = [self.ranks[i] for i in keep]
-        else:
-            newranks = [ranks(self.nodes[i]) for i in keep]
-        below = [
-            {pos[j] for j in self.below[i] if j in pos}
-            for i in keep
-        ]
-        if add_bottom:
-            nodes = [BOTTOM] + nodes
-            newranks = [min(newranks, default=0) - 1] + newranks
-            below = [set()] + [{0} | {b + 1 for b in bs} for bs in below]
-        return FacePoset(nodes, newranks, below, add_bottom)
-
-    # -- chain-length bookkeeping ---------------------------------------------
-
-    def _chain_length_bounds(self):
-        """(minlen, maxlen) dicts keyed by (lo, hi) over comparable pairs."""
-        if self._chain_bounds is None:
-            n = len(self.nodes)
-            ups = self.up_covers()
-            order = sorted(range(n), key=lambda i: self.ranks[i])
-            minlen: dict[tuple[int, int], int] = {}
-            maxlen: dict[tuple[int, int], int] = {}
-            for x in range(n):
-                minlen[(x, x)] = maxlen[(x, x)] = 0
-                for z in order:
-                    if z != x and not self.leq(x, z):
-                        continue
-                    if (x, z) not in minlen:
-                        continue
-                    for y in ups[z]:
-                        key = (x, y)
-                        cand = minlen[(x, z)] + 1
-                        if key not in minlen or cand < minlen[key]:
-                            minlen[key] = cand
-                        cand = maxlen[(x, z)] + 1
-                        if key not in maxlen or cand > maxlen[key]:
-                            maxlen[key] = cand
-            self._chain_bounds = (minlen, maxlen)
-        return self._chain_bounds
 
 
 # -- builders ------------------------------------------------------------------
@@ -265,16 +171,14 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> FacePoset:
     """
     group = top.v.group
     factor_lowers = [group.lower_interval(w) for w in top.wbar]
-    elements = []
-    for combo in product(*factor_lowers):
-        m = group.m_star(combo)
-        for v2 in group.lower_interval(m):
-            if group.bruhat_leq(top.v, v2):
-                elements.append(make_qnode(v2, combo))
-                if len(elements) > node_cap:
-                    raise CapExceededError(f"interval exceeds node cap {node_cap}")
-    return FacePoset.from_elements(
-        elements, qnode_leq, lambda q: q.rank, add_bottom=True, node_cap=node_cap
+    return FacePoset.from_qnodes(
+        (
+            make_qnode(v2, combo)
+            for combo in product(*factor_lowers)
+            for v2 in group.lower_interval(group.m_star(combo))
+            if group.bruhat_leq(top.v, v2)
+        ),
+        node_cap=node_cap,
     )
 
 
@@ -297,7 +201,7 @@ def braid_poset(group: WeylGroup, letters) -> FacePoset:
         )
         if group.m_star(combo) == w:
             elements.append(make_qnode(w, combo))
-    return FacePoset.from_elements(elements, qnode_leq, lambda q: q.rank, add_bottom=True)
+    return FacePoset.from_qnodes(elements)
 
 
 def link_poset(bottom: QNode, top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> FacePoset:
@@ -305,35 +209,44 @@ def link_poset(bottom: QNode, top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> F
     if bottom == top or not qnode_leq(bottom, top):
         raise ValueError("bottom must be strictly below top")
     interval = build_interval(top, node_cap=node_cap)
-    b_idx = interval.index(bottom)
-    keep = [i for i in interval.above[b_idx]]
-    shift = bottom.rank + 1
-    return interval.restrict(keep, ranks=lambda q: q.rank - shift, add_bottom=True)
+    keep = sorted(interval.above[interval.index(bottom)])
+    pos = {old: new for new, old in enumerate(keep, start=1)}
+    ranks = [interval.ranks[i] - bottom.rank - 1 for i in keep]
+    return FacePoset(
+        [BOTTOM, *(interval.nodes[i] for i in keep)],
+        [min(ranks) - 1, *ranks],
+        [()] + [{0} | {pos[j] for j in interval.below[i] if j in pos} for i in keep],
+    )
 
 
 # -- regularity checks -----------------------------------------------------------
 
 
 def is_pure(poset: FacePoset) -> bool:
-    """All maximal chains between comparable pairs have equal length."""
-    minlen, maxlen = poset._chain_length_bounds()
-    for x in range(len(poset.nodes)):
-        for y in poset.above[x]:
-            key = (x, y)
-            if key not in minlen:
-                raise AssertionError("comparable pair with no cover path")
-            if minlen[key] != maxlen[key]:
-                return False
-    return True
+    """All maximal chains between comparable pairs have equal length.
+
+    Below the bottom this holds iff every cover raises the height (the
+    length of the longest chain from the bottom) by exactly 1.
+    """
+    height = [0] * len(poset.nodes)
+    # covers are sorted by lo, and every cover into lo has a smaller lo
+    for lo, hi in poset.covers:
+        height[hi] = max(height[hi], height[lo] + 1)
+    return all(height[hi] == height[lo] + 1 for lo, hi in poset.covers)
 
 
 def is_thin(poset: FacePoset) -> bool:
-    """Every interval of length 2 has exactly two intermediate elements."""
-    minlen, maxlen = poset._chain_length_bounds()
-    for (x, y), mx in maxlen.items():
-        if mx == 2 and minlen[(x, y)] == 2:
+    """Every interval of length 2 has exactly two intermediate elements.
+
+    [x, y] has only chains of length 2 iff y is two covers above x and
+    every element strictly between covers x.
+    """
+    ups = poset.up_covers()
+    for x, mids in enumerate(ups):
+        mids = frozenset(mids)
+        for y in {y for z in mids for y in ups[z]}:
             between = poset.above[x] & poset.below[y]
-            if len(between) != 2:
+            if between <= mids and len(between) != 2:
                 return False
     return True
 
@@ -365,12 +278,9 @@ def is_eulerian(poset: FacePoset) -> bool:
     return True
 
 
-def maximal_chains(poset: FacePoset, skip_bottom: bool = True) -> list[tuple[int, ...]]:
-    """Maximal chains (as index tuples), optionally with the bottom removed."""
+def maximal_chains(poset: FacePoset) -> list[tuple[int, ...]]:
+    """Maximal chains (as index tuples) of the poset minus its bottom."""
     ups = poset.up_covers()
-    start = poset.minimal_indices(skip_bottom=skip_bottom)
-    if not skip_bottom and poset.has_bottom:
-        start = [0]
     chains: list[tuple[int, ...]] = []
 
     def walk(i, acc):
@@ -382,9 +292,12 @@ def maximal_chains(poset: FacePoset, skip_bottom: bool = True) -> list[tuple[int
             walk(j, acc)
             acc.pop()
 
-    for i in start:
+    for i in ups[0]:
         walk(i, [i])
     return chains
+
+
+_CHECK_STATUS = {"shellable": "pass", "not_shellable": "fail", "inconclusive": "inconclusive"}
 
 
 @dataclass
@@ -398,6 +311,16 @@ class ShellingResult:
     @property
     def shellable(self):
         return self.status == "shellable"
+
+    @property
+    def check_status(self) -> str:
+        """The verdict as a check status: pass, fail or inconclusive."""
+        return _CHECK_STATUS[self.status]
+
+
+def overall_status(statuses) -> str:
+    """Status of a group of checks: fail beats inconclusive beats pass."""
+    return max(statuses, key=("pass", "inconclusive", "fail").index, default="pass")
 
 
 def _facet_masks(facets) -> tuple[list[int], list[tuple[int, ...]], dict]:
@@ -510,7 +433,7 @@ def find_shelling(poset: FacePoset, budget: int = DEFAULT_SHELLING_BUDGET) -> Sh
 
     Facets are the maximal chains.
     """
-    chains = maximal_chains(poset, skip_bottom=True)
+    chains = maximal_chains(poset)
     return shelling_of_facets([frozenset(c) for c in chains], budget=budget)
 
 
@@ -520,24 +443,14 @@ def open_boundary_euler(poset: FacePoset) -> int:
     Proper part: all nodes strictly below the unique maximum, bottom
     excluded.  Chains are counted with alternating signs.
     """
-    maxima = poset.maximal_indices()
-    if len(maxima) != 1:
+    top = len(poset.nodes) - 1  # a unique maximum comes last in rank order
+    if len(poset.below[top]) != top:
         raise ValueError("poset has no unique maximum")
-    top = maxima[0]
-    keep = [
-        i
-        for i in range(len(poset.nodes))
-        if i != top and not (poset.has_bottom and i == 0)
-    ]
-    # g(x) = sum over chains with minimum x of (-1)^(size+1); chi = sum g
-    order = sorted(keep, key=lambda i: -poset.ranks[i])
+    # g(x) = sum over chains with minimum x of (-1)^(size+1); chi = sum g.
+    # Reverse rank order reaches x after every node above it.
     g: dict[int, int] = {}
-    for x in order:
-        acc = 1
-        for y in poset.above[x]:
-            if y in g:
-                acc -= g[y]
-        g[x] = acc
+    for x in reversed(range(1, top)):
+        g[x] = 1 - sum(g[y] for y in poset.above[x] if y != top)
     return sum(g.values())
 
 
@@ -564,12 +477,11 @@ def check_regular_ball(
     record("thin", "pass" if is_thin(poset) else "fail")
     record("eulerian", "pass" if is_eulerian(poset) else "fail")
     shelling = find_shelling(poset, budget=budget)
-    status = {
-        "shellable": "pass",
-        "not_shellable": "fail",
-        "inconclusive": "inconclusive",
-    }[shelling.status]
-    record("shelling", status, {"facets": shelling.facets, "attempts": shelling.attempts})
+    record(
+        "shelling",
+        shelling.check_status,
+        {"facets": shelling.facets, "attempts": shelling.attempts},
+    )
     chi = open_boundary_euler(poset)
     expected = 1 + (-1) ** (top.rank - 1)
     record(
@@ -577,18 +489,13 @@ def check_regular_ball(
         "pass" if chi == expected else "fail",
         {"chi": chi, "expected": expected},
     )
-    overall = "pass"
-    if any(c["status"] == "fail" for c in checks):
-        overall = "fail"
-    elif any(c["status"] == "inconclusive" for c in checks):
-        overall = "inconclusive"
     return {
         "top": top.describe(),
         "rank": top.rank,
         "nodes": len(poset.nodes),
         "f_vector": list(poset.f_vector()),
         "checks": checks,
-        "status": overall,
+        "status": overall_status(c["status"] for c in checks),
     }
 
 

@@ -123,13 +123,6 @@ def perm_mul(p, q) -> tuple[int, ...]:
     return tuple(p[q[j] - 1] for j in range(len(p)))
 
 
-def perm_inv(p) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for j, v in enumerate(p):
-        out[v - 1] = j + 1
-    return tuple(out)
-
-
 def word_perm(k: int, letters) -> tuple[int, ...]:
     p = list(range(1, k + 1))
     for i in letters:

@@ -5,9 +5,9 @@ upper-triangular gauge (g_1, ..., g_n) ~ (g_1 b_1, b_1^{-1} g_2 b_2, ...).
 Strata are labeled by (v, wbar): the factorwise Bruhat cells and the
 opposite cell of the convolution product.
 
-``CHECKED`` turns on theorem-level assertions on every call (the cell
-parametrization lands in its stratum; the duality map permutes strata by
-the book formula); acceptance runs with it on.
+``parametrize_cell`` and ``phi_Z`` assert theorem-level facts on every call
+unless passed ``check=False``: the cell parametrization lands in its
+stratum, and the duality map permutes strata by the book formula.
 """
 
 from __future__ import annotations
@@ -18,17 +18,6 @@ from fractions import Fraction
 from . import ratlin, slk
 from .ratlin import Mat
 from .weyl import WeylElt, WeylGroup, from_perm, perm_of, positive_tuple, type_a_group
-
-CHECKED = True
-
-
-def set_checked(value: bool) -> bool:
-    """Flip theorem-assertion mode; returns the previous value."""
-    global CHECKED
-    old = CHECKED
-    CHECKED = bool(value)
-    return old
-
 
 @dataclass(frozen=True)
 class ZPoint:
@@ -110,7 +99,7 @@ def parametrize_cell(
     wbar,
     params,
     words=None,
-    check: bool | None = None,
+    check: bool = True,
 ) -> ZPoint:
     """Positive parametrization of the stratum (v, wbar) of SL_k products.
 
@@ -138,7 +127,6 @@ def parametrize_cell(
         raise ValueError(f"cell has dimension {dim}, got {len(params)} parameters")
     if any(p <= 0 for p in params):
         raise ValueError("parameters must be positive")
-    do_check = CHECKED if check is None else check
     factors = []
     pos = 0
     for vi, word in zip(vbar, words):
@@ -152,31 +140,30 @@ def parametrize_cell(
                 tuple(t + 1 for t in word),
                 tuple(None if t is None else t + 1 for t in sub),
                 chunk,
-                check=do_check,
+                check=check,
             )
         )
     z = ZPoint(tuple(factors))
-    if do_check and stratum(z) != (v, wbar):
+    if check and stratum(z) != (v, wbar):
         raise AssertionError("parametrized point landed outside its stratum")
     return z
 
 
-def phi_Z(z: ZPoint, check: bool | None = None) -> ZPoint:
+def phi_Z(z: ZPoint, check: bool = True) -> ZPoint:
     """Duality: (g_1,...,g_n) -> (iota(w0dot^{-1} g_1...g_n), iota(g_n^{-1}), ...).
 
-    In checked mode the stratum permutation
+    With ``check`` on, the stratum permutation
     (v, (w_1,...,w_n)) -> (w0 w_1, (w0 v, w_n^{-1}, ..., w_2^{-1}))
     is asserted on every call.
     """
     k = z.k
-    do_check = CHECKED if check is None else check
-    if do_check:
+    if check:
         v, wbar = stratum(z)
     prod = ratlin.mat_mul(*z.factors)
     first = slk.iota(ratlin.mat_mul(ratlin.mat_inv(slk.w0_dot(k)), prod))
     rest = [slk.iota(ratlin.mat_inv(g)) for g in reversed(z.factors[1:])]
     out = ZPoint((first, *rest))
-    if do_check:
+    if check:
         group = v.group
         w0 = from_perm(group, slk.w0_perm(k))
         expected = (

@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 
 from . import posets, ratlin, slk, twisted
@@ -27,6 +26,7 @@ from .posets import (
     is_thin,
     make_qnode,
     open_boundary_euler,
+    overall_status,
 )
 from .weyl import (
     WeylGroup,
@@ -62,11 +62,7 @@ class RunReport:
 
     @property
     def status(self) -> str:
-        if any(c["status"] == "fail" for c in self.checks):
-            return "fail"
-        if any(c["status"] == "inconclusive" for c in self.checks):
-            return "inconclusive"
-        return "pass"
+        return overall_status(c["status"] for c in self.checks)
 
     @property
     def exit_code(self) -> int:
@@ -277,17 +273,14 @@ def suite_hatQ(seed: int = DEFAULT_SEED, budget: int | None = None) -> RunReport
                         break
                 if top.rank <= 5:
                     shellings += 1
-                    res = find_shelling(poset, budget=budget)
-                    if res.status == "not_shellable":
+                    status = find_shelling(poset, budget=budget).check_status
+                    if status == "fail":
                         bad.append({"top": label, "check": "shelling"})
-                    elif res.status == "inconclusive":
+                    elif status == "inconclusive":
                         inconclusive.append({"top": label, "budget": budget})
-            status = "pass" if not bad else "fail"
-            if not bad and inconclusive:
-                status = "inconclusive"
             report.add(
                 f"{name}-n{n}-intervals",
-                status,
+                overall_status(["fail"] * len(bad) + ["inconclusive"] * len(inconclusive)),
                 {
                     "intervals": intervals,
                     "shellings": shellings,
@@ -381,39 +374,34 @@ def suite_braid(seed: int = DEFAULT_SEED, budget: int | None = None) -> RunRepor
     return report
 
 
-def _nonempty_strata(k: int, n: int):
-    group = type_a_group(k)
-    elems = group.elements_up_to_length(k * (k - 1) // 2)
-    for wbar in product(elems, repeat=n):
-        m = group.m_star(wbar)
-        for v in group.lower_interval(m):
-            yield v, wbar
-
-
 @_timed
 def suite_duality(seed: int = DEFAULT_SEED, budget=None) -> RunReport:
     """phi is an involution on gauge classes and permutes strata as displayed."""
-    report = RunReport("verify duality", {"k": 3, "n": 2, "points": 10}, seed=seed)
+    report = RunReport(
+        "verify duality", {"k": 3, "n": 2, "points": 10, "checked": True}, seed=seed
+    )
+    check = report.inputs["checked"]  # the report records how the points were checked
     group = type_a_group(3)
     w0 = from_perm(group, slk.w0_perm(3))
     rng = random.Random(seed)
     strata = 0
     bad = []
-    for v, wbar in _nonempty_strata(3, 2):
+    for q in iter_qnodes(group, 2):
         strata += 1
-        dim = sum(w.length for w in wbar) - v.length
+        v, wbar = q.v, q.wbar
         expected = (
             group.multiply(w0, wbar[0]),
             (group.multiply(w0, v),) + tuple(group.inverse(w) for w in reversed(wbar[1:])),
         )
         for _ in range(10):
-            z = twisted.parametrize_cell(v, wbar, twisted.random_params(dim, rng))
-            image = twisted.phi_Z(z)
+            params = twisted.random_params(q.rank, rng)
+            z = twisted.parametrize_cell(v, wbar, params, check=check)
+            image = twisted.phi_Z(z, check=check)
             if twisted.stratum(image) != expected:
                 bad.append({"stratum": (v.describe(), [w.describe() for w in wbar]),
                             "check": "stratum-map"})
                 break
-            if not twisted.gauge_eq(twisted.phi_Z(image), z):
+            if not twisted.gauge_eq(twisted.phi_Z(image, check=check), z):
                 bad.append({"stratum": (v.describe(), [w.describe() for w in wbar]),
                             "check": "involution"})
                 break
@@ -462,25 +450,25 @@ def suite_double_bruhat(seed: int = DEFAULT_SEED, budget=None) -> RunReport:
     return report
 
 
-def run_cell_containment(seed: int = DEFAULT_SEED, samples: int = 25) -> RunReport:
+@_timed
+def run_cell_containment(
+    seed: int = DEFAULT_SEED, budget=None, samples: int = 25
+) -> RunReport:
     """Every seeded positive parametrization lands in its stratum (k=3, n=2)."""
-    t0 = time.perf_counter()
     report = RunReport(
         "cell-containment", {"k": 3, "n": 2, "samples": samples}, seed=seed
     )
     rng = random.Random(seed)
     strata = 0
     bad = []
-    for v, wbar in _nonempty_strata(3, 2):
+    for q in iter_qnodes(type_a_group(3), 2):
         strata += 1
-        dim = sum(w.length for w in wbar) - v.length
         for _ in range(samples):
-            z = twisted.parametrize_cell(v, wbar, twisted.random_params(dim, rng))
-            if twisted.stratum(z) != (v, wbar):
-                bad.append({"v": v.describe(), "wbar": [w.describe() for w in wbar]})
+            z = twisted.parametrize_cell(q.v, q.wbar, twisted.random_params(q.rank, rng))
+            if twisted.stratum(z) != (q.v, q.wbar):
+                bad.append({"v": q.v.describe(), "wbar": [w.describe() for w in q.wbar]})
                 break
     report.add("containment", not bad, {"strata": strata} if not bad else {"bad": bad[:5]})
-    report.elapsed_s = time.perf_counter() - t0
     return report
 
 
@@ -492,5 +480,6 @@ SUITES = {
     "sl2-triangle": suite_sl2_triangle,
     "braid": suite_braid,
     "duality": suite_duality,
+    "cell-containment": run_cell_containment,
     "double-bruhat": suite_double_bruhat,
 }

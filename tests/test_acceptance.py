@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from tnnflag import twisted, verify
+from tnnflag import verify
 
 
 def _report_line(num, name, ok, elapsed):
@@ -64,14 +64,9 @@ def test_acceptance_5_sl2_triangle():
 
 
 def test_acceptance_6_cell_parametrization_containment():
-    t0 = time.perf_counter()
-    report = verify.run_cell_containment(samples=25)
-    elapsed = time.perf_counter() - t0
-    ok = report.status == "pass" and elapsed < 120.0
-    _report_line(6, "cell parametrization containment", ok, elapsed)
-    assert report.status == "pass", report.to_json()
+    suite = verify.SUITES["cell-containment"]
+    report = _run(6, "cell parametrization containment", suite, 120.0, samples=25)
     assert report.checks[0]["witness"]["strata"] == 167
-    assert elapsed < 120.0
 
 
 def test_acceptance_7_braid_posets():
@@ -82,8 +77,8 @@ def test_acceptance_7_braid_posets():
 
 
 def test_acceptance_8_duality():
-    assert twisted.CHECKED, "acceptance runs with theorem assertions on"
     report = _run(8, "duality involution and stratum map", verify.suite_duality, 600.0)
+    assert report.inputs["checked"] is True, "acceptance runs with theorem assertions on"
     assert report.checks[0]["witness"]["strata"] == 167
 
 

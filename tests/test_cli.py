@@ -177,3 +177,39 @@ def test_cell_stratum_failure_exits_1(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["status"] == "fail"
     assert any(c["status"] == "fail" for c in payload["checks"])
+
+
+def test_cell_zero_denominator_is_usage_error(capsys):
+    code, _, err = run(
+        capsys, "cell", "--k", "2", "--n", "1", "--w", "(1)", "--params", "1/0",
+    )
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_output_into_missing_directory_is_usage_error(capsys, tmp_path):
+    missing = tmp_path / "no-such-dir"
+    for flag in ("--dot", "--json"):
+        code, out, err = run(
+            capsys,
+            "poset", "A", "1", "--n", "1", "--top", "e;(1)", "--check", "pure",
+            flag, str(missing / "out"),
+        )
+        assert code == 2
+        assert err.startswith("error:") and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cell", "--k", "2", "--n", "1", "--w", "(1)", "--random", "-2"],
+        ["poset", "A", "1", "--top", "e;(1)", "--budget", "-1"],
+        ["poset", "A", "1", "--top", "e;(1)", "--node-cap", "-5"],
+        ["verify", "sl2-triangle", "--budget", "-1"],
+    ],
+)
+def test_negative_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: argument" in capsys.readouterr().err

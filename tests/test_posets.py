@@ -1,5 +1,8 @@
 """Face poset construction and the regularity checks on known shapes."""
 
+import random
+from itertools import product
+
 import pytest
 
 from tnnflag.posets import (
@@ -22,7 +25,66 @@ from tnnflag.posets import (
     shelling_of_facets,
     to_dot,
 )
-from tnnflag.verify import iter_qnodes
+from tnnflag.verify import _hatQ_families, iter_qnodes
+
+
+def from_covers(elements, pairs):
+    """Poset generated by the relations lo < hi in ``pairs``, plus BOTTOM.
+
+    Nodes are stored by height, with BOTTOM at node 0 below every element.
+    """
+    below = {e: set() for e in elements}
+    for lo, hi in pairs:
+        below[hi].add(lo)
+    changed = True
+    while changed:
+        changed = False
+        for e in elements:
+            extra = set().union(*(below[d] for d in below[e])) - below[e]
+            if extra:
+                below[e] |= extra
+                changed = True
+    height = {}
+    for e in sorted(elements, key=lambda e: len(below[e])):
+        height[e] = max((height[d] + 1 for d in below[e]), default=0)
+    order = sorted(elements, key=height.get)
+    index = {e: i for i, e in enumerate(order, start=1)}
+    return FacePoset(
+        [BOTTOM, *order],
+        [-1, *(height[e] for e in order)],
+        [()] + [{0} | {index[d] for d in below[e]} for e in order],
+    )
+
+
+def chain_length_bounds(poset):
+    """(minlen, maxlen) of cover paths from x to y, keyed by pairs (x, y)."""
+    ups = poset.up_covers()
+    minlen, maxlen = {}, {}
+    for x in range(len(poset)):
+        minlen[x, x] = maxlen[x, x] = 0
+        for z in range(x, len(poset)):  # rank order: everything above x
+            if (x, z) not in minlen:
+                continue
+            for y in ups[z]:
+                minlen[x, y] = min(minlen.get((x, y), len(poset)), minlen[x, z] + 1)
+                maxlen[x, y] = max(maxlen.get((x, y), 0), maxlen[x, z] + 1)
+    return minlen, maxlen
+
+
+def oracle_is_pure(poset):
+    minlen, maxlen = chain_length_bounds(poset)
+    return all(
+        minlen[x, y] == maxlen[x, y] for x in range(len(poset)) for y in poset.above[x]
+    )
+
+
+def oracle_is_thin(poset):
+    minlen, maxlen = chain_length_bounds(poset)
+    return all(
+        len(poset.above[x] & poset.below[y]) == 2
+        for (x, y), longest in maxlen.items()
+        if longest == 2 and minlen[x, y] == 2
+    )
 
 
 @pytest.fixture(scope="module")
@@ -114,8 +176,6 @@ def test_braid_poset_a1_double_letter(A1):
 
 def test_braid_equals_interval_slice(A2):
     """Braid posets agree with intervals restricted to the fixed product."""
-    from itertools import product
-
     for length in range(1, 5):
         for letters in product(range(2), repeat=length):
             poset = braid_poset(A2, letters)
@@ -145,24 +205,79 @@ def test_link_posets(A1):
 
 
 def test_is_pure_counterexample():
-    # 4-chain with an extra atom glued directly below the top: the pair
+    # 4-chain with an extra element glued between its ends: the pair
     # (a, d) has maximal chains of lengths 3 and 2
-    poset = FacePoset.from_covers(
+    poset = from_covers(
         ["a", "b", "c", "d", "x"],
         [("a", "b"), ("b", "c"), ("c", "d"), ("a", "x"), ("x", "d")],
     )
     assert not is_pure(poset)
+    assert not is_eulerian(poset)
 
 
 def test_boolean_lattice_pure_thin():
-    poset = FacePoset.from_covers(
-        ["0", "a", "b", "ab"],
-        [("0", "a"), ("0", "b"), ("a", "ab"), ("b", "ab")],
-    )
+    # the bottom plays the empty set
+    poset = from_covers(["a", "b", "ab"], [("a", "ab"), ("b", "ab")])
     assert is_pure(poset)
     assert is_thin(poset)
     assert is_eulerian(poset)
     assert mobius(poset, 0, poset.index("ab")) == 1
+    assert open_boundary_euler(poset) == 2  # two points: the 0-sphere
+
+
+def test_open_boundary_euler_needs_unique_maximum():
+    with pytest.raises(ValueError):
+        open_boundary_euler(from_covers(["a", "b"], []))
+
+
+@pytest.mark.parametrize(
+    "elements, pairs",
+    [
+        # three atoms below a top: [0^, t] has three middle elements
+        (["a", "b", "c", "t"], [("a", "t"), ("b", "t"), ("c", "t")]),
+        # a chain: [0^, b] has one middle element
+        (["a", "b"], [("a", "b")]),
+        # a diamond with a tail: [a, t] has the single middle element c
+        (["a", "b", "c", "t"], [("a", "c"), ("b", "c"), ("c", "t")]),
+    ],
+)
+def test_not_thin_not_eulerian(elements, pairs):
+    poset = from_covers(elements, pairs)
+    assert not is_thin(poset)
+    assert not is_eulerian(poset)
+    assert is_thin(poset) == oracle_is_thin(poset)
+
+
+def _differential_posets(A2):
+    for _, group, ns in _hatQ_families():
+        for n in ns:
+            for top in iter_qnodes(group, n):
+                yield build_interval(top)
+    for length in range(1, 6):
+        for letters in product(range(2), repeat=length):
+            yield braid_poset(A2, letters)
+    rng = random.Random(5)
+    tops = [top for top in iter_qnodes(A2, 2) if top.rank >= 2]
+    for top in rng.sample(tops, 12):
+        interval = build_interval(top)
+        for i in rng.sample(range(1, len(interval) - 1), 3):
+            yield link_poset(interval.nodes[i], top)
+    for _ in range(300):
+        size = rng.randint(1, 8)
+        pairs = [(i, j) for i in range(size) for j in range(i + 1, size) if rng.random() < 0.35]
+        yield from_covers(list(range(size)), pairs)
+
+
+def test_pure_and_thin_match_chain_length_oracle(A2):
+    """The cover-based checks equal the chain-length table on every interval
+    of the hatQ families, every short A2 braid word, sampled links and
+    seeded random posets."""
+    verdicts = set()
+    for poset in _differential_posets(A2):
+        pure, thin = is_pure(poset), is_thin(poset)
+        assert (pure, thin) == (oracle_is_pure(poset), oracle_is_thin(poset))
+        verdicts.add((pure, thin))
+    assert {pure for pure, _ in verdicts} == {thin for _, thin in verdicts} == {True, False}
 
 
 def test_simplex_boundary_shells_in_any_order():

@@ -251,14 +251,24 @@ def test_phi_z_k2_example():
     assert twisted.gauge_eq(twisted.phi_Z(image), z)
 
 
-def test_phi_z_checked_mode_flag():
-    old = twisted.set_checked(False)
-    try:
-        z = twisted.ZPoint((slk.y_gen(2, 1, 1), slk.y_gen(2, 1, 2)))
+def test_phi_z_checked_mode_flag(monkeypatch):
+    """check=False skips the stratum assertion; check=True, the default,
+    raises on a (forced) wrong stratum."""
+    z = twisted.ZPoint((slk.y_gen(2, 1, 1), slk.y_gen(2, 1, 2)))
+    real = twisted.stratum
+
+    def wrong_stratum(point):
+        v, wbar = real(point)
+        if point is z:
+            v = v.group.multiply(v, v.group.simple(0))
+        return v, wbar
+
+    monkeypatch.setattr(twisted, "stratum", wrong_stratum)
+    twisted.phi_Z(z, check=False)
+    with pytest.raises(AssertionError):
+        twisted.phi_Z(z, check=True)
+    with pytest.raises(AssertionError):
         twisted.phi_Z(z)
-    finally:
-        twisted.set_checked(old)
-    assert twisted.CHECKED == old
 
 
 def _sl2_params_from_chart(image, v2, wbar2):
