@@ -8,10 +8,6 @@ from itertools import combinations
 Mat = tuple[tuple[Fraction, ...], ...]
 
 
-def mat(rows) -> Mat:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
 def identity(k: int) -> Mat:
     return tuple(
         tuple(Fraction(1 if i == j else 0) for j in range(k)) for i in range(k)

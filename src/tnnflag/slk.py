@@ -1,7 +1,10 @@
 """The pinned group SL_k over exact rationals.
 
-Chevalley generators, signed permutation representatives, Bruhat and
-opposite-cell identification of flags by rank conditions, total
+Chevalley generators, signed permutation representatives (w0dot in
+closed form, inverted by transposing), one column elimination that reads
+every cell: the Bruhat cell of g B+, its opposite cell and double Bruhat
+labels (the same elimination on g with rows, or rows and columns,
+reversed) and the canonical representative of a flag.  Also total
 nonnegativity by exhaustive minors, the Marsh-Rietsch cell
 parametrization, and the involutions iota and Phi.
 
@@ -16,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from . import ratlin
 from .ratlin import Mat
@@ -97,30 +99,16 @@ def w0_perm(k: int) -> tuple[int, ...]:
     return tuple(range(k, 0, -1))
 
 
-def perm_word(p) -> tuple[int, ...]:
-    """A reduced word (1-based letters) for a one-line permutation."""
-    q = list(p)
-    k = len(q)
-    word = []
-    while True:
-        for i in range(k - 1):
-            if q.index(i + 1) > q.index(i + 2):
-                break
-        else:
-            break
-        a, b = q.index(i + 1), q.index(i + 2)
-        q[a], q[b] = q[b], q[a]
-        word.append(i + 1)
-    return tuple(word)
-
-
 def w0_dot(k: int) -> Mat:
-    return wdot_from_word(k, perm_word(w0_perm(k)))
+    """sdot over any reduced word of w0: antidiagonal, (-1)^r in row r.
 
-
-def perm_mul(p, q) -> tuple[int, ...]:
-    """(p q)(j) = p(q(j)), one-line 1-based."""
-    return tuple(p[q[j] - 1] for j in range(len(p)))
+    A signed permutation matrix, so its inverse is its transpose.
+    """
+    _check_k(k)
+    return tuple(
+        tuple(Fraction((-1) ** r) if c == k - 1 - r else Fraction(0) for c in range(k))
+        for r in range(k)
+    )
 
 
 def word_perm(k: int, letters) -> tuple[int, ...]:
@@ -130,29 +118,41 @@ def word_perm(k: int, letters) -> tuple[int, ...]:
     return tuple(p)
 
 
-def bruhat_cell(g: Mat) -> tuple[int, ...]:
-    """Permutation w with g in B+ wdot B+, from southwest rank conditions.
+def _echelon(g: Mat) -> tuple[list[list[Fraction]], list[int]]:
+    """Column elimination of g B+: the unique echelon representative and its pivot rows.
 
-    rank(g[rows >= i, cols <= j]) = #{c <= j : w(c) >= i} pins w uniquely:
-    w(j) is the largest i whose southwest rank increases at column j.
+    Column j is cleared at the pivot rows of earlier columns by adding
+    multiples of those columns, then scaled so its lowest nonzero entry,
+    its pivot, is 1.  Only right multiplication by B+ is used.
     """
     k = len(g)
-    if ratlin.det(g) == 0:
-        raise ValueError("singular matrix has no Bruhat cell")
-    r = [[0] * (k + 1) for _ in range(k + 2)]  # r[i][j], i in 1..k+1, j in 0..k
-    for i in range(1, k + 2):
-        for j in range(k + 1):
-            if i == k + 1 or j == 0:
-                r[i][j] = 0
-            else:
-                r[i][j] = ratlin.rank(
-                    ratlin.submatrix(g, range(i - 1, k), range(j))
-                )
-    w = []
-    for j in range(1, k + 1):
-        i = max(i for i in range(1, k + 1) if r[i][j] - r[i][j - 1] == 1)
-        w.append(i)
-    return tuple(w)
+    m = [list(row) for row in g]
+    pivots: list[int] = []
+    for j in range(k):
+        for pj, pr in enumerate(pivots):
+            if m[pr][j] != 0:
+                f = m[pr][j] / m[pr][pj]
+                for r in range(k):
+                    m[r][j] -= f * m[r][pj]
+        piv = max((r for r in range(k) if m[r][j] != 0), default=None)
+        if piv is None:
+            raise ValueError("singular matrix has no Bruhat cell")
+        inv = 1 / m[piv][j]
+        for r in range(k):
+            m[r][j] *= inv
+        pivots.append(piv)
+    return m, pivots
+
+
+def bruhat_cell(g: Mat) -> tuple[int, ...]:
+    """Permutation w with g in B+ wdot B+: the pivot rows of the elimination.
+
+    The southwest ranks rank(g[rows >= i, cols <= j]) do not change under
+    right multiplication by B+, and in echelon form they count the pivots
+    in rows >= i among the first j columns; so they equal
+    #{c <= j : w(c) >= i}, the rank conditions that pin w.
+    """
+    return tuple(p + 1 for p in _echelon(g)[1])
 
 
 def bruhat_cell_by_elimination(g: Mat) -> tuple[int, ...]:
@@ -186,33 +186,33 @@ def bruhat_cell_by_elimination(g: Mat) -> tuple[int, ...]:
 
 
 def opposite_cell(g: Mat) -> tuple[int, ...]:
-    """Permutation v with g in B- vdot B+, via B- = w0dot B+ w0dot^{-1}."""
+    """Permutation v with g in B- vdot B+, as w0 times the Bruhat cell of w0dot^{-1} g.
+
+    B- = w0dot B+ w0dot^{-1}.  w0dot^{-1} is the row reversal J times a
+    diagonal sign matrix D, and J D = (J D J) J with J D J in B+, so the
+    Bruhat cell of w0dot^{-1} g is that of g with its rows reversed.
+    """
     k = len(g)
-    w0 = w0_perm(k)
-    inner = bruhat_cell(ratlin.mat_mul(ratlin.mat_inv(w0_dot(k)), g))
-    return perm_mul(w0, inner)
+    return tuple(k + 1 - p for p in bruhat_cell(g[::-1]))
 
 
 def double_bruhat_labels(g: Mat) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(v, w) with g in B+ wdot B+ intersect B- vdot B-."""
+    """(v, w) with g in B+ wdot B+ intersect B- vdot B-.
+
+    v = w0 u w0 for the Bruhat cell u of w0dot^{-1} g w0dot, which is the
+    cell of g with rows and columns reversed (the signs lie in B+, as in
+    ``opposite_cell``).
+    """
     k = len(g)
-    w = bruhat_cell(g)
-    w0d = w0_dot(k)
-    conj = ratlin.mat_mul(ratlin.mat_inv(w0d), g, w0d)
-    w0 = w0_perm(k)
-    v = perm_mul(w0, perm_mul(bruhat_cell(conj), w0))
-    return v, w
+    u = bruhat_cell(tuple(row[::-1] for row in g[::-1]))
+    return tuple(k + 1 - p for p in reversed(u)), bruhat_cell(g)
 
 
 def is_tnn(g: Mat) -> bool:
     """All minors of all sizes are nonnegative (exact)."""
-    k = len(g)
-    for size in range(1, k + 1):
-        for rows in combinations(range(k), size):
-            for cols in combinations(range(k), size):
-                if ratlin.det(ratlin.submatrix(g, rows, cols)) < 0:
-                    return False
-    return True
+    return all(
+        d >= 0 for size in range(1, len(g) + 1) for _, d in ratlin.minors(g, size)
+    )
 
 
 def mr_matrix(k: int, word, taken, params, check: bool = True) -> Mat:
@@ -275,34 +275,14 @@ class FlagPoint:
     def __eq__(self, other):
         if not isinstance(other, FlagPoint):
             return NotImplemented
-        return ratlin.is_upper_triangular(
-            ratlin.mat_mul(ratlin.mat_inv(self.rep), other.rep)
-        )
+        return self.canonical() == other.canonical()
 
     def __hash__(self):
         return hash(self.canonical())
 
     def canonical(self) -> Mat:
-        """Unique representative by column elimination from the left.
-
-        Column j is cleared at the pivot rows of earlier columns, then
-        scaled so its lowest remaining nonzero entry is 1.
-        """
-        k = len(self.rep)
-        m = [list(row) for row in self.rep]
-        pivots: list[int] = []
-        for j in range(k):
-            for pj, pr in enumerate(pivots):
-                if m[pr][j] != 0:
-                    f = m[pr][j] / m[pr][pj]
-                    for r in range(k):
-                        m[r][j] -= f * m[r][pj]
-            piv = max(r for r in range(k) if m[r][j] != 0)
-            inv = 1 / m[piv][j]
-            for r in range(k):
-                m[r][j] *= inv
-            pivots.append(piv)
-        return tuple(tuple(row) for row in m)
+        """The echelon representative of ``_echelon``; equal iff the flags are."""
+        return tuple(tuple(row) for row in _echelon(self.rep)[0])
 
     def bruhat(self) -> tuple[int, ...]:
         return bruhat_cell(self.rep)
@@ -318,4 +298,4 @@ class FlagPoint:
 def phi_flag(f: FlagPoint) -> FlagPoint:
     """Duality on flags: g B+ -> iota(w0dot^{-1} g) B+."""
     k = len(f.rep)
-    return FlagPoint(iota(ratlin.mat_mul(ratlin.mat_inv(w0_dot(k)), f.rep)))
+    return FlagPoint(iota(ratlin.mat_mul(ratlin.transpose(w0_dot(k)), f.rep)))

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import ratlin, slk
 from .ratlin import Mat
-from .weyl import WeylElt, WeylGroup, from_perm, perm_of, positive_tuple, type_a_group
+from .weyl import WeylElt, WeylGroup, from_perm, positive_tuple, type_a_group
 
 @dataclass(frozen=True)
 class ZPoint:
@@ -160,7 +160,7 @@ def phi_Z(z: ZPoint, check: bool = True) -> ZPoint:
     if check:
         v, wbar = stratum(z)
     prod = ratlin.mat_mul(*z.factors)
-    first = slk.iota(ratlin.mat_mul(ratlin.mat_inv(slk.w0_dot(k)), prod))
+    first = slk.iota(ratlin.mat_mul(ratlin.transpose(slk.w0_dot(k)), prod))
     rest = [slk.iota(ratlin.mat_inv(g)) for g in reversed(z.factors[1:])]
     out = ZPoint((first, *rest))
     if check:

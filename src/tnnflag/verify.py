@@ -241,10 +241,24 @@ def iter_qnodes(group: WeylGroup, n: int, length_cap: int | None = None):
             yield make_qnode(v, wbar)
 
 
+def _add_sweep(report: RunReport, name: str, counts: dict, bad: list, inconclusive: list) -> None:
+    """One check over a sweep: fail on any bad witness, else inconclusive on any spent budget."""
+    report.add(
+        name,
+        overall_status(["fail"] * len(bad) + ["inconclusive"] * len(inconclusive)),
+        {
+            **counts,
+            **({"bad": bad[:5]} if bad else {}),
+            **({"inconclusive": inconclusive[:5]} if inconclusive else {}),
+        },
+    )
+
+
 @_timed
 def suite_hatQ(seed: int = DEFAULT_SEED, budget: int | None = None) -> RunReport:
     """Purity, thinness, Eulerian-ness, shellability sweep over small families."""
-    budget = budget or DEFAULT_SHELLING_BUDGET
+    if budget is None:
+        budget = DEFAULT_SHELLING_BUDGET
     report = RunReport(
         "verify hatQ",
         {"families": ["A1 n<=3", "A2 n<=2", "B2 n=1"], "shelling_rank_cap": 5},
@@ -278,15 +292,12 @@ def suite_hatQ(seed: int = DEFAULT_SEED, budget: int | None = None) -> RunReport
                         bad.append({"top": label, "check": "shelling"})
                     elif status == "inconclusive":
                         inconclusive.append({"top": label, "budget": budget})
-            report.add(
+            _add_sweep(
+                report,
                 f"{name}-n{n}-intervals",
-                overall_status(["fail"] * len(bad) + ["inconclusive"] * len(inconclusive)),
-                {
-                    "intervals": intervals,
-                    "shellings": shellings,
-                    **({"bad": bad[:5]} if bad else {}),
-                    **({"inconclusive": inconclusive[:5]} if inconclusive else {}),
-                },
+                {"intervals": intervals, "shellings": shellings},
+                bad,
+                inconclusive,
             )
     # rank-1 thinness witness: deletions of the concatenated word giving v
     bad = []
@@ -345,10 +356,12 @@ def suite_sl2_triangle(seed: int = DEFAULT_SEED, budget=None) -> RunReport:
 @_timed
 def suite_braid(seed: int = DEFAULT_SEED, budget: int | None = None) -> RunReport:
     """Regularity of braid/subword posets for all short A2 words."""
-    budget = budget or DEFAULT_SHELLING_BUDGET
+    if budget is None:
+        budget = DEFAULT_SHELLING_BUDGET
     report = RunReport("verify braid", {"group": "A2", "max_len": 5}, seed=seed, budget=budget)
     group = WeylGroup(cartan_of_type("A", 2))
     bad = []
+    inconclusive = []
     words = 0
     for length in range(1, 6):
         for letters in product(range(2), repeat=length):
@@ -361,10 +374,12 @@ def suite_braid(seed: int = DEFAULT_SEED, budget: int | None = None) -> RunRepor
                 bad.append({"word": label, "check": "thin"})
             if not is_eulerian(poset):
                 bad.append({"word": label, "check": "eulerian"})
-            res = find_shelling(poset, budget=budget)
-            if not res.shellable:
-                bad.append({"word": label, "check": "shelling", "status": res.status})
-    report.add("all-words", not bad, {"words": words} if not bad else {"bad": bad[:5]})
+            status = find_shelling(poset, budget=budget).check_status
+            if status == "fail":
+                bad.append({"word": label, "check": "shelling"})
+            elif status == "inconclusive":
+                inconclusive.append({"word": label, "budget": budget})
+    _add_sweep(report, "all-words", {"words": words}, bad, inconclusive)
     ball = braid_poset(group, (0, 1, 0, 1))
     report.add(
         "1212-is-1-ball",
@@ -451,12 +466,12 @@ def suite_double_bruhat(seed: int = DEFAULT_SEED, budget=None) -> RunReport:
 
 
 @_timed
-def run_cell_containment(
+def suite_cell_containment(
     seed: int = DEFAULT_SEED, budget=None, samples: int = 25
 ) -> RunReport:
     """Every seeded positive parametrization lands in its stratum (k=3, n=2)."""
     report = RunReport(
-        "cell-containment", {"k": 3, "n": 2, "samples": samples}, seed=seed
+        "verify cell-containment", {"k": 3, "n": 2, "samples": samples}, seed=seed
     )
     rng = random.Random(seed)
     strata = 0
@@ -480,6 +495,6 @@ SUITES = {
     "sl2-triangle": suite_sl2_triangle,
     "braid": suite_braid,
     "duality": suite_duality,
-    "cell-containment": run_cell_containment,
+    "cell-containment": suite_cell_containment,
     "double-bruhat": suite_double_bruhat,
 }

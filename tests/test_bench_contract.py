@@ -1,0 +1,30 @@
+"""The benchmark in ``benchmarks/`` still runs against the package.
+
+The tracer wraps named functions of every layer and fails on entry when
+one of them is gone; the cells workload calls the exact-matrix API and
+checks each output against its recorded invariants.  This test only reads
+``benchmarks/``.
+"""
+
+import sys
+from pathlib import Path
+
+from tnnflag import slk
+
+BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
+sys.path.insert(0, str(BENCH))
+
+import workloads  # noqa: E402
+from tracer import Tracer  # noqa: E402
+
+
+def test_traced_cells_items_are_correct():
+    items = workloads.cell_items(seed=1, seconds=0.01, expected=workloads.load_expected())
+    assert len(items) == 11
+    original = slk.bruhat_cell
+    with Tracer() as tracer:
+        outputs = [tracer.root(idx, item.kind, item.run) for idx, item in enumerate(items)]
+    assert slk.bruhat_cell is original
+    assert tracer.calls["slk.bruhat_cell"] > 0
+    for item, out in zip(items, outputs):
+        assert item.check(out) is None, item.key

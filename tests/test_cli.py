@@ -1,9 +1,11 @@
 """Exit-code contract and report formats of the command-line surface."""
 
 import json
+from itertools import islice
 
 import pytest
 
+from tnnflag import verify
 from tnnflag.cli import main, parse_word, split_top_level, WordParseError
 from tnnflag.weyl import type_a_group
 
@@ -213,3 +215,29 @@ def test_negative_counts_are_usage_errors(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "error: argument" in capsys.readouterr().err
+
+
+def test_verify_budget_zero_is_kept(capsys):
+    code, out, _ = run(capsys, "verify", "braid", "--budget", "0")
+    payload = json.loads(out)
+    assert payload["budget"] == 0
+    assert payload["status"] == "inconclusive" and code == 0
+
+
+def test_verify_braid_spent_budget_is_inconclusive(capsys):
+    code, out, _ = run(capsys, "verify", "braid", "--budget", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["status"] == "inconclusive"
+    words = payload["checks"][0]
+    assert words["status"] == "inconclusive" and "bad" not in words["witness"]
+    assert words["witness"]["inconclusive"][0]["budget"] == 1
+
+
+def test_every_suite_reports_its_verify_command(monkeypatch):
+    # the command does not depend on how many strata a suite sweeps
+    strata = verify.iter_qnodes
+    monkeypatch.setattr(verify, "iter_qnodes", lambda *a, **kw: islice(strata(*a, **kw), 3))
+    for name, suite in verify.SUITES.items():
+        kwargs = {"samples": 1} if name == "cell-containment" else {}
+        assert suite(budget=0, **kwargs).to_json()["command"] == f"verify {name}"

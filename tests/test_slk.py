@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from functools import cache
+from math import factorial
 
 import pytest
 
 from tnnflag import ratlin, slk
-from tnnflag.weyl import from_perm, perm_of
+from tnnflag.weyl import from_perm, perm_of, type_a_group
 
 
 def rand_frac(rng, lo=-20, hi=20):
@@ -37,6 +39,64 @@ def random_invertible(k, rng):
         g = tuple(tuple(rand_frac(rng) for _ in range(k)) for _ in range(k))
         if ratlin.det(g) != 0:
             return g
+
+
+def sparse_matrix(k, rng):
+    """Random matrix in which about half the entries are zero."""
+    return tuple(
+        tuple(rand_frac(rng, -3, 3) if rng.random() < 0.5 else Fraction(0) for _ in range(k))
+        for _ in range(k)
+    )
+
+
+def word_of(k, p):
+    """A reduced word (1-based letters) of a one-line permutation."""
+    return tuple(t + 1 for t in from_perm(type_a_group(k), p).word)
+
+
+def bruhat_cell_by_rank(g):
+    """Rank-condition oracle: w with g in B+ wdot B+.
+
+    rank(g[rows >= i, cols <= j]) = #{c <= j : w(c) >= i} pins w uniquely:
+    w(j) is the largest i whose southwest rank increases at column j.
+    """
+    k = len(g)
+    if ratlin.det(g) == 0:
+        raise ValueError("singular matrix has no Bruhat cell")
+    r = [[0] * (k + 1) for _ in range(k + 2)]  # r[i][j], i in 1..k+1, j in 0..k
+    for i in range(1, k + 1):
+        for j in range(1, k + 1):
+            r[i][j] = ratlin.rank(ratlin.submatrix(g, range(i - 1, k), range(j)))
+    return tuple(
+        max(i for i in range(1, k + 1) if r[i][j] - r[i][j - 1] == 1)
+        for j in range(1, k + 1)
+    )
+
+
+@cache
+def w0_dot_by_word(k):
+    """w0dot as the product of sdot over a reduced word of w0."""
+    return slk.wdot_from_word(k, word_of(k, slk.w0_perm(k)))
+
+
+def opposite_cell_by_inverse(g):
+    """v = w0 * cell(w0dot^{-1} g), with the inverse computed."""
+    group = type_a_group(len(g))
+    w0 = from_perm(group, slk.w0_perm(len(g)))
+    inner = slk.bruhat_cell_by_elimination(
+        ratlin.mat_mul(ratlin.mat_inv(w0_dot_by_word(len(g))), g)
+    )
+    return perm_of(group.multiply(w0, from_perm(group, inner)))
+
+
+def double_bruhat_labels_by_inverse(g):
+    """(w0 * cell(w0dot^{-1} g w0dot) * w0, cell(g)), with the inverse computed."""
+    group = type_a_group(len(g))
+    w0 = from_perm(group, slk.w0_perm(len(g)))
+    w0d = w0_dot_by_word(len(g))
+    inner = slk.bruhat_cell_by_elimination(ratlin.mat_mul(ratlin.mat_inv(w0d), g, w0d))
+    v = group.multiply(group.multiply(w0, from_perm(group, inner)), w0)
+    return perm_of(v), slk.bruhat_cell_by_elimination(g)
 
 
 def random_upper(k, rng):
@@ -89,9 +149,41 @@ def test_bruhat_cell_on_permutation_representatives():
 
     for k in (2, 3, 4):
         for p in permutations(range(1, k + 1)):
-            rep = slk.wdot_from_word(k, slk.perm_word(p))
+            rep = slk.wdot_from_word(k, word_of(k, p))
             assert slk.bruhat_cell(rep) == p
             assert slk.bruhat_cell_by_elimination(rep) == p
+            assert bruhat_cell_by_rank(rep) == p
+
+
+def test_cell_readers_match_rank_and_inverse_oracles_on_sparse_matrices():
+    """The one elimination against the rank conditions and the w0dot^{-1} formulas."""
+    rng = random.Random(2024)
+    for k in range(2, 7):
+        cells = set()
+        tested = singular = 0
+        while tested < 200:
+            g = sparse_matrix(k, rng)
+            if ratlin.det(g) == 0:
+                singular += 1
+                for reader in (slk.bruhat_cell, slk.opposite_cell, slk.double_bruhat_labels):
+                    with pytest.raises(ValueError, match="singular"):
+                        reader(g)
+                continue
+            tested += 1
+            w = slk.bruhat_cell(g)
+            assert w == bruhat_cell_by_rank(g) == slk.bruhat_cell_by_elimination(g)
+            assert slk.opposite_cell(g) == opposite_cell_by_inverse(g)
+            assert slk.double_bruhat_labels(g) == double_bruhat_labels_by_inverse(g)
+            cells.add(w)
+        assert singular > 0
+        assert len(cells) >= min(factorial(k), 20)
+
+
+def test_w0_dot_closed_form():
+    for k in range(2, 7):
+        w0d = slk.w0_dot(k)
+        assert w0d == w0_dot_by_word(k)
+        assert ratlin.transpose(w0d) == ratlin.mat_inv(w0d)
 
 
 def test_bruhat_cell_matches_elimination_oracle_random():
@@ -178,6 +270,31 @@ def test_flag_equality_and_canonical():
         slk.FlagPoint(((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))))
 
 
+def test_flag_equality_is_canonical_form_equality():
+    """g B+ = h B+ iff the canonical forms agree, as the inverse test says."""
+    rng = random.Random(77)
+    outcomes = {True: 0, False: 0}
+    for _ in range(400):
+        k = rng.randint(2, 6)
+        g = random_invertible(k, rng)
+        b = random_upper(k, rng)
+        f, fb = slk.FlagPoint(g), slk.FlagPoint(ratlin.mat_mul(g, b))
+        assert f == fb and hash(f) == hash(fb)
+        i = rng.randint(1, k - 1)
+        step = rng.choice((
+            slk.x_gen(k, i, rand_frac(rng)),
+            slk.y_gen(k, i, rand_frac(rng, -2, 2)),
+            slk.sdot(k, i),
+        ))
+        h = ratlin.mat_mul(g, b, step)
+        same = ratlin.is_upper_triangular(ratlin.mat_mul(ratlin.mat_inv(g), h))
+        assert (f == slk.FlagPoint(h)) is same
+        if same:
+            assert hash(f) == hash(slk.FlagPoint(h))
+        outcomes[same] += 1
+    assert min(outcomes.values()) > 50, outcomes
+
+
 def test_phi_flag_involution():
     rng = random.Random(9)
     for k in (2, 3):
@@ -189,7 +306,7 @@ def test_phi_flag_involution():
 def test_phi_maps_richardson_to_dual_richardson(S3):
     """Flag duality sends the (v, w) stratum to (w0 w, w0 v)."""
     rng = random.Random(31)
-    w0 = (3, 2, 1)
+    w0 = from_perm(S3, (3, 2, 1))
     for w in S3.elements_up_to_length(3):
         word = tuple(t + 1 for t in w.word)
         for v in S3.lower_interval(w):
@@ -202,8 +319,8 @@ def test_phi_maps_richardson_to_dual_richardson(S3):
                 assert f.stratum() == (perm_of(v), perm_of(w))
                 image = slk.phi_flag(f)
                 expected = (
-                    slk.perm_mul(w0, perm_of(w)),
-                    slk.perm_mul(w0, perm_of(v)),
+                    perm_of(S3.multiply(w0, w)),
+                    perm_of(S3.multiply(w0, v)),
                 )
                 assert image.stratum() == expected
 
@@ -227,7 +344,7 @@ def test_lusztig_positive_big_cell_identity():
     """Totally positive upper flows through w0dot into the TNN lower cone."""
     rng = random.Random(15)
     for k in (2, 3):
-        group_word = slk.perm_word(slk.w0_perm(k))
+        group_word = word_of(k, slk.w0_perm(k))
         for _ in range(10):
             u = ratlin.identity(k)
             for i in group_word:
