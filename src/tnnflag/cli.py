@@ -162,8 +162,7 @@ def cmd_poset(args) -> int:
             report.add("eulerian", posets.is_eulerian(poset))
         elif name == "shelling":
             res = posets.find_shelling(poset, budget=args.budget)
-            witness = {"facets": res.facets, "attempts": res.attempts}
-            report.add("shelling", res.check_status, witness)
+            report.add("shelling", res.check_status, res.witness)
         elif name == "ball":
             ball = check_regular_ball(top, node_cap=args.node_cap, budget=args.budget)
             report.add("ball", ball["status"], {"checks": ball["checks"]})

@@ -299,6 +299,10 @@ def maximal_chains(poset: FacePoset) -> list[tuple[int, ...]]:
 
 _CHECK_STATUS = {"shellable": "pass", "not_shellable": "fail", "inconclusive": "inconclusive"}
 
+# The dead-end memo of the shelling search stops growing once its keys (one
+# bit per facet) hold this many bytes.
+_FAILED_STATES_MAX_BYTES = 64 << 20
+
 
 @dataclass
 class ShellingResult:
@@ -307,6 +311,7 @@ class ShellingResult:
     facets: int
     attempts: int
     budget: int
+    backtracks: int = 0  # dead ends the search stepped back from
 
     @property
     def shellable(self):
@@ -317,29 +322,66 @@ class ShellingResult:
         """The verdict as a check status: pass, fail or inconclusive."""
         return _CHECK_STATUS[self.status]
 
+    @property
+    def witness(self) -> dict:
+        """The work the verdict took, as a report witness."""
+        return {"facets": self.facets, "attempts": self.attempts, "backtracks": self.backtracks}
+
 
 def overall_status(statuses) -> str:
     """Status of a group of checks: fail beats inconclusive beats pass."""
     return max(statuses, key=("pass", "inconclusive", "fail").index, default="pass")
 
 
-def _facet_masks(facets) -> tuple[list[int], list[tuple[int, ...]], dict]:
+def _facet_vertices(facets) -> tuple[list[tuple], list[tuple[int, ...]], int]:
+    """Sorted members of each facet, the indices of its distinct vertices,
+    and the number of vertices."""
     universe: dict = {}
     members = []
-    masks = []
+    vertices = []
     for f in facets:
         try:
             mem = tuple(sorted(f))
         except TypeError:
             mem = tuple(sorted(f, key=repr))
-        bits = 0
-        for x in mem:
-            if x not in universe:
-                universe[x] = 1 << len(universe)
-            bits |= universe[x]
         members.append(mem)
-        masks.append(bits)
-    return masks, members, universe
+        vertices.append(tuple(universe.setdefault(x, len(universe)) for x in dict.fromkeys(mem)))
+    return members, vertices, len(universe)
+
+
+def _pairwise_rule(used: list[int], mask: int, vertices) -> bool:
+    """Validity of the facet ``mask`` after the facets ``used``, scanning each of them."""
+    walls = []
+    for v in vertices:
+        c = mask & ~(1 << v)
+        if any(c & ~u == 0 for u in used):
+            walls.append(c)
+    if not walls:
+        return False
+    for u in used:
+        it = mask & u
+        if it and not any(it & ~c == 0 for c in walls):
+            return False
+    return True
+
+
+def _wall_rule(cover: list[int], used: int) -> bool:
+    """Validity of a facet from ``cover[i]``, the used facets on its i-th vertex.
+
+    Vertex i is a wall when the AND of the other vertices' bitsets (within
+    ``used``) is nonzero.  Valid iff there is a wall and the AND of the
+    walls' bitsets is zero.
+    """
+    suffix = [used] * (len(cover) + 1)
+    for i in range(len(cover) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] & cover[i]
+    prefix = used
+    common = None  # AND of the walls' bitsets so far
+    for i, c in enumerate(cover):
+        if prefix & suffix[i + 1]:
+            common = c if common is None else common & c
+        prefix &= c
+    return common == 0
 
 
 def shelling_of_facets(
@@ -349,83 +391,89 @@ def shelling_of_facets(
 ) -> ShellingResult:
     """Shelling search over explicit facets (any hashable vertices).
 
-    With ``search`` off, the given order itself is validated.  Returns a
-    definitive negative only when the whole search tree was exhausted
-    within budget.
+    A facet F may follow the used facets iff F meets their union in a pure
+    subcomplex of codimension one: some ridge F - {x} lies in a used facet,
+    and every intersection of F with a used facet u lies in such a ridge.
+    Call x a wall of F when F - {x} lies in a used facet, and W the set of
+    walls.  F & u lies in the ridge F - {x} iff x is not in u, so the
+    pairwise condition says exactly that no used facet contains all of W.
+    The search tests this wall-set rule on per-vertex bitsets of the used
+    facets; the rule holds for facets of any sizes, so mixed-size lists take
+    the same path.
+
+    With ``search`` off, the given order itself is validated by the pairwise
+    rule, scanning every earlier facet; this is the independent oracle for
+    the orders the search returns.
+
+    The search is depth-first over the facets in sorted order and remembers
+    dead-end sets of used facets (as bitmasks, until the keys hold
+    ``_FAILED_STATES_MAX_BYTES``).  ``attempts`` counts validity tests and
+    ``backtracks`` the dead ends stepped back from.  A definitive negative
+    comes only when the whole search tree was exhausted within budget.
     """
-    facets = list(facets)
-    masks, members, universe = _facet_masks(facets)
-    n = len(facets)
+    members, vertices, nvertices = _facet_vertices(facets)
+    n = len(members)
     if n <= 1:
-        return ShellingResult("shellable", [tuple(m) for m in members], n, 0, budget)
-
-    attempts = 0
-
-    def valid(used: list[int], mask: int, member: tuple) -> bool:
-        nonlocal attempts
-        attempts += 1
-        walls = []
-        for x in member:
-            c = mask & ~universe[x]
-            if any(c & ~u == 0 for u in used):
-                walls.append(c)
-        if not walls:
-            return False
-        for u in used:
-            it = mask & u
-            if it and not any(it & ~c == 0 for c in walls):
-                return False
-        return True
+        return ShellingResult("shellable", members, n, 0, budget)
 
     if not search:
-        used = [masks[0]]
+        masks = [sum(1 << v for v in vs) for vs in vertices]
         for idx in range(1, n):
-            if not valid(used, masks[idx], members[idx]):
-                return ShellingResult("not_shellable", None, n, attempts, budget)
-            used.append(masks[idx])
-        return ShellingResult("shellable", [tuple(m) for m in members], n, attempts, budget)
+            if not _pairwise_rule(masks[:idx], masks[idx], vertices[idx]):
+                return ShellingResult("not_shellable", None, n, idx, budget)
+        return ShellingResult("shellable", members, n, n - 1, budget)
 
     order_hint = sorted(range(n), key=lambda idx: members[idx])
-    failed_states: set[frozenset] = set()
-    exhausted = True
-    used_idx: list[int] = []
-    used_masks: list[int] = []
-    iter_stack = [iter(order_hint)]
-    while iter_stack:
-        if attempts > budget:
-            exhausted = False
-            break
-        it = iter_stack[-1]
-        advanced = False
-        for cand in it:
-            if cand in used_idx:
-                continue
-            if used_idx and not valid(used_masks, masks[cand], members[cand]):
-                continue
-            trial = frozenset(used_idx) | {cand}
-            if trial in failed_states:
-                continue
-            used_idx.append(cand)
-            used_masks.append(masks[cand])
-            iter_stack.append(iter(order_hint))
-            advanced = True
-            break
-        if advanced:
-            if len(used_idx) == n:
-                return ShellingResult(
-                    "shellable", [members[i] for i in used_idx], n, attempts, budget
-                )
+    # unused positions of order_hint, doubly linked; position n is the head
+    nxt = [*range(1, n + 1), 0]
+    prv = [n, *range(n)]
+    covering = [0] * nvertices  # per vertex, the used facets on it
+    failed_states: set[int] = set()
+    failed_bytes = 0
+    used = 0  # bitmask of the used facet indices
+    chosen: list[int] = []  # the position used at each level
+    attempts = backtracks = 0
+    pos = nxt[n]
+    while attempts <= budget:
+        while pos != n:
+            cand = order_hint[pos]
+            if chosen:
+                attempts += 1
+                if not _wall_rule([covering[v] for v in vertices[cand]], used):
+                    pos = nxt[pos]
+                    continue
+            if used | (1 << cand) not in failed_states:
+                break
+            pos = nxt[pos]
+        if pos != n:
+            chosen.append(pos)
+            bit = 1 << cand
+            used |= bit
+            for v in vertices[cand]:
+                covering[v] |= bit
+            nxt[prv[pos]], prv[nxt[pos]] = nxt[pos], prv[pos]
+            if len(chosen) == n:
+                order = [members[order_hint[p]] for p in chosen]
+                return ShellingResult("shellable", order, n, attempts, budget, backtracks)
+            pos = nxt[n]
             continue
         # dead end: record the failed state and backtrack
-        if len(failed_states) < (1 << 18):
-            failed_states.add(frozenset(used_idx))
-        iter_stack.pop()
-        if used_idx:
-            used_idx.pop()
-            used_masks.pop()
-    if exhausted:
-        return ShellingResult("not_shellable", None, n, attempts, budget)
-    return ShellingResult("inconclusive", None, n, attempts, budget)
+        size = (used.bit_length() + 7) // 8
+        if failed_bytes + size <= _FAILED_STATES_MAX_BYTES:
+            failed_states.add(used)
+            failed_bytes += size
+        if not chosen:
+            return ShellingResult("not_shellable", None, n, attempts, budget, backtracks)
+        backtracks += 1
+        pos = chosen.pop()
+        cand = order_hint[pos]
+        bit = 1 << cand
+        used ^= bit
+        for v in vertices[cand]:
+            covering[v] ^= bit
+        nxt[prv[pos]] = prv[nxt[pos]] = pos
+        pos = nxt[pos]
+    return ShellingResult("inconclusive", None, n, attempts, budget, backtracks)
 
 
 def find_shelling(poset: FacePoset, budget: int = DEFAULT_SHELLING_BUDGET) -> ShellingResult:
@@ -477,11 +525,7 @@ def check_regular_ball(
     record("thin", "pass" if is_thin(poset) else "fail")
     record("eulerian", "pass" if is_eulerian(poset) else "fail")
     shelling = find_shelling(poset, budget=budget)
-    record(
-        "shelling",
-        shelling.check_status,
-        {"facets": shelling.facets, "attempts": shelling.attempts},
-    )
+    record("shelling", shelling.check_status, shelling.witness)
     chi = open_boundary_euler(poset)
     expected = 1 + (-1) ** (top.rank - 1)
     record(

@@ -261,7 +261,7 @@ def suite_hatQ(seed: int = DEFAULT_SEED, budget: int | None = None) -> RunReport
         budget = DEFAULT_SHELLING_BUDGET
     report = RunReport(
         "verify hatQ",
-        {"families": ["A1 n<=3", "A2 n<=2", "B2 n=1"], "shelling_rank_cap": 5},
+        {"families": ["A1 n<=3", "A2 n<=2", "B2 n=1"]},
         seed=seed,
         budget=budget,
     )
@@ -285,13 +285,12 @@ def suite_hatQ(seed: int = DEFAULT_SEED, budget: int | None = None) -> RunReport
                     if poset.ranks[hi] - poset.ranks[lo] != 1:
                         bad.append({"top": label, "check": "cover-rank-drop"})
                         break
-                if top.rank <= 5:
-                    shellings += 1
-                    status = find_shelling(poset, budget=budget).check_status
-                    if status == "fail":
-                        bad.append({"top": label, "check": "shelling"})
-                    elif status == "inconclusive":
-                        inconclusive.append({"top": label, "budget": budget})
+                shellings += 1
+                status = find_shelling(poset, budget=budget).check_status
+                if status == "fail":
+                    bad.append({"top": label, "check": "shelling"})
+                elif status == "inconclusive":
+                    inconclusive.append({"top": label, "budget": budget})
             _add_sweep(
                 report,
                 f"{name}-n{n}-intervals",

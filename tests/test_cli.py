@@ -149,6 +149,7 @@ def test_poset_shelling_check_and_budget(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["checks"][0]["status"] == "pass"
+    assert payload["checks"][0]["witness"] == {"facets": 6, "attempts": 5, "backtracks": 0}
     # a one-attempt budget leaves the search inconclusive, which is not a failure
     code, out, _ = run(
         capsys,
