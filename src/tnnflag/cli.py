@@ -18,12 +18,14 @@ from fractions import Fraction
 
 from . import jsonio, posets, ratlin, slk, twisted, verify
 from .cartan import cartan_of_type
-from .posets import CapExceededError, build_interval, check_regular_ball, make_qnode, to_dot
+from .posets import BALL_CHECKS, CapExceededError, build_interval, make_qnode, to_dot
 from .weyl import WeylGroup, type_a_group
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+
+POSET_CHECKS = ("pure", "thin", "eulerian", "shelling", "ball")
 
 
 class WordParseError(ValueError):
@@ -130,6 +132,12 @@ def _emit(report: dict, path: str | None) -> None:
 
 
 def cmd_poset(args) -> int:
+    wanted = [c.strip() for c in args.check.split(",") if c.strip()]
+    for name in wanted:
+        if name not in POSET_CHECKS:
+            known = ", ".join(POSET_CHECKS)
+            print(f"error: unknown check {name!r} (known: {known})", file=sys.stderr)
+            return EXIT_USAGE
     try:
         gcm = cartan_of_type(args.family, args.rank)
         group = WeylGroup(gcm)
@@ -139,7 +147,6 @@ def cmd_poset(args) -> int:
     except (ValueError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    wanted = [c.strip() for c in args.check.split(",") if c.strip()]
     report = verify.RunReport(
         "poset",
         {
@@ -154,21 +161,11 @@ def cmd_poset(args) -> int:
         budget=args.budget,
     )
     for name in wanted:
-        if name == "pure":
-            report.add("pure", posets.is_pure(poset))
-        elif name == "thin":
-            report.add("thin", posets.is_thin(poset))
-        elif name == "eulerian":
-            report.add("eulerian", posets.is_eulerian(poset))
-        elif name == "shelling":
-            res = posets.find_shelling(poset, budget=args.budget)
-            report.add("shelling", res.check_status, res.witness)
-        elif name == "ball":
-            ball = check_regular_ball(top, node_cap=args.node_cap, budget=args.budget)
-            report.add("ball", ball["status"], {"checks": ball["checks"]})
+        if name == "ball":
+            ball = posets.regularity_checks(poset, BALL_CHECKS, args.budget)
+            report.add("ball", posets.overall_status(c["status"] for c in ball), {"checks": ball})
         else:
-            print(f"error: unknown check {name!r}", file=sys.stderr)
-            return EXIT_USAGE
+            report.checks.extend(posets.regularity_checks(poset, [name], args.budget))
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(to_dot(poset) + "\n")
@@ -266,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("rank", type=int)
     p.add_argument("--n", type=int, default=1, help="number of factors")
     p.add_argument("--top", required=True, help='top stratum, e.g. "e;(1),(1)"')
-    p.add_argument("--check", default="ball", help="csv of pure,thin,eulerian,shelling,ball")
+    p.add_argument("--check", default="ball", help="csv of " + ",".join(POSET_CHECKS))
     p.add_argument("--dot", help="write the Hasse diagram to this DOT file")
     p.add_argument("--json", help="also write the report to this file")
     p.add_argument("--node-cap", type=nonnegative_int, default=posets.DEFAULT_NODE_CAP)

@@ -20,13 +20,10 @@ from .posets import (
     DEFAULT_SHELLING_BUDGET,
     braid_poset,
     build_interval,
-    find_shelling,
-    is_eulerian,
-    is_pure,
-    is_thin,
     make_qnode,
     open_boundary_euler,
     overall_status,
+    regularity_checks,
 )
 from .weyl import (
     WeylGroup,
@@ -241,6 +238,15 @@ def iter_qnodes(group: WeylGroup, n: int, length_cap: int | None = None):
             yield make_qnode(v, wbar)
 
 
+def _sweep_poset(poset, where: dict, budget: int, bad: list, inconclusive: list) -> None:
+    """Regularity checks on one poset of a sweep, located by ``where``."""
+    for entry in regularity_checks(poset, ("pure", "thin", "eulerian", "shelling"), budget):
+        if entry["status"] == "fail":
+            bad.append({**where, "check": entry["check"]})
+        elif entry["status"] == "inconclusive":
+            inconclusive.append({**where, "budget": budget})
+
+
 def _add_sweep(report: RunReport, name: str, counts: dict, bad: list, inconclusive: list) -> None:
     """One check over a sweep: fail on any bad witness, else inconclusive on any spent budget."""
     report.add(
@@ -268,33 +274,19 @@ def suite_hatQ(seed: int = DEFAULT_SEED, budget: int | None = None) -> RunReport
     for name, group, ns in _hatQ_families():
         for n in ns:
             intervals = 0
-            shellings = 0
             bad = []
             inconclusive = []
             for top in iter_qnodes(group, n):
                 intervals += 1
                 poset = build_interval(top)
                 label = f"{name} n={n} top={top.describe()}"
-                if not is_pure(poset):
-                    bad.append({"top": label, "check": "pure"})
-                if not is_thin(poset):
-                    bad.append({"top": label, "check": "thin"})
-                if not is_eulerian(poset):
-                    bad.append({"top": label, "check": "eulerian"})
-                for lo, hi in poset.covers:
-                    if poset.ranks[hi] - poset.ranks[lo] != 1:
-                        bad.append({"top": label, "check": "cover-rank-drop"})
-                        break
-                shellings += 1
-                status = find_shelling(poset, budget=budget).check_status
-                if status == "fail":
-                    bad.append({"top": label, "check": "shelling"})
-                elif status == "inconclusive":
-                    inconclusive.append({"top": label, "budget": budget})
+                _sweep_poset(poset, {"top": label}, budget, bad, inconclusive)
+                if any(poset.ranks[hi] - poset.ranks[lo] != 1 for lo, hi in poset.covers):
+                    bad.append({"top": label, "check": "cover-rank-drop"})
             _add_sweep(
                 report,
                 f"{name}-n{n}-intervals",
-                {"intervals": intervals, "shellings": shellings},
+                {"intervals": intervals, "shellings": intervals},  # every interval is shelled
                 bad,
                 inconclusive,
             )
@@ -367,17 +359,7 @@ def suite_braid(seed: int = DEFAULT_SEED, budget: int | None = None) -> RunRepor
             words += 1
             poset = braid_poset(group, letters)
             label = "".join(str(t + 1) for t in letters)
-            if not is_pure(poset):
-                bad.append({"word": label, "check": "pure"})
-            if not is_thin(poset):
-                bad.append({"word": label, "check": "thin"})
-            if not is_eulerian(poset):
-                bad.append({"word": label, "check": "eulerian"})
-            status = find_shelling(poset, budget=budget).check_status
-            if status == "fail":
-                bad.append({"word": label, "check": "shelling"})
-            elif status == "inconclusive":
-                inconclusive.append({"word": label, "budget": budget})
+            _sweep_poset(poset, {"word": label}, budget, bad, inconclusive)
     _add_sweep(report, "all-words", {"words": words}, bad, inconclusive)
     ball = braid_poset(group, (0, 1, 0, 1))
     report.add(

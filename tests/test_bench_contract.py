@@ -1,15 +1,15 @@
 """The benchmark in ``benchmarks/`` still runs against the package.
 
 The tracer wraps named functions of every layer and fails on entry when
-one of them is gone; the cells workload calls the exact-matrix API and
-checks each output against its recorded invariants.  This test only reads
-``benchmarks/``.
+one of them is gone; the cells and shelling workloads call the exact-matrix
+and poset APIs and check each output against its recorded invariants.
+These tests only read ``benchmarks/``.
 """
 
 import sys
 from pathlib import Path
 
-from tnnflag import slk
+from tnnflag import posets, slk
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 sys.path.insert(0, str(BENCH))
@@ -26,5 +26,18 @@ def test_traced_cells_items_are_correct():
         outputs = [tracer.root(idx, item.kind, item.run) for idx, item in enumerate(items)]
     assert slk.bruhat_cell is original
     assert tracer.calls["slk.bruhat_cell"] > 0
+    for item, out in zip(items, outputs):
+        assert item.check(out) is None, item.key
+
+
+def test_traced_shelling_items_are_correct():
+    items = workloads.shelling_items(seed=1, seconds=0.01, expected=workloads.load_expected())
+    assert len(items) == 217
+    original = posets.mobius
+    with Tracer() as tracer:
+        outputs = [tracer.root(idx, item.kind, item.run) for idx, item in enumerate(items)]
+    assert posets.mobius is original
+    assert tracer.calls["posets.find_shelling"] > 0
+    assert tracer.calls["posets.mobius"] > tracer.calls["posets.is_eulerian"]
     for item, out in zip(items, outputs):
         assert item.check(out) is None, item.key

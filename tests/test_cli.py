@@ -1,9 +1,13 @@
 """Exit-code contract and report formats of the command-line surface."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tnnflag import verify
 from tnnflag.cli import main, parse_word, split_top_level, WordParseError
@@ -64,6 +68,18 @@ def test_poset_command_checks_list(capsys):
     assert code == 0
     payload = json.loads(out)
     assert [c["check"] for c in payload["checks"]] == ["pure", "thin", "eulerian"]
+
+
+def test_poset_unknown_check_is_rejected_before_the_build(capsys):
+    code, out, err = run(
+        capsys,
+        "poset", "A", "2", "--n", "2", "--top", "e;(1,2,1),(1,2,1)",
+        "--check", "thni", "--node-cap", "5",
+    )
+    assert (code, out) == (2, "")
+    assert "unknown check 'thni'" in err
+    assert "pure, thin, eulerian, shelling, ball" in err
+    assert "node cap" not in err
 
 
 def test_poset_command_malformed_top(capsys):
@@ -242,3 +258,67 @@ def test_every_suite_reports_its_verify_command(monkeypatch):
     for name, suite in verify.SUITES.items():
         kwargs = {"samples": 1} if name == "cell-containment" else {}
         assert suite(budget=0, **kwargs).to_json()["command"] == f"verify {name}"
+
+
+WORD_TOKENS = ["1", "2", "3", "0", "e", "inf1", ",", "(", ")", " ", "x", "-"]
+PARAM_TOKENS = ["1", "2", "0", "/", "-", ".", ",", " ", "a"]
+
+
+def texts(tokens, separators=()):
+    """Token soup: mostly malformed input."""
+    return st.lists(st.sampled_from(tokens + list(separators)), max_size=12).map("".join)
+
+
+# well-formed words and parameter lists, so that some commands succeed
+WORDS = st.one_of(
+    st.just("e"),
+    st.lists(st.sampled_from(["1", "2"]), min_size=1, max_size=4).map(
+        lambda letters: "(" + ",".join(letters) + ")"
+    ),
+    texts(WORD_TOKENS),
+)
+PARAMS = st.one_of(
+    st.lists(st.sampled_from(["1", "2", "1/2", "3/2"]), max_size=6).map(",".join),
+    texts(PARAM_TOKENS),
+)
+
+
+def exit_code_and_stderr(argv):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    top=st.one_of(
+        st.tuples(WORDS, WORDS, WORDS).map(lambda t: f"{t[0]};{t[1]},{t[2]}"),
+        texts(WORD_TOKENS, [";", ";"]),
+    ),
+    budget=st.sampled_from(["0", "40"]),
+)
+def test_fuzz_poset_top_spec(top, budget):
+    code, err = exit_code_and_stderr([
+        "poset", "A", "2", "--n", "2", f"--top={top}", "--check", "pure,thin,eulerian,ball",
+        "--budget", budget, "--node-cap", "40",
+    ])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    v=WORDS,
+    w=st.one_of(st.tuples(WORDS, WORDS).map(";".join), texts(WORD_TOKENS, [";", ";"])),
+    params=PARAMS,
+)
+def test_fuzz_cell_words_and_params(v, w, params):
+    code, err = exit_code_and_stderr(
+        ["cell", "--k", "3", "--n", "2", f"--v={v}", f"--w={w}", f"--params={params}"]
+    )
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

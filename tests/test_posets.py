@@ -22,6 +22,7 @@ from tnnflag.posets import (
     link_poset,
     make_qnode,
     maximal_chains,
+    members,
     mobius,
     open_boundary_euler,
     qnode_leq,
@@ -55,7 +56,7 @@ def from_covers(elements, pairs):
     return FacePoset(
         [BOTTOM, *order],
         [-1, *(height[e] for e in order)],
-        [()] + [{0} | {index[d] for d in below[e]} for e in order],
+        [0] + [1 | sum(1 << index[d] for d in below[e]) for e in order],
     )
 
 
@@ -77,16 +78,47 @@ def chain_length_bounds(poset):
 def oracle_is_pure(poset):
     minlen, maxlen = chain_length_bounds(poset)
     return all(
-        minlen[x, y] == maxlen[x, y] for x in range(len(poset)) for y in poset.above[x]
+        minlen[x, y] == maxlen[x, y] for x in range(len(poset)) for y in members(poset.above[x])
     )
 
 
 def oracle_is_thin(poset):
     minlen, maxlen = chain_length_bounds(poset)
     return all(
-        len(poset.above[x] & poset.below[y]) == 2
+        (poset.above[x] & poset.below[y]).bit_count() == 2
         for (x, y), longest in maxlen.items()
         if longest == 2 and minlen[x, y] == 2
+    )
+
+
+def oracle_is_eulerian(poset):
+    """The Mobius function on every comparable pair."""
+    return all(
+        mobius(poset, x, y) == (-1) ** (poset.ranks[y] - poset.ranks[x])
+        for x in range(len(poset))
+        for y in members(poset.above[x])
+    )
+
+
+def oracle_open_boundary_euler(poset):
+    """Chains of the proper part counted with alternating signs: g(x) sums
+    (-1)^(size + 1) over the chains with minimum x, found in reverse rank
+    order after every node above x."""
+    top = len(poset) - 1
+    g = {}
+    for x in reversed(range(1, top)):
+        g[x] = 1 - sum(g[y] for y in members(poset.above[x]) if y != top)
+    return sum(g.values())
+
+
+def oracle_covers(poset):
+    """Pairs lo < hi with no node strictly between them."""
+    below = [set(members(mask)) for mask in poset.below]
+    return tuple(
+        (lo, hi)
+        for lo in range(len(poset))
+        for hi in range(len(poset))
+        if lo in below[hi] and not any(lo in below[mid] for mid in below[hi])
     )
 
 
@@ -229,8 +261,10 @@ def test_boolean_lattice_pure_thin():
 
 
 def test_open_boundary_euler_needs_unique_maximum():
-    with pytest.raises(ValueError):
-        open_boundary_euler(from_covers(["a", "b"], []))
+    # two maximal atoms; the bottom alone
+    for elements in (["a", "b"], []):
+        with pytest.raises(ValueError):
+            open_boundary_euler(from_covers(elements, []))
 
 
 @pytest.mark.parametrize(
@@ -281,6 +315,25 @@ def test_pure_and_thin_match_chain_length_oracle(A2):
         assert (pure, thin) == (oracle_is_pure(poset), oracle_is_thin(poset))
         verdicts.add((pure, thin))
     assert {pure for pure, _ in verdicts} == {thin for _, thin in verdicts} == {True, False}
+
+
+def test_eulerian_boundary_and_covers_match_oracles(A2):
+    """Rank parity equals the all-pairs Mobius test, Hall's theorem equals
+    the signed chain count, and the bitmask covers equal the definition,
+    on the same posets."""
+    verdicts = set()
+    maxima = 0
+    for poset in _differential_posets(A2):
+        assert poset.covers == oracle_covers(poset)
+        eulerian = is_eulerian(poset)
+        assert eulerian == oracle_is_eulerian(poset)
+        verdicts.add(eulerian)
+        top = len(poset) - 1
+        if top and poset.below[top] == (1 << top) - 1:
+            maxima += 1
+            assert open_boundary_euler(poset) == oracle_open_boundary_euler(poset)
+    assert verdicts == {True, False}
+    assert maxima == 423
 
 
 def oracle_shelling_of_facets(facets, budget=DEFAULT_SHELLING_BUDGET):
