@@ -50,9 +50,6 @@ class GeneralizedCartanMatrix:
         """Positions of thickening vertices (labels ``inf*``)."""
         return tuple(i for i, lab in enumerate(self.labels) if lab.startswith(INF_PREFIX))
 
-    def base_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, lab in enumerate(self.labels) if not lab.startswith(INF_PREFIX))
-
     def submatrix(self, positions) -> "GeneralizedCartanMatrix":
         pos = tuple(positions)
         return GeneralizedCartanMatrix(

@@ -104,11 +104,6 @@ def minors(a: Mat, size: int):
             yield (rows, cols), det(submatrix(a, rows, cols))
 
 
-def is_upper_triangular(a: Mat) -> bool:
-    n = len(a)
-    return all(a[i][j] == 0 for i in range(n) for j in range(i))
-
-
 def mat_to_json(a: Mat) -> list[list[str]]:
     return [[str(x) for x in row] for row in a]
 

@@ -1,12 +1,14 @@
 """The pinned group SL_k over exact rationals.
 
-Chevalley generators, signed permutation representatives (w0dot in
-closed form, inverted by transposing), one column elimination that reads
+One routine, ``word_matrix``, builds every product of Chevalley
+generators (x_i, y_i and the reflection representatives sdot_i) by O(k)
+column operations; the generators, the signed permutation representatives
+and the Marsh-Rietsch cell parametrization are calls of it, and w0dot
+has a closed form, inverted by transposing.  One column elimination reads
 every cell: the Bruhat cell of g B+, its opposite cell and double Bruhat
 labels (the same elimination on g with rows, or rows and columns,
 reversed) and the canonical representative of a flag.  Also total
-nonnegativity by exhaustive minors, the Marsh-Rietsch cell
-parametrization, and the involutions iota and Phi.
+nonnegativity by exhaustive minors and the involutions iota and Phi.
 
 Generator indices are 1-based (x_i touches rows/columns i, i+1), matching
 the usual pinning conventions; the Weyl letters used elsewhere are 0-based
@@ -39,32 +41,40 @@ def _check_index(k: int, i: int) -> None:
         raise ValueError(f"generator index {i} out of range 1..{k - 1}")
 
 
+def word_matrix(k: int, word) -> Mat:
+    """Product of the generators listed in ``word``, entries ``(kind, i, a)``.
+
+    Kinds: ``"x"`` is x_i(a), ``"y"`` is y_i(a) and ``"s"`` is sdot_i
+    (``a`` unused).  Starting from the identity, each letter multiplies on
+    the right as an O(k) column operation: x_i(a) adds a col i to col i+1,
+    y_i(a) adds a col i+1 to col i, and sdot_i sends (col i, col i+1) to
+    (-col i+1, col i).  The size and every letter are checked first.
+    """
+    _check_k(k)
+    word = tuple(word)
+    for kind, i, _ in word:
+        if kind not in ("x", "y", "s"):
+            raise ValueError(f"unknown generator kind {kind!r}")
+        _check_index(k, i)
+    cols = [list(col) for col in ratlin.identity(k)]  # the columns, 0-based
+    for kind, i, a in word:
+        if kind == "s":
+            cols[i - 1], cols[i] = [-x for x in cols[i]], cols[i - 1]
+            continue
+        a = Fraction(a)
+        target, source = (i, i - 1) if kind == "x" else (i - 1, i)
+        cols[target] = [c + a * x if x else c for c, x in zip(cols[target], cols[source])]
+    return tuple(zip(*cols))
+
+
 def x_gen(k: int, i: int, a) -> Mat:
     """Identity plus a in entry (i, i+1)."""
-    _check_k(k)
-    _check_index(k, i)
-    a = Fraction(a)
-    return tuple(
-        tuple(
-            Fraction(1) if r == c else (a if (r, c) == (i - 1, i) else Fraction(0))
-            for c in range(k)
-        )
-        for r in range(k)
-    )
+    return word_matrix(k, [("x", i, a)])
 
 
 def y_gen(k: int, i: int, a) -> Mat:
     """Identity plus a in entry (i+1, i)."""
-    _check_k(k)
-    _check_index(k, i)
-    a = Fraction(a)
-    return tuple(
-        tuple(
-            Fraction(1) if r == c else (a if (r, c) == (i, i - 1) else Fraction(0))
-            for c in range(k)
-        )
-        for r in range(k)
-    )
+    return word_matrix(k, [("y", i, a)])
 
 
 def torus(k: int, i: int, t) -> Mat:
@@ -84,15 +94,12 @@ def torus(k: int, i: int, t) -> Mat:
 
 def sdot(k: int, i: int) -> Mat:
     """Representative x_i(1) y_i(-1) x_i(1) of the simple reflection."""
-    return ratlin.mat_mul(x_gen(k, i, 1), y_gen(k, i, -1), x_gen(k, i, 1))
+    return word_matrix(k, [("s", i, None)])
 
 
 def wdot_from_word(k: int, letters) -> Mat:
     """Product of sdot over a reduced word (1-based letters)."""
-    out = ratlin.identity(k)
-    for i in letters:
-        out = ratlin.mat_mul(out, sdot(k, i))
-    return out
+    return word_matrix(k, [("s", i, None) for i in letters])
 
 
 def w0_perm(k: int) -> tuple[int, ...]:
@@ -235,15 +242,13 @@ def mr_matrix(k: int, word, taken, params, check: bool = True) -> Mat:
         raise ValueError(f"need {skipped} parameters, got {len(params)}")
     if any(p <= 0 for p in params):
         raise ValueError("parameters must be positive")
-    out = ratlin.identity(k)
+    if any(t is not None and t != letter for letter, t in zip(word, taken)):
+        raise ValueError("subexpression letter differs from the word")
     it = iter(params)
-    for letter, t in zip(word, taken):
-        if t is None:
-            out = ratlin.mat_mul(out, y_gen(k, letter, next(it)))
-        else:
-            if t != letter:
-                raise ValueError("subexpression letter differs from the word")
-            out = ratlin.mat_mul(out, sdot(k, letter))
+    out = word_matrix(
+        k, [("y", letter, next(it)) if t is None else ("s", letter, None)
+            for letter, t in zip(word, taken)]
+    )
     if check:
         if bruhat_cell(out) != word_perm(k, word):
             raise AssertionError("cell point left its Schubert cell")

@@ -2,8 +2,10 @@
 
 A point is a tuple of invertible rational matrices modulo the twisted
 upper-triangular gauge (g_1, ..., g_n) ~ (g_1 b_1, b_1^{-1} g_2 b_2, ...).
-Strata are labeled by (v, wbar): the factorwise Bruhat cells and the
-opposite cell of the convolution product.
+Gauge classes are compared through ``alpha``, the flags of the partial
+products.  Strata are labeled by (v, wbar): the factorwise Bruhat cells
+and the opposite cell of the convolution product.  The positive
+double-Bruhat products are one ``slk.word_matrix`` call.
 
 ``parametrize_cell`` and ``phi_Z`` assert theorem-level facts on every call
 unless passed ``check=False``: the cell parametrization lands in its
@@ -52,16 +54,15 @@ class ZPoint:
 
 
 def gauge_eq(z1: ZPoint, z2: ZPoint) -> bool:
-    """Equality modulo the twisted gauge, by solving for the chain of b_i."""
+    """Equality modulo the twisted gauge: the partial-product flags agree.
+
+    h_i = b_{i-1}^{-1} g_i b_i (b_0 = 1) telescopes to h_1...h_i = g_1...g_i b_i, so the
+    gauge exists iff every b_i = (g_1...g_i)^{-1}(h_1...h_i) is in B+, that is, iff
+    g_1...g_i B+ = h_1...h_i B+ for every i: iff alpha(z1) == alpha(z2).
+    """
     if z1.k != z2.k or z1.n != z2.n:
         return False
-    b = ratlin.identity(z1.k)
-    for g, h in zip(z1.factors, z2.factors):
-        # h_i = b_{i-1}^{-1} g_i b_i  =>  b_i = g_i^{-1} b_{i-1} h_i
-        b = ratlin.mat_mul(ratlin.mat_inv(g), b, h)
-        if not ratlin.is_upper_triangular(b):
-            return False
-    return True
+    return alpha(z1) == alpha(z2)
 
 
 def stratum(z: ZPoint) -> tuple[WeylElt, tuple[WeylElt, ...]]:
@@ -195,12 +196,10 @@ def db_positive(k: int, v_word, w_word, params) -> Mat:
         raise ValueError(f"need {len(v_word) + len(w_word)} parameters")
     if any(p <= 0 for p in params):
         raise ValueError("parameters must be positive")
-    out = ratlin.identity(k)
     it = iter(params)
-    for j in w_word:
-        out = ratlin.mat_mul(out, slk.y_gen(k, j, next(it)))
-    for i in v_word:
-        out = ratlin.mat_mul(out, slk.x_gen(k, i, next(it)))
+    out = slk.word_matrix(
+        k, [("y", j, next(it)) for j in w_word] + [("x", i, next(it)) for i in v_word]
+    )
     if not slk.is_tnn(out):
         raise AssertionError("double Bruhat product is not totally nonnegative")
     return out

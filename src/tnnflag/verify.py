@@ -14,14 +14,14 @@ import time
 from dataclasses import dataclass, field
 from itertools import product
 
-from . import posets, ratlin, slk, twisted
+from . import slk, twisted
 from .cartan import cartan_of_type
 from .posets import (
+    BALL_CHECKS,
     DEFAULT_SHELLING_BUDGET,
     braid_poset,
     build_interval,
     make_qnode,
-    open_boundary_euler,
     overall_status,
     regularity_checks,
 )
@@ -314,16 +314,17 @@ def suite_hatQ(seed: int = DEFAULT_SEED, budget: int | None = None) -> RunReport
 @_timed
 def suite_sl2_triangle(seed: int = DEFAULT_SEED, budget=None) -> RunReport:
     """The SL2 two-factor triangle: f-vector, chart inequalities, ball checks."""
-    report = RunReport("verify sl2-triangle", {"k": 2, "n": 2}, seed=seed)
+    if budget is None:
+        budget = DEFAULT_SHELLING_BUDGET
+    report = RunReport("verify sl2-triangle", {"k": 2, "n": 2}, seed=seed, budget=budget)
     group = type_a_group(2)
     e, s = group.identity, group.simple(0)
-    top = make_qnode(e, (s, s))
-    poset = build_interval(top)
+    poset = build_interval(make_qnode(e, (s, s)))
     report.add("f-vector", poset.f_vector() == (3, 3, 1), {"f": list(poset.f_vector())})
-    chi = open_boundary_euler(poset)
+    ball = regularity_checks(poset, BALL_CHECKS, budget)
+    chi = next(c for c in ball if c["check"] == "boundary_sphere_euler")["witness"]["chi"]
     report.add("boundary-euler", chi == 0, {"chi": chi})
-    ball = posets.check_regular_ball(top)
-    report.add("regular-ball", ball["status"], {"checks": ball["checks"]})
+    report.add("regular-ball", overall_status(c["status"] for c in ball), {"checks": ball})
     rng = random.Random(seed)
     ok = True
     witness = None

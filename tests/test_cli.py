@@ -241,6 +241,24 @@ def test_verify_budget_zero_is_kept(capsys):
     assert payload["status"] == "inconclusive" and code == 0
 
 
+def test_verify_sl2_triangle_honours_budget(capsys):
+    code, out, _ = run(capsys, "verify", "sl2-triangle", "--budget", "1")
+    payload = json.loads(out)
+    assert code == 0 and payload["budget"] == 1
+    assert payload["status"] == "inconclusive"
+    ball = {c["check"]: c for c in payload["checks"]}["regular-ball"]
+    assert ball["status"] == "inconclusive"
+    shelling = {c["check"]: c for c in ball["witness"]["checks"]}["shelling"]
+    assert shelling["status"] == "inconclusive"
+    # the default budget decides it, and boundary-euler reads the ball's chi
+    code, out, _ = run(capsys, "verify", "sl2-triangle")
+    payload = json.loads(out)
+    checks = {c["check"]: c for c in payload["checks"]}
+    assert payload["budget"] == verify.DEFAULT_SHELLING_BUDGET
+    assert checks["regular-ball"]["status"] == "pass"
+    assert checks["boundary-euler"]["witness"] == {"chi": 0}
+
+
 def test_verify_braid_spent_budget_is_inconclusive(capsys):
     code, out, _ = run(capsys, "verify", "braid", "--budget", "1")
     assert code == 0

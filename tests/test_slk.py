@@ -5,6 +5,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
+import oracles
 import pytest
 
 from tnnflag import ratlin, slk
@@ -121,6 +122,72 @@ def test_generator_shapes():
         slk.x_gen(3, 3, 1)
     with pytest.raises(ValueError):
         slk.torus(2, 1, 0)
+
+
+def random_word(k, rng, length):
+    """Seeded (kind, i, a) letters mixing x, y and sdot, with zero, negative and positive a."""
+    word = []
+    for _ in range(length):
+        kind = rng.choice("xys")
+        a = rng.choice((Fraction(0), rand_frac(rng, -20, -1), rand_frac(rng, 1, 20)))
+        word.append((kind, rng.randint(1, k - 1), None if kind == "s" else a))
+    return word
+
+
+def test_word_matrix_matches_product_oracle():
+    """The column operations against one full matrix product per letter."""
+    rng = random.Random(606)
+    seen = set()
+    for k in range(2, 7):
+        for i in range(1, k):
+            a = rand_frac(rng)
+            assert slk.x_gen(k, i, a) == oracles.x_gen(k, i, a)
+            assert slk.y_gen(k, i, a) == oracles.y_gen(k, i, a)
+            assert slk.sdot(k, i) == oracles.sdot(k, i)
+        for _ in range(30):
+            word = random_word(k, rng, rng.randint(0, 12))
+            seen.update((kind, a if a is None else (a > 0) - (a < 0)) for kind, _, a in word)
+            assert slk.word_matrix(k, word) == oracles.word_product(k, word)
+            letters = [rng.randint(1, k - 1) for _ in range(rng.randint(0, 8))]
+            assert slk.wdot_from_word(k, letters) == oracles.word_product(
+                k, [("s", i, None) for i in letters]
+            )
+    # every kind occurred, x and y with zero, negative and positive parameters
+    assert seen == {("s", None)} | {(kind, sign) for kind in "xy" for sign in (-1, 0, 1)}
+
+
+def test_word_matrix_validation():
+    with pytest.raises(ValueError, match="unknown generator kind"):
+        slk.word_matrix(3, [("x", 1, 2), ("z", 1, 1)])
+    with pytest.raises(ValueError, match="out of range"):
+        slk.word_matrix(3, [("s", 3, None)])
+    for k in (1, slk.K_MAX + 1):
+        with pytest.raises(ValueError):
+            slk.word_matrix(k, [])
+    assert slk.word_matrix(3, []) == ratlin.identity(3)
+
+
+def test_mr_matrix_matches_product_oracle():
+    """Seeded Marsh-Rietsch points against the product of y's and sdots."""
+    rng = random.Random(607)
+    for k in range(2, 7):
+        group = type_a_group(k)
+        for _ in range(8):
+            p = list(range(1, k + 1))
+            rng.shuffle(p)
+            w = from_perm(group, tuple(p))
+            # any subword product lies below w
+            v = group.from_word(tuple(t for t in w.word if rng.random() < 0.4))
+            sub = group.positive_subexpression(v, w.word)
+            word = tuple(t + 1 for t in w.word)
+            taken = tuple(None if t is None else t + 1 for t in sub)
+            params = [rand_frac(rng, 1, 20) for _ in range(w.length - v.length)]
+            it = iter(params)
+            expected = oracles.word_product(k, [
+                ("y", letter, next(it)) if t is None else ("s", letter, None)
+                for letter, t in zip(word, taken)
+            ])
+            assert slk.mr_matrix(k, word, taken, params) == expected
 
 
 def test_sdot_braid_relation():
@@ -287,7 +354,7 @@ def test_flag_equality_is_canonical_form_equality():
             slk.sdot(k, i),
         ))
         h = ratlin.mat_mul(g, b, step)
-        same = ratlin.is_upper_triangular(ratlin.mat_mul(ratlin.mat_inv(g), h))
+        same = oracles.is_upper_triangular(ratlin.mat_mul(ratlin.mat_inv(g), h))
         assert (f == slk.FlagPoint(h)) is same
         if same:
             assert hash(f) == hash(slk.FlagPoint(h))
@@ -351,7 +418,7 @@ def test_lusztig_positive_big_cell_identity():
                 u = ratlin.mat_mul(u, slk.x_gen(k, i, rand_frac(rng, 1, 20)))
             rep = ratlin.mat_mul(u, slk.w0_dot(k))
             lower, upper = _lu_unit_lower(rep)
-            assert ratlin.is_upper_triangular(upper)
+            assert oracles.is_upper_triangular(upper)
             assert slk.is_tnn(lower)
 
 

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import oracles
 import pytest
 
 from tnnflag import ratlin, slk, twisted
@@ -130,23 +131,50 @@ def test_alpha_and_convolution():
     assert [flag_coord(f) for f in flags] == [1, 3]
 
 
+def _random_factor(k, rng):
+    while True:
+        g = tuple(
+            tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k))
+            for _ in range(k)
+        )
+        if ratlin.det(g) != 0:
+            return g
+
+
 def test_alpha_separates_gauge_classes():
-    """alpha is injective: equal images force equal gauge classes."""
-    A1 = type_a_group(2)
+    """gauge_eq (equal alpha flags) agrees with solving for the chain of b_i."""
     rng = random.Random(29)
-    e, s = A1.identity, A1.simple(0)
-    strata = [(v, wbar) for wbar in product((e, s), repeat=2)
-              for v in A1.lower_interval(A1.m_star(wbar))]
-    points = []
-    for _ in range(100):
-        v, wbar = rng.choice(strata)
-        dim = sum(w.length for w in wbar) - v.length
-        points.append(twisted.parametrize_cell(v, wbar, twisted.random_params(dim, rng)))
-    images = [tuple(f.canonical() for f in twisted.alpha(z)) for z in points]
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            same_alpha = images[i] == images[j]
-            assert same_alpha == twisted.gauge_eq(points[i], points[j])
+    outcomes = {True: 0, False: 0}
+    for k in range(2, 5):
+        for n in range(1, 4):
+            for _ in range(16):
+                z = twisted.ZPoint(tuple(_random_factor(k, rng) for _ in range(n)))
+                perturbed = twisted.perturb_gauge(z, rng)
+                # one factor times a generator: x (in B+) at the last factor keeps the class
+                j, i = rng.randrange(n), rng.randint(1, k - 1)
+                step = rng.choice((
+                    slk.x_gen(k, i, rng.randint(1, 5)),
+                    slk.y_gen(k, i, rng.randint(1, 5)),
+                    slk.sdot(k, i),
+                ))
+                factors = list(perturbed.factors)
+                factors[j] = ratlin.mat_mul(factors[j], step)
+                stepped = twisted.ZPoint(tuple(factors))
+                # the step moved across a factor boundary keeps every other partial product
+                if j + 1 < n:
+                    factors[j + 1] = ratlin.mat_mul(ratlin.mat_inv(step), factors[j + 1])
+                shifted = twisted.ZPoint(tuple(factors))
+                other = twisted.ZPoint(tuple(_random_factor(k, rng) for _ in range(n)))
+                for z2 in (perturbed, stepped, shifted, other):
+                    same = oracles.gauge_eq_by_inverse(z, z2)
+                    assert twisted.gauge_eq(z, z2) is same
+                    assert twisted.gauge_eq(z2, z) is same
+                    outcomes[same] += 1
+    assert min(outcomes.values()) > 50, outcomes
+    # mismatched shapes are never gauge equal
+    z = twisted.ZPoint((slk.y_gen(2, 1, 1), slk.y_gen(2, 1, 2)))
+    assert not twisted.gauge_eq(z, twisted.ZPoint(z.factors[:1]))
+    assert not twisted.gauge_eq(z, twisted.ZPoint((ratlin.identity(3),) * 2))
 
 
 def test_alpha_image_of_top_sl2_cell_is_exact_wedge():
@@ -330,6 +358,29 @@ def test_db_positive_validation():
         twisted.db_positive(2, (1,), (1,), [Fraction(1)])
     with pytest.raises(ValueError):
         twisted.db_positive(2, (1,), (1,), [Fraction(1), Fraction(-2)])
+    # empty words still meet the size checks, so the exhaustive TNN test stays capped
+    for k in (1, slk.K_MAX + 1):
+        with pytest.raises(ValueError, match="k"):
+            twisted.db_positive(k, (), (), [])
+
+
+def test_db_positive_matches_product_oracle():
+    """Seeded double-Bruhat points against the product of y's, then x's."""
+    rng = random.Random(41)
+    for k in range(2, 6):
+        group = type_a_group(k)
+        elems = group.elements_up_to_length(k * (k - 1) // 2)
+        for _ in range(4):
+            v, w = rng.choice(elems), rng.choice(elems)
+            v_word = [t + 1 for t in v.word]
+            w_word = [t + 1 for t in w.word]
+            params = twisted.random_params(len(v_word) + len(w_word), rng)
+            expected = oracles.word_product(
+                k,
+                [("y", j, p) for j, p in zip(w_word, params)]
+                + [("x", i, p) for i, p in zip(v_word, params[len(w_word):])],
+            )
+            assert twisted.db_positive(k, v_word, w_word, params) == expected
 
 
 def test_generic_bounds(S3):
