@@ -155,6 +155,7 @@ def cmd_poset(args) -> int:
             "n": args.n,
             "top": top.describe(),
             "nodes": len(poset.nodes),
+            "covers": len(poset.covers),
             "f_vector": list(poset.f_vector()),
         },
         seed=args.seed,

@@ -6,6 +6,11 @@ order is (v', wbar') <= (v, wbar) iff v <= v' and wbar' <= wbar
 componentwise.  Posets are finite, carry the synthetic bottom at node 0,
 and are immutable after construction.
 
+Intervals and braid posets are built from Bruhat covers: each label's
+lower covers are looked up among the labels and the masks ORed together
+in rank order.  ``FacePoset.from_qnodes``, which compares every pair by
+:func:`qnode_leq`, is their oracle.
+
 Checks, run by name with :func:`regularity_checks`: purity, thinness,
 Eulerian-ness, shellability of the order complex by backtracking search,
 and the Euler characteristic of the open boundary.
@@ -95,31 +100,46 @@ class FacePoset:
     below and above node ``i``: n nodes take about n^2 / 4 bytes.
     """
 
-    def __init__(self, nodes, ranks, below):
+    def __init__(self, nodes, ranks, below, covers=None):
         self.nodes: tuple = tuple(nodes)
         self.ranks: tuple[int, ...] = tuple(ranks)
         self.below: tuple[int, ...] = tuple(below)
+        self._covers = None if covers is None else tuple(sorted(covers))
         above = [0] * len(self.nodes)
-        for i, mask in enumerate(self.below):
-            for j in members(mask):
-                above[j] |= 1 << i
+        # covers sorted by lo: every cover above hi comes later, so reversed
+        # order completes above[hi] before it is read
+        for lo, hi in reversed(self.covers):
+            above[lo] |= above[hi] | 1 << hi
         self.above: tuple[int, ...] = tuple(above)
-        self._covers = None
         self._mobius_cache: dict[tuple[int, int], int] = {}
 
     @classmethod
+    def from_lower_covers(cls, nodes, ranks, lower) -> "FacePoset":
+        """Nodes in rank order with the bottom at node 0, and ``lower[i]``
+        the lower covers of node ``i`` (node 0 for a minimal node).
+
+        ``below`` is ORed together in rank order, and the covers are kept.
+        """
+        below = [0] * len(nodes)
+        covers = []
+        for hi in range(1, len(nodes)):
+            mask = 0
+            for lo in lower[hi]:
+                mask |= below[lo] | 1 << lo
+                covers.append((lo, hi))
+            below[hi] = mask
+        return cls(nodes, ranks, below, covers)
+
+    @classmethod
     def from_qnodes(cls, qnodes, node_cap: int = DEFAULT_NODE_CAP) -> "FacePoset":
-        """Stratum labels ordered by :func:`qnode_leq`, plus the bottom.
+        """Stratum labels ordered by :func:`qnode_leq` on every pair, plus the
+        bottom: the pairwise oracle of :func:`build_interval` and
+        :func:`braid_poset`.
 
         ``node_cap`` bounds the node count, bottom included; an iterator of
         labels is abandoned as soon as it passes the cap.
         """
-        elements = []
-        for q in qnodes:
-            elements.append(q)
-            if len(elements) + 1 > node_cap:
-                raise CapExceededError(f"poset exceeds node cap {node_cap}")
-        elements.sort(key=lambda q: q.rank)
+        elements = _labels_by_rank(qnodes, node_cap)
         nodes = [BOTTOM, *elements]
         ranks = [min((q.rank for q in elements), default=0) - 1]
         ranks.extend(q.rank for q in elements)
@@ -143,7 +163,11 @@ class FacePoset:
 
     @property
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Cover pairs (lo, hi): lo < hi with nothing strictly between."""
+        """Cover pairs (lo, hi): lo < hi with nothing strictly between.
+
+        The builders pass them in; a poset given by its masks alone reads
+        them off ``below``.
+        """
         if self._covers is None:
             out = []
             for hi, mask in enumerate(self.below):
@@ -176,22 +200,79 @@ class FacePoset:
 # -- builders ------------------------------------------------------------------
 
 
+def _labels_by_rank(qnodes, node_cap: int) -> list[QNode]:
+    """The labels sorted by rank (stably), abandoned as soon as they and the
+    bottom pass ``node_cap``."""
+    elements = []
+    for q in qnodes:
+        elements.append(q)
+        if len(elements) + 1 > node_cap:
+            raise CapExceededError(f"poset exceeds node cap {node_cap}")
+    elements.sort(key=lambda q: q.rank)
+    return elements
+
+
+def _cover_poset(elements, key, candidates) -> FacePoset:
+    """Poset on rank-sorted labels, generated by product covers.
+
+    ``key(q)`` identifies a label and ``candidates(q)`` lists the keys of
+    the labels q might cover; those that are labels are its lower covers.
+    Exact when every cover of the order raises the rank by one (the
+    closure order is graded; ``verify hatQ`` checks it on the pairwise
+    order): then it moves one coordinate by one Bruhat cover, so the order
+    is the transitive closure of the product covers between labels.
+    """
+    index = {key(q): i for i, q in enumerate(elements, start=1)}
+    lower = [()] + [
+        [index[c] for c in candidates(q) if c in index] or [0] for q in elements
+    ]
+    ranks = [elements[0].rank - 1, *(q.rank for q in elements)]
+    return FacePoset.from_lower_covers([BOTTOM, *elements], ranks, lower)
+
+
+def interval_labels(top: QNode):
+    """The labels weakly below top: every wbar' <= top.wbar componentwise
+    (in product order of the factor lower intervals), then every v' with
+    top.v <= v' <= m_star(wbar') (in order of the lower interval)."""
+    group = top.v.group
+    # v' <= m_star(wbar') <= m_star(top.wbar): test top.v <= v' once per v'
+    above_v = {
+        u.serial for u in group.lower_interval(group.m_star(top.wbar))
+        if group.bruhat_leq(top.v, u)
+    }
+    for combo in product(*(group.lower_interval(w) for w in top.wbar)):
+        length = sum(w.length for w in combo)
+        for v in group.lower_interval(group.m_star(combo)):
+            if v.serial in above_v:
+                yield QNode(v, combo, length - v.length)
+
+
 def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> FacePoset:
     """Closed interval [0^, top]: all labels weakly below top, plus a bottom.
 
-    Membership: v <= v', wbar' <= wbar componentwise, and v' below the
-    Demazure product of wbar'.
+    The lower covers of (v, wbar) are the labels (v', wbar) with v' an
+    upper Bruhat cover of v, and (v, wbar) with one factor replaced by a
+    lower Bruhat cover; see :func:`_cover_poset`.  ``node_cap`` is checked
+    while the labels are listed.
     """
     group = top.v.group
-    factor_lowers = [group.lower_interval(w) for w in top.wbar]
-    return FacePoset.from_qnodes(
-        (
-            make_qnode(v2, combo)
-            for combo in product(*factor_lowers)
-            for v2 in group.lower_interval(group.m_star(combo))
-            if group.bruhat_leq(top.v, v2)
-        ),
-        node_cap=node_cap,
+    ups: dict[int, list[int]] = {}  # serial of v -> serials of its upper covers
+    for u in group.lower_interval(group.m_star(top.wbar)):
+        for c in group.lower_covers(u):
+            ups.setdefault(c.serial, []).append(u.serial)
+
+    def candidates(q):
+        v = q.v.serial
+        ws = tuple(w.serial for w in q.wbar)
+        out = [(u, *ws) for u in ups.get(v, ())]
+        for f, w in enumerate(q.wbar):
+            out.extend((v, *ws[:f], c.serial, *ws[f + 1:]) for c in group.lower_covers(w))
+        return out
+
+    return _cover_poset(
+        _labels_by_rank(interval_labels(top), node_cap),
+        lambda q: (q.v.serial, *(w.serial for w in q.wbar)),
+        candidates,
     )
 
 
@@ -200,7 +281,8 @@ def braid_poset(group: WeylGroup, letters) -> FacePoset:
 
     ``letters`` lists simple reflections as 0-based vertex positions; nodes
     are pairs (w, sbar') with sbar' a componentwise subword and
-    m_star(sbar') = w = m_star(sbar).
+    m_star(sbar') = w = m_star(sbar).  The lower covers of a node drop one
+    kept letter.
     """
     letters = tuple(letters)
     if not letters:
@@ -213,22 +295,32 @@ def braid_poset(group: WeylGroup, letters) -> FacePoset:
             sbar[i] if mask & (1 << i) else group.identity for i in range(len(letters))
         )
         if group.m_star(combo) == w:
-            elements.append(make_qnode(w, combo))
-    return FacePoset.from_qnodes(elements)
+            elements.append(QNode(w, combo, mask.bit_count() - w.length))
+    elements.sort(key=lambda q: q.rank)
+
+    def kept(q):
+        return sum(1 << i for i, x in enumerate(q.wbar) if x.length)
+
+    return _cover_poset(
+        elements, kept, lambda q: [kept(q) ^ 1 << i for i in members(kept(q))]
+    )
 
 
 def link_poset(bottom: QNode, top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> FacePoset:
     """Face poset of the link: strata strictly above bottom, up to top."""
-    if bottom == top or not qnode_leq(bottom, top):
-        raise ValueError("bottom must be strictly below top")
     interval = build_interval(top, node_cap=node_cap)
-    keep = members(interval.above[interval.index(bottom)])
-    pos = {old: new for new, old in enumerate(keep, start=1)}
+    if bottom == top or bottom not in interval.nodes:
+        raise ValueError("bottom must be strictly below top")
+    b = interval.index(bottom)
+    keep = members(interval.above[b])
+    pos = {b: 0, **{old: new for new, old in enumerate(keep, start=1)}}
+    lower = [[] for _ in range(len(keep) + 1)]
+    for lo, hi in interval.covers:
+        if lo in pos:  # then hi is above bottom too
+            lower[pos[hi]].append(pos[lo])
     ranks = [interval.ranks[i] - bottom.rank - 1 for i in keep]
-    return FacePoset(
-        [BOTTOM, *(interval.nodes[i] for i in keep)],
-        [min(ranks) - 1, *ranks],
-        [0] + [1 | sum(1 << pos[j] for j in members(interval.below[i]) if j in pos) for i in keep],
+    return FacePoset.from_lower_covers(
+        [BOTTOM, *(interval.nodes[i] for i in keep)], [min(ranks) - 1, *ranks], lower
     )
 
 

@@ -19,7 +19,7 @@ Everything is exact: entries are Fractions and no float appears anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import ratlin
@@ -272,22 +272,24 @@ class FlagPoint:
     """A flag g B+; gauge equivalence is g ~ g b for b upper triangular."""
 
     rep: Mat
+    _canonical: Mat = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if ratlin.det(self.rep) == 0:
-            raise ValueError("flag representative must be invertible")
+        # _echelon raises ValueError on a singular representative
+        m = _echelon(self.rep)[0]
+        object.__setattr__(self, "_canonical", tuple(tuple(row) for row in m))
 
     def __eq__(self, other):
         if not isinstance(other, FlagPoint):
             return NotImplemented
-        return self.canonical() == other.canonical()
+        return self._canonical == other._canonical
 
     def __hash__(self):
-        return hash(self.canonical())
+        return hash(self._canonical)
 
     def canonical(self) -> Mat:
         """The echelon representative of ``_echelon``; equal iff the flags are."""
-        return tuple(tuple(row) for row in _echelon(self.rep)[0])
+        return self._canonical
 
     def bruhat(self) -> tuple[int, ...]:
         return bruhat_cell(self.rep)

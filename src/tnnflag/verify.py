@@ -19,8 +19,10 @@ from .cartan import cartan_of_type
 from .posets import (
     BALL_CHECKS,
     DEFAULT_SHELLING_BUDGET,
+    FacePoset,
     braid_poset,
     build_interval,
+    interval_labels,
     make_qnode,
     overall_status,
     regularity_checks,
@@ -262,7 +264,8 @@ def _add_sweep(report: RunReport, name: str, counts: dict, bad: list, inconclusi
 
 @_timed
 def suite_hatQ(seed: int = DEFAULT_SEED, budget: int | None = None) -> RunReport:
-    """Purity, thinness, Eulerian-ness, shellability sweep over small families."""
+    """Purity, thinness, Eulerian-ness, shellability sweep over small families,
+    and the cover-built intervals against the pairwise order."""
     if budget is None:
         budget = DEFAULT_SHELLING_BUDGET
     report = RunReport(
@@ -271,6 +274,8 @@ def suite_hatQ(seed: int = DEFAULT_SEED, budget: int | None = None) -> RunReport
         seed=seed,
         budget=budget,
     )
+    tops = 0
+    mismatched = []
     for name, group, ns in _hatQ_families():
         for n in ns:
             intervals = 0
@@ -281,8 +286,15 @@ def suite_hatQ(seed: int = DEFAULT_SEED, budget: int | None = None) -> RunReport
                 poset = build_interval(top)
                 label = f"{name} n={n} top={top.describe()}"
                 _sweep_poset(poset, {"top": label}, budget, bad, inconclusive)
-                if any(poset.ranks[hi] - poset.ranks[lo] != 1 for lo, hi in poset.covers):
+                # the builder's covers raise the rank by one by construction,
+                # so the premise that makes it exact is tested on the pairwise order
+                pairwise = FacePoset.from_qnodes(interval_labels(top))
+                if any(pairwise.ranks[hi] - pairwise.ranks[lo] != 1
+                       for lo, hi in pairwise.covers):
                     bad.append({"top": label, "check": "cover-rank-drop"})
+                if (poset.nodes, poset.ranks, poset.below) != (
+                        pairwise.nodes, pairwise.ranks, pairwise.below):
+                    mismatched.append(label)
             _add_sweep(
                 report,
                 f"{name}-n{n}-intervals",
@@ -290,6 +302,12 @@ def suite_hatQ(seed: int = DEFAULT_SEED, budget: int | None = None) -> RunReport
                 bad,
                 inconclusive,
             )
+            tops += intervals
+    report.add(
+        "builder-matches-pairwise",
+        not mismatched,
+        {"intervals": tops} if not mismatched else {"bad": mismatched[:5]},
+    )
     # rank-1 thinness witness: deletions of the concatenated word giving v
     bad = []
     count = 0

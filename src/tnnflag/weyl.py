@@ -114,6 +114,7 @@ class WeylGroup:
         self._mul_cache: dict[tuple[int, int], WeylElt] = {}
         self._bruhat_cache: dict[tuple[int, int], bool] = {}
         self._lower_cache: dict[int, tuple] = {}
+        self._cover_cache: dict[int, tuple] = {}
         self._thickened: dict[int, WeylGroup] = {}
         self.identity = self._intern(self._id, self._id)
         self._simples = tuple(
@@ -244,6 +245,27 @@ class WeylGroup:
             if len(self._lower_cache) > 4096:
                 self._lower_cache.clear()
             self._lower_cache[w.serial] = cached
+        return cached
+
+    def lower_covers(self, w: WeylElt) -> tuple[WeylElt, ...]:
+        """The Bruhat lower covers of w, in order of the deleted position.
+
+        By the strong exchange condition, u is covered by w iff u = w t
+        for a reflection t with l(u) = l(w) - 1, and every such u deletes
+        one letter of any reduced word of w; so the covers are the
+        one-letter deletions of the canonical word of length l(w) - 1.
+        """
+        self.check_same(w)
+        cached = self._cover_cache.get(w.serial)
+        if cached is None:
+            word = w.word
+            cached = tuple(dict.fromkeys(
+                u for u in (self.from_word(word[:p] + word[p + 1:]) for p in range(len(word)))
+                if u.length == w.length - 1
+            ))
+            if len(self._cover_cache) > _CACHE_CAP:
+                self._cover_cache.clear()
+            self._cover_cache[w.serial] = cached
         return cached
 
     def elements_up_to_length(self, cap: int) -> list[WeylElt]:

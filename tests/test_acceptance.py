@@ -50,6 +50,7 @@ def test_acceptance_4_hatQ_regularity():
     assert by_name["A2-n2-intervals"]["intervals"] == 167
     assert by_name["B2-n1-intervals"]["intervals"] == 33
     assert by_name["rank1-deletion-witness"]["nodes"] >= 72
+    assert by_name["builder-matches-pairwise"]["intervals"] == 244
     # every interval is shelled, the rank-6 top of A2 n=2 included
     families = [w for name, w in by_name.items() if name.endswith("-intervals")]
     assert len(families) == 6

@@ -54,6 +54,8 @@ def test_poset_command_triangle(capsys, tmp_path):
     assert payload["schema"] == 1
     assert payload["status"] == "pass"
     assert payload["inputs"]["nodes"] == 8
+    # bottom to 3 vertices, 3 vertices to 2 edges each, 3 edges to the cell
+    assert payload["inputs"]["covers"] == 12
     assert payload["inputs"]["f_vector"] == [3, 3, 1]
     assert dot.read_text().startswith("digraph")
     assert json.loads(js.read_text()) == payload

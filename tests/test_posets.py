@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from tnnflag import posets
+from tnnflag.cartan import cartan_of_type
 from tnnflag.posets import (
     BOTTOM,
     DEFAULT_SHELLING_BUDGET,
@@ -16,6 +17,7 @@ from tnnflag.posets import (
     build_interval,
     check_regular_ball,
     find_shelling,
+    interval_labels,
     is_eulerian,
     is_pure,
     is_thin,
@@ -30,6 +32,7 @@ from tnnflag.posets import (
     to_dot,
 )
 from tnnflag.verify import _hatQ_families, iter_qnodes
+from tnnflag.weyl import WeylGroup
 
 
 def from_covers(elements, pairs):
@@ -186,6 +189,52 @@ def test_node_cap(A2):
         build_interval(make_qnode(A2.identity, (w0, w0)), node_cap=10)
 
 
+def assert_same_as_pairwise(poset, pairwise):
+    """Equal nodes, ranks and masks; the builder's covers equal those read
+    off the pairwise order's masks."""
+    assert poset.nodes == pairwise.nodes
+    assert poset.ranks == pairwise.ranks
+    assert poset.below == pairwise.below
+    assert poset.above == pairwise.above
+    assert poset.covers == pairwise.covers
+
+
+# family, rank, n, factor length cap, sampled tops
+COVER_BUILDER_FAMILIES = [
+    ("B", 3, 1, None, 8),
+    ("B", 2, 2, None, 8),
+    ("affine-A", 1, 2, 4, 8),
+    ("A", 2, 3, None, 6),
+]
+
+
+@pytest.mark.parametrize("family, rank, n, cap, count", COVER_BUILDER_FAMILIES)
+def test_cover_builder_matches_pairwise_order(family, rank, n, cap, count):
+    """build_interval equals FacePoset.from_qnodes on sampled tops, and its
+    nodes are exactly the family's labels below the top by qnode_leq."""
+    group = WeylGroup(cartan_of_type(family, rank))
+    labels = list(iter_qnodes(group, n, length_cap=cap))
+    rng = random.Random(f"{family}{rank} n={n}")
+    # the largest top and a spread of the others, rank 2 and up
+    tops = sorted((q for q in labels if q.rank >= 2), key=lambda q: q.rank)
+    for top in [tops[-1], *rng.sample(tops[:-1], count - 1)]:
+        poset = build_interval(top)
+        assert_same_as_pairwise(poset, FacePoset.from_qnodes(interval_labels(top)))
+        assert set(poset.nodes[1:]) == {q for q in labels if qnode_leq(q, top)}
+
+
+def test_braid_cover_builder_matches_pairwise_order(A2):
+    """braid_poset equals the pairwise order on its labels for every A2
+    word of length <= 5."""
+    words = 0
+    for length in range(1, 6):
+        for letters in product(range(2), repeat=length):
+            poset = braid_poset(A2, letters)
+            assert_same_as_pairwise(poset, FacePoset.from_qnodes(poset.nodes[1:]))
+            words += 1
+    assert words == 62
+
+
 def test_braid_poset_square_word(A2):
     poset = braid_poset(A2, (0, 1, 0, 1))
     assert poset.f_vector() == (2, 1)
@@ -237,6 +286,30 @@ def test_link_posets(A1):
     assert is_pure(vertex_link) and is_thin(vertex_link)
     with pytest.raises(ValueError):
         link_poset(top, top)
+
+
+def test_link_poset_matches_mask_restriction(A2):
+    """link_poset, built from the interval's covers, equals the interval's
+    masks restricted to the nodes above the bottom, on every link of
+    sampled A2 n=2 tops."""
+    rng = random.Random(8)
+    tops = [top for top in iter_qnodes(A2, 2) if top.rank >= 2]
+    links = 0
+    for top in rng.sample(tops, 15):
+        interval = build_interval(top)
+        for b in range(1, len(interval) - 1):
+            keep = members(interval.above[b])
+            pos = {old: new for new, old in enumerate(keep, start=1)}
+            below = [0] + [
+                1 | sum(1 << pos[j] for j in members(interval.below[i]) if j in pos)
+                for i in keep
+            ]
+            link = link_poset(interval.nodes[b], top)
+            assert link.nodes[1:] == tuple(interval.nodes[i] for i in keep)
+            assert link.below == tuple(below)
+            assert link.covers == FacePoset(link.nodes, link.ranks, link.below).covers
+            links += 1
+    assert links > 100
 
 
 def test_is_pure_counterexample():

@@ -299,3 +299,22 @@ def test_b2_group_structure(B2):
     w0 = B2.from_word((0, 1, 0, 1))
     assert w0.length == 4
     assert B2.multiply(w0, w0) is B2.identity
+
+
+@pytest.mark.parametrize("family, rank", [("A", 3), ("B", 3), ("affine-A", 1)])
+def test_lower_covers_match_definition(family, rank):
+    """Lower covers are the u <= w of length l(w) - 1, listed once each."""
+    group = WeylGroup(cartan_of_type(family, rank))
+    shorter = 0  # one-letter deletions that drop the length by more than 1
+    for w in group.elements_up_to_length(4):
+        covers = group.lower_covers(w)
+        expected = {u for u in group.lower_interval(w) if u.length == w.length - 1}
+        assert len(covers) == len(set(covers))
+        assert set(covers) == expected
+        assert group.lower_covers(w) is covers  # memoized
+        word = w.word
+        shorter += sum(
+            group.from_word(word[:p] + word[p + 1:]).length < w.length - 1
+            for p in range(len(word))
+        )
+    assert shorter > 0
