@@ -30,7 +30,7 @@ def transpose(a: Mat) -> Mat:
 
 
 def det(a: Mat) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination on copies."""
+    """Determinant by Gaussian elimination with Fraction entries, on a copy."""
     n = len(a)
     m = [list(row) for row in a]
     sign = 1

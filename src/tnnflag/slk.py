@@ -8,7 +8,8 @@ has a closed form, inverted by transposing.  One column elimination reads
 every cell: the Bruhat cell of g B+, its opposite cell and double Bruhat
 labels (the same elimination on g with rows, or rows and columns,
 reversed) and the canonical representative of a flag.  Also total
-nonnegativity by exhaustive minors and the involutions iota and Phi.
+nonnegativity by Neville elimination (exhaustive minors for singular
+input; they are also the test oracle) and the involutions iota and Phi.
 
 Generator indices are 1-based (x_i touches rows/columns i, i+1), matching
 the usual pinning conventions; the Weyl letters used elsewhere are 0-based
@@ -25,8 +26,9 @@ from fractions import Fraction
 from . import ratlin
 from .ratlin import Mat
 
-# is_tnn enumerates all minors, so k is capped; raise deliberately if needed
-K_MAX = 6
+# is_tnn enumerates all minors of a singular input (about 3 s per matrix at
+# k=8), so k is capped; nonsingular input is decided in O(k^3)
+K_MAX = 8
 
 
 def _check_k(k: int) -> None:
@@ -215,10 +217,52 @@ def double_bruhat_labels(g: Mat) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(k + 1 - p for p in reversed(u)), bruhat_cell(g)
 
 
+def _neville_pivots(a: Mat) -> list[Fraction] | None:
+    """Diagonal pivots of the Neville elimination of a, or None if it fails.
+
+    Column j is cleared from the bottom up: row i subtracts a multiple of
+    row i-1, the row directly above it.  The elimination fails when it
+    needs a row exchange (a zero entry with a nonzero entry directly below
+    it in column j) or a negative multiplier.
+    """
+    k = len(a)
+    m = [list(row) for row in a]
+    for j in range(k - 1):
+        for i in range(k - 1, j, -1):
+            row, above = m[i], m[i - 1]
+            if row[j] == 0:
+                continue
+            if above[j] == 0:
+                return None
+            f = row[j] / above[j]
+            if f < 0:
+                return None
+            row[j] = Fraction(0)
+            for c in range(j + 1, k):
+                if above[c]:
+                    row[c] -= f * above[c]
+    return [m[i][i] for i in range(k)]
+
+
 def is_tnn(g: Mat) -> bool:
-    """All minors of all sizes are nonnegative (exact)."""
-    return all(
-        d >= 0 for size in range(1, len(g) + 1) for _, d in ratlin.minors(g, size)
+    """All minors of all sizes are nonnegative (exact).
+
+    A nonsingular g is decided by Neville elimination in O(k^3) Fraction
+    operations (Gasca-Pena 1992, Thm 5.4): g is TNN iff the eliminations of
+    g and of its transpose need no row exchange and have nonnegative
+    multipliers, and the diagonal pivots of g are positive.  The theorem
+    needs nonsingular input, so a singular g is decided by enumerating
+    all C(2k, k) - 1 minors; that path is what ``K_MAX`` bounds.
+    """
+    if ratlin.det(g) == 0:
+        return all(
+            d >= 0 for size in range(1, len(g) + 1) for _, d in ratlin.minors(g, size)
+        )
+    pivots = _neville_pivots(g)
+    return (
+        pivots is not None
+        and all(p > 0 for p in pivots)
+        and _neville_pivots(ratlin.transpose(g)) is not None
     )
 
 

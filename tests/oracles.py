@@ -4,9 +4,11 @@ The generator constructors here write out each matrix entry by entry, and
 products of generators are taken one ``ratlin.mat_mul`` at a time.  The
 gauge test solves for the chain of b_i with ``ratlin.mat_inv``.  These are
 independent of the column operations and canonical flags used in ``src``.
+Total nonnegativity is tested by computing every minor.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from tnnflag import ratlin
 
@@ -69,3 +71,14 @@ def gauge_eq_by_inverse(z1, z2):
         if not is_upper_triangular(b):
             return False
     return True
+
+
+def is_tnn_by_minors(g):
+    """Every minor of every size is nonnegative: C(2k, k) - 1 determinants."""
+    k = len(g)
+    return all(
+        ratlin.det(ratlin.submatrix(g, rows, cols)) >= 0
+        for size in range(1, k + 1)
+        for rows in combinations(range(k), size)
+        for cols in combinations(range(k), size)
+    )

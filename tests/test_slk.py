@@ -273,10 +273,88 @@ def test_cell_labels_gauge_invariant():
 
 
 def test_is_tnn():
-    assert slk.is_tnn(ratlin.identity(3))
-    assert not slk.is_tnn(slk.y_gen(2, 1, -1))
-    g = ratlin.mat_mul(slk.y_gen(3, 1, 1), slk.y_gen(3, 2, 1), slk.y_gen(3, 1, 1))
+    """Hand-made cases, singular ones and ones needing a row exchange included."""
+    F = Fraction
+    y_product = ratlin.mat_mul(slk.y_gen(3, 1, 1), slk.y_gen(3, 2, 1), slk.y_gen(3, 1, 1))
+    zero_row = ((F(1), F(2), F(0)), (F(0), F(0), F(0)), (F(1), F(3), F(1)))
+    zero_row_not_tn = ((F(1), F(3), F(0)), (F(0), F(0), F(0)), (F(2), F(1), F(1)))
+    equal_cols = ((F(1), F(1), F(0)), (F(2), F(2), F(1)), (F(1), F(1), F(3)))
+    rank_one = tuple(tuple(F(r * c) for c in (1, 2, 5)) for r in (1, 3, 4))
+    zero_row_on_top = ((F(0), F(0)), (F(1), F(1)))
+    rank_one_negative = tuple(tuple(F(r * c) for c in (1, -2, 5)) for r in (1, 3, 4))
+    swap = ((F(0), F(1)), (F(1), F(0)))
+    cases = [
+        (ratlin.identity(3), True),
+        (slk.y_gen(2, 1, -1), False),
+        (y_product, True),
+        (zero_row, True),
+        (zero_row_not_tn, False),  # rows 1, 3 and columns 1, 2: 1*1 - 3*2 < 0
+        (((F(1), F(0), F(0)), (F(0), F(0), F(0)), (F(0), F(0), F(1))), True),
+        (equal_cols, True),
+        (rank_one, True),
+        (zero_row_on_top, True),
+        (rank_one_negative, False),
+        (slk.sdot(2, 1), False),
+        (slk.sdot(4, 2), False),
+        (swap, False),
+    ]
+    for g, expected in cases:
+        assert oracles.is_tnn_by_minors(g) == expected, g
+        assert slk.is_tnn(g) == expected, g
+    assert ratlin.det(zero_row_on_top) == 0
+    assert ratlin.det(swap) != 0 and slk._neville_pivots(swap) is None
+
+
+def random_scaled_word_matrix(k, rng):
+    """A generator product with rows rescaled, TNN about half the time.
+
+    Parameters are 0, positive or (rarely) negative, about one letter in
+    twenty is an sdot, and a few row scalars are negative or zero (the
+    zero ones make the product singular).
+    """
+    word = []
+    for _ in range(rng.randint(1, k * k)):
+        u = rng.random()
+        a = 0 if u < 0.2 else (rand_frac(rng, -5, -1) if u < 0.25 else rand_frac(rng, 1, 20))
+        kind = "s" if rng.random() < 0.05 else rng.choice("xy")
+        word.append((kind, rng.randint(1, k - 1), a))
+    scale = []
+    for _ in range(k):
+        u = rng.random()
+        scale.append(rand_frac(rng, -20, -1) if u < 0.03 else 0 if u < 0.05 else rand_frac(rng, 1, 20))
+    return tuple(tuple(c * x for x in row) for c, row in zip(scale, slk.word_matrix(k, word)))
+
+
+def test_is_tnn_matches_minors_oracle():
+    rng = random.Random(8)
+    seen = {True: 0, False: 0}
+    singular = 0
+    for k, count in ((2, 1200), (3, 1000), (4, 550), (5, 180), (6, 70)):
+        for _ in range(count):
+            g = random_scaled_word_matrix(k, rng)
+            verdict = slk.is_tnn(g)
+            assert verdict == oracles.is_tnn_by_minors(g), g
+            seen[verdict] += 1
+            singular += ratlin.det(g) == 0
+    assert sum(seen.values()) == 3000
+    assert min(seen.values()) > 900 and singular > 100
+
+
+def test_is_tnn_at_k8():
+    k = 8
+    w0_word = word_of(k, slk.w0_perm(k))
+    g = slk.word_matrix(
+        k, [("y", i, Fraction(i, 3)) for i in w0_word] + [("x", i, 2) for i in w0_word]
+    )
+    assert all(x > 0 for row in g for x in row)
     assert slk.is_tnn(g)
+    assert slk.is_tnn(ratlin.transpose(g))
+    # swapping two rows and two columns keeps every entry and det(g) positive,
+    # but the minor on rows 1, 2 and columns 1, 3 becomes negative
+    swapped = (g[1], g[0]) + g[2:]
+    swapped = tuple((row[1], row[0]) + row[2:] for row in swapped)
+    assert ratlin.det(swapped) > 0 and not slk.is_tnn(swapped)
+    assert not slk.is_tnn(ratlin.mat_mul(g, slk.x_gen(k, 7, -10**6)))
 
 
 def test_positive_y_products_are_tnn():

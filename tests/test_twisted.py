@@ -353,12 +353,27 @@ def test_double_bruhat_embed_examples(S3):
     )
 
 
+def test_db_stratum_convention_on_all_of_s4_squared():
+    """One exact positive sample per (v, w) in S4 x S4 lands in the recorded stratum."""
+    rng = random.Random(44)
+    group = type_a_group(4)
+    elems = group.elements_up_to_length(6)
+    assert len(elems) == 24
+    for v, w in product(elems, repeat=2):
+        params = twisted.random_params(v.length + w.length, rng)
+        g = twisted.db_positive(
+            4, [t + 1 for t in v.word], [t + 1 for t in w.word], params
+        )
+        got = twisted.stratum(twisted.double_bruhat_embed(g))
+        assert got == twisted.db_stratum_convention(group, v, w), (v.word, w.word)
+
+
 def test_db_positive_validation():
     with pytest.raises(ValueError):
         twisted.db_positive(2, (1,), (1,), [Fraction(1)])
     with pytest.raises(ValueError):
         twisted.db_positive(2, (1,), (1,), [Fraction(1), Fraction(-2)])
-    # empty words still meet the size checks, so the exhaustive TNN test stays capped
+    # empty words still meet the size checks, so the minors path of is_tnn stays capped
     for k in (1, slk.K_MAX + 1):
         with pytest.raises(ValueError, match="k"):
             twisted.db_positive(k, (), (), [])
