@@ -25,7 +25,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-POSET_CHECKS = ("pure", "thin", "eulerian", "shelling", "ball")
+POSET_CHECKS = ("pure", "thin", "eulerian", "shelling", "ball", "boundary_sphere_euler")
 
 
 class WordParseError(ValueError):

@@ -12,8 +12,10 @@ in rank order.  ``FacePoset.from_qnodes``, which compares every pair by
 :func:`qnode_leq`, is their oracle.
 
 Checks, run by name with :func:`regularity_checks`: purity, thinness,
-Eulerian-ness, shellability of the order complex by backtracking search,
-and the Euler characteristic of the open boundary.
+Eulerian-ness (a node count on the even-length intervals only),
+shellability of the order complex by backtracking search, and the Euler
+characteristic of the open boundary (the Mobius function from the bottom
+to the top, in one pass in rank order).
 """
 
 from __future__ import annotations
@@ -111,7 +113,6 @@ class FacePoset:
         for lo, hi in reversed(self.covers):
             above[lo] |= above[hi] | 1 << hi
         self.above: tuple[int, ...] = tuple(above)
-        self._mobius_cache: dict[tuple[int, int], int] = {}
 
     @classmethod
     def from_lower_covers(cls, nodes, ranks, lower) -> "FacePoset":
@@ -357,36 +358,52 @@ def is_thin(poset: FacePoset) -> bool:
 
 
 def mobius(poset: FacePoset, x: int, y: int) -> int:
-    """Mobius function of the interval [x, y], by the standard recursion."""
+    """Mobius function of the interval [x, y], in one pass in rank order.
+
+    mu(x, z) = -sum of mu(x, u) over x <= u < z.  The nodes z of [x, y] are
+    visited in index order, which lists every u < z before z, and the
+    nodes seen so far are kept as one bitmask per value of mu (x alone
+    has the value 1), so each z costs one AND and popcount per value.
+    """
     if not poset.leq(x, y):
         raise ValueError("x is not below y")
-    if x == y:
-        return 1
-    key = (x, y)
-    cached = poset._mobius_cache.get(key)
-    if cached is not None:
-        return cached
-    total = 1  # mu(x, x)
-    for z in members(poset.above[x] & poset.below[y]):
-        total += mobius(poset, x, z)
-    out = -total
-    poset._mobius_cache[key] = out
-    return out
+    classes = {1: 1 << x}  # value c -> the nodes u seen so far with mu(x, u) == c
+    mu = 1
+    for z in members(poset.above[x] & (poset.below[y] | 1 << y)):
+        below = poset.below[z]
+        mu = -sum(c * (below & mask).bit_count() for c, mask in classes.items())
+        classes[mu] = classes.get(mu, 0) | 1 << z
+    return mu
 
 
 def is_eulerian(poset: FacePoset) -> bool:
-    """mu(x, y) == (-1)^(rank difference) on every interval.
+    """mu(x, y) == (-1)^(r(y) - r(x)) on every interval, tested on the
+    intervals of even length only.
 
-    If it holds inside [x, y], mu(x, y) = -sum over x <= z < y of
-    (-1)^(r(z) - r(x)) is (-1)^(r(y) - r(x)) iff [x, y] holds as many nodes
-    of even rank as of odd rank.  By induction, that count decides.
+    Let S be the signed rank count, the sum of (-1)^r(z) over x <= z <= y.
+    If the condition holds on every proper subinterval of [x, y], the
+    recursion mu(x, y) = -sum over x <= z < y of mu(x, z) gives
+    mu(x, y) = (-1)^(r(x) + r(y)) - (-1)^r(x) S, and the dual recursion
+    mu(x, y) = -sum over x < z <= y of mu(z, y) gives
+    mu(x, y) = (-1)^(r(x) + r(y)) - (-1)^r(y) S.  So [x, y] holds the
+    condition iff S == 0, that is, iff it has as many nodes of even rank as
+    of odd rank; and subtracting the two, S ((-1)^r(x) - (-1)^r(y)) == 0.
+    When r(y) - r(x) is odd the bracket is +-2, so S == 0 follows.  Hence
+    a smallest interval where the condition fails has even length, and by
+    induction on the interval size it is enough to count the nodes of the
+    even-length intervals.
     """
     even = sum(1 << i for i, r in enumerate(poset.ranks) if r % 2 == 0)
+    odd = (1 << len(poset.nodes)) - 1 ^ even
     for x, up in enumerate(poset.above):
         from_x = up | 1 << x
-        for y in members(up):
-            interval = from_x & (poset.below[y] | 1 << y)
-            if 2 * (interval & even).bit_count() != interval.bit_count():
+        from_x_even = from_x & even
+        # y of the rank parity of x; y's own bit is counted by that parity
+        y_even = poset.ranks[x] % 2 == 0
+        for y in members(up & (even if y_even else odd)):
+            below = poset.below[y]
+            evens = (from_x_even & below).bit_count() + y_even
+            if 2 * evens != (from_x & below).bit_count() + 1:
                 return False
     return True
 

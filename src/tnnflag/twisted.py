@@ -14,7 +14,7 @@ stratum, and the duality map permutes strata by the book formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import ratlin, slk
@@ -23,9 +23,14 @@ from .weyl import WeylElt, WeylGroup, from_perm, positive_tuple, type_a_group
 
 @dataclass(frozen=True)
 class ZPoint:
-    """Tuple of SL_k factors representing a point of the twisted product."""
+    """Tuple of SL_k factors representing a point of the twisted product.
+
+    ``_stratum`` keeps the result of :func:`stratum`, which depends on the
+    factors alone; equality and hashing ignore it.
+    """
 
     factors: tuple[Mat, ...]
+    _stratum: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.factors:
@@ -66,11 +71,17 @@ def gauge_eq(z1: ZPoint, z2: ZPoint) -> bool:
 
 
 def stratum(z: ZPoint) -> tuple[WeylElt, tuple[WeylElt, ...]]:
-    """(v, wbar): factorwise Bruhat cells and the opposite cell of the product."""
-    group = type_a_group(z.k)
-    wbar = tuple(from_perm(group, slk.bruhat_cell(g)) for g in z.factors)
-    v = from_perm(group, slk.opposite_cell(ratlin.mat_mul(*z.factors)))
-    return v, wbar
+    """(v, wbar): factorwise Bruhat cells and the opposite cell of the product.
+
+    Computed once per point and kept on it, so the checks of
+    ``parametrize_cell`` and ``phi_Z`` do not repeat it.
+    """
+    if z._stratum is None:
+        group = type_a_group(z.k)
+        wbar = tuple(from_perm(group, slk.bruhat_cell(g)) for g in z.factors)
+        v = from_perm(group, slk.opposite_cell(ratlin.mat_mul(*z.factors)))
+        object.__setattr__(z, "_stratum", (v, wbar))
+    return z._stratum
 
 
 def nonempty(v: WeylElt, wbar) -> bool:

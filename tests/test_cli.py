@@ -72,6 +72,25 @@ def test_poset_command_checks_list(capsys):
     assert [c["check"] for c in payload["checks"]] == ["pure", "thin", "eulerian"]
 
 
+def test_poset_rank12_checks_without_shelling(capsys):
+    """The A3 n=2 (e; w0, w0) top, whose shelling search cannot finish, runs
+    the other ball checks alone."""
+    w0 = "(1,2,1,3,2,1)"
+    code, out, _ = run(
+        capsys,
+        "poset", "A", "3", "--n", "2", "--top", f"e;{w0},{w0}",
+        "--check", "pure,thin,eulerian,boundary_sphere_euler",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["inputs"]["nodes"], payload["inputs"]["covers"]) == (9698, 64252)
+    assert [(c["check"], c["status"]) for c in payload["checks"]] == [
+        ("pure", "pass"), ("thin", "pass"), ("eulerian", "pass"),
+        ("boundary_sphere_euler", "pass"),
+    ]
+    assert payload["checks"][-1]["witness"] == {"chi": 0, "expected": 0}
+
+
 def test_poset_unknown_check_is_rejected_before_the_build(capsys):
     code, out, err = run(
         capsys,

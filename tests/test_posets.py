@@ -94,10 +94,24 @@ def oracle_is_thin(poset):
     )
 
 
+def oracle_mobius(poset, x, y, memo):
+    """Mobius function of [x, y] by the standard recursion, memoized in
+    ``memo`` (one dict per poset)."""
+    if x == y:
+        return 1
+    if (x, y) not in memo:
+        total = 1  # mu(x, x)
+        for z in members(poset.above[x] & poset.below[y]):
+            total += oracle_mobius(poset, x, z, memo)
+        memo[x, y] = -total
+    return memo[x, y]
+
+
 def oracle_is_eulerian(poset):
-    """The Mobius function on every comparable pair."""
+    """The recursive Mobius function on every comparable pair."""
+    memo = {}
     return all(
-        mobius(poset, x, y) == (-1) ** (poset.ranks[y] - poset.ranks[x])
+        oracle_mobius(poset, x, y, memo) == (-1) ** (poset.ranks[y] - poset.ranks[x])
         for x in range(len(poset))
         for y in members(poset.above[x])
     )
@@ -407,6 +421,41 @@ def test_eulerian_boundary_and_covers_match_oracles(A2):
             assert open_boundary_euler(poset) == oracle_open_boundary_euler(poset)
     assert verdicts == {True, False}
     assert maxima == 423
+
+
+@pytest.mark.parametrize(
+    "elements, pairs, node, value",
+    [
+        # k atoms under one top: mu(0^, t) = k - 1, a third and a fourth value
+        (["a", "b", "c", "t"], [("a", "t"), ("b", "t"), ("c", "t")], "t", 2),
+        (["a", "b", "c", "d", "t"], [(x, "t") for x in "abcd"], "t", 3),
+        # a chain 0^ < a < b < c: mu(0^, b) = 0, and b is below c
+        (["a", "b", "c"], [("a", "b"), ("b", "c")], "b", 0),
+    ],
+)
+def test_mobius_of_small_posets(elements, pairs, node, value):
+    poset = from_covers(elements, pairs)
+    assert mobius(poset, 0, poset.index(node)) == value
+    for x in range(len(poset)):
+        memo = {}
+        for y in [x, *members(poset.above[x])]:
+            assert mobius(poset, x, y) == oracle_mobius(poset, x, y, memo)
+    with pytest.raises(ValueError):
+        mobius(poset, len(poset) - 1, 0)
+
+
+def test_mobius_matches_recursion_oracle(A2):
+    """The one-pass Mobius function equals the recursion on every comparable
+    pair of the differential posets; non-Eulerian ones give other values."""
+    values = set()
+    for poset in _differential_posets(A2):
+        for x in range(len(poset)):
+            memo = {}
+            for y in members(poset.above[x]):
+                mu = mobius(poset, x, y)
+                assert mu == oracle_mobius(poset, x, y, memo)
+                values.add(mu)
+    assert {-1, 0, 1, 2, 3} <= values
 
 
 def oracle_shelling_of_facets(facets, budget=DEFAULT_SHELLING_BUDGET):

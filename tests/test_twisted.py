@@ -299,6 +299,31 @@ def test_phi_z_checked_mode_flag(monkeypatch):
         twisted.phi_Z(z)
 
 
+def test_stratum_is_computed_once_per_point(monkeypatch):
+    """A checked duality round trip computes the stratum of each of its three
+    points once; the kept stratum changes neither equality nor hashing."""
+    group = type_a_group(3)
+    w0 = group.from_word((0, 1, 0))
+    z = twisted.parametrize_cell(group.identity, (w0, w0), range(1, 7), check=False)
+    fresh = twisted.ZPoint(z.factors)
+    calls = []
+    real = slk.opposite_cell
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(slk, "opposite_cell", counted)
+    label = twisted.stratum(z)
+    assert twisted.stratum(z) is label
+    image = twisted.phi_Z(z, check=True)
+    back = twisted.phi_Z(image, check=True)
+    assert twisted.stratum(back) == label
+    assert len(calls) == 3
+    assert z == fresh and hash(z) == hash(fresh) and repr(z) == repr(fresh)
+    assert fresh._stratum is None and len({z, fresh}) == 1
+
+
 def _sl2_params_from_chart(image, v2, wbar2):
     """Recover positive parameters of an SL2 cell point from its chart coords.
 
