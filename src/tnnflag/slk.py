@@ -15,19 +15,22 @@ Generator indices are 1-based (x_i touches rows/columns i, i+1), matching
 the usual pinning conventions; the Weyl letters used elsewhere are 0-based
 positions and shift by one when they cross into this module.
 
-Everything is exact: entries are Fractions and no float appears anywhere.
+Everything is exact and no float appears anywhere.  Matrices are
+Fractions at the interface; the elimination and the ``ratlin`` kernels it
+calls run their inner loops on integers, with denominators cleared once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from . import ratlin
 from .ratlin import Mat
 
-# is_tnn enumerates all minors of a singular input (about 3 s per matrix at
-# k=8), so k is capped; nonsingular input is decided in O(k^3)
+# is_tnn enumerates all minors of a singular input (about 0.25 s of CPU per
+# dense matrix at k=8), so k is capped; nonsingular input is decided in O(k^3)
 K_MAX = 8
 
 
@@ -127,30 +130,33 @@ def word_perm(k: int, letters) -> tuple[int, ...]:
     return tuple(p)
 
 
-def _echelon(g: Mat) -> tuple[list[list[Fraction]], list[int]]:
-    """Column elimination of g B+: the unique echelon representative and its pivot rows.
+def _echelon(g: Mat) -> tuple[list[list[int]], list[int]]:
+    """Column elimination of g B+: integer columns and their pivot rows.
 
-    Column j is cleared at the pivot rows of earlier columns by adding
-    multiples of those columns, then scaled so its lowest nonzero entry,
-    its pivot, is 1.  Only right multiplication by B+ is used.
+    Each column is cleared of denominators (a positive diagonal factor),
+    then column j is cleared at the pivot row pr of each earlier column pj
+    by col_j <- p col_j - a col_pj, with p = col_pj[pr] and a = col_j[pr],
+    and divided by the gcd of its entries.  Only right multiplication by B+
+    is used.  The pivot of column j is its lowest nonzero entry; dividing
+    each column by its pivot gives the unique echelon representative.
     """
     k = len(g)
-    m = [list(row) for row in g]
+    cols: list[list[int]] = []
     pivots: list[int] = []
     for j in range(k):
-        for pj, pr in enumerate(pivots):
-            if m[pr][j] != 0:
-                f = m[pr][j] / m[pr][pj]
-                for r in range(k):
-                    m[r][j] -= f * m[r][pj]
-        piv = max((r for r in range(k) if m[r][j] != 0), default=None)
+        col = ratlin._cleared([row[j] for row in g])[0]
+        for earlier, pr in zip(cols, pivots):
+            a = col[pr]
+            if a:
+                p = earlier[pr]
+                col = [p * x - a * y for x, y in zip(col, earlier)]
+        piv = max((r for r in range(k) if col[r]), default=None)
         if piv is None:
             raise ValueError("singular matrix has no Bruhat cell")
-        inv = 1 / m[piv][j]
-        for r in range(k):
-            m[r][j] *= inv
+        c = gcd(*col)
+        cols.append([x // c for x in col])
         pivots.append(piv)
-    return m, pivots
+    return cols, pivots
 
 
 def bruhat_cell(g: Mat) -> tuple[int, ...]:
@@ -320,8 +326,9 @@ class FlagPoint:
 
     def __post_init__(self):
         # _echelon raises ValueError on a singular representative
-        m = _echelon(self.rep)[0]
-        object.__setattr__(self, "_canonical", tuple(tuple(row) for row in m))
+        cols, pivots = _echelon(self.rep)
+        scaled = [[Fraction(x, col[pr]) for x in col] for col, pr in zip(cols, pivots)]
+        object.__setattr__(self, "_canonical", tuple(zip(*scaled)))
 
     def __eq__(self, other):
         if not isinstance(other, FlagPoint):
@@ -332,7 +339,7 @@ class FlagPoint:
         return hash(self._canonical)
 
     def canonical(self) -> Mat:
-        """The echelon representative of ``_echelon``; equal iff the flags are."""
+        """The columns of ``_echelon`` over their pivots; equal iff the flags are."""
         return self._canonical
 
     def bruhat(self) -> tuple[int, ...]:

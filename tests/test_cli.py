@@ -2,8 +2,12 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +63,21 @@ def test_poset_command_triangle(capsys, tmp_path):
     assert payload["inputs"]["f_vector"] == [3, 3, 1]
     assert dot.read_text().startswith("digraph")
     assert json.loads(js.read_text()) == payload
+
+
+def test_python_m_runs_the_cli_from_a_checkout(capsys):
+    argv = ["poset", "A", "1", "--n", "2", "--top", "e;(1),(1)", "--check", "pure,thin"]
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tnnflag", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    via_m, direct = json.loads(proc.stdout), json.loads(out)
+    via_m.pop("elapsed_s"), direct.pop("elapsed_s")
+    assert via_m == direct
 
 
 def test_poset_command_checks_list(capsys):

@@ -1,0 +1,153 @@
+"""Exact-matrix kernels: integer elimination against the Fraction oracles, and algebraic laws."""
+
+import random
+from fractions import Fraction
+
+import oracles
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from tnnflag import ratlin, slk
+
+
+def rand_entry(rng):
+    """A mixed int or Fraction entry; zero about a quarter of the time."""
+    if rng.random() < 0.25:
+        return rng.choice((0, Fraction(0)))
+    num = rng.randint(-30, 30)
+    if rng.random() < 0.3:
+        return num
+    den = rng.choice((rng.randint(1, 12), rng.randint(1, 10**6)))
+    return Fraction(num, den)
+
+
+def rand_matrix(rng, rows, cols):
+    return tuple(tuple(rand_entry(rng) for _ in range(cols)) for _ in range(rows))
+
+
+def degrade(rng, a):
+    """a with a zero row, a zero column, or a row or column that is a combination of two others."""
+    k = len(a)
+    m = [list(row) for row in a]
+    kind = rng.randrange(4)
+    t = rng.randrange(k)
+    if kind == 0:
+        m[t] = [0] * k
+    elif kind == 1:
+        for row in m:
+            row[t] = Fraction(0)
+    elif k >= 3:
+        i, j = rng.sample([r for r in range(k) if r != t], 2)
+        s, u = rand_entry(rng), Fraction(rng.randint(-5, 5), rng.randint(1, 10**6))
+        if kind == 2:
+            m[t] = [s * x + u * y for x, y in zip(m[i], m[j])]
+        else:
+            for row in m:
+                row[t] = s * row[i] + u * row[j]
+    return tuple(tuple(row) for row in m)
+
+
+def square_case(rng, k):
+    a = rand_matrix(rng, k, k)
+    return degrade(rng, a) if rng.random() < 0.35 else a
+
+
+def outcome(f, a, error):
+    try:
+        return f(a)
+    except error:
+        return error
+
+
+def test_integer_kernels_match_fraction_oracles():
+    rng = random.Random(20261018)
+    counts = {"singular": 0, "swap": 0, "non_square": 0}
+    for case in range(2000):
+        k = case % 8 + 1
+        a = square_case(rng, k)
+        d = ratlin.det(a)
+        assert d == oracles.frac_det(a), a
+        assert isinstance(d, Fraction)
+        counts["singular"] += d == 0
+        counts["swap"] += k >= 2 and a[0][0] == 0
+        assert outcome(ratlin.mat_inv, a, ZeroDivisionError) == outcome(
+            oracles.frac_mat_inv, a, ZeroDivisionError
+        ), a
+        expected = outcome(oracles.frac_echelon, a, ValueError)
+        if expected is ValueError:
+            with pytest.raises(ValueError):
+                slk._echelon(a)
+        else:
+            canonical, pivots = expected
+            assert slk._echelon(a)[1] == pivots
+            assert slk.FlagPoint(a).canonical() == canonical, a
+
+        dims = [rng.randint(1, 8) for _ in range(rng.randint(2, 5))]
+        chain = [rand_matrix(rng, r, c) for r, c in zip(dims, dims[1:])]
+        assert ratlin.mat_mul(*chain) == oracles.frac_mat_mul(*chain)
+        counts["non_square"] += len(set(dims)) > 1
+    # the cases reach every branch: row swaps, singular input, non-square chains
+    assert counts["singular"] > 300 and counts["swap"] > 200 and counts["non_square"] > 1500
+
+
+BIG = 10**12
+# numerators and denominators up to 10^12, and small ints, zero included
+ENTRIES = st.one_of(
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)), st.integers(-3, 3)
+)
+
+
+def matrices(rows, cols):
+    return st.lists(
+        st.lists(ENTRIES, min_size=cols, max_size=cols).map(tuple), min_size=rows, max_size=rows
+    ).map(tuple)
+
+
+@st.composite
+def square_pair(draw):
+    k = draw(st.integers(1, 5))
+    return draw(matrices(k, k)), draw(matrices(k, k))
+
+
+@st.composite
+def chain_of_three(draw):
+    d = [draw(st.integers(1, 4)) for _ in range(4)]
+    return tuple(draw(matrices(r, c)) for r, c in zip(d, d[1:]))
+
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@SETTINGS
+@given(square_pair())
+def test_det_is_multiplicative(pair):
+    a, b = pair
+    assert ratlin.det(ratlin.mat_mul(a, b)) == ratlin.det(a) * ratlin.det(b)
+
+
+@SETTINGS
+@given(square_pair())
+def test_inverse_is_two_sided(pair):
+    a = pair[0]
+    assume(ratlin.det(a) != 0)
+    inv = ratlin.mat_inv(a)
+    one = ratlin.identity(len(a))
+    assert ratlin.mat_mul(a, inv) == one
+    assert ratlin.mat_mul(inv, a) == one
+
+
+@SETTINGS
+@given(chain_of_three())
+def test_mat_mul_is_associative(chain):
+    a, b, c = chain
+    whole = ratlin.mat_mul(a, b, c)
+    assert ratlin.mat_mul(ratlin.mat_mul(a, b), c) == whole
+    assert ratlin.mat_mul(a, ratlin.mat_mul(b, c)) == whole
+
+
+@SETTINGS
+@given(square_pair())
+def test_det_of_transpose(pair):
+    a = pair[0]
+    assert ratlin.det(ratlin.transpose(a)) == ratlin.det(a)
