@@ -11,9 +11,8 @@ reversed) and the canonical representative of a flag.  Also total
 nonnegativity by Neville elimination (exhaustive minors for singular
 input; they are also the test oracle) and the involutions iota and Phi.
 
-Generator indices are 1-based (x_i touches rows/columns i, i+1), matching
-the usual pinning conventions; the Weyl letters used elsewhere are 0-based
-positions and shift by one when they cross into this module.
+Generator letters are 0-based, the same letters as ``weyl`` words:
+letter i (x_i, y_i, sdot_i) touches rows and columns i and i+1.
 
 Everything is exact and no float appears anywhere.  Matrices are
 Fractions at the interface; the elimination and the ``ratlin`` kernels it
@@ -42,8 +41,8 @@ def _check_k(k: int) -> None:
 
 
 def _check_index(k: int, i: int) -> None:
-    if not 1 <= i <= k - 1:
-        raise ValueError(f"generator index {i} out of range 1..{k - 1}")
+    if not 0 <= i <= k - 2:
+        raise ValueError(f"generator index {i} out of range 0..{k - 2}")
 
 
 def word_matrix(k: int, word) -> Mat:
@@ -61,13 +60,13 @@ def word_matrix(k: int, word) -> Mat:
         if kind not in ("x", "y", "s"):
             raise ValueError(f"unknown generator kind {kind!r}")
         _check_index(k, i)
-    cols = [list(col) for col in ratlin.identity(k)]  # the columns, 0-based
+    cols = [list(col) for col in ratlin.identity(k)]
     for kind, i, a in word:
         if kind == "s":
-            cols[i - 1], cols[i] = [-x for x in cols[i]], cols[i - 1]
+            cols[i], cols[i + 1] = [-x for x in cols[i + 1]], cols[i]
             continue
         a = Fraction(a)
-        target, source = (i, i - 1) if kind == "x" else (i - 1, i)
+        target, source = (i + 1, i) if kind == "x" else (i, i + 1)
         cols[target] = [c + a * x if x else c for c, x in zip(cols[target], cols[source])]
     return tuple(zip(*cols))
 
@@ -90,8 +89,8 @@ def torus(k: int, i: int, t) -> Mat:
     if t == 0:
         raise ValueError("torus parameter must be nonzero")
     diag = [Fraction(1)] * k
-    diag[i - 1] = t
-    diag[i] = 1 / t
+    diag[i] = t
+    diag[i + 1] = 1 / t
     return tuple(
         tuple(diag[r] if r == c else Fraction(0) for c in range(k)) for r in range(k)
     )
@@ -103,7 +102,7 @@ def sdot(k: int, i: int) -> Mat:
 
 
 def wdot_from_word(k: int, letters) -> Mat:
-    """Product of sdot over a reduced word (1-based letters)."""
+    """Product of sdot over a reduced word."""
     return word_matrix(k, [("s", i, None) for i in letters])
 
 
@@ -121,13 +120,6 @@ def w0_dot(k: int) -> Mat:
         tuple(Fraction((-1) ** r) if c == k - 1 - r else Fraction(0) for c in range(k))
         for r in range(k)
     )
-
-
-def word_perm(k: int, letters) -> tuple[int, ...]:
-    p = list(range(1, k + 1))
-    for i in letters:
-        p[i - 1], p[i] = p[i], p[i - 1]
-    return tuple(p)
 
 
 def _echelon(g: Mat) -> tuple[list[list[int]], list[int]]:
@@ -272,14 +264,13 @@ def is_tnn(g: Mat) -> bool:
     )
 
 
-def mr_matrix(k: int, word, taken, params, check: bool = True) -> Mat:
+def mr_matrix(k: int, word, taken, params) -> Mat:
     """Marsh-Rietsch product: sdot at taken letters, y(param) at skipped ones.
 
-    ``word`` is a reduced word with 1-based letters, ``taken`` the positive
-    subexpression (same length, None at skipped positions), ``params`` one
-    positive rational per skipped position, consumed left to right.  When
-    ``check`` is set, the Bruhat and opposite cells of the result are
-    verified against the word and subexpression products.
+    ``word`` is a reduced word, ``taken`` the positive subexpression (same
+    length, None at skipped positions), ``params`` one positive rational
+    per skipped position, consumed left to right.  The cells of the result
+    are checked by the caller, ``twisted.parametrize_cell``.
     """
     _check_k(k)
     word = tuple(word)
@@ -295,17 +286,10 @@ def mr_matrix(k: int, word, taken, params, check: bool = True) -> Mat:
     if any(t is not None and t != letter for letter, t in zip(word, taken)):
         raise ValueError("subexpression letter differs from the word")
     it = iter(params)
-    out = word_matrix(
+    return word_matrix(
         k, [("y", letter, next(it)) if t is None else ("s", letter, None)
             for letter, t in zip(word, taken)]
     )
-    if check:
-        if bruhat_cell(out) != word_perm(k, word):
-            raise AssertionError("cell point left its Schubert cell")
-        v_perm = word_perm(k, (t for t in taken if t is not None))
-        if opposite_cell(out) != v_perm:
-            raise AssertionError("cell point left its opposite Schubert cell")
-    return out
 
 
 def iota(g: Mat) -> Mat:
@@ -341,16 +325,6 @@ class FlagPoint:
     def canonical(self) -> Mat:
         """The columns of ``_echelon`` over their pivots; equal iff the flags are."""
         return self._canonical
-
-    def bruhat(self) -> tuple[int, ...]:
-        return bruhat_cell(self.rep)
-
-    def opposite(self) -> tuple[int, ...]:
-        return opposite_cell(self.rep)
-
-    def stratum(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(v, w) with the flag in the open Richardson piece."""
-        return self.opposite(), self.bruhat()
 
 
 def phi_flag(f: FlagPoint) -> FlagPoint:

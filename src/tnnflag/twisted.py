@@ -10,6 +10,9 @@ double-Bruhat products are one ``slk.word_matrix`` call.
 ``parametrize_cell`` and ``phi_Z`` assert theorem-level facts on every call
 unless passed ``check=False``: the cell parametrization lands in its
 stratum, and the duality map permutes strata by the book formula.
+
+Reduced words carry 0-based letters here as in ``weyl`` and ``slk``; only
+``db_positive`` takes 1-based ones (see its docstring).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 
 from . import ratlin, slk
 from .ratlin import Mat
-from .weyl import WeylElt, WeylGroup, from_perm, positive_tuple, type_a_group
+from .weyl import WeylElt, WeylGroup, from_perm, perm_of, positive_tuple, type_a_group
 
 @dataclass(frozen=True)
 class ZPoint:
@@ -115,9 +118,14 @@ def parametrize_cell(
 ) -> ZPoint:
     """Positive parametrization of the stratum (v, wbar) of SL_k products.
 
-    ``words`` optionally fixes a reduced word per factor (0-based letters);
-    the canonical words are used otherwise.  ``params`` supplies one
-    positive rational per skipped letter, across factors left to right.
+    Factor i is the Marsh-Rietsch point ``slk.mr_matrix`` of the positive
+    subexpression for v_i in a reduced word of w_i, where (v_1, ..., v_n)
+    is ``positive_tuple(v, wbar)``.  ``words`` optionally fixes the reduced
+    word per factor; the canonical words are used otherwise.  ``params``
+    supplies one positive rational per skipped letter, across factors
+    left to right.  With ``check`` on, each factor is asserted to lie in
+    the opposite cell of its v_i, and the point in the stratum (v, wbar),
+    which includes the Bruhat cell w_i of each factor.
     """
     group = v.group
     wbar = tuple(wbar)
@@ -146,15 +154,10 @@ def parametrize_cell(
         need = len(word) - vi.length
         chunk = params[pos:pos + need]
         pos += need
-        factors.append(
-            slk.mr_matrix(
-                k,
-                tuple(t + 1 for t in word),
-                tuple(None if t is None else t + 1 for t in sub),
-                chunk,
-                check=check,
-            )
-        )
+        g = slk.mr_matrix(k, word, sub, chunk)
+        if check and slk.opposite_cell(g) != perm_of(vi):
+            raise AssertionError("cell point left its opposite Schubert cell")
+        factors.append(g)
     z = ZPoint(tuple(factors))
     if check and stratum(z) != (v, wbar):
         raise AssertionError("parametrized point landed outside its stratum")
@@ -196,9 +199,11 @@ def double_bruhat_embed(g: Mat) -> ZPoint:
 def db_positive(k: int, v_word, w_word, params) -> Mat:
     """Totally positive double-Bruhat point: y's over the w word, x's over v's.
 
-    ``v_word`` and ``w_word`` are reduced words with 1-based letters; the
-    parameter list supplies l(w) values for the y's then l(v) values for
-    the x's.  The output is asserted totally nonnegative.
+    ``v_word`` and ``w_word`` are reduced words with 1-based letters, the
+    one exception in the library: the recorded benchmark workloads call
+    this function with them, so the letters shift to ``slk``'s 0-based
+    ones here.  The parameter list supplies l(w) values for the y's then
+    l(v) values for the x's.  The output is asserted totally nonnegative.
     """
     v_word = tuple(v_word)
     w_word = tuple(w_word)
@@ -209,7 +214,8 @@ def db_positive(k: int, v_word, w_word, params) -> Mat:
         raise ValueError("parameters must be positive")
     it = iter(params)
     out = slk.word_matrix(
-        k, [("y", j, next(it)) for j in w_word] + [("x", i, next(it)) for i in v_word]
+        k,
+        [("y", j - 1, next(it)) for j in w_word] + [("x", i - 1, next(it)) for i in v_word],
     )
     if not slk.is_tnn(out):
         raise AssertionError("double Bruhat product is not totally nonnegative")
@@ -240,39 +246,6 @@ def generic_bounds(u: WeylElt, v: WeylElt, w: WeylElt) -> tuple[WeylElt, WeylElt
     group = u.group
     group.check_same(u, v, w)
     return group.circ_r(w, group.inverse(u)), group.demazure(v, u)
-
-
-def random_gauge(k: int, rng) -> Mat:
-    """Random unit-determinant upper triangular matrix (test utility)."""
-    diag = [Fraction(rng.randint(1, 20), rng.randint(1, 20)) for _ in range(k - 1)]
-    last = Fraction(1)
-    for d in diag:
-        last /= d
-    diag.append(last)
-    rows = []
-    for r in range(k):
-        row = []
-        for c in range(k):
-            if r == c:
-                row.append(diag[r])
-            elif r < c:
-                row.append(Fraction(rng.randint(-20, 20), rng.randint(1, 20)))
-            else:
-                row.append(Fraction(0))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def perturb_gauge(z: ZPoint, rng) -> ZPoint:
-    """Random twisted-gauge perturbation of a point (test utility)."""
-    k = z.k
-    bs = [random_gauge(k, rng) for _ in range(z.n)]
-    factors = []
-    prev_inv = ratlin.identity(k)
-    for g, b in zip(z.factors, bs):
-        factors.append(ratlin.mat_mul(prev_inv, g, b))
-        prev_inv = ratlin.mat_inv(b)
-    return ZPoint(tuple(factors))
 
 
 def random_params(count: int, rng) -> list[Fraction]:

@@ -433,17 +433,6 @@ def th_element(tgroup: WeylGroup, wbar) -> WeylElt:
     return out
 
 
-def i_word(wbar) -> SubWord:
-    """Factor words interleaved with placeholders, an expression of the product."""
-    wbar = tuple(wbar)
-    letters: list = []
-    for idx, w in enumerate(wbar):
-        letters.extend(w.word)
-        if idx < len(wbar) - 1:
-            letters.append(None)
-    return tuple(letters)
-
-
 def positive_tuple(v: WeylElt, wbar) -> tuple[WeylElt, ...]:
     """The unique tuple below wbar, positive in wbar, with product v.
 

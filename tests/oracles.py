@@ -100,7 +100,7 @@ def x_gen(k, i, a):
     a = Fraction(a)
     return tuple(
         tuple(
-            Fraction(1) if r == c else (a if (r, c) == (i - 1, i) else Fraction(0))
+            Fraction(1) if r == c else (a if (r, c) == (i, i + 1) else Fraction(0))
             for c in range(k)
         )
         for r in range(k)
@@ -112,7 +112,7 @@ def y_gen(k, i, a):
     a = Fraction(a)
     return tuple(
         tuple(
-            Fraction(1) if r == c else (a if (r, c) == (i, i - 1) else Fraction(0))
+            Fraction(1) if r == c else (a if (r, c) == (i + 1, i) else Fraction(0))
             for c in range(k)
         )
         for r in range(k)

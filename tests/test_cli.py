@@ -238,6 +238,22 @@ def test_cell_stratum_failure_exits_1(capsys, monkeypatch):
     assert any(c["status"] == "fail" for c in payload["checks"])
 
 
+def test_cell_checks_k_before_building_the_group(capsys, monkeypatch):
+    """k above the cap is a usage error that names K_MAX, raised before the
+    k x k Cartan matrix of the Weyl group is built."""
+    from tnnflag import cli, slk
+
+    def no_group(k):
+        raise AssertionError(f"type_a_group({k}) called")
+
+    monkeypatch.setattr(cli, "type_a_group", no_group)
+    code, _, err = run(
+        capsys, "cell", "--k", str(slk.K_MAX + 1), "--n", "1", "--w", "(1)",
+    )
+    assert code == 2
+    assert err.startswith("error:") and f"K_MAX={slk.K_MAX}" in err
+
+
 def test_cell_zero_denominator_is_usage_error(capsys):
     code, _, err = run(
         capsys, "cell", "--k", "2", "--n", "1", "--w", "(1)", "--params", "1/0",

@@ -22,7 +22,7 @@ def random_group_element(k, rng, steps=6):
     """Random SL_k element as a product of pinning generators."""
     g = ratlin.identity(k)
     for _ in range(steps):
-        i = rng.randint(1, k - 1)
+        i = rng.randint(0, k - 2)
         kind = rng.randint(0, 2)
         a = rand_frac(rng)
         if kind == 0:
@@ -51,8 +51,8 @@ def sparse_matrix(k, rng):
 
 
 def word_of(k, p):
-    """A reduced word (1-based letters) of a one-line permutation."""
-    return tuple(t + 1 for t in from_perm(type_a_group(k), p).word)
+    """A reduced word of a one-line permutation."""
+    return from_perm(type_a_group(k), p).word
 
 
 def bruhat_cell_by_rank(g):
@@ -114,16 +114,16 @@ def random_upper(k, rng):
 
 
 def test_generator_shapes():
-    assert slk.x_gen(3, 1, 0) == ratlin.identity(3)
-    assert slk.x_gen(2, 1, 5)[0][1] == 5
-    assert slk.y_gen(2, 1, 5)[1][0] == 5
-    assert slk.sdot(2, 1) == ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0)))
-    t = slk.torus(2, 1, Fraction(3, 2))
+    assert slk.x_gen(3, 0, 0) == ratlin.identity(3)
+    assert slk.x_gen(2, 0, 5)[0][1] == 5
+    assert slk.y_gen(2, 0, 5)[1][0] == 5
+    assert slk.sdot(2, 0) == ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0)))
+    t = slk.torus(2, 0, Fraction(3, 2))
     assert t[0][0] == Fraction(3, 2) and t[1][1] == Fraction(2, 3)
     with pytest.raises(ValueError):
-        slk.x_gen(3, 3, 1)
+        slk.x_gen(3, 2, 1)
     with pytest.raises(ValueError):
-        slk.torus(2, 1, 0)
+        slk.torus(2, 0, 0)
 
 
 def random_word(k, rng, length):
@@ -132,7 +132,7 @@ def random_word(k, rng, length):
     for _ in range(length):
         kind = rng.choice("xys")
         a = rng.choice((Fraction(0), rand_frac(rng, -20, -1), rand_frac(rng, 1, 20)))
-        word.append((kind, rng.randint(1, k - 1), None if kind == "s" else a))
+        word.append((kind, rng.randint(0, k - 2), None if kind == "s" else a))
     return word
 
 
@@ -141,7 +141,7 @@ def test_word_matrix_matches_product_oracle():
     rng = random.Random(606)
     seen = set()
     for k in range(2, 7):
-        for i in range(1, k):
+        for i in range(k - 1):
             a = rand_frac(rng)
             assert slk.x_gen(k, i, a) == oracles.x_gen(k, i, a)
             assert slk.y_gen(k, i, a) == oracles.y_gen(k, i, a)
@@ -150,7 +150,7 @@ def test_word_matrix_matches_product_oracle():
             word = random_word(k, rng, rng.randint(0, 12))
             seen.update((kind, a if a is None else (a > 0) - (a < 0)) for kind, _, a in word)
             assert slk.word_matrix(k, word) == oracles.word_product(k, word)
-            letters = [rng.randint(1, k - 1) for _ in range(rng.randint(0, 8))]
+            letters = [rng.randint(0, k - 2) for _ in range(rng.randint(0, 8))]
             assert slk.wdot_from_word(k, letters) == oracles.word_product(
                 k, [("s", i, None) for i in letters]
             )
@@ -160,9 +160,14 @@ def test_word_matrix_matches_product_oracle():
 
 def test_word_matrix_validation():
     with pytest.raises(ValueError, match="unknown generator kind"):
-        slk.word_matrix(3, [("x", 1, 2), ("z", 1, 1)])
-    with pytest.raises(ValueError, match="out of range"):
-        slk.word_matrix(3, [("s", 3, None)])
+        slk.word_matrix(3, [("x", 0, 2), ("z", 0, 1)])
+    # letters run over 0..k-2; -1 would otherwise index the last column
+    for k in range(2, slk.K_MAX + 1):
+        for kind, a in (("x", 1), ("y", 1), ("s", None)):
+            for i in (-1, k - 1):
+                with pytest.raises(ValueError, match="out of range"):
+                    slk.word_matrix(k, [(kind, i, a)])
+            slk.word_matrix(k, [(kind, 0, a), (kind, k - 2, a)])
     for k in (1, slk.K_MAX + 1):
         with pytest.raises(ValueError):
             slk.word_matrix(k, [])
@@ -180,9 +185,8 @@ def test_mr_matrix_matches_product_oracle():
             w = from_perm(group, tuple(p))
             # any subword product lies below w
             v = group.from_word(tuple(t for t in w.word if rng.random() < 0.4))
-            sub = group.positive_subexpression(v, w.word)
-            word = tuple(t + 1 for t in w.word)
-            taken = tuple(None if t is None else t + 1 for t in sub)
+            word = w.word
+            taken = group.positive_subexpression(v, word)
             params = [rand_frac(rng, 1, 20) for _ in range(w.length - v.length)]
             it = iter(params)
             expected = oracles.word_product(k, [
@@ -193,22 +197,22 @@ def test_mr_matrix_matches_product_oracle():
 
 
 def test_sdot_braid_relation():
-    left = ratlin.mat_mul(slk.sdot(3, 1), slk.sdot(3, 2), slk.sdot(3, 1))
-    right = ratlin.mat_mul(slk.sdot(3, 2), slk.sdot(3, 1), slk.sdot(3, 2))
+    left = ratlin.mat_mul(slk.sdot(3, 0), slk.sdot(3, 1), slk.sdot(3, 0))
+    right = ratlin.mat_mul(slk.sdot(3, 1), slk.sdot(3, 0), slk.sdot(3, 1))
     assert left == right
     assert ratlin.det(left) == 1
 
 
 def test_bruhat_cell_basic():
     assert slk.bruhat_cell(ratlin.identity(3)) == (1, 2, 3)
-    assert slk.bruhat_cell(slk.y_gen(2, 1, 1)) == (2, 1)
+    assert slk.bruhat_cell(slk.y_gen(2, 0, 1)) == (2, 1)
     assert slk.bruhat_cell(slk.w0_dot(4)) == (4, 3, 2, 1)
     with pytest.raises(ValueError):
         slk.bruhat_cell(((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1))))
 
 
 def test_opposite_cell_basic():
-    assert slk.opposite_cell(slk.y_gen(2, 1, 1)) == (1, 2)
+    assert slk.opposite_cell(slk.y_gen(2, 0, 1)) == (1, 2)
     assert slk.opposite_cell(slk.w0_dot(3)) == (3, 2, 1)
     assert slk.opposite_cell(ratlin.identity(3)) == (1, 2, 3)
 
@@ -277,7 +281,7 @@ def test_cell_labels_gauge_invariant():
 def test_is_tnn():
     """Hand-made cases, singular ones and ones needing a row exchange included."""
     F = Fraction
-    y_product = ratlin.mat_mul(slk.y_gen(3, 1, 1), slk.y_gen(3, 2, 1), slk.y_gen(3, 1, 1))
+    y_product = ratlin.mat_mul(slk.y_gen(3, 0, 1), slk.y_gen(3, 1, 1), slk.y_gen(3, 0, 1))
     zero_row = ((F(1), F(2), F(0)), (F(0), F(0), F(0)), (F(1), F(3), F(1)))
     zero_row_not_tn = ((F(1), F(3), F(0)), (F(0), F(0), F(0)), (F(2), F(1), F(1)))
     equal_cols = ((F(1), F(1), F(0)), (F(2), F(2), F(1)), (F(1), F(1), F(3)))
@@ -287,7 +291,7 @@ def test_is_tnn():
     swap = ((F(0), F(1)), (F(1), F(0)))
     cases = [
         (ratlin.identity(3), True),
-        (slk.y_gen(2, 1, -1), False),
+        (slk.y_gen(2, 0, -1), False),
         (y_product, True),
         (zero_row, True),
         (zero_row_not_tn, False),  # rows 1, 3 and columns 1, 2: 1*1 - 3*2 < 0
@@ -296,8 +300,8 @@ def test_is_tnn():
         (rank_one, True),
         (zero_row_on_top, True),
         (rank_one_negative, False),
-        (slk.sdot(2, 1), False),
-        (slk.sdot(4, 2), False),
+        (slk.sdot(2, 0), False),
+        (slk.sdot(4, 1), False),
         (swap, False),
     ]
     for g, expected in cases:
@@ -319,7 +323,7 @@ def random_scaled_word_matrix(k, rng):
         u = rng.random()
         a = 0 if u < 0.2 else (rand_frac(rng, -5, -1) if u < 0.25 else rand_frac(rng, 1, 20))
         kind = "s" if rng.random() < 0.05 else rng.choice("xy")
-        word.append((kind, rng.randint(1, k - 1), a))
+        word.append((kind, rng.randint(0, k - 2), a))
     scale = []
     for _ in range(k):
         u = rng.random()
@@ -346,7 +350,7 @@ def test_is_tnn_at_k8():
     k = 8
     w0_word = word_of(k, slk.w0_perm(k))
     g = slk.word_matrix(
-        k, [("y", i, Fraction(i, 3)) for i in w0_word] + [("x", i, 2) for i in w0_word]
+        k, [("y", i, Fraction(i + 1, 3)) for i in w0_word] + [("x", i, 2) for i in w0_word]
     )
     assert all(x > 0 for row in g for x in row)
     assert slk.is_tnn(g)
@@ -356,7 +360,7 @@ def test_is_tnn_at_k8():
     swapped = (g[1], g[0]) + g[2:]
     swapped = tuple((row[1], row[0]) + row[2:] for row in swapped)
     assert ratlin.det(swapped) > 0 and not slk.is_tnn(swapped)
-    assert not slk.is_tnn(ratlin.mat_mul(g, slk.x_gen(k, 7, -10**6)))
+    assert not slk.is_tnn(ratlin.mat_mul(g, slk.x_gen(k, 6, -10**6)))
 
 
 def test_positive_y_products_are_tnn():
@@ -365,37 +369,37 @@ def test_positive_y_products_are_tnn():
         for _ in range(25):
             g = ratlin.identity(k)
             for _ in range(rng.randint(1, 6)):
-                g = ratlin.mat_mul(g, slk.y_gen(k, rng.randint(1, k - 1), rand_frac(rng, 1, 20)))
+                g = ratlin.mat_mul(g, slk.y_gen(k, rng.randint(0, k - 2), rand_frac(rng, 1, 20)))
             assert slk.is_tnn(g)
 
 
 def test_mr_matrix_examples():
     # v = w: the representative of w itself, stratum (w, w)
-    g = slk.mr_matrix(3, (1, 2), (1, 2), ())
+    g = slk.mr_matrix(3, (0, 1), (0, 1), ())
     assert slk.bruhat_cell(g) == slk.opposite_cell(g) == (2, 3, 1)
-    # k = 2, v = e, word (1): a single y
-    g = slk.mr_matrix(2, (1,), (None,), (Fraction(5),))
-    assert g == slk.y_gen(2, 1, 5)
+    # k = 2, v = e, word (0): a single y
+    g = slk.mr_matrix(2, (0,), (None,), (Fraction(5),))
+    assert g == slk.y_gen(2, 0, 5)
     assert (slk.opposite_cell(g), slk.bruhat_cell(g)) == ((1, 2), (2, 1))
-    # k = 3, v = s1 in (1,2,1): y1(t1) y2(t2) sdot1
-    g = slk.mr_matrix(3, (1, 2, 1), (None, None, 1), (Fraction(1), Fraction(2)))
+    # k = 3, v = s0 in (0,1,0): y0(t1) y1(t2) sdot0
+    g = slk.mr_matrix(3, (0, 1, 0), (None, None, 0), (Fraction(1), Fraction(2)))
     assert slk.opposite_cell(g) == (2, 1, 3)
     assert slk.bruhat_cell(g) == (3, 2, 1)
 
 
 def test_mr_matrix_validation():
     with pytest.raises(ValueError):
-        slk.mr_matrix(2, (1,), (None,), (Fraction(-1),))
+        slk.mr_matrix(2, (0,), (None,), (Fraction(-1),))
     with pytest.raises(ValueError):
-        slk.mr_matrix(2, (1,), (None,), ())
+        slk.mr_matrix(2, (0,), (None,), ())
     with pytest.raises(ValueError):
-        slk.mr_matrix(2, (1,), (1,), (Fraction(1),))
+        slk.mr_matrix(2, (0,), (0,), (Fraction(1),))
 
 
 def test_iota_properties():
     rng = random.Random(3)
     for k in (2, 3, 4):
-        for i in range(1, k):
+        for i in range(k - 1):
             for _ in range(5):
                 a = rand_frac(rng)
                 assert slk.iota(slk.x_gen(k, i, a)) == slk.x_gen(k, i, -a)
@@ -407,11 +411,11 @@ def test_iota_properties():
 
 
 def test_flag_equality_and_canonical():
-    f = slk.FlagPoint(slk.y_gen(2, 1, 2))
-    g = slk.FlagPoint(ratlin.mat_mul(slk.y_gen(2, 1, 2), slk.x_gen(2, 1, 7)))
+    f = slk.FlagPoint(slk.y_gen(2, 0, 2))
+    g = slk.FlagPoint(ratlin.mat_mul(slk.y_gen(2, 0, 2), slk.x_gen(2, 0, 7)))
     assert f == g
     assert f.canonical() == g.canonical()
-    h = slk.FlagPoint(slk.y_gen(2, 1, 3))
+    h = slk.FlagPoint(slk.y_gen(2, 0, 3))
     assert f != h
     with pytest.raises(ValueError):
         slk.FlagPoint(((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))))
@@ -427,7 +431,7 @@ def test_flag_equality_is_canonical_form_equality():
         b = random_upper(k, rng)
         f, fb = slk.FlagPoint(g), slk.FlagPoint(ratlin.mat_mul(g, b))
         assert f == fb and hash(f) == hash(fb)
-        i = rng.randint(1, k - 1)
+        i = rng.randint(0, k - 2)
         step = rng.choice((
             slk.x_gen(k, i, rand_frac(rng)),
             slk.y_gen(k, i, rand_frac(rng, -2, 2)),
@@ -455,21 +459,19 @@ def test_phi_maps_richardson_to_dual_richardson(S3):
     rng = random.Random(31)
     w0 = from_perm(S3, (3, 2, 1))
     for w in S3.elements_up_to_length(3):
-        word = tuple(t + 1 for t in w.word)
         for v in S3.lower_interval(w):
-            sub1 = S3.positive_subexpression(v, w.word)
-            sub = tuple(None if t is None else t + 1 for t in sub1)
+            sub = S3.positive_subexpression(v, w.word)
             for _ in range(3):
                 params = [rand_frac(rng, 1, 20) for _ in range(w.length - v.length)]
-                g = slk.mr_matrix(3, word, sub, params)
+                g = slk.mr_matrix(3, w.word, sub, params)
                 f = slk.FlagPoint(g)
-                assert f.stratum() == (perm_of(v), perm_of(w))
-                image = slk.phi_flag(f)
+                assert (slk.opposite_cell(g), slk.bruhat_cell(g)) == (perm_of(v), perm_of(w))
+                image = slk.phi_flag(f).rep
                 expected = (
                     perm_of(S3.multiply(w0, w)),
                     perm_of(S3.multiply(w0, v)),
                 )
-                assert image.stratum() == expected
+                assert (slk.opposite_cell(image), slk.bruhat_cell(image)) == expected
 
 
 def _lu_unit_lower(g):
@@ -503,11 +505,11 @@ def test_lusztig_positive_big_cell_identity():
 
 
 def test_double_bruhat_labels():
-    g = ratlin.mat_mul(slk.y_gen(2, 1, 1), slk.x_gen(2, 1, 2))
+    g = ratlin.mat_mul(slk.y_gen(2, 0, 1), slk.x_gen(2, 0, 2))
     assert slk.double_bruhat_labels(g) == ((2, 1), (2, 1))
     assert slk.double_bruhat_labels(ratlin.identity(3)) == ((1, 2, 3), (1, 2, 3))
 
 
 def test_k_cap():
     with pytest.raises(ValueError):
-        slk.x_gen(9, 1, 1)
+        slk.x_gen(9, 0, 1)

@@ -9,7 +9,7 @@ import pytest
 
 from tnnflag import ratlin, slk, twisted
 from tnnflag.verify import brute_circ_r, brute_demazure
-from tnnflag.weyl import from_perm, type_a_group
+from tnnflag.weyl import from_perm, perm_of, type_a_group
 
 
 def flag_coord(f):
@@ -28,13 +28,46 @@ def all_reduced_words(group, w):
     return out
 
 
+def random_gauge(k, rng):
+    """Random unit-determinant upper triangular matrix."""
+    diag = [Fraction(rng.randint(1, 20), rng.randint(1, 20)) for _ in range(k - 1)]
+    last = Fraction(1)
+    for d in diag:
+        last /= d
+    diag.append(last)
+    rows = []
+    for r in range(k):
+        row = []
+        for c in range(k):
+            if r == c:
+                row.append(diag[r])
+            elif r < c:
+                row.append(Fraction(rng.randint(-20, 20), rng.randint(1, 20)))
+            else:
+                row.append(Fraction(0))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def perturb_gauge(z, rng):
+    """Random twisted-gauge perturbation (g_1 b_1, b_1^{-1} g_2 b_2, ...) of a point."""
+    k = z.k
+    bs = [random_gauge(k, rng) for _ in range(z.n)]
+    factors = []
+    prev_inv = ratlin.identity(k)
+    for g, b in zip(z.factors, bs):
+        factors.append(ratlin.mat_mul(prev_inv, g, b))
+        prev_inv = ratlin.mat_inv(b)
+    return twisted.ZPoint(tuple(factors))
+
+
 def test_stratum_examples(S3):
     # (y(1), y(2)): both factors in the s-cell, product lower unipotent
-    z = twisted.ZPoint((slk.y_gen(2, 1, 1), slk.y_gen(2, 1, 2)))
+    z = twisted.ZPoint((slk.y_gen(2, 0, 1), slk.y_gen(2, 0, 2)))
     v, wbar = twisted.stratum(z)
     assert v.length == 0 and [w.word for w in wbar] == [(0,), (0,)]
     # (y(1), sdot): the convolution flag moves to the far edge
-    z = twisted.ZPoint((slk.y_gen(2, 1, 1), slk.sdot(2, 1)))
+    z = twisted.ZPoint((slk.y_gen(2, 0, 1), slk.sdot(2, 0)))
     v, wbar = twisted.stratum(z)
     assert v.word == (0,) and [w.word for w in wbar] == [(0,), (0,)]
     # representatives of Weyl elements land in their own cells
@@ -43,7 +76,7 @@ def test_stratum_examples(S3):
     for _ in range(5):
         ws = [rng.choice(elems) for _ in range(2)]
         z = twisted.ZPoint(tuple(
-            slk.wdot_from_word(3, tuple(t + 1 for t in w.word)) for w in ws
+            slk.wdot_from_word(3, w.word) for w in ws
         ))
         v, wbar = twisted.stratum(z)
         assert list(wbar) == ws
@@ -75,17 +108,39 @@ def test_parametrize_cell_examples():
     A1 = type_a_group(2)
     e, s = A1.identity, A1.simple(0)
     z = twisted.parametrize_cell(s, (s, s), [Fraction(3, 2)])
-    assert z.factors[0] == slk.y_gen(2, 1, Fraction(3, 2))
-    assert z.factors[1] == slk.sdot(2, 1)
+    assert z.factors[0] == slk.y_gen(2, 0, Fraction(3, 2))
+    assert z.factors[1] == slk.sdot(2, 0)
     # rank-0 cell: no parameters
     z0 = twisted.parametrize_cell(s, (s, e), [])
-    assert z0.factors[0] == slk.sdot(2, 1)
+    assert z0.factors[0] == slk.sdot(2, 0)
     with pytest.raises(ValueError):
         twisted.parametrize_cell(s, (e, e), [])
     with pytest.raises(ValueError):
         twisted.parametrize_cell(e, (s, s), [Fraction(1)])  # wrong count
     with pytest.raises(ValueError):
         twisted.parametrize_cell(e, (s, s), [Fraction(1), Fraction(-1)])
+
+
+def test_parametrize_cell_checks_opposite_cells(monkeypatch):
+    """check=True asserts each factor's opposite cell (forced wrong here);
+    check=False skips the assertion and builds the same point."""
+    group = type_a_group(3)
+    w0 = group.from_word((0, 1, 0))
+    v, wbar = group.simple(0), (w0, group.from_word((1, 0)))
+    expected = twisted.parametrize_cell(v, wbar, range(1, 5))
+    seen = []
+
+    def wrong_opposite(g):
+        seen.append(g)
+        return perm_of(w0)
+
+    monkeypatch.setattr(slk, "opposite_cell", wrong_opposite)
+    with pytest.raises(AssertionError, match="opposite Schubert cell"):
+        twisted.parametrize_cell(v, wbar, range(1, 5))
+    assert seen == [expected.factors[0]]
+    seen.clear()
+    assert twisted.parametrize_cell(v, wbar, range(1, 5), check=False) == expected
+    assert seen == []
 
 
 def test_parametrize_roundtrip_with_word_choices(S3):
@@ -114,7 +169,7 @@ def test_gauge_invariance_of_stratum(S3):
     for z in points:
         base = twisted.stratum(z)
         for _ in range(200):
-            zp = twisted.perturb_gauge(z, rng)
+            zp = perturb_gauge(z, rng)
             assert twisted.gauge_eq(z, zp)
             assert twisted.stratum(zp) == base
 
@@ -122,10 +177,10 @@ def test_gauge_invariance_of_stratum(S3):
 def test_alpha_and_convolution():
     A1 = type_a_group(2)
     # n = 1: alpha and convolution are the same flag
-    z1 = twisted.ZPoint((slk.y_gen(2, 1, 5),))
+    z1 = twisted.ZPoint((slk.y_gen(2, 0, 5),))
     assert twisted.alpha(z1) == (twisted.convolution(z1),)
     # the two-factor picture: coordinates (a, a + b)
-    z = twisted.ZPoint((slk.y_gen(2, 1, 1), slk.y_gen(2, 1, 2)))
+    z = twisted.ZPoint((slk.y_gen(2, 0, 1), slk.y_gen(2, 0, 2)))
     flags = twisted.alpha(z)
     assert twisted.convolution(z) == flags[-1]
     assert [flag_coord(f) for f in flags] == [1, 3]
@@ -149,9 +204,9 @@ def test_alpha_separates_gauge_classes():
         for n in range(1, 4):
             for _ in range(16):
                 z = twisted.ZPoint(tuple(_random_factor(k, rng) for _ in range(n)))
-                perturbed = twisted.perturb_gauge(z, rng)
+                perturbed = perturb_gauge(z, rng)
                 # one factor times a generator: x (in B+) at the last factor keeps the class
-                j, i = rng.randrange(n), rng.randint(1, k - 1)
+                j, i = rng.randrange(n), rng.randint(0, k - 2)
                 step = rng.choice((
                     slk.x_gen(k, i, rng.randint(1, 5)),
                     slk.y_gen(k, i, rng.randint(1, 5)),
@@ -172,7 +227,7 @@ def test_alpha_separates_gauge_classes():
                     outcomes[same] += 1
     assert min(outcomes.values()) > 50, outcomes
     # mismatched shapes are never gauge equal
-    z = twisted.ZPoint((slk.y_gen(2, 1, 1), slk.y_gen(2, 1, 2)))
+    z = twisted.ZPoint((slk.y_gen(2, 0, 1), slk.y_gen(2, 0, 2)))
     assert not twisted.gauge_eq(z, twisted.ZPoint(z.factors[:1]))
     assert not twisted.gauge_eq(z, twisted.ZPoint((ratlin.identity(3),) * 2))
 
@@ -257,22 +312,22 @@ def _build_unchecked(v, wbar, words, params):
         out = ratlin.identity(k)
         for letter, t in zip(word, sub):
             if t is None:
-                out = ratlin.mat_mul(out, slk.y_gen(k, letter + 1, params[pos]))
+                out = ratlin.mat_mul(out, slk.y_gen(k, letter, params[pos]))
                 pos += 1
             else:
-                out = ratlin.mat_mul(out, slk.sdot(k, letter + 1))
+                out = ratlin.mat_mul(out, slk.sdot(k, letter))
         factors.append(out)
     return twisted.ZPoint(tuple(factors))
 
 
 def test_phi_z_single_factor_reduces_to_phi_flag():
-    z = twisted.ZPoint((slk.y_gen(2, 1, 3),))
+    z = twisted.ZPoint((slk.y_gen(2, 0, 3),))
     image = twisted.phi_Z(z)
     assert slk.FlagPoint(image.factors[0]) == slk.phi_flag(slk.FlagPoint(z.factors[0]))
 
 
 def test_phi_z_k2_example():
-    z = twisted.ZPoint((slk.y_gen(2, 1, 1), slk.y_gen(2, 1, 2)))
+    z = twisted.ZPoint((slk.y_gen(2, 0, 1), slk.y_gen(2, 0, 2)))
     image = twisted.phi_Z(z)
     v, wbar = twisted.stratum(image)
     assert v.length == 0 and [w.word for w in wbar] == [(0,), (0,)]
@@ -282,7 +337,7 @@ def test_phi_z_k2_example():
 def test_phi_z_checked_mode_flag(monkeypatch):
     """check=False skips the stratum assertion; check=True, the default,
     raises on a (forced) wrong stratum."""
-    z = twisted.ZPoint((slk.y_gen(2, 1, 1), slk.y_gen(2, 1, 2)))
+    z = twisted.ZPoint((slk.y_gen(2, 0, 1), slk.y_gen(2, 0, 2)))
     real = twisted.stratum
 
     def wrong_stratum(point):
@@ -412,14 +467,15 @@ def test_db_positive_matches_product_oracle():
         elems = group.elements_up_to_length(k * (k - 1) // 2)
         for _ in range(4):
             v, w = rng.choice(elems), rng.choice(elems)
-            v_word = [t + 1 for t in v.word]
-            w_word = [t + 1 for t in w.word]
-            params = twisted.random_params(len(v_word) + len(w_word), rng)
+            params = twisted.random_params(v.length + w.length, rng)
             expected = oracles.word_product(
                 k,
-                [("y", j, p) for j, p in zip(w_word, params)]
-                + [("x", i, p) for i, p in zip(v_word, params[len(w_word):])],
+                [("y", j, p) for j, p in zip(w.word, params)]
+                + [("x", i, p) for i, p in zip(v.word, params[w.length:])],
             )
+            # db_positive takes 1-based letters
+            v_word = [t + 1 for t in v.word]
+            w_word = [t + 1 for t in w.word]
             assert twisted.db_positive(k, v_word, w_word, params) == expected
 
 
@@ -441,5 +497,5 @@ def test_generic_bounds(S3):
 
 
 def test_zpoint_json_round_trip():
-    z = twisted.ZPoint((slk.y_gen(2, 1, Fraction(3, 2)), slk.sdot(2, 1)))
+    z = twisted.ZPoint((slk.y_gen(2, 0, Fraction(3, 2)), slk.sdot(2, 0)))
     assert twisted.ZPoint.from_json(z.to_json()) == z
