@@ -1,19 +1,27 @@
-"""Exact rational matrix helpers (tuples of tuples of Fraction).
+"""Exact matrix helpers: Fraction matrices at the interface, integer forms inside.
 
-Matrices are Fractions at the interface only.  ``mat_mul``, ``det`` and
-``mat_inv`` clear denominators once (``_cleared``), run their O(k^3)
-loops on Python ints, and build Fractions at the end: integer-preserving
-(Bareiss) elimination, whose every division is exact.
+A public matrix is a tuple of tuples of Fraction (int entries are
+accepted).  Inside the exact layer a matrix travels in integer form
+(m, d): an int matrix m and one positive denominator d, standing for
+m / d.  ``int_form`` builds it once, clearing denominators and checking
+the shape; ``fraction_matrix`` turns it back into Fractions once, for a
+public result.  The kernels ``int_mul``, ``int_det`` (Bareiss) and
+``int_inv`` (fraction-free Gauss-Jordan) loop on Python ints, and every
+division in them is exact.  ``mat_mul``, ``det`` and ``mat_inv`` are
+those kernels between one ``int_form`` per argument and one
+``fraction_matrix`` per result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 Mat = tuple[tuple[Fraction, ...], ...]
+IntMat = tuple[tuple[int, ...], ...]
+# (m, d) stands for the matrix m / d, with d > 0
+IntForm = tuple[IntMat, int]
 
 
 def identity(k: int) -> Mat:
@@ -22,52 +30,77 @@ def identity(k: int) -> Mat:
     )
 
 
-def _cleared(xs) -> tuple[list[int], int]:
-    """Integers n_i and one denominator d > 0 with xs[i] == n_i / d.
+def int_form(a, square: bool = False) -> IntForm:
+    """(m, d) with a == m / d: d is the lcm of the denominators of a.
 
-    d is the lcm of the denominators; int entries count as denominator 1.
+    Raises ValueError on ragged rows, and on a non-square a if ``square``.
     """
-    d = lcm(*(x.denominator for x in xs))
-    return [x.numerator * (d // x.denominator) for x in xs], d
+    width = len(a[0]) if a else 0
+    if any(len(row) != width for row in a):
+        raise ValueError("matrix rows have different lengths")
+    if square and width != len(a):
+        raise ValueError(f"need a square matrix, got {len(a)}x{width}")
+    d = lcm(*(x.denominator for row in a for x in row))
+    if d == 1:
+        return tuple(tuple(x.numerator for x in row) for row in a), 1
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in a), d
+
+
+def fraction_matrix(form: IntForm) -> Mat:
+    """The Fraction matrix m / d."""
+    m, d = form
+    if d == 1:
+        return tuple(tuple(Fraction(x) for x in row) for row in m)
+    return tuple(tuple(Fraction(x, d) for x in row) for row in m)
+
+
+def reduced(form: IntForm) -> IntForm:
+    """The same matrix with the common factor of d and every entry divided out."""
+    m, d = form
+    c = gcd(d, *(x for row in m for x in row))
+    if c == 1:
+        return form
+    return tuple(tuple(x // c for x in row) for row in m), d // c
+
+
+def int_mul(*ms: IntMat) -> IntMat:
+    """Product of a chain of int matrices; the caller checks the shapes."""
+    out = ms[0]
+    for b in ms[1:]:
+        cols = tuple(zip(*b))
+        out = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in out)
+    return out
 
 
 def mat_mul(*ms: Mat) -> Mat:
     """Product of the chain: one integer matrix over one running denominator."""
-    out, den = None, 1
-    for b in ms:
-        flat, d = _cleared([x for row in b for x in row])
-        width = len(b[0])
-        rows = [flat[i * width:(i + 1) * width] for i in range(len(b))]
-        if out is None:
-            out = rows
-        else:
-            cols = list(zip(*rows))
-            out = [[sum(map(mul, row, col)) for col in cols] for row in out]
-        den *= d
-    return tuple(tuple(Fraction(x, den) for x in row) for row in out)
+    forms = [int_form(b) for b in ms]
+    for (a, _), (b, _) in zip(forms, forms[1:]):
+        if len(a[0]) != len(b):
+            raise ValueError(f"cannot multiply: {len(a[0])} columns against {len(b)} rows")
+    return fraction_matrix((int_mul(*(m for m, _ in forms)), prod(d for _, d in forms)))
 
 
 def transpose(a: Mat) -> Mat:
     return tuple(zip(*a))
 
 
-def det(a: Mat) -> Fraction:
-    """Determinant by Bareiss elimination on the rows cleared of denominators.
+def int_det(a: IntMat) -> int:
+    """Determinant of a square int matrix by Bareiss elimination.
 
     Step c replaces each lower entry x by (p x - f y) / p', with p the
     pivot, f the row's entry in the pivot column, y the pivot row's entry
-    and p' the previous pivot.  Every entry is then a minor of the integer
-    matrix (Sylvester's identity), so the division is exact, and the last
-    pivot is its determinant up to the sign of the row swaps.
+    and p' the previous pivot.  Every entry is then a minor of the matrix
+    (Sylvester's identity), so the division is exact, and the last pivot
+    is the determinant up to the sign of the row swaps.
     """
     n = len(a)
-    pairs = [_cleared(row) for row in a]
-    m = [row for row, _ in pairs]
+    m = [list(row) for row in a]
     sign, prev = 1, 1
     for c in range(n - 1):
         piv = next((r for r in range(c, n) if m[r][c]), None)
         if piv is None:
-            return Fraction(0)
+            return 0
         if piv != c:
             m[c], m[piv] = m[piv], m[c]
             sign = -sign
@@ -78,8 +111,41 @@ def det(a: Mat) -> Fraction:
             f = row[c]
             row[c + 1:] = [(p * x - f * y) // prev for x, y in zip(row[c + 1:], top[c + 1:])]
         prev = p
-    last = m[n - 1][n - 1] if n else 1
-    return Fraction(sign * last, prod(d for _, d in pairs))
+    return sign * m[n - 1][n - 1] if n else 1
+
+
+def det(a: Mat) -> Fraction:
+    """det(m / d) = det(m) / d^n; ValueError unless a is square."""
+    m, d = int_form(a, square=True)
+    return Fraction(int_det(m), d ** len(m))
+
+
+def int_inv(form: IntForm) -> IntForm:
+    """Inverse of m / d by fraction-free Gauss-Jordan elimination of [m | I].
+
+    Each step is the Bareiss step of ``int_det`` applied to every other
+    row, so the divisions are exact and the left block ends as p I, p the
+    last pivot; then (m / d)^{-1} is d times the right block over p.
+    Raises ZeroDivisionError on a singular matrix.
+    """
+    a, d = form
+    n = len(a)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    prev = 1
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c]), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        m[c], m[piv] = m[piv], m[c]
+        top = m[c]
+        p = top[c]
+        for r in range(n):
+            if r != c:
+                f = m[r][c]
+                m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], top)]
+        prev = p
+    s = d if prev > 0 else -d
+    return reduced((tuple(tuple(s * x for x in row[n:]) for row in m), abs(prev)))
 
 
 def rank(a: Mat) -> int:
@@ -106,45 +172,12 @@ def rank(a: Mat) -> int:
 
 
 def mat_inv(a: Mat) -> Mat:
-    """Inverse by fraction-free Gauss-Jordan elimination of [D a | I].
-
-    D is the diagonal of row denominators.  Each step is the Bareiss step
-    of ``det`` applied to every other row, so the divisions are exact and
-    the left block ends as p I, p the last pivot; then a^{-1} is the right
-    block over p, times D on the right.
-    """
-    n = len(a)
-    pairs = [_cleared(row) for row in a]
-    m = [row + [int(i == j) for j in range(n)] for i, (row, _) in enumerate(pairs)]
-    dens = [d for _, d in pairs]
-    prev = 1
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        m[c], m[piv] = m[piv], m[c]
-        top = m[c]
-        p = top[c]
-        for r in range(n):
-            if r != c:
-                f = m[r][c]
-                m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], top)]
-        prev = p
-    return tuple(
-        tuple(Fraction(x * d, prev) for x, d in zip(row[n:], dens)) for row in m
-    )
+    """Inverse of a square matrix; ZeroDivisionError if it is singular."""
+    return fraction_matrix(int_inv(int_form(a, square=True)))
 
 
 def submatrix(a: Mat, rows, cols) -> Mat:
     return tuple(tuple(a[i][j] for j in cols) for i in rows)
-
-
-def minors(a: Mat, size: int):
-    """Yield ((rows, cols), det) over all size x size minors."""
-    n = len(a)
-    for rows in combinations(range(n), size):
-        for cols in combinations(range(n), size):
-            yield (rows, cols), det(submatrix(a, rows, cols))
 
 
 def mat_to_json(a: Mat) -> list[list[str]]:

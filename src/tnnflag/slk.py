@@ -1,32 +1,35 @@
-"""The pinned group SL_k over exact rationals.
+"""The pinned group SL_k over exact rationals, on integer forms.
 
-One routine, ``word_matrix``, builds every product of Chevalley
-generators (x_i, y_i and the reflection representatives sdot_i) by O(k)
-column operations; the generators, the signed permutation representatives
-and the Marsh-Rietsch cell parametrization are calls of it, and w0dot
-has a closed form, inverted by transposing.  One column elimination reads
-every cell: the Bruhat cell of g B+, its opposite cell and double Bruhat
-labels (the same elimination on g with rows, or rows and columns,
-reversed) and the canonical representative of a flag.  Also total
-nonnegativity by Neville elimination (exhaustive minors for singular
-input; they are also the test oracle) and the involutions iota and Phi.
+One routine, ``word_form``, builds every product of Chevalley generators
+(x_i, y_i and the reflection representatives sdot_i) by O(k) integer
+column operations; the generators, the signed permutation
+representatives and the Marsh-Rietsch cell parametrization are calls of
+it, and w0dot has a closed form, whose inverse acts as a signed row
+reversal.  One column elimination reads every cell: the Bruhat cell of
+g B+, its opposite cell and double Bruhat labels (the same elimination
+on g with rows, or rows and columns, reversed) and the flag of g.  Also
+total nonnegativity by fraction-free Neville elimination (exhaustive
+minors for singular input) and the involution iota.
 
 Generator letters are 0-based, the same letters as ``weyl`` words:
 letter i (x_i, y_i, sdot_i) touches rows and columns i and i+1.
 
-Everything is exact and no float appears anywhere.  Matrices are
-Fractions at the interface; the elimination and the ``ratlin`` kernels it
-calls run their inner loops on integers, with denominators cleared once.
+Everything is exact and no float appears anywhere.  Fractions appear at
+the interface only: ``word_matrix``, ``mr_matrix``, ``FlagPoint.rep`` and
+``FlagPoint.canonical()``.  Inside, a matrix is a ``ratlin`` integer form
+(an int matrix over one positive denominator).  Cells, flags and total
+nonnegativity do not change under a positive scalar, so the readers
+accept a Fraction matrix or the bare int matrix of a form alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
+from math import gcd, lcm
 
 from . import ratlin
-from .ratlin import Mat
+from .ratlin import IntForm, IntMat, Mat
 
 # is_tnn enumerates all minors of a singular input (about 0.25 s of CPU per
 # dense matrix at k=8), so k is capped; nonsingular input is decided in O(k^3)
@@ -45,14 +48,17 @@ def _check_index(k: int, i: int) -> None:
         raise ValueError(f"generator index {i} out of range 0..{k - 2}")
 
 
-def word_matrix(k: int, word) -> Mat:
-    """Product of the generators listed in ``word``, entries ``(kind, i, a)``.
+def word_form(k: int, word) -> IntForm:
+    """Integer form of the product of the generators listed in ``word``.
 
-    Kinds: ``"x"`` is x_i(a), ``"y"`` is y_i(a) and ``"s"`` is sdot_i
-    (``a`` unused).  Starting from the identity, each letter multiplies on
-    the right as an O(k) column operation: x_i(a) adds a col i to col i+1,
-    y_i(a) adds a col i+1 to col i, and sdot_i sends (col i, col i+1) to
-    (-col i+1, col i).  The size and every letter are checked first.
+    Entries are ``(kind, i, a)``.  Kinds: ``"x"`` is x_i(a), ``"y"`` is
+    y_i(a) and ``"s"`` is sdot_i (``a`` unused).  Starting from the
+    identity, each letter multiplies on the right as an O(k) column
+    operation: x_i(a) adds a col i to col i+1, y_i(a) adds a col i+1 to
+    col i, and sdot_i sends (col i, col i+1) to (-col i+1, col i).  Each
+    column is kept as integers over its own denominator, in lowest terms;
+    the columns are brought to one denominator at the end.  The size and
+    every letter are checked first.
     """
     _check_k(k)
     word = tuple(word)
@@ -60,15 +66,33 @@ def word_matrix(k: int, word) -> Mat:
         if kind not in ("x", "y", "s"):
             raise ValueError(f"unknown generator kind {kind!r}")
         _check_index(k, i)
-    cols = [list(col) for col in ratlin.identity(k)]
+    cols = [[int(r == c) for r in range(k)] for c in range(k)]
+    dens = [1] * k
     for kind, i, a in word:
         if kind == "s":
             cols[i], cols[i + 1] = [-x for x in cols[i + 1]], cols[i]
+            dens[i], dens[i + 1] = dens[i + 1], dens[i]
             continue
         a = Fraction(a)
+        if not a:
+            continue
         target, source = (i + 1, i) if kind == "x" else (i, i + 1)
-        cols[target] = [c + a * x if x else c for c, x in zip(cols[target], cols[source])]
-    return tuple(zip(*cols))
+        # col_t / d_t + (p / q) col_s / d_s over the denominator lcm(d_t, q d_s)
+        dt, ds = dens[target], a.denominator * dens[source]
+        d = lcm(dt, ds)
+        ft, fs = d // dt, a.numerator * (d // ds)
+        col = [ft * x + fs * y for x, y in zip(cols[target], cols[source])]
+        c = gcd(d, *col)
+        cols[target] = [x // c for x in col]
+        dens[target] = d // c
+    d = lcm(*dens)
+    scaled = ([x * (d // dc) for x in col] for col, dc in zip(cols, dens))
+    return tuple(zip(*scaled)), d
+
+
+def word_matrix(k: int, word) -> Mat:
+    """``word_form`` as a Fraction matrix."""
+    return ratlin.fraction_matrix(word_form(k, word))
 
 
 def x_gen(k: int, i: int, a) -> Mat:
@@ -79,21 +103,6 @@ def x_gen(k: int, i: int, a) -> Mat:
 def y_gen(k: int, i: int, a) -> Mat:
     """Identity plus a in entry (i+1, i)."""
     return word_matrix(k, [("y", i, a)])
-
-
-def torus(k: int, i: int, t) -> Mat:
-    """Coweight torus element: t at position i, 1/t at i+1."""
-    _check_k(k)
-    _check_index(k, i)
-    t = Fraction(t)
-    if t == 0:
-        raise ValueError("torus parameter must be nonzero")
-    diag = [Fraction(1)] * k
-    diag[i] = t
-    diag[i + 1] = 1 / t
-    return tuple(
-        tuple(diag[r] if r == c else Fraction(0) for c in range(k)) for r in range(k)
-    )
 
 
 def sdot(k: int, i: int) -> Mat:
@@ -122,44 +131,59 @@ def w0_dot(k: int) -> Mat:
     )
 
 
-def _echelon(g: Mat) -> tuple[list[list[int]], list[int]]:
-    """Column elimination of g B+: integer columns and their pivot rows.
+def w0_inverse_times(g):
+    """w0dot^{-1} g as a signed row reversal, without a product.
 
-    Each column is cleared of denominators (a positive diagonal factor),
-    then column j is cleared at the pivot row pr of each earlier column pj
-    by col_j <- p col_j - a col_pj, with p = col_pj[pr] and a = col_j[pr],
-    and divided by the gcd of its entries.  Only right multiplication by B+
-    is used.  The pivot of column j is its lowest nonzero entry; dividing
-    each column by its pivot gives the unique echelon representative.
+    w0dot^{-1} = w0dot^T has (-1)^r at (k-1-r, r), so row i of the result
+    is (-1)^(k-1-i) times row k-1-i of g.
     """
     k = len(g)
+    return tuple(
+        row if (k - 1 - i) % 2 == 0 else tuple(-x for x in row)
+        for i, row in enumerate(g[::-1])
+    )
+
+
+def _echelon(m: IntMat) -> tuple[list[list[int]], list[int]]:
+    """Column elimination of m B+ on an int matrix: columns and pivot rows.
+
+    Column j is cleared at the pivot row pr of each earlier column pj by
+    col_j <- p col_j - a col_pj, with p = col_pj[pr] > 0 and a =
+    col_j[pr], then divided by the gcd of its entries, signed so that its
+    pivot, its lowest nonzero entry, is positive.  Only right
+    multiplication by B+ is used, so the columns are the unique primitive
+    integer vectors with positive pivots that span the flag of m, and
+    dividing each by its pivot gives the echelon representative.
+    """
     cols: list[list[int]] = []
     pivots: list[int] = []
-    for j in range(k):
-        col = ratlin._cleared([row[j] for row in g])[0]
+    for col in zip(*m):
         for earlier, pr in zip(cols, pivots):
             a = col[pr]
             if a:
                 p = earlier[pr]
                 col = [p * x - a * y for x, y in zip(col, earlier)]
-        piv = max((r for r in range(k) if col[r]), default=None)
+        piv = max((r for r, x in enumerate(col) if x), default=None)
         if piv is None:
             raise ValueError("singular matrix has no Bruhat cell")
         c = gcd(*col)
+        if col[piv] < 0:
+            c = -c
         cols.append([x // c for x in col])
         pivots.append(piv)
     return cols, pivots
 
 
-def bruhat_cell(g: Mat) -> tuple[int, ...]:
+def bruhat_cell(g) -> tuple[int, ...]:
     """Permutation w with g in B+ wdot B+: the pivot rows of the elimination.
 
-    The southwest ranks rank(g[rows >= i, cols <= j]) do not change under
-    right multiplication by B+, and in echelon form they count the pivots
-    in rows >= i among the first j columns; so they equal
-    #{c <= j : w(c) >= i}, the rank conditions that pin w.
+    g is a Fraction matrix or an int matrix.  The southwest ranks
+    rank(g[rows >= i, cols <= j]) do not change under right multiplication
+    by B+, and in echelon form they count the pivots in rows >= i among
+    the first j columns; so they equal #{c <= j : w(c) >= i}, the rank
+    conditions that pin w.
     """
-    return tuple(p + 1 for p in _echelon(g)[1])
+    return tuple(p + 1 for p in _echelon(ratlin.int_form(g, square=True)[0])[1])
 
 
 def bruhat_cell_by_elimination(g: Mat) -> tuple[int, ...]:
@@ -192,7 +216,7 @@ def bruhat_cell_by_elimination(g: Mat) -> tuple[int, ...]:
     return tuple(w)
 
 
-def opposite_cell(g: Mat) -> tuple[int, ...]:
+def opposite_cell(g) -> tuple[int, ...]:
     """Permutation v with g in B- vdot B+, as w0 times the Bruhat cell of w0dot^{-1} g.
 
     B- = w0dot B+ w0dot^{-1}.  w0dot^{-1} is the row reversal J times a
@@ -203,7 +227,7 @@ def opposite_cell(g: Mat) -> tuple[int, ...]:
     return tuple(k + 1 - p for p in bruhat_cell(g[::-1]))
 
 
-def double_bruhat_labels(g: Mat) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def double_bruhat_labels(g) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(v, w) with g in B+ wdot B+ intersect B- vdot B-.
 
     v = w0 u w0 for the Bruhat cell u of w0dot^{-1} g w0dot, which is the
@@ -215,57 +239,69 @@ def double_bruhat_labels(g: Mat) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(k + 1 - p for p in reversed(u)), bruhat_cell(g)
 
 
-def _neville_pivots(a: Mat) -> list[Fraction] | None:
-    """Diagonal pivots of the Neville elimination of a, or None if it fails.
+def _neville_pivots(m: IntMat) -> list[int] | None:
+    """Positive multiples of the diagonal pivots of the Neville elimination of m.
 
     Column j is cleared from the bottom up: row i subtracts a multiple of
-    row i-1, the row directly above it.  The elimination fails when it
-    needs a row exchange (a zero entry with a nonzero entry directly below
-    it in column j) or a negative multiplier.
+    row i-1, the row directly above it.  Fraction-free, with a the entry
+    of row i in column j and p that of row i-1, row i becomes
+    |p| row_i - sgn(p) a row_{i-1}, which is |p| times the Fraction step
+    row_i - (a/p) row_{i-1}, and is divided by the gcd of its entries.
+    Every row stays a positive multiple of its Fraction counterpart, so
+    every sign test keeps its meaning.  Returns None when the elimination
+    fails: it needs a row exchange (a zero entry with a nonzero entry
+    directly below it in column j) or a negative multiplier a/p.
     """
-    k = len(a)
-    m = [list(row) for row in a]
+    k = len(m)
+    m = [list(row) for row in m]
     for j in range(k - 1):
         for i in range(k - 1, j, -1):
             row, above = m[i], m[i - 1]
-            if row[j] == 0:
+            a = row[j]
+            if a == 0:
                 continue
-            if above[j] == 0:
+            p = above[j]
+            if p == 0 or (a < 0) != (p < 0):
                 return None
-            f = row[j] / above[j]
-            if f < 0:
-                return None
-            row[j] = Fraction(0)
-            for c in range(j + 1, k):
-                if above[c]:
-                    row[c] -= f * above[c]
+            if p < 0:
+                p, a = -p, -a
+            new = [p * x - a * y for x, y in zip(row, above)]
+            c = gcd(*new)
+            m[i] = [x // c for x in new] if c > 1 else new
     return [m[i][i] for i in range(k)]
 
 
-def is_tnn(g: Mat) -> bool:
+def is_tnn(g) -> bool:
     """All minors of all sizes are nonnegative (exact).
 
-    A nonsingular g is decided by Neville elimination in O(k^3) Fraction
-    operations (Gasca-Pena 1992, Thm 5.4): g is TNN iff the eliminations of
-    g and of its transpose need no row exchange and have nonnegative
-    multipliers, and the diagonal pivots of g are positive.  The theorem
-    needs nonsingular input, so a singular g is decided by enumerating
-    all C(2k, k) - 1 minors; that path is what ``K_MAX`` bounds.
+    g is a Fraction matrix or an int matrix; a positive scalar changes the
+    sign of no minor, so the int matrix of its form is tested.  A
+    nonsingular g is decided by Neville elimination in O(k^3) integer
+    operations (Gasca-Pena 1992, Thm 5.4): g is TNN iff the eliminations
+    of g and of its transpose need no row exchange and have nonnegative
+    multipliers, and the diagonal pivots of g are positive.  Positive
+    pivots prove g nonsingular, since det g is a positive multiple of
+    their product.  The theorem needs nonsingular input, so a singular g
+    is decided by enumerating all C(2k, k) - 1 minors; that path is what
+    ``K_MAX`` bounds.
     """
-    if ratlin.det(g) == 0:
-        return all(
-            d >= 0 for size in range(1, len(g) + 1) for _, d in ratlin.minors(g, size)
-        )
-    pivots = _neville_pivots(g)
-    return (
-        pivots is not None
-        and all(p > 0 for p in pivots)
-        and _neville_pivots(ratlin.transpose(g)) is not None
+    m = ratlin.int_form(g, square=True)[0]
+    pivots = _neville_pivots(m)
+    if pivots is not None and all(p > 0 for p in pivots):
+        return _neville_pivots(tuple(zip(*m))) is not None
+    if ratlin.int_det(m):
+        return False
+    k = len(m)
+    return all(
+        ratlin.int_det(ratlin.submatrix(m, rows, cols)) >= 0
+        for size in range(1, k + 1)
+        for rows in combinations(range(k), size)
+        for cols in combinations(range(k), size)
     )
 
 
-def mr_matrix(k: int, word, taken, params) -> Mat:
-    """Marsh-Rietsch product: sdot at taken letters, y(param) at skipped ones.
+def mr_form(k: int, word, taken, params) -> IntForm:
+    """Integer form of the Marsh-Rietsch product: sdot at taken letters, y(param) at skipped ones.
 
     ``word`` is a reduced word, ``taken`` the positive subexpression (same
     length, None at skipped positions), ``params`` one positive rational
@@ -286,13 +322,18 @@ def mr_matrix(k: int, word, taken, params) -> Mat:
     if any(t is not None and t != letter for letter, t in zip(word, taken)):
         raise ValueError("subexpression letter differs from the word")
     it = iter(params)
-    return word_matrix(
+    return word_form(
         k, [("y", letter, next(it)) if t is None else ("s", letter, None)
             for letter, t in zip(word, taken)]
     )
 
 
-def iota(g: Mat) -> Mat:
+def mr_matrix(k: int, word, taken, params) -> Mat:
+    """``mr_form`` as a Fraction matrix."""
+    return ratlin.fraction_matrix(mr_form(k, word, taken, params))
+
+
+def iota(g):
     """Conjugation by diag(1,-1,1,...): negates the simple root groups."""
     k = len(g)
     return tuple(
@@ -301,33 +342,55 @@ def iota(g: Mat) -> Mat:
     )
 
 
-@dataclass(frozen=True)
 class FlagPoint:
-    """A flag g B+; gauge equivalence is g ~ g b for b upper triangular."""
+    """A flag g B+; gauge equivalence is g ~ g b for b upper triangular.
 
-    rep: Mat
-    _canonical: Mat = field(init=False, repr=False, compare=False)
+    Flags compare and hash by the columns of ``_echelon``: the primitive
+    integer vectors with positive pivots that span the flag.  ``rep`` and
+    ``canonical()`` are Fraction matrices, built on first use when the
+    flag was made from an integer form by ``of_form``.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("_form", "_rep", "_cols", "_pivots", "_canonical")
+
+    def __init__(self, rep: Mat):
+        self._set(ratlin.int_form(rep, square=True), rep)
+
+    @classmethod
+    def of_form(cls, form: IntForm) -> "FlagPoint":
+        """The flag of the matrix m / d, for a square integer form (m, d)."""
+        f = cls.__new__(cls)
+        f._set(form, None)
+        return f
+
+    def _set(self, form: IntForm, rep) -> None:
         # _echelon raises ValueError on a singular representative
-        cols, pivots = _echelon(self.rep)
-        scaled = [[Fraction(x, col[pr]) for x in col] for col, pr in zip(cols, pivots)]
-        object.__setattr__(self, "_canonical", tuple(zip(*scaled)))
+        cols, self._pivots = _echelon(form[0])
+        self._cols = tuple(map(tuple, cols))
+        self._form, self._rep, self._canonical = form, rep, None
+
+    @property
+    def rep(self) -> Mat:
+        if self._rep is None:
+            self._rep = ratlin.fraction_matrix(self._form)
+        return self._rep
 
     def __eq__(self, other):
         if not isinstance(other, FlagPoint):
             return NotImplemented
-        return self._canonical == other._canonical
+        return self._cols == other._cols
 
     def __hash__(self):
-        return hash(self._canonical)
+        return hash(self._cols)
+
+    def __repr__(self):
+        return f"FlagPoint(rep={self.rep!r})"
 
     def canonical(self) -> Mat:
         """The columns of ``_echelon`` over their pivots; equal iff the flags are."""
+        if self._canonical is None:
+            scaled = [
+                [Fraction(x, col[pr]) for x in col] for col, pr in zip(self._cols, self._pivots)
+            ]
+            self._canonical = tuple(zip(*scaled))
         return self._canonical
-
-
-def phi_flag(f: FlagPoint) -> FlagPoint:
-    """Duality on flags: g B+ -> iota(w0dot^{-1} g) B+."""
-    k = len(f.rep)
-    return FlagPoint(iota(ratlin.mat_mul(ratlin.transpose(w0_dot(k)), f.rep)))

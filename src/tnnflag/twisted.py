@@ -5,7 +5,13 @@ upper-triangular gauge (g_1, ..., g_n) ~ (g_1 b_1, b_1^{-1} g_2 b_2, ...).
 Gauge classes are compared through ``alpha``, the flags of the partial
 products.  Strata are labeled by (v, wbar): the factorwise Bruhat cells
 and the opposite cell of the convolution product.  The positive
-double-Bruhat products are one ``slk.word_matrix`` call.
+double-Bruhat products are one ``slk.word_form`` call.
+
+Fractions at the interface only: a point keeps its factors as ``ratlin``
+integer forms next to the public Fraction ``factors``, and strata,
+alpha, the duality map and the positivity test run on those.  Fractions
+are built once, for the factors of a new point and for the result of
+``db_positive``.
 
 ``parametrize_cell`` and ``phi_Z`` assert theorem-level facts on every call
 unless passed ``check=False``: the cell parametrization lands in its
@@ -19,31 +25,41 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
 from . import ratlin, slk
-from .ratlin import Mat
+from .ratlin import IntForm, Mat
 from .weyl import WeylElt, WeylGroup, from_perm, perm_of, positive_tuple, type_a_group
+
 
 @dataclass(frozen=True)
 class ZPoint:
     """Tuple of SL_k factors representing a point of the twisted product.
 
-    ``_stratum`` keeps the result of :func:`stratum`, which depends on the
-    factors alone; equality and hashing ignore it.
+    ``_forms`` holds the factors as integer forms and ``_stratum`` the
+    result of :func:`stratum`, which depends on the factors alone;
+    equality and hashing ignore both.
     """
 
     factors: tuple[Mat, ...]
+    _forms: tuple[IntForm, ...] = field(default=(), init=False, repr=False, compare=False)
     _stratum: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.factors:
-            raise ValueError("need at least one factor")
-        k = len(self.factors[0])
-        for g in self.factors:
-            if len(g) != k:
-                raise ValueError("factors of mixed sizes")
-            if ratlin.det(g) == 0:
-                raise ValueError("singular factor")
+        forms = tuple(ratlin.int_form(g, square=True) for g in self.factors)
+        _check_factors(forms)
+        object.__setattr__(self, "_forms", forms)
+
+    @classmethod
+    def of_forms(cls, forms) -> "ZPoint":
+        """The point with these integer-form factors; its Fraction factors are built here."""
+        forms = tuple(forms)
+        _check_factors(forms)
+        z = cls.__new__(cls)
+        object.__setattr__(z, "factors", tuple(ratlin.fraction_matrix(f) for f in forms))
+        object.__setattr__(z, "_forms", forms)
+        object.__setattr__(z, "_stratum", None)
+        return z
 
     @property
     def k(self) -> int:
@@ -61,6 +77,23 @@ class ZPoint:
         return cls(tuple(ratlin.mat_from_json(g) for g in data["factors"]))
 
 
+def _check_factors(forms) -> None:
+    """At least one factor, all of one size, none singular (each form is square)."""
+    if not forms:
+        raise ValueError("need at least one factor")
+    k = len(forms[0][0])
+    for m, _ in forms:
+        if len(m) != k:
+            raise ValueError("factors of mixed sizes")
+        if ratlin.int_det(m) == 0:
+            raise ValueError("singular factor")
+
+
+def _product(z: ZPoint) -> IntForm:
+    """g_1 ... g_n as an integer form."""
+    return ratlin.int_mul(*(m for m, _ in z._forms)), prod(d for _, d in z._forms)
+
+
 def gauge_eq(z1: ZPoint, z2: ZPoint) -> bool:
     """Equality modulo the twisted gauge: the partial-product flags agree.
 
@@ -76,13 +109,15 @@ def gauge_eq(z1: ZPoint, z2: ZPoint) -> bool:
 def stratum(z: ZPoint) -> tuple[WeylElt, tuple[WeylElt, ...]]:
     """(v, wbar): factorwise Bruhat cells and the opposite cell of the product.
 
-    Computed once per point and kept on it, so the checks of
-    ``parametrize_cell`` and ``phi_Z`` do not repeat it.
+    Read off the int matrices of the factors and of their product: a
+    positive scalar changes no cell.  Computed once per point and kept on
+    it, so the checks of ``parametrize_cell`` and ``phi_Z`` do not repeat
+    it.
     """
     if z._stratum is None:
         group = type_a_group(z.k)
-        wbar = tuple(from_perm(group, slk.bruhat_cell(g)) for g in z.factors)
-        v = from_perm(group, slk.opposite_cell(ratlin.mat_mul(*z.factors)))
+        wbar = tuple(from_perm(group, slk.bruhat_cell(m)) for m, _ in z._forms)
+        v = from_perm(group, slk.opposite_cell(_product(z)[0]))
         object.__setattr__(z, "_stratum", (v, wbar))
     return z._stratum
 
@@ -96,16 +131,16 @@ def nonempty(v: WeylElt, wbar) -> bool:
 
 
 def convolution(z: ZPoint) -> slk.FlagPoint:
-    return slk.FlagPoint(ratlin.mat_mul(*z.factors))
+    return slk.FlagPoint.of_form(_product(z))
 
 
 def alpha(z: ZPoint) -> tuple[slk.FlagPoint, ...]:
     """Partial-product flags (g_1 B+, g_1 g_2 B+, ...); gauge-invariant."""
     out = []
     acc = None
-    for g in z.factors:
-        acc = g if acc is None else ratlin.mat_mul(acc, g)
-        out.append(slk.FlagPoint(acc))
+    for m, d in z._forms:
+        acc = (m, d) if acc is None else (ratlin.int_mul(acc[0], m), acc[1] * d)
+        out.append(slk.FlagPoint.of_form(acc))
     return tuple(out)
 
 
@@ -118,7 +153,7 @@ def parametrize_cell(
 ) -> ZPoint:
     """Positive parametrization of the stratum (v, wbar) of SL_k products.
 
-    Factor i is the Marsh-Rietsch point ``slk.mr_matrix`` of the positive
+    Factor i is the Marsh-Rietsch point ``slk.mr_form`` of the positive
     subexpression for v_i in a reduced word of w_i, where (v_1, ..., v_n)
     is ``positive_tuple(v, wbar)``.  ``words`` optionally fixes the reduced
     word per factor; the canonical words are used otherwise.  ``params``
@@ -154,11 +189,11 @@ def parametrize_cell(
         need = len(word) - vi.length
         chunk = params[pos:pos + need]
         pos += need
-        g = slk.mr_matrix(k, word, sub, chunk)
-        if check and slk.opposite_cell(g) != perm_of(vi):
+        form = slk.mr_form(k, word, sub, chunk)
+        if check and slk.opposite_cell(form[0]) != perm_of(vi):
             raise AssertionError("cell point left its opposite Schubert cell")
-        factors.append(g)
-    z = ZPoint(tuple(factors))
+        factors.append(form)
+    z = ZPoint.of_forms(factors)
     if check and stratum(z) != (v, wbar):
         raise AssertionError("parametrized point landed outside its stratum")
     return z
@@ -174,10 +209,10 @@ def phi_Z(z: ZPoint, check: bool = True) -> ZPoint:
     k = z.k
     if check:
         v, wbar = stratum(z)
-    prod = ratlin.mat_mul(*z.factors)
-    first = slk.iota(ratlin.mat_mul(ratlin.transpose(slk.w0_dot(k)), prod))
-    rest = [slk.iota(ratlin.mat_inv(g)) for g in reversed(z.factors[1:])]
-    out = ZPoint((first, *rest))
+    m, d = _product(z)
+    first = slk.iota(slk.w0_inverse_times(m)), d
+    rest = [(slk.iota(r), e) for r, e in (ratlin.int_inv(f) for f in reversed(z._forms[1:]))]
+    out = ZPoint.of_forms((ratlin.reduced(first), *rest))
     if check:
         group = v.group
         w0 = from_perm(group, slk.w0_perm(k))
@@ -213,13 +248,13 @@ def db_positive(k: int, v_word, w_word, params) -> Mat:
     if any(p <= 0 for p in params):
         raise ValueError("parameters must be positive")
     it = iter(params)
-    out = slk.word_matrix(
+    form = slk.word_form(
         k,
         [("y", j - 1, next(it)) for j in w_word] + [("x", i - 1, next(it)) for i in v_word],
     )
-    if not slk.is_tnn(out):
+    if not slk.is_tnn(form[0]):
         raise AssertionError("double Bruhat product is not totally nonnegative")
-    return out
+    return ratlin.fraction_matrix(form)
 
 
 def db_stratum_convention(
@@ -235,17 +270,6 @@ def db_stratum_convention(
     """
     w0 = from_perm(group, slk.w0_perm(group.rank + 1))
     return group.multiply(v, w0), (w, w0)
-
-
-def generic_bounds(u: WeylElt, v: WeylElt, w: WeylElt) -> tuple[WeylElt, WeylElt]:
-    """Generic opposite/forward cells over a diagonal-orbit stratum.
-
-    Returns (w circ_r u^{-1}, v * u): the labels of the dense pair of
-    Schubert cells meeting the stratum indexed by (u, v, w).
-    """
-    group = u.group
-    group.check_same(u, v, w)
-    return group.circ_r(w, group.inverse(u)), group.demazure(v, u)
 
 
 def random_params(count: int, rng) -> list[Fraction]:

@@ -11,6 +11,11 @@ same object and carry the same canonical reduced word (the
 lexicographically smallest one, obtained by repeatedly stripping the
 smallest left descent).
 
+Multiplying by a simple reflection s_i changes one row of a matrix on
+the left (s_i g) and the columns of the neighbours of i on the right
+(g s_i), so it costs O(m^2) instead of the O(m^3) of a full product.
+Canonical words and every product with a simple reflection use it.
+
 Letters of words are 0-based positions into ``gcm.labels``.  A
 subexpression of a word is a tuple of the same length whose entries are
 either the original letter or ``None`` (the identity placeholder).
@@ -109,12 +114,17 @@ class WeylGroup:
                     ))
             refl.append(tuple(rows))
         self._refl: tuple[IntMat, ...] = tuple(refl)
+        # row i of s_i as its nonzero (column, coefficient) pairs
+        self._refl_terms = tuple(
+            tuple((c, x) for c, x in enumerate(refl[i][i]) if x) for i in range(m)
+        )
         self._id = _identity_mat(m)
         self._elts: dict[IntMat, WeylElt] = {}
         self._mul_cache: dict[tuple[int, int], WeylElt] = {}
         self._bruhat_cache: dict[tuple[int, int], bool] = {}
         self._lower_cache: dict[int, tuple] = {}
         self._cover_cache: dict[int, tuple] = {}
+        self._perm_cache: dict[tuple, WeylElt] = {}
         self._thickened: dict[int, WeylGroup] = {}
         self.identity = self._intern(self._id, self._id)
         self._simples = tuple(
@@ -145,12 +155,25 @@ class WeylGroup:
                     break
             else:
                 raise ArithmeticError("non-identity element has no left descent")
-            g = _mat_mul(self._refl[i], g)
-            gi = _mat_mul(gi, self._refl[i])
+            g = self._simple_times(i, g)
+            gi = self._times_simple(gi, i)
             letters.append(i)
             if len(letters) > _MAX_CANONICAL_LEN:
                 raise ArithmeticError("canonical word exceeds safety cap")
         return tuple(letters)
+
+    def _simple_times(self, i: int, g: IntMat) -> IntMat:
+        """s_i g: row i becomes sum_c (s_i)_{ic} g_c, the other rows stay."""
+        terms = [(x, g[c]) for c, x in self._refl_terms[i]]
+        row = tuple(sum(x * col[j] for x, col in terms) for j in range(self.rank))
+        return g[:i] + (row,) + g[i + 1:]
+
+    def _times_simple(self, g: IntMat, i: int) -> IntMat:
+        """g s_i: column j drops a_ij times column i, so only the neighbours of i and i change."""
+        a = self.gcm.entries[i]
+        return tuple(
+            tuple(y - x * c for y, c in zip(row, a)) if (x := row[i]) else row for row in g
+        )
 
     # -- basic group operations -------------------------------------------
 
@@ -163,11 +186,19 @@ class WeylGroup:
                 raise ContextMismatchError(f"{e!r} belongs to {e.group!r}, not {self!r}")
 
     def multiply(self, u: WeylElt, v: WeylElt) -> WeylElt:
+        """u v; a factor of length 1 is a simple reflection and costs O(m^2)."""
         self.check_same(u, v)
         key = (u.serial, v.serial)
         out = self._mul_cache.get(key)
         if out is None:
-            out = self._intern(_mat_mul(u.geom, v.geom), _mat_mul(v.geom_inv, u.geom_inv))
+            if v.length == 1:
+                i = v.word[0]
+                out = self._intern(self._times_simple(u.geom, i), self._simple_times(i, u.geom_inv))
+            elif u.length == 1:
+                i = u.word[0]
+                out = self._intern(self._simple_times(i, v.geom), self._times_simple(v.geom_inv, i))
+            else:
+                out = self._intern(_mat_mul(u.geom, v.geom), _mat_mul(v.geom_inv, u.geom_inv))
             if len(self._mul_cache) > _CACHE_CAP:
                 self._mul_cache.clear()
             self._mul_cache[key] = out
@@ -500,8 +531,11 @@ def perm_of(w: WeylElt) -> tuple[int, ...]:
 
 
 def from_perm(group: WeylGroup, p) -> WeylElt:
-    """Type A element with one-line form p (1-based values)."""
+    """Type A element with one-line form p (1-based values), memoized per group."""
     p = tuple(p)
+    cached = group._perm_cache.get(p)
+    if cached is not None:
+        return cached
     k = group.rank + 1
     if sorted(p) != list(range(1, k + 1)):
         raise ValueError(f"not a permutation of 1..{k}: {p!r}")
@@ -516,4 +550,7 @@ def from_perm(group: WeylGroup, p) -> WeylElt:
         a, b = q.index(i + 1), q.index(i + 2)
         q[a], q[b] = q[b], q[a]
         word.append(i)
-    return group.from_word(word)
+    if len(group._perm_cache) > _CACHE_CAP:
+        group._perm_cache.clear()
+    out = group._perm_cache[p] = group.from_word(word)
+    return out

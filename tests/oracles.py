@@ -9,13 +9,18 @@ constructors write out each matrix entry by entry, and products of
 generators are taken one ``frac_mat_mul`` at a time.  The gauge test
 solves for the chain of b_i with ``frac_mat_inv``.  These are independent
 of the column operations and canonical flags used in ``src``.  Total
-nonnegativity is tested by computing every minor.
+nonnegativity is tested by computing every minor, and the Neville
+elimination is run on Fractions.
+
+The twisted-layer oracles (``frac_stratum``, ``frac_alpha``,
+``frac_phi_Z``) take the public Fraction factors of a point and multiply
+them out, w0dot^{-1} included, where ``src`` works on integer forms.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from tnnflag import ratlin
+from tnnflag import ratlin, slk
 
 
 def frac_mat_mul(*ms):
@@ -138,6 +143,12 @@ def word_product(k, word):
     return out
 
 
+def phi_flag(f):
+    """Duality on flags, g B+ -> iota(w0dot^{-1} g) B+, with w0dot^{-1} multiplied out."""
+    k = len(f.rep)
+    return slk.FlagPoint(slk.iota(frac_mat_mul(ratlin.transpose(slk.w0_dot(k)), f.rep)))
+
+
 def is_upper_triangular(a):
     n = len(a)
     return all(a[i][j] == 0 for i in range(n) for j in range(i))
@@ -164,3 +175,73 @@ def is_tnn_by_minors(g):
         for rows in combinations(range(k), size)
         for cols in combinations(range(k), size)
     )
+
+
+def frac_neville_pivots(a):
+    """Diagonal pivots of the Neville elimination of a in Fractions, or None if it fails.
+
+    Row i subtracts (a_ij / a_{i-1,j}) times row i-1, bottom up in each
+    column j; it fails on a zero a_{i-1,j} below which a_ij is nonzero (a
+    row exchange) and on a negative multiplier.
+    """
+    k = len(a)
+    m = [[Fraction(x) for x in row] for row in a]
+    for j in range(k - 1):
+        for i in range(k - 1, j, -1):
+            row, above = m[i], m[i - 1]
+            if row[j] == 0:
+                continue
+            if above[j] == 0:
+                return None
+            f = row[j] / above[j]
+            if f < 0:
+                return None
+            for c in range(j, k):
+                row[c] -= f * above[c]
+    return [m[i][i] for i in range(k)]
+
+
+def w0_word(k):
+    """The reduced word (0, ..., k-2)(0, ..., k-3) ... (0) of the longest element of S_k."""
+    return tuple(i for top in range(k - 1, 0, -1) for i in range(top))
+
+
+def frac_w0_inv(k):
+    """w0dot^{-1}, inverting the sdot product over ``w0_word``."""
+    return frac_mat_inv(word_product(k, [("s", i, None) for i in w0_word(k)]))
+
+
+def frac_iota(g):
+    """D g D with D = diag(1, -1, 1, ...)."""
+    k = len(g)
+    d = tuple(tuple(Fraction((-1) ** r if r == c else 0) for c in range(k)) for r in range(k))
+    return frac_mat_mul(d, g, d)
+
+
+def frac_stratum(z):
+    """(v, wbar) of a point as one-line permutations.
+
+    wbar is read off the pivots of ``frac_echelon`` on each factor, and v
+    is w0 times the Bruhat cell of w0dot^{-1} g_1 ... g_n.
+    """
+    k = z.k
+    inner = frac_echelon(frac_mat_mul(frac_w0_inv(k), *z.factors))[1]
+    return (
+        tuple(k - p for p in inner),
+        tuple(tuple(p + 1 for p in frac_echelon(g)[1]) for g in z.factors),
+    )
+
+
+def frac_alpha(z):
+    """The echelon representatives of the partial products g_1 ... g_i."""
+    out, acc = [], None
+    for g in z.factors:
+        acc = g if acc is None else frac_mat_mul(acc, g)
+        out.append(frac_echelon(acc)[0])
+    return tuple(out)
+
+
+def frac_phi_Z(z):
+    """(iota(w0dot^{-1} g_1 ... g_n), iota(g_n^{-1}), ..., iota(g_2^{-1}))."""
+    first = frac_iota(frac_mat_mul(frac_w0_inv(z.k), *z.factors))
+    return (first,) + tuple(frac_iota(frac_mat_inv(g)) for g in reversed(z.factors[1:]))

@@ -77,10 +77,10 @@ def test_integer_kernels_match_fraction_oracles():
         expected = outcome(oracles.frac_echelon, a, ValueError)
         if expected is ValueError:
             with pytest.raises(ValueError):
-                slk._echelon(a)
+                slk._echelon(ratlin.int_form(a)[0])
         else:
             canonical, pivots = expected
-            assert slk._echelon(a)[1] == pivots
+            assert slk._echelon(ratlin.int_form(a)[0])[1] == pivots
             assert slk.FlagPoint(a).canonical() == canonical, a
 
         dims = [rng.randint(1, 8) for _ in range(rng.randint(2, 5))]
@@ -89,6 +89,34 @@ def test_integer_kernels_match_fraction_oracles():
         counts["non_square"] += len(set(dims)) > 1
     # the cases reach every branch: row swaps, singular input, non-square chains
     assert counts["singular"] > 300 and counts["swap"] > 200 and counts["non_square"] > 1500
+
+
+def test_shapes_are_checked():
+    """det of a 2x3 matrix used to return -3."""
+    wide = ((1, 2, 3), (4, 5, 6))
+    with pytest.raises(ValueError, match="square"):
+        ratlin.det(wide)
+    with pytest.raises(ValueError, match="square"):
+        ratlin.mat_inv(wide)
+    with pytest.raises(ValueError, match="lengths"):
+        ratlin.det(((1, 2), (3,)))
+    with pytest.raises(ValueError, match="cannot multiply"):
+        ratlin.mat_mul(wide, wide)
+    assert ratlin.mat_mul(wide, ratlin.transpose(wide)) == ((14, 32), (32, 77))
+
+
+def test_integer_forms():
+    """int_form clears one denominator; fractions and reduced invert and normalize it."""
+    a = ((Fraction(1, 2), Fraction(2, 3)), (Fraction(0), Fraction(-5, 6)))
+    form = ratlin.int_form(a)
+    assert form == (((3, 4), (0, -5)), 6)
+    assert ratlin.fraction_matrix(form) == a
+    assert ratlin.reduced((((2, 4), (0, -6)), 4)) == (((1, 2), (0, -3)), 2)
+    assert ratlin.int_form(((1, 2), (3, 4))) == (((1, 2), (3, 4)), 1)
+    m, d = ratlin.int_inv(form)
+    assert d > 0 and ratlin.fraction_matrix((m, d)) == ratlin.mat_inv(a) == oracles.frac_mat_inv(a)
+    with pytest.raises(ZeroDivisionError):
+        ratlin.int_inv((((1, 2), (2, 4)), 1))
 
 
 BIG = 10**12

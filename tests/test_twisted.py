@@ -1,11 +1,14 @@
 """Strata, positive parametrization, duality, and the double Bruhat embedding."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import product
 
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tnnflag import ratlin, slk, twisted
 from tnnflag.verify import brute_circ_r, brute_demazure
@@ -102,6 +105,19 @@ def test_zpoint_validation():
         twisted.ZPoint(())
     with pytest.raises(ValueError):
         twisted.ZPoint((((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))),))
+
+
+def test_zpoint_rejects_non_square_and_ragged_factors():
+    """A 2x3 factor used to be accepted and labeled (e; (e,)); a ragged JSON
+    row used to raise IndexError."""
+    with pytest.raises(ValueError, match="square"):
+        twisted.ZPoint((((1, 0, 0), (0, 1, 0)),))
+    with pytest.raises(ValueError, match="square"):
+        twisted.ZPoint((slk.sdot(2, 0), ((1, 0, 0), (0, 1, 0))))
+    with pytest.raises(ValueError, match="lengths"):
+        twisted.ZPoint.from_json({"factors": [[["1", "0"], ["0"]]]})
+    with pytest.raises(ValueError, match="lengths"):
+        twisted.ZPoint.from_json({"factors": [[["1", "0"], ["0", "1"]], [["1"], ["0", "1"]]]})
 
 
 def test_parametrize_cell_examples():
@@ -323,7 +339,7 @@ def _build_unchecked(v, wbar, words, params):
 def test_phi_z_single_factor_reduces_to_phi_flag():
     z = twisted.ZPoint((slk.y_gen(2, 0, 3),))
     image = twisted.phi_Z(z)
-    assert slk.FlagPoint(image.factors[0]) == slk.phi_flag(slk.FlagPoint(z.factors[0]))
+    assert slk.FlagPoint(image.factors[0]) == oracles.phi_flag(slk.FlagPoint(z.factors[0]))
 
 
 def test_phi_z_k2_example():
@@ -479,19 +495,30 @@ def test_db_positive_matches_product_oracle():
             assert twisted.db_positive(k, v_word, w_word, params) == expected
 
 
+def generic_bounds(u, v, w):
+    """Generic opposite/forward cells over a diagonal-orbit stratum.
+
+    Returns (w circ_r u^{-1}, v * u): the labels of the dense pair of
+    Schubert cells meeting the stratum indexed by (u, v, w).
+    """
+    group = u.group
+    group.check_same(u, v, w)
+    return group.circ_r(w, group.inverse(u)), group.demazure(v, u)
+
+
 def test_generic_bounds(S3):
     e = S3.identity
     s1, s2 = S3.simple(0), S3.simple(1)
     w0 = S3.from_word((0, 1, 0))
     for v in S3.elements_up_to_length(3):
         for w in S3.elements_up_to_length(3):
-            assert twisted.generic_bounds(e, v, w) == (w, v)
-    assert twisted.generic_bounds(w0, e, w0) == (e, w0)
+            assert generic_bounds(e, v, w) == (w, v)
+    assert generic_bounds(w0, e, w0) == (e, w0)
     # cross-check the defining brute-force min/max on all S3 triples
     for u in S3.elements_up_to_length(3):
         for v in S3.elements_up_to_length(3):
             for w in S3.elements_up_to_length(3):
-                vp, wp = twisted.generic_bounds(u, v, w)
+                vp, wp = generic_bounds(u, v, w)
                 assert vp == brute_circ_r(S3, w, S3.inverse(u))
                 assert wp == brute_demazure(S3, v, u)
 
@@ -499,3 +526,65 @@ def test_generic_bounds(S3):
 def test_zpoint_json_round_trip():
     z = twisted.ZPoint((slk.y_gen(2, 0, Fraction(3, 2)), slk.sdot(2, 0)))
     assert twisted.ZPoint.from_json(z.to_json()) == z
+
+
+# -- properties over random points (hypothesis) --------------------------------
+
+PROPS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def points(draw):
+    """A point with random dense factors, or a positive point of a random
+    stratum, k = 2..4 and n = 1..3, with a generator seeded for the test."""
+    k, n = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return twisted.ZPoint(tuple(_random_factor(k, rng) for _ in range(n))), rng
+    group = type_a_group(k)
+    wbar = tuple(
+        group.from_word([rng.randrange(k - 1) for _ in range(rng.randint(0, k + 1))])
+        for _ in range(n)
+    )
+    v = rng.choice(group.lower_interval(group.m_star(wbar)))
+    dim = sum(w.length for w in wbar) - v.length
+    return twisted.parametrize_cell(v, wbar, twisted.random_params(dim, rng)), rng
+
+
+@PROPS
+@given(points())
+def test_flag_hash_agrees_with_equality(case):
+    z, rng = case
+    k = z.k
+    g = ratlin.mat_mul(*z.factors)
+    f = slk.FlagPoint(g)
+    canonical = oracles.frac_echelon(g)[0]
+    assert f.canonical() == canonical and f.rep == g
+    fb = slk.FlagPoint(ratlin.mat_mul(g, random_gauge(k, rng)))
+    assert fb == f and hash(fb) == hash(f) and fb.canonical() == canonical
+    same_form = slk.FlagPoint.of_form(ratlin.int_form(g))
+    assert same_form == f and hash(same_form) == hash(f) and same_form.rep == g
+    step = slk.word_matrix(k, [(rng.choice("xy"), rng.randrange(k - 1), rng.randint(-3, 3))])
+    h = ratlin.mat_mul(g, step)
+    other = slk.FlagPoint(h)
+    assert (other == f) is (oracles.frac_echelon(h)[0] == canonical)
+    if other == f:
+        assert hash(other) == hash(f)
+
+
+@PROPS
+@given(points())
+def test_stratum_is_gauge_invariant(case):
+    z, rng = case
+    zp = perturb_gauge(z, rng)
+    assert twisted.gauge_eq(z, zp)
+    assert twisted.stratum(zp) == twisted.stratum(z)
+
+
+@PROPS
+@given(points())
+def test_zpoint_json_round_trip_keeps_equality_hash_and_stratum(case):
+    z, _ = case
+    back = twisted.ZPoint.from_json(json.loads(json.dumps(z.to_json())))
+    assert back == z and hash(back) == hash(z)
+    assert twisted.stratum(back) == twisted.stratum(z)

@@ -1,0 +1,119 @@
+"""Group laws of the Weyl layer on random words, with hypothesis.
+
+Over A3, B3, C3, D4, affine A2 and the thickening of A2 for two factors:
+the simple-reflection updates against full products of geometric
+matrices, canonical words against left-descent stripping by full
+products, geom * geom_inv = I, associativity of the product and of the
+Demazure product, and the from_perm / perm_of bridge in type A.
+"""
+
+from functools import cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tnnflag import weyl
+from tnnflag.cartan import cartan_of_type
+from tnnflag.weyl import WeylGroup, _mat_mul, from_perm, perm_of, type_a_group
+
+NAMES = ("A3", "B3", "C3", "D4", "affine-A2", "A2 thickened n=2")
+
+
+@cache
+def group(name):
+    if name == "A2 thickened n=2":
+        return WeylGroup(cartan_of_type("A", 2)).thickened(2)
+    family, rank = name[:-1], int(name[-1])
+    return WeylGroup(cartan_of_type(family, rank))
+
+
+@st.composite
+def words(draw, count):
+    g = group(draw(st.sampled_from(NAMES)))
+    letters = st.integers(0, g.rank - 1)
+    return g, [draw(st.lists(letters, max_size=10)) for _ in range(count)]
+
+
+SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+
+def product_of(g, word):
+    """(geom, geom_inv) of a word, one full matrix product per letter."""
+    geom = geom_inv = g._id
+    for i in word:
+        geom = _mat_mul(geom, g._refl[i])
+        geom_inv = _mat_mul(g._refl[i], geom_inv)
+    return geom, geom_inv
+
+
+def canonical_by_products(g, geom, geom_inv):
+    """Strip the smallest left descent, updating both matrices by full products."""
+    letters = []
+    while geom != g._id:
+        i = next(i for i in range(g.rank) if all(row[i] <= 0 for row in geom_inv))
+        geom = _mat_mul(g._refl[i], geom)
+        geom_inv = _mat_mul(geom_inv, g._refl[i])
+        letters.append(i)
+    return tuple(letters)
+
+
+@SETTINGS
+@given(words(1))
+def test_simple_reflection_updates_match_full_products(case):
+    g, (word,) = case
+    u = g.from_word(word)
+    assert (u.geom, u.geom_inv) == product_of(g, word)
+    assert u.word == canonical_by_products(g, u.geom, u.geom_inv)
+    for i in range(g.rank):
+        s = g._refl[i]
+        assert g._simple_times(i, u.geom) == _mat_mul(s, u.geom)
+        assert g._times_simple(u.geom, i) == _mat_mul(u.geom, s)
+        right = g.multiply(u, g.simple(i))
+        assert (right.geom, right.geom_inv) == (_mat_mul(u.geom, s), _mat_mul(s, u.geom_inv))
+        assert right.word == canonical_by_products(g, right.geom, right.geom_inv)
+        left = g.multiply(g.simple(i), u)
+        assert (left.geom, left.geom_inv) == (_mat_mul(s, u.geom), _mat_mul(u.geom_inv, s))
+        assert left.word == canonical_by_products(g, left.geom, left.geom_inv)
+
+
+@SETTINGS
+@given(words(1))
+def test_geom_times_inverse_is_identity(case):
+    g, (word,) = case
+    u = g.from_word(word)
+    assert _mat_mul(u.geom, u.geom_inv) == _mat_mul(u.geom_inv, u.geom) == g._id
+    assert g.multiply(u, g.inverse(u)) is g.identity
+
+
+@SETTINGS
+@given(words(3))
+def test_product_and_demazure_product_are_associative(case):
+    g, word_list = case
+    u, v, w = (g.from_word(word) for word in word_list)
+    assert g.multiply(g.multiply(u, v), w) is g.multiply(u, g.multiply(v, w))
+    assert g.multiply(u, v) is g.from_word(word_list[0] + word_list[1])
+    assert g.demazure(g.demazure(u, v), w) is g.demazure(u, g.demazure(v, w))
+
+
+@SETTINGS
+@given(st.integers(2, 6).flatmap(lambda k: st.permutations(range(1, k + 1))))
+def test_from_perm_round_trips_through_perm_of(p):
+    g = type_a_group(len(p))
+    w = from_perm(g, p)
+    assert perm_of(w) == tuple(p)
+    assert from_perm(g, perm_of(w)) is w is from_perm(g, list(p))
+    assert g.from_word(w.word) is w and w.length == len(w.word)
+
+
+def test_from_perm_cache_clears_and_still_rejects(monkeypatch):
+    monkeypatch.setattr(weyl, "_CACHE_CAP", 3)
+    g = WeylGroup(cartan_of_type("A", 2))
+    perms = [(1, 2, 3), (2, 1, 3), (1, 3, 2), (3, 2, 1), (2, 3, 1), (3, 1, 2)]
+    for _ in range(2):
+        for p in perms:
+            assert perm_of(from_perm(g, p)) == p
+            assert len(g._perm_cache) <= 4
+    for bad in ((1, 1, 3), (1, 2), (0, 1, 2), (1, 2, 3, 4)):
+        with pytest.raises(ValueError):
+            from_perm(g, bad)
