@@ -6,13 +6,16 @@ order is (v', wbar') <= (v, wbar) iff v <= v' and wbar' <= wbar
 componentwise.  Posets are finite, carry the synthetic bottom at node 0,
 and are immutable after construction.
 
-Intervals and braid posets are built from Bruhat covers: each label's
-lower covers are looked up among the labels and the masks ORed together
-in rank order.  ``FacePoset.from_qnodes``, which compares every pair by
-:func:`qnode_leq`, is their oracle.
+Intervals and braid posets are built from Bruhat covers: each label has
+one integer key (mixed-radix positions of its coordinates for intervals,
+the mask of kept letters for braid posets), its lower covers are the
+labels at its key plus the offsets of its coordinates' covers, and the
+masks are ORed together in rank order.  ``FacePoset.from_qnodes``, which
+compares every pair by :func:`qnode_leq`, is their oracle.
 
-Checks, run by name with :func:`regularity_checks`: purity, thinness,
-Eulerian-ness (a node count on the even-length intervals only),
+Checks, run by name with :func:`regularity_checks`: purity, thinness (a
+count of the paths of two covers, with a mask test only where the count
+is not 2), Eulerian-ness (a node count on the even-length intervals only),
 shellability of the order complex by backtracking search, and the Euler
 characteristic of the open boundary (the Mobius function from the bottom
 to the top, in one pass in rank order).
@@ -213,19 +216,21 @@ def _labels_by_rank(qnodes, node_cap: int) -> list[QNode]:
     return elements
 
 
-def _cover_poset(elements, key, candidates) -> FacePoset:
+def _cover_poset(elements, keys, offsets) -> FacePoset:
     """Poset on rank-sorted labels, generated by product covers.
 
-    ``key(q)`` identifies a label and ``candidates(q)`` lists the keys of
-    the labels q might cover; those that are labels are its lower covers.
-    Exact when every cover of the order raises the rank by one (the
-    closure order is graded; ``verify hatQ`` checks it on the pairwise
-    order): then it moves one coordinate by one Bruhat cover, so the order
-    is the transitive closure of the product covers between labels.
+    ``keys[i]`` is an integer that identifies ``elements[i]``, and
+    ``offsets[i]`` lists the differences d for which ``keys[i] + d`` is the
+    key of a label ``elements[i]`` might cover; those that are labels are
+    its lower covers.  Exact when every cover of the order raises the rank
+    by one (the closure order is graded; ``verify hatQ`` checks it on the
+    pairwise order): then it moves one coordinate by one Bruhat cover, so
+    the order is the transitive closure of the product covers between
+    labels.
     """
-    index = {key(q): i for i, q in enumerate(elements, start=1)}
+    get = {k: i for i, k in enumerate(keys, start=1)}.get  # node indices are >= 1
     lower = [()] + [
-        [index[c] for c in candidates(q) if c in index] or [0] for q in elements
+        [i for d in offs if (i := get(k + d))] or [0] for k, offs in zip(keys, offsets)
     ]
     ranks = [elements[0].rank - 1, *(q.rank for q in elements)]
     return FacePoset.from_lower_covers([BOTTOM, *elements], ranks, lower)
@@ -253,28 +258,47 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> FacePoset:
 
     The lower covers of (v, wbar) are the labels (v', wbar) with v' an
     upper Bruhat cover of v, and (v, wbar) with one factor replaced by a
-    lower Bruhat cover; see :func:`_cover_poset`.  ``node_cap`` is checked
-    while the labels are listed.
+    lower Bruhat cover; see :func:`_cover_poset`.  A label's key is mixed
+    radix: v's position among the u with top.v <= u <= m_star(top.wbar),
+    then each factor's position in the lower interval of its top factor.
+    Each coordinate value carries its digit and the key offsets of its
+    product covers, so a label's candidates are its key plus the offsets of
+    its coordinates.  ``node_cap`` is checked while the labels are listed,
+    before any key is made.
     """
+    elements = _labels_by_rank(interval_labels(top), node_cap)
     group = top.v.group
-    ups: dict[int, list[int]] = {}  # serial of v -> serials of its upper covers
-    for u in group.lower_interval(group.m_star(top.wbar)):
+    vs = [u for u in group.lower_interval(group.m_star(top.wbar)) if group.bruhat_leq(top.v, u)]
+    vpos = {u.serial: p for p, u in enumerate(vs)}
+    ups: list[list[int]] = [[] for _ in vs]  # the positions of each v's upper covers
+    for p, u in enumerate(vs):
         for c in group.lower_covers(u):
-            ups.setdefault(c.serial, []).append(u.serial)
-
-    def candidates(q):
-        v = q.v.serial
-        ws = tuple(w.serial for w in q.wbar)
-        out = [(u, *ws) for u in ups.get(v, ())]
-        for f, w in enumerate(q.wbar):
-            out.extend((v, *ws[:f], c.serial, *ws[f + 1:]) for c in group.lower_covers(w))
-        return out
-
-    return _cover_poset(
-        _labels_by_rank(interval_labels(top), node_cap),
-        lambda q: (q.v.serial, *(w.serial for w in q.wbar)),
-        candidates,
-    )
+            if c.serial in vpos:
+                ups[vpos[c.serial]].append(p)
+    # per coordinate: its values in order, and the positions each value moves to
+    axes = [(vs, ups)]
+    for w in top.wbar:
+        below = group.lower_interval(w)
+        pos = {u.serial: p for p, u in enumerate(below)}
+        axes.append((below, [[pos[c.serial] for c in group.lower_covers(u)] for u in below]))
+    # per coordinate: serial -> (digit times stride, key offsets of the moves)
+    coords, stride = [], 1
+    for values, moves in axes:
+        coords.append({
+            u.serial: (p * stride, tuple((m - p) * stride for m in moves[p]))
+            for p, u in enumerate(values)
+        })
+        stride *= len(values)
+    keys, offsets = [], []
+    for q in elements:
+        key, offs = 0, ()
+        for coord, u in zip(coords, (q.v, *q.wbar)):
+            digit, more = coord[u.serial]
+            key += digit
+            offs += more
+        keys.append(key)
+        offsets.append(offs)
+    return _cover_poset(elements, keys, offsets)
 
 
 def braid_poset(group: WeylGroup, letters) -> FacePoset:
@@ -299,12 +323,8 @@ def braid_poset(group: WeylGroup, letters) -> FacePoset:
             elements.append(QNode(w, combo, mask.bit_count() - w.length))
     elements.sort(key=lambda q: q.rank)
 
-    def kept(q):
-        return sum(1 << i for i, x in enumerate(q.wbar) if x.length)
-
-    return _cover_poset(
-        elements, kept, lambda q: [kept(q) ^ 1 << i for i in members(kept(q))]
-    )
+    keys = [sum(1 << i for i, x in enumerate(q.wbar) if x.length) for q in elements]
+    return _cover_poset(elements, keys, [[-(1 << i) for i in members(k)] for k in keys])
 
 
 def link_poset(bottom: QNode, top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> FacePoset:
@@ -345,14 +365,24 @@ def is_thin(poset: FacePoset) -> bool:
     """Every interval of length 2 has exactly two intermediate elements.
 
     [x, y] has only chains of length 2 iff y is two covers above x and
-    every element strictly between covers x.
+    every element strictly between covers x.  Count the paths x < z < y
+    of two covers into each such y.  If every element between x and y
+    covers x, each of them is also covered by y (an element strictly
+    between it and y would lie between x and y without covering x), so the
+    count is the number of elements between.  Hence a count of 2 passes,
+    and any other count fails iff every element between covers x: only
+    those y need the mask test.
     """
     ups = poset.up_covers()
     for x, mids in enumerate(ups):
-        covering = sum(1 << z for z in mids)
-        for y in {y for z in mids for y in ups[z]}:
-            between = poset.above[x] & poset.below[y]
-            if not between & ~covering and between.bit_count() != 2:
+        paths: dict[int, int] = {}
+        for z in mids:
+            for y in ups[z]:
+                paths[y] = paths.get(y, 0) + 1
+        unpaired = [y for y, count in paths.items() if count != 2]
+        if unpaired:
+            covering = sum(1 << z for z in mids)
+            if any(not poset.above[x] & poset.below[y] & ~covering for y in unpaired):
                 return False
     return True
 

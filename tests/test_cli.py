@@ -396,3 +396,40 @@ def test_fuzz_cell_words_and_params(v, w, params):
     )
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+@st.composite
+def poset_command_lines(draw):
+    """(family, rank, n, top) for the poset command: any family and rank,
+    and tops that mostly have n factors over the family's vertices (1 to
+    rank + 1, the count of affine-A).  At most three letters per factor keep
+    each lower interval within 8 elements."""
+    family = draw(st.sampled_from(["A", "B", "C", "D", "affine-A", "junk"]))
+    rank = draw(st.integers(-2, 6))
+    n = draw(st.integers(0, 3))
+    letters = st.sampled_from([str(i) for i in range(1, max(rank, 1) + 2)])
+    word = st.one_of(
+        st.just("e"),
+        st.lists(letters, min_size=1, max_size=3).map(lambda ls: "(" + ",".join(ls) + ")"),
+        st.lists(st.sampled_from(WORD_TOKENS), max_size=5).map("".join),
+    )
+    factors = draw(st.one_of(st.just(n), st.integers(0, 4)))
+    top = draw(st.one_of(
+        st.tuples(word, st.lists(word, min_size=factors, max_size=factors)).map(
+            lambda t: f"{t[0]};{','.join(t[1])}"
+        ),
+        st.lists(st.sampled_from(WORD_TOKENS + [";"]), max_size=8).map("".join),
+    ))
+    return family, rank, n, top
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(args=poset_command_lines())
+def test_fuzz_poset_family_rank_and_factors(args):
+    family, rank, n, top = args
+    code, err = exit_code_and_stderr([
+        "poset", family, str(rank), "--n", str(n), f"--top={top}",
+        "--check", "pure,thin,eulerian,ball", "--budget", "40", "--node-cap", "60",
+    ])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

@@ -139,6 +139,52 @@ def oracle_covers(poset):
     )
 
 
+def tuple_key_build_interval(top):
+    """``build_interval`` with each label keyed by the tuple of its serials:
+    the lower covers of (v, wbar) are looked up by the keys of (u, wbar),
+    u an upper cover of v, and of wbar with one factor moved down a cover."""
+    group = top.v.group
+    ups = {}  # serial of v -> serials of its upper covers
+    for u in group.lower_interval(group.m_star(top.wbar)):
+        for c in group.lower_covers(u):
+            ups.setdefault(c.serial, []).append(u.serial)
+
+    def key(q):
+        return (q.v.serial, *(w.serial for w in q.wbar))
+
+    def candidates(q):
+        v, *ws = key(q)
+        out = [(u, *ws) for u in ups.get(v, ())]
+        for f, w in enumerate(q.wbar):
+            out.extend((v, *ws[:f], c.serial, *ws[f + 1:]) for c in group.lower_covers(w))
+        return out
+
+    elements = sorted(interval_labels(top), key=lambda q: q.rank)
+    index = {key(q): i for i, q in enumerate(elements, start=1)}
+    lower = [()] + [[index[c] for c in candidates(q) if c in index] or [0] for q in elements]
+    ranks = [elements[0].rank - 1, *(q.rank for q in elements)]
+    return FacePoset.from_lower_covers([BOTTOM, *elements], ranks, lower)
+
+
+def mask_scan_is_thin(poset):
+    """``is_thin`` by masks alone: for every y two covers above x, [x, y]
+    fails iff every node strictly between covers x and there are not two."""
+    ups = poset.up_covers()
+    for x, mids in enumerate(ups):
+        covering = sum(1 << z for z in mids)
+        for y in {y for z in mids for y in ups[z]}:
+            between = poset.above[x] & poset.below[y]
+            if not between & ~covering and between.bit_count() != 2:
+                return False
+    return True
+
+
+def two_step_paths(poset, x, y):
+    """The number of paths x < z < y of two covers."""
+    ups = poset.up_covers()
+    return sum(y in ups[z] for z in ups[x])
+
+
 @pytest.fixture(scope="module")
 def triangle(A1):
     e, s = A1.identity, A1.simple(0)
@@ -203,14 +249,43 @@ def test_node_cap(A2):
         build_interval(make_qnode(A2.identity, (w0, w0)), node_cap=10)
 
 
-def assert_same_as_pairwise(poset, pairwise):
-    """Equal nodes, ranks and masks; the builder's covers equal those read
-    off the pairwise order's masks."""
-    assert poset.nodes == pairwise.nodes
-    assert poset.ranks == pairwise.ranks
-    assert poset.below == pairwise.below
-    assert poset.above == pairwise.above
-    assert poset.covers == pairwise.covers
+def test_node_cap_boundary(A2, monkeypatch):
+    """A cap of exactly the node count passes; one less raises while the
+    labels are still being listed, before any key or index is made."""
+    s1, s2 = A2.simple(0), A2.simple(1)
+    top = make_qnode(A2.identity, (A2.multiply(s1, s2), A2.multiply(s2, s1)))
+    poset = build_interval(top)
+    assert_same_poset(build_interval(top, node_cap=len(poset)), poset)
+
+    listed = []
+
+    def labels(t):
+        for q in interval_labels(t):
+            listed.append(q)
+            yield q
+        listed.append("exhausted")
+
+    def no_index(*args):
+        raise AssertionError("the index was built past the node cap")
+
+    monkeypatch.setattr(posets, "interval_labels", labels)
+    monkeypatch.setattr(posets, "_cover_poset", no_index)
+    monkeypatch.setattr(A2, "lower_covers", no_index)
+    with pytest.raises(CapExceededError):
+        build_interval(top, node_cap=len(poset) - 1)
+    # the last label tipped the count over the cap; the listing never ended
+    assert len(listed) == len(poset) - 1
+    assert set(listed) == set(poset.nodes[1:])
+
+
+def assert_same_poset(poset, other):
+    """Equal nodes, ranks, masks and covers (read off the masks when
+    ``other`` was built from them)."""
+    assert poset.nodes == other.nodes
+    assert poset.ranks == other.ranks
+    assert poset.below == other.below
+    assert poset.above == other.above
+    assert poset.covers == other.covers
 
 
 # family, rank, n, factor length cap, sampled tops
@@ -224,8 +299,9 @@ COVER_BUILDER_FAMILIES = [
 
 @pytest.mark.parametrize("family, rank, n, cap, count", COVER_BUILDER_FAMILIES)
 def test_cover_builder_matches_pairwise_order(family, rank, n, cap, count):
-    """build_interval equals FacePoset.from_qnodes on sampled tops, and its
-    nodes are exactly the family's labels below the top by qnode_leq."""
+    """build_interval equals FacePoset.from_qnodes and the tuple-key builder
+    on sampled tops, and its nodes are exactly the family's labels below the
+    top by qnode_leq."""
     group = WeylGroup(cartan_of_type(family, rank))
     labels = list(iter_qnodes(group, n, length_cap=cap))
     rng = random.Random(f"{family}{rank} n={n}")
@@ -233,8 +309,21 @@ def test_cover_builder_matches_pairwise_order(family, rank, n, cap, count):
     tops = sorted((q for q in labels if q.rank >= 2), key=lambda q: q.rank)
     for top in [tops[-1], *rng.sample(tops[:-1], count - 1)]:
         poset = build_interval(top)
-        assert_same_as_pairwise(poset, FacePoset.from_qnodes(interval_labels(top)))
+        assert_same_poset(poset, FacePoset.from_qnodes(interval_labels(top)))
+        assert_same_poset(poset, tuple_key_build_interval(top))
         assert set(poset.nodes[1:]) == {q for q in labels if qnode_leq(q, top)}
+
+
+def test_integer_keys_match_tuple_key_builder():
+    """build_interval, on integer keys, equals the tuple-key builder on every
+    hatQ top."""
+    tops = 0
+    for _, group, ns in _hatQ_families():
+        for n in ns:
+            for top in iter_qnodes(group, n):
+                assert_same_poset(build_interval(top), tuple_key_build_interval(top))
+                tops += 1
+    assert tops == 244
 
 
 def test_braid_cover_builder_matches_pairwise_order(A2):
@@ -244,7 +333,7 @@ def test_braid_cover_builder_matches_pairwise_order(A2):
     for length in range(1, 6):
         for letters in product(range(2), repeat=length):
             poset = braid_poset(A2, letters)
-            assert_same_as_pairwise(poset, FacePoset.from_qnodes(poset.nodes[1:]))
+            assert_same_poset(poset, FacePoset.from_qnodes(poset.nodes[1:]))
             words += 1
     assert words == 62
 
@@ -369,7 +458,27 @@ def test_not_thin_not_eulerian(elements, pairs):
     poset = from_covers(elements, pairs)
     assert not is_thin(poset)
     assert not is_eulerian(poset)
-    assert is_thin(poset) == oracle_is_thin(poset)
+    assert not oracle_is_thin(poset) and not mask_scan_is_thin(poset)
+
+
+def test_path_count_three_on_a_length_two_interval():
+    """Three atoms below a top: three paths of two covers into the top of a
+    genuine length-2 interval."""
+    poset = from_covers(["a", "b", "c", "t"], [("a", "t"), ("b", "t"), ("c", "t")])
+    assert two_step_paths(poset, 0, poset.index("t")) == 3
+    assert not is_thin(poset)
+
+
+def test_path_count_off_two_on_a_longer_interval():
+    """[0^, y] has one path of two covers (through r) but length 3 (through
+    an edge), so the path count is not 2 and the mask test passes it; every
+    interval of length 2 has two middle elements."""
+    poset = from_covers(
+        ["p", "q", "e", "f", "r", "y"],
+        [("p", "e"), ("q", "e"), ("p", "f"), ("q", "f"), ("e", "y"), ("f", "y"), ("r", "y")],
+    )
+    assert two_step_paths(poset, 0, poset.index("y")) == 1
+    assert is_thin(poset) and mask_scan_is_thin(poset) and oracle_is_thin(poset)
 
 
 def _differential_posets(A2):
@@ -402,6 +511,17 @@ def test_pure_and_thin_match_chain_length_oracle(A2):
         assert (pure, thin) == (oracle_is_pure(poset), oracle_is_thin(poset))
         verdicts.add((pure, thin))
     assert {pure for pure, _ in verdicts} == {thin for _, thin in verdicts} == {True, False}
+
+
+def test_thin_path_count_matches_mask_scan(A2):
+    """Thinness by two-step path counts equals the mask scan on every
+    differential poset."""
+    verdicts = set()
+    for poset in _differential_posets(A2):
+        thin = is_thin(poset)
+        assert thin == mask_scan_is_thin(poset)
+        verdicts.add(thin)
+    assert verdicts == {True, False}
 
 
 def test_eulerian_boundary_and_covers_match_oracles(A2):
