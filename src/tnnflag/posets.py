@@ -19,6 +19,12 @@ is not 2), Eulerian-ness (a node count on the even-length intervals only),
 shellability of the order complex by backtracking search, and the Euler
 characteristic of the open boundary (the Mobius function from the bottom
 to the top, in one pass in rank order).
+
+The shelling search has one core and two entries: ``shelling_of_facets``
+normalizes arbitrary facets (sorted tuples, numbered vertices, sorted
+facet list), while ``find_shelling`` hands the maximal chains over as they
+are, since they are already sorted index tuples in sorted order.  The
+normalizing entry is the differential oracle of the direct one.
 """
 
 from __future__ import annotations
@@ -439,7 +445,13 @@ def is_eulerian(poset: FacePoset) -> bool:
 
 
 def maximal_chains(poset: FacePoset) -> list[tuple[int, ...]]:
-    """Maximal chains (as index tuples) of the poset minus its bottom."""
+    """Maximal chains (as index tuples) of the poset minus its bottom.
+
+    Each chain is strictly increasing (a cover goes up in index order), and
+    the list is strictly increasing in lexicographic order: the walk takes
+    the upper covers of each node in increasing order, and no maximal chain
+    is a prefix of another.  :func:`find_shelling` relies on both.
+    """
     ups = poset.up_covers()
     chains: list[tuple[int, ...]] = []
 
@@ -549,29 +561,44 @@ def shelling_of_facets(
     facets; the rule holds for facets of any sizes, so mixed-size lists take
     the same path.
 
+    This is the normalizing entry: each facet is sorted into a tuple, its
+    vertices are numbered by first appearance, and the facets are searched
+    in sorted order (see :func:`_search`).  :func:`find_shelling` skips
+    that work on chains that are already in this form, and this entry
+    stays its differential oracle.
+
     With ``search`` off, the given order itself is validated by the pairwise
     rule, scanning every earlier facet; this is the independent oracle for
     the orders the search returns.
-
-    The search is depth-first over the facets in sorted order and remembers
-    dead-end sets of used facets (as bitmasks, until the keys hold
-    ``_FAILED_STATES_MAX_BYTES``).  ``attempts`` counts validity tests and
-    ``backtracks`` the dead ends stepped back from.  A definitive negative
-    comes only when the whole search tree was exhausted within budget.
     """
     members, vertices, nvertices = _facet_vertices(facets)
     n = len(members)
+    if search or n <= 1:
+        order_hint = sorted(range(n), key=members.__getitem__)
+        return _search(members, vertices, nvertices, order_hint, budget)
+    masks = [sum(1 << v for v in vs) for vs in vertices]
+    for idx in range(1, n):
+        if not _pairwise_rule(masks[:idx], masks[idx], vertices[idx]):
+            return ShellingResult("not_shellable", None, n, idx, budget)
+    return ShellingResult("shellable", members, n, n - 1, budget)
+
+
+def _search(members, vertices, nvertices: int, order_hint, budget: int) -> ShellingResult:
+    """Depth-first shelling search, the one core of both entries.
+
+    ``members[i]`` is facet i as it is reported, ``vertices[i]`` its
+    distinct vertex ids in ``range(nvertices)``, and the facets are tried
+    in the order ``order_hint``.  The search remembers dead-end sets of
+    used facets (as bitmasks, until the keys hold
+    ``_FAILED_STATES_MAX_BYTES``).  ``attempts`` counts validity tests and
+    ``backtracks`` the dead ends stepped back from.  A definitive negative
+    comes only when the whole search tree was exhausted within budget.
+    Relabelling the vertex ids changes no decision, so only the facet
+    order matters.
+    """
+    n = len(members)
     if n <= 1:
         return ShellingResult("shellable", members, n, 0, budget)
-
-    if not search:
-        masks = [sum(1 << v for v in vs) for vs in vertices]
-        for idx in range(1, n):
-            if not _pairwise_rule(masks[:idx], masks[idx], vertices[idx]):
-                return ShellingResult("not_shellable", None, n, idx, budget)
-        return ShellingResult("shellable", members, n, n - 1, budget)
-
-    order_hint = sorted(range(n), key=lambda idx: members[idx])
     # unused positions of order_hint, doubly linked; position n is the head
     nxt = [*range(1, n + 1), 0]
     prv = [n, *range(n)]
@@ -627,10 +654,16 @@ def shelling_of_facets(
 def find_shelling(poset: FacePoset, budget: int = DEFAULT_SHELLING_BUDGET) -> ShellingResult:
     """Search for a shelling of the order complex of the poset minus bottom.
 
-    Facets are the maximal chains.
+    Facets are the maximal chains.  :func:`maximal_chains` lists them as
+    strictly increasing node-index tuples in strictly increasing
+    lexicographic order, which is what :func:`shelling_of_facets` would
+    normalize them to: so they go to :func:`_search` as they are, with the
+    node indices as vertex ids and the listed order as the search order.
+    The result equals ``shelling_of_facets`` on the chains as frozensets,
+    field by field.
     """
     chains = maximal_chains(poset)
-    return shelling_of_facets([frozenset(c) for c in chains], budget=budget)
+    return _search(chains, chains, len(poset.nodes), range(len(chains)), budget)
 
 
 def open_boundary_euler(poset: FacePoset) -> int:

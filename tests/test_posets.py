@@ -796,3 +796,52 @@ def test_maximal_chains_shape(triangle):
     chains = maximal_chains(triangle)
     assert len(chains) == 6
     assert all(len(c) == 3 for c in chains)
+
+
+def chain_fixture_posets(A2):
+    """The differential posets (every builder, pure and not), intervals
+    built pairwise (their covers read off the masks), one chain, and the
+    bottom alone."""
+    yield from _differential_posets(A2)
+    tops = [top for top in iter_qnodes(A2, 2) if 2 <= top.rank <= 5]
+    for top in random.Random(7).sample(tops, 6):
+        yield FacePoset.from_qnodes(interval_labels(top))
+    yield from_covers(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    yield FacePoset([BOTTOM], [0], [0])
+
+
+def test_maximal_chains_are_sorted_index_tuples(A2):
+    """The invariant ``find_shelling`` relies on: each chain is strictly
+    increasing, goes up by covers from a cover of the bottom to a maximal
+    node, and the list is strictly increasing in lexicographic order."""
+    lengths = set()
+    for poset in chain_fixture_posets(A2):
+        chains = maximal_chains(poset)
+        covers = set(poset.covers)
+        for chain in chains:
+            assert all(lo < hi and (lo, hi) in covers for lo, hi in zip((0, *chain), chain))
+            assert poset.above[chain[-1]] == 0
+        assert all(a < b for a, b in zip(chains, chains[1:]))
+        lengths.add(len(chains))
+    assert {0, 1} <= lengths
+
+
+def test_find_shelling_matches_normalizing_entry(A2):
+    """The chains handed to the search as they are give the same result,
+    field by field, as the chains normalized by ``shelling_of_facets``,
+    within the default budget and within budgets 0 and 1."""
+    statuses, pure = set(), set()
+    for poset in chain_fixture_posets(A2):
+        facets = [frozenset(c) for c in maximal_chains(poset)]
+        pure.add(is_pure(poset))
+        for budget in (DEFAULT_SHELLING_BUDGET, 0, 1):
+            fast = find_shelling(poset, budget)
+            assert fast == shelling_of_facets(facets, budget), poset.nodes
+            statuses.add(fast.status)
+    assert statuses == {"shellable", "not_shellable", "inconclusive"}
+    assert pure == {True, False}
+    # the n <= 1 early return: no facet, and one facet placed without a test
+    empty = ShellingResult("shellable", [], 0, 0, 0)
+    assert find_shelling(FacePoset([BOTTOM], [0], [0]), budget=0) == empty
+    chain = from_covers(["a", "b"], [("a", "b")])
+    assert find_shelling(chain, budget=0) == ShellingResult("shellable", [(1, 2)], 1, 0, 0)

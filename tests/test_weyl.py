@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from tnnflag import weyl
 from tnnflag.cartan import cartan_of_type
 from tnnflag.verify import brute_circ_r, brute_demazure, bruhat_by_subwords
 from tnnflag.weyl import (
@@ -318,3 +319,21 @@ def test_lower_covers_match_definition(family, rank):
             for p in range(len(word))
         )
     assert shorter > 0
+
+
+def test_canonical_word_cap_in_infinite_thickened_group(monkeypatch):
+    """The A1 n=2 thickening is infinite, so only ``_MAX_CANONICAL_LEN``
+    bounds left-descent stripping: an alternating reduced word one letter
+    longer than the cap raises, and the default cap gives its full length.
+    Each group is fresh, so no element of the word is interned yet."""
+    word = (0, 1) * 6
+
+    def fresh():
+        return WeylGroup(cartan_of_type("A", 1)).thickened(2)
+
+    assert fresh().from_word(word).length == len(word)
+    monkeypatch.setattr(weyl, "_MAX_CANONICAL_LEN", len(word))
+    assert fresh().from_word(word).word == word
+    monkeypatch.setattr(weyl, "_MAX_CANONICAL_LEN", len(word) - 1)
+    with pytest.raises(ArithmeticError, match="safety cap"):
+        fresh().from_word(word)

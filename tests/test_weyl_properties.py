@@ -4,7 +4,8 @@ Over A3, B3, C3, D4, affine A2 and the thickening of A2 for two factors:
 the simple-reflection updates against full products of geometric
 matrices, canonical words against left-descent stripping by full
 products, geom * geom_inv = I, associativity of the product and of the
-Demazure product, and the from_perm / perm_of bridge in type A.
+Demazure product, the uniqueness of positive subexpressions in random
+reduced words, and the from_perm / perm_of bridge in type A.
 """
 
 from functools import cache
@@ -15,7 +16,14 @@ from hypothesis import strategies as st
 
 from tnnflag import weyl
 from tnnflag.cartan import cartan_of_type
-from tnnflag.weyl import WeylGroup, _mat_mul, from_perm, perm_of, type_a_group
+from tnnflag.weyl import (
+    WeylGroup,
+    _mat_mul,
+    from_perm,
+    is_positive_subexpression,
+    perm_of,
+    type_a_group,
+)
 
 NAMES = ("A3", "B3", "C3", "D4", "affine-A2", "A2 thickened n=2")
 
@@ -94,6 +102,37 @@ def test_product_and_demazure_product_are_associative(case):
     assert g.multiply(g.multiply(u, v), w) is g.multiply(u, g.multiply(v, w))
     assert g.multiply(u, v) is g.from_word(word_list[0] + word_list[1])
     assert g.demazure(g.demazure(u, v), w) is g.demazure(u, g.demazure(v, w))
+
+
+@st.composite
+def reduced_words(draw, max_len):
+    """A group and a reduced word in it: random letters, each kept only
+    when it raises the length."""
+    g = group(draw(st.sampled_from(NAMES)))
+    u, word = g.identity, []
+    for t in draw(st.lists(st.integers(0, g.rank - 1), max_size=3 * max_len)):
+        if len(word) < max_len and not g.has_right_descent(u, t):
+            u = g.multiply(u, g.simple(t))
+            word.append(t)
+    return g, tuple(word)
+
+
+@SETTINGS
+@given(reduced_words(8))
+def test_positive_subexpression_unique(case):
+    """Every v below a reduced word has exactly one positive subexpression,
+    the one ``positive_subexpression`` returns: all 2^L subexpressions are
+    filtered by ``is_positive_subexpression`` and grouped by product."""
+    g, word = case
+    positive: dict = {}
+    for mask in range(1 << len(word)):
+        sub = tuple(t if mask >> i & 1 else None for i, t in enumerate(word))
+        v = g.from_word(sub)
+        positive.setdefault(v, [])
+        if is_positive_subexpression(g, word, sub):
+            positive[v].append(sub)
+    for v, subs in positive.items():
+        assert subs == [g.positive_subexpression(v, word)]
 
 
 @SETTINGS
