@@ -4,8 +4,9 @@ A public matrix is a tuple of tuples of Fraction (int entries are
 accepted).  Inside the exact layer a matrix travels in integer form
 (m, d): an int matrix m and one positive denominator d, standing for
 m / d.  ``int_form`` builds it once, clearing denominators and checking
-the shape; ``fraction_matrix`` turns it back into Fractions once, for a
-public result.  The kernels ``int_mul``, ``int_det`` (Bareiss) and
+the shape; an int matrix is its own form and is not rebuilt.
+``fraction_matrix`` turns a form back into Fractions once, for a public
+result.  The kernels ``int_mul``, ``int_det`` (Bareiss) and
 ``int_inv`` (fraction-free Gauss-Jordan) loop on Python ints, and every
 division in them is exact.  ``mat_mul``, ``det`` and ``mat_inv`` are
 those kernels between one ``int_form`` per argument and one
@@ -33,13 +34,23 @@ def identity(k: int) -> Mat:
 def int_form(a, square: bool = False) -> IntForm:
     """(m, d) with a == m / d: d is the lcm of the denominators of a.
 
-    Raises ValueError on ragged rows, and on a non-square a if ``square``.
+    An int matrix is its own form: a tuple of tuples whose every entry is
+    exactly an ``int`` comes back as it is, as (a, 1).  Any other input
+    (list rows, ``bool`` or ``Fraction`` entries) is rebuilt as int
+    tuples over the lcm.  Raises ValueError on ragged rows, and on a
+    non-square a if ``square``.
     """
     width = len(a[0]) if a else 0
     if any(len(row) != width for row in a):
         raise ValueError("matrix rows have different lengths")
     if square and width != len(a):
         raise ValueError(f"need a square matrix, got {len(a)}x{width}")
+    if (
+        type(a) is tuple
+        and all(type(row) is tuple for row in a)
+        and {type(x) for row in a for x in row} <= {int}
+    ):
+        return a, 1
     d = lcm(*(x.denominator for row in a for x in row))
     if d == 1:
         return tuple(tuple(x.numerator for x in row) for row in a), 1

@@ -15,11 +15,12 @@ Generator letters are 0-based, the same letters as ``weyl`` words:
 letter i (x_i, y_i, sdot_i) touches rows and columns i and i+1.
 
 Everything is exact and no float appears anywhere.  Fractions appear at
-the interface only: ``word_matrix``, ``mr_matrix``, ``FlagPoint.rep`` and
-``FlagPoint.canonical()``.  Inside, a matrix is a ``ratlin`` integer form
-(an int matrix over one positive denominator).  Cells, flags and total
-nonnegativity do not change under a positive scalar, so the readers
-accept a Fraction matrix or the bare int matrix of a form alike.
+the interface only: ``word_matrix``, ``mr_matrix``, ``w0_dot``,
+``FlagPoint.rep`` and ``FlagPoint.canonical()``.  Inside, a matrix is a
+``ratlin`` integer form (an int matrix over one positive denominator).
+Cells, flags and total nonnegativity do not change under a positive
+scalar, so the readers accept a Fraction matrix or the bare int matrix
+of a form alike; ``ratlin.int_form`` hands an int matrix back as it is.
 """
 
 from __future__ import annotations
@@ -119,16 +120,20 @@ def w0_perm(k: int) -> tuple[int, ...]:
     return tuple(range(k, 0, -1))
 
 
-def w0_dot(k: int) -> Mat:
-    """sdot over any reduced word of w0: antidiagonal, (-1)^r in row r.
+def w0_form(k: int) -> IntForm:
+    """Integer form of sdot over any reduced word of w0: antidiagonal, (-1)^r in row r.
 
     A signed permutation matrix, so its inverse is its transpose.
     """
     _check_k(k)
     return tuple(
-        tuple(Fraction((-1) ** r) if c == k - 1 - r else Fraction(0) for c in range(k))
-        for r in range(k)
-    )
+        tuple((-1) ** r if c == k - 1 - r else 0 for c in range(k)) for r in range(k)
+    ), 1
+
+
+def w0_dot(k: int) -> Mat:
+    """``w0_form`` as a Fraction matrix."""
+    return ratlin.fraction_matrix(w0_form(k))
 
 
 def w0_inverse_times(g):
@@ -163,8 +168,10 @@ def _echelon(m: IntMat) -> tuple[list[list[int]], list[int]]:
             if a:
                 p = earlier[pr]
                 col = [p * x - a * y for x, y in zip(col, earlier)]
-        piv = max((r for r, x in enumerate(col) if x), default=None)
-        if piv is None:
+        piv = len(col) - 1
+        while piv >= 0 and not col[piv]:
+            piv -= 1
+        if piv < 0:
             raise ValueError("singular matrix has no Bruhat cell")
         c = gcd(*col)
         if col[piv] < 0:

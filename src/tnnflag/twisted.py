@@ -8,10 +8,9 @@ and the opposite cell of the convolution product.  The positive
 double-Bruhat products are one ``slk.word_form`` call.
 
 Fractions at the interface only: a point keeps its factors as ``ratlin``
-integer forms next to the public Fraction ``factors``, and strata,
-alpha, the duality map and the positivity test run on those.  Fractions
-are built once, for the factors of a new point and for the result of
-``db_positive``.
+integer forms, and strata, alpha, the duality map and the positivity
+test run on those.  Fractions are built once, on first read of a
+point's public ``factors``, and for the result of ``db_positive``.
 
 ``parametrize_cell`` and ``phi_Z`` assert theorem-level facts on every call
 unless passed ``check=False``: the cell parametrization lands in its
@@ -23,7 +22,6 @@ Reduced words carry 0-based letters here as in ``weyl`` and ``slk``; only
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
@@ -32,42 +30,57 @@ from .ratlin import IntForm, Mat
 from .weyl import WeylElt, WeylGroup, from_perm, perm_of, positive_tuple, type_a_group
 
 
-@dataclass(frozen=True)
 class ZPoint:
     """Tuple of SL_k factors representing a point of the twisted product.
 
-    ``_forms`` holds the factors as integer forms and ``_stratum`` the
-    result of :func:`stratum`, which depends on the factors alone;
-    equality and hashing ignore both.
+    The factors are kept as integer forms, ``_forms``, and everything
+    inside the layer reads those.  The Fraction ``factors`` are the ones
+    passed to ``ZPoint(factors)``, or for a point made by ``of_forms``
+    are built on first read and kept.  ``_stratum`` caches the result of
+    :func:`stratum`, which depends on the factors alone.  Equality,
+    hashing and ``repr`` are those of ``factors``.
     """
 
-    factors: tuple[Mat, ...]
-    _forms: tuple[IntForm, ...] = field(default=(), init=False, repr=False, compare=False)
-    _stratum: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("_forms", "_factors", "_stratum")
 
-    def __post_init__(self):
-        forms = tuple(ratlin.int_form(g, square=True) for g in self.factors)
+    def __init__(self, factors):
+        forms = tuple(ratlin.int_form(g, square=True) for g in factors)
         _check_factors(forms)
-        object.__setattr__(self, "_forms", forms)
+        self._forms, self._factors, self._stratum = forms, factors, None
 
     @classmethod
     def of_forms(cls, forms) -> "ZPoint":
-        """The point with these integer-form factors; its Fraction factors are built here."""
+        """The point with these integer-form factors; its Fraction factors wait for a read."""
         forms = tuple(forms)
         _check_factors(forms)
         z = cls.__new__(cls)
-        object.__setattr__(z, "factors", tuple(ratlin.fraction_matrix(f) for f in forms))
-        object.__setattr__(z, "_forms", forms)
-        object.__setattr__(z, "_stratum", None)
+        z._forms, z._factors, z._stratum = forms, None, None
         return z
 
     @property
+    def factors(self) -> tuple[Mat, ...]:
+        if self._factors is None:
+            self._factors = tuple(ratlin.fraction_matrix(f) for f in self._forms)
+        return self._factors
+
+    @property
     def k(self) -> int:
-        return len(self.factors[0])
+        return len(self._forms[0][0])
 
     @property
     def n(self) -> int:
-        return len(self.factors)
+        return len(self._forms)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self):
+        return hash(self.factors)
+
+    def __repr__(self):
+        return f"ZPoint(factors={self.factors!r})"
 
     def to_json(self) -> dict:
         return {"factors": [ratlin.mat_to_json(g) for g in self.factors]}
@@ -228,7 +241,7 @@ def phi_Z(z: ZPoint, check: bool = True) -> ZPoint:
 
 def double_bruhat_embed(g: Mat) -> ZPoint:
     """Embedding of the reduced double Bruhat cell: g -> (g, w0dot)."""
-    return ZPoint((g, slk.w0_dot(len(g))))
+    return ZPoint.of_forms((ratlin.int_form(g, square=True), slk.w0_form(len(g))))
 
 
 def db_positive(k: int, v_word, w_word, params) -> Mat:

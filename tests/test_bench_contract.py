@@ -26,6 +26,7 @@ def test_traced_cells_items_are_correct():
         outputs = [tracer.root(idx, item.kind, item.run) for idx, item in enumerate(items)]
     assert slk.bruhat_cell is original
     assert tracer.calls["slk.bruhat_cell"] > 0
+    assert tracer.calls["slk.opposite_cell"] > 0
     assert tracer.calls["slk.is_tnn"] > 0
     for item, out in zip(items, outputs):
         assert item.check(out) is None, item.key

@@ -119,6 +119,32 @@ def test_integer_forms():
         ratlin.int_inv((((1, 2), (2, 4)), 1))
 
 
+def test_int_form_keeps_an_int_matrix():
+    """A tuple of int tuples is its own form; other input is rebuilt over the lcm."""
+    a = ((1, -2, 0), (3, 4, 5))
+    m, d = ratlin.int_form(a)
+    assert m is a and d == 1
+    square = ((2, 0), (0, 3))
+    assert ratlin.int_form(square, square=True)[0] is square
+    for other in (
+        [[1, 2], [3, 4]],
+        ([1, 2], [3, 4]),
+        ((True, False), (False, True)),
+        ((Fraction(3, 1), 2), (0, 1)),
+    ):
+        m, d = ratlin.int_form(other)
+        assert d == 1 and m is not other
+        assert type(m) is tuple and all(type(row) is tuple for row in m)
+        assert all(type(x) is int for row in m for x in row)
+        assert m == tuple(tuple(int(x) for x in row) for row in other)
+    with pytest.raises(ValueError, match="lengths"):
+        ratlin.int_form(((1, 2), (3, 4), (5,)))
+    with pytest.raises(ValueError, match="lengths"):
+        ratlin.int_form(((1, 2), (3, 4), (5, Fraction(1, 2), 6)), square=True)
+    with pytest.raises(ValueError, match="square"):
+        ratlin.int_form(((1, 2, 3), (4, 5, 6)), square=True)
+
+
 BIG = 10**12
 # numerators and denominators up to 10^12, and small ints, zero included
 ENTRIES = st.one_of(
@@ -179,3 +205,14 @@ def test_mat_mul_is_associative(chain):
 def test_det_of_transpose(pair):
     a = pair[0]
     assert ratlin.det(ratlin.transpose(a)) == ratlin.det(a)
+
+
+@SETTINGS
+@given(st.integers(1, 5).flatmap(lambda r: st.integers(1, 5).flatmap(lambda c: matrices(r, c))))
+def test_int_form_round_trips_through_fractions(a):
+    """Both paths of int_form give int tuples over the lcm, in lowest terms."""
+    form = ratlin.int_form(a)
+    m, d = form
+    assert d > 0 and ratlin.fraction_matrix(form) == a
+    assert all(type(x) is int for row in m for x in row)
+    assert ratlin.reduced(form) == form

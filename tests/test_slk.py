@@ -223,6 +223,35 @@ def test_bruhat_cell_basic():
         slk.bruhat_cell(((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1))))
 
 
+def test_echelon_pivot_scan_on_singular_and_row_zero_input():
+    """Singular input finds no pivot; a pivot in row 0 is read like any other."""
+    singular = (
+        ((0, 1, 2), (0, 3, 4), (0, 5, 6)),  # zero first column
+        ((1, 2, 0), (2, 4, 0), (3, 6, 1)),  # second column eliminates to zero
+        ((0, 0, 0), (0, 0, 0), (0, 0, 0)),
+    )
+    for g in singular:
+        for m in (g, ratlin.fraction_matrix((g, 1))):
+            for reader in (slk.bruhat_cell, slk.opposite_cell):
+                with pytest.raises(ValueError, match="singular matrix has no Bruhat cell"):
+                    reader(m)
+    rng = random.Random(15)
+    tested = 0
+    while tested < 200:
+        k = rng.randint(2, 5)
+        j = rng.randrange(k)
+        g = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k)] for _ in range(k)]
+        for r in range(k):
+            g[r][j] = Fraction(rng.choice((-3, -1, 2, 5))) if r == 0 else Fraction(0)
+        g = tuple(map(tuple, g))
+        if ratlin.det(g) == 0:
+            continue
+        tested += 1
+        w = slk.bruhat_cell(g)
+        assert w[j] == 1
+        assert w == slk.bruhat_cell_by_elimination(g) == slk.bruhat_cell(ratlin.int_form(g)[0])
+
+
 def test_opposite_cell_basic():
     assert slk.opposite_cell(slk.y_gen(2, 0, 1)) == (1, 2)
     assert slk.opposite_cell(slk.w0_dot(3)) == (3, 2, 1)

@@ -395,6 +395,51 @@ def test_stratum_is_computed_once_per_point(monkeypatch):
     assert fresh._stratum is None and len({z, fresh}) == 1
 
 
+def test_checked_round_trip_builds_no_fractions(monkeypatch):
+    """parametrize_cell, phi_Z twice and gauge_eq run on integer forms alone;
+    a point's Fraction factors are built on first read and then kept."""
+    group = type_a_group(3)
+    w0 = group.from_word((0, 1, 0))
+    calls = []
+    real = ratlin.fraction_matrix
+
+    def counted(form):
+        calls.append(form)
+        return real(form)
+
+    monkeypatch.setattr(ratlin, "fraction_matrix", counted)
+    params = [Fraction(i, i + 1) for i in range(1, 6)]
+    z = twisted.parametrize_cell(group.from_word((0,)), (w0, w0), params, check=True)
+    image = twisted.phi_Z(z, check=True)
+    back = twisted.phi_Z(image, check=True)
+    assert twisted.gauge_eq(back, z)
+    assert calls == []
+    factors = z.factors
+    assert factors == tuple(real(f) for f in z._forms)
+    assert len(calls) == z.n == 2
+    assert z.factors is factors and len(calls) == 2
+
+
+def test_point_of_forms_matches_point_of_fractions():
+    """Equality, hashing, repr and JSON do not depend on how a point was made."""
+    group = type_a_group(3)
+    w0 = group.from_word((0, 1, 0))
+    made = twisted.parametrize_cell(
+        group.identity, (w0, group.from_word((1,))), [Fraction(3, 2), 2, Fraction(5, 7), 4]
+    )
+    fractions = made.factors
+    forms = tuple(ratlin.int_form(g, square=True) for g in fractions)
+    lazy = twisted.ZPoint.of_forms(forms)
+    eager = twisted.ZPoint(fractions)
+    assert (lazy.k, lazy.n) == (eager.k, eager.n) == (3, 2)
+    assert lazy == eager and eager == lazy and hash(lazy) == hash(eager)
+    assert repr(lazy) == repr(eager)
+    assert lazy != twisted.ZPoint(fractions[:1])
+    back = twisted.ZPoint.from_json(json.loads(json.dumps(lazy.to_json())))
+    assert back == lazy and hash(back) == hash(lazy)
+    assert back.to_json() == eager.to_json()
+
+
 def _sl2_params_from_chart(image, v2, wbar2):
     """Recover positive parameters of an SL2 cell point from its chart coords.
 
@@ -447,6 +492,17 @@ def test_double_bruhat_embed_examples(S3):
     assert twisted.stratum(twisted.double_bruhat_embed(g)) == twisted.db_stratum_convention(
         A1, s, s
     )
+
+
+def test_double_bruhat_embed_builds_w0dot_as_an_int_form():
+    rng = random.Random(8)
+    for k in range(2, 9):
+        params = twisted.random_params(2 * k, rng)
+        word = [(rng.choice("xy"), rng.randrange(k - 1), a) for a in params]
+        g = slk.word_matrix(k, word)
+        z = twisted.double_bruhat_embed(g)
+        assert z._forms == (ratlin.int_form(g), ratlin.int_form(slk.w0_dot(k)))
+        assert z == twisted.ZPoint((g, slk.w0_dot(k)))
 
 
 def test_db_stratum_convention_on_all_of_s4_squared():
