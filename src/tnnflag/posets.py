@@ -16,19 +16,25 @@ compares every pair by :func:`qnode_leq`, is their oracle.
 Checks, run by name with :func:`regularity_checks`: purity, thinness (a
 count of the paths of two covers, with a mask test only where the count
 is not 2), Eulerian-ness (a node count on the even-length intervals only),
-shellability of the order complex by backtracking search, and the Euler
-characteristic of the open boundary (the Mobius function from the bottom
-to the top, in one pass in rank order).
+shellability of the order complex, and the Euler characteristic of the
+open boundary (the Mobius function from the bottom to the top, in one pass
+in rank order).
 
-The shelling search has one core and two entries: ``shelling_of_facets``
-normalizes arbitrary facets (sorted tuples, numbered vertices, sorted
-facet list), while ``find_shelling`` hands the maximal chains over as they
-are, since they are already sorted index tuples in sorted order.  The
-normalizing entry is the differential oracle of the direct one.
+Shellability is certified on the poset, not on its chains:
+:func:`find_shelling` searches for a recursive atom ordering (Bjorner-Wachs
+1983, "On lexicographically shellable posets", Thm 3.2: a bounded graded
+poset admits one iff it is CL-shellable), with a synthetic top when the
+maximal nodes are several.  The lexicographic order of the maximal chains
+it induces is a shelling; it is listed only when it is read.  An exhausted
+search proves only "not CL-shellable", so it reports ``inconclusive``.
+``shelling_of_facets`` keeps the backtracking search over orders of
+explicit facets: it is the differential oracle of the atom orderings, and
+with ``search=False`` it validates a given order pairwise.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
 
@@ -450,7 +456,7 @@ def maximal_chains(poset: FacePoset) -> list[tuple[int, ...]]:
     Each chain is strictly increasing (a cover goes up in index order), and
     the list is strictly increasing in lexicographic order: the walk takes
     the upper covers of each node in increasing order, and no maximal chain
-    is a prefix of another.  :func:`find_shelling` relies on both.
+    is a prefix of another.
     """
     ups = poset.up_covers()
     chains: list[tuple[int, ...]] = []
@@ -477,15 +483,48 @@ _FAILED_STATES_MAX_BYTES = 64 << 20
 @dataclass
 class ShellingResult:
     status: str  # "shellable" | "not_shellable" | "inconclusive"
-    order: list[tuple[int, ...]] | None
+    order: Sequence[tuple[int, ...]] | None
     facets: int
     attempts: int
     budget: int
     backtracks: int = 0  # dead ends the search stepped back from
+    # inconclusive only: the search ran to its end within budget (no
+    # recursive atom ordering exists), rather than out of budget
+    exhausted: bool = False
 
     @property
     def shellable(self):
         return self.status == "shellable"
+
+
+class _ChainOrder(Sequence):
+    """The chains of a certified shelling, listed on first read.
+
+    ``len`` is known without the listing; indexing, slicing and iteration
+    list the chains once and keep them.
+    """
+
+    def __init__(self, count: int, listing):
+        self._count = count
+        self._listing = listing
+        self._chains = None
+
+    def _list(self) -> list[tuple[int, ...]]:
+        if self._chains is None:
+            self._chains, self._listing = self._listing(), None
+        return self._chains
+
+    def __len__(self):
+        return self._count
+
+    def __getitem__(self, i):
+        return self._list()[i]
+
+    def __iter__(self):
+        return iter(self._list())
+
+    def __repr__(self):
+        return f"_ChainOrder({self._count} chains)"
 
 
 def overall_status(statuses) -> str:
@@ -651,19 +690,170 @@ def _search(members, vertices, nvertices: int, order_hint, budget: int) -> Shell
     return ShellingResult("inconclusive", None, n, attempts, budget, backtracks)
 
 
-def find_shelling(poset: FacePoset, budget: int = DEFAULT_SHELLING_BUDGET) -> ShellingResult:
-    """Search for a shelling of the order complex of the poset minus bottom.
+class _BudgetSpent(Exception):
+    pass
 
-    Facets are the maximal chains.  :func:`maximal_chains` lists them as
-    strictly increasing node-index tuples in strictly increasing
-    lexicographic order, which is what :func:`shelling_of_facets` would
-    normalize them to: so they go to :func:`_search` as they are, with the
-    node indices as vertex ids and the listed order as the search order.
-    The result equals ``shelling_of_facets`` on the chains as frozensets,
-    field by field.
+
+def _atom_orderings(ups, cover, above, top: int, budget: int):
+    """Depth-first search for a recursive atom ordering of [0, top].
+
+    ``ups[x]`` lists the upper covers of node x, ``cover[x]`` is their mask
+    and ``above[x]`` the mask of the nodes strictly above x, in a graded
+    poset with bottom 0 and maximum ``top``.  A state (x, F) asks for an
+    order a_1, ..., a_t of the atoms of [x, top] that begins with the atoms
+    in F, such that for every j:
+
+    - (i) the state (a_j, Z_j) has one, Z_j being the covers of a_j that
+      also cover an earlier atom;
+    - (ii) every y above a_j and above an earlier atom lies above some z in
+      Z_j (z <= y), one mask test against the up-closure of Z_j.
+
+    An interval of length <= 2 (every atom's covers are maximal) has one in
+    every order, so its state takes F first.  Each atom tested is one
+    attempt, and sets of placed atoms that lead nowhere are remembered per
+    state.  Returns ``(certificate, attempts, backtracks)``: for every state
+    reached, the flat tuple (a_1, Z_1, a_2, Z_2, ...), keyed by ``(x, F)``;
+    a set of covers of x is the mask of their positions in ``ups[x]``.  The
+    certificate is None when there is no ordering or when attempts passed
+    ``budget`` (then the search stopped).
     """
-    chains = maximal_chains(poset)
-    return _search(chains, chains, len(poset.nodes), range(len(chains)), budget)
+    not_top = ~(1 << top)
+    cert: dict[tuple[int, int], tuple[int, ...] | None] = {}
+    attempts = backtracks = 0
+
+    def admits(x: int, first: int) -> bool:
+        nonlocal attempts, backtracks
+        key = (x, first)
+        if key in cert:
+            return cert[key] is not None
+        atoms = ups[x]
+        if not any(cover[a] & not_top for a in atoms):
+            attempts += len(atoms)
+            if attempts > budget:
+                raise _BudgetSpent
+            order = [atoms[i] for i in sorted(range(len(atoms)), key=lambda i: not first >> i & 1)]
+            # the top covers every atom, so it is Z_j for all but the first
+            cert[key] = (order[0], 0, *(v for a in order[1:] for v in (a, 1)))
+            return True
+        # place atoms greedily; a stack of the states before each placement
+        # steps back from a dead end.  Sets of placed atoms are masks of
+        # their positions in ``atoms``; ``dead`` holds those with no completion.
+        order: list[int] = []  # a_1, Z_1, a_2, Z_2, ...
+        stack: list[tuple[int, int, int, int]] = []
+        dead: set[int] = set()
+        placed = covered = uppers = i = 0
+        while len(order) < 2 * len(atoms):
+            pending = first & ~placed
+            for i in range(i, len(atoms)):
+                bit = 1 << i
+                if placed & bit or pending and not pending & bit or placed | bit in dead:
+                    continue
+                attempts += 1
+                if attempts > budget:
+                    raise _BudgetSpent
+                a = atoms[i]
+                zs = cover[a] & covered  # Z_j as a node mask
+                z, closure = 0, zs  # Z_j as positions in ups[a], and its up-closure
+                for k, u in enumerate(ups[a]):
+                    if zs >> u & 1:
+                        z |= 1 << k
+                        closure |= above[u]
+                shared = above[a] & uppers
+                if shared & closure == shared and admits(a, z):
+                    stack.append((placed, covered, uppers, i + 1))
+                    order += (a, z)
+                    placed, covered, uppers, i = placed | bit, covered | cover[a], uppers | above[a], 0
+                    break
+            else:
+                dead.add(placed)
+                if not stack:
+                    cert[key] = None
+                    return False
+                del order[-2:]
+                backtracks += 1
+                placed, covered, uppers, i = stack.pop()
+        cert[key] = tuple(order)
+        return True
+
+    try:
+        found = admits(0, 0)
+    except _BudgetSpent:
+        found = False
+    return (cert if found else None), attempts, backtracks
+
+
+def _induced_chains(cert, cover, top: int, synthetic: bool) -> list[tuple[int, ...]]:
+    """The maximal chains in the lexicographic order of the atom orderings:
+    the walk from the bottom visits the atoms of each state in the order of
+    ``cert``, down to the states of intervals of length 2, whose atoms the
+    top covers.  A synthetic ``top`` is left off the chains."""
+    top_bit = 1 << top
+    tail = () if synthetic else (top,)
+    chains: list[tuple[int, ...]] = []
+
+    def walk(x: int, first: int, prefix: tuple[int, ...]) -> None:
+        steps = cert[x, first]
+        if cover[steps[0]] == top_bit:
+            chains.extend([(*prefix, a, *tail) for a in steps[::2]])
+        else:
+            for a, z in zip(steps[::2], steps[1::2]):
+                walk(a, z, (*prefix, a))
+
+    walk(0, 0, ())
+    return chains
+
+
+def find_shelling(poset: FacePoset, budget: int = DEFAULT_SHELLING_BUDGET) -> ShellingResult:
+    """Shelling of the order complex of the poset minus bottom, certified by
+    a recursive atom ordering.
+
+    ``facets`` counts the maximal chains by a sum over the covers, top
+    down.  Up to one chain is a shelling as it is.  Otherwise a poset with
+    several maximal nodes gets a synthetic top above them, and a graded
+    poset (every cover raises the rank by one, all maximal nodes of one
+    rank) is searched by :func:`_atom_orderings`.  ``order`` lists the
+    chains in the order the certificate induces, as :func:`maximal_chains`
+    tuples, only when it is read.  The search never proves a poset not
+    shellable: an exhausted search and a poset that is not graded are
+    ``inconclusive`` with ``exhausted`` set, and a spent budget is
+    ``inconclusive`` without it.
+    """
+    n = len(poset.nodes)
+    ranks = poset.ranks
+    ups: list[list[int]] = [[] for _ in range(n)]
+    cover = [0] * n
+    graded = True
+    for lo, hi in poset.covers:
+        ups[lo].append(hi)
+        cover[lo] |= 1 << hi
+        graded = graded and ranks[hi] == ranks[lo] + 1
+    counts = [1] * n
+    for x in range(n - 1, -1, -1):
+        if ups[x]:
+            counts[x] = sum([counts[u] for u in ups[x]])
+    facets = counts[0] if ups[0] else 0
+    if facets <= 1:
+        return ShellingResult("shellable", maximal_chains(poset), facets, 0, budget)
+    maximal = [x for x in range(n) if not ups[x]]
+    if not graded or len({ranks[x] for x in maximal}) > 1:
+        return ShellingResult("inconclusive", None, facets, 0, budget, exhausted=True)
+    above = poset.above
+    synthetic = len(maximal) > 1
+    if synthetic:
+        top = n
+        for x in maximal:
+            ups[x], cover[x] = [top], 1 << top
+        ups.append([])
+        cover.append(0)
+        above = [mask | 1 << top for mask in above] + [0]
+    else:
+        top = maximal[0]
+    cert, attempts, backtracks = _atom_orderings(ups, cover, above, top, budget)
+    if cert is None:
+        exhausted = attempts <= budget
+        return ShellingResult("inconclusive", None, facets, attempts, budget, backtracks, exhausted)
+    order = _ChainOrder(facets, lambda: _induced_chains(cert, cover, top, synthetic))
+    return ShellingResult("shellable", order, facets, attempts, budget, backtracks)
 
 
 def open_boundary_euler(poset: FacePoset) -> int:
@@ -699,8 +889,10 @@ def regularity_checks(
         if name == "shelling":
             res = find_shelling(poset, budget=budget)
             entry["status"] = _CHECK_STATUS[res.status]
-            entry["witness"] = {"facets": res.facets, "attempts": res.attempts,
-                                "backtracks": res.backtracks}
+            entry["witness"] = {"certificate": "rao", "facets": res.facets,
+                                "attempts": res.attempts, "backtracks": res.backtracks}
+            if res.status == "inconclusive":
+                entry["witness"]["exhausted"] = res.exhausted
         elif name == "boundary_sphere_euler":
             chi = open_boundary_euler(poset)
             # the top is a ball of dimension ranks[top] - ranks[bottom] - 1

@@ -115,11 +115,6 @@ def brute_circ_r(group: WeylGroup, y, x):
     return None
 
 
-def bruhat_by_subwords(group: WeylGroup, v, w) -> bool:
-    """Subword-criterion oracle for the Bruhat order."""
-    return v in group.lower_interval(w)
-
-
 @_timed
 def suite_demazure_oracle(seed: int = DEFAULT_SEED, budget=None) -> RunReport:
     """Greedy Demazure and downward products match brute force on S3 and S4."""

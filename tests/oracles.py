@@ -1,4 +1,6 @@
-"""Full-matrix oracles for the exact SL_k layer.
+"""Independent oracles: full-matrix ones for the exact SL_k layer, a
+subword Bruhat test for the Weyl layer, and the h-vector of a shelling for
+the poset layer.
 
 The matrix kernels here are the plain ``Fraction`` loops: ``frac_mat_mul``,
 ``frac_det`` (Gaussian elimination), ``frac_mat_inv`` (Gauss-Jordan) and
@@ -15,10 +17,16 @@ elimination is run on Fractions.
 The twisted-layer oracles (``frac_stratum``, ``frac_alpha``,
 ``frac_phi_Z``) take the public Fraction factors of a point and multiply
 them out, w0dot^{-1} included, where ``src`` works on integer forms.
+
+``bruhat_by_subwords`` reads the Bruhat order off the lower interval.
+``chain_h_vector`` computes the h-vector of an order complex from chain
+counts alone, and ``wall_counts`` reads the same numbers off a facet order
+when it is a shelling; neither uses a shelling search.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from tnnflag import ratlin, slk
 
@@ -245,3 +253,54 @@ def frac_phi_Z(z):
     """(iota(w0dot^{-1} g_1 ... g_n), iota(g_n^{-1}), ..., iota(g_2^{-1}))."""
     first = frac_iota(frac_mat_mul(frac_w0_inv(z.k), *z.factors))
     return (first,) + tuple(frac_iota(frac_mat_inv(g)) for g in reversed(z.factors[1:]))
+
+
+def bruhat_by_subwords(group, v, w) -> bool:
+    """Subword-criterion oracle for the Bruhat order."""
+    return v in group.lower_interval(w)
+
+
+def chain_h_vector(poset) -> list[int]:
+    """h-vector of the order complex of a graded poset minus its bottom,
+    from its chain counts per rank set.
+
+    The strict order is closed up from the covers in index order.  The
+    chains ending at y with rank set S are y alone, or a chain with rank
+    set S - {r(y)} ending strictly below y.  Then f_(i-1) sums the counts
+    over the rank sets of i ranks, and h_k is the sum over i of
+    (-1)^(k-i) C(d-i, k-i) f_(i-1), with d the size of a maximal chain.
+    """
+    ranks = poset.ranks
+    below = [set() for _ in poset.nodes]
+    for lo, hi in poset.covers:  # sorted by lo: below[lo] is complete
+        below[hi] |= below[lo] | {lo}
+    ending = [{} for _ in poset.nodes]  # per node: rank-set mask -> chains ending there
+    for y in range(1, len(poset.nodes)):
+        bit = 1 << ranks[y] - ranks[0]
+        counts = {bit: 1}
+        for x in below[y] - {0}:
+            for rank_set, count in ending[x].items():
+                counts[rank_set | bit] = counts.get(rank_set | bit, 0) + count
+        ending[y] = counts
+    d = max(ranks) - ranks[0]
+    f = [1] + [0] * d  # f[i]: chains of i nodes
+    for counts in ending:
+        for rank_set, count in counts.items():
+            f[rank_set.bit_count()] += count
+    return [
+        sum((-1) ** (k - i) * comb(d - i, k - i) * f[i] for i in range(k + 1))
+        for k in range(d + 1)
+    ]
+
+
+def wall_counts(order, size: int) -> list[int]:
+    """How many facets of ``order`` (sorted tuples) have k walls, for k <
+    ``size``: vertices x with F - {x} inside an earlier facet.  In a
+    shelling these are the h-numbers (Bjorner 1992, "Topological methods")."""
+    seen: set[tuple] = set()
+    out = [0] * size
+    for facet in order:
+        ridges = [facet[:i] + facet[i + 1:] for i in range(len(facet))]
+        out[sum(r in seen for r in ridges)] += 1
+        seen.update(ridges)
+    return out

@@ -91,23 +91,35 @@ def test_poset_command_checks_list(capsys):
     assert [c["check"] for c in payload["checks"]] == ["pure", "thin", "eulerian"]
 
 
-def test_poset_rank12_checks_without_shelling(capsys):
-    """The A3 n=2 (e; w0, w0) top, whose shelling search cannot finish, runs
-    the other ball checks alone."""
+def test_poset_rank8_ball_by_atom_ordering(capsys):
+    """The B2 n=2 (e; w0, w0) top, whose 309,120 chains the chain search
+    could not order within its budget, passes the ball checks."""
+    w0 = "(1,2,1,2)"
+    code, out, _ = run(capsys, "poset", "B", "2", "--n", "2", "--top", f"e;{w0},{w0}", "--check", "ball")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["status"] == "pass" and payload["inputs"]["nodes"] == 402
+    checks = {c["check"]: c for c in payload["checks"][0]["witness"]["checks"]}
+    assert checks["shelling"]["witness"]["certificate"] == "rao"
+    assert checks["shelling"]["witness"]["facets"] == 309_120
+
+
+def test_poset_rank12_ball_by_atom_ordering(capsys):
+    """The A3 n=2 (e; w0, w0) top passes every ball check; its chains are
+    counted, never listed."""
     w0 = "(1,2,1,3,2,1)"
-    code, out, _ = run(
-        capsys,
-        "poset", "A", "3", "--n", "2", "--top", f"e;{w0},{w0}",
-        "--check", "pure,thin,eulerian,boundary_sphere_euler",
-    )
+    code, out, _ = run(capsys, "poset", "A", "3", "--n", "2", "--top", f"e;{w0},{w0}", "--check", "ball")
     assert code == 0
     payload = json.loads(out)
     assert (payload["inputs"]["nodes"], payload["inputs"]["covers"]) == (9698, 64252)
-    assert [(c["check"], c["status"]) for c in payload["checks"]] == [
-        ("pure", "pass"), ("thin", "pass"), ("eulerian", "pass"),
+    checks = payload["checks"][0]["witness"]["checks"]
+    assert [(c["check"], c["status"]) for c in checks] == [
+        ("pure", "pass"), ("thin", "pass"), ("eulerian", "pass"), ("shelling", "pass"),
         ("boundary_sphere_euler", "pass"),
     ]
-    assert payload["checks"][-1]["witness"] == {"chi": 0, "expected": 0}
+    assert checks[3]["witness"]["certificate"] == "rao"
+    assert checks[3]["witness"]["facets"] == 15_497_121_024
+    assert checks[-1]["witness"] == {"chi": 0, "expected": 0}
 
 
 def test_poset_unknown_check_is_rejected_before_the_build(capsys):
@@ -205,7 +217,10 @@ def test_poset_shelling_check_and_budget(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["checks"][0]["status"] == "pass"
-    assert payload["checks"][0]["witness"] == {"facets": 6, "attempts": 5, "backtracks": 0}
+    # three atoms of the triangle, then the two atoms above each of them
+    assert payload["checks"][0]["witness"] == {
+        "certificate": "rao", "facets": 6, "attempts": 9, "backtracks": 0,
+    }
     # a one-attempt budget leaves the search inconclusive, which is not a failure
     code, out, _ = run(
         capsys,
@@ -213,7 +228,8 @@ def test_poset_shelling_check_and_budget(capsys):
         "--check", "shelling", "--budget", "1",
     )
     assert code == 0
-    assert json.loads(out)["checks"][0]["status"] == "inconclusive"
+    check = json.loads(out)["checks"][0]
+    assert check["status"] == "inconclusive" and check["witness"]["exhausted"] is False
 
 
 def test_cell_stratum_failure_exits_1(capsys, monkeypatch):

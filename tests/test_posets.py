@@ -3,6 +3,7 @@
 import random
 from itertools import product
 
+import oracles
 import pytest
 
 from tnnflag import posets
@@ -811,9 +812,9 @@ def chain_fixture_posets(A2):
 
 
 def test_maximal_chains_are_sorted_index_tuples(A2):
-    """The invariant ``find_shelling`` relies on: each chain is strictly
-    increasing, goes up by covers from a cover of the bottom to a maximal
-    node, and the list is strictly increasing in lexicographic order."""
+    """Each chain is strictly increasing, goes up by covers from a cover of
+    the bottom to a maximal node, and the list is strictly increasing in
+    lexicographic order."""
     lengths = set()
     for poset in chain_fixture_posets(A2):
         chains = maximal_chains(poset)
@@ -826,22 +827,78 @@ def test_maximal_chains_are_sorted_index_tuples(A2):
     assert {0, 1} <= lengths
 
 
-def test_find_shelling_matches_normalizing_entry(A2):
-    """The chains handed to the search as they are give the same result,
-    field by field, as the chains normalized by ``shelling_of_facets``,
-    within the default budget and within budgets 0 and 1."""
-    statuses, pure = set(), set()
-    for poset in chain_fixture_posets(A2):
-        facets = [frozenset(c) for c in maximal_chains(poset)]
-        pure.add(is_pure(poset))
-        for budget in (DEFAULT_SHELLING_BUDGET, 0, 1):
-            fast = find_shelling(poset, budget)
-            assert fast == shelling_of_facets(facets, budget), poset.nodes
-            statuses.add(fast.status)
-    assert statuses == {"shellable", "not_shellable", "inconclusive"}
-    assert pure == {True, False}
-    # the n <= 1 early return: no facet, and one facet placed without a test
+def random_graded_posets(rng, count):
+    """Bounded graded posets of rank 2 to 4: one to three nodes on each
+    inner rank and one top, each node covering some nodes of the rank below
+    and covered by some of the rank above."""
+    for _ in range(count):
+        rank = rng.randint(2, 4)
+        levels = [[(r, i) for i in range(rng.randint(1, 3))] for r in range(1, rank)]
+        levels.append([(rank, 0)])
+        pairs = []
+        for lower, upper in zip(levels, levels[1:]):
+            for hi in upper:
+                pairs += [(lo, hi) for lo in rng.sample(lower, rng.randint(1, len(lower)))]
+            pairs += [(lo, rng.choice(upper)) for lo in lower if all(p[0] != lo for p in pairs)]
+        yield from_covers([x for level in levels for x in level], pairs)
+
+
+def test_atom_ordering_matches_chain_search(A2):
+    """The recursive atom ordering against the chain search, on the
+    differential posets and seeded random bounded graded posets.
+
+    On a graded poset the verdicts agree (an exhausted ordering search
+    where the chain search finds no shelling), and every returned order is
+    the set of maximal chains; up to 1,000 chains it is also validated
+    pairwise.  A poset that is not graded is inconclusive, also where the
+    chain search finds a non-pure shelling.  Budgets 0 and 1 leave every
+    poset of two or more chains inconclusive.
+    """
+    verdicts = {}
+    posets_seen = [*_differential_posets(A2), *random_graded_posets(random.Random(3), 300)]
+    for poset in posets_seen:
+        chains = maximal_chains(poset)
+        res = find_shelling(poset)
+        chain_search = shelling_of_facets([frozenset(c) for c in chains]).status
+        graded = len({len(c) for c in chains}) <= 1
+        if res.shellable:
+            assert graded and len(res.order) == len(chains) == res.facets
+            assert set(res.order) == set(chains)
+            if len(chains) <= 1000:
+                assert shelling_of_facets(res.order, search=False).shellable
+        else:
+            assert res.status == "inconclusive" and res.exhausted and res.order is None
+        key = (graded, res.status, chain_search)
+        verdicts[key] = verdicts.get(key, 0) + 1
+        if len(chains) >= 2:
+            for budget in (0, 1):
+                spent = find_shelling(poset, budget)
+                assert spent.status == "inconclusive" and spent.exhausted == (not graded)
+    assert verdicts == {
+        (True, "shellable", "shellable"): 729,
+        (True, "inconclusive", "not_shellable"): 30,
+        (False, "inconclusive", "shellable"): 158,
+        (False, "inconclusive", "not_shellable"): 25,
+    }
+    # no facet, and one facet, are shellings without a test
     empty = ShellingResult("shellable", [], 0, 0, 0)
     assert find_shelling(FacePoset([BOTTOM], [0], [0]), budget=0) == empty
     chain = from_covers(["a", "b"], [("a", "b")])
     assert find_shelling(chain, budget=0) == ShellingResult("shellable", [(1, 2)], 1, 0, 0)
+
+
+def test_atom_ordering_walls_match_h_vector():
+    """On every hatQ top, the walls of the facets of the returned order
+    count the h-vector computed from the chain counts, whose top entry is 0
+    (the order complex is a ball)."""
+    tops = 0
+    for _, group, ns in _hatQ_families():
+        for n in ns:
+            for top in iter_qnodes(group, n):
+                poset = build_interval(top)
+                h = oracles.chain_h_vector(poset)
+                res = find_shelling(poset)
+                assert oracles.wall_counts(res.order, len(h)) == h
+                assert h[-1] == 0 and sum(h) == res.facets
+                tops += 1
+    assert tops == 244

@@ -8,9 +8,10 @@ import random
 
 import pytest
 
+from oracles import bruhat_by_subwords
 from tnnflag import weyl
 from tnnflag.cartan import cartan_of_type
-from tnnflag.verify import brute_circ_r, brute_demazure, bruhat_by_subwords
+from tnnflag.verify import brute_circ_r, brute_demazure
 from tnnflag.weyl import (
     ContextMismatchError,
     WeylGroup,
