@@ -13,12 +13,17 @@ labels at its key plus the offsets of its coordinates' covers, and the
 masks are ORed together in rank order.  ``FacePoset.from_qnodes``, which
 compares every pair by :func:`qnode_leq`, is their oracle.
 
-Checks, run by name with :func:`regularity_checks`: purity, thinness (a
-count of the paths of two covers, with a mask test only where the count
-is not 2), Eulerian-ness (a node count on the even-length intervals only),
-shellability of the order complex, and the Euler characteristic of the
-open boundary (the Mobius function from the bottom to the top, in one pass
-in rank order).
+Every poset indexes the upper covers of each node once, as increasing
+tuples that the checks share.  Checks, run by name with
+:func:`regularity_checks`: purity, thinness (a parity pass over the
+up-cover masks of the covers of each x settles x when every count of
+paths of two covers is 2; otherwise the counts, with a mask test only
+where a count is not 2), Eulerian-ness (a node count on the even-length
+intervals only: one AND and one popcount per pair, with the y above x
+read rank band by rank band from a slice of ``above[x]``), shellability
+of the order complex, and the Euler characteristic of the open boundary
+(the Mobius function from the bottom to the top, in one pass in rank
+order).
 
 Shellability is certified on the poset, not on its chains:
 :func:`find_shelling` searches for a recursive atom ordering (Bjorner-Wachs
@@ -114,19 +119,42 @@ class FacePoset:
     strictly below node ``i`` has an index smaller than ``i``.
 
     ``below[i]`` and ``above[i]`` are int bitmasks of the nodes strictly
-    below and above node ``i``: n nodes take about n^2 / 4 bytes.
+    below and above node ``i``: n nodes take about n^2 / 4 bytes.  The
+    upper covers of every node are indexed once, as increasing tuples
+    (:meth:`up_covers`), and ``above`` is ORed over them.
     """
 
     def __init__(self, nodes, ranks, below, covers=None):
         self.nodes: tuple = tuple(nodes)
         self.ranks: tuple[int, ...] = tuple(ranks)
         self.below: tuple[int, ...] = tuple(below)
-        self._covers = None if covers is None else tuple(sorted(covers))
-        above = [0] * len(self.nodes)
-        # covers sorted by lo: every cover above hi comes later, so reversed
-        # order completes above[hi] before it is read
-        for lo, hi in reversed(self.covers):
-            above[lo] |= above[hi] | 1 << hi
+        n = len(self.nodes)
+        ups: list[list[int]] = [[] for _ in range(n)]
+        if covers is None:
+            # lo is covered by hi iff it lies below no node below hi
+            for hi, mask in enumerate(self.below):
+                mids = members(mask)
+                inner = 0
+                for mid in mids:
+                    inner |= self.below[mid]
+                for lo in mids:
+                    if not inner >> lo & 1:
+                        ups[lo].append(hi)
+            self._covers = None  # listed from the index when first read
+        else:
+            # sorted once, so every bucket fills in increasing order
+            self._covers = tuple(sorted(covers))
+            for lo, hi in self._covers:
+                ups[lo].append(hi)
+        self._ups = tuple(map(tuple, ups))
+        above = [0] * n
+        # every upper cover of lo has a larger index, so reverse index order
+        # completes above[hi] before it is read
+        for lo in range(n - 1, -1, -1):
+            mask = 0
+            for hi in self._ups[lo]:
+                mask |= above[hi] | 1 << hi
+            above[lo] = mask
         self.above: tuple[int, ...] = tuple(above)
 
     @classmethod
@@ -181,25 +209,17 @@ class FacePoset:
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Cover pairs (lo, hi): lo < hi with nothing strictly between.
 
-        The builders pass them in; a poset given by its masks alone reads
-        them off ``below``.
+        Sorted.  The builders pass them in; a poset given by its masks
+        alone reads them off ``below`` into :meth:`up_covers` and lists
+        them from there once.
         """
         if self._covers is None:
-            out = []
-            for hi, mask in enumerate(self.below):
-                mids = members(mask)
-                inner = 0  # the nodes below some node below hi
-                for mid in mids:
-                    inner |= self.below[mid]
-                out.extend((lo, hi) for lo in mids if not inner >> lo & 1)
-            self._covers = tuple(sorted(out))
+            self._covers = tuple((lo, hi) for lo, his in enumerate(self._ups) for hi in his)
         return self._covers
 
-    def up_covers(self) -> list[list[int]]:
-        ups = [[] for _ in self.nodes]
-        for lo, hi in self.covers:
-            ups[lo].append(hi)
-        return ups
+    def up_covers(self) -> tuple[tuple[int, ...], ...]:
+        """The upper covers of each node, increasing; shared, not copied."""
+        return self._ups
 
     def f_vector(self) -> tuple[int, ...]:
         """Node counts per rank, bottom excluded."""
@@ -366,11 +386,15 @@ def is_pure(poset: FacePoset) -> bool:
     Below the bottom this holds iff every cover raises the height (the
     length of the longest chain from the bottom) by exactly 1.
     """
-    height = [0] * len(poset.nodes)
-    # covers are sorted by lo, and every cover into lo has a smaller lo
-    for lo, hi in poset.covers:
-        height[hi] = max(height[hi], height[lo] + 1)
-    return all(height[hi] == height[lo] + 1 for lo, hi in poset.covers)
+    ups = poset.up_covers()
+    height = [0] * len(ups)
+    # every cover into lo comes from a smaller lo
+    for lo, his in enumerate(ups):
+        h = height[lo] + 1
+        for hi in his:
+            if height[hi] < h:
+                height[hi] = h
+    return all(height[hi] == height[lo] + 1 for lo, his in enumerate(ups) for hi in his)
 
 
 def is_thin(poset: FacePoset) -> bool:
@@ -384,9 +408,24 @@ def is_thin(poset: FacePoset) -> bool:
     count is the number of elements between.  Hence a count of 2 passes,
     and any other count fails iff every element between covers x: only
     those y need the mask test.
+
+    A parity pass over the up-cover masks settles most x first.  Bit y of
+    the XOR of the masks of the covers of x is the parity of the count of
+    y, and the covers' cover counts sum to the total count.  If the XOR is
+    0, every count is even, so at least 2; if besides the total is twice
+    the number of y reached (the popcount of the OR), every count is 2 and
+    x passes.  Any other x takes the exact count.
     """
     ups = poset.up_covers()
+    masks = [sum([1 << y for y in u]) for u in ups]
     for x, mids in enumerate(ups):
+        odd = reached = total = 0
+        for z in mids:
+            odd ^= masks[z]
+            reached |= masks[z]
+            total += len(ups[z])
+        if not odd and total == 2 * reached.bit_count():
+            continue
         paths: dict[int, int] = {}
         for z in mids:
             for y in ups[z]:
@@ -434,19 +473,51 @@ def is_eulerian(poset: FacePoset) -> bool:
     a smallest interval where the condition fails has even length, and by
     induction on the interval size it is enough to count the nodes of the
     even-length intervals.
+
+    One popcount decides a pair x < y of one rank parity.  Let F be the
+    nodes z >= x, ``odd`` the mask of the nodes of odd rank, E_in and O_in
+    the numbers of nodes of even and of odd rank in [x, y), and O_out the
+    number of odd rank strictly below y outside F.  F ^ odd is (F and even) plus (odd outside
+    F), so ``(below[y] & (F ^ odd)).bit_count()`` is E_in + O_out, and
+    O_in + O_out is odd_below[y], the odd nodes strictly below y.  [x, y]
+    balances iff E_in + [r(y) even] == O_in + [r(y) odd], that is iff
+    E_in - O_in is 1 for r(x) odd and -1 for r(x) even (r(y) has the parity
+    of r(x)); adding O_in + O_out, iff the popcount is odd_below[y] + 1 for
+    r(x) odd and odd_below[y] - 1 for r(x) even.
+
+    Nodes are stored in rank order, so each rank is a contiguous band of
+    indices; the y above x of rank r(x) + 2, r(x) + 4, ... are read from
+    the band's slice of ``above[x]``, a small int, and a rank with no
+    nodes is skipped.
     """
-    even = sum(1 << i for i, r in enumerate(poset.ranks) if r % 2 == 0)
-    odd = (1 << len(poset.nodes)) - 1 ^ even
+    ranks, below = poset.ranks, poset.below
+    bands: dict[int, tuple[int, int]] = {}  # rank -> (first index, width)
+    for i, r in enumerate(ranks):
+        start, width = bands.get(r, (i, 0))
+        bands[r] = (start, width + 1)
+    odd = sum(1 << i for i, r in enumerate(ranks) if r % 2)
+    odd_below = [(mask & odd).bit_count() for mask in below]
+    # the popcount each y needs, for x of even rank and for x of odd rank
+    needs = ([c - 1 for c in odd_below], [c + 1 for c in odd_below])
+    top = max(ranks, default=0)
     for x, up in enumerate(poset.above):
-        from_x = up | 1 << x
-        from_x_even = from_x & even
-        # y of the rank parity of x; y's own bit is counted by that parity
-        y_even = poset.ranks[x] % 2 == 0
-        for y in members(up & (even if y_even else odd)):
-            below = poset.below[y]
-            evens = (from_x_even & below).bit_count() + y_even
-            if 2 * evens != (from_x & below).bit_count() + 1:
-                return False
+        if not up:
+            continue
+        flip = (up | 1 << x) ^ odd
+        need = needs[ranks[x] % 2]
+        for r in range(ranks[x] + 2, top + 1, 2):
+            band = bands.get(r)
+            if band is None:
+                continue
+            start, width = band
+            ys = up >> start & (1 << width) - 1
+            base = start - 1  # bit k of ys (from 0) is node base + k + 1
+            while ys:
+                low = ys & -ys
+                y = base + low.bit_length()
+                if (below[y] & flip).bit_count() != need[y]:
+                    return False
+                ys ^= low
     return True
 
 
@@ -820,13 +891,9 @@ def find_shelling(poset: FacePoset, budget: int = DEFAULT_SHELLING_BUDGET) -> Sh
     """
     n = len(poset.nodes)
     ranks = poset.ranks
-    ups: list[list[int]] = [[] for _ in range(n)]
-    cover = [0] * n
-    graded = True
-    for lo, hi in poset.covers:
-        ups[lo].append(hi)
-        cover[lo] |= 1 << hi
-        graded = graded and ranks[hi] == ranks[lo] + 1
+    ups: list[tuple[int, ...]] = list(poset.up_covers())
+    cover = [sum([1 << hi for hi in his]) for his in ups]
+    graded = all(ranks[hi] == ranks[lo] + 1 for lo, his in enumerate(ups) for hi in his)
     counts = [1] * n
     for x in range(n - 1, -1, -1):
         if ups[x]:
@@ -842,8 +909,8 @@ def find_shelling(poset: FacePoset, budget: int = DEFAULT_SHELLING_BUDGET) -> Sh
     if synthetic:
         top = n
         for x in maximal:
-            ups[x], cover[x] = [top], 1 << top
-        ups.append([])
+            ups[x], cover[x] = (top,), 1 << top
+        ups.append(())
         cover.append(0)
         above = [mask | 1 << top for mask in above] + [0]
     else:

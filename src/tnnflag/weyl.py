@@ -33,6 +33,8 @@ SubWord = tuple  # entries: int letter or None placeholder
 _MAX_CANONICAL_LEN = 10_000
 # memo caches are cleared when they exceed this many entries
 _CACHE_CAP = 1 << 21
+# lower-interval memo cap: each entry holds a whole lower interval, not one element
+_LOWER_CACHE_CAP = 4096
 
 
 class ContextMismatchError(ValueError):
@@ -124,6 +126,7 @@ class WeylGroup:
         self._bruhat_cache: dict[tuple[int, int], bool] = {}
         self._lower_cache: dict[int, tuple] = {}
         self._cover_cache: dict[int, tuple] = {}
+        self._demazure_cache: dict[tuple[int, int], WeylElt] = {}
         self._perm_cache: dict[tuple, WeylElt] = {}
         self._thickened: dict[int, WeylGroup] = {}
         self.identity = self._intern(self._id, self._id)
@@ -273,7 +276,7 @@ class WeylGroup:
                 s = self._simples[t]
                 elems |= {self.multiply(u, s) for u in elems}
             cached = tuple(sorted(elems, key=lambda u: (u.length, u.word)))
-            if len(self._lower_cache) > 4096:
+            if len(self._lower_cache) > _LOWER_CACHE_CAP:
                 self._lower_cache.clear()
             self._lower_cache[w.serial] = cached
         return cached
@@ -320,12 +323,18 @@ class WeylGroup:
     # -- monoid structure ----------------------------------------------------
 
     def demazure(self, x: WeylElt, y: WeylElt) -> WeylElt:
-        """Demazure product x * y, greedy over the canonical word of y."""
+        """Demazure product x * y, greedy over the canonical word of y, memoized."""
         self.check_same(x, y)
-        u = x
-        for t in y.word:
-            if not self.has_right_descent(u, t):
-                u = self.multiply(u, self._simples[t])
+        key = (x.serial, y.serial)
+        u = self._demazure_cache.get(key)
+        if u is None:
+            u = x
+            for t in y.word:
+                if not self.has_right_descent(u, t):
+                    u = self.multiply(u, self._simples[t])
+            if len(self._demazure_cache) > _CACHE_CAP:
+                self._demazure_cache.clear()
+            self._demazure_cache[key] = u
         return u
 
     def m_star(self, ws) -> WeylElt:

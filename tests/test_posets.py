@@ -1,7 +1,7 @@
 """Face poset construction and the regularity checks on known shapes."""
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import oracles
 import pytest
@@ -453,6 +453,9 @@ def test_open_boundary_euler_needs_unique_maximum():
         (["a", "b"], [("a", "b")]),
         # a diamond with a tail: [a, t] has the single middle element c
         (["a", "b", "c", "t"], [("a", "c"), ("b", "c"), ("c", "t")]),
+        # four atoms below a top: the path count 4 is even, so the parity
+        # pass of is_thin needs the total to reject it
+        (["a", "b", "c", "d", "t"], [(x, "t") for x in "abcd"]),
     ],
 )
 def test_not_thin_not_eulerian(elements, pairs):
@@ -528,11 +531,24 @@ def test_thin_path_count_matches_mask_scan(A2):
 def test_eulerian_boundary_and_covers_match_oracles(A2):
     """Rank parity equals the all-pairs Mobius test, Hall's theorem equals
     the signed chain count, and the bitmask covers equal the definition,
-    on the same posets."""
+    on the same posets.  The shared up-cover index is tuples, lists the
+    covers in order and gives ``above`` as the transpose of ``below``, on
+    the builders' posets and on posets given by their masks alone."""
     verdicts = set()
     maxima = 0
     for poset in _differential_posets(A2):
-        assert poset.covers == oracle_covers(poset)
+        ups = poset.up_covers()
+        assert type(ups) is tuple and all(type(u) is tuple for u in ups)
+        assert poset.up_covers() is ups
+        listed = tuple((lo, hi) for lo, his in enumerate(ups) for hi in his)
+        assert poset.covers == listed == oracle_covers(poset)
+        transpose = [0] * len(poset)
+        for j, mask in enumerate(poset.below):
+            for i in members(mask):
+                transpose[i] |= 1 << j
+        assert list(poset.above) == transpose
+        masks_only = FacePoset(poset.nodes, poset.ranks, poset.below)
+        assert masks_only.up_covers() == ups and masks_only.above == poset.above
         eulerian = is_eulerian(poset)
         assert eulerian == oracle_is_eulerian(poset)
         verdicts.add(eulerian)
@@ -542,6 +558,111 @@ def test_eulerian_boundary_and_covers_match_oracles(A2):
             assert open_boundary_euler(poset) == oracle_open_boundary_euler(poset)
     assert verdicts == {True, False}
     assert maxima == 423
+
+
+def simplicial_face_poset(facets, rank_of=lambda dim: dim):
+    """The faces of the simplicial complex spanned by ``facets`` (frozensets),
+    with the empty face as BOTTOM and, when the facets are several, a top
+    above them, built by masks alone.  A face of dimension d has rank
+    ``rank_of(d)``; the bottom has dimension -1 and the top one more than
+    the largest facet."""
+    faces = {frozenset(s) for f in facets for k in range(1, len(f) + 1)
+             for s in combinations(sorted(f), k)}
+    faces = sorted(faces, key=lambda f: (len(f), sorted(f)))
+    nodes = [BOTTOM, *faces]
+    below = [0] + [1 | sum(1 << j for j, g in enumerate(faces, start=1) if g < f)
+                   for f in faces]
+    dims = [-1, *(len(f) - 1 for f in faces)]
+    if len(facets) > 1:
+        nodes.append("top")
+        below.append((1 << len(nodes) - 1) - 1)
+        dims.append(max(dims) + 1)
+    return FacePoset(nodes, [rank_of(d) for d in dims], below)
+
+
+def two_spheres(d):
+    """Two disjoint boundaries of the d-simplex: every proper interval of
+    the poset with a top is Eulerian, and [0^, top], of length d + 1, is
+    not (its proper part has Euler characteristic 4)."""
+    return [frozenset(s) for copy in (0, d + 1)
+            for s in combinations(range(copy, copy + d + 1), d)]
+
+
+@pytest.mark.parametrize(
+    "poset, eulerian",
+    [
+        # the triangle's faces (B3) with ranks from 3 and from 4: both signs
+        pytest.param(simplicial_face_poset([frozenset("abc")], lambda d: d + 4), True,
+                     id="B3-from-3"),
+        pytest.param(simplicial_face_poset([frozenset("abc")], lambda d: d + 5), True,
+                     id="B3-from-4"),
+        # rank gaps: B3 with its top two ranks up is Eulerian, one rank up
+        # it is not; a diamond with ranks -1, 0, 0, 3 is Eulerian
+        pytest.param(simplicial_face_poset([frozenset("abc")], lambda d: d + 2 * (d == 2)),
+                     True, id="B3-gap-2"),
+        pytest.param(simplicial_face_poset([frozenset("abc")], lambda d: d + (d == 2)),
+                     False, id="B3-gap-1"),
+        pytest.param(simplicial_face_poset([frozenset("ab")], lambda d: d + 2 * (d == 1)),
+                     True, id="diamond-gap"),
+        pytest.param(FacePoset([BOTTOM, "a", "b", "c"], [-1, 0, 2, 3], [0, 1, 3, 7]), False,
+                     id="chain-gap"),
+        # [0^, top] of length 4 and of length 6 fails and every proper
+        # interval holds; shifted by one rank and by seven, and with the
+        # rank below the top left empty
+        pytest.param(simplicial_face_poset(two_spheres(3)), False, id="length-4"),
+        pytest.param(simplicial_face_poset(two_spheres(3), lambda d: d + 1), False,
+                     id="length-4-from-1"),
+        pytest.param(simplicial_face_poset(two_spheres(5), lambda d: d + 7), False,
+                     id="length-6-from-6"),
+        pytest.param(simplicial_face_poset(two_spheres(5), lambda d: d + 2 * (d == 5)), False,
+                     id="length-6-gap"),
+        # one 4-sphere with a top is the 5-simplex: Eulerian, ranks from 1
+        pytest.param(simplicial_face_poset([frozenset(range(6))], lambda d: d + 2), True,
+                     id="simplex-from-1"),
+    ],
+)
+def test_eulerian_on_rank_gaps_and_shifted_ranks(poset, eulerian):
+    """The band walk reads the nodes in rank order, skips ranks that hold no
+    node, and keeps the sign of the count for ranks that start above 0."""
+    assert is_eulerian(poset) == oracle_is_eulerian(poset) == eulerian
+
+
+def test_eulerian_fails_first_on_a_long_interval():
+    """Two 4-spheres with a top: only [0^, top], of length 6, fails, so the
+    single-popcount rule decides there."""
+    poset = simplicial_face_poset(two_spheres(5))
+    top = len(poset) - 1
+    memo = {}
+    failing = [(x, y) for x in range(len(poset)) for y in members(poset.above[x])
+               if oracle_mobius(poset, x, y, memo) != (-1) ** (poset.ranks[y] - poset.ranks[x])]
+    assert failing == [(0, top)] and poset.ranks[top] - poset.ranks[0] == 6
+    assert not is_eulerian(poset)
+
+
+def test_thin_parity_pass_falls_back_on_counts_one_and_three():
+    """From 0^, y1 has one path of two covers and y2 three: the mean count
+    is 2 but the parities are odd, so the exact rule decides, and fails."""
+    poset = from_covers(
+        ["a", "b", "c", "y1", "y2"], [("a", "y1"), ("a", "y2"), ("b", "y2"), ("c", "y2")]
+    )
+    y1, y2 = poset.index("y1"), poset.index("y2")
+    assert (two_step_paths(poset, 0, y1), two_step_paths(poset, 0, y2)) == (1, 3)
+    ups = poset.up_covers()
+    assert sum(len(ups[z]) for z in ups[0]) == 2 * len({y1, y2})
+    assert not is_thin(poset) and not oracle_is_thin(poset) and not mask_scan_is_thin(poset)
+
+
+def test_thin_parity_pass_falls_back_to_a_passing_mask_test():
+    """From 0^, y has three paths of two covers (through p, q, r) but also
+    chains of length 3 (through e or f, then m or m'), so [0^, y] is no
+    interval of length 2: the count is odd, and the mask test passes it."""
+    poset = from_covers(
+        ["p", "q", "r", "e", "f", "m", "m'", "y"],
+        [("e", "m"), ("f", "m"), ("e", "m'"), ("f", "m'"),
+         ("p", "y"), ("q", "y"), ("r", "y"), ("m", "y"), ("m'", "y")],
+    )
+    assert two_step_paths(poset, 0, poset.index("y")) == 3
+    assert is_thin(poset) and oracle_is_thin(poset) and mask_scan_is_thin(poset)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,8 @@ the simple-reflection updates against full products of geometric
 matrices, canonical words against left-descent stripping by full
 products, geom * geom_inv = I, associativity of the product and of the
 Demazure product, the uniqueness of positive subexpressions in random
-reduced words, and the from_perm / perm_of bridge in type A.
+reduced words, and the from_perm / perm_of bridge in type A.  The
+from_perm and Demazure memos are driven past a small cap.
 """
 
 from functools import cache
@@ -156,3 +157,24 @@ def test_from_perm_cache_clears_and_still_rejects(monkeypatch):
     for bad in ((1, 1, 3), (1, 2), (0, 1, 2), (1, 2, 3, 4)):
         with pytest.raises(ValueError):
             from_perm(g, bad)
+
+
+def test_demazure_cache_clears_and_still_matches_the_greedy_walk(monkeypatch):
+    monkeypatch.setattr(weyl, "_CACHE_CAP", 3)
+    g = WeylGroup(cartan_of_type("A", 2))
+    elts = g.elements_up_to_length(3)
+
+    def greedy(x, y):
+        u = x
+        for t in y.word:
+            if not g.has_right_descent(u, t):
+                u = g.multiply(u, g.simple(t))
+        return u
+
+    sizes = []
+    for _ in range(2):
+        for x in elts:
+            for y in elts:
+                assert g.demazure(x, y) is greedy(x, y)
+                sizes.append(len(g._demazure_cache))
+    assert max(sizes) <= 4 and sizes.count(1) > 1  # cleared, and more than once
