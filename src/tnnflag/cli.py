@@ -133,6 +133,9 @@ def _emit(report: dict, path: str | None) -> None:
 
 def cmd_poset(args) -> int:
     wanted = [c.strip() for c in args.check.split(",") if c.strip()]
+    if not wanted:
+        print("error: --check names no check", file=sys.stderr)
+        return EXIT_USAGE
     for name in wanted:
         if name not in POSET_CHECKS:
             known = ", ".join(POSET_CHECKS)

@@ -32,9 +32,9 @@ poset admits one iff it is CL-shellable), with a synthetic top when the
 maximal nodes are several.  The lexicographic order of the maximal chains
 it induces is a shelling; it is listed only when it is read.  An exhausted
 search proves only "not CL-shellable", so it reports ``inconclusive``.
-``shelling_of_facets`` keeps the backtracking search over orders of
-explicit facets: it is the differential oracle of the atom orderings, and
-with ``search=False`` it validates a given order pairwise.
+``shelling_of_facets`` only validates a given order of explicit facets,
+pairwise; the backtracking search over chain orders is a test oracle
+(``tests/oracles.py``), off this path.
 """
 
 from __future__ import annotations
@@ -546,14 +546,9 @@ def maximal_chains(poset: FacePoset) -> list[tuple[int, ...]]:
     return chains
 
 
-# The dead-end memo of the shelling search stops growing once its keys (one
-# bit per facet) hold this many bytes.
-_FAILED_STATES_MAX_BYTES = 64 << 20
-
-
 @dataclass
 class ShellingResult:
-    status: str  # "shellable" | "not_shellable" | "inconclusive"
+    status: str  # "shellable" | "inconclusive" | "not_shellable" (validator only)
     order: Sequence[tuple[int, ...]] | None
     facets: int
     attempts: int
@@ -603,9 +598,9 @@ def overall_status(statuses) -> str:
     return max(statuses, key=("pass", "inconclusive", "fail").index, default="pass")
 
 
-def _facet_vertices(facets) -> tuple[list[tuple], list[tuple[int, ...]], int]:
-    """Sorted members of each facet, the indices of its distinct vertices,
-    and the number of vertices."""
+def _facet_vertices(facets) -> tuple[list[tuple], list[tuple[int, ...]]]:
+    """Sorted members of each facet, and the indices of its distinct
+    vertices (numbered by first appearance)."""
     universe: dict = {}
     members = []
     vertices = []
@@ -616,7 +611,7 @@ def _facet_vertices(facets) -> tuple[list[tuple], list[tuple[int, ...]], int]:
             mem = tuple(sorted(f, key=repr))
         members.append(mem)
         vertices.append(tuple(universe.setdefault(x, len(universe)) for x in dict.fromkeys(mem)))
-    return members, vertices, len(universe)
+    return members, vertices
 
 
 def _pairwise_rule(used: list[int], mask: int, vertices) -> bool:
@@ -635,130 +630,33 @@ def _pairwise_rule(used: list[int], mask: int, vertices) -> bool:
     return True
 
 
-def _wall_rule(cover: list[int], used: int) -> bool:
-    """Validity of a facet from ``cover[i]``, the used facets on its i-th vertex.
+def shelling_of_facets(facets, search: bool = False) -> ShellingResult:
+    """Validate a given order of explicit facets (any hashable vertices) as a
+    shelling, by the pairwise rule.
 
-    Vertex i is a wall when the AND of the other vertices' bitsets (within
-    ``used``) is nonzero.  Valid iff there is a wall and the AND of the
-    walls' bitsets is zero.
+    A facet F may follow the earlier facets iff F meets their union in a
+    pure subcomplex of codimension one: some ridge F - {x} lies in an
+    earlier facet, and every intersection of F with an earlier facet lies
+    in such a ridge.  Each facet is tested against every earlier one, so
+    ``attempts`` counts the facets tested; ``not_shellable`` means this
+    order is not a shelling, not that the complex has none.  Facets of any
+    sizes are accepted.  ``order`` is each facet as a sorted tuple.
+
+    ``search`` must be False: this module has no search over facet orders
+    (``find_shelling`` certifies shellability on the poset).  The
+    backtracking chain-order search is a test oracle, in
+    ``tests/oracles.py``.
     """
-    suffix = [used] * (len(cover) + 1)
-    for i in range(len(cover) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] & cover[i]
-    prefix = used
-    common = None  # AND of the walls' bitsets so far
-    for i, c in enumerate(cover):
-        if prefix & suffix[i + 1]:
-            common = c if common is None else common & c
-        prefix &= c
-    return common == 0
-
-
-def shelling_of_facets(
-    facets,
-    budget: int = DEFAULT_SHELLING_BUDGET,
-    search: bool = True,
-) -> ShellingResult:
-    """Shelling search over explicit facets (any hashable vertices).
-
-    A facet F may follow the used facets iff F meets their union in a pure
-    subcomplex of codimension one: some ridge F - {x} lies in a used facet,
-    and every intersection of F with a used facet u lies in such a ridge.
-    Call x a wall of F when F - {x} lies in a used facet, and W the set of
-    walls.  F & u lies in the ridge F - {x} iff x is not in u, so the
-    pairwise condition says exactly that no used facet contains all of W.
-    The search tests this wall-set rule on per-vertex bitsets of the used
-    facets; the rule holds for facets of any sizes, so mixed-size lists take
-    the same path.
-
-    This is the normalizing entry: each facet is sorted into a tuple, its
-    vertices are numbered by first appearance, and the facets are searched
-    in sorted order (see :func:`_search`).  :func:`find_shelling` skips
-    that work on chains that are already in this form, and this entry
-    stays its differential oracle.
-
-    With ``search`` off, the given order itself is validated by the pairwise
-    rule, scanning every earlier facet; this is the independent oracle for
-    the orders the search returns.
-    """
-    members, vertices, nvertices = _facet_vertices(facets)
+    if search:
+        raise ValueError("shelling_of_facets only validates a given order; "
+                         "the chain-order search is a test oracle in tests/oracles.py")
+    members, vertices = _facet_vertices(facets)
     n = len(members)
-    if search or n <= 1:
-        order_hint = sorted(range(n), key=members.__getitem__)
-        return _search(members, vertices, nvertices, order_hint, budget)
     masks = [sum(1 << v for v in vs) for vs in vertices]
     for idx in range(1, n):
         if not _pairwise_rule(masks[:idx], masks[idx], vertices[idx]):
-            return ShellingResult("not_shellable", None, n, idx, budget)
-    return ShellingResult("shellable", members, n, n - 1, budget)
-
-
-def _search(members, vertices, nvertices: int, order_hint, budget: int) -> ShellingResult:
-    """Depth-first shelling search, the one core of both entries.
-
-    ``members[i]`` is facet i as it is reported, ``vertices[i]`` its
-    distinct vertex ids in ``range(nvertices)``, and the facets are tried
-    in the order ``order_hint``.  The search remembers dead-end sets of
-    used facets (as bitmasks, until the keys hold
-    ``_FAILED_STATES_MAX_BYTES``).  ``attempts`` counts validity tests and
-    ``backtracks`` the dead ends stepped back from.  A definitive negative
-    comes only when the whole search tree was exhausted within budget.
-    Relabelling the vertex ids changes no decision, so only the facet
-    order matters.
-    """
-    n = len(members)
-    if n <= 1:
-        return ShellingResult("shellable", members, n, 0, budget)
-    # unused positions of order_hint, doubly linked; position n is the head
-    nxt = [*range(1, n + 1), 0]
-    prv = [n, *range(n)]
-    covering = [0] * nvertices  # per vertex, the used facets on it
-    failed_states: set[int] = set()
-    failed_bytes = 0
-    used = 0  # bitmask of the used facet indices
-    chosen: list[int] = []  # the position used at each level
-    attempts = backtracks = 0
-    pos = nxt[n]
-    while attempts <= budget:
-        while pos != n:
-            cand = order_hint[pos]
-            if chosen:
-                attempts += 1
-                if not _wall_rule([covering[v] for v in vertices[cand]], used):
-                    pos = nxt[pos]
-                    continue
-            if used | (1 << cand) not in failed_states:
-                break
-            pos = nxt[pos]
-        if pos != n:
-            chosen.append(pos)
-            bit = 1 << cand
-            used |= bit
-            for v in vertices[cand]:
-                covering[v] |= bit
-            nxt[prv[pos]], prv[nxt[pos]] = nxt[pos], prv[pos]
-            if len(chosen) == n:
-                order = [members[order_hint[p]] for p in chosen]
-                return ShellingResult("shellable", order, n, attempts, budget, backtracks)
-            pos = nxt[n]
-            continue
-        # dead end: record the failed state and backtrack
-        size = (used.bit_length() + 7) // 8
-        if failed_bytes + size <= _FAILED_STATES_MAX_BYTES:
-            failed_states.add(used)
-            failed_bytes += size
-        if not chosen:
-            return ShellingResult("not_shellable", None, n, attempts, budget, backtracks)
-        backtracks += 1
-        pos = chosen.pop()
-        cand = order_hint[pos]
-        bit = 1 << cand
-        used ^= bit
-        for v in vertices[cand]:
-            covering[v] ^= bit
-        nxt[prv[pos]] = prv[nxt[pos]] = pos
-        pos = nxt[pos]
-    return ShellingResult("inconclusive", None, n, attempts, budget, backtracks)
+            return ShellingResult("not_shellable", None, n, idx, DEFAULT_SHELLING_BUDGET)
+    return ShellingResult("shellable", members, n, max(n - 1, 0), DEFAULT_SHELLING_BUDGET)
 
 
 class _BudgetSpent(Exception):
@@ -937,7 +835,6 @@ def open_boundary_euler(poset: FacePoset) -> int:
 
 
 BALL_CHECKS = ("pure", "thin", "eulerian", "shelling", "boundary_sphere_euler")
-_CHECK_STATUS = {"shellable": "pass", "not_shellable": "fail", "inconclusive": "inconclusive"}
 
 
 def regularity_checks(
@@ -955,7 +852,8 @@ def regularity_checks(
         entry = {"check": name}
         if name == "shelling":
             res = find_shelling(poset, budget=budget)
-            entry["status"] = _CHECK_STATUS[res.status]
+            # find_shelling never proves a poset not shellable
+            entry["status"] = "pass" if res.shellable else "inconclusive"
             entry["witness"] = {"certificate": "rao", "facets": res.facets,
                                 "attempts": res.attempts, "backtracks": res.backtracks}
             if res.status == "inconclusive":

@@ -22,6 +22,12 @@ them out, w0dot^{-1} included, where ``src`` works on integer forms.
 ``chain_h_vector`` computes the h-vector of an order complex from chain
 counts alone, and ``wall_counts`` reads the same numbers off a facet order
 when it is a shelling; neither uses a shelling search.
+
+``shelling_search`` is the repository's one search over orders of explicit
+facets (depth first, a dead-end memo, a validity test that scans every
+used facet).  It can answer ``not_shellable``, which the recursive atom
+orderings of ``posets.find_shelling`` never do, so it is their
+differential oracle on small posets.
 """
 
 from fractions import Fraction
@@ -29,6 +35,7 @@ from itertools import combinations
 from math import comb
 
 from tnnflag import ratlin, slk
+from tnnflag.posets import DEFAULT_SHELLING_BUDGET, ShellingResult
 
 
 def frac_mat_mul(*ms):
@@ -304,3 +311,67 @@ def wall_counts(order, size: int) -> list[int]:
         out[sum(r in seen for r in ridges)] += 1
         seen.update(ridges)
     return out
+
+
+def shelling_search(facets, budget=DEFAULT_SHELLING_BUDGET) -> ShellingResult:
+    """Depth-first search for a shelling order of explicit facets.
+
+    Facets are sorted into tuples and tried in sorted order; a facet may
+    follow the used ones iff some ridge F - {x} lies in a used facet and
+    every intersection of F with a used facet lies in such a ridge.  Sets of
+    used facets that lead nowhere are remembered (up to 2^18 of them).
+    ``attempts`` counts validity tests and ``backtracks`` the dead ends
+    stepped back from; ``not_shellable`` comes only from a search exhausted
+    within ``budget``, and a spent budget is ``inconclusive``.
+    """
+    members = []
+    for f in facets:
+        try:
+            members.append(tuple(sorted(f)))
+        except TypeError:
+            members.append(tuple(sorted(f, key=repr)))
+    n = len(members)
+    if n <= 1:
+        return ShellingResult("shellable", members, n, 0, budget)
+    sets = [frozenset(m) for m in members]
+    attempts = backtracks = 0
+
+    def valid(used, face):
+        nonlocal attempts
+        attempts += 1
+        walls = [face - {x} for x in face if any(face - {x} <= u for u in used)]
+        if not walls:
+            return False
+        return all(not face & u or any(face & u <= c for c in walls) for u in used)
+
+    order_hint = sorted(range(n), key=lambda idx: members[idx])
+    failed_states: set[frozenset] = set()
+    used_idx: list[int] = []
+    iter_stack = [iter(order_hint)]
+    while iter_stack:
+        if attempts > budget:
+            return ShellingResult("inconclusive", None, n, attempts, budget, backtracks)
+        advanced = False
+        for cand in iter_stack[-1]:
+            if cand in used_idx:
+                continue
+            if used_idx and not valid([sets[i] for i in used_idx], sets[cand]):
+                continue
+            if frozenset(used_idx) | {cand} in failed_states:
+                continue
+            used_idx.append(cand)
+            iter_stack.append(iter(order_hint))
+            advanced = True
+            break
+        if advanced:
+            if len(used_idx) == n:
+                order = [members[i] for i in used_idx]
+                return ShellingResult("shellable", order, n, attempts, budget, backtracks)
+            continue
+        if len(failed_states) < (1 << 18):
+            failed_states.add(frozenset(used_idx))
+        iter_stack.pop()
+        if used_idx:
+            used_idx.pop()
+            backtracks += 1
+    return ShellingResult("not_shellable", None, n, attempts, budget, backtracks)

@@ -134,6 +134,16 @@ def test_poset_unknown_check_is_rejected_before_the_build(capsys):
     assert "node cap" not in err
 
 
+@pytest.mark.parametrize("checks", ["", ","])
+def test_poset_check_naming_no_check_is_rejected(capsys, checks):
+    """A check list with no name would pass vacuously, reporting no check."""
+    code, out, err = run(
+        capsys, "poset", "A", "2", "--n", "2", "--top", "e;(1),(1)", "--check", checks
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --check names no check\n"
+
+
 def test_poset_command_malformed_top(capsys):
     code, _, err = run(capsys, "poset", "A", "2", "--n", "1", "--top", "e;(1,2,1")
     assert code == 2

@@ -10,7 +10,6 @@ from tnnflag import posets
 from tnnflag.cartan import cartan_of_type
 from tnnflag.posets import (
     BOTTOM,
-    DEFAULT_SHELLING_BUDGET,
     CapExceededError,
     FacePoset,
     ShellingResult,
@@ -700,140 +699,42 @@ def test_mobius_matches_recursion_oracle(A2):
     assert {-1, 0, 1, 2, 3} <= values
 
 
-def oracle_shelling_of_facets(facets, budget=DEFAULT_SHELLING_BUDGET):
-    """The depth-first shelling search with its original bookkeeping: used
-    facets in a list, frozenset memo keys, and a validity test that scans
-    every used facet.  Same order, validity rule, budget test and memo as
-    ``shelling_of_facets``, so status, order, attempts and backtracks agree."""
-    members = []
-    for f in facets:
-        try:
-            members.append(tuple(sorted(f)))
-        except TypeError:
-            members.append(tuple(sorted(f, key=repr)))
-    n = len(members)
-    if n <= 1:
-        return ShellingResult("shellable", members, n, 0, budget)
-    sets = [frozenset(m) for m in members]
-    attempts = backtracks = 0
-
-    def valid(used, face):
-        nonlocal attempts
-        attempts += 1
-        walls = [face - {x} for x in face if any(face - {x} <= u for u in used)]
-        if not walls:
-            return False
-        return all(not face & u or any(face & u <= c for c in walls) for u in used)
-
-    order_hint = sorted(range(n), key=lambda idx: members[idx])
-    failed_states: set[frozenset] = set()
-    used_idx: list[int] = []
-    iter_stack = [iter(order_hint)]
-    while iter_stack:
-        if attempts > budget:
-            return ShellingResult("inconclusive", None, n, attempts, budget, backtracks)
-        advanced = False
-        for cand in iter_stack[-1]:
-            if cand in used_idx:
-                continue
-            if used_idx and not valid([sets[i] for i in used_idx], sets[cand]):
-                continue
-            if frozenset(used_idx) | {cand} in failed_states:
-                continue
-            used_idx.append(cand)
-            iter_stack.append(iter(order_hint))
-            advanced = True
-            break
-        if advanced:
-            if len(used_idx) == n:
-                order = [members[i] for i in used_idx]
-                return ShellingResult("shellable", order, n, attempts, budget, backtracks)
-            continue
-        if len(failed_states) < (1 << 18):
-            failed_states.add(frozenset(used_idx))
-        iter_stack.pop()
-        if used_idx:
-            used_idx.pop()
-            backtracks += 1
-    return ShellingResult("not_shellable", None, n, attempts, budget, backtracks)
-
-
-def random_facet_lists(rng, count):
-    """(facets, budget) pairs: mixed sizes, repeated facets, small budgets."""
-    for _ in range(count):
-        size = rng.randint(2, 9)
-        universe = range(rng.randint(3, 7))
-        sizes = (rng.randint(1, 3), rng.randint(1, 3))
-        facets = [frozenset(rng.sample(universe, rng.choice(sizes))) for _ in range(size)]
-        budget = rng.choice([DEFAULT_SHELLING_BUDGET, rng.randint(0, 12)])
-        yield facets, budget
-
-
-def assert_same_search(facets, budget=DEFAULT_SHELLING_BUDGET):
-    fast = shelling_of_facets(facets, budget=budget)
-    slow = oracle_shelling_of_facets(facets, budget=budget)
-    key = (fast.status, fast.order, fast.facets, fast.attempts, fast.backtracks)
-    assert key == (slow.status, slow.order, slow.facets, slow.attempts, slow.backtracks), facets
-    if fast.shellable:
-        assert shelling_of_facets(fast.order, search=False).shellable
-    return fast
-
-
-def test_shelling_search_matches_oracle(A2):
-    """The bitset search takes the same path as the list-scanning search on
-    every hatQ top of rank <= 4, every A2 braid poset and seeded random
-    facet lists."""
-    statuses = set()
-    for _, group, ns in _hatQ_families():
-        for n in ns:
-            for top in iter_qnodes(group, n):
-                if top.rank <= 4:
-                    chains = maximal_chains(build_interval(top))
-                    statuses.add(assert_same_search([frozenset(c) for c in chains]).status)
-    for length in range(1, 6):
-        for letters in product(range(2), repeat=length):
-            chains = maximal_chains(braid_poset(A2, letters))
-            statuses.add(assert_same_search([frozenset(c) for c in chains]).status)
-    rng = random.Random(11)
-    for facets, budget in random_facet_lists(rng, 400):
-        statuses.add(assert_same_search(facets, budget).status)
-    assert statuses == {"shellable", "not_shellable", "inconclusive"}
-
-
 def test_simplex_boundary_shells_in_any_order():
     facets = [frozenset({1, 2, 3}), frozenset({0, 2, 3}), frozenset({0, 1, 3}), frozenset({0, 1, 2})]
     from itertools import permutations
 
-    assert shelling_of_facets(facets).shellable
+    assert oracles.shelling_search(facets).shellable
     for order in permutations(range(4)):
         assert shelling_of_facets([facets[i] for i in order], search=False).shellable
 
 
 def test_two_triangles_glued_at_vertex_not_shellable():
     facets = [frozenset({0, 1, 2}), frozenset({2, 3, 4})]
-    res = shelling_of_facets(facets)
+    res = oracles.shelling_search(facets)
     assert res.status == "not_shellable"
     # each triangle starts a search that dead-ends on the other
     assert (res.attempts, res.backtracks) == (2, 2)
 
 
-# A triangle with a path of two edges hanging off vertex 1.  It shells only
-# from the triangle, and the search tries the edges first.
-BACKTRACKING_FACETS = [frozenset({0, 3}), frozenset({1, 3}), frozenset({1, 4, 5})]
-
-
-def test_shelling_without_memo_keeps_its_verdict(monkeypatch):
-    """A search that backtracks gives the same verdict and order when the
-    dead-end memo may hold nothing; it can only take more attempts."""
-    facets = BACKTRACKING_FACETS
-    with_memo = shelling_of_facets(facets)
-    monkeypatch.setattr(posets, "_FAILED_STATES_MAX_BYTES", 0)
-    without = shelling_of_facets(facets)
-    assert with_memo.backtracks > 0
-    assert (without.status, without.order) == (with_memo.status, with_memo.order)
-    assert without.attempts >= with_memo.attempts
-    # the memo skips the dead end {(0, 3), (1, 3)} when it is reached again from (1, 3)
-    assert (with_memo.attempts, without.attempts) == (8, 9)
+def test_order_validator_rejects_what_is_not_a_shelling(A2):
+    """The pairwise validator rejects the two triangles glued at a vertex,
+    accepts the order of every A2 n=2 rank-4 top, and rejects that order
+    once the facet that meets the first facet least is moved to second.  It
+    does not search."""
+    facets = [frozenset({0, 1, 2}), frozenset({2, 3, 4})]
+    assert shelling_of_facets(facets, search=False).status == "not_shellable"
+    tops = [top for top in iter_qnodes(A2, 2) if top.rank == 4]
+    for top in tops:
+        order = list(find_shelling(build_interval(top)).order)
+        assert shelling_of_facets(order, search=False).shellable, top.describe()
+        first = set(order[0])
+        k = min(range(1, len(order)), key=lambda i: len(first & set(order[i])))
+        moved = [order[0], order[k], *order[1:k], *order[k + 1:]]
+        res = shelling_of_facets(moved, search=False)
+        assert (res.status, res.order, res.attempts) == ("not_shellable", None, 1), top.describe()
+    assert len(tops) == 18
+    with pytest.raises(ValueError, match="tests/oracles.py"):
+        shelling_of_facets(facets, search=True)
 
 
 def test_shelling_budget_inconclusive(triangle):
@@ -965,22 +866,26 @@ def random_graded_posets(rng, count):
 
 
 def test_atom_ordering_matches_chain_search(A2):
-    """The recursive atom ordering against the chain search, on the
+    """The recursive atom ordering against the chain search oracle, on the
     differential posets and seeded random bounded graded posets.
 
-    On a graded poset the verdicts agree (an exhausted ordering search
-    where the chain search finds no shelling), and every returned order is
-    the set of maximal chains; up to 1,000 chains it is also validated
-    pairwise.  A poset that is not graded is inconclusive, also where the
-    chain search finds a non-pure shelling.  Budgets 0 and 1 leave every
-    poset of two or more chains inconclusive.
+    The oracle runs on the posets of at most 200 chains (the rest take
+    seconds each in it; they are graded and shellable, with no oracle
+    verdict, None).  On a graded poset the verdicts agree (an exhausted
+    ordering search where the chain search finds no shelling), and every
+    returned order is the set of maximal chains; up to 1,000 chains it is
+    also validated pairwise.  A poset that is not graded is inconclusive,
+    also where the chain search finds a non-pure shelling.  Budgets 0 and 1
+    leave every poset of two or more chains inconclusive.
     """
     verdicts = {}
     posets_seen = [*_differential_posets(A2), *random_graded_posets(random.Random(3), 300)]
     for poset in posets_seen:
         chains = maximal_chains(poset)
         res = find_shelling(poset)
-        chain_search = shelling_of_facets([frozenset(c) for c in chains]).status
+        chain_search = None
+        if len(chains) <= 200:
+            chain_search = oracles.shelling_search([frozenset(c) for c in chains]).status
         graded = len({len(c) for c in chains}) <= 1
         if res.shellable:
             assert graded and len(res.order) == len(chains) == res.facets
@@ -996,7 +901,8 @@ def test_atom_ordering_matches_chain_search(A2):
                 spent = find_shelling(poset, budget)
                 assert spent.status == "inconclusive" and spent.exhausted == (not graded)
     assert verdicts == {
-        (True, "shellable", "shellable"): 729,
+        (True, "shellable", "shellable"): 710,
+        (True, "shellable", None): 19,
         (True, "inconclusive", "not_shellable"): 30,
         (False, "inconclusive", "shellable"): 158,
         (False, "inconclusive", "not_shellable"): 25,
