@@ -6,12 +6,14 @@ order is (v', wbar') <= (v, wbar) iff v <= v' and wbar' <= wbar
 componentwise.  Posets are finite, carry the synthetic bottom at node 0,
 and are immutable after construction.
 
-Intervals and braid posets are built from Bruhat covers: each label has
-one integer key (mixed-radix positions of its coordinates for intervals,
-the mask of kept letters for braid posets), its lower covers are the
-labels at its key plus the offsets of its coordinates' covers, and the
-masks are ORed together in rank order.  ``FacePoset.from_qnodes``, which
-compares every pair by :func:`qnode_leq`, is their oracle.
+Intervals and braid posets are built from Bruhat covers in key space:
+each label has one integer key (mixed-radix positions of its coordinates
+for intervals, the mask of kept letters for braid posets), and its lower
+covers are the labels at its key plus the offsets of its coordinates'
+covers.  One pass in rank order ORs the masks together and fills the
+up-cover index; no cover pair is listed or sorted on the way.
+``FacePoset.from_qnodes``, which compares every pair by :func:`qnode_leq`,
+is their oracle.
 
 Every poset indexes the upper covers of each node once, as increasing
 tuples that the checks share.  Checks, run by name with
@@ -121,16 +123,18 @@ class FacePoset:
     ``below[i]`` and ``above[i]`` are int bitmasks of the nodes strictly
     below and above node ``i``: n nodes take about n^2 / 4 bytes.  The
     upper covers of every node are indexed once, as increasing tuples
-    (:meth:`up_covers`), and ``above`` is ORed over them.
+    (:meth:`up_covers`), and ``above`` is ORed over them.  The builders
+    pass that index in as ``ups`` (increasing lists, one per node); a
+    poset given by its masks alone reads it off ``below``.
     """
 
-    def __init__(self, nodes, ranks, below, covers=None):
+    def __init__(self, nodes, ranks, below, ups=None):
         self.nodes: tuple = tuple(nodes)
         self.ranks: tuple[int, ...] = tuple(ranks)
         self.below: tuple[int, ...] = tuple(below)
         n = len(self.nodes)
-        ups: list[list[int]] = [[] for _ in range(n)]
-        if covers is None:
+        if ups is None:
+            ups = [[] for _ in range(n)]
             # lo is covered by hi iff it lies below no node below hi
             for hi, mask in enumerate(self.below):
                 mids = members(mask)
@@ -140,13 +144,8 @@ class FacePoset:
                 for lo in mids:
                     if not inner >> lo & 1:
                         ups[lo].append(hi)
-            self._covers = None  # listed from the index when first read
-        else:
-            # sorted once, so every bucket fills in increasing order
-            self._covers = tuple(sorted(covers))
-            for lo, hi in self._covers:
-                ups[lo].append(hi)
         self._ups = tuple(map(tuple, ups))
+        self._covers = None  # listed from the index when first read
         above = [0] * n
         # every upper cover of lo has a larger index, so reverse index order
         # completes above[hi] before it is read
@@ -160,19 +159,10 @@ class FacePoset:
     @classmethod
     def from_lower_covers(cls, nodes, ranks, lower) -> "FacePoset":
         """Nodes in rank order with the bottom at node 0, and ``lower[i]``
-        the lower covers of node ``i`` (node 0 for a minimal node).
-
-        ``below`` is ORed together in rank order, and the covers are kept.
-        """
-        below = [0] * len(nodes)
-        covers = []
-        for hi in range(1, len(nodes)):
-            mask = 0
-            for lo in lower[hi]:
-                mask |= below[lo] | 1 << lo
-                covers.append((lo, hi))
-            below[hi] = mask
-        return cls(nodes, ranks, below, covers)
+        the lower covers of node ``i`` (node 0 for a minimal node): the
+        pass of :func:`_cover_index` with each node keyed by its index."""
+        offsets = ([lo - hi for lo in lower[hi]] for hi in range(1, len(nodes)))
+        return cls(nodes, ranks, *_cover_index(range(1, len(nodes)), offsets))
 
     @classmethod
     def from_qnodes(cls, qnodes, node_cap: int = DEFAULT_NODE_CAP) -> "FacePoset":
@@ -183,7 +173,12 @@ class FacePoset:
         ``node_cap`` bounds the node count, bottom included; an iterator of
         labels is abandoned as soon as it passes the cap.
         """
-        elements = _labels_by_rank(qnodes, node_cap)
+        elements = []
+        for q in qnodes:
+            elements.append(q)
+            if len(elements) + 1 > node_cap:
+                raise CapExceededError(f"poset exceeds node cap {node_cap}")
+        elements.sort(key=lambda q: q.rank)
         nodes = [BOTTOM, *elements]
         ranks = [min((q.rank for q in elements), default=0) - 1]
         ranks.extend(q.rank for q in elements)
@@ -209,12 +204,12 @@ class FacePoset:
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Cover pairs (lo, hi): lo < hi with nothing strictly between.
 
-        Sorted.  The builders pass them in; a poset given by its masks
-        alone reads them off ``below`` into :meth:`up_covers` and lists
-        them from there once.
+        Sorted.  Listed once, on first read, from :meth:`up_covers`, which
+        the builders pass in and a poset given by its masks alone reads off
+        ``below``.
         """
         if self._covers is None:
-            self._covers = tuple((lo, hi) for lo, his in enumerate(self._ups) for hi in his)
+            self._covers = tuple([(lo, hi) for lo, his in enumerate(self._ups) for hi in his])
         return self._covers
 
     def up_covers(self) -> tuple[tuple[int, ...], ...]:
@@ -236,36 +231,28 @@ class FacePoset:
 # -- builders ------------------------------------------------------------------
 
 
-def _labels_by_rank(qnodes, node_cap: int) -> list[QNode]:
-    """The labels sorted by rank (stably), abandoned as soon as they and the
-    bottom pass ``node_cap``."""
-    elements = []
-    for q in qnodes:
-        elements.append(q)
-        if len(elements) + 1 > node_cap:
-            raise CapExceededError(f"poset exceeds node cap {node_cap}")
-    elements.sort(key=lambda q: q.rank)
-    return elements
-
-
-def _cover_poset(elements, keys, offsets) -> FacePoset:
-    """Poset on rank-sorted labels, generated by product covers.
-
-    ``keys[i]`` is an integer that identifies ``elements[i]``, and
-    ``offsets[i]`` lists the differences d for which ``keys[i] + d`` is the
-    key of a label ``elements[i]`` might cover; those that are labels are
-    its lower covers.  Exact when every cover of the order raises the rank
-    by one (the closure order is graded; ``verify hatQ`` checks it on the
-    pairwise order): then it moves one coordinate by one Bruhat cover, so
-    the order is the transitive closure of the product covers between
-    labels.
+def _cover_index(keys, offsets) -> tuple[list[int], list[list[int]]]:
+    """``below`` and the up-cover index of the nodes 1, 2, ... (in rank
+    order, above the bottom at node 0), in key space: node i has the key
+    ``keys[i - 1]``, and its lower covers are the nodes keyed by its key
+    plus a difference in ``offsets[i - 1]``, or the bottom if there is none.
+    One pass in node order ORs their masks into ``below[i]`` and appends i
+    to their buckets, so every bucket fills in increasing order.
     """
     get = {k: i for i, k in enumerate(keys, start=1)}.get  # node indices are >= 1
-    lower = [()] + [
-        [i for d in offs if (i := get(k + d))] or [0] for k, offs in zip(keys, offsets)
-    ]
-    ranks = [elements[0].rank - 1, *(q.rank for q in elements)]
-    return FacePoset.from_lower_covers([BOTTOM, *elements], ranks, lower)
+    below = [0]
+    ups: list[list[int]] = [[] for _ in range(len(keys) + 1)]
+    for hi, (k, offs) in enumerate(zip(keys, offsets), start=1):
+        mask = 0
+        for d in offs:
+            if lo := get(k + d):
+                mask |= below[lo] | 1 << lo
+                ups[lo].append(hi)
+        if not mask:
+            mask = 1
+            ups[0].append(hi)
+        below.append(mask)
+    return below, ups
 
 
 def interval_labels(top: QNode):
@@ -290,47 +277,57 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> FacePoset:
 
     The lower covers of (v, wbar) are the labels (v', wbar) with v' an
     upper Bruhat cover of v, and (v, wbar) with one factor replaced by a
-    lower Bruhat cover; see :func:`_cover_poset`.  A label's key is mixed
-    radix: v's position among the u with top.v <= u <= m_star(top.wbar),
-    then each factor's position in the lower interval of its top factor.
-    Each coordinate value carries its digit and the key offsets of its
-    product covers, so a label's candidates are its key plus the offsets of
-    its coordinates.  ``node_cap`` is checked while the labels are listed,
-    before any key is made.
+    lower Bruhat cover: exact when every cover raises the rank by one (the
+    closure order is graded; ``verify hatQ`` checks it on the pairwise
+    order), for then the order is the transitive closure of these covers.
+
+    A label's key is mixed radix: v's position among the u with top.v <= u
+    <= m_star(top.wbar), then each factor's position in the lower interval
+    of its top factor.  The labels are listed in the order of
+    :func:`interval_labels`, each with its key, into buckets by rank, and
+    ``node_cap`` is checked per label, before any cover is looked up.  Then
+    the key offsets of the covers are made once per v and once per wbar,
+    and :func:`_cover_index` finds the lower covers.
     """
-    elements = _labels_by_rank(interval_labels(top), node_cap)
     group = top.v.group
     vs = [u for u in group.lower_interval(group.m_star(top.wbar)) if group.bruhat_leq(top.v, u)]
-    vpos = {u.serial: p for p, u in enumerate(vs)}
-    ups: list[list[int]] = [[] for _ in vs]  # the positions of each v's upper covers
-    for p, u in enumerate(vs):
-        for c in group.lower_covers(u):
-            if c.serial in vpos:
-                ups[vpos[c.serial]].append(p)
-    # per coordinate: its values in order, and the positions each value moves to
-    axes = [(vs, ups)]
-    for w in top.wbar:
-        below = group.lower_interval(w)
-        pos = {u.serial: p for p, u in enumerate(below)}
-        axes.append((below, [[pos[c.serial] for c in group.lower_covers(u)] for u in below]))
-    # per coordinate: serial -> (digit times stride, key offsets of the moves)
-    coords, stride = [], 1
-    for values, moves in axes:
-        coords.append({
-            u.serial: (p * stride, tuple((m - p) * stride for m in moves[p]))
-            for p, u in enumerate(values)
-        })
+    vdigit = {u.serial: p for p, u in enumerate(vs)}
+    factors = [group.lower_interval(w) for w in top.wbar]
+    digits, stride = [], len(vs)
+    for values in factors:
+        digits.append([p * stride for p in range(len(values))])
         stride *= len(values)
-    keys, offsets = [], []
-    for q in elements:
-        key, offs = 0, ()
-        for coord, u in zip(coords, (q.v, *q.wbar)):
-            digit, more = coord[u.serial]
-            key += digit
-            offs += more
-        keys.append(key)
-        offsets.append(offs)
-    return _cover_poset(elements, keys, offsets)
+    buckets: list[list] = [[] for _ in range(top.rank + 1)]  # (label, key, v digit, wbar index)
+    count = 1  # the bottom
+    for c, (wbar, ds) in enumerate(zip(product(*factors), product(*digits))):
+        base = sum(ds)
+        length = sum([w.length for w in wbar])
+        for v in group.lower_interval(group.m_star(wbar)):
+            d = vdigit.get(v.serial)
+            if d is not None:
+                rank = length - v.length
+                buckets[rank].append((QNode(v, wbar, rank), base + d, d, c))
+                count += 1
+                if count > node_cap:
+                    raise CapExceededError(f"poset exceeds node cap {node_cap}")
+    # key offsets: v moves up one cover, a factor down one
+    vmoves: list[tuple[int, ...]] = [()] * len(vs)
+    for p, u in enumerate(vs):
+        for cover in group.lower_covers(u):
+            d = vdigit.get(cover.serial)
+            if d is not None:
+                vmoves[d] += (p - d,)
+    fmoves = []
+    for values, ds in zip(factors, digits):
+        digit = {u.serial: d for u, d in zip(values, ds)}
+        fmoves.append([tuple(digit[cover.serial] - d for cover in group.lower_covers(u))
+                       for u, d in zip(values, ds)])
+    wmoves = [sum(moves, ()) for moves in product(*fmoves)]
+    labels = [entry for bucket in buckets for entry in bucket]
+    ranks = [labels[0][0].rank - 1, *(q.rank for q, _, _, _ in labels)]
+    below, ups = _cover_index([key for _, key, _, _ in labels],
+                              [vmoves[d] + wmoves[c] for _, _, d, c in labels])
+    return FacePoset([BOTTOM, *(q for q, _, _, _ in labels)], ranks, below, ups)
 
 
 def braid_poset(group: WeylGroup, letters) -> FacePoset:
@@ -356,7 +353,9 @@ def braid_poset(group: WeylGroup, letters) -> FacePoset:
     elements.sort(key=lambda q: q.rank)
 
     keys = [sum(1 << i for i, x in enumerate(q.wbar) if x.length) for q in elements]
-    return _cover_poset(elements, keys, [[-(1 << i) for i in members(k)] for k in keys])
+    below, ups = _cover_index(keys, [[-(1 << i) for i in members(k)] for k in keys])
+    ranks = [elements[0].rank - 1, *(q.rank for q in elements)]
+    return FacePoset([BOTTOM, *elements], ranks, below, ups)
 
 
 def link_poset(bottom: QNode, top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> FacePoset:
@@ -367,9 +366,10 @@ def link_poset(bottom: QNode, top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> F
     b = interval.index(bottom)
     keep = members(interval.above[b])
     pos = {b: 0, **{old: new for new, old in enumerate(keep, start=1)}}
-    lower = [[] for _ in range(len(keep) + 1)]
-    for lo, hi in interval.covers:
-        if lo in pos:  # then hi is above bottom too
+    ups = interval.up_covers()
+    lower: list[list[int]] = [[] for _ in range(len(keep) + 1)]
+    for lo in (b, *keep):  # every upper cover of these is above bottom
+        for hi in ups[lo]:
             lower[pos[hi]].append(pos[lo])
     ranks = [interval.ranks[i] - bottom.rank - 1 for i in keep]
     return FacePoset.from_lower_covers(
@@ -486,31 +486,29 @@ def is_eulerian(poset: FacePoset) -> bool:
     r(x) odd and odd_below[y] - 1 for r(x) even.
 
     Nodes are stored in rank order, so each rank is a contiguous band of
-    indices; the y above x of rank r(x) + 2, r(x) + 4, ... are read from
-    the band's slice of ``above[x]``, a small int, and a rank with no
-    nodes is skipped.
+    indices.  A table made once per call gives each rank the bands of the
+    ranks 2, 4, ... above it that hold nodes, as (first index, all-ones
+    mask of the width) pairs; the y above x are read band by band from a
+    slice of ``above[x]``, a small int.  ``odd`` is ORed from the bands.
     """
     ranks, below = poset.ranks, poset.below
-    bands: dict[int, tuple[int, int]] = {}  # rank -> (first index, width)
+    bands: dict[int, tuple[int, int]] = {}  # rank -> (first index, all-ones mask of its width)
     for i, r in enumerate(ranks):
-        start, width = bands.get(r, (i, 0))
-        bands[r] = (start, width + 1)
-    odd = sum(1 << i for i, r in enumerate(ranks) if r % 2)
+        start, full = bands.get(r, (i, 0))
+        bands[r] = (start, full << 1 | 1)
+    odd = sum(full << start for r, (start, full) in bands.items() if r % 2)  # disjoint bands
+    # rank -> the bands of the ranks 2, 4, ... above it that hold nodes
+    table = {r: [bands[t] for t in range(r + 2, max(bands) + 1, 2) if t in bands] for r in bands}
     odd_below = [(mask & odd).bit_count() for mask in below]
     # the popcount each y needs, for x of even rank and for x of odd rank
     needs = ([c - 1 for c in odd_below], [c + 1 for c in odd_below])
-    top = max(ranks, default=0)
     for x, up in enumerate(poset.above):
         if not up:
             continue
         flip = (up | 1 << x) ^ odd
         need = needs[ranks[x] % 2]
-        for r in range(ranks[x] + 2, top + 1, 2):
-            band = bands.get(r)
-            if band is None:
-                continue
-            start, width = band
-            ys = up >> start & (1 << width) - 1
+        for start, full in table[ranks[x]]:
+            ys = up >> start & full
             base = start - 1  # bit k of ys (from 0) is node base + k + 1
             while ys:
                 low = ys & -ys

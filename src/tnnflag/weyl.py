@@ -148,11 +148,16 @@ class WeylGroup:
         return elt
 
     def _canonical_word(self, geom: IntMat, geom_inv: IntMat) -> Word:
-        """Lexicographically smallest reduced word, by left-descent stripping."""
+        """Lexicographically smallest reduced word, by left-descent stripping.
+
+        The canonical word of w is its smallest left descent i followed by
+        the canonical word of s_i w, so stripping stops at the first
+        interned element and appends that element's word.
+        """
         letters = []
         g, gi = geom, geom_inv
         m = self.rank
-        while g != self._id:
+        while (known := self._elts.get(g)) is None and g != self._id:
             for i in range(m):
                 if all(gi[r][i] <= 0 for r in range(m)):
                     break
@@ -163,7 +168,10 @@ class WeylGroup:
             letters.append(i)
             if len(letters) > _MAX_CANONICAL_LEN:
                 raise ArithmeticError("canonical word exceeds safety cap")
-        return tuple(letters)
+        word = tuple(letters) + (known.word if known is not None else ())
+        if len(word) > _MAX_CANONICAL_LEN:
+            raise ArithmeticError("canonical word exceeds safety cap")
+        return word
 
     def _simple_times(self, i: int, g: IntMat) -> IntMat:
         """s_i g: row i becomes sum_c (s_i)_{ic} g_c, the other rows stay."""

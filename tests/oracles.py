@@ -18,7 +18,9 @@ The twisted-layer oracles (``frac_stratum``, ``frac_alpha``,
 ``frac_phi_Z``) take the public Fraction factors of a point and multiply
 them out, w0dot^{-1} included, where ``src`` works on integer forms.
 
-``bruhat_by_subwords`` reads the Bruhat order off the lower interval.
+``bruhat_by_subwords`` reads the Bruhat order off the lower interval, and
+``canonical_word`` strips left descents all the way to the identity, where
+``WeylGroup`` stops at the first element it has interned.
 ``chain_h_vector`` computes the h-vector of an order complex from chain
 counts alone, and ``wall_counts`` reads the same numbers off a facet order
 when it is a shelling; neither uses a shelling search.
@@ -265,6 +267,19 @@ def frac_phi_Z(z):
 def bruhat_by_subwords(group, v, w) -> bool:
     """Subword-criterion oracle for the Bruhat order."""
     return v in group.lower_interval(w)
+
+
+def canonical_word(group, geom, geom_inv):
+    """Lexicographically smallest reduced word of the element (geom,
+    geom_inv): the smallest left descent is stripped until the identity is
+    reached, without stopping at an element the group has interned."""
+    letters = []
+    while geom != group._id:
+        i = next(i for i in range(group.rank) if all(row[i] <= 0 for row in geom_inv))
+        geom = group._simple_times(i, geom)
+        geom_inv = group._times_simple(geom_inv, i)
+        letters.append(i)
+    return tuple(letters)
 
 
 def chain_h_vector(poset) -> list[int]:

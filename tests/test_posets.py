@@ -251,29 +251,30 @@ def test_node_cap(A2):
 
 def test_node_cap_boundary(A2, monkeypatch):
     """A cap of exactly the node count passes; one less raises while the
-    labels are still being listed, before any key or index is made."""
+    labels are still being listed, before any cover is looked up and before
+    any key index or mask is made."""
     s1, s2 = A2.simple(0), A2.simple(1)
     top = make_qnode(A2.identity, (A2.multiply(s1, s2), A2.multiply(s2, s1)))
     poset = build_interval(top)
     assert_same_poset(build_interval(top, node_cap=len(poset)), poset)
 
     listed = []
+    make = posets.QNode
 
-    def labels(t):
-        for q in interval_labels(t):
-            listed.append(q)
-            yield q
-        listed.append("exhausted")
+    def label(*args):
+        q = make(*args)
+        listed.append(q)
+        return q
 
     def no_index(*args):
         raise AssertionError("the index was built past the node cap")
 
-    monkeypatch.setattr(posets, "interval_labels", labels)
-    monkeypatch.setattr(posets, "_cover_poset", no_index)
+    monkeypatch.setattr(posets, "QNode", label)
+    monkeypatch.setattr(posets, "_cover_index", no_index)
     monkeypatch.setattr(A2, "lower_covers", no_index)
     with pytest.raises(CapExceededError):
         build_interval(top, node_cap=len(poset) - 1)
-    # the last label tipped the count over the cap; the listing never ended
+    # each label was made once, and the last one tipped the count over the cap
     assert len(listed) == len(poset) - 1
     assert set(listed) == set(poset.nodes[1:])
 
@@ -286,6 +287,14 @@ def assert_same_poset(poset, other):
     assert poset.below == other.below
     assert poset.above == other.above
     assert poset.covers == other.covers
+
+
+def assert_shared_index(poset):
+    """A builder's up-cover index equals the one read off its masks alone,
+    and ``covers`` lists those cover pairs sorted."""
+    masks_only = FacePoset(poset.nodes, poset.ranks, poset.below)
+    assert poset.up_covers() == masks_only.up_covers()
+    assert poset.covers == tuple(sorted(masks_only.covers))
 
 
 # family, rank, n, factor length cap, sampled tops
@@ -301,7 +310,8 @@ COVER_BUILDER_FAMILIES = [
 def test_cover_builder_matches_pairwise_order(family, rank, n, cap, count):
     """build_interval equals FacePoset.from_qnodes and the tuple-key builder
     on sampled tops, and its nodes are exactly the family's labels below the
-    top by qnode_leq."""
+    top by qnode_leq.  It and two of its links carry the index their masks
+    give."""
     group = WeylGroup(cartan_of_type(family, rank))
     labels = list(iter_qnodes(group, n, length_cap=cap))
     rng = random.Random(f"{family}{rank} n={n}")
@@ -312,6 +322,9 @@ def test_cover_builder_matches_pairwise_order(family, rank, n, cap, count):
         assert_same_poset(poset, FacePoset.from_qnodes(interval_labels(top)))
         assert_same_poset(poset, tuple_key_build_interval(top))
         assert set(poset.nodes[1:]) == {q for q in labels if qnode_leq(q, top)}
+        assert_shared_index(poset)
+        for b in rng.sample(range(1, len(poset) - 1), 2):
+            assert_shared_index(link_poset(poset.nodes[b], top))
 
 
 def test_integer_keys_match_tuple_key_builder():
@@ -326,16 +339,19 @@ def test_integer_keys_match_tuple_key_builder():
     assert tops == 244
 
 
-def test_braid_cover_builder_matches_pairwise_order(A2):
-    """braid_poset equals the pairwise order on its labels for every A2
-    word of length <= 5."""
+def test_braid_cover_builder_matches_pairwise_order(A2, S4):
+    """braid_poset equals the pairwise order on its labels, and carries the
+    index its masks give, for every A2 word of length <= 5 and every A3
+    word of length <= 4."""
     words = 0
-    for length in range(1, 6):
-        for letters in product(range(2), repeat=length):
-            poset = braid_poset(A2, letters)
-            assert_same_poset(poset, FacePoset.from_qnodes(poset.nodes[1:]))
-            words += 1
-    assert words == 62
+    for group, letters_of, longest in ((A2, range(2), 5), (S4, range(3), 4)):
+        for length in range(1, longest + 1):
+            for letters in product(letters_of, repeat=length):
+                poset = braid_poset(group, letters)
+                assert_same_poset(poset, FacePoset.from_qnodes(poset.nodes[1:]))
+                assert_shared_index(poset)
+                words += 1
+    assert words == 62 + 120
 
 
 def test_braid_poset_square_word(A2):

@@ -3,7 +3,8 @@
 Over A3, B3, C3, D4, affine A2 and the thickening of A2 for two factors:
 the simple-reflection updates against full products of geometric
 matrices, canonical words against left-descent stripping by full
-products, geom * geom_inv = I, associativity of the product and of the
+products and, in fresh groups built in random order, against stripping
+to the identity past interned elements, geom * geom_inv = I, associativity of the product and of the
 Demazure product, the uniqueness of positive subexpressions in random
 reduced words, and the from_perm / perm_of bridge in type A.  The
 from_perm and Demazure memos are driven past a small cap.
@@ -11,6 +12,7 @@ from_perm and Demazure memos are driven past a small cap.
 
 from functools import cache
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,12 +31,14 @@ from tnnflag.weyl import (
 NAMES = ("A3", "B3", "C3", "D4", "affine-A2", "A2 thickened n=2")
 
 
-@cache
-def group(name):
+def fresh_group(name):
     if name == "A2 thickened n=2":
         return WeylGroup(cartan_of_type("A", 2)).thickened(2)
     family, rank = name[:-1], int(name[-1])
     return WeylGroup(cartan_of_type(family, rank))
+
+
+group = cache(fresh_group)
 
 
 @st.composite
@@ -84,6 +88,32 @@ def test_simple_reflection_updates_match_full_products(case):
         left = g.multiply(g.simple(i), u)
         assert (left.geom, left.geom_inv) == (_mat_mul(s, u.geom), _mat_mul(u.geom_inv, s))
         assert left.word == canonical_by_products(g, left.geom, left.geom_inv)
+
+
+@st.composite
+def fresh_builds(draw):
+    """A fresh group and words to build in it, in the order drawn."""
+    g = fresh_group(draw(st.sampled_from(("A3", "B3", "affine-A2", "A2 thickened n=2"))))
+    letters = st.integers(0, g.rank - 1)
+    return g, draw(st.lists(st.lists(letters, max_size=10), min_size=1, max_size=6))
+
+
+@SETTINGS
+@given(fresh_builds())
+def test_canonical_words_match_full_stripping(case):
+    """Stopping at the first interned element gives the word that stripping
+    to the identity gives, for every element interned while words, their
+    products with the previous element and their inverses are built in
+    random order in a fresh group."""
+    g, word_list = case
+    prev = g.identity
+    for word in word_list:
+        u = g.from_word(word)
+        g.multiply(prev, u)
+        g.inverse(u)
+        prev = u
+    for elt in g._elts.values():
+        assert elt.word == oracles.canonical_word(g, elt.geom, elt.geom_inv)
 
 
 @SETTINGS
