@@ -252,7 +252,8 @@ def test_node_cap(A2):
 def test_node_cap_boundary(A2, monkeypatch):
     """A cap of exactly the node count passes; one less raises while the
     labels are still being listed, before any cover is looked up and before
-    any key index or mask is made."""
+    any key index or mask is made, and a cap of half the count raises after
+    that many labels."""
     s1, s2 = A2.simple(0), A2.simple(1)
     top = make_qnode(A2.identity, (A2.multiply(s1, s2), A2.multiply(s2, s1)))
     poset = build_interval(top)
@@ -277,6 +278,15 @@ def test_node_cap_boundary(A2, monkeypatch):
     # each label was made once, and the last one tipped the count over the cap
     assert len(listed) == len(poset) - 1
     assert set(listed) == set(poset.nodes[1:])
+
+    # a cap well below the count stops the listing part way: the cap is
+    # checked per label, not once the listing has ended
+    listed.clear()
+    node_cap = len(poset) // 2
+    with pytest.raises(CapExceededError):
+        build_interval(top, node_cap=node_cap)
+    assert len(listed) == node_cap < len(poset) - 1
+    assert set(listed) < set(poset.nodes[1:])
 
 
 def assert_same_poset(poset, other):
