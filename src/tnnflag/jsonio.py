@@ -36,6 +36,12 @@ def word_to_json(group: WeylGroup, word) -> list[int]:
 
 
 def word_from_json(group: WeylGroup, values) -> tuple:
+    """The word a ``word_to_json`` list encodes; ValueError on a letter the group lacks.
+
+    Public API with no caller in the package: it is the decoder of the
+    word encoding of the CLI's JSON reports, so a reader can turn a
+    reported word back into letters, thickening letters included.
+    """
     return tuple(letter_from_json(group, v) for v in values)
 
 

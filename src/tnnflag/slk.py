@@ -2,12 +2,13 @@
 
 One routine, ``word_form``, builds every product of Chevalley generators
 (x_i, y_i and the reflection representatives sdot_i) by O(k) integer
-column operations; the generators, the signed permutation
-representatives and the Marsh-Rietsch cell parametrization are calls of
-it, and w0dot has a closed form, whose inverse acts as a signed row
-reversal.  One column elimination reads every cell: the Bruhat cell of
-g B+, its opposite cell and double Bruhat labels (the same elimination
-on g with rows, or rows and columns, reversed) and the flag of g.  Also
+column operations: a generator is a one-letter word, and the signed
+permutation representatives and the Marsh-Rietsch cell parametrization
+are calls of it.  w0dot has a closed form, whose inverse acts as a
+signed row reversal.  One column elimination reads every cell: the
+Bruhat cell of g B+, its opposite cell and double Bruhat labels (the
+same elimination on g with rows, or rows and columns, reversed) and the
+flag of g, which keeps its cell.  Also
 total nonnegativity by fraction-free Neville elimination (exhaustive
 minors for singular input) and the involution iota.
 
@@ -96,24 +97,9 @@ def word_matrix(k: int, word) -> Mat:
     return ratlin.fraction_matrix(word_form(k, word))
 
 
-def x_gen(k: int, i: int, a) -> Mat:
-    """Identity plus a in entry (i, i+1)."""
-    return word_matrix(k, [("x", i, a)])
-
-
-def y_gen(k: int, i: int, a) -> Mat:
-    """Identity plus a in entry (i+1, i)."""
-    return word_matrix(k, [("y", i, a)])
-
-
 def sdot(k: int, i: int) -> Mat:
     """Representative x_i(1) y_i(-1) x_i(1) of the simple reflection."""
     return word_matrix(k, [("s", i, None)])
-
-
-def wdot_from_word(k: int, letters) -> Mat:
-    """Product of sdot over a reduced word."""
-    return word_matrix(k, [("s", i, None) for i in letters])
 
 
 def w0_perm(k: int) -> tuple[int, ...]:
@@ -381,6 +367,11 @@ class FlagPoint:
         if self._rep is None:
             self._rep = ratlin.fraction_matrix(self._form)
         return self._rep
+
+    @property
+    def cell(self) -> tuple[int, ...]:
+        """The Bruhat cell of the flag, the pivot rows of its elimination, as ``bruhat_cell``."""
+        return tuple(p + 1 for p in self._pivots)
 
     def __eq__(self, other):
         if not isinstance(other, FlagPoint):

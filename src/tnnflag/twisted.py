@@ -12,6 +12,12 @@ integer forms, and strata, alpha, the duality map and the positivity
 test run on those.  Fractions are built once, on first read of a
 point's public ``factors``, and for the result of ``db_positive``.
 
+Each matrix of a point is eliminated once.  Making a point builds the
+flag of each factor, which rejects a singular factor and gives its Bruhat
+cell; the product of the factors is built on first use.  The point keeps
+both, so ``stratum``, ``phi_Z``, ``alpha`` and ``convolution`` reuse
+them and the twisted layer takes no determinant.
+
 ``parametrize_cell`` and ``phi_Z`` assert theorem-level facts on every call
 unless passed ``check=False``: the cell parametrization lands in its
 stratum, and the duality map permutes strata by the book formula.
@@ -33,29 +39,35 @@ from .weyl import WeylElt, WeylGroup, from_perm, perm_of, positive_tuple, type_a
 class ZPoint:
     """Tuple of SL_k factors representing a point of the twisted product.
 
-    The factors are kept as integer forms, ``_forms``, and everything
-    inside the layer reads those.  The Fraction ``factors`` are the ones
-    passed to ``ZPoint(factors)``, or for a point made by ``of_forms``
-    are built on first read and kept.  ``_stratum`` caches the result of
-    :func:`stratum`, which depends on the factors alone.  Equality,
-    hashing and ``repr`` are those of ``factors``.
+    A point keeps, for each factor, its integer form, ``_forms``, and its
+    flag, ``_flags``: one column elimination per factor, made when the
+    point is, which also rejects a singular factor (no determinant is
+    taken).  Everything inside the layer reads those.  The product of the
+    factors, ``_product``, and the result of :func:`stratum` are computed
+    on first use and kept; both depend on the factors alone.
+
+    The Fraction ``factors`` are the ones passed to ``ZPoint(factors)``,
+    stored as a tuple of tuples of rows with the entries as given, or for
+    a point made by ``of_forms`` are built on first read and kept.
+    Equality, hashing and ``repr`` are those of ``factors``.
     """
 
-    __slots__ = ("_forms", "_factors", "_stratum")
+    __slots__ = ("_forms", "_flags", "_factors", "_product", "_stratum")
 
     def __init__(self, factors):
-        forms = tuple(ratlin.int_form(g, square=True) for g in factors)
-        _check_factors(forms)
-        self._forms, self._factors, self._stratum = forms, factors, None
+        factors = tuple(tuple(map(tuple, g)) for g in factors)
+        self._set(tuple(ratlin.int_form(g, square=True) for g in factors), factors)
 
     @classmethod
     def of_forms(cls, forms) -> "ZPoint":
         """The point with these integer-form factors; its Fraction factors wait for a read."""
-        forms = tuple(forms)
-        _check_factors(forms)
         z = cls.__new__(cls)
-        z._forms, z._factors, z._stratum = forms, None, None
+        z._set(tuple(forms), None)
         return z
+
+    def _set(self, forms, factors) -> None:
+        self._flags = _check_factors(forms)
+        self._forms, self._factors, self._product, self._stratum = forms, factors, None, None
 
     @property
     def factors(self) -> tuple[Mat, ...]:
@@ -90,21 +102,29 @@ class ZPoint:
         return cls(tuple(ratlin.mat_from_json(g) for g in data["factors"]))
 
 
-def _check_factors(forms) -> None:
-    """At least one factor, all of one size, none singular (each form is square)."""
+def _check_factors(forms) -> tuple[slk.FlagPoint, ...]:
+    """The flag of each factor: at least one factor, all of one size, none singular.
+
+    Each form is square.  The flag is built from the factor's own form,
+    so its ``rep`` is the factor; its elimination raises on a singular
+    factor.
+    """
     if not forms:
         raise ValueError("need at least one factor")
     k = len(forms[0][0])
-    for m, _ in forms:
-        if len(m) != k:
-            raise ValueError("factors of mixed sizes")
-        if ratlin.int_det(m) == 0:
-            raise ValueError("singular factor")
+    if any(len(m) != k for m, _ in forms):
+        raise ValueError("factors of mixed sizes")
+    try:
+        return tuple(slk.FlagPoint.of_form(form) for form in forms)
+    except ValueError:
+        raise ValueError("singular factor") from None
 
 
 def _product(z: ZPoint) -> IntForm:
-    """g_1 ... g_n as an integer form."""
-    return ratlin.int_mul(*(m for m, _ in z._forms)), prod(d for _, d in z._forms)
+    """g_1 ... g_n as an integer form, computed once per point and kept."""
+    if z._product is None:
+        z._product = ratlin.int_mul(*(m for m, _ in z._forms)), prod(d for _, d in z._forms)
+    return z._product
 
 
 def gauge_eq(z1: ZPoint, z2: ZPoint) -> bool:
@@ -122,16 +142,17 @@ def gauge_eq(z1: ZPoint, z2: ZPoint) -> bool:
 def stratum(z: ZPoint) -> tuple[WeylElt, tuple[WeylElt, ...]]:
     """(v, wbar): factorwise Bruhat cells and the opposite cell of the product.
 
-    Read off the int matrices of the factors and of their product: a
+    The Bruhat cells are the pivots of the flags the point keeps; the
+    opposite cell is read off the int matrix of the kept product, since a
     positive scalar changes no cell.  Computed once per point and kept on
     it, so the checks of ``parametrize_cell`` and ``phi_Z`` do not repeat
     it.
     """
     if z._stratum is None:
         group = type_a_group(z.k)
-        wbar = tuple(from_perm(group, slk.bruhat_cell(m)) for m, _ in z._forms)
+        wbar = tuple(from_perm(group, f.cell) for f in z._flags)
         v = from_perm(group, slk.opposite_cell(_product(z)[0]))
-        object.__setattr__(z, "_stratum", (v, wbar))
+        z._stratum = v, wbar
     return z._stratum
 
 
@@ -148,12 +169,17 @@ def convolution(z: ZPoint) -> slk.FlagPoint:
 
 
 def alpha(z: ZPoint) -> tuple[slk.FlagPoint, ...]:
-    """Partial-product flags (g_1 B+, g_1 g_2 B+, ...); gauge-invariant."""
-    out = []
-    acc = None
-    for m, d in z._forms:
-        acc = (m, d) if acc is None else (ratlin.int_mul(acc[0], m), acc[1] * d)
+    """Partial-product flags (g_1 B+, g_1 g_2 B+, ...); gauge-invariant.
+
+    The first is the kept flag of g_1 and the last that of the kept product.
+    """
+    out = [z._flags[0]]
+    acc = z._forms[0]
+    for m, d in z._forms[1:-1]:
+        acc = ratlin.int_mul(acc[0], m), acc[1] * d
         out.append(slk.FlagPoint.of_form(acc))
+    if z.n > 1:
+        out.append(convolution(z))
     return tuple(out)
 
 

@@ -239,14 +239,6 @@ class WeylGroup:
         g = w.geom
         return all(g[r][i] <= 0 for r in range(self.rank))
 
-    def left_descents(self, w: WeylElt) -> set[int]:
-        self.check_same(w)
-        return {i for i in range(self.rank) if self.has_left_descent(w, i)}
-
-    def right_descents(self, w: WeylElt) -> set[int]:
-        self.check_same(w)
-        return {i for i in range(self.rank) if self.has_right_descent(w, i)}
-
     # -- Bruhat order -------------------------------------------------------
 
     def bruhat_leq(self, v: WeylElt, w: WeylElt) -> bool:

@@ -21,6 +21,7 @@ them out, w0dot^{-1} included, where ``src`` works on integer forms.
 ``bruhat_by_subwords`` reads the Bruhat order off the lower interval, and
 ``canonical_word`` strips left descents all the way to the identity, where
 ``WeylGroup`` stops at the first element it has interned.
+``all_reduced_words`` lists every reduced word by stripping right descents.
 ``chain_h_vector`` computes the h-vector of an order complex from chain
 counts alone, and ``wall_counts`` reads the same numbers off a facet order
 when it is a shelling; neither uses a shelling search.
@@ -267,6 +268,18 @@ def frac_phi_Z(z):
 def bruhat_by_subwords(group, v, w) -> bool:
     """Subword-criterion oracle for the Bruhat order."""
     return v in group.lower_interval(w)
+
+
+def all_reduced_words(group, w):
+    """Every reduced word of w, by stripping each right descent in turn."""
+    if w.length == 0:
+        return [()]
+    out = []
+    for i in range(group.rank):
+        if group.has_right_descent(w, i):
+            shorter = group.multiply(w, group.simple(i))
+            out.extend(word + (i,) for word in all_reduced_words(group, shorter))
+    return out
 
 
 def canonical_word(group, geom, geom_inv):

@@ -26,13 +26,18 @@ def random_group_element(k, rng, steps=6):
         kind = rng.randint(0, 2)
         a = rand_frac(rng)
         if kind == 0:
-            g = ratlin.mat_mul(g, slk.x_gen(k, i, a))
+            g = ratlin.mat_mul(g, oracles.x_gen(k, i, a))
         elif kind == 1:
-            g = ratlin.mat_mul(g, slk.y_gen(k, i, a))
+            g = ratlin.mat_mul(g, oracles.y_gen(k, i, a))
         else:
             t = a if a != 0 else Fraction(1)
             g = ratlin.mat_mul(g, torus(k, i, t))
     return g
+
+
+def wdot(k, letters):
+    """Product of sdot over a word of 0-based letters."""
+    return slk.word_matrix(k, [("s", i, None) for i in letters])
 
 
 def torus(k, i, t):
@@ -89,7 +94,7 @@ def bruhat_cell_by_rank(g):
 @cache
 def w0_dot_by_word(k):
     """w0dot as the product of sdot over a reduced word of w0."""
-    return slk.wdot_from_word(k, word_of(k, slk.w0_perm(k)))
+    return wdot(k, word_of(k, slk.w0_perm(k)))
 
 
 def opposite_cell_by_inverse(g):
@@ -126,14 +131,14 @@ def random_upper(k, rng):
 
 
 def test_generator_shapes():
-    assert slk.x_gen(3, 0, 0) == ratlin.identity(3)
-    assert slk.x_gen(2, 0, 5)[0][1] == 5
-    assert slk.y_gen(2, 0, 5)[1][0] == 5
+    assert slk.word_matrix(3, [("x", 0, 0)]) == ratlin.identity(3)
+    assert slk.word_matrix(2, [("x", 0, 5)])[0][1] == 5
+    assert slk.word_matrix(2, [("y", 0, 5)])[1][0] == 5
     assert slk.sdot(2, 0) == ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0)))
     t = torus(2, 0, Fraction(3, 2))
     assert t[0][0] == Fraction(3, 2) and t[1][1] == Fraction(2, 3)
     with pytest.raises(ValueError):
-        slk.x_gen(3, 2, 1)
+        slk.word_matrix(3, [("x", 2, 1)])
     with pytest.raises(ValueError):
         torus(2, 0, 0)
 
@@ -155,15 +160,15 @@ def test_word_matrix_matches_product_oracle():
     for k in range(2, 7):
         for i in range(k - 1):
             a = rand_frac(rng)
-            assert slk.x_gen(k, i, a) == oracles.x_gen(k, i, a)
-            assert slk.y_gen(k, i, a) == oracles.y_gen(k, i, a)
+            assert slk.word_matrix(k, [("x", i, a)]) == oracles.x_gen(k, i, a)
+            assert slk.word_matrix(k, [("y", i, a)]) == oracles.y_gen(k, i, a)
             assert slk.sdot(k, i) == oracles.sdot(k, i)
         for _ in range(30):
             word = random_word(k, rng, rng.randint(0, 12))
             seen.update((kind, a if a is None else (a > 0) - (a < 0)) for kind, _, a in word)
             assert slk.word_matrix(k, word) == oracles.word_product(k, word)
             letters = [rng.randint(0, k - 2) for _ in range(rng.randint(0, 8))]
-            assert slk.wdot_from_word(k, letters) == oracles.word_product(
+            assert wdot(k, letters) == oracles.word_product(
                 k, [("s", i, None) for i in letters]
             )
     # every kind occurred, x and y with zero, negative and positive parameters
@@ -217,7 +222,7 @@ def test_sdot_braid_relation():
 
 def test_bruhat_cell_basic():
     assert slk.bruhat_cell(ratlin.identity(3)) == (1, 2, 3)
-    assert slk.bruhat_cell(slk.y_gen(2, 0, 1)) == (2, 1)
+    assert slk.bruhat_cell(oracles.y_gen(2, 0, 1)) == (2, 1)
     assert slk.bruhat_cell(slk.w0_dot(4)) == (4, 3, 2, 1)
     with pytest.raises(ValueError):
         slk.bruhat_cell(((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1))))
@@ -253,7 +258,7 @@ def test_echelon_pivot_scan_on_singular_and_row_zero_input():
 
 
 def test_opposite_cell_basic():
-    assert slk.opposite_cell(slk.y_gen(2, 0, 1)) == (1, 2)
+    assert slk.opposite_cell(oracles.y_gen(2, 0, 1)) == (1, 2)
     assert slk.opposite_cell(slk.w0_dot(3)) == (3, 2, 1)
     assert slk.opposite_cell(ratlin.identity(3)) == (1, 2, 3)
 
@@ -263,7 +268,7 @@ def test_bruhat_cell_on_permutation_representatives():
 
     for k in (2, 3, 4):
         for p in permutations(range(1, k + 1)):
-            rep = slk.wdot_from_word(k, word_of(k, p))
+            rep = wdot(k, word_of(k, p))
             assert slk.bruhat_cell(rep) == p
             assert slk.bruhat_cell_by_elimination(rep) == p
             assert bruhat_cell_by_rank(rep) == p
@@ -322,7 +327,7 @@ def test_cell_labels_gauge_invariant():
 def test_is_tnn():
     """Hand-made cases, singular ones and ones needing a row exchange included."""
     F = Fraction
-    y_product = ratlin.mat_mul(slk.y_gen(3, 0, 1), slk.y_gen(3, 1, 1), slk.y_gen(3, 0, 1))
+    y_product = slk.word_matrix(3, [("y", 0, 1), ("y", 1, 1), ("y", 0, 1)])
     zero_row = ((F(1), F(2), F(0)), (F(0), F(0), F(0)), (F(1), F(3), F(1)))
     zero_row_not_tn = ((F(1), F(3), F(0)), (F(0), F(0), F(0)), (F(2), F(1), F(1)))
     equal_cols = ((F(1), F(1), F(0)), (F(2), F(2), F(1)), (F(1), F(1), F(3)))
@@ -332,7 +337,7 @@ def test_is_tnn():
     swap = ((F(0), F(1)), (F(1), F(0)))
     cases = [
         (ratlin.identity(3), True),
-        (slk.y_gen(2, 0, -1), False),
+        (oracles.y_gen(2, 0, -1), False),
         (y_product, True),
         (zero_row, True),
         (zero_row_not_tn, False),  # rows 1, 3 and columns 1, 2: 1*1 - 3*2 < 0
@@ -401,7 +406,7 @@ def test_is_tnn_at_k8():
     swapped = (g[1], g[0]) + g[2:]
     swapped = tuple((row[1], row[0]) + row[2:] for row in swapped)
     assert ratlin.det(swapped) > 0 and not slk.is_tnn(swapped)
-    assert not slk.is_tnn(ratlin.mat_mul(g, slk.x_gen(k, 6, -10**6)))
+    assert not slk.is_tnn(ratlin.mat_mul(g, oracles.x_gen(k, 6, -10**6)))
 
 
 def test_positive_y_products_are_tnn():
@@ -410,7 +415,9 @@ def test_positive_y_products_are_tnn():
         for _ in range(25):
             g = ratlin.identity(k)
             for _ in range(rng.randint(1, 6)):
-                g = ratlin.mat_mul(g, slk.y_gen(k, rng.randint(0, k - 2), rand_frac(rng, 1, 20)))
+                g = ratlin.mat_mul(
+                    g, oracles.y_gen(k, rng.randint(0, k - 2), rand_frac(rng, 1, 20))
+                )
             assert slk.is_tnn(g)
 
 
@@ -420,7 +427,7 @@ def test_mr_matrix_examples():
     assert slk.bruhat_cell(g) == slk.opposite_cell(g) == (2, 3, 1)
     # k = 2, v = e, word (0): a single y
     g = slk.mr_matrix(2, (0,), (None,), (Fraction(5),))
-    assert g == slk.y_gen(2, 0, 5)
+    assert g == oracles.y_gen(2, 0, 5)
     assert (slk.opposite_cell(g), slk.bruhat_cell(g)) == ((1, 2), (2, 1))
     # k = 3, v = s0 in (0,1,0): y0(t1) y1(t2) sdot0
     g = slk.mr_matrix(3, (0, 1, 0), (None, None, 0), (Fraction(1), Fraction(2)))
@@ -443,8 +450,8 @@ def test_iota_properties():
         for i in range(k - 1):
             for _ in range(5):
                 a = rand_frac(rng)
-                assert slk.iota(slk.x_gen(k, i, a)) == slk.x_gen(k, i, -a)
-                assert slk.iota(slk.y_gen(k, i, a)) == slk.y_gen(k, i, -a)
+                assert slk.iota(oracles.x_gen(k, i, a)) == oracles.x_gen(k, i, -a)
+                assert slk.iota(oracles.y_gen(k, i, a)) == oracles.y_gen(k, i, -a)
             t = rand_frac(rng, 1, 20)
             assert slk.iota(torus(k, i, t)) == torus(k, i, t)
     g, h = random_group_element(3, rng), random_group_element(3, rng)
@@ -452,11 +459,11 @@ def test_iota_properties():
 
 
 def test_flag_equality_and_canonical():
-    f = slk.FlagPoint(slk.y_gen(2, 0, 2))
-    g = slk.FlagPoint(ratlin.mat_mul(slk.y_gen(2, 0, 2), slk.x_gen(2, 0, 7)))
+    f = slk.FlagPoint(oracles.y_gen(2, 0, 2))
+    g = slk.FlagPoint(ratlin.mat_mul(oracles.y_gen(2, 0, 2), oracles.x_gen(2, 0, 7)))
     assert f == g
     assert f.canonical() == g.canonical()
-    h = slk.FlagPoint(slk.y_gen(2, 0, 3))
+    h = slk.FlagPoint(oracles.y_gen(2, 0, 3))
     assert f != h
     with pytest.raises(ValueError):
         slk.FlagPoint(((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))))
@@ -484,8 +491,8 @@ def test_flag_equality_is_canonical_form_equality():
         assert f == fb and hash(f) == hash(fb)
         i = rng.randint(0, k - 2)
         step = rng.choice((
-            slk.x_gen(k, i, rand_frac(rng)),
-            slk.y_gen(k, i, rand_frac(rng, -2, 2)),
+            oracles.x_gen(k, i, rand_frac(rng)),
+            oracles.y_gen(k, i, rand_frac(rng, -2, 2)),
             slk.sdot(k, i),
         ))
         h = ratlin.mat_mul(g, b, step)
@@ -548,7 +555,7 @@ def test_lusztig_positive_big_cell_identity():
         for _ in range(10):
             u = ratlin.identity(k)
             for i in group_word:
-                u = ratlin.mat_mul(u, slk.x_gen(k, i, rand_frac(rng, 1, 20)))
+                u = ratlin.mat_mul(u, oracles.x_gen(k, i, rand_frac(rng, 1, 20)))
             rep = ratlin.mat_mul(u, slk.w0_dot(k))
             lower, upper = _lu_unit_lower(rep)
             assert oracles.is_upper_triangular(upper)
@@ -556,11 +563,11 @@ def test_lusztig_positive_big_cell_identity():
 
 
 def test_double_bruhat_labels():
-    g = ratlin.mat_mul(slk.y_gen(2, 0, 1), slk.x_gen(2, 0, 2))
+    g = ratlin.mat_mul(oracles.y_gen(2, 0, 1), oracles.x_gen(2, 0, 2))
     assert slk.double_bruhat_labels(g) == ((2, 1), (2, 1))
     assert slk.double_bruhat_labels(ratlin.identity(3)) == ((1, 2, 3), (1, 2, 3))
 
 
 def test_k_cap():
     with pytest.raises(ValueError):
-        slk.x_gen(9, 0, 1)
+        slk.word_matrix(9, [("x", 0, 1)])

@@ -21,16 +21,6 @@ def flag_coord(f):
     return col[1] / col[0]
 
 
-def all_reduced_words(group, w):
-    if w.length == 0:
-        return [()]
-    out = []
-    for i in group.right_descents(w):
-        shorter = group.multiply(w, group.simple(i))
-        out.extend([word + (i,) for word in all_reduced_words(group, shorter)])
-    return out
-
-
 def random_gauge(k, rng):
     """Random unit-determinant upper triangular matrix."""
     diag = [Fraction(rng.randint(1, 20), rng.randint(1, 20)) for _ in range(k - 1)]
@@ -66,11 +56,11 @@ def perturb_gauge(z, rng):
 
 def test_stratum_examples(S3):
     # (y(1), y(2)): both factors in the s-cell, product lower unipotent
-    z = twisted.ZPoint((slk.y_gen(2, 0, 1), slk.y_gen(2, 0, 2)))
+    z = twisted.ZPoint((oracles.y_gen(2, 0, 1), oracles.y_gen(2, 0, 2)))
     v, wbar = twisted.stratum(z)
     assert v.length == 0 and [w.word for w in wbar] == [(0,), (0,)]
     # (y(1), sdot): the convolution flag moves to the far edge
-    z = twisted.ZPoint((slk.y_gen(2, 0, 1), slk.sdot(2, 0)))
+    z = twisted.ZPoint((oracles.y_gen(2, 0, 1), slk.sdot(2, 0)))
     v, wbar = twisted.stratum(z)
     assert v.word == (0,) and [w.word for w in wbar] == [(0,), (0,)]
     # representatives of Weyl elements land in their own cells
@@ -79,7 +69,7 @@ def test_stratum_examples(S3):
     for _ in range(5):
         ws = [rng.choice(elems) for _ in range(2)]
         z = twisted.ZPoint(tuple(
-            slk.wdot_from_word(3, w.word) for w in ws
+            slk.word_matrix(3, [("s", i, None) for i in w.word]) for w in ws
         ))
         v, wbar = twisted.stratum(z)
         assert list(wbar) == ws
@@ -101,10 +91,47 @@ def test_nonempty(S3):
 
 
 def test_zpoint_validation():
-    with pytest.raises(ValueError):
-        twisted.ZPoint(())
-    with pytest.raises(ValueError):
-        twisted.ZPoint((((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))),))
+    """No factors, factors of mixed sizes and a singular factor are refused by
+    both constructors; the singular factor also by double_bruhat_embed."""
+    g = slk.sdot(3, 0)
+    # the first column is nonzero and the second is twice it
+    singular = ((1, 2, 3), (2, 4, 6), (0, 0, 1))
+    frac_singular = tuple(tuple(Fraction(x, 3) for x in row) for row in singular)
+    zero = ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))
+    for make in (twisted.ZPoint, twisted.ZPoint.of_forms):
+        with pytest.raises(ValueError, match="^need at least one factor$"):
+            make(())
+    with pytest.raises(ValueError, match="^factors of mixed sizes$"):
+        twisted.ZPoint((g, slk.sdot(2, 0)))
+    with pytest.raises(ValueError, match="^factors of mixed sizes$"):
+        twisted.ZPoint.of_forms((ratlin.int_form(g), slk.w0_form(2)))
+    for factors in ((zero,), (singular,), (g, frac_singular), [[list(r) for r in singular]]):
+        with pytest.raises(ValueError, match="^singular factor$"):
+            twisted.ZPoint(factors)
+    with pytest.raises(ValueError, match="^singular factor$"):
+        twisted.ZPoint.of_forms((ratlin.int_form(g), (singular, 5)))
+    with pytest.raises(ValueError, match="^singular factor$"):
+        twisted.double_bruhat_embed(frac_singular)
+
+
+def test_zpoint_equality_ignores_container_types():
+    """List factors, list rows and int entries make the same point as tuples of
+    Fractions: equal, one hash, one element of a set.  Equality and hashing
+    used to follow the containers as given, and a list of factors was
+    unhashable."""
+    g, h = slk.sdot(3, 0), slk.word_matrix(3, [("y", 1, 2), ("x", 0, 3)])
+    ints = [[[int(x) for x in row] for row in m] for m in (g, h)]
+    ref = twisted.ZPoint((g, h))
+    variants = [
+        twisted.ZPoint([g, h]),
+        twisted.ZPoint([[list(row) for row in m] for m in (g, h)]),
+        twisted.ZPoint(ints),
+        twisted.ZPoint(tuple(tuple(map(tuple, m)) for m in ints)),
+    ]
+    for z in variants:
+        assert z == ref and ref == z and hash(z) == hash(ref)
+        assert twisted.gauge_eq(z, ref)
+    assert len({ref, *variants}) == 1
 
 
 def test_zpoint_rejects_non_square_and_ragged_factors():
@@ -124,7 +151,7 @@ def test_parametrize_cell_examples():
     A1 = type_a_group(2)
     e, s = A1.identity, A1.simple(0)
     z = twisted.parametrize_cell(s, (s, s), [Fraction(3, 2)])
-    assert z.factors[0] == slk.y_gen(2, 0, Fraction(3, 2))
+    assert z.factors[0] == oracles.y_gen(2, 0, Fraction(3, 2))
     assert z.factors[1] == slk.sdot(2, 0)
     # rank-0 cell: no parameters
     z0 = twisted.parametrize_cell(s, (s, e), [])
@@ -164,7 +191,7 @@ def test_parametrize_roundtrip_with_word_choices(S3):
     rng = random.Random(19)
     elems = S3.elements_up_to_length(3)
     for wbar in product(elems, repeat=2):
-        words_per_factor = [all_reduced_words(S3, w)[:2] for w in wbar]
+        words_per_factor = [oracles.all_reduced_words(S3, w)[:2] for w in wbar]
         for v in S3.lower_interval(S3.m_star(wbar)):
             dim = sum(w.length for w in wbar) - v.length
             for combo in product(*words_per_factor):
@@ -193,10 +220,10 @@ def test_gauge_invariance_of_stratum(S3):
 def test_alpha_and_convolution():
     A1 = type_a_group(2)
     # n = 1: alpha and convolution are the same flag
-    z1 = twisted.ZPoint((slk.y_gen(2, 0, 5),))
+    z1 = twisted.ZPoint((oracles.y_gen(2, 0, 5),))
     assert twisted.alpha(z1) == (twisted.convolution(z1),)
     # the two-factor picture: coordinates (a, a + b)
-    z = twisted.ZPoint((slk.y_gen(2, 0, 1), slk.y_gen(2, 0, 2)))
+    z = twisted.ZPoint((oracles.y_gen(2, 0, 1), oracles.y_gen(2, 0, 2)))
     flags = twisted.alpha(z)
     assert twisted.convolution(z) == flags[-1]
     assert [flag_coord(f) for f in flags] == [1, 3]
@@ -224,8 +251,8 @@ def test_alpha_separates_gauge_classes():
                 # one factor times a generator: x (in B+) at the last factor keeps the class
                 j, i = rng.randrange(n), rng.randint(0, k - 2)
                 step = rng.choice((
-                    slk.x_gen(k, i, rng.randint(1, 5)),
-                    slk.y_gen(k, i, rng.randint(1, 5)),
+                    oracles.x_gen(k, i, rng.randint(1, 5)),
+                    oracles.y_gen(k, i, rng.randint(1, 5)),
                     slk.sdot(k, i),
                 ))
                 factors = list(perturbed.factors)
@@ -243,7 +270,7 @@ def test_alpha_separates_gauge_classes():
                     outcomes[same] += 1
     assert min(outcomes.values()) > 50, outcomes
     # mismatched shapes are never gauge equal
-    z = twisted.ZPoint((slk.y_gen(2, 0, 1), slk.y_gen(2, 0, 2)))
+    z = twisted.ZPoint((oracles.y_gen(2, 0, 1), oracles.y_gen(2, 0, 2)))
     assert not twisted.gauge_eq(z, twisted.ZPoint(z.factors[:1]))
     assert not twisted.gauge_eq(z, twisted.ZPoint((ratlin.identity(3),) * 2))
 
@@ -328,7 +355,7 @@ def _build_unchecked(v, wbar, words, params):
         out = ratlin.identity(k)
         for letter, t in zip(word, sub):
             if t is None:
-                out = ratlin.mat_mul(out, slk.y_gen(k, letter, params[pos]))
+                out = ratlin.mat_mul(out, oracles.y_gen(k, letter, params[pos]))
                 pos += 1
             else:
                 out = ratlin.mat_mul(out, slk.sdot(k, letter))
@@ -337,13 +364,13 @@ def _build_unchecked(v, wbar, words, params):
 
 
 def test_phi_z_single_factor_reduces_to_phi_flag():
-    z = twisted.ZPoint((slk.y_gen(2, 0, 3),))
+    z = twisted.ZPoint((oracles.y_gen(2, 0, 3),))
     image = twisted.phi_Z(z)
     assert slk.FlagPoint(image.factors[0]) == oracles.phi_flag(slk.FlagPoint(z.factors[0]))
 
 
 def test_phi_z_k2_example():
-    z = twisted.ZPoint((slk.y_gen(2, 0, 1), slk.y_gen(2, 0, 2)))
+    z = twisted.ZPoint((oracles.y_gen(2, 0, 1), oracles.y_gen(2, 0, 2)))
     image = twisted.phi_Z(z)
     v, wbar = twisted.stratum(image)
     assert v.length == 0 and [w.word for w in wbar] == [(0,), (0,)]
@@ -353,7 +380,7 @@ def test_phi_z_k2_example():
 def test_phi_z_checked_mode_flag(monkeypatch):
     """check=False skips the stratum assertion; check=True, the default,
     raises on a (forced) wrong stratum."""
-    z = twisted.ZPoint((slk.y_gen(2, 0, 1), slk.y_gen(2, 0, 2)))
+    z = twisted.ZPoint((oracles.y_gen(2, 0, 1), oracles.y_gen(2, 0, 2)))
     real = twisted.stratum
 
     def wrong_stratum(point):
@@ -393,6 +420,62 @@ def test_stratum_is_computed_once_per_point(monkeypatch):
     assert len(calls) == 3
     assert z == fresh and hash(z) == hash(fresh) and repr(z) == repr(fresh)
     assert fresh._stratum is None and len({z, fresh}) == 1
+
+
+def test_checked_round_trip_kernel_counts(monkeypatch):
+    """A checked duality round trip at k=3, n=2 (parametrize_cell, phi_Z twice,
+    gauge_eq) makes 13 column eliminations, 3 products and no determinant.
+
+    Each point eliminates each factor once, when it is made: the flag it
+    keeps gives the factor's Bruhat cell and rejects a singular factor.  It
+    keeps its product too, for stratum, phi_Z and the last flag of alpha.
+    Before, the same round trip made 15 eliminations, 6 determinants and 7
+    products: a determinant per factor to reject singular ones, the factors
+    eliminated again for their cells and the first one again in alpha, and
+    every product rebuilt.
+    """
+    group = type_a_group(3)
+    w0 = group.from_word((0, 1, 0))
+    counts = {}
+    for module, name in ((slk, "_echelon"), (ratlin, "int_det"), (ratlin, "int_mul")):
+        real = getattr(module, name)
+
+        def counted(*args, _real=real, _name=name):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    params = [Fraction(i, i + 1) for i in range(1, 6)]
+    z = twisted.parametrize_cell(group.from_word((0,)), (w0, w0), params, check=True)
+    image = twisted.phi_Z(z, check=True)
+    back = twisted.phi_Z(image, check=True)
+    assert twisted.gauge_eq(back, z)
+    assert counts == {"_echelon": 13, "int_mul": 3}
+
+
+def test_kept_flags_are_the_flags_of_the_factors():
+    """Each point keeps FlagPoint.of_form of each factor's form, rep included,
+    however it was made; alpha starts from the first of them."""
+    group = type_a_group(3)
+    w0 = group.from_word((0, 1, 0))
+    z = twisted.parametrize_cell(group.identity, (w0, group.from_word((1,))), [3, 2, 5, 4])
+    g = twisted.db_positive(3, (1, 2), (2, 1), [Fraction(1, 2), 2, 3, Fraction(5, 3)])
+    points = [
+        z,
+        twisted.phi_Z(z),
+        twisted.ZPoint(z.factors),
+        twisted.ZPoint([[list(row) for row in m] for m in z.factors]),
+        twisted.ZPoint.of_forms(z._forms),
+        twisted.double_bruhat_embed(g),
+    ]
+    for point in points:
+        assert len(point._flags) == point.n
+        for flag, form, factor in zip(point._flags, point._forms, point.factors):
+            expected = slk.FlagPoint.of_form(form)
+            assert flag == expected and hash(flag) == hash(expected)
+            assert flag.rep == expected.rep == factor
+            assert flag.cell == slk.bruhat_cell(factor)
+        assert twisted.alpha(point)[0] is point._flags[0]
 
 
 def test_checked_round_trip_builds_no_fractions(monkeypatch):
@@ -580,7 +663,7 @@ def test_generic_bounds(S3):
 
 
 def test_zpoint_json_round_trip():
-    z = twisted.ZPoint((slk.y_gen(2, 0, Fraction(3, 2)), slk.sdot(2, 0)))
+    z = twisted.ZPoint((oracles.y_gen(2, 0, Fraction(3, 2)), slk.sdot(2, 0)))
     assert twisted.ZPoint.from_json(z.to_json()) == z
 
 
@@ -616,6 +699,7 @@ def test_flag_hash_agrees_with_equality(case):
     f = slk.FlagPoint(g)
     canonical = oracles.frac_echelon(g)[0]
     assert f.canonical() == canonical and f.rep == g
+    assert f.cell == slk.bruhat_cell(g) == slk.bruhat_cell_by_elimination(g)
     fb = slk.FlagPoint(ratlin.mat_mul(g, random_gauge(k, rng)))
     assert fb == f and hash(fb) == hash(f) and fb.canonical() == canonical
     same_form = slk.FlagPoint.of_form(ratlin.int_form(g))
