@@ -33,7 +33,8 @@ from math import prod
 
 from . import ratlin, slk
 from .ratlin import IntForm, Mat
-from .weyl import WeylElt, WeylGroup, from_perm, perm_of, positive_tuple, type_a_group
+from .weyl import (ContextMismatchError, WeylElt, WeylGroup, from_perm, perm_of, positive_tuple,
+                   type_a_group)
 
 
 class ZPoint:
@@ -103,7 +104,8 @@ class ZPoint:
 
 
 def _check_factors(forms) -> tuple[slk.FlagPoint, ...]:
-    """The flag of each factor: at least one factor, all of one size, none singular.
+    """The flag of each factor: at least one factor, all of one size k with
+    2 <= k <= ``slk.K_MAX``, none singular.
 
     Each form is square.  The flag is built from the factor's own form,
     so its ``rep`` is the factor; its elimination raises on a singular
@@ -114,6 +116,7 @@ def _check_factors(forms) -> tuple[slk.FlagPoint, ...]:
     k = len(forms[0][0])
     if any(len(m) != k for m, _ in forms):
         raise ValueError("factors of mixed sizes")
+    slk._check_k(k)
     try:
         return tuple(slk.FlagPoint.of_form(form) for form in forms)
     except ValueError:
@@ -200,10 +203,15 @@ def parametrize_cell(
     left to right.  With ``check`` on, each factor is asserted to lie in
     the opposite cell of its v_i, and the point in the stratum (v, wbar),
     which includes the Bruhat cell w_i of each factor.
+    The elements must come from ``type_a_group(k)``, which :func:`stratum`
+    answers in: any other group raises ``ContextMismatchError``.
     """
     group = v.group
     wbar = tuple(wbar)
     k = group.rank + 1
+    if group is not type_a_group(k):
+        raise ContextMismatchError(f"parametrize_cell takes elements of type_a_group({k}), "
+                                   f"not of {group!r}")
     if not nonempty(v, wbar):
         raise ValueError("empty stratum: v is not below the Demazure product")
     if words is None:

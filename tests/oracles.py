@@ -25,6 +25,8 @@ them out, w0dot^{-1} included, where ``src`` works on integer forms.
 ``chain_h_vector`` computes the h-vector of an order complex from chain
 counts alone, and ``wall_counts`` reads the same numbers off a facet order
 when it is a shelling; neither uses a shelling search.
+``members_by_lowest_bit`` lists the set bits of a mask by clearing the
+lowest one at a time, the loop that ``posets.members`` replaced.
 
 ``shelling_search`` is the repository's one search over orders of explicit
 facets (depth first, a dead-end memo, a validity test that scans every
@@ -293,6 +295,16 @@ def canonical_word(group, geom, geom_inv):
         geom_inv = group._times_simple(geom_inv, i)
         letters.append(i)
     return tuple(letters)
+
+
+def members_by_lowest_bit(mask: int) -> list[int]:
+    """The set bits of ``mask``, in increasing order, one lowest bit at a time."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def chain_h_vector(poset) -> list[int]:

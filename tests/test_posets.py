@@ -199,6 +199,42 @@ def test_make_qnode_validates(A1):
         make_qnode(s, (e, e))
 
 
+def test_qnode_record(A1):
+    """A label equals and hashes as the label with equal fields, and has the
+    dataclass repr it had; it is immutable and never equals a plain tuple
+    of its fields."""
+    e, s = A1.identity, A1.simple(0)
+    node = make_qnode(s, (s, s))
+    twin = posets.QNode(s, (s, s), 1)
+    assert node == twin and not node != twin and hash(node) == hash(twin)
+    assert len({node, twin, make_qnode(e, (s, s))}) == 2
+    assert node != make_qnode(e, (s, s)) and node != make_qnode(s, (s, e))
+    assert hash(node) == hash((s, (s, s), 1))
+    assert repr(node) == "QNode(v=W[s1], wbar=(W[s1], W[s1]), rank=1)"
+    fields = (node.v, node.wbar, node.rank)
+    assert fields == (s, (s, s), 1)
+    assert node != fields and fields != node and not node == fields and not fields == node
+    assert node not in {fields} and fields not in {node}
+    for name in ("v", "wbar", "rank", "other"):
+        with pytest.raises(AttributeError):
+            setattr(node, name, e)
+    assert node == twin
+
+
+def test_members_matches_lowest_bit_oracle():
+    """The one-pass bit listing against the lowest-bit loop it replaced, on
+    0, 1, seeded sparse and dense masks, and an all-ones mask of 10^5 bits."""
+    rng = random.Random(21)
+    masks = [0, 1, 2, 1 << 200, (1 << 64) - 1]
+    for width in (7, 64, 1168, 20_000):
+        for density in (0.01, 0.1, 0.5, 0.9):
+            masks.append(sum(1 << i for i in range(width) if rng.random() < density))
+    masks.append((1 << 100_000) - 1)
+    for mask in masks:
+        assert members(mask) == oracles.members_by_lowest_bit(mask)
+    assert members(masks[-1]) == list(range(100_000))
+
+
 def test_triangle_f_vector(triangle):
     assert len(triangle) == 8
     assert triangle.f_vector() == (3, 3, 1)
@@ -301,10 +337,13 @@ def assert_same_poset(poset, other):
 
 def assert_shared_index(poset):
     """A builder's up-cover index equals the one read off its masks alone,
-    and ``covers`` lists those cover pairs sorted."""
+    ``covers`` lists those cover pairs sorted, and both posets keep the
+    mask of each node's upper covers."""
     masks_only = FacePoset(poset.nodes, poset.ranks, poset.below)
     assert poset.up_covers() == masks_only.up_covers()
     assert poset.covers == tuple(sorted(masks_only.covers))
+    for p in (poset, masks_only):
+        assert p.up_cover_masks() == tuple(sum(1 << y for y in ups) for ups in p.up_covers())
 
 
 # family, rank, n, factor length cap, sampled tops
@@ -938,6 +977,22 @@ def test_atom_ordering_matches_chain_search(A2):
     assert find_shelling(FacePoset([BOTTOM], [0], [0]), budget=0) == empty
     chain = from_covers(["a", "b"], [("a", "b")])
     assert find_shelling(chain, budget=0) == ShellingResult("shellable", [(1, 2)], 1, 0, 0)
+
+
+def test_find_shelling_keeps_the_poset_index():
+    """A search with a synthetic top works on copies: the poset's up-cover
+    index and kept masks are the same objects with the same values after
+    it, and a second search gives the same result."""
+    poset = from_covers(list("abcd"), [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
+    ups, masks, above = poset.up_covers(), poset.up_cover_masks(), poset.above
+    values = (list(ups), list(masks), list(above))
+    first = find_shelling(poset)
+    assert first.shellable and first.facets == 4
+    assert poset.up_covers() is ups and poset.up_cover_masks() is masks and poset.above is above
+    assert (list(ups), list(masks), list(above)) == values
+    assert masks == tuple(sum(1 << y for y in u) for u in ups)
+    second = find_shelling(poset)
+    assert list(second.order) == list(first.order)
 
 
 def test_atom_ordering_walls_match_h_vector():

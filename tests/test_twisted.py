@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from tnnflag import ratlin, slk, twisted
 from tnnflag.verify import brute_circ_r, brute_demazure
-from tnnflag.weyl import from_perm, perm_of, type_a_group
+from tnnflag.weyl import ContextMismatchError, from_perm, perm_of, type_a_group
 
 
 def flag_coord(f):
@@ -114,6 +114,29 @@ def test_zpoint_validation():
         twisted.double_bruhat_embed(frac_singular)
 
 
+def test_zpoint_refuses_sizes_outside_two_to_k_max():
+    """Factors of size 0, 1 and K_MAX + 1 are refused when the point is
+    made, by ``ZPoint``, ``ZPoint.of_forms`` and ``ZPoint.from_json``, with
+    the messages of slk's size check; they used to be made, and refused
+    only later by ``stratum``.  Sizes 2 and K_MAX are made."""
+
+    def identity(k):
+        return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+
+    big = slk.K_MAX + 1
+    for k, message in ((0, "^k must be >= 2$"), (1, "^k must be >= 2$"),
+                       (big, f"^k={big} exceeds the configured cap K_MAX={slk.K_MAX}$")):
+        for factors in ((identity(k),), (identity(k), identity(k))):
+            with pytest.raises(ValueError, match=message):
+                twisted.ZPoint(factors)
+            with pytest.raises(ValueError, match=message):
+                twisted.ZPoint.of_forms(tuple(ratlin.int_form(g, square=True) for g in factors))
+            with pytest.raises(ValueError, match=message):
+                twisted.ZPoint.from_json({"factors": [ratlin.mat_to_json(g) for g in factors]})
+    for k in (2, slk.K_MAX):
+        assert twisted.ZPoint((identity(k),)).k == k
+
+
 def test_zpoint_equality_ignores_container_types():
     """List factors, list rows and int entries make the same point as tuples of
     Fractions: equal, one hash, one element of a set.  Equality and hashing
@@ -162,6 +185,25 @@ def test_parametrize_cell_examples():
         twisted.parametrize_cell(e, (s, s), [Fraction(1)])  # wrong count
     with pytest.raises(ValueError):
         twisted.parametrize_cell(e, (s, s), [Fraction(1), Fraction(-1)])
+
+
+def test_parametrize_cell_refuses_a_foreign_group(A2, monkeypatch):
+    """Elements of a group other than ``type_a_group(k)`` are refused, with
+    check on and off, before any matrix is built.  ``stratum`` answers in
+    ``type_a_group(k)``, so with check on a right point used to fail its
+    check with a false AssertionError."""
+    s1 = A2.simple(0)
+    S3 = type_a_group(3)
+    z = twisted.parametrize_cell(S3.simple(0), (S3.simple(0),), [], check=True)
+    assert twisted.stratum(z) == (S3.simple(0), (S3.simple(0),))
+
+    def no_matrix(*args):
+        raise AssertionError("a matrix was built for a foreign group")
+
+    monkeypatch.setattr(slk, "mr_form", no_matrix)
+    for check in (True, False):
+        with pytest.raises(ContextMismatchError, match=r"type_a_group\(3\)"):
+            twisted.parametrize_cell(s1, (s1,), [], check=check)
 
 
 def test_parametrize_cell_checks_opposite_cells(monkeypatch):
