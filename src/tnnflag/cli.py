@@ -4,8 +4,9 @@ Exit codes are a stable contract: 0 all checks passed, 1 a check failed
 (counterexample in the report), 2 usage or build error.
 
 Word syntax: comma-separated vertex indices, 1-based, optionally wrapped
-in parentheses; thickening letters are written inf1, inf2, ...; the empty
-string or "e" is the identity.
+in parentheses; the empty string or "e" is the identity.  The commands
+build their groups with ``cartan_of_type``, which has no thickening
+vertices, so ``inf1`` is refused like any other bad letter, and so is ``0``.
 """
 
 from __future__ import annotations
@@ -35,37 +36,26 @@ class WordParseError(ValueError):
 
 
 def parse_word(group: WeylGroup, text: str) -> tuple[int, ...]:
-    """Parse a word like "1,2,1", "(1,2)", "inf1", "e", or "" (identity)."""
+    """Parse a word like "1,2,1", "(1,2)", "e", or "" (identity)."""
     raw = text.strip()
-    base = 0
+    pos = 0
     if raw.startswith("(") and raw.endswith(")"):
-        base = 1
+        pos = 1
         raw = raw[1:-1].strip()
     if raw in ("", "e"):
         return ()
     letters = []
-    pos = base
-    base_count = group.rank - len(group.inf_positions)
     for piece in raw.split(","):
         token = piece.strip()
         if not token:
             raise WordParseError("empty letter", text, pos)
-        if token.startswith("inf"):
-            try:
-                l = int(token[3:])
-            except ValueError:
-                raise WordParseError(f"bad letter {token!r}", text, pos) from None
-            if not 1 <= l <= len(group.inf_positions):
-                raise WordParseError(f"no thickening vertex {token!r}", text, pos)
-            letters.append(group.inf_positions[l - 1])
-        else:
-            try:
-                i = int(token)
-            except ValueError:
-                raise WordParseError(f"bad letter {token!r}", text, pos) from None
-            if not 1 <= i <= base_count:
-                raise WordParseError(f"vertex {i} out of range 1..{base_count}", text, pos)
-            letters.append(i - 1)
+        try:
+            i = int(token)
+        except ValueError:
+            raise WordParseError(f"bad letter {token!r}", text, pos) from None
+        if not 1 <= i <= group.rank:
+            raise WordParseError(f"vertex {i} out of range 1..{group.rank}", text, pos)
+        letters.append(i - 1)
         pos += len(piece) + 1
     return tuple(letters)
 
@@ -292,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a named verification suite")
     v.add_argument("suite", help="one of: " + ", ".join(sorted(verify.SUITES)))
-    v.add_argument("--budget", type=nonnegative_int, default=None)
+    v.add_argument("--budget", type=nonnegative_int, default=posets.DEFAULT_SHELLING_BUDGET)
     v.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     v.add_argument("--json", help="also write the report to this file")
     v.set_defaults(func=cmd_verify)

@@ -344,10 +344,15 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> FacePoset:
                        for u, d in zip(values, ds)])
     wmoves = [sum(moves, ()) for moves in product(*fmoves)]
     labels = [entry for bucket in buckets for entry in bucket]
+    nodes = [BOTTOM, *(q for q, _, _, _ in labels)]
     ranks = [labels[0][0].rank - 1, *(q.rank for q, _, _, _ in labels)]
-    below, ups = _cover_index([key for _, key, _, _ in labels],
-                              [vmoves[d] + wmoves[c] for _, _, d, c in labels])
-    return FacePoset([BOTTOM, *(q for q, _, _, _ in labels)], ranks, below, ups)
+    keys = [key for _, key, _, _ in labels]
+    offsets = [vmoves[d] + wmoves[c] for _, _, d, c in labels]
+    # the poset's masks can reuse what the label lists and move tables held
+    del buckets, below_m, labels, vmoves, fmoves, wmoves
+    below, ups = _cover_index(keys, offsets)
+    del keys, offsets
+    return FacePoset(nodes, ranks, below, ups)
 
 
 def braid_poset(group: WeylGroup, letters) -> FacePoset:

@@ -258,11 +258,9 @@ def _add_sweep(report: RunReport, name: str, counts: dict, bad: list, inconclusi
 
 
 @_timed
-def suite_hatQ(seed: int = DEFAULT_SEED, budget: int | None = None) -> RunReport:
+def suite_hatQ(seed: int = DEFAULT_SEED, budget: int = DEFAULT_SHELLING_BUDGET) -> RunReport:
     """Purity, thinness, Eulerian-ness, shellability sweep over small families,
     and the cover-built intervals against the pairwise order."""
-    if budget is None:
-        budget = DEFAULT_SHELLING_BUDGET
     report = RunReport(
         "verify hatQ",
         {"families": ["A1 n<=3", "A2 n<=2", "B2 n=1"]},
@@ -271,6 +269,7 @@ def suite_hatQ(seed: int = DEFAULT_SEED, budget: int | None = None) -> RunReport
     )
     tops = 0
     mismatched = []
+    rank1, rank1_bad = 0, []
     for name, group, ns in _hatQ_families():
         for n in ns:
             intervals = 0
@@ -290,6 +289,17 @@ def suite_hatQ(seed: int = DEFAULT_SEED, budget: int | None = None) -> RunReport
                 if (poset.nodes, poset.ranks, poset.below) != (
                         pairwise.nodes, pairwise.ranks, pairwise.below):
                     mismatched.append(label)
+                if top.rank == 1:
+                    # rank-1 thinness witness: deletions of the concatenated word giving v
+                    rank1 += 1
+                    letters = [t for w in top.wbar for t in w.word]
+                    hits = sum(
+                        1
+                        for l in range(len(letters))
+                        if group.from_word(letters[:l] + letters[l + 1:]) == top.v
+                    )
+                    if hits not in (1, 2):
+                        rank1_bad.append({"node": top.describe(), "hits": hits})
             _add_sweep(
                 report,
                 f"{name}-n{n}-intervals",
@@ -303,32 +313,14 @@ def suite_hatQ(seed: int = DEFAULT_SEED, budget: int | None = None) -> RunReport
         not mismatched,
         {"intervals": tops} if not mismatched else {"bad": mismatched[:5]},
     )
-    # rank-1 thinness witness: deletions of the concatenated word giving v
-    bad = []
-    count = 0
-    for name, group, ns in _hatQ_families():
-        for n in ns:
-            for node in iter_qnodes(group, n):
-                if node.rank != 1:
-                    continue
-                count += 1
-                letters = [t for w in node.wbar for t in w.word]
-                hits = sum(
-                    1
-                    for l in range(len(letters))
-                    if group.from_word(letters[:l] + letters[l + 1:]) == node.v
-                )
-                if hits not in (1, 2):
-                    bad.append({"node": node.describe(), "hits": hits})
-    report.add("rank1-deletion-witness", not bad, {"nodes": count} if not bad else {"bad": bad[:5]})
+    report.add("rank1-deletion-witness", not rank1_bad,
+               {"nodes": rank1} if not rank1_bad else {"bad": rank1_bad[:5]})
     return report
 
 
 @_timed
-def suite_sl2_triangle(seed: int = DEFAULT_SEED, budget=None) -> RunReport:
+def suite_sl2_triangle(seed: int = DEFAULT_SEED, budget: int = DEFAULT_SHELLING_BUDGET) -> RunReport:
     """The SL2 two-factor triangle: f-vector, chart inequalities, ball checks."""
-    if budget is None:
-        budget = DEFAULT_SHELLING_BUDGET
     report = RunReport("verify sl2-triangle", {"k": 2, "n": 2}, seed=seed, budget=budget)
     group = type_a_group(2)
     e, s = group.identity, group.simple(0)
@@ -359,10 +351,8 @@ def suite_sl2_triangle(seed: int = DEFAULT_SEED, budget=None) -> RunReport:
 
 
 @_timed
-def suite_braid(seed: int = DEFAULT_SEED, budget: int | None = None) -> RunReport:
+def suite_braid(seed: int = DEFAULT_SEED, budget: int = DEFAULT_SHELLING_BUDGET) -> RunReport:
     """Regularity of braid/subword posets for all short A2 words."""
-    if budget is None:
-        budget = DEFAULT_SHELLING_BUDGET
     report = RunReport("verify braid", {"group": "A2", "max_len": 5}, seed=seed, budget=budget)
     group = WeylGroup(cartan_of_type("A", 2))
     bad = []

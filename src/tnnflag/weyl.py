@@ -370,18 +370,10 @@ class WeylGroup:
             raise ValueError(f"word {word!r} is not reduced")
         return w
 
-    def positive_subexpression(self, v: WeylElt, word) -> SubWord:
-        """The unique positive subexpression for v in the reduced word.
-
-        Scans right to left keeping u = v; a letter is taken exactly when it
-        is a right descent of the current u.  Fails when v is not below the
-        product of the word.  The defining positivity condition (every
-        prefix ascends at the following letter of the full word) is
-        re-checked on the output.
-        """
-        self.check_same(v)
-        word = tuple(word)
-        self.assert_reduced(word)
+    def _descent_greedy(self, v: WeylElt, word) -> tuple[SubWord, WeylElt]:
+        """Scan the word right to left keeping u = v, taking a letter exactly
+        when it is a right descent of the current u; the subexpression taken
+        and the u left at the end."""
         u = v
         taken: list = [None] * len(word)
         for pos in range(len(word) - 1, -1, -1):
@@ -389,17 +381,27 @@ class WeylGroup:
             if self.has_right_descent(u, t):
                 u = self.multiply(u, self._simples[t])
                 taken[pos] = t
+        return tuple(taken), u
+
+    def positive_subexpression(self, v: WeylElt, word) -> SubWord:
+        """The unique positive subexpression for v in the reduced word.
+
+        The descent greedy, which ends at the identity exactly when v is
+        below the product of the word.  The defining positivity condition
+        (every prefix ascends at the following letter of the full word) is
+        re-checked on the output.
+        """
+        self.check_same(v)
+        word = tuple(word)
+        self.assert_reduced(word)
+        taken, u = self._descent_greedy(v, word)
         if u is not self.identity:
             raise ValueError("element is not below the word in Bruhat order")
-        prefix = self.identity
-        for pos, t in enumerate(word):
-            if self.has_right_descent(prefix, t):
-                raise AssertionError("greedy output violates the positivity condition")
-            if taken[pos] is not None:
-                prefix = self.multiply(prefix, self._simples[t])
-        if prefix != v:
+        if not is_positive_subexpression(self, word, taken):
+            raise AssertionError("greedy output violates the positivity condition")
+        if self.from_word(taken) != v:
             raise AssertionError("taken letters do not multiply back to v")
-        return tuple(taken)
+        return taken
 
     # -- thickening ------------------------------------------------------------
 
@@ -428,6 +430,9 @@ def is_positive_subexpression(group: WeylGroup, word, sub) -> bool:
 
 
 # -- maps into a thickened group ------------------------------------------------
+# The paper's embedding of a tuple into one thickened group; ``verify
+# thickening-order``, the demo and the tests check it.  No computation on a
+# stratum goes through it (see positive_tuple).
 
 
 def i_embed(tgroup: WeylGroup, v: WeylElt) -> WeylElt:
@@ -476,33 +481,32 @@ def th_element(tgroup: WeylGroup, wbar) -> WeylElt:
 def positive_tuple(v: WeylElt, wbar) -> tuple[WeylElt, ...]:
     """The unique tuple below wbar, positive in wbar, with product v.
 
-    Computed as the positive subexpression of the embedded v inside the
-    interleaved thickened word, split back at factor boundaries.
+    The paper reads it off the positive subexpression of v in the
+    interleaved word th(wbar) of the thickened group (:func:`th_word`).
+    That descent greedy never leaves the parabolic subgroup on the
+    original vertices, which is the base group: an element u there sends
+    the simple root of an inf vertex to a positive root, so no inf letter
+    is a right descent and none is taken, and an original letter is a
+    right descent of u exactly when it is one in the base group.  So the
+    same greedy runs here, in the base group, over the concatenated
+    canonical words of the factors, and is split at the factor
+    boundaries.  It ends at the identity exactly when v is below
+    m_star(wbar); ``tests/oracles.py`` keeps the thickened route.
     """
     wbar = tuple(wbar)
     group = v.group
     group.check_same(v, *wbar)
-    n = len(wbar)
-    if n == 1:
-        if not group.bruhat_leq(v, wbar[0]):
-            raise ValueError("v is not below the single factor")
-        return (v,)
-    if not group.bruhat_leq(v, group.m_star(wbar)):
+    word = tuple(t for w in wbar for t in w.word)
+    taken, u = group._descent_greedy(v, word)
+    if u is not group.identity:
         raise ValueError("v is not below the Demazure product of the tuple")
-    tg = group.thickened(n)
-    word = th_word(tg, wbar)
-    th_element(tg, wbar)  # validates reducedness of the interleaving
-    sub = tg.positive_subexpression(i_embed(tg, v), word)
+    if not is_positive_subexpression(group, word, taken):
+        raise AssertionError("greedy output violates the positivity condition")
     parts: list[WeylElt] = []
     pos = 0
-    for idx, w in enumerate(wbar):
-        block = sub[pos:pos + w.length]
-        parts.append(group.from_word(t for t in block if t is not None))
+    for w in wbar:
+        parts.append(group.from_word(taken[pos:pos + w.length]))
         pos += w.length
-        if idx < n - 1:
-            if sub[pos] is not None:
-                raise AssertionError("positive subexpression took an inf letter")
-            pos += 1
     vbar = tuple(parts)
     if group.m_bullet(vbar) != v or group.m_star(vbar) != v:
         raise AssertionError("tuple does not multiply back to v")

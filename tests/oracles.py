@@ -22,6 +22,9 @@ them out, w0dot^{-1} included, where ``src`` works on integer forms.
 ``canonical_word`` strips left descents all the way to the identity, where
 ``WeylGroup`` stops at the first element it has interned.
 ``all_reduced_words`` lists every reduced word by stripping right descents.
+``positive_tuple_by_thickening`` is the route of the paper to the positive
+tuple of ``weyl.positive_tuple``: the positive subexpression of v inside
+the interleaved word of the thickened group, split at the inf letters.
 ``chain_h_vector`` computes the h-vector of an order complex from chain
 counts alone, and ``wall_counts`` reads the same numbers off a facet order
 when it is a shelling; neither uses a shelling search.
@@ -41,6 +44,7 @@ from math import comb
 
 from tnnflag import ratlin, slk
 from tnnflag.posets import DEFAULT_SHELLING_BUDGET, ShellingResult
+from tnnflag.weyl import i_embed, th_element, th_word
 
 
 def frac_mat_mul(*ms):
@@ -282,6 +286,29 @@ def all_reduced_words(group, w):
             shorter = group.multiply(w, group.simple(i))
             out.extend(word + (i,) for word in all_reduced_words(group, shorter))
     return out
+
+
+def positive_tuple_by_thickening(v, wbar):
+    """The positive tuple of v in wbar, read in the thickened group: the
+    positive subexpression of i(v) in th(wbar), split at the inf letters,
+    none of which may be taken.  ValueError when v is not below
+    m_star(wbar)."""
+    wbar = tuple(wbar)
+    group = v.group
+    if not group.bruhat_leq(v, group.m_star(wbar)):
+        raise ValueError("v is not below the Demazure product of the tuple")
+    tgroup = group.thickened(len(wbar))
+    th_element(tgroup, wbar)  # the interleaved word is reduced
+    tv = v if tgroup is group else i_embed(tgroup, v)
+    sub = tgroup.positive_subexpression(tv, th_word(tgroup, wbar))
+    parts, pos = [], 0
+    for w in wbar:
+        parts.append(group.from_word(sub[pos:pos + w.length]))
+        pos += w.length
+        if pos < len(sub):
+            assert sub[pos] is None, "positive subexpression took an inf letter"
+            pos += 1
+    return tuple(parts)
 
 
 def canonical_word(group, geom, geom_inv):

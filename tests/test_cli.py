@@ -29,14 +29,22 @@ def test_parse_word(S3):
     assert parse_word(S3, "") == ()
     assert parse_word(S3, "(1,2,1)") == (0, 1, 0)
     assert parse_word(S3, "1,2") == (0, 1)
-    tg = S3.thickened(2)
-    assert parse_word(tg, "1,inf1,2") == (0, 2, 1)
     with pytest.raises(WordParseError):
         parse_word(S3, "(1,5)")
     with pytest.raises(WordParseError):
         parse_word(S3, "1,,2")
     with pytest.raises(WordParseError):
         parse_word(S3, "inf9")
+    # no CLI group has thickening vertices, and vertices are 1-based
+    for text in ("inf1", "1,inf1,2", "0", "(2,0)"):
+        with pytest.raises(WordParseError):
+            parse_word(S3, text)
+
+
+def test_poset_refuses_a_thickening_letter(capsys):
+    code, out, err = run(capsys, "poset", "A", "2", "--n", "2", "--top", "e;(inf1),(1)")
+    assert code == 2 and not out
+    assert "bad letter 'inf1'" in err and "Traceback" not in err
 
 
 def test_split_top_level():

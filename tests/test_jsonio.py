@@ -1,4 +1,4 @@
-"""Word and stratum JSON encodings, including thickening letters."""
+"""Word and stratum JSON encodings."""
 
 import pytest
 
@@ -8,22 +8,14 @@ from tnnflag.weyl import type_a_group
 
 def test_word_round_trip_plain(S3):
     word = (0, 1, 0)
-    data = jsonio.word_to_json(S3, word)
+    data = jsonio.word_to_json(word)
     assert data == [1, 2, 1]
     assert jsonio.word_from_json(S3, data) == word
 
 
-def test_word_round_trip_thickened(S3):
-    tg = S3.thickened(3)
-    word = (0, 2, 1, 3, 0)  # letters 2 and 3 are inf1 and inf2
-    data = jsonio.word_to_json(tg, word)
-    assert data == [1, -1, 2, -2, 1]
-    assert jsonio.word_from_json(tg, data) == word
-
-
 def test_placeholder_encoding(S3):
     sub = (None, 1, None)
-    assert jsonio.word_to_json(S3, sub) == [0, 2, 0]
+    assert jsonio.word_to_json(sub) == [0, 2, 0]
     assert jsonio.word_from_json(S3, [0, 2, 0]) == sub
 
 
@@ -32,6 +24,8 @@ def test_bad_letters_rejected(S3):
         jsonio.word_from_json(S3, [3])
     with pytest.raises(ValueError):
         jsonio.word_from_json(S3, [-1])
+    with pytest.raises(ValueError):
+        jsonio.word_from_json(S3, [1, -2])
 
 
 def test_stratum_encoding(S3):

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tnnflag import ratlin, slk, twisted
-from tnnflag.verify import brute_circ_r, brute_demazure
-from tnnflag.weyl import ContextMismatchError, from_perm, perm_of, type_a_group
+from tnnflag.verify import brute_circ_r, brute_demazure, iter_qnodes
+from tnnflag.weyl import ContextMismatchError, WeylGroup, from_perm, perm_of, type_a_group
 
 
 def flag_coord(f):
@@ -204,6 +204,23 @@ def test_parametrize_cell_refuses_a_foreign_group(A2, monkeypatch):
     for check in (True, False):
         with pytest.raises(ContextMismatchError, match=r"type_a_group\(3\)"):
             twisted.parametrize_cell(s1, (s1,), [], check=check)
+
+
+def test_parametrize_cell_builds_no_thickened_group(monkeypatch):
+    """The positive tuple of every k=3 n=2 stratum is found in the base
+    group: building a thickened group raises."""
+
+    def no_thickening(self, n):
+        raise AssertionError(f"a thickened group was built for n={n}")
+
+    monkeypatch.setattr(WeylGroup, "thickened", no_thickening)
+    rng = random.Random(22)
+    strata = 0
+    for q in iter_qnodes(type_a_group(3), 2):
+        z = twisted.parametrize_cell(q.v, q.wbar, twisted.random_params(q.rank, rng))
+        assert twisted.stratum(z) == (q.v, q.wbar)
+        strata += 1
+    assert strata == 167  # as in verify cell-containment
 
 
 def test_parametrize_cell_checks_opposite_cells(monkeypatch):

@@ -5,13 +5,14 @@ the monoid products, and full subexpression enumeration for positivity.
 """
 
 import random
+from itertools import product
 
 import pytest
 
-from oracles import all_reduced_words, bruhat_by_subwords
+from oracles import all_reduced_words, bruhat_by_subwords, positive_tuple_by_thickening
 from tnnflag import weyl
 from tnnflag.cartan import cartan_of_type
-from tnnflag.verify import brute_circ_r, brute_demazure
+from tnnflag.verify import brute_circ_r, brute_demazure, iter_qnodes
 from tnnflag.weyl import (
     ContextMismatchError,
     WeylGroup,
@@ -141,8 +142,6 @@ def test_positive_subexpression_unique_s3(S3):
 
 def _tuple_is_positive(group, vbar, wbar):
     """Brute-force version of the positivity definition for tuples."""
-    from itertools import product
-
     n = len(vbar)
     for i in range(1, n + 1):
         target = group.m_bullet(vbar[:i])
@@ -186,6 +185,42 @@ def test_positive_tuple_exhaustive_a2(A2):
             got = positive_tuple(v, wbar)
             assert A2.m_bullet(got) == v
             assert _tuple_is_positive(A2, got, wbar)
+
+
+# (family, rank, n, factor-length cap, labels): the infinite groups are capped
+POSITIVE_TUPLE_FAMILIES = [
+    ("A", 2, 3, None, 1167), ("A", 3, 2, None, 9697), ("B", 2, 2, None, 401),
+    ("affine-A", 1, 2, 4, 657), ("affine-A", 2, 2, 3, 4753), ("D", 4, 1, None, 9817),
+    ("B", 3, 1, None, 847),
+]
+
+
+@pytest.mark.parametrize("family,rank,n,cap,count", POSITIVE_TUPLE_FAMILIES)
+def test_positive_tuple_matches_thickened_route(family, rank, n, cap, count):
+    """The base-group greedy against the positive subexpression in the
+    thickened group, on every label of the family."""
+    group = WeylGroup(cartan_of_type(family, rank))
+    labels = 0
+    for q in iter_qnodes(group, n, cap):
+        labels += 1
+        assert positive_tuple(q.v, q.wbar) == positive_tuple_by_thickening(q.v, q.wbar), q
+    assert labels == count
+
+
+def test_positive_tuple_refuses_what_the_thickened_route_refuses(A2):
+    elems = A2.elements_up_to_length(3)
+    refused = 0
+    for wbar in product(elems, repeat=2):
+        for v in elems:
+            try:
+                want = positive_tuple_by_thickening(v, wbar)
+            except ValueError:
+                refused += 1
+                with pytest.raises(ValueError, match="not below the Demazure product"):
+                    positive_tuple(v, wbar)
+            else:
+                assert positive_tuple(v, wbar) == want
+    assert refused > 0
 
 
 def test_th_word_and_embed(A1, A2):
