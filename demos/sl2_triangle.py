@@ -24,8 +24,8 @@ print(to_dot(poset))
 print()
 
 report = check_regular_ball(top)
-print("regular-ball report:")
-for check in report["checks"]:
+print(f"regular-ball report: {report.status}")
+for check in report.checks:
     print(f"  {check['check']:24s} {check['status']}")
 print()
 

@@ -18,7 +18,6 @@ from .posets import (
     QNode,
     braid_poset,
     build_interval,
-    check_regular_ball,
     find_shelling,
     is_eulerian,
     is_pure,
@@ -29,6 +28,7 @@ from .posets import (
 )
 from .slk import FlagPoint
 from .twisted import ZPoint, parametrize_cell, phi_Z, stratum
+from .verify import check_regular_ball
 from .weyl import WeylElt, WeylGroup, positive_tuple, type_a_group
 
 __all__ = [

@@ -1,7 +1,8 @@
 """Command-line surface: build posets, parametrize cells, run suites.
 
 Exit codes are a stable contract: 0 all checks passed, 1 a check failed
-(counterexample in the report), 2 usage or build error.
+(counterexample in the report), 2 usage or build error.  The commands
+raise usage and build errors; :func:`main` alone turns them into exit 2.
 
 Word syntax: comma-separated vertex indices, 1-based, optionally wrapped
 in parentheses; the empty string or "e" is the identity.  The commands
@@ -19,14 +20,10 @@ from fractions import Fraction
 
 from . import jsonio, posets, ratlin, slk, twisted, verify
 from .cartan import cartan_of_type
-from .posets import BALL_CHECKS, CapExceededError, build_interval, make_qnode, to_dot
+from .posets import CapExceededError, build_interval, make_qnode, to_dot
 from .weyl import WeylGroup, type_a_group
 
-EXIT_OK = 0
-EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
-
-POSET_CHECKS = ("pure", "thin", "eulerian", "shelling", "ball", "boundary_sphere_euler")
 
 
 class WordParseError(ValueError):
@@ -124,22 +121,13 @@ def _emit(report: dict, path: str | None) -> None:
 def cmd_poset(args) -> int:
     wanted = [c.strip() for c in args.check.split(",") if c.strip()]
     if not wanted:
-        print("error: --check names no check", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--check names no check")
     for name in wanted:
-        if name not in POSET_CHECKS:
-            known = ", ".join(POSET_CHECKS)
-            print(f"error: unknown check {name!r} (known: {known})", file=sys.stderr)
-            return EXIT_USAGE
-    try:
-        gcm = cartan_of_type(args.family, args.rank)
-        group = WeylGroup(gcm)
-        v, wbar = parse_top_spec(group, args.top, args.n)
-        top = make_qnode(v, wbar)
-        poset = build_interval(top, node_cap=args.node_cap)
-    except (ValueError, CapExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if name not in posets.CHECKS:
+            raise ValueError(f"unknown check {name!r} (known: {', '.join(posets.CHECKS)})")
+    group = WeylGroup(cartan_of_type(args.family, args.rank))
+    top = make_qnode(*parse_top_spec(group, args.top, args.n))
+    poset = build_interval(top, node_cap=args.node_cap)
     report = verify.RunReport(
         "poset",
         {
@@ -151,15 +139,9 @@ def cmd_poset(args) -> int:
             "covers": len(poset.covers),
             "f_vector": list(poset.f_vector()),
         },
-        seed=args.seed,
         budget=args.budget,
+        checks=posets.regularity_checks(poset, wanted, args.budget),
     )
-    for name in wanted:
-        if name == "ball":
-            ball = posets.regularity_checks(poset, BALL_CHECKS, args.budget)
-            report.add("ball", posets.overall_status(c["status"] for c in ball), {"checks": ball})
-        else:
-            report.checks.extend(posets.regularity_checks(poset, [name], args.budget))
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(to_dot(poset) + "\n")
@@ -168,29 +150,23 @@ def cmd_poset(args) -> int:
 
 
 def cmd_cell(args) -> int:
-    try:
-        slk._check_k(args.k)  # before the group, whose Cartan matrix is k x k
-        group = type_a_group(args.k)
-        v = group.from_word(parse_word(group, args.v))
-        word_parts = split_top_level(args.w, ";")
-        if len(word_parts) != args.n:
-            raise WordParseError(f"expected {args.n} factor words", args.w, 0)
-        words = [parse_word(group, part) for part in word_parts]
-        wbar = tuple(group.from_word(word) for word in words)
-        if args.params is not None and args.random:
-            raise ValueError("--params and --random are mutually exclusive")
-        dim = sum(w.length for w in wbar) - v.length
-        if not twisted.nonempty(v, wbar):
-            raise ValueError("empty stratum: v is not below the Demazure product")
-        runs: list[list[Fraction]]
-        if args.random:
-            rng = random.Random(args.seed)
-            runs = [twisted.random_params(dim, rng) for _ in range(args.random)]
-        else:
-            runs = [parse_params(args.params or "")]
-    except (ValueError, CapExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    slk._check_k(args.k)  # before the group, whose Cartan matrix is k x k
+    group = type_a_group(args.k)
+    v = group.from_word(parse_word(group, args.v))
+    word_parts = split_top_level(args.w, ";")
+    if len(word_parts) != args.n:
+        raise WordParseError(f"expected {args.n} factor words", args.w, 0)
+    words = [parse_word(group, part) for part in word_parts]
+    wbar = tuple(group.from_word(word) for word in words)
+    if args.params is not None and args.random:
+        raise ValueError("--params and --random are mutually exclusive")
+    dim = sum(w.length for w in wbar) - v.length
+    runs: list[list[Fraction]]
+    if args.random:
+        rng = random.Random(args.seed)
+        runs = [twisted.random_params(dim, rng) for _ in range(args.random)]
+    else:
+        runs = [parse_params(args.params or "")]
 
     report = verify.RunReport(
         "cell",
@@ -204,21 +180,14 @@ def cmd_cell(args) -> int:
         seed=args.seed,
     )
     points = []
-    code = EXIT_OK
     for idx, params in enumerate(runs):
         try:
+            # an empty stratum or a bad parameter raises ValueError: a usage error
             z = twisted.parametrize_cell(v, wbar, params, words=words)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
         except AssertionError as exc:
             report.add(f"point-{idx}", False, {"params": [str(p) for p in params], "error": str(exc)})
-            code = EXIT_CHECK_FAILED
             continue
         sv, swbar = twisted.stratum(z)
-        ok = (sv, swbar) == (v, wbar)
-        if not ok:
-            code = EXIT_CHECK_FAILED
         points.append(
             {
                 "params": [str(p) for p in params],
@@ -228,19 +197,17 @@ def cmd_cell(args) -> int:
                 "det": [str(ratlin.det(g)) for g in z.factors],
             }
         )
-        report.add(f"point-{idx}", ok)
+        report.add(f"point-{idx}", (sv, swbar) == (v, wbar))
     out = report.to_json()
     out["points"] = points
     _emit(out, args.json)
-    return code
+    return report.exit_code
 
 
 def cmd_verify(args) -> int:
     suite = verify.SUITES.get(args.suite)
     if suite is None:
-        known = ", ".join(sorted(verify.SUITES))
-        print(f"error: unknown suite {args.suite!r} (known: {known})", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"unknown suite {args.suite!r} (known: {', '.join(sorted(verify.SUITES))})")
     report = suite(seed=args.seed, budget=args.budget)
     _emit(report.to_json(), args.json)
     return report.exit_code
@@ -258,12 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("rank", type=int)
     p.add_argument("--n", type=int, default=1, help="number of factors")
     p.add_argument("--top", required=True, help='top stratum, e.g. "e;(1),(1)"')
-    p.add_argument("--check", default="ball", help="csv of " + ",".join(POSET_CHECKS))
+    p.add_argument("--check", default="ball", help="csv of " + ",".join(posets.CHECKS))
     p.add_argument("--dot", help="write the Hasse diagram to this DOT file")
     p.add_argument("--json", help="also write the report to this file")
     p.add_argument("--node-cap", type=nonnegative_int, default=posets.DEFAULT_NODE_CAP)
     p.add_argument("--budget", type=nonnegative_int, default=posets.DEFAULT_SHELLING_BUDGET)
-    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p.set_defaults(func=cmd_poset)
 
     c = sub.add_parser("cell", help="positively parametrize a stratum and verify it")
@@ -294,8 +260,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    # the only files the commands open are the --dot and --json outputs
-    except (WordParseError, OSError) as exc:
+    # the one place usage and build errors become exit 2; ValueError covers
+    # WordParseError, and the only files opened are the --dot and --json outputs
+    except (ValueError, CapExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -852,6 +852,8 @@ def open_boundary_euler(poset: FacePoset) -> int:
 
 
 BALL_CHECKS = ("pure", "thin", "eulerian", "shelling", "boundary_sphere_euler")
+# every name regularity_checks takes, in the order the CLI lists them
+CHECKS = ("pure", "thin", "eulerian", "shelling", "ball", "boundary_sphere_euler")
 
 
 def regularity_checks(
@@ -859,15 +861,20 @@ def regularity_checks(
 ) -> list[dict]:
     """Report entries ``{"check", "status"[, "witness"]}`` of the named checks.
 
-    Names: ``pure``, ``thin``, ``eulerian``, ``shelling`` (witness: the
-    search's work) and ``boundary_sphere_euler``: the open boundary has
-    the Euler characteristic of a sphere one dimension below the top
-    (witness: both values).  ``BALL_CHECKS`` is Bjorner's criterion.
+    Names (``CHECKS``): ``pure``, ``thin``, ``eulerian``, ``shelling``
+    (witness: the search's work), ``boundary_sphere_euler``: the open
+    boundary has the Euler characteristic of a sphere one dimension below
+    the top (witness: both values), and ``ball``: the ``BALL_CHECKS`` of
+    Bjorner's criterion as one entry, whose witness lists their entries.
     """
     checks = []
     for name in names:
         entry = {"check": name}
-        if name == "shelling":
+        if name == "ball":
+            ball = regularity_checks(poset, BALL_CHECKS, budget)
+            entry["status"] = overall_status(c["status"] for c in ball)
+            entry["witness"] = {"checks": ball}
+        elif name == "shelling":
             res = find_shelling(poset, budget=budget)
             # find_shelling never proves a poset not shellable
             entry["status"] = "pass" if res.shellable else "inconclusive"
@@ -887,25 +894,6 @@ def regularity_checks(
             entry["status"] = "pass" if test(poset) else "fail"
         checks.append(entry)
     return checks
-
-
-def check_regular_ball(
-    top: QNode,
-    node_cap: int = DEFAULT_NODE_CAP,
-    budget: int = DEFAULT_SHELLING_BUDGET,
-) -> dict:
-    """Aggregate regularity report for the closed interval below a stratum:
-    the ``BALL_CHECKS`` of :func:`regularity_checks`."""
-    poset = build_interval(top, node_cap=node_cap)
-    checks = regularity_checks(poset, BALL_CHECKS, budget)
-    return {
-        "top": top.describe(),
-        "rank": top.rank,
-        "nodes": len(poset.nodes),
-        "f_vector": list(poset.f_vector()),
-        "checks": checks,
-        "status": overall_status(c["status"] for c in checks),
-    }
 
 
 # -- export ----------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Each suite runs a batch of exact checks (brute-force oracle comparisons,
 poset regularity sweeps, seeded positivity tests) and returns a
-:class:`RunReport`.  Every failing check carries a concrete witness;
-inconclusive checks carry the exhausted budget.  All randomness flows
-through an explicit seed.
+:class:`RunReport`, as does :func:`check_regular_ball`.  Every failing
+check carries a concrete witness; inconclusive checks carry the exhausted
+budget.  A check over a sweep is added by :meth:`RunReport.add_sweep`.
+All randomness flows through an explicit seed.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ from . import slk, twisted
 from .cartan import cartan_of_type
 from .posets import (
     BALL_CHECKS,
+    DEFAULT_NODE_CAP,
     DEFAULT_SHELLING_BUDGET,
     FacePoset,
+    QNode,
     braid_poset,
     build_interval,
     interval_labels,
@@ -59,6 +62,20 @@ class RunReport:
             entry["witness"] = witness
         self.checks.append(entry)
 
+    def add_sweep(self, name: str, counts: dict, bad, inconclusive=()) -> None:
+        """One check over a sweep: fail on any bad witness, else inconclusive
+        on any spent budget.  The witness holds the counts, then the first
+        five of each nonempty list."""
+        self.add(
+            name,
+            overall_status(["fail"] * len(bad) + ["inconclusive"] * len(inconclusive)),
+            {
+                **counts,
+                **({"bad": bad[:5]} if bad else {}),
+                **({"inconclusive": inconclusive[:5]} if inconclusive else {}),
+            },
+        )
+
     @property
     def status(self) -> str:
         return overall_status(c["status"] for c in self.checks)
@@ -88,6 +105,21 @@ def _timed(fn):
         return report
 
     return wrapper
+
+
+@_timed
+def check_regular_ball(
+    top: QNode,
+    node_cap: int = DEFAULT_NODE_CAP,
+    budget: int = DEFAULT_SHELLING_BUDGET,
+) -> RunReport:
+    """Bjorner's criterion on the closed interval below a stratum: the
+    ``BALL_CHECKS`` of :func:`regularity_checks`, one entry each."""
+    poset = build_interval(top, node_cap=node_cap)
+    inputs = {"top": top.describe(), "rank": top.rank, "nodes": len(poset.nodes),
+              "f_vector": list(poset.f_vector())}
+    return RunReport("check_regular_ball", inputs, budget=budget,
+                     checks=regularity_checks(poset, BALL_CHECKS, budget))
 
 
 # -- brute-force oracles -------------------------------------------------------
@@ -131,11 +163,7 @@ def suite_demazure_oracle(seed: int = DEFAULT_SEED, budget=None) -> RunReport:
                     bad.append({"x": x.describe(), "y": y.describe(), "op": "demazure"})
                 if group.circ_r(x, y) != brute_circ_r(group, x, y):
                     bad.append({"x": x.describe(), "y": y.describe(), "op": "circ_r"})
-        report.add(
-            f"S{k}-all-pairs",
-            not bad,
-            {"pairs": pairs} if not bad else {"pairs": pairs, "bad": bad[:5]},
-        )
+        report.add_sweep(f"S{k}-all-pairs", {"pairs": pairs}, bad)
     return report
 
 
@@ -167,7 +195,7 @@ def suite_positive_subexpr(seed: int = DEFAULT_SEED, budget=None) -> RunReport:
                 bad.append({"w": w.describe(), "v": v.describe(), "count": len(subs)})
             elif subs[0] != group.positive_subexpression(v, word):
                 bad.append({"w": w.describe(), "v": v.describe(), "issue": "greedy differs"})
-    report.add("uniqueness-and-greedy", not bad, {"pairs": checked} if not bad else {"bad": bad[:5]})
+    report.add_sweep("uniqueness-and-greedy", {"pairs": checked}, bad)
     return report
 
 
@@ -189,11 +217,7 @@ def suite_thickening_order(seed: int = DEFAULT_SEED, budget=None) -> RunReport:
                 rhs = tgroup.bruhat_leq(i_embed(tgroup, v), th_of[wbar])
                 if lhs != rhs:
                     bad.append({"v": v.describe(), "wbar": [w.describe() for w in wbar]})
-        report.add(
-            f"{family}{rank}-nonempty-iff-embedded",
-            not bad,
-            {"tuples": len(tuples)} if not bad else {"bad": bad[:5]},
-        )
+        report.add_sweep(f"{family}{rank}-nonempty-iff-embedded", {"tuples": len(tuples)}, bad)
         bad = []
         for wa in tuples:
             for wb in tuples:
@@ -204,11 +228,7 @@ def suite_thickening_order(seed: int = DEFAULT_SEED, budget=None) -> RunReport:
                         "wbar": [w.describe() for w in wa],
                         "wbar'": [w.describe() for w in wb],
                     })
-        report.add(
-            f"{family}{rank}-tuple-order-iff-th",
-            not bad,
-            {"pairs": len(tuples) ** 2} if not bad else {"bad": bad[:5]},
-        )
+        report.add_sweep(f"{family}{rank}-tuple-order-iff-th", {"pairs": len(tuples) ** 2}, bad)
     return report
 
 
@@ -242,19 +262,6 @@ def _sweep_poset(poset, where: dict, budget: int, bad: list, inconclusive: list)
             bad.append({**where, "check": entry["check"]})
         elif entry["status"] == "inconclusive":
             inconclusive.append({**where, "budget": budget})
-
-
-def _add_sweep(report: RunReport, name: str, counts: dict, bad: list, inconclusive: list) -> None:
-    """One check over a sweep: fail on any bad witness, else inconclusive on any spent budget."""
-    report.add(
-        name,
-        overall_status(["fail"] * len(bad) + ["inconclusive"] * len(inconclusive)),
-        {
-            **counts,
-            **({"bad": bad[:5]} if bad else {}),
-            **({"inconclusive": inconclusive[:5]} if inconclusive else {}),
-        },
-    )
 
 
 @_timed
@@ -300,21 +307,15 @@ def suite_hatQ(seed: int = DEFAULT_SEED, budget: int = DEFAULT_SHELLING_BUDGET) 
                     )
                     if hits not in (1, 2):
                         rank1_bad.append({"node": top.describe(), "hits": hits})
-            _add_sweep(
-                report,
+            report.add_sweep(
                 f"{name}-n{n}-intervals",
                 {"intervals": intervals, "shellings": intervals},  # every interval is shelled
                 bad,
                 inconclusive,
             )
             tops += intervals
-    report.add(
-        "builder-matches-pairwise",
-        not mismatched,
-        {"intervals": tops} if not mismatched else {"bad": mismatched[:5]},
-    )
-    report.add("rank1-deletion-witness", not rank1_bad,
-               {"nodes": rank1} if not rank1_bad else {"bad": rank1_bad[:5]})
+    report.add_sweep("builder-matches-pairwise", {"intervals": tops}, mismatched)
+    report.add_sweep("rank1-deletion-witness", {"nodes": rank1}, rank1_bad)
     return report
 
 
@@ -326,13 +327,13 @@ def suite_sl2_triangle(seed: int = DEFAULT_SEED, budget: int = DEFAULT_SHELLING_
     e, s = group.identity, group.simple(0)
     poset = build_interval(make_qnode(e, (s, s)))
     report.add("f-vector", poset.f_vector() == (3, 3, 1), {"f": list(poset.f_vector())})
-    ball = regularity_checks(poset, BALL_CHECKS, budget)
-    chi = next(c for c in ball if c["check"] == "boundary_sphere_euler")["witness"]["chi"]
+    [ball] = regularity_checks(poset, ["ball"], budget)
+    boundary = next(c for c in ball["witness"]["checks"] if c["check"] == "boundary_sphere_euler")
+    chi = boundary["witness"]["chi"]
     report.add("boundary-euler", chi == 0, {"chi": chi})
-    report.add("regular-ball", overall_status(c["status"] for c in ball), {"checks": ball})
+    report.add("regular-ball", ball["status"], ball["witness"])
     rng = random.Random(seed)
-    ok = True
-    witness = None
+    bad = []
     for _ in range(25):
         params = twisted.random_params(2, rng)
         z = twisted.parametrize_cell(e, (s, s), params)
@@ -343,10 +344,9 @@ def suite_sl2_triangle(seed: int = DEFAULT_SEED, budget: int = DEFAULT_SHELLING_
             coords.append(col[1] / col[0])
         a, b = coords
         if not (0 < a < b):
-            ok = False
-            witness = {"params": [str(p) for p in params], "a": str(a), "b": str(b)}
+            bad.append({"params": [str(p) for p in params], "a": str(a), "b": str(b)})
             break
-    report.add("chart-inequalities", ok, witness or {"samples": 25})
+    report.add_sweep("chart-inequalities", {"samples": 25}, bad)
     return report
 
 
@@ -364,7 +364,7 @@ def suite_braid(seed: int = DEFAULT_SEED, budget: int = DEFAULT_SHELLING_BUDGET)
             poset = braid_poset(group, letters)
             label = "".join(str(t + 1) for t in letters)
             _sweep_poset(poset, {"word": label}, budget, bad, inconclusive)
-    _add_sweep(report, "all-words", {"words": words}, bad, inconclusive)
+    report.add_sweep("all-words", {"words": words}, bad, inconclusive)
     ball = braid_poset(group, (0, 1, 0, 1))
     report.add(
         "1212-is-1-ball",
@@ -405,8 +405,7 @@ def suite_duality(seed: int = DEFAULT_SEED, budget=None) -> RunReport:
                 bad.append({"stratum": (v.describe(), [w.describe() for w in wbar]),
                             "check": "involution"})
                 break
-    report.add("phi-involution-and-stratum-map", not bad,
-               {"strata": strata} if not bad else {"bad": bad[:5]})
+    report.add_sweep("phi-involution-and-stratum-map", {"strata": strata}, bad)
     return report
 
 
@@ -446,7 +445,7 @@ def suite_double_bruhat(seed: int = DEFAULT_SEED, budget=None) -> RunReport:
                             "got": (got[0].describe(), [x.describe() for x in got[1]]),
                         })
                         break
-        report.add(f"k{k}-pairs", not bad, {"pairs": pairs} if not bad else {"bad": bad[:5]})
+        report.add_sweep(f"k{k}-pairs", {"pairs": pairs}, bad)
     return report
 
 
@@ -468,7 +467,7 @@ def suite_cell_containment(
             if twisted.stratum(z) != (q.v, q.wbar):
                 bad.append({"v": q.v.describe(), "wbar": [w.describe() for w in q.wbar]})
                 break
-    report.add("containment", not bad, {"strata": strata} if not bad else {"bad": bad[:5]})
+    report.add_sweep("containment", {"strata": strata}, bad)
     return report
 
 

@@ -24,8 +24,8 @@ either the original letter or ``None`` (the identity placeholder).
 from __future__ import annotations
 
 from .cartan import GeneralizedCartanMatrix, thicken
+from .ratlin import IntMat, int_mul
 
-IntMat = tuple[tuple[int, ...], ...]
 Word = tuple[int, ...]
 SubWord = tuple  # entries: int letter or None placeholder
 
@@ -39,14 +39,6 @@ _LOWER_CACHE_CAP = 4096
 
 class ContextMismatchError(ValueError):
     """Raised when elements from different Weyl groups are combined."""
-
-
-def _mat_mul(a: IntMat, b: IntMat) -> IntMat:
-    n = len(a)
-    rng = range(n)
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in rng) for j in rng) for i in rng
-    )
 
 
 def _identity_mat(n: int) -> IntMat:
@@ -209,7 +201,7 @@ class WeylGroup:
                 i = u.word[0]
                 out = self._intern(self._simple_times(i, v.geom), self._times_simple(v.geom_inv, i))
             else:
-                out = self._intern(_mat_mul(u.geom, v.geom), _mat_mul(v.geom_inv, u.geom_inv))
+                out = self._intern(int_mul(u.geom, v.geom), int_mul(v.geom_inv, u.geom_inv))
             if len(self._mul_cache) > _CACHE_CAP:
                 self._mul_cache.clear()
             self._mul_cache[key] = out

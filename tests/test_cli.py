@@ -13,9 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tnnflag import verify
-from tnnflag.cli import main, parse_word, split_top_level, WordParseError
-from tnnflag.weyl import type_a_group
+from tnnflag import posets, verify
+from tnnflag.cartan import cartan_of_type
+from tnnflag.cli import main, parse_top_spec, parse_word, split_top_level, WordParseError
+from tnnflag.posets import make_qnode
+from tnnflag.verify import check_regular_ball
+from tnnflag.weyl import WeylGroup, type_a_group
 
 
 def run(capsys, *argv):
@@ -357,6 +360,53 @@ def test_verify_braid_spent_budget_is_inconclusive(capsys):
     words = payload["checks"][0]
     assert words["status"] == "inconclusive" and "bad" not in words["witness"]
     assert words["witness"]["inconclusive"][0]["budget"] == 1
+
+
+def test_add_sweep_witness_shapes():
+    """A sweep's witness holds its counts, then the first five of each
+    nonempty list; any bad witness fails the check."""
+    report = verify.RunReport("sweep", {})
+    bad = [{"x": i} for i in range(7)]
+    spent = [{"budget": i} for i in range(6)]
+    report.add_sweep("clean", {"pairs": 3}, [])
+    report.add_sweep("broken", {"pairs": 3}, bad)
+    report.add_sweep("spent", {"pairs": 3}, [], spent)
+    report.add_sweep("both", {"pairs": 3}, bad[:1], spent[:1])
+    assert report.checks == [
+        {"check": "clean", "status": "pass", "witness": {"pairs": 3}},
+        {"check": "broken", "status": "fail", "witness": {"pairs": 3, "bad": bad[:5]}},
+        {"check": "spent", "status": "inconclusive",
+         "witness": {"pairs": 3, "inconclusive": spent[:5]}},
+        {"check": "both", "status": "fail",
+         "witness": {"pairs": 3, "bad": bad[:1], "inconclusive": spent[:1]}},
+    ]
+    assert report.status == "fail" and report.exit_code == 1
+
+
+@pytest.mark.parametrize(
+    "family, rank, n, top",
+    [("A", 2, 2, "e;(1,2),(2,1)"), ("B", 2, 2, "e;(1,2,1,2),(1,2,1,2)")],
+    ids=["A2-pair", "B2-rank8"],
+)
+def test_check_regular_ball_matches_poset_ball(capsys, family, rank, n, top):
+    """The library's ball report lists the entries of the CLI's ``ball`` check."""
+    code, out, _ = run(capsys, "poset", family, str(rank), "--n", str(n), "--top", top,
+                       "--check", "ball")
+    [ball] = json.loads(out)["checks"]
+    group = WeylGroup(cartan_of_type(family, rank))
+    report = check_regular_ball(make_qnode(*parse_top_spec(group, top, n)))
+    assert report.checks == ball["witness"]["checks"]
+    assert (report.status, report.exit_code) == (ball["status"], code) == ("pass", 0)
+
+
+@pytest.mark.parametrize("name", posets.CHECKS)
+def test_every_check_name_runs_on_the_triangle(capsys, name):
+    code, out, err = run(capsys, "poset", "A", "1", "--n", "2", "--top", "e;(1),(1)",
+                         "--check", name)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert [c["check"] for c in payload["checks"]] == [name]
+    assert payload["status"] == "pass" and payload["seed"] is None
 
 
 def test_every_suite_reports_its_verify_command(monkeypatch):

@@ -15,7 +15,6 @@ from tnnflag.posets import (
     ShellingResult,
     braid_poset,
     build_interval,
-    check_regular_ball,
     find_shelling,
     interval_labels,
     is_eulerian,
@@ -31,7 +30,7 @@ from tnnflag.posets import (
     shelling_of_facets,
     to_dot,
 )
-from tnnflag.verify import _hatQ_families, iter_qnodes
+from tnnflag.verify import _hatQ_families, check_regular_ball, iter_qnodes
 from tnnflag.weyl import WeylGroup
 
 
@@ -258,7 +257,7 @@ def test_rank_zero_top_is_chain(A1):
     poset = build_interval(make_qnode(s, (s, A1.identity)))
     assert len(poset) == 2
     report = check_regular_ball(make_qnode(s, (s, A1.identity)))
-    assert report["status"] == "pass"
+    assert report.status == "pass"
 
 
 def test_sl3_flag_interval(A2):
@@ -811,8 +810,8 @@ def test_check_regular_ball_a2_pair(A2):
     s1, s2 = A2.simple(0), A2.simple(1)
     top = make_qnode(A2.identity, (A2.multiply(s1, s2), A2.multiply(s2, s1)))
     report = check_regular_ball(top)
-    assert report["status"] == "pass"
-    assert all(c["status"] == "pass" for c in report["checks"])
+    assert report.status == "pass"
+    assert all(c["status"] == "pass" for c in report.checks)
 
 
 def test_rank1_witness_case_analysis(A2, B2):

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 
 from tnnflag import weyl
 from tnnflag.cartan import cartan_of_type
+from tnnflag.ratlin import int_mul
 from tnnflag.weyl import (
     WeylGroup,
-    _mat_mul,
     from_perm,
     is_positive_subexpression,
     perm_of,
@@ -55,8 +55,8 @@ def product_of(g, word):
     """(geom, geom_inv) of a word, one full matrix product per letter."""
     geom = geom_inv = g._id
     for i in word:
-        geom = _mat_mul(geom, g._refl[i])
-        geom_inv = _mat_mul(g._refl[i], geom_inv)
+        geom = int_mul(geom, g._refl[i])
+        geom_inv = int_mul(g._refl[i], geom_inv)
     return geom, geom_inv
 
 
@@ -65,8 +65,8 @@ def canonical_by_products(g, geom, geom_inv):
     letters = []
     while geom != g._id:
         i = next(i for i in range(g.rank) if all(row[i] <= 0 for row in geom_inv))
-        geom = _mat_mul(g._refl[i], geom)
-        geom_inv = _mat_mul(geom_inv, g._refl[i])
+        geom = int_mul(g._refl[i], geom)
+        geom_inv = int_mul(geom_inv, g._refl[i])
         letters.append(i)
     return tuple(letters)
 
@@ -80,13 +80,13 @@ def test_simple_reflection_updates_match_full_products(case):
     assert u.word == canonical_by_products(g, u.geom, u.geom_inv)
     for i in range(g.rank):
         s = g._refl[i]
-        assert g._simple_times(i, u.geom) == _mat_mul(s, u.geom)
-        assert g._times_simple(u.geom, i) == _mat_mul(u.geom, s)
+        assert g._simple_times(i, u.geom) == int_mul(s, u.geom)
+        assert g._times_simple(u.geom, i) == int_mul(u.geom, s)
         right = g.multiply(u, g.simple(i))
-        assert (right.geom, right.geom_inv) == (_mat_mul(u.geom, s), _mat_mul(s, u.geom_inv))
+        assert (right.geom, right.geom_inv) == (int_mul(u.geom, s), int_mul(s, u.geom_inv))
         assert right.word == canonical_by_products(g, right.geom, right.geom_inv)
         left = g.multiply(g.simple(i), u)
-        assert (left.geom, left.geom_inv) == (_mat_mul(s, u.geom), _mat_mul(u.geom_inv, s))
+        assert (left.geom, left.geom_inv) == (int_mul(s, u.geom), int_mul(u.geom_inv, s))
         assert left.word == canonical_by_products(g, left.geom, left.geom_inv)
 
 
@@ -121,7 +121,7 @@ def test_canonical_words_match_full_stripping(case):
 def test_geom_times_inverse_is_identity(case):
     g, (word,) = case
     u = g.from_word(word)
-    assert _mat_mul(u.geom, u.geom_inv) == _mat_mul(u.geom_inv, u.geom) == g._id
+    assert int_mul(u.geom, u.geom_inv) == int_mul(u.geom_inv, u.geom) == g._id
     assert g.multiply(u, g.inverse(u)) is g.identity
 
 
