@@ -16,6 +16,7 @@ import argparse
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 
 from . import jsonio, posets, ratlin, slk, twisted, verify
@@ -119,6 +120,7 @@ def _emit(report: dict, path: str | None) -> None:
 
 
 def cmd_poset(args) -> int:
+    t0 = time.perf_counter()
     wanted = [c.strip() for c in args.check.split(",") if c.strip()]
     if not wanted:
         raise ValueError("--check names no check")
@@ -142,6 +144,7 @@ def cmd_poset(args) -> int:
         budget=args.budget,
         checks=posets.regularity_checks(poset, wanted, args.budget),
     )
+    report.elapsed_s = time.perf_counter() - t0
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(to_dot(poset) + "\n")
@@ -150,6 +153,7 @@ def cmd_poset(args) -> int:
 
 
 def cmd_cell(args) -> int:
+    t0 = time.perf_counter()
     slk._check_k(args.k)  # before the group, whose Cartan matrix is k x k
     group = type_a_group(args.k)
     v = group.from_word(parse_word(group, args.v))
@@ -198,6 +202,7 @@ def cmd_cell(args) -> int:
             }
         )
         report.add(f"point-{idx}", (sv, swbar) == (v, wbar))
+    report.elapsed_s = time.perf_counter() - t0
     out = report.to_json()
     out["points"] = points
     _emit(out, args.json)

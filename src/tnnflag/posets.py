@@ -18,7 +18,9 @@ is their oracle.
 Every poset indexes the upper covers of each node once, as increasing
 tuples and as bitmasks (formed in the reverse pass that ORs ``above``),
 and the checks share both.  Checks, run by name with
-:func:`regularity_checks`: purity, thinness (a parity pass over the kept
+:func:`regularity_checks`: purity (O(1) per node when every cover raises
+the rank by one, read off the first and last up-cover of each node; a
+height pass over the covers otherwise), thinness (a parity pass over the kept
 up-cover masks of the covers of each x settles x when every count of
 paths of two covers is 2; otherwise the counts, with a mask test only
 where a count is not 2), Eulerian-ness (a node count on the even-length
@@ -26,7 +28,7 @@ intervals only: one AND and one popcount per pair, with the y above x
 read rank band by rank band from a slice of ``above[x]``), shellability
 of the order complex, and the Euler characteristic of the open boundary
 (the Mobius function from the bottom to the top, in one pass in rank
-order).
+order, with the nodes of value 1 and -1 in two signed masks).
 
 Shellability is certified on the poset, not on its chains:
 :func:`find_shelling` searches for a recursive atom ordering (Bjorner-Wachs
@@ -405,12 +407,33 @@ def link_poset(bottom: QNode, top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> F
 # -- regularity checks -----------------------------------------------------------
 
 
+def _graded(poset: FacePoset) -> bool:
+    """Every cover raises the rank by exactly 1.
+
+    The upper covers of a node are increasing indices, and ranks do not
+    decrease along the index order, so their ranks rise from the first
+    cover to the last: both ends at the node's rank plus 1 put every cover
+    there, with O(1) work per node.
+    """
+    ranks = poset.ranks
+    for r, his in zip(ranks, poset.up_covers()):
+        if his and not ranks[his[0]] == ranks[his[-1]] == r + 1:
+            return False
+    return True
+
+
 def is_pure(poset: FacePoset) -> bool:
     """All maximal chains between comparable pairs have equal length.
 
     Below the bottom this holds iff every cover raises the height (the
-    length of the longest chain from the bottom) by exactly 1.
+    length of the longest chain from the bottom) by exactly 1.  When every
+    cover raises the rank by 1 (:func:`_graded`), every chain from the
+    bottom to z has length r(z) - r(bottom), so that is the height and the
+    poset is pure.  Otherwise the heights are computed in one pass over the
+    covers.
     """
+    if _graded(poset):
+        return True
     ups = poset.up_covers()
     height = [0] * len(ups)
     # every cover into lo comes from a smaller lo
@@ -464,18 +487,29 @@ def mobius(poset: FacePoset, x: int, y: int) -> int:
     """Mobius function of the interval [x, y], in one pass in rank order.
 
     mu(x, z) = -sum of mu(x, u) over x <= u < z.  The nodes z of [x, y] are
-    visited in index order, which lists every u < z before z, and the
-    nodes seen so far are kept as one bitmask per value of mu (x alone
-    has the value 1), so each z costs one AND and popcount per value.
+    visited in index order, which lists every u < z before z.  The nodes
+    seen so far with mu = 1 (x first) and with mu = -1 are kept as two
+    signed masks, so each z costs two ANDs and popcounts; the rare other
+    nonzero values are kept in a dict of one mask per value, so a poset
+    that is not Eulerian still gets exact values.
     """
     if not poset.leq(x, y):
         raise ValueError("x is not below y")
-    classes = {1: 1 << x}  # value c -> the nodes u seen so far with mu(x, u) == c
+    plus, minus = 1 << x, 0  # the nodes u seen so far with mu(x, u) == 1, == -1
+    others: dict[int, int] = {}  # any other nonzero value c -> its nodes so far
+    below = poset.below
     mu = 1
-    for z in members(poset.above[x] & (poset.below[y] | 1 << y)):
-        below = poset.below[z]
-        mu = -sum(c * (below & mask).bit_count() for c, mask in classes.items())
-        classes[mu] = classes.get(mu, 0) | 1 << z
+    for z in members(poset.above[x] & (below[y] | 1 << y)):
+        mask = below[z]
+        mu = (mask & minus).bit_count() - (mask & plus).bit_count()
+        if others:
+            mu -= sum(c * (mask & nodes).bit_count() for c, nodes in others.items())
+        if mu == 1:
+            plus |= 1 << z
+        elif mu == -1:
+            minus |= 1 << z
+        elif mu:
+            others[mu] = others.get(mu, 0) | 1 << z
     return mu
 
 
@@ -810,7 +844,6 @@ def find_shelling(poset: FacePoset, budget: int = DEFAULT_SHELLING_BUDGET) -> Sh
     n = len(poset.nodes)
     ranks = poset.ranks
     ups, cover, above = poset.up_covers(), poset.up_cover_masks(), poset.above
-    graded = all(ranks[hi] == ranks[lo] + 1 for lo, his in enumerate(ups) for hi in his)
     counts = [1] * n
     for x in range(n - 1, -1, -1):
         if ups[x]:
@@ -819,7 +852,7 @@ def find_shelling(poset: FacePoset, budget: int = DEFAULT_SHELLING_BUDGET) -> Sh
     if facets <= 1:
         return ShellingResult("shellable", maximal_chains(poset), facets, 0, budget)
     maximal = [x for x in range(n) if not ups[x]]
-    if not graded or len({ranks[x] for x in maximal}) > 1:
+    if not _graded(poset) or len({ranks[x] for x in maximal}) > 1:
         return ShellingResult("inconclusive", None, facets, 0, budget, exhausted=True)
     synthetic = len(maximal) > 1
     if synthetic:  # on copies: the poset keeps its own index and masks

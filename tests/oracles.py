@@ -30,6 +30,8 @@ counts alone, and ``wall_counts`` reads the same numbers off a facet order
 when it is a shelling; neither uses a shelling search.
 ``members_by_lowest_bit`` lists the set bits of a mask by clearing the
 lowest one at a time, the loop that ``posets.members`` replaced.
+``mobius_by_value_classes`` keeps one mask per value of mu, where
+``posets.mobius`` keeps the values 1 and -1 in two signed masks.
 
 ``shelling_search`` is the repository's one search over orders of explicit
 facets (depth first, a dead-end memo, a validity test that scans every
@@ -332,6 +334,21 @@ def members_by_lowest_bit(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def mobius_by_value_classes(poset, x: int, y: int) -> int:
+    """Mobius function of [x, y] in one pass in rank order, with one
+    bitmask per value of mu (x alone has the value 1): each z costs one AND
+    and popcount per value.  The kernel that ``posets.mobius`` replaced."""
+    if not poset.leq(x, y):
+        raise ValueError("x is not below y")
+    classes = {1: 1 << x}  # value c -> the nodes u seen so far with mu(x, u) == c
+    mu = 1
+    for z in members_by_lowest_bit(poset.above[x] & (poset.below[y] | 1 << y)):
+        below = poset.below[z]
+        mu = -sum(c * (below & mask).bit_count() for c, mask in classes.items())
+        classes[mu] = classes.get(mu, 0) | 1 << z
+    return mu
 
 
 def chain_h_vector(poset) -> list[int]:

@@ -193,6 +193,30 @@ def test_cell_command_random(capsys):
     assert all(c["status"] == "pass" for c in payload["checks"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("poset", "A", "2", "--n", "2", "--top", "e;(1,2,1),(1,2,1)", "--check", "ball"),
+        ("cell", "--k", "3", "--n", "2", "--v", "e", "--w", "(1,2);(2,1)", "--random", "3"),
+    ],
+    ids=["poset", "cell"],
+)
+def test_poset_and_cell_reports_are_timed(capsys, argv):
+    """The command times itself; the time is the one field that moves
+    between runs, and the report keeps its fields in their order."""
+    reports = []
+    for _ in range(2):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload.pop("elapsed_s") > 0
+        reports.append(payload)
+    assert reports[0] == reports[1]
+    fields = ["schema", "command", "inputs", "seed", "budget", "status", "checks"]
+    assert list(reports[0]) == fields + (["points"] if argv[0] == "cell" else [])
+    assert reports[0]["status"] == "pass"
+
+
 def test_cell_command_rejects_bad_input(capsys):
     code, _, err = run(
         capsys,

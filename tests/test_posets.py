@@ -580,6 +580,25 @@ def test_pure_and_thin_match_chain_length_oracle(A2):
     assert {pure for pure, _ in verdicts} == {thin for _, thin in verdicts} == {True, False}
 
 
+def test_graded_fast_path_matches_height_pass(A2, monkeypatch):
+    """Gradedness read off the first and last up-cover of each node equals
+    the per-cover definition, and purity by rank bands equals the height
+    pass alone and the chain-length table, on every differential poset."""
+    graded_seen, pure_seen = set(), set()
+    for poset in _differential_posets(A2):
+        ranks = poset.ranks
+        graded = posets._graded(poset)
+        assert graded == all(ranks[hi] == ranks[lo] + 1
+                             for lo, his in enumerate(poset.up_covers()) for hi in his)
+        pure = is_pure(poset)
+        with monkeypatch.context() as m:
+            m.setattr(posets, "_graded", lambda poset: False)
+            assert is_pure(poset) == pure == oracle_is_pure(poset)
+        graded_seen.add(graded)
+        pure_seen.add(pure)
+    assert graded_seen == pure_seen == {True, False}
+
+
 def test_thin_path_count_matches_mask_scan(A2):
     """Thinness by two-step path counts equals the mask scan on every
     differential poset."""
@@ -759,6 +778,20 @@ def test_mobius_matches_recursion_oracle(A2):
             for y in members(poset.above[x]):
                 mu = mobius(poset, x, y)
                 assert mu == oracle_mobius(poset, x, y, memo)
+                values.add(mu)
+    assert {-1, 0, 1, 2, 3} <= values
+
+
+def test_mobius_matches_value_class_oracle(A2):
+    """The signed masks for mu = 1 and mu = -1, with a dict for any other
+    value, equal one mask per value on every comparable pair of the
+    differential posets, and the other values occur."""
+    values = set()
+    for poset in _differential_posets(A2):
+        for x in range(len(poset)):
+            for y in [x, *members(poset.above[x])]:
+                mu = mobius(poset, x, y)
+                assert mu == oracles.mobius_by_value_classes(poset, x, y)
                 values.add(mu)
     assert {-1, 0, 1, 2, 3} <= values
 
