@@ -3,13 +3,27 @@
 Each test prints one line `ACCEPTANCE <n> <name>: PASS|FAIL (<elapsed>s)`.
 Runtime limits follow the stated budgets; all arithmetic is exact, so
 every comparison is equality (tolerance zero) unless a limit is named.
+
+Every report also equals, apart from its timing, the one recorded in
+``data/verify_reports.json`` by ``tnnflag verify <suite>`` (default seed
+and budget), so a speedup that changes any check result fails here.
 """
 
+import json
 import time
-
-import pytest
+from pathlib import Path
 
 from tnnflag import verify
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "verify_reports.json").read_text())
+
+
+def _matches_golden(report):
+    """The report's JSON without ``elapsed_s`` equals the recorded one."""
+    got = report.to_json()
+    del got["elapsed_s"]
+    suite = got["command"].removeprefix("verify ")
+    assert got == GOLDEN[suite], f"{suite} report differs from the recorded one"
 
 
 def _report_line(num, name, ok, elapsed):
@@ -23,6 +37,7 @@ def _run(num, name, suite, limit, **kwargs):
     _report_line(num, name, ok, report.elapsed_s)
     assert report.status == "pass", report.to_json()
     assert report.elapsed_s < limit, f"{report.elapsed_s:.1f}s exceeds {limit}s"
+    _matches_golden(report)
     return report
 
 
@@ -66,6 +81,7 @@ def test_acceptance_5_sl2_triangle():
     by_name = {c["check"]: c for c in report.checks}
     assert by_name["f-vector"]["witness"]["f"] == [3, 3, 1]
     assert by_name["boundary-euler"]["witness"]["chi"] == 0
+    _matches_golden(report)
 
 
 def test_acceptance_6_cell_parametrization_containment():
