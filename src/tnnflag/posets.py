@@ -23,9 +23,11 @@ the rank by one, read off the first and last up-cover of each node; a
 height pass over the covers otherwise), thinness (a parity pass over the kept
 up-cover masks of the covers of each x settles x when every count of
 paths of two covers is 2; otherwise the counts, with a mask test only
-where a count is not 2), Eulerian-ness (a node count on the even-length
-intervals only: one AND and one popcount per pair, with the y above x
-read rank band by rank band from a slice of ``above[x]``), shellability
+where a count is not 2; the verdict is kept on the poset), Eulerian-ness
+(a node count on the even-length intervals only: one AND and one popcount
+per pair, with the y above x read rank band by rank band from a slice of
+``above[x]``; on a graded poset the intervals of length 2 are decided by
+the kept thinness verdict and the count starts at length 4), shellability
 of the order complex, and the Euler characteristic of the open boundary
 (the Mobius function from the bottom to the top, in one pass in rank
 order, with the nodes of value 1 and -1 in two signed masks).
@@ -135,7 +137,10 @@ class FacePoset:
     masks take about 0.28 n^2 bytes for n nodes (2,710 bytes per node on
     the 9,698 nodes of the A3 n=2 top (e ; w0, w0)).  The builders pass
     the index in as ``ups`` (increasing lists, one per node); a poset
-    given by its masks alone reads it off ``below``.
+    given by its masks alone reads it off ``below``.  The poset is
+    immutable, so what is derived from it alone is kept once computed: the
+    cover pairs (:attr:`covers`) and the verdict of :func:`is_thin`, which
+    :func:`is_eulerian` reads for its intervals of length 2.
     """
 
     def __init__(self, nodes, ranks, below, ups=None):
@@ -156,6 +161,7 @@ class FacePoset:
                         ups[lo].append(hi)
         self._ups = tuple(map(tuple, ups))
         self._covers = None  # listed from the index when first read
+        self._thin = None  # the verdict of is_thin, kept at its first call
         above, cover = [0] * n, [0] * n
         # every upper cover of lo has a larger index, so reverse index order
         # completes above[hi] before it is read
@@ -463,8 +469,14 @@ def is_thin(poset: FacePoset) -> bool:
     0, every count is even, so at least 2; if besides the total is twice
     the number of y reached (the popcount of the OR), every count is 2 and
     x passes.  Any other x takes the exact count.
+
+    The poset is immutable, so the verdict is kept on it at the first call
+    and returned by every later one (:func:`is_eulerian` reads it too).
     """
+    if poset._thin is not None:
+        return poset._thin
     ups, masks = poset.up_covers(), poset.up_cover_masks()
+    thin = True
     for x, mids in enumerate(ups):
         odd = reached = total = 0
         for z in mids:
@@ -479,8 +491,10 @@ def is_thin(poset: FacePoset) -> bool:
                 paths[y] = paths.get(y, 0) + 1
         unpaired = [y for y, count in paths.items() if count != 2]
         if any(not poset.above[x] & poset.below[y] & ~masks[x] for y in unpaired):
-            return False
-    return True
+            thin = False
+            break
+    poset._thin = thin
+    return thin
 
 
 def mobius(poset: FacePoset, x: int, y: int) -> int:
@@ -530,6 +544,14 @@ def is_eulerian(poset: FacePoset) -> bool:
     induction on the interval size it is enough to count the nodes of the
     even-length intervals.
 
+    On a graded poset (:func:`_graded`) the intervals of length 2 are the
+    thinness condition: the m nodes strictly between x and y all cover x,
+    so mu(x, y) = m - 1, which is 1 iff m == 2.  So a poset that is not
+    thin is not Eulerian, and on a thin one the count starts at length 4;
+    :func:`is_thin` keeps its verdict on the poset, so a caller that ran it
+    first pays nothing here.  A poset that is not graded counts from
+    length 2.
+
     One popcount decides a pair x < y of one rank parity.  Let F be the
     nodes z >= x, ``odd`` the mask of the nodes of odd rank, E_in and O_in
     the numbers of nodes of even and of odd rank in [x, y), and O_out the
@@ -543,18 +565,24 @@ def is_eulerian(poset: FacePoset) -> bool:
 
     Nodes are stored in rank order, so each rank is a contiguous band of
     indices.  A table made once per call gives each rank the bands of the
-    ranks 2, 4, ... above it that hold nodes, as (first index, all-ones
-    mask of the width) pairs; the y above x are read band by band from a
-    slice of ``above[x]``, a small int.  ``odd`` is ORed from the bands.
+    ranks 2, 4, ... (4, 6, ... when thin) above it that hold nodes, as
+    (first index, all-ones mask of the width) pairs; the y above x are read
+    band by band from a slice of ``above[x]``, a small int.  ``odd`` is
+    ORed from the bands.
     """
+    first = 2
+    if _graded(poset):
+        if not is_thin(poset):
+            return False
+        first = 4
     ranks, below = poset.ranks, poset.below
     bands: dict[int, tuple[int, int]] = {}  # rank -> (first index, all-ones mask of its width)
     for i, r in enumerate(ranks):
         start, full = bands.get(r, (i, 0))
         bands[r] = (start, full << 1 | 1)
     odd = sum(full << start for r, (start, full) in bands.items() if r % 2)  # disjoint bands
-    # rank -> the bands of the ranks 2, 4, ... above it that hold nodes
-    table = {r: [bands[t] for t in range(r + 2, max(bands) + 1, 2) if t in bands] for r in bands}
+    # rank -> the bands of the ranks first, first + 2, ... above it that hold nodes
+    table = {r: [bands[t] for t in range(r + first, max(bands) + 1, 2) if t in bands] for r in bands}
     odd_below = [(mask & odd).bit_count() for mask in below]
     # the popcount each y needs, for x of even rank and for x of odd rank
     needs = ([c - 1 for c in odd_below], [c + 1 for c in odd_below])

@@ -120,6 +120,8 @@ class WeylGroup:
         self._cover_cache: dict[int, tuple] = {}
         self._demazure_cache: dict[tuple[int, int], WeylElt] = {}
         self._perm_cache: dict[tuple, WeylElt] = {}
+        # how often each capped cache above was cleared at its cap
+        self._clears = dict.fromkeys(("mul", "bruhat", "lower", "cover", "demazure", "perm"), 0)
         self._thickened: dict[int, WeylGroup] = {}
         self.identity = self._intern(self._id, self._id)
         self._simples = tuple(
@@ -128,6 +130,15 @@ class WeylGroup:
 
     def __repr__(self):
         return f"WeylGroup({'x'.join(self.gcm.labels)})"
+
+    def cache_stats(self) -> dict[str, dict[str, int]]:
+        """Each capped memo cache's entry count and the number of times it
+        was cleared on passing its cap."""
+        caches = {"mul": self._mul_cache, "bruhat": self._bruhat_cache,
+                  "lower": self._lower_cache, "cover": self._cover_cache,
+                  "demazure": self._demazure_cache, "perm": self._perm_cache}
+        return {name: {"size": len(cache), "clears": self._clears[name]}
+                for name, cache in caches.items()}
 
     # -- interning and canonical words ------------------------------------
 
@@ -204,6 +215,7 @@ class WeylGroup:
                 out = self._intern(int_mul(u.geom, v.geom), int_mul(v.geom_inv, u.geom_inv))
             if len(self._mul_cache) > _CACHE_CAP:
                 self._mul_cache.clear()
+                self._clears["mul"] += 1
             self._mul_cache[key] = out
         return out
 
@@ -255,6 +267,7 @@ class WeylGroup:
             res = self.bruhat_leq(v, sw)
         if len(self._bruhat_cache) > _CACHE_CAP:
             self._bruhat_cache.clear()
+            self._clears["bruhat"] += 1
         self._bruhat_cache[key] = res
         return res
 
@@ -270,6 +283,7 @@ class WeylGroup:
             cached = tuple(sorted(elems, key=lambda u: (u.length, u.word)))
             if len(self._lower_cache) > _LOWER_CACHE_CAP:
                 self._lower_cache.clear()
+                self._clears["lower"] += 1
             self._lower_cache[w.serial] = cached
         return cached
 
@@ -291,6 +305,7 @@ class WeylGroup:
             ))
             if len(self._cover_cache) > _CACHE_CAP:
                 self._cover_cache.clear()
+                self._clears["cover"] += 1
             self._cover_cache[w.serial] = cached
         return cached
 
@@ -326,6 +341,7 @@ class WeylGroup:
                     u = self.multiply(u, self._simples[t])
             if len(self._demazure_cache) > _CACHE_CAP:
                 self._demazure_cache.clear()
+                self._clears["demazure"] += 1
             self._demazure_cache[key] = u
         return u
 
@@ -557,5 +573,6 @@ def from_perm(group: WeylGroup, p) -> WeylElt:
         word.append(i)
     if len(group._perm_cache) > _CACHE_CAP:
         group._perm_cache.clear()
+        group._clears["perm"] += 1
     out = group._perm_cache[p] = group.from_word(word)
     return out

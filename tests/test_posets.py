@@ -610,15 +610,23 @@ def test_thin_path_count_matches_mask_scan(A2):
     assert verdicts == {True, False}
 
 
-def test_eulerian_boundary_and_covers_match_oracles(A2):
+def test_eulerian_boundary_and_covers_match_oracles(A2, monkeypatch):
     """Rank parity equals the all-pairs Mobius test, Hall's theorem equals
     the signed chain count, and the bitmask covers equal the definition,
     on the same posets.  The shared up-cover index is tuples, lists the
     covers in order and gives ``above`` as the transpose of ``below``, on
-    the builders' posets and on posets given by their masks alone."""
+    the builders' posets and on posets given by their masks alone.
+
+    The Eulerian verdict is the same on a fresh poset, after ``is_thin``
+    has kept its verdict, and by the walk from length 2 that a poset which
+    is not graded takes; the kept thinness verdict equals the mask scan at
+    every call.  Graded thin, graded not thin and ungraded posets occur."""
     verdicts = set()
+    kinds = set()
     maxima = 0
     for poset in _differential_posets(A2):
+        assert poset._thin is None
+        eulerian = is_eulerian(poset)
         ups = poset.up_covers()
         assert type(ups) is tuple and all(type(u) is tuple for u in ups)
         assert poset.up_covers() is ups
@@ -631,14 +639,21 @@ def test_eulerian_boundary_and_covers_match_oracles(A2):
         assert list(poset.above) == transpose
         masks_only = FacePoset(poset.nodes, poset.ranks, poset.below)
         assert masks_only.up_covers() == ups and masks_only.above == poset.above
-        eulerian = is_eulerian(poset)
-        assert eulerian == oracle_is_eulerian(poset)
+        thin = mask_scan_is_thin(poset)
+        assert is_thin(masks_only) == is_thin(masks_only) == is_thin(poset) == thin
+        assert is_eulerian(masks_only) == eulerian == oracle_is_eulerian(poset)
+        with monkeypatch.context() as m:
+            m.setattr(posets, "_graded", lambda poset: False)
+            assert is_eulerian(poset) == eulerian
+        graded = posets._graded(poset)
+        kinds.add((graded, thin and graded))
         verdicts.add(eulerian)
         top = len(poset) - 1
         if top and poset.below[top] == (1 << top) - 1:
             maxima += 1
             assert open_boundary_euler(poset) == oracle_open_boundary_euler(poset)
     assert verdicts == {True, False}
+    assert kinds == {(True, True), (True, False), (False, False)}
     assert maxima == 423
 
 

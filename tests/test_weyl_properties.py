@@ -208,3 +208,24 @@ def test_demazure_cache_clears_and_still_matches_the_greedy_walk(monkeypatch):
                 assert g.demazure(x, y) is greedy(x, y)
                 sizes.append(len(g._demazure_cache))
     assert max(sizes) <= 4 and sizes.count(1) > 1  # cleared, and more than once
+    # a call adds at most one entry, so every drop in size is one clear
+    drops = sum(after < before for before, after in zip(sizes, sizes[1:]))
+    assert g.cache_stats()["demazure"] == {"size": sizes[-1], "clears": drops}
+
+
+def test_multiply_cache_clears_and_still_multiplies(monkeypatch):
+    g = WeylGroup(cartan_of_type("A", 2))
+    elts = g.elements_up_to_length(3)
+    assert g.cache_stats()["mul"]["clears"] == 0  # the real cap is far off
+    monkeypatch.setattr(weyl, "_CACHE_CAP", 3)
+    for _ in range(2):
+        for x in elts:
+            for y in elts:
+                assert g.multiply(x, y).geom == int_mul(x.geom, y.geom)
+                assert len(g._mul_cache) <= 4
+    stats = g.cache_stats()
+    # 72 misses: the first clears the 6 products left by the walk above,
+    # then every fourth finds 4 entries and clears them
+    assert stats["mul"]["clears"] == 1 + 71 // 4
+    assert stats["mul"]["size"] == len(g._mul_cache)
+    assert set(stats) == {"mul", "bruhat", "lower", "cover", "demazure", "perm"}
