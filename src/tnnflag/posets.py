@@ -565,24 +565,25 @@ def is_eulerian(poset: FacePoset) -> bool:
 
     Nodes are stored in rank order, so each rank is a contiguous band of
     indices.  A table made once per call gives each rank the bands of the
-    ranks 2, 4, ... (4, 6, ... when thin) above it that hold nodes, as
+    ranks 2, 4, ... (4, 6, ... when graded) above it that hold nodes, as
     (first index, all-ones mask of the width) pairs; the y above x are read
     band by band from a slice of ``above[x]``, a small int.  ``odd`` is
     ORed from the bands.
     """
-    first = 2
+    shortest = 2  # the shortest interval length counted
     if _graded(poset):
         if not is_thin(poset):
             return False
-        first = 4
+        shortest = 4
     ranks, below = poset.ranks, poset.below
     bands: dict[int, tuple[int, int]] = {}  # rank -> (first index, all-ones mask of its width)
     for i, r in enumerate(ranks):
         start, full = bands.get(r, (i, 0))
         bands[r] = (start, full << 1 | 1)
     odd = sum(full << start for r, (start, full) in bands.items() if r % 2)  # disjoint bands
-    # rank -> the bands of the ranks first, first + 2, ... above it that hold nodes
-    table = {r: [bands[t] for t in range(r + first, max(bands) + 1, 2) if t in bands] for r in bands}
+    # rank -> the bands of the ranks shortest, shortest + 2, ... above it that hold nodes
+    table = {r: [bands[t] for t in range(r + shortest, max(bands) + 1, 2) if t in bands]
+             for r in bands}
     odd_below = [(mask & odd).bit_count() for mask in below]
     # the popcount each y needs, for x of even rank and for x of odd rank
     needs = ([c - 1 for c in odd_below], [c + 1 for c in odd_below])
