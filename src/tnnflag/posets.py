@@ -36,9 +36,12 @@ Shellability is certified on the poset, not on its chains:
 :func:`find_shelling` searches for a recursive atom ordering (Bjorner-Wachs
 1983, "On lexicographically shellable posets", Thm 3.2: a bounded graded
 poset admits one iff it is CL-shellable), with a synthetic top when the
-maximal nodes are several.  The lexicographic order of the maximal chains
-it induces is a shelling; it is listed only when it is read.  An exhausted
-search proves only "not CL-shellable", so it reports ``inconclusive``.
+maximal nodes are several.  The search tells the intervals of length <= 2,
+which take their atoms in any order, by rank, and its certificate is its
+memo, read before each recursive call; the result carries it.  The
+lexicographic order of the maximal chains it induces is a shelling; it is
+listed only when it is read.  An exhausted search proves only "not
+CL-shellable", so it reports ``inconclusive``.
 ``shelling_of_facets`` only validates a given order of explicit facets,
 pairwise; the backtracking search over chain orders is a test oracle
 (``tests/oracles.py``), off this path.
@@ -48,7 +51,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress, count, product
 
 from .weyl import WeylElt, WeylGroup
@@ -640,6 +643,9 @@ class ShellingResult:
     # inconclusive only: the search ran to its end within budget (no
     # recursive atom ordering exists), rather than out of budget
     exhausted: bool = False
+    # shellable only: the recursive atom ordering, keyed by state as
+    # _atom_orderings returns it; left out of == and repr
+    certificate: dict | None = field(default=None, compare=False, repr=False)
 
     @property
     def shellable(self):
@@ -746,55 +752,63 @@ class _BudgetSpent(Exception):
     pass
 
 
-def _atom_orderings(ups, cover, above, top: int, budget: int):
+def _atom_orderings(ups, cover, above, ranks, top_rank: int, budget: int):
     """Depth-first search for a recursive atom ordering of [0, top].
 
     ``ups[x]`` lists the upper covers of node x, ``cover[x]`` is their mask
     and ``above[x]`` the mask of the nodes strictly above x, in a graded
-    poset with bottom 0 and maximum ``top``.  A state (x, F) asks for an
-    order a_1, ..., a_t of the atoms of [x, top] that begins with the atoms
-    in F, such that for every j:
+    poset with bottom 0 and a maximum top of rank ``top_rank`` (a synthetic
+    top has no entry in ``ranks``).  A state (x, F) asks for an order a_1,
+    ..., a_t of the atoms of [x, top] that begins with the atoms in F, such
+    that for every j:
 
     - (i) the state (a_j, Z_j) has one, Z_j being the covers of a_j that
       also cover an earlier atom;
     - (ii) every y above a_j and above an earlier atom lies above some z in
       Z_j (z <= y), one mask test against the up-closure of Z_j.
 
-    An interval of length <= 2 (every atom's covers are maximal) has one in
-    every order, so its state takes F first.  Each atom tested is one
-    attempt, and sets of placed atoms that lead nowhere are remembered per
-    state.  Returns ``(certificate, attempts, backtracks)``: for every state
-    reached, the flat tuple (a_1, Z_1, a_2, Z_2, ...), keyed by ``(x, F)``;
-    a set of covers of x is the mask of their positions in ``ups[x]``.  The
+    An interval of length <= 2, r(top) - r(x) <= 2 in the graded poset, has
+    one in every order, so its state takes F first.  Each atom tested is one
+    attempt.  The certificate doubles as the memo: a state is looked up
+    there before it is searched, and sets of placed atoms that lead nowhere
+    are remembered per state.  Returns ``(certificate, attempts,
+    backtracks)``: for every state reached, the flat tuple (a_1, Z_1, a_2,
+    Z_2, ...), or None if it has no ordering, keyed by ``(x, F)``; a set of
+    covers of x is the mask of their positions in ``ups[x]``.  The
     certificate is None when there is no ordering or when attempts passed
     ``budget`` (then the search stopped).
     """
-    not_top = ~(1 << top)
+    short = top_rank - 2  # x with r(x) >= short has an interval of length <= 2
     cert: dict[tuple[int, int], tuple[int, ...] | None] = {}
+    known = cert.get
     attempts = backtracks = 0
 
     def admits(x: int, first: int) -> bool:
         nonlocal attempts, backtracks
-        key = (x, first)
-        if key in cert:
-            return cert[key] is not None
         atoms = ups[x]
-        if not any(cover[a] & not_top for a in atoms):
+        if ranks[x] >= short:
             attempts += len(atoms)
             if attempts > budget:
                 raise _BudgetSpent
-            order = [atoms[i] for i in sorted(range(len(atoms)), key=lambda i: not first >> i & 1)]
             # the top covers every atom, so it is Z_j for all but the first
-            cert[key] = (order[0], 0, *(v for a in order[1:] for v in (a, 1)))
+            steps = [1] * (2 * len(atoms))
+            if first:
+                head = [a for i, a in enumerate(atoms) if first >> i & 1]
+                steps[::2] = head + [a for a in atoms if a not in head]
+            else:
+                steps[::2] = atoms
+            steps[1] = 0
+            cert[x, first] = tuple(steps)
             return True
         # place atoms greedily; a stack of the states before each placement
         # steps back from a dead end.  Sets of placed atoms are masks of
         # their positions in ``atoms``; ``dead`` holds those with no completion.
         order: list[int] = []  # a_1, Z_1, a_2, Z_2, ...
         stack: list[tuple[int, int, int, int]] = []
-        dead: set[int] = set()
+        dead: set[int] | tuple = ()  # a set from the first dead end on
         placed = covered = uppers = i = 0
-        while len(order) < 2 * len(atoms):
+        full = (1 << len(atoms)) - 1
+        while placed != full:
             pending = first & ~placed
             for i in range(i, len(atoms)):
                 bit = 1 << i
@@ -806,25 +820,33 @@ def _atom_orderings(ups, cover, above, top: int, budget: int):
                 a = atoms[i]
                 zs = cover[a] & covered  # Z_j as a node mask
                 z, closure = 0, zs  # Z_j as positions in ups[a], and its up-closure
-                for k, u in enumerate(ups[a]):
-                    if zs >> u & 1:
-                        z |= 1 << k
-                        closure |= above[u]
+                if zs:
+                    for k, u in enumerate(ups[a]):
+                        if zs >> u & 1:
+                            z |= 1 << k
+                            closure |= above[u]
                 shared = above[a] & uppers
-                if shared & closure == shared and admits(a, z):
+                if shared & closure != shared:
+                    continue
+                steps = known((a, z), False)
+                if steps is False:  # not searched yet
+                    steps = admits(a, z)
+                if steps:
                     stack.append((placed, covered, uppers, i + 1))
                     order += (a, z)
-                    placed, covered, uppers, i = placed | bit, covered | cover[a], uppers | above[a], 0
+                    placed, covered, uppers = placed | bit, covered | cover[a], uppers | above[a]
+                    i = (placed ^ (placed + 1)).bit_length() - 1  # the first atom not placed
                     break
             else:
+                dead = dead or set()
                 dead.add(placed)
                 if not stack:
-                    cert[key] = None
+                    cert[x, first] = None
                     return False
                 del order[-2:]
                 backtracks += 1
                 placed, covered, uppers, i = stack.pop()
-        cert[key] = tuple(order)
+        cert[x, first] = tuple(order)
         return True
 
     try:
@@ -860,15 +882,17 @@ def find_shelling(poset: FacePoset, budget: int = DEFAULT_SHELLING_BUDGET) -> Sh
     a recursive atom ordering.
 
     ``facets`` counts the maximal chains by a sum over the covers, top
-    down.  Up to one chain is a shelling as it is.  Otherwise a poset with
-    several maximal nodes gets a synthetic top above them, and a graded
-    poset (every cover raises the rank by one, all maximal nodes of one
-    rank) is searched by :func:`_atom_orderings`.  ``order`` lists the
-    chains in the order the certificate induces, as :func:`maximal_chains`
-    tuples, only when it is read.  The search never proves a poset not
-    shellable: an exhausted search and a poset that is not graded are
-    ``inconclusive`` with ``exhausted`` set, and a spent budget is
-    ``inconclusive`` without it.
+    down.  Up to one chain is a shelling as it is, and its certificate
+    gives each node of the chain its one atom.  Otherwise a poset with
+    several maximal nodes gets a synthetic top above them, one rank up, and
+    a graded poset (every cover raises the rank by one, all maximal nodes
+    of one rank) is searched by :func:`_atom_orderings`, which reads the
+    rank of the top.  ``certificate`` is the search's dict of states, and
+    ``order`` lists the chains in the order it induces, as
+    :func:`maximal_chains` tuples, only when it is read.  The search never
+    proves a poset not shellable: an exhausted search and a poset that is
+    not graded are ``inconclusive`` with ``exhausted`` set, and a spent
+    budget is ``inconclusive`` without it; neither has a certificate.
     """
     n = len(poset.nodes)
     ranks = poset.ranks
@@ -879,7 +903,10 @@ def find_shelling(poset: FacePoset, budget: int = DEFAULT_SHELLING_BUDGET) -> Sh
             counts[x] = sum([counts[u] for u in ups[x]])
     facets = counts[0] if ups[0] else 0
     if facets <= 1:
-        return ShellingResult("shellable", maximal_chains(poset), facets, 0, budget)
+        chains = maximal_chains(poset)
+        # the chain, if any, is its own ordering: one atom per state
+        cert = {(x, 0): (y, 0) for chain in chains for x, y in zip((0, *chain), chain)}
+        return ShellingResult("shellable", chains, facets, 0, budget, certificate=cert)
     maximal = [x for x in range(n) if not ups[x]]
     if not _graded(poset) or len({ranks[x] for x in maximal}) > 1:
         return ShellingResult("inconclusive", None, facets, 0, budget, exhausted=True)
@@ -892,12 +919,13 @@ def find_shelling(poset: FacePoset, budget: int = DEFAULT_SHELLING_BUDGET) -> Sh
         above = [mask | 1 << top for mask in above] + [0]
     else:
         top = maximal[0]
-    cert, attempts, backtracks = _atom_orderings(ups, cover, above, top, budget)
+    top_rank = ranks[maximal[0]] + synthetic
+    cert, attempts, backtracks = _atom_orderings(ups, cover, above, ranks, top_rank, budget)
     if cert is None:
         exhausted = attempts <= budget
         return ShellingResult("inconclusive", None, facets, attempts, budget, backtracks, exhausted)
     order = _ChainOrder(facets, lambda: _induced_chains(cert, cover, top, synthetic))
-    return ShellingResult("shellable", order, facets, attempts, budget, backtracks)
+    return ShellingResult("shellable", order, facets, attempts, budget, backtracks, certificate=cert)
 
 
 def open_boundary_euler(poset: FacePoset) -> int:

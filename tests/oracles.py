@@ -37,7 +37,13 @@ lowest one at a time, the loop that ``posets.members`` replaced.
 facets (depth first, a dead-end memo, a validity test that scans every
 used facet).  It can answer ``not_shellable``, which the recursive atom
 orderings of ``posets.find_shelling`` never do, so it is their
-differential oracle on small posets.
+differential oracle on small posets.  ``atom_orderings_by_cover_scan`` is
+the atom-ordering kernel that ``posets._atom_orderings`` replaced: it
+tells an interval of length <= 2 by scanning the covers of its atoms and
+reads its memo inside each call, and the two must return the same
+certificate, attempts and backtracks.  ``check_rao`` checks a certificate
+against the definition of a recursive atom ordering, reading the order
+from ``below`` alone.
 """
 
 from fractions import Fraction
@@ -45,7 +51,7 @@ from itertools import combinations
 from math import comb
 
 from tnnflag import ratlin, slk
-from tnnflag.posets import DEFAULT_SHELLING_BUDGET, ShellingResult
+from tnnflag.posets import DEFAULT_SHELLING_BUDGET, ShellingResult, _BudgetSpent
 from tnnflag.weyl import i_embed, th_element, th_word
 
 
@@ -459,3 +465,176 @@ def shelling_search(facets, budget=DEFAULT_SHELLING_BUDGET) -> ShellingResult:
             used_idx.pop()
             backtracks += 1
     return ShellingResult("not_shellable", None, n, attempts, budget, backtracks)
+
+
+def atom_orderings_by_cover_scan(ups, cover, above, top: int, budget: int):
+    """Depth-first search for a recursive atom ordering of [0, top]; the
+    kernel that ``posets._atom_orderings`` replaced, kept as its oracle.
+
+    ``ups[x]`` lists the upper covers of node x, ``cover[x]`` is their mask
+    and ``above[x]`` the mask of the nodes strictly above x, in a graded
+    poset with bottom 0 and maximum ``top``.  A state (x, F) asks for an
+    order a_1, ..., a_t of the atoms of [x, top] that begins with the atoms
+    in F, such that for every j:
+
+    - (i) the state (a_j, Z_j) has one, Z_j being the covers of a_j that
+      also cover an earlier atom;
+    - (ii) every y above a_j and above an earlier atom lies above some z in
+      Z_j (z <= y), one mask test against the up-closure of Z_j.
+
+    An interval of length <= 2 (every atom's covers are maximal) has one in
+    every order, so its state takes F first.  Each atom tested is one
+    attempt, and sets of placed atoms that lead nowhere are remembered per
+    state.  Returns ``(certificate, attempts, backtracks)``: for every state
+    reached, the flat tuple (a_1, Z_1, a_2, Z_2, ...), keyed by ``(x, F)``;
+    a set of covers of x is the mask of their positions in ``ups[x]``.  The
+    certificate is None when there is no ordering or when attempts passed
+    ``budget`` (then the search stopped).
+    """
+    not_top = ~(1 << top)
+    cert: dict[tuple[int, int], tuple[int, ...] | None] = {}
+    attempts = backtracks = 0
+
+    def admits(x: int, first: int) -> bool:
+        nonlocal attempts, backtracks
+        key = (x, first)
+        if key in cert:
+            return cert[key] is not None
+        atoms = ups[x]
+        if not any(cover[a] & not_top for a in atoms):
+            attempts += len(atoms)
+            if attempts > budget:
+                raise _BudgetSpent
+            order = [atoms[i] for i in sorted(range(len(atoms)), key=lambda i: not first >> i & 1)]
+            # the top covers every atom, so it is Z_j for all but the first
+            cert[key] = (order[0], 0, *(v for a in order[1:] for v in (a, 1)))
+            return True
+        # place atoms greedily; a stack of the states before each placement
+        # steps back from a dead end.  Sets of placed atoms are masks of
+        # their positions in ``atoms``; ``dead`` holds those with no completion.
+        order: list[int] = []  # a_1, Z_1, a_2, Z_2, ...
+        stack: list[tuple[int, int, int, int]] = []
+        dead: set[int] = set()
+        placed = covered = uppers = i = 0
+        while len(order) < 2 * len(atoms):
+            pending = first & ~placed
+            for i in range(i, len(atoms)):
+                bit = 1 << i
+                if placed & bit or pending and not pending & bit or placed | bit in dead:
+                    continue
+                attempts += 1
+                if attempts > budget:
+                    raise _BudgetSpent
+                a = atoms[i]
+                zs = cover[a] & covered  # Z_j as a node mask
+                z, closure = 0, zs  # Z_j as positions in ups[a], and its up-closure
+                for k, u in enumerate(ups[a]):
+                    if zs >> u & 1:
+                        z |= 1 << k
+                        closure |= above[u]
+                shared = above[a] & uppers
+                if shared & closure == shared and admits(a, z):
+                    stack.append((placed, covered, uppers, i + 1))
+                    order += (a, z)
+                    placed, covered, uppers, i = placed | bit, covered | cover[a], uppers | above[a], 0
+                    break
+            else:
+                dead.add(placed)
+                if not stack:
+                    cert[key] = None
+                    return False
+                del order[-2:]
+                backtracks += 1
+                placed, covered, uppers, i = stack.pop()
+        cert[key] = tuple(order)
+        return True
+
+    try:
+        found = admits(0, 0)
+    except _BudgetSpent:
+        found = False
+    return (cert if found else None), attempts, backtracks
+
+
+def check_rao(poset, cert) -> bool:
+    """Whether ``cert`` is a recursive atom ordering of the bounded graded
+    poset, by Bjorner-Wachs 1983 ("On lexicographically shellable posets",
+    Def. 3.1) read literally.
+
+    The top is the one maximal node, or a synthetic node ``len(poset.nodes)``
+    above every node when the maximal nodes are several.  ``cert`` is keyed
+    as ``posets.find_shelling`` keeps it: a state (x, F) maps to the flat
+    tuple (a_1, Z_1, a_2, Z_2, ...), each set of covers of a node given as
+    the mask of their positions in the increasing list of its covers.  From
+    (bottom, {}), every state reached whose interval [x, top] has length 2
+    or more must order all the atoms of [x, top] with those of F first;
+    Z_j must be the atoms of [a_j, top] that cover some a_i, i < j; and by
+    (ii) every y above both a_i and a_j, i < j, must lie above some z in
+    Z_j.  Then each (a_j, Z_j) is a state.  The order is ``leq`` on
+    ``below`` alone: covers are recomputed from it, and neither ``above``
+    nor the poset's up-cover index or masks is read.
+    """
+    n = len(poset.nodes)
+    below = list(poset.below)
+    under = 0  # every node below some node
+    for mask in below:
+        under |= mask
+    maximal = [m for m in range(n) if not under >> m & 1]
+    if len(maximal) > 1:
+        top = n
+        below.append((1 << n) - 1)
+    else:
+        top = maximal[0]
+    nodes = range(len(below))
+
+    def leq(i, j):
+        return i == j or bool(below[j] >> i & 1)
+
+    strictly_above: dict[int, list[int]] = {}
+    covering: dict[int, list[int]] = {}
+
+    def higher(x):  # the y with x < y, increasing
+        if x not in strictly_above:
+            strictly_above[x] = [y for y in nodes if y != x and leq(x, y)]
+        return strictly_above[x]
+
+    def atoms(x):  # the covers of x, increasing
+        if x not in covering:
+            inside = sum(1 << y for y in higher(x))
+            covering[x] = [y for y in higher(x) if not below[y] & inside]
+        return covering[x]
+
+    def positions(mask, values):
+        if mask >> len(values):
+            return None
+        return [v for p, v in enumerate(values) if mask >> p & 1]
+
+    seen = set()
+    todo = [(0, 0)]
+    while todo:
+        state = todo.pop()
+        if state in seen:
+            continue
+        seen.add(state)
+        x, first = state
+        xs = atoms(x)
+        if x == top or xs == [top]:  # length 0 or 1: nothing to order
+            continue
+        steps = cert.get(state)
+        if not steps or len(steps) != 2 * len(xs):
+            return False
+        order = list(steps[::2])
+        head = positions(first, xs)
+        if sorted(order) != xs or head is None or sorted(order[:len(head)]) != head:
+            return False
+        for j, (a, zmask) in enumerate(zip(order, steps[1::2])):
+            earlier = order[:j]
+            zs = [z for z in atoms(a) if any(z in atoms(b) for b in earlier)]
+            if positions(zmask, atoms(a)) != zs:
+                return False
+            for b in earlier:
+                for y in higher(b):
+                    if leq(a, y) and not any(leq(z, y) for z in zs):
+                        return False
+            todo.append((a, zmask))
+    return True

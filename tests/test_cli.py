@@ -104,20 +104,23 @@ def test_poset_command_checks_list(capsys):
 
 def test_poset_rank8_ball_by_atom_ordering(capsys):
     """The B2 n=2 (e; w0, w0) top, whose 309,120 chains the chain search
-    could not order within its budget, passes the ball checks."""
+    could not order within its budget, passes the ball checks; the atom
+    ordering search takes 3,483 attempts and never backtracks."""
     w0 = "(1,2,1,2)"
     code, out, _ = run(capsys, "poset", "B", "2", "--n", "2", "--top", f"e;{w0},{w0}", "--check", "ball")
     assert code == 0
     payload = json.loads(out)
     assert payload["status"] == "pass" and payload["inputs"]["nodes"] == 402
     checks = {c["check"]: c for c in payload["checks"][0]["witness"]["checks"]}
-    assert checks["shelling"]["witness"]["certificate"] == "rao"
-    assert checks["shelling"]["witness"]["facets"] == 309_120
+    witness = checks["shelling"]["witness"]
+    assert witness["certificate"] == "rao"
+    assert (witness["facets"], witness["attempts"], witness["backtracks"]) == (309_120, 3_483, 0)
 
 
 def test_poset_rank12_ball_by_atom_ordering(capsys):
     """The A3 n=2 (e; w0, w0) top passes every ball check; its chains are
-    counted, never listed."""
+    counted, never listed, and the atom ordering search takes 222,043
+    attempts and never backtracks."""
     w0 = "(1,2,1,3,2,1)"
     code, out, _ = run(capsys, "poset", "A", "3", "--n", "2", "--top", f"e;{w0},{w0}", "--check", "ball")
     assert code == 0
@@ -128,8 +131,9 @@ def test_poset_rank12_ball_by_atom_ordering(capsys):
         ("pure", "pass"), ("thin", "pass"), ("eulerian", "pass"), ("shelling", "pass"),
         ("boundary_sphere_euler", "pass"),
     ]
-    assert checks[3]["witness"]["certificate"] == "rao"
-    assert checks[3]["witness"]["facets"] == 15_497_121_024
+    witness = checks[3]["witness"]
+    assert witness["certificate"] == "rao"
+    assert (witness["facets"], witness["attempts"], witness["backtracks"]) == (15_497_121_024, 222_043, 0)
     assert checks[-1]["witness"] == {"chi": 0, "expected": 0}
 
 

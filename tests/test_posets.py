@@ -1,5 +1,6 @@
 """Face poset construction and the regularity checks on known shapes."""
 
+import dataclasses
 import random
 from itertools import combinations, product
 
@@ -1024,6 +1025,81 @@ def test_atom_ordering_matches_chain_search(A2):
     assert find_shelling(FacePoset([BOTTOM], [0], [0]), budget=0) == empty
     chain = from_covers(["a", "b"], [("a", "b")])
     assert find_shelling(chain, budget=0) == ShellingResult("shellable", [(1, 2)], 1, 0, 0)
+
+
+def rank8_top(B2):
+    """The B2 n=2 (e; w0, w0) top: 402 nodes, 309,120 chains."""
+    w0 = B2.from_word((0, 1, 0, 1))
+    return build_interval(make_qnode(B2.identity, (w0, w0)))
+
+
+def test_atom_orderings_match_cover_scan_oracle(A2, B2, monkeypatch):
+    """The search kernel equals the kernel it replaced, kept in
+    ``tests/oracles.py``: the same certificate (entries in the same order),
+    attempts and backtracks on every differential poset (the 244 hatQ tops
+    among them), the 300 random graded posets and the rank-8 B2 n=2
+    (e; w0, w0) top; and the same attempts when a budget of 0, 1 or half
+    the unbounded count stops the search.  The 30 searches that find no
+    ordering backtrack, so the dead-end memo is compared too."""
+    kernel = posets._atom_orderings
+    runs = []
+
+    def both(ups, cover, above, ranks, top_rank, budget):
+        got = kernel(ups, cover, above, ranks, top_rank, budget)
+        # the top is the last node, or the synthetic one after them
+        want = oracles.atom_orderings_by_cover_scan(ups, cover, above, len(ups) - 1, budget)
+        assert got[1:] == want[1:]
+        assert (got[0] is None) == (want[0] is None)
+        if got[0] is not None:
+            assert list(got[0].items()) == list(want[0].items())
+        runs.append(got)
+        return got
+
+    monkeypatch.setattr(posets, "_atom_orderings", both)
+    searched = 0
+    for poset in [*_differential_posets(A2), *random_graded_posets(random.Random(3), 300),
+                  rank8_top(B2)]:
+        res = find_shelling(poset)
+        if not res.attempts:
+            continue
+        searched += 1
+        for budget in (0, 1, res.attempts // 2):
+            spent = find_shelling(poset, budget)
+            assert spent.status == "inconclusive" and spent.attempts == runs[-1][1] > budget
+    assert runs[-4][1:] == (3_483, 0) and len(runs[-4][0]) == 824
+    assert (searched, len(runs)) == (594, 4 * 594)
+    unbounded = runs[::4]  # the dead-end memo runs where no ordering exists
+    assert sum(r[0] is None for r in unbounded) == sum(r[2] > 0 for r in unbounded) == 30
+
+
+def test_certificate_is_a_recursive_atom_ordering(A2, B2):
+    """A shellable result carries its certificate, and it is a recursive
+    atom ordering by the definition (``oracles.check_rao``) on every hatQ
+    top, the 300 random graded posets and the rank-8 B2 n=2 (e; w0, w0)
+    top; an inconclusive one carries none.  The certificate is left out of
+    equality and repr.  Each certificate
+    with two or more atoms at the bottom fails the check with one of them
+    dropped, and with Z_2 emptied."""
+    checked = mutants = 0
+    hatq = [build_interval(top) for _, group, ns in _hatQ_families()
+            for n in ns for top in iter_qnodes(group, n)]
+    for poset in [*hatq, *random_graded_posets(random.Random(3), 300), rank8_top(B2)]:
+        res = find_shelling(poset)
+        if not res.shellable:
+            assert res.certificate is None
+            continue
+        cert = res.certificate
+        assert oracles.check_rao(poset, cert)
+        checked += 1
+        root = cert.get((0, 0))
+        if root and len(root) >= 4:
+            for steps in (root[:-2], (*root[:3], 0, *root[4:])):
+                assert not oracles.check_rao(poset, {**cert, (0, 0): steps})
+            mutants += 2
+    assert (len(hatq), checked, mutants) == (244, 525, 758)
+    res = find_shelling(hatq[-1])
+    assert res == dataclasses.replace(res, certificate=None)
+    assert "certificate" not in repr(res)
 
 
 def test_find_shelling_keeps_the_poset_index():
