@@ -5,10 +5,10 @@ Submodules:
 - :mod:`tnnflag.cartan`: generalized Cartan matrices and thickening
 - :mod:`tnnflag.weyl`: Weyl-group arithmetic, Demazure calculus, positive
   subexpressions, thickening word maps
-- :mod:`tnnflag.posets`: face posets and regularity checks
+- :mod:`tnnflag.posets`: face posets and the verdicts of the regularity checks
 - :mod:`tnnflag.ratlin` / :mod:`tnnflag.slk`: exact rational SL_k pinning
 - :mod:`tnnflag.twisted`: points and strata of the twisted product
-- :mod:`tnnflag.verify`: named verification suites
+- :mod:`tnnflag.verify`: every report: regularity checks, named verification suites
 - :mod:`tnnflag.cli`: command-line entry point
 """
 

@@ -1,6 +1,8 @@
 """Command-line surface: build posets, parametrize cells, run suites.
 
-Exit codes are a stable contract: 0 all checks passed, 1 a check failed
+The commands parse their arguments, hand them to :mod:`tnnflag.verify`,
+which builds and times every report, and print the report as JSON.  Exit
+codes are a stable contract: 0 all checks passed, 1 a check failed
 (counterexample in the report), 2 usage or build error.  The commands
 raise usage and build errors; :func:`main` alone turns them into exit 2.
 
@@ -16,12 +18,11 @@ import argparse
 import json
 import random
 import sys
-import time
 from fractions import Fraction
 
-from . import jsonio, posets, ratlin, slk, twisted, verify
+from . import posets, slk, twisted, verify
 from .cartan import cartan_of_type
-from .posets import CapExceededError, build_interval, make_qnode, to_dot
+from .posets import CapExceededError, make_qnode, to_dot
 from .weyl import WeylGroup, type_a_group
 
 EXIT_USAGE = 2
@@ -111,28 +112,28 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
-def _emit(report: dict, path: str | None) -> None:
-    payload = json.dumps(report, indent=2)
+def _emit(report: verify.RunReport, path: str | None) -> int:
+    """Print the report as JSON, also to ``path`` if given; its exit code."""
+    payload = json.dumps(report.to_json(), indent=2)
     if path:
         with open(path, "w") as fh:
             fh.write(payload + "\n")
     print(payload)
+    return report.exit_code
 
 
 def cmd_poset(args) -> int:
-    t0 = time.perf_counter()
-    wanted = [c.strip() for c in args.check.split(",") if c.strip()]
-    if not wanted:
+    names = verify.known_checks(c.strip() for c in args.check.split(",") if c.strip())
+    if not names:
         raise ValueError("--check names no check")
-    for name in wanted:
-        if name not in posets.CHECKS:
-            raise ValueError(f"unknown check {name!r} (known: {', '.join(posets.CHECKS)})")
     group = WeylGroup(cartan_of_type(args.family, args.rank))
     top = make_qnode(*parse_top_spec(group, args.top, args.n))
-    poset = build_interval(top, node_cap=args.node_cap)
-    report = verify.RunReport(
-        "poset",
-        {
+
+    def on_build(poset):
+        if args.dot:
+            with open(args.dot, "w") as fh:
+                fh.write(to_dot(poset) + "\n")
+        return {
             "family": args.family,
             "rank": args.rank,
             "n": args.n,
@@ -140,20 +141,13 @@ def cmd_poset(args) -> int:
             "nodes": len(poset.nodes),
             "covers": len(poset.covers),
             "f_vector": list(poset.f_vector()),
-        },
-        budget=args.budget,
-        checks=posets.regularity_checks(poset, wanted, args.budget),
-    )
-    report.elapsed_s = time.perf_counter() - t0
-    if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(to_dot(poset) + "\n")
-    _emit(report.to_json(), args.json)
-    return report.exit_code
+        }
+
+    report = verify.interval_report("poset", top, names, on_build, args.node_cap, args.budget)
+    return _emit(report, args.json)
 
 
 def cmd_cell(args) -> int:
-    t0 = time.perf_counter()
     slk._check_k(args.k)  # before the group, whose Cartan matrix is k x k
     group = type_a_group(args.k)
     v = group.from_word(parse_word(group, args.v))
@@ -164,49 +158,14 @@ def cmd_cell(args) -> int:
     wbar = tuple(group.from_word(word) for word in words)
     if args.params is not None and args.random:
         raise ValueError("--params and --random are mutually exclusive")
-    dim = sum(w.length for w in wbar) - v.length
-    runs: list[list[Fraction]]
     if args.random:
         rng = random.Random(args.seed)
+        dim = sum(w.length for w in wbar) - v.length
         runs = [twisted.random_params(dim, rng) for _ in range(args.random)]
     else:
         runs = [parse_params(args.params or "")]
-
-    report = verify.RunReport(
-        "cell",
-        {
-            "k": args.k,
-            "n": args.n,
-            "v": jsonio.element_to_json(v),
-            "w": [jsonio.element_to_json(w) for w in wbar],
-            "dimension": dim,
-        },
-        seed=args.seed,
-    )
-    points = []
-    for idx, params in enumerate(runs):
-        try:
-            # an empty stratum or a bad parameter raises ValueError: a usage error
-            z = twisted.parametrize_cell(v, wbar, params, words=words)
-        except AssertionError as exc:
-            report.add(f"point-{idx}", False, {"params": [str(p) for p in params], "error": str(exc)})
-            continue
-        sv, swbar = twisted.stratum(z)
-        points.append(
-            {
-                "params": [str(p) for p in params],
-                "point": z.to_json(),
-                "stratum": jsonio.stratum_to_json(sv, swbar),
-                "factor_tnn": [slk.is_tnn(g) for g in z.factors],
-                "det": [str(ratlin.det(g)) for g in z.factors],
-            }
-        )
-        report.add(f"point-{idx}", (sv, swbar) == (v, wbar))
-    report.elapsed_s = time.perf_counter() - t0
-    out = report.to_json()
-    out["points"] = points
-    _emit(out, args.json)
-    return report.exit_code
+    report = verify.cell_report(v, wbar, words, runs, args.seed)
+    return _emit(report, args.json)
 
 
 def cmd_verify(args) -> int:
@@ -214,8 +173,7 @@ def cmd_verify(args) -> int:
     if suite is None:
         raise ValueError(f"unknown suite {args.suite!r} (known: {', '.join(sorted(verify.SUITES))})")
     report = suite(seed=args.seed, budget=args.budget)
-    _emit(report.to_json(), args.json)
-    return report.exit_code
+    return _emit(report, args.json)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("rank", type=int)
     p.add_argument("--n", type=int, default=1, help="number of factors")
     p.add_argument("--top", required=True, help='top stratum, e.g. "e;(1),(1)"')
-    p.add_argument("--check", default="ball", help="csv of " + ",".join(posets.CHECKS))
+    p.add_argument("--check", default="ball", help="csv of " + ",".join(verify.CHECKS))
     p.add_argument("--dot", help="write the Hasse diagram to this DOT file")
     p.add_argument("--json", help="also write the report to this file")
     p.add_argument("--node-cap", type=nonnegative_int, default=posets.DEFAULT_NODE_CAP)

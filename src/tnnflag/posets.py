@@ -1,4 +1,5 @@
-"""Face posets of totally nonnegative strata and Bjorner-style regularity checks.
+"""Face posets of totally nonnegative strata and the verdicts of Bjorner's
+regularity checks on them.
 
 A stratum label is a pair (v, wbar) with v below the Demazure product of
 wbar; its rank is the total factor length minus the length of v.  The
@@ -17,20 +18,21 @@ is their oracle.
 
 Every poset indexes the upper covers of each node once, as increasing
 tuples and as bitmasks (formed in the reverse pass that ORs ``above``),
-and the checks share both.  Checks, run by name with
-:func:`regularity_checks`: purity (O(1) per node when every cover raises
-the rank by one, read off the first and last up-cover of each node; a
-height pass over the covers otherwise), thinness (a parity pass over the kept
-up-cover masks of the covers of each x settles x when every count of
-paths of two covers is 2; otherwise the counts, with a mask test only
-where a count is not 2; the verdict is kept on the poset), Eulerian-ness
-(a node count on the even-length intervals only: one AND and one popcount
+and the verdict kernels share both; ``verify.regularity_checks`` turns
+their answers into report entries.  Purity (:func:`is_pure`): O(1) per
+node when every cover raises the rank by one, read off the first and last
+up-cover of each node; a height pass over the covers otherwise.
+Thinness (:func:`is_thin`): a parity pass over the kept up-cover masks of
+the covers of each x settles x when every count of paths of two covers
+is 2; otherwise the counts, with a mask test only where a count is not 2;
+the verdict is kept on the poset.  Eulerian-ness (:func:`is_eulerian`): a
+node count on the even-length intervals only, one AND and one popcount
 per pair, with the y above x read rank band by rank band from a slice of
 ``above[x]``; on a graded poset the intervals of length 2 are decided by
-the kept thinness verdict and the count starts at length 4), shellability
-of the order complex, and the Euler characteristic of the open boundary
-(the Mobius function from the bottom to the top, in one pass in rank
-order, with the nodes of value 1 and -1 in two signed masks).
+the kept thinness verdict and the count starts at length 4.  The Euler
+characteristic of the open boundary (:func:`open_boundary_euler`): the
+Mobius function from the bottom to the top, in one pass in rank order,
+with the nodes of value 1 and -1 in two signed masks.
 
 Shellability is certified on the poset, not on its chains:
 :func:`find_shelling` searches for a recursive atom ordering (Bjorner-Wachs
@@ -682,11 +684,6 @@ class _ChainOrder(Sequence):
         return f"_ChainOrder({self._count} chains)"
 
 
-def overall_status(statuses) -> str:
-    """Status of a group of checks: fail beats inconclusive beats pass."""
-    return max(statuses, key=("pass", "inconclusive", "fail").index, default="pass")
-
-
 def _facet_vertices(facets) -> tuple[list[tuple], list[tuple[int, ...]]]:
     """Sorted members of each facet, and the indices of its distinct
     vertices (numbered by first appearance)."""
@@ -939,51 +936,6 @@ def open_boundary_euler(poset: FacePoset) -> int:
     if top == 0 or poset.below[top] != (1 << top) - 1:
         raise ValueError("poset has no unique maximum above the bottom")
     return 1 + mobius(poset, 0, top)
-
-
-BALL_CHECKS = ("pure", "thin", "eulerian", "shelling", "boundary_sphere_euler")
-# every name regularity_checks takes, in the order the CLI lists them
-CHECKS = ("pure", "thin", "eulerian", "shelling", "ball", "boundary_sphere_euler")
-
-
-def regularity_checks(
-    poset: FacePoset, names, budget: int = DEFAULT_SHELLING_BUDGET
-) -> list[dict]:
-    """Report entries ``{"check", "status"[, "witness"]}`` of the named checks.
-
-    Names (``CHECKS``): ``pure``, ``thin``, ``eulerian``, ``shelling``
-    (witness: the search's work), ``boundary_sphere_euler``: the open
-    boundary has the Euler characteristic of a sphere one dimension below
-    the top (witness: both values), and ``ball``: the ``BALL_CHECKS`` of
-    Bjorner's criterion as one entry, whose witness lists their entries.
-    """
-    checks = []
-    for name in names:
-        entry = {"check": name}
-        if name == "ball":
-            ball = regularity_checks(poset, BALL_CHECKS, budget)
-            entry["status"] = overall_status(c["status"] for c in ball)
-            entry["witness"] = {"checks": ball}
-        elif name == "shelling":
-            res = find_shelling(poset, budget=budget)
-            # find_shelling never proves a poset not shellable
-            entry["status"] = "pass" if res.shellable else "inconclusive"
-            entry["witness"] = {"certificate": "rao", "facets": res.facets,
-                                "attempts": res.attempts, "backtracks": res.backtracks}
-            if res.status == "inconclusive":
-                entry["witness"]["exhausted"] = res.exhausted
-        elif name == "boundary_sphere_euler":
-            chi = open_boundary_euler(poset)
-            # the top is a ball of dimension ranks[top] - ranks[bottom] - 1
-            expected = 1 + (-1) ** (poset.ranks[-1] - poset.ranks[0])
-            entry["status"] = "pass" if chi == expected else "fail"
-            entry["witness"] = {"chi": chi, "expected": expected}
-        else:
-            # looked up per call, so wrappers put on the module names apply
-            test = {"pure": is_pure, "thin": is_thin, "eulerian": is_eulerian}[name]
-            entry["status"] = "pass" if test(poset) else "fail"
-        checks.append(entry)
-    return checks
 
 
 # -- export ----------------------------------------------------------------------

@@ -246,30 +246,29 @@ def parametrize_cell(
     return z
 
 
+def dual_stratum(v: WeylElt, wbar) -> tuple[WeylElt, tuple[WeylElt, ...]]:
+    """The stratum :func:`phi_Z` sends (v, (w_1,...,w_n)) to:
+    (w0 w_1, (w0 v, w_n^{-1}, ..., w_2^{-1}))."""
+    group = v.group
+    w0 = from_perm(group, slk.w0_perm(group.rank + 1))
+    return group.multiply(w0, wbar[0]), (
+        (group.multiply(w0, v),) + tuple(group.inverse(w) for w in reversed(wbar[1:])))
+
+
 def phi_Z(z: ZPoint, check: bool = True) -> ZPoint:
     """Duality: (g_1,...,g_n) -> (iota(w0dot^{-1} g_1...g_n), iota(g_n^{-1}), ...).
 
-    With ``check`` on, the stratum permutation
-    (v, (w_1,...,w_n)) -> (w0 w_1, (w0 v, w_n^{-1}, ..., w_2^{-1}))
-    is asserted on every call.
+    With ``check`` on, the stratum permutation of :func:`dual_stratum` is
+    asserted on every call.
     """
-    k = z.k
     if check:
-        v, wbar = stratum(z)
+        label = stratum(z)
     m, d = _product(z)
     first = slk.iota(slk.w0_inverse_times(m)), d
     rest = [(slk.iota(r), e) for r, e in (ratlin.int_inv(f) for f in reversed(z._forms[1:]))]
     out = ZPoint.of_forms((ratlin.reduced(first), *rest))
-    if check:
-        group = v.group
-        w0 = from_perm(group, slk.w0_perm(k))
-        expected = (
-            group.multiply(w0, wbar[0]),
-            (group.multiply(w0, v),)
-            + tuple(group.inverse(w) for w in reversed(wbar[1:])),
-        )
-        if stratum(out) != expected:
-            raise AssertionError("duality image landed outside the predicted stratum")
+    if check and stratum(out) != dual_stratum(*label):
+        raise AssertionError("duality image landed outside the predicted stratum")
     return out
 
 

@@ -1,24 +1,27 @@
-"""Named verification suites with machine-readable reports.
+"""Every report of the package: the regularity checks, the reports of the
+``poset`` and ``cell`` commands, and the named verification suites.
 
-Each suite runs a batch of exact checks (brute-force oracle comparisons,
-poset regularity sweeps, seeded positivity tests) and returns a
-:class:`RunReport`, as does :func:`check_regular_ball`.  Every failing
-check carries a concrete witness; inconclusive checks carry the exhausted
-budget.  A check over a sweep is added by :meth:`RunReport.add_sweep`.
-All randomness flows through an explicit seed.
+A :class:`RunReport` holds one entry ``{"check", "status"[, "witness"]}``
+per check, each written by :meth:`RunReport.add` (a check over a sweep by
+:meth:`RunReport.add_sweep`), and rolls their statuses up with
+:func:`overall_status`.  :func:`regularity_checks` turns the verdicts of
+the kernels in :mod:`tnnflag.posets` into entries, by check name.  Every
+failing check carries a concrete witness; inconclusive checks carry the
+exhausted budget.  Every report is timed by :func:`_timed`, the package's
+one clock.  All randomness flows through an explicit seed.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field
 from itertools import product
 
-from . import slk, twisted
+from . import jsonio, posets, ratlin, slk, twisted
 from .cartan import cartan_of_type
 from .posets import (
-    BALL_CHECKS,
     DEFAULT_NODE_CAP,
     DEFAULT_SHELLING_BUDGET,
     FacePoset,
@@ -27,12 +30,9 @@ from .posets import (
     build_interval,
     interval_labels,
     make_qnode,
-    overall_status,
-    regularity_checks,
 )
 from .weyl import (
     WeylGroup,
-    from_perm,
     i_embed,
     is_positive_subexpression,
     th_element,
@@ -41,6 +41,15 @@ from .weyl import (
 
 DEFAULT_SEED = 0
 SCHEMA_VERSION = 1
+# the checks of Bjorner's criterion for a regular CW ball, which ``ball`` rolls up
+BALL_CHECKS = ("pure", "thin", "eulerian", "shelling", "boundary_sphere_euler")
+# every name regularity_checks takes, in the order the CLI lists them
+CHECKS = ("pure", "thin", "eulerian", "shelling", "ball", "boundary_sphere_euler")
+
+
+def overall_status(statuses) -> str:
+    """Status of a group of checks: fail beats inconclusive beats pass."""
+    return max(statuses, key=("pass", "inconclusive", "fail").index, default="pass")
 
 
 @dataclass
@@ -97,7 +106,19 @@ class RunReport:
         }
 
 
+@dataclass
+class CellReport(RunReport):
+    """A ``cell`` report: one check per parameter vector, then the points."""
+
+    points: list[dict] = field(default_factory=list, init=False)
+
+    def to_json(self) -> dict:
+        return {**super().to_json(), "points": self.points}
+
+
 def _timed(fn):
+    """Time each call of a report-building function into its ``elapsed_s``."""
+    @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         t0 = time.perf_counter()
         report = fn(*args, **kwargs)
@@ -107,7 +128,65 @@ def _timed(fn):
     return wrapper
 
 
+def known_checks(names) -> list[str]:
+    """The names as a list, or a ValueError naming the first one outside ``CHECKS``."""
+    names = list(names)
+    for name in names:
+        if name not in CHECKS:
+            raise ValueError(f"unknown check {name!r} (known: {', '.join(CHECKS)})")
+    return names
+
+
+def regularity_checks(
+    poset: FacePoset, names, budget: int = DEFAULT_SHELLING_BUDGET
+) -> list[dict]:
+    """Report entries of the named checks on the poset.
+
+    Names (``CHECKS``, each checked before any runs): ``pure``, ``thin``,
+    ``eulerian``, ``shelling`` (pass on a certified shelling, else
+    inconclusive, as the search never proves a poset not shellable;
+    witness: the search's work), ``boundary_sphere_euler``: the open
+    boundary has the Euler characteristic of a sphere one dimension below
+    the top (witness: both values), and ``ball``: the ``BALL_CHECKS`` of
+    Bjorner's criterion as one entry, whose witness lists their entries.
+    The kernels are looked up on the ``posets`` module at each call, so
+    wrappers put on its names apply.
+    """
+    report = RunReport("regularity_checks", {}, budget=budget)
+    for name in known_checks(names):
+        if name == "ball":
+            ball = RunReport("ball", {}, checks=regularity_checks(poset, BALL_CHECKS, budget))
+            report.add(name, ball.status, {"checks": ball.checks})
+        elif name == "shelling":
+            res = posets.find_shelling(poset, budget=budget)
+            witness = {"certificate": "rao", "facets": res.facets,
+                       "attempts": res.attempts, "backtracks": res.backtracks}
+            if res.status == "inconclusive":
+                witness["exhausted"] = res.exhausted
+            report.add(name, "pass" if res.shellable else "inconclusive", witness)
+        elif name == "boundary_sphere_euler":
+            chi = posets.open_boundary_euler(poset)
+            # the top is a ball of dimension ranks[top] - ranks[bottom] - 1
+            expected = 1 + (-1) ** (poset.ranks[-1] - poset.ranks[0])
+            report.add(name, chi == expected, {"chi": chi, "expected": expected})
+        else:
+            test = {"pure": posets.is_pure, "thin": posets.is_thin,
+                    "eulerian": posets.is_eulerian}[name]
+            report.add(name, test(poset))
+    return report.checks
+
+
 @_timed
+def interval_report(command: str, top: QNode, names, on_build, node_cap: int,
+                    budget: int) -> RunReport:
+    """The named checks on the closed interval below ``top``, built within
+    ``node_cap`` nodes.  ``on_build(poset)`` is called once, on the built
+    interval before the checks, and returns the report's inputs block."""
+    poset = build_interval(top, node_cap=node_cap)
+    return RunReport(command, on_build(poset), budget=budget,
+                     checks=regularity_checks(poset, names, budget))
+
+
 def check_regular_ball(
     top: QNode,
     node_cap: int = DEFAULT_NODE_CAP,
@@ -115,11 +194,40 @@ def check_regular_ball(
 ) -> RunReport:
     """Bjorner's criterion on the closed interval below a stratum: the
     ``BALL_CHECKS`` of :func:`regularity_checks`, one entry each."""
-    poset = build_interval(top, node_cap=node_cap)
-    inputs = {"top": top.describe(), "rank": top.rank, "nodes": len(poset.nodes),
-              "f_vector": list(poset.f_vector())}
-    return RunReport("check_regular_ball", inputs, budget=budget,
-                     checks=regularity_checks(poset, BALL_CHECKS, budget))
+    def inputs(poset):
+        return {"top": top.describe(), "rank": top.rank, "nodes": len(poset.nodes),
+                "f_vector": list(poset.f_vector())}
+
+    return interval_report("check_regular_ball", top, BALL_CHECKS, inputs, node_cap, budget)
+
+
+@_timed
+def cell_report(v, wbar, words, runs, seed: int) -> CellReport:
+    """The stratum (v, wbar), ``words`` the reduced words of wbar, parametrized
+    at each parameter vector of ``runs``: each point is checked to land in
+    its stratum and listed with its factors' nonnegativity and determinants.
+    A failed internal assertion fails that point's check, with the error as
+    witness; an empty stratum or a bad parameter raises ValueError."""
+    report = CellReport("cell", {
+        "k": v.group.rank + 1, "n": len(wbar), "v": jsonio.element_to_json(v),
+        "w": [jsonio.element_to_json(w) for w in wbar],
+        "dimension": sum(w.length for w in wbar) - v.length,
+    }, seed=seed)
+    for idx, params in enumerate(runs):
+        strs = [str(p) for p in params]
+        try:
+            z = twisted.parametrize_cell(v, wbar, params, words=words)
+        except AssertionError as exc:
+            report.add(f"point-{idx}", False, {"params": strs, "error": str(exc)})
+            continue
+        sv, swbar = twisted.stratum(z)
+        report.points.append({
+            "params": strs, "point": z.to_json(), "stratum": jsonio.stratum_to_json(sv, swbar),
+            "factor_tnn": [slk.is_tnn(g) for g in z.factors],
+            "det": [str(ratlin.det(g)) for g in z.factors],
+        })
+        report.add(f"point-{idx}", (sv, swbar) == (v, wbar))
+    return report
 
 
 # -- brute-force oracles -------------------------------------------------------
@@ -300,11 +408,8 @@ def suite_hatQ(seed: int = DEFAULT_SEED, budget: int = DEFAULT_SHELLING_BUDGET) 
                     # rank-1 thinness witness: deletions of the concatenated word giving v
                     rank1 += 1
                     letters = [t for w in top.wbar for t in w.word]
-                    hits = sum(
-                        1
-                        for l in range(len(letters))
-                        if group.from_word(letters[:l] + letters[l + 1:]) == top.v
-                    )
+                    hits = sum(group.from_word(letters[:l] + letters[l + 1:]) == top.v
+                               for l in range(len(letters)))
                     if hits not in (1, 2):
                         rank1_bad.append({"node": top.describe(), "hits": hits})
             report.add_sweep(
@@ -337,12 +442,8 @@ def suite_sl2_triangle(seed: int = DEFAULT_SEED, budget: int = DEFAULT_SHELLING_
     for _ in range(25):
         params = twisted.random_params(2, rng)
         z = twisted.parametrize_cell(e, (s, s), params)
-        flags = twisted.alpha(z)
-        coords = []
-        for f in flags:
-            col = [row[0] for row in f.rep]
-            coords.append(col[1] / col[0])
-        a, b = coords
+        # the affine coordinate of each flag's line
+        a, b = (f.rep[1][0] / f.rep[0][0] for f in twisted.alpha(z))
         if not (0 < a < b):
             bad.append({"params": [str(p) for p in params], "a": str(a), "b": str(b)})
             break
@@ -381,18 +482,13 @@ def suite_duality(seed: int = DEFAULT_SEED, budget=None) -> RunReport:
         "verify duality", {"k": 3, "n": 2, "points": 10, "checked": True}, seed=seed
     )
     check = report.inputs["checked"]  # the report records how the points were checked
-    group = type_a_group(3)
-    w0 = from_perm(group, slk.w0_perm(3))
     rng = random.Random(seed)
     strata = 0
     bad = []
-    for q in iter_qnodes(group, 2):
+    for q in iter_qnodes(type_a_group(3), 2):
         strata += 1
         v, wbar = q.v, q.wbar
-        expected = (
-            group.multiply(w0, wbar[0]),
-            (group.multiply(w0, v),) + tuple(group.inverse(w) for w in reversed(wbar[1:])),
-        )
+        expected = twisted.dual_stratum(v, wbar)
         for _ in range(10):
             params = twisted.random_params(q.rank, rng)
             z = twisted.parametrize_cell(v, wbar, params, check=check)

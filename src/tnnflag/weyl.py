@@ -114,14 +114,12 @@ class WeylGroup:
         )
         self._id = _identity_mat(m)
         self._elts: dict[IntMat, WeylElt] = {}
-        self._mul_cache: dict[tuple[int, int], WeylElt] = {}
-        self._bruhat_cache: dict[tuple[int, int], bool] = {}
-        self._lower_cache: dict[int, tuple] = {}
-        self._cover_cache: dict[int, tuple] = {}
-        self._demazure_cache: dict[tuple[int, int], WeylElt] = {}
-        self._perm_cache: dict[tuple, WeylElt] = {}
-        # how often each capped cache above was cleared at its cap
-        self._clears = dict.fromkeys(("mul", "bruhat", "lower", "cover", "demazure", "perm"), 0)
+        # the capped memo caches by name, plain dicts read with .get and
+        # filled by _remember, and how often each was cleared at its cap
+        self._memos = {name: {} for name in ("mul", "bruhat", "lower", "cover", "demazure", "perm")}
+        (self._mul_cache, self._bruhat_cache, self._lower_cache, self._cover_cache,
+         self._demazure_cache, self._perm_cache) = self._memos.values()
+        self._clears = dict.fromkeys(self._memos, 0)
         self._thickened: dict[int, WeylGroup] = {}
         self.identity = self._intern(self._id, self._id)
         self._simples = tuple(
@@ -134,11 +132,18 @@ class WeylGroup:
     def cache_stats(self) -> dict[str, dict[str, int]]:
         """Each capped memo cache's entry count and the number of times it
         was cleared on passing its cap."""
-        caches = {"mul": self._mul_cache, "bruhat": self._bruhat_cache,
-                  "lower": self._lower_cache, "cover": self._cover_cache,
-                  "demazure": self._demazure_cache, "perm": self._perm_cache}
         return {name: {"size": len(cache), "clears": self._clears[name]}
-                for name, cache in caches.items()}
+                for name, cache in self._memos.items()}
+
+    def _remember(self, name: str, key, value):
+        """Store ``value`` at ``key`` in the named memo cache and return it,
+        clearing the cache first when it holds more entries than its cap."""
+        cache = self._memos[name]
+        if len(cache) > (_LOWER_CACHE_CAP if name == "lower" else _CACHE_CAP):
+            cache.clear()
+            self._clears[name] += 1
+        cache[key] = value
+        return value
 
     # -- interning and canonical words ------------------------------------
 
@@ -213,10 +218,7 @@ class WeylGroup:
                 out = self._intern(self._simple_times(i, v.geom), self._times_simple(v.geom_inv, i))
             else:
                 out = self._intern(int_mul(u.geom, v.geom), int_mul(v.geom_inv, u.geom_inv))
-            if len(self._mul_cache) > _CACHE_CAP:
-                self._mul_cache.clear()
-                self._clears["mul"] += 1
-            self._mul_cache[key] = out
+            self._remember("mul", key, out)
         return out
 
     def inverse(self, u: WeylElt) -> WeylElt:
@@ -265,11 +267,7 @@ class WeylGroup:
             res = self.bruhat_leq(self.multiply(s, v), sw)
         else:
             res = self.bruhat_leq(v, sw)
-        if len(self._bruhat_cache) > _CACHE_CAP:
-            self._bruhat_cache.clear()
-            self._clears["bruhat"] += 1
-        self._bruhat_cache[key] = res
-        return res
+        return self._remember("bruhat", key, res)
 
     def lower_interval(self, w: WeylElt) -> tuple[WeylElt, ...]:
         """All u <= w, as subword products of the canonical word of w."""
@@ -280,11 +278,8 @@ class WeylGroup:
             for t in w.word:
                 s = self._simples[t]
                 elems |= {self.multiply(u, s) for u in elems}
-            cached = tuple(sorted(elems, key=lambda u: (u.length, u.word)))
-            if len(self._lower_cache) > _LOWER_CACHE_CAP:
-                self._lower_cache.clear()
-                self._clears["lower"] += 1
-            self._lower_cache[w.serial] = cached
+            cached = self._remember(
+                "lower", w.serial, tuple(sorted(elems, key=lambda u: (u.length, u.word))))
         return cached
 
     def lower_covers(self, w: WeylElt) -> tuple[WeylElt, ...]:
@@ -299,14 +294,10 @@ class WeylGroup:
         cached = self._cover_cache.get(w.serial)
         if cached is None:
             word = w.word
-            cached = tuple(dict.fromkeys(
+            cached = self._remember("cover", w.serial, tuple(dict.fromkeys(
                 u for u in (self.from_word(word[:p] + word[p + 1:]) for p in range(len(word)))
                 if u.length == w.length - 1
-            ))
-            if len(self._cover_cache) > _CACHE_CAP:
-                self._cover_cache.clear()
-                self._clears["cover"] += 1
-            self._cover_cache[w.serial] = cached
+            )))
         return cached
 
     def elements_up_to_length(self, cap: int) -> list[WeylElt]:
@@ -339,10 +330,7 @@ class WeylGroup:
             for t in y.word:
                 if not self.has_right_descent(u, t):
                     u = self.multiply(u, self._simples[t])
-            if len(self._demazure_cache) > _CACHE_CAP:
-                self._demazure_cache.clear()
-                self._clears["demazure"] += 1
-            self._demazure_cache[key] = u
+            self._remember("demazure", key, u)
         return u
 
     def m_star(self, ws) -> WeylElt:
@@ -571,8 +559,4 @@ def from_perm(group: WeylGroup, p) -> WeylElt:
         a, b = q.index(i + 1), q.index(i + 2)
         q[a], q[b] = q[b], q[a]
         word.append(i)
-    if len(group._perm_cache) > _CACHE_CAP:
-        group._perm_cache.clear()
-        group._clears["perm"] += 1
-    out = group._perm_cache[p] = group.from_word(word)
-    return out
+    return group._remember("perm", p, group.from_word(word))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tnnflag import posets, verify
+from tnnflag import twisted, verify
 from tnnflag.cartan import cartan_of_type
 from tnnflag.cli import main, parse_top_spec, parse_word, split_top_level, WordParseError
 from tnnflag.posets import make_qnode
@@ -183,6 +183,30 @@ def test_cell_command(capsys):
     point = payload["points"][0]
     assert point["point"]["factors"][0] == [["1", "0"], ["3/2", "1"]]
     assert point["stratum"] == {"v": [1], "w": [[1], [1]]}
+
+
+def test_cell_command_fails_a_point_that_breaks_an_assertion(capsys, monkeypatch):
+    """A failed internal assertion fails that point's check, with the error
+    as its witness, and the point is not listed; the other points are."""
+    real = twisted.parametrize_cell
+
+    def breaks_at_two(v, wbar, params, **kwargs):
+        if params == [2]:
+            raise AssertionError("cell point left its opposite Schubert cell")
+        return real(v, wbar, params, **kwargs)
+
+    monkeypatch.setattr(twisted, "parametrize_cell", breaks_at_two)
+    payloads = []
+    for params in ("2", "1"):
+        code, out, _ = run(capsys, "cell", "--k", "2", "--n", "2", "--v", "1",
+                           "--w", "(1);(1)", "--params", params)
+        payloads.append((code, json.loads(out)))
+    (code, broken), (ok_code, ok) = payloads
+    assert (code, broken["status"], ok_code, ok["status"]) == (1, "fail", 0, "pass")
+    assert broken["checks"] == [{"check": "point-0", "status": "fail", "witness": {
+        "params": ["2"], "error": "cell point left its opposite Schubert cell"}}]
+    assert broken["points"] == [] and len(ok["points"]) == 1
+    assert list(broken)[-1] == "points"
 
 
 def test_cell_command_random(capsys):
@@ -427,7 +451,7 @@ def test_check_regular_ball_matches_poset_ball(capsys, family, rank, n, top):
     assert (report.status, report.exit_code) == (ball["status"], code) == ("pass", 0)
 
 
-@pytest.mark.parametrize("name", posets.CHECKS)
+@pytest.mark.parametrize("name", verify.CHECKS)
 def test_every_check_name_runs_on_the_triangle(capsys, name):
     code, out, err = run(capsys, "poset", "A", "1", "--n", "2", "--top", "e;(1),(1)",
                          "--check", name)

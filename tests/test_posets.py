@@ -7,7 +7,7 @@ from itertools import combinations, product
 import oracles
 import pytest
 
-from tnnflag import posets
+from tnnflag import posets, verify
 from tnnflag.cartan import cartan_of_type
 from tnnflag.posets import (
     BOTTOM,
@@ -861,6 +861,52 @@ def test_check_regular_ball_a2_pair(A2):
     report = check_regular_ball(top)
     assert report.status == "pass"
     assert all(c["status"] == "pass" for c in report.checks)
+
+
+NOT_THIN = FacePoset.from_lower_covers(
+    [BOTTOM, "a", "b", "c", "t"], [0, 1, 1, 1, 2], [[], [0], [0], [0], [1, 2, 3]])
+# a < c < t and b < t: one maximum, chains of two lengths
+UNGRADED = FacePoset.from_lower_covers(
+    [BOTTOM, "a", "b", "c", "t"], [0, 1, 1, 2, 3], [[], [0], [0], [1], [2, 3]])
+
+
+def _ball_and_checks(pure, thin, eulerian, shelling, boundary):
+    """The entries of every check name, in ``CHECKS`` order, with ``ball``
+    listing the five of Bjorner's criterion."""
+    entries = [
+        {"check": "pure", "status": pure},
+        {"check": "thin", "status": thin},
+        {"check": "eulerian", "status": eulerian},
+        {"check": "shelling", **shelling},
+    ]
+    boundary = {"check": "boundary_sphere_euler", **boundary}
+    ball = {"check": "ball", "status": "fail", "witness": {"checks": [*entries, boundary]}}
+    return [*entries, ball, boundary]
+
+
+@pytest.mark.parametrize("poset, expected", [
+    (NOT_THIN, _ball_and_checks(
+        "pass", "fail", "fail",
+        {"status": "pass", "witness": {"certificate": "rao", "facets": 3,
+                                       "attempts": 3, "backtracks": 0}},
+        {"status": "fail", "witness": {"chi": 3, "expected": 2}})),
+    (UNGRADED, _ball_and_checks(
+        "fail", "fail", "fail",
+        {"status": "inconclusive", "witness": {"certificate": "rao", "facets": 2,
+                                               "attempts": 0, "backtracks": 0,
+                                               "exhausted": True}},
+        {"status": "fail", "witness": {"chi": 2, "expected": 0}})),
+], ids=["three-middle-nodes", "ungraded"])
+def test_every_check_reports_its_failures(poset, expected):
+    """Each check's entry on a poset that fails it: the ball rolls up to
+    fail, and an ungraded poset's shelling is inconclusive, exhausted."""
+    assert verify.regularity_checks(poset, verify.CHECKS) == expected
+
+
+def test_unknown_check_name_is_a_value_error_naming_the_checks(triangle):
+    with pytest.raises(ValueError, match="unknown check 'thni'") as info:
+        verify.regularity_checks(triangle, ["pure", "thni"])
+    assert ", ".join(verify.CHECKS) in str(info.value)
 
 
 def test_rank1_witness_case_analysis(A2, B2):
