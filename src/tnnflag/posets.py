@@ -29,7 +29,19 @@ the verdict is kept on the poset.  Eulerian-ness (:func:`is_eulerian`): a
 node count on the even-length intervals only, one AND and one popcount
 per pair, with the y above x read rank band by rank band from a slice of
 ``above[x]``; on a graded poset the intervals of length 2 are decided by
-the kept thinness verdict and the count starts at length 4.  The Euler
+the kept thinness verdict and the count starts at length 4.
+
+Both walks start from the bottom alone on a graded poset from
+:func:`build_interval`.  There every interval [x, y] with x above the
+bottom is the product [v_y, v_x]* x prod_i [w_{x,i}, w_{y,i}] of Bruhat
+intervals, because the Demazure product is monotone, so every label
+between x and y is in the interval.  Bruhat intervals are thin and
+Eulerian (Verma 1971; Bjorner-Brenti 2005, Lemma 2.7.3 and Cor. 2.7.10),
+and so are their products, mu being multiplicative (Stanley, EC1, Prop.
+3.8.2).  So only the closed cells [0^, y], the subject of the paper's
+first theorem, are tested.  The builder records the fact on the poset;
+the posets of the other constructors, and any poset that is not graded,
+take the walks over every x, which stay the oracle.  The Euler
 characteristic of the open boundary (:func:`open_boundary_euler`): the
 Mobius function from the bottom to the top, in one pass in rank order,
 with the nodes of value 1 and -1 in two signed masks.
@@ -146,6 +158,9 @@ class FacePoset:
     immutable, so what is derived from it alone is kept once computed: the
     cover pairs (:attr:`covers`) and the verdict of :func:`is_thin`, which
     :func:`is_eulerian` reads for its intervals of length 2.
+    :func:`build_interval` also records that every interval above the
+    bottom is a box of Bruhat intervals (``_boxes``), so that those two
+    walk from the bottom alone.
     """
 
     def __init__(self, nodes, ranks, below, ups=None):
@@ -167,6 +182,9 @@ class FacePoset:
         self._ups = tuple(map(tuple, ups))
         self._covers = None  # listed from the index when first read
         self._thin = None  # the verdict of is_thin, kept at its first call
+        # set by build_interval alone: every [x, y] with x above the bottom
+        # is a product of Bruhat intervals
+        self._boxes = False
         above, cover = [0] * n, [0] * n
         # every upper cover of lo has a larger index, so reverse index order
         # completes above[hi] before it is read
@@ -302,11 +320,28 @@ def interval_labels(top: QNode):
 def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> FacePoset:
     """Closed interval [0^, top]: all labels weakly below top, plus a bottom.
 
+    Above the bottom every interval is a box of Bruhat intervals.  Let x
+    <= z <= y, with x a label: then v_y <= v_z <= v_x, each factor has
+    w_{x,i} <= w_{z,i} <= w_{y,i}, and v_z <= v_x <= m_star(wbar_x) <=
+    m_star(wbar_z), since the Demazure product is monotone in each factor;
+    so z is a label (top.v <= v_y <= v_z), and [x, y] is the whole product
+    [v_y, v_x]* x prod_i [w_{x,i}, w_{y,i}], the first factor with its
+    order reversed.  Bruhat intervals are Eulerian in every Coxeter group
+    (Verma 1971, "Mobius inversion for the Bruhat ordering on a Weyl
+    group"; Bjorner-Brenti 2005, "Combinatorics of Coxeter Groups", Cor.
+    2.7.10) and thin (ibid., Lemma 2.7.3), and so are their duals.  So is
+    a product of them: ranks add, and mu is multiplicative on products
+    (Stanley, EC1, Prop. 3.8.2), so mu(x, y) = (-1)^(r(y) - r(x)); an
+    Eulerian graded poset is thin (see :func:`is_eulerian`).  The poset
+    returned records this fact (``_boxes``; no other constructor sets it),
+    and :func:`is_thin` and :func:`is_eulerian` then test only the
+    intervals [0^, y], the closed cells.
+
     The lower covers of (v, wbar) are the labels (v', wbar) with v' an
     upper Bruhat cover of v, and (v, wbar) with one factor replaced by a
-    lower Bruhat cover: exact when every cover raises the rank by one (the
-    closure order is graded; ``verify hatQ`` checks it on the pairwise
-    order), for then the order is the transitive closure of these covers.
+    lower Bruhat cover.  These are the covers of the boxes, so the order
+    is their transitive closure and every cover raises the rank by one
+    (``verify hatQ`` checks both on the pairwise order).
 
     A label's key is mixed radix: v's position among the u with top.v <= u
     <= m_star(top.wbar), then each factor's position in the lower interval
@@ -365,7 +400,9 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> FacePoset:
     del buckets, below_m, labels, vmoves, fmoves, wmoves
     below, ups = _cover_index(keys, offsets)
     del keys, offsets
-    return FacePoset(nodes, ranks, below, ups)
+    poset = FacePoset(nodes, ranks, below, ups)
+    poset._boxes = True
+    return poset
 
 
 def braid_poset(group: WeylGroup, letters) -> FacePoset:
@@ -475,6 +512,11 @@ def is_thin(poset: FacePoset) -> bool:
     the number of y reached (the popcount of the OR), every count is 2 and
     x passes.  Any other x takes the exact count.
 
+    On a graded poset from :func:`build_interval` (``_boxes`` set) every
+    interval [x, y] with x above the bottom is a product of Bruhat
+    intervals, which is thin (the proof is in that function's docstring),
+    so only x = 0^ is counted.
+
     The poset is immutable, so the verdict is kept on it at the first call
     and returned by every later one (:func:`is_eulerian` reads it too).
     """
@@ -482,7 +524,8 @@ def is_thin(poset: FacePoset) -> bool:
         return poset._thin
     ups, masks = poset.up_covers(), poset.up_cover_masks()
     thin = True
-    for x, mids in enumerate(ups):
+    for x in range(1 if poset._boxes and _graded(poset) else len(ups)):
+        mids = ups[x]
         odd = reached = total = 0
         for z in mids:
             odd ^= masks[z]
@@ -557,6 +600,13 @@ def is_eulerian(poset: FacePoset) -> bool:
     first pays nothing here.  A poset that is not graded counts from
     length 2.
 
+    On a graded poset from :func:`build_interval` (``_boxes`` set) every
+    interval [x, y] with x above the bottom is a product of Bruhat
+    intervals, which is Eulerian (Verma's theorem, with mu multiplicative
+    on products; the proof is in that function's docstring).  So a
+    smallest interval where the condition fails is some [0^, y] of even
+    length >= 4, and only x = 0^ is walked: one popcount per y.
+
     One popcount decides a pair x < y of one rank parity.  Let F be the
     nodes z >= x, ``odd`` the mask of the nodes of odd rank, E_in and O_in
     the numbers of nodes of even and of odd rank in [x, y), and O_out the
@@ -576,10 +626,13 @@ def is_eulerian(poset: FacePoset) -> bool:
     ORed from the bands.
     """
     shortest = 2  # the shortest interval length counted
+    xs = range(len(poset.nodes))  # the bottoms x of the intervals counted
     if _graded(poset):
         if not is_thin(poset):
             return False
         shortest = 4
+        if poset._boxes:
+            xs = range(1)
     ranks, below = poset.ranks, poset.below
     bands: dict[int, tuple[int, int]] = {}  # rank -> (first index, all-ones mask of its width)
     for i, r in enumerate(ranks):
@@ -592,7 +645,8 @@ def is_eulerian(poset: FacePoset) -> bool:
     odd_below = [(mask & odd).bit_count() for mask in below]
     # the popcount each y needs, for x of even rank and for x of odd rank
     needs = ([c - 1 for c in odd_below], [c + 1 for c in odd_below])
-    for x, up in enumerate(poset.above):
+    for x in xs:
+        up = poset.above[x]
         if not up:
             continue
         flip = (up | 1 << x) ^ odd

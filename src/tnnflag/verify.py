@@ -375,7 +375,8 @@ def _sweep_poset(poset, where: dict, budget: int, bad: list, inconclusive: list)
 @_timed
 def suite_hatQ(seed: int = DEFAULT_SEED, budget: int = DEFAULT_SHELLING_BUDGET) -> RunReport:
     """Purity, thinness, Eulerian-ness, shellability sweep over small families,
-    and the cover-built intervals against the pairwise order."""
+    and the cover-built intervals, with their thin and Eulerian verdicts,
+    against the pairwise order."""
     report = RunReport(
         "verify hatQ",
         {"families": ["A1 n<=3", "A2 n<=2", "B2 n=1"]},
@@ -401,8 +402,12 @@ def suite_hatQ(seed: int = DEFAULT_SEED, budget: int = DEFAULT_SHELLING_BUDGET) 
                 if any(pairwise.ranks[hi] - pairwise.ranks[lo] != 1
                        for lo, hi in pairwise.covers):
                     bad.append({"top": label, "check": "cover-rank-drop"})
+                # the built poset's walks start from the bottom alone, by the
+                # box lemma of build_interval; the pairwise one walks every x
                 if (poset.nodes, poset.ranks, poset.below) != (
-                        pairwise.nodes, pairwise.ranks, pairwise.below):
+                        pairwise.nodes, pairwise.ranks, pairwise.below) or (
+                        posets.is_thin(poset), posets.is_eulerian(poset)) != (
+                        posets.is_thin(pairwise), posets.is_eulerian(pairwise)):
                     mismatched.append(label)
                 if top.rank == 1:
                     # rank-1 thinness witness: deletions of the concatenated word giving v

@@ -737,6 +737,101 @@ def test_eulerian_fails_first_on_a_long_interval():
     assert not is_eulerian(poset)
 
 
+def test_intervals_above_the_bottom_are_bruhat_boxes(A2, B2):
+    """The premise of the bottom-only walks: in a poset from
+    ``build_interval``, every [x, y] with x above the bottom holds as many
+    nodes as the box [v_y, v_x] x prod_i [w_{x,i}, w_{y,i}] of Bruhat
+    intervals, each counted by ``lower_interval`` and ``bruhat_leq``; on
+    every hatQ top and every top of A2 n=3 and B2 n=2 of rank >= 5."""
+    tops = [top for _, group, ns in _hatQ_families() for n in ns for top in iter_qnodes(group, n)]
+    tops += [top for group, n in ((A2, 3), (B2, 2)) for top in iter_qnodes(group, n)
+             if top.rank >= 5]
+    sizes = {}  # group -> {(u.serial, w.serial): |[u, w]|} for u <= w
+    pairs = 0
+    for top in tops:
+        group = top.v.group
+        if group not in sizes:
+            sizes[group] = {
+                (u.serial, w.serial): sum(group.bruhat_leq(u, z) for z in group.lower_interval(w))
+                for w in group.elements_up_to_length(64) for u in group.lower_interval(w)
+            }
+        size = sizes[group]
+        poset = build_interval(top)
+        assert poset._boxes
+        above, below = poset.above, poset.below
+        vs = [None, *(q.v.serial for q in poset.nodes[1:])]
+        ws = [None, *(tuple(w.serial for w in q.wbar) for q in poset.nodes[1:])]
+        for x in range(1, len(poset)):
+            vx, wx = vs[x], ws[x]
+            for y in members(above[x]):
+                box = size[vs[y], vx]
+                for pair in zip(wx, ws[y]):
+                    box *= size[pair]
+                assert (above[x] & below[y]).bit_count() + 2 == box
+            pairs += above[x].bit_count()
+    assert (len(tops), pairs) == (244 + 285 + 63, 1_496_256)
+
+
+def test_bottom_only_walks_match_the_walks_over_every_x(A2, B2):
+    """On every ``build_interval`` poset of the differential set and the
+    rank-8 B2 n=2 (e; w0, w0) top, thinness and Eulerian-ness from the
+    bottom alone equal the walks over every x on the same masks, given
+    without the builder's fact; the Eulerian walk reads ``above`` of the
+    bottom only."""
+    built = [poset for poset in _differential_posets(A2) if poset._boxes]
+    assert len(built) == 244
+    for poset in [*built, rank8_top(B2)]:
+        plain = FacePoset(poset.nodes, poset.ranks, poset.below)
+        assert not plain._boxes and posets._graded(poset)
+        assert is_thin(poset) == is_thin(plain)
+        read = set()
+
+        class Reads(tuple):
+            def __getitem__(self, i):
+                read.add(i)
+                return tuple.__getitem__(self, i)
+
+        poset.above = Reads(poset.above)
+        assert is_eulerian(poset) == is_eulerian(plain) == oracle_is_eulerian(plain)
+        assert read == {0}
+
+
+@pytest.mark.parametrize(
+    "poset",
+    [
+        pytest.param(simplicial_face_poset(two_spheres(3)), id="length-4"),
+        pytest.param(simplicial_face_poset(two_spheres(5), lambda d: d + 7), id="length-6"),
+        pytest.param(from_covers(["a", "b", "c", "y"], [(x, "y") for x in "abc"]),
+                     id="three-middle-nodes"),
+    ],
+)
+def test_builder_fact_still_refuses_an_unbalanced_cell(poset):
+    """The builder's fact spares only the intervals above the bottom: a
+    graded poset that carries it and has an unbalanced [0^, y] is not
+    Eulerian, and one with three nodes in [0^, y] of length 2 is not thin."""
+    assert posets._graded(poset) and not oracle_is_eulerian(poset)
+    poset._boxes = True
+    assert not is_eulerian(poset)
+    assert is_thin(poset) == oracle_is_thin(poset)
+
+
+def test_hatQ_counts_a_differing_verdict_as_a_builder_mismatch(monkeypatch):
+    """``verify hatQ`` runs the walks over every x on the pairwise poset:
+    a thinness verdict of the built poset that differs from it is a
+    ``builder-matches-pairwise`` mismatch, on that top alone."""
+    real = posets.is_thin
+
+    def wrong_on_rank_6(poset):
+        return real(poset) != (poset._boxes and poset.ranks[-1] - poset.ranks[0] == 7)
+
+    monkeypatch.setattr(posets, "is_thin", wrong_on_rank_6)
+    report = verify.suite_hatQ()
+    by_name = {c["check"]: c for c in report.checks}
+    entry = by_name["builder-matches-pairwise"]
+    assert entry["status"] == "fail" and entry["witness"]["intervals"] == 244
+    assert len(entry["witness"]["bad"]) == 1 and entry["witness"]["bad"][0].startswith("A2 n=2")
+
+
 def test_thin_parity_pass_falls_back_on_counts_one_and_three():
     """From 0^, y1 has one path of two covers and y2 three: the mean count
     is 2 but the parities are odd, so the exact rule decides, and fails."""
