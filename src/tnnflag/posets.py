@@ -16,20 +16,24 @@ up-cover index; no cover pair is listed or sorted on the way.
 ``FacePoset.from_qnodes``, which compares every pair by :func:`qnode_leq`,
 is their oracle.
 
-Every poset indexes the upper covers of each node once, as increasing
-tuples and as bitmasks (formed in the reverse pass that ORs ``above``),
-and the verdict kernels share both; ``verify.regularity_checks`` turns
-their answers into report entries.  Purity (:func:`is_pure`): O(1) per
-node when every cover raises the rank by one, read off the first and last
-up-cover of each node; a height pass over the covers otherwise.
-Thinness (:func:`is_thin`): a parity pass over the kept up-cover masks of
-the covers of each x settles x when every count of paths of two covers
-is 2; otherwise the counts, with a mask test only where a count is not 2;
-the verdict is kept on the poset.  Eulerian-ness (:func:`is_eulerian`): a
-node count on the even-length intervals only, one AND and one popcount
-per pair, with the y above x read rank band by rank band from a slice of
-``above[x]``; on a graded poset the intervals of length 2 are decided by
-the kept thinness verdict and the count starts at length 4.
+Every poset holds ``below`` and indexes the upper covers of each node
+once, as increasing tuples.  The ``above`` masks and the masks of the
+upper covers are formed together, in one reverse pass over the index,
+only when one of them is first read: by the shelling search and by the
+walks over every x, not by the checks of a poset from
+:func:`build_interval`.  ``verify.regularity_checks`` turns the verdicts
+into report entries.  Purity (:func:`is_pure`): O(1) per node when every
+cover raises the rank by one, read off the first and last up-cover of
+each node (the answer is kept on the poset); a height pass over the
+covers otherwise.  Thinness (:func:`is_thin`): a parity pass over the
+up-cover masks of the covers of each x settles x when every count of
+paths of two covers is 2; otherwise the counts, with a mask test only
+where a count is not 2; the verdict is kept on the poset.  Eulerian-ness
+(:func:`is_eulerian`): a node count on the even-length intervals only,
+one AND and one popcount per pair, with the y above x read rank band by
+rank band from a slice of ``above[x]``; on a graded poset the intervals
+of length 2 are decided by the kept thinness verdict and the count starts
+at length 4.
 
 Both walks start from the bottom alone on a graded poset from
 :func:`build_interval`.  There every interval [x, y] with x above the
@@ -41,10 +45,12 @@ and so are their products, mu being multiplicative (Stanley, EC1, Prop.
 3.8.2).  So only the closed cells [0^, y], the subject of the paper's
 first theorem, are tested.  The builder records the fact on the poset;
 the posets of the other constructors, and any poset that is not graded,
-take the walks over every x, which stay the oracle.  The Euler
-characteristic of the open boundary (:func:`open_boundary_euler`): the
-Mobius function from the bottom to the top, in one pass in rank order,
-with the nodes of value 1 and -1 in two signed masks.
+take the walks over every x, which stay the oracle.  From the bottom
+alone, thinness counts the paths of two covers on the index, and the
+Eulerian count reads the nodes above the bottom off the ``below`` masks.  The Euler characteristic of the open boundary
+(:func:`open_boundary_euler`): the Mobius function from the bottom to the
+top, in one pass in rank order over ``below``, with the nodes of value 1
+and -1 in two signed masks.
 
 Shellability is certified on the poset, not on its chains:
 :func:`find_shelling` searches for a recursive atom ordering (Bjorner-Wachs
@@ -130,12 +136,15 @@ def qnode_leq(a: QNode, b: QNode) -> bool:
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # binary digits as false and true bytes
+_BYTE_BITS = bytes.maketrans(b"\0\1", b"01")  # and back
 
 
 def members(mask: int) -> list[int]:
     """The set bits of ``mask``, in increasing order: one C-level pass over
     its binary digits, lowest first."""
     return list(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
+
+
 
 
 class FacePoset:
@@ -148,19 +157,24 @@ class FacePoset:
 
     ``below[i]`` and ``above[i]`` are int bitmasks of the nodes strictly
     below and above node ``i``.  The upper covers of every node are
-    indexed once, as increasing tuples (:meth:`up_covers`), and ``above``
-    is ORed over them in one reverse pass, which also forms and keeps the
-    mask of each node's upper covers (:meth:`up_cover_masks`).  The three
-    masks take about 0.28 n^2 bytes for n nodes (2,710 bytes per node on
-    the 9,698 nodes of the A3 n=2 top (e ; w0, w0)).  The builders pass
-    the index in as ``ups`` (increasing lists, one per node); a poset
-    given by its masks alone reads it off ``below``.  The poset is
+    indexed once, as increasing tuples (:meth:`up_covers`).  The builders
+    pass the index in as ``ups`` (increasing lists, one per node); a poset
+    given by its masks alone reads it off ``below``.  Only ``below`` and
+    the index are formed at construction.  ``above`` is ORed over the index
+    in one reverse pass, which also forms the mask of each node's upper
+    covers (:meth:`up_cover_masks`), on the first read of either; the
+    shelling search and the walks over every x read them, the checks of a
+    poset from :func:`build_interval` do not.  ``below`` takes about
+    0.05 n^2 bytes for n nodes (508 bytes per node on the 9,698 nodes of
+    the A3 n=2 top (e ; w0, w0)); the reverse pass adds about 0.23 n^2
+    bytes (2,202 bytes per node there).  The poset is
     immutable, so what is derived from it alone is kept once computed: the
-    cover pairs (:attr:`covers`) and the verdict of :func:`is_thin`, which
-    :func:`is_eulerian` reads for its intervals of length 2.
-    :func:`build_interval` also records that every interval above the
-    bottom is a box of Bruhat intervals (``_boxes``), so that those two
-    walk from the bottom alone.
+    two mask tuples, the cover pairs (:attr:`covers`), whether every cover
+    raises the rank by one (:func:`_graded`), and the verdict of
+    :func:`is_thin`, which :func:`is_eulerian` reads for its intervals of
+    length 2.  :func:`build_interval` also records that every interval
+    above the bottom is a box of Bruhat intervals (``_boxes``), so that
+    those two walk from the bottom alone.
     """
 
     def __init__(self, nodes, ranks, below, ups=None):
@@ -181,21 +195,13 @@ class FacePoset:
                         ups[lo].append(hi)
         self._ups = tuple(map(tuple, ups))
         self._covers = None  # listed from the index when first read
+        # above and the up-cover masks, formed together when either is first read
+        self._above = self._cover_masks = None
+        self._graded = None  # the answer of _graded, kept at its first call
         self._thin = None  # the verdict of is_thin, kept at its first call
         # set by build_interval alone: every [x, y] with x above the bottom
         # is a product of Bruhat intervals
         self._boxes = False
-        above, cover = [0] * n, [0] * n
-        # every upper cover of lo has a larger index, so reverse index order
-        # completes above[hi] before it is read
-        for lo in range(n - 1, -1, -1):
-            mask = bits = 0
-            for hi in self._ups[lo]:
-                mask |= above[hi]
-                bits |= 1 << hi
-            above[lo], cover[lo] = mask | bits, bits
-        self.above: tuple[int, ...] = tuple(above)
-        self._cover_masks = tuple(cover)
 
     @classmethod
     def from_lower_covers(cls, nodes, ranks, lower) -> "FacePoset":
@@ -257,9 +263,34 @@ class FacePoset:
         """The upper covers of each node, increasing; shared, not copied."""
         return self._ups
 
+    @property
+    def above(self) -> tuple[int, ...]:
+        """The mask of the nodes strictly above each node: formed with
+        :meth:`up_cover_masks` on the first read of either, then kept."""
+        if self._above is None:
+            self._reverse_pass()
+        return self._above
+
     def up_cover_masks(self) -> tuple[int, ...]:
-        """The upper covers of each node as one bitmask; kept, not copied."""
+        """The upper covers of each node as one bitmask: formed with
+        :attr:`above` on the first read of either, then kept, not copied."""
+        if self._cover_masks is None:
+            self._reverse_pass()
         return self._cover_masks
+
+    def _reverse_pass(self) -> None:
+        """OR ``above`` over the up-cover index, keeping each node's mask of
+        upper covers on the way: every upper cover of lo has a larger index,
+        so reverse index order completes above[hi] before it is read."""
+        n = len(self.nodes)
+        above, cover = [0] * n, [0] * n
+        for lo in range(n - 1, -1, -1):
+            mask = bits = 0
+            for hi in self._ups[lo]:
+                mask |= above[hi]
+                bits |= 1 << hi
+            above[lo], cover[lo] = mask | bits, bits
+        self._above, self._cover_masks = tuple(above), tuple(cover)
 
     def f_vector(self) -> tuple[int, ...]:
         """Node counts per rank, bottom excluded."""
@@ -439,9 +470,16 @@ def link_poset(bottom: QNode, top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> F
     if bottom == top or bottom not in interval.nodes:
         raise ValueError("bottom must be strictly below top")
     b = interval.index(bottom)
-    keep = members(interval.above[b])
-    pos = {b: 0, **{old: new for new, old in enumerate(keep, start=1)}}
     ups = interval.up_covers()
+    # the nodes above bottom, reached up the cover index
+    reached, stack = {b}, [b]
+    while stack:
+        for hi in ups[stack.pop()]:
+            if hi not in reached:
+                reached.add(hi)
+                stack.append(hi)
+    keep = sorted(reached - {b})
+    pos = {b: 0, **{old: new for new, old in enumerate(keep, start=1)}}
     lower: list[list[int]] = [[] for _ in range(len(keep) + 1)]
     for lo in (b, *keep):  # every upper cover of these is above bottom
         for hi in ups[lo]:
@@ -461,13 +499,17 @@ def _graded(poset: FacePoset) -> bool:
     The upper covers of a node are increasing indices, and ranks do not
     decrease along the index order, so their ranks rise from the first
     cover to the last: both ends at the node's rank plus 1 put every cover
-    there, with O(1) work per node.
+    there, with O(1) work per node.  The poset is immutable, so the answer
+    is kept on it at the first call and returned by every later one.
     """
-    ranks = poset.ranks
-    for r, his in zip(ranks, poset.up_covers()):
-        if his and not ranks[his[0]] == ranks[his[-1]] == r + 1:
-            return False
-    return True
+    if poset._graded is None:
+        poset._graded = True
+        ranks = poset.ranks
+        for r, his in zip(ranks, poset.up_covers()):
+            if his and not ranks[his[0]] == ranks[his[-1]] == r + 1:
+                poset._graded = False
+                break
+    return poset._graded
 
 
 def is_pure(poset: FacePoset) -> bool:
@@ -515,30 +557,37 @@ def is_thin(poset: FacePoset) -> bool:
     On a graded poset from :func:`build_interval` (``_boxes`` set) every
     interval [x, y] with x above the bottom is a product of Bruhat
     intervals, which is thin (the proof is in that function's docstring),
-    so only x = 0^ is counted.
+    so only x = 0^ is counted, straight from the index: neither the
+    parity pass nor the mask test is run, so no mask is formed.  On a
+    graded poset every node strictly between x and a y two covers above it
+    has rank r(x) + 1, so it covers x, and any count other than 2 fails.
 
     The poset is immutable, so the verdict is kept on it at the first call
     and returned by every later one (:func:`is_eulerian` reads it too).
     """
     if poset._thin is not None:
         return poset._thin
-    ups, masks = poset.up_covers(), poset.up_cover_masks()
+    ups = poset.up_covers()
+    bottom_only = poset._boxes and _graded(poset)
+    masks = None if bottom_only else poset.up_cover_masks()
     thin = True
-    for x in range(1 if poset._boxes and _graded(poset) else len(ups)):
+    for x in range(1 if bottom_only else len(ups)):
         mids = ups[x]
-        odd = reached = total = 0
-        for z in mids:
-            odd ^= masks[z]
-            reached |= masks[z]
-            total += len(ups[z])
-        if not odd and total == 2 * reached.bit_count():
-            continue
+        if not bottom_only:
+            odd = reached = total = 0
+            for z in mids:
+                odd ^= masks[z]
+                reached |= masks[z]
+                total += len(ups[z])
+            if not odd and total == 2 * reached.bit_count():
+                continue
         paths: dict[int, int] = {}
         for z in mids:
             for y in ups[z]:
                 paths[y] = paths.get(y, 0) + 1
         unpaired = [y for y, count in paths.items() if count != 2]
-        if any(not poset.above[x] & poset.below[y] & ~masks[x] for y in unpaired):
+        if unpaired and (bottom_only or any(not poset.above[x] & poset.below[y] & ~masks[x]
+                                            for y in unpaired)):
             thin = False
             break
     poset._thin = thin
@@ -553,7 +602,9 @@ def mobius(poset: FacePoset, x: int, y: int) -> int:
     seen so far with mu = 1 (x first) and with mu = -1 are kept as two
     signed masks, so each z costs two ANDs and popcounts; the rare other
     nonzero values are kept in a dict of one mask per value, so a poset
-    that is not Eulerian still gets exact values.
+    that is not Eulerian still gets exact values.  The nodes of [x, y] are
+    read off ``below`` alone: those of ``below[y]`` and y whose own mask
+    holds x, so the ``above`` masks are not formed.
     """
     if not poset.leq(x, y):
         raise ValueError("x is not below y")
@@ -561,8 +612,11 @@ def mobius(poset: FacePoset, x: int, y: int) -> int:
     others: dict[int, int] = {}  # any other nonzero value c -> its nodes so far
     below = poset.below
     mu = 1
-    for z in members(poset.above[x] & (below[y] | 1 << y)):
+    bit = 1 << x
+    for z in members(below[y] | 1 << y):
         mask = below[z]
+        if not mask & bit:  # z is not above x
+            continue
         mu = (mask & minus).bit_count() - (mask & plus).bit_count()
         if others:
             mu -= sum(c * (mask & nodes).bit_count() for c, nodes in others.items())
@@ -605,7 +659,9 @@ def is_eulerian(poset: FacePoset) -> bool:
     intervals, which is Eulerian (Verma's theorem, with mu multiplicative
     on products; the proof is in that function's docstring).  So a
     smallest interval where the condition fails is some [0^, y] of even
-    length >= 4, and only x = 0^ is walked: one popcount per y.
+    length >= 4, and only x = 0^ is walked, with the nodes above it read
+    off bit 0 of the ``below`` masks in one linear pass, so the ``above``
+    masks are not formed.
 
     One popcount decides a pair x < y of one rank parity.  Let F be the
     nodes z >= x, ``odd`` the mask of the nodes of odd rank, E_in and O_in
@@ -616,23 +672,25 @@ def is_eulerian(poset: FacePoset) -> bool:
     balances iff E_in + [r(y) even] == O_in + [r(y) odd], that is iff
     E_in - O_in is 1 for r(x) odd and -1 for r(x) even (r(y) has the parity
     of r(x)); adding O_in + O_out, iff the popcount is odd_below[y] + 1 for
-    r(x) odd and odd_below[y] - 1 for r(x) even.
+    r(x) odd and odd_below[y] - 1 for r(x) even.  The walk over every x
+    visits each y from many x, so it lists odd_below[y] for every node
+    once; the walk from the bottom alone visits each y once and takes it
+    there, a second popcount.
 
     Nodes are stored in rank order, so each rank is a contiguous band of
     indices.  A table made once per call gives each rank the bands of the
     ranks 2, 4, ... (4, 6, ... when graded) above it that hold nodes, as
     (first index, all-ones mask of the width) pairs; the y above x are read
-    band by band from a slice of ``above[x]``, a small int.  ``odd`` is
-    ORed from the bands.
+    band by band from a slice of the mask of the nodes above x, a small
+    int.  ``odd`` is ORed from the bands.
     """
     shortest = 2  # the shortest interval length counted
-    xs = range(len(poset.nodes))  # the bottoms x of the intervals counted
+    bottom_only = False
     if _graded(poset):
         if not is_thin(poset):
             return False
         shortest = 4
-        if poset._boxes:
-            xs = range(1)
+        bottom_only = poset._boxes
     ranks, below = poset.ranks, poset.below
     bands: dict[int, tuple[int, int]] = {}  # rank -> (first index, all-ones mask of its width)
     for i, r in enumerate(ranks):
@@ -642,24 +700,27 @@ def is_eulerian(poset: FacePoset) -> bool:
     # rank -> the bands of the ranks shortest, shortest + 2, ... above it that hold nodes
     table = {r: [bands[t] for t in range(r + shortest, max(bands) + 1, 2) if t in bands]
              for r in bands}
+
+    def visited(x: int, up: int) -> list[int]:
+        """The y counted from x, in index order: ``up`` holds the nodes above x."""
+        return [start + k for start, full in table[ranks[x]] for k in members(up >> start & full)]
+
+    if bottom_only:
+        # the nodes whose below mask holds 0, as binary digits, highest first
+        up = int(bytes([m & 1 for m in reversed(below)]).translate(_BYTE_BITS), 2)
+        flip, sign = (up | 1) ^ odd, 1 if ranks[0] % 2 else -1
+        return all((below[y] & flip).bit_count() - (below[y] & odd).bit_count() == sign
+                   for y in visited(0, up))
     odd_below = [(mask & odd).bit_count() for mask in below]
     # the popcount each y needs, for x of even rank and for x of odd rank
     needs = ([c - 1 for c in odd_below], [c + 1 for c in odd_below])
-    for x in xs:
-        up = poset.above[x]
+    for x, up in enumerate(poset.above):
         if not up:
             continue
         flip = (up | 1 << x) ^ odd
         need = needs[ranks[x] % 2]
-        for start, full in table[ranks[x]]:
-            ys = up >> start & full
-            base = start - 1  # bit k of ys (from 0) is node base + k + 1
-            while ys:
-                low = ys & -ys
-                y = base + low.bit_length()
-                if (below[y] & flip).bit_count() != need[y]:
-                    return False
-                ys ^= low
+        if any((below[y] & flip).bit_count() != need[y] for y in visited(x, up)):
+            return False
     return True
 
 

@@ -32,6 +32,9 @@ when it is a shelling; neither uses a shelling search.
 lowest one at a time, the loop that ``posets.members`` replaced.
 ``mobius_by_value_classes`` keeps one mask per value of mu, where
 ``posets.mobius`` keeps the values 1 and -1 in two signed masks.
+``reverse_pass_masks`` is the pass that every ``FacePoset`` once ran at
+construction, where it now forms ``above`` and the up-cover masks only
+when one of them is first read.
 
 ``shelling_search`` is the repository's one search over orders of explicit
 facets (depth first, a dead-end memo, a validity test that scans every
@@ -355,6 +358,22 @@ def mobius_by_value_classes(poset, x: int, y: int) -> int:
         mu = -sum(c * (below & mask).bit_count() for c, mask in classes.items())
         classes[mu] = classes.get(mu, 0) | 1 << z
     return mu
+
+
+def reverse_pass_masks(poset) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``above`` and the mask of each node's upper covers, ORed over the
+    up-cover index in one reverse pass: every upper cover of lo has a
+    larger index, so reverse index order completes above[hi] before it is
+    read."""
+    ups = poset.up_covers()
+    above, cover = [0] * len(ups), [0] * len(ups)
+    for lo in range(len(ups) - 1, -1, -1):
+        mask = bits = 0
+        for hi in ups[lo]:
+            mask |= above[hi]
+            bits |= 1 << hi
+        above[lo], cover[lo] = mask | bits, bits
+    return tuple(above), tuple(cover)
 
 
 def chain_h_vector(poset) -> list[int]:

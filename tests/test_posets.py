@@ -360,7 +360,7 @@ def test_cover_builder_matches_pairwise_order(family, rank, n, cap, count):
     """build_interval equals FacePoset.from_qnodes and the tuple-key builder
     on sampled tops, and its nodes are exactly the family's labels below the
     top by qnode_leq.  It and two of its links carry the index their masks
-    give."""
+    give, and each link holds the nodes of its bottom's ``above`` mask."""
     group = WeylGroup(cartan_of_type(family, rank))
     labels = list(iter_qnodes(group, n, length_cap=cap))
     rng = random.Random(f"{family}{rank} n={n}")
@@ -373,7 +373,9 @@ def test_cover_builder_matches_pairwise_order(family, rank, n, cap, count):
         assert set(poset.nodes[1:]) == {q for q in labels if qnode_leq(q, top)}
         assert_shared_index(poset)
         for b in rng.sample(range(1, len(poset) - 1), 2):
-            assert_shared_index(link_poset(poset.nodes[b], top))
+            link = link_poset(poset.nodes[b], top)
+            assert set(link.nodes[1:]) == {poset.nodes[i] for i in members(poset.above[b])}
+            assert_shared_index(link)
 
 
 def test_integer_keys_match_tuple_key_builder():
@@ -478,6 +480,25 @@ def test_link_poset_matches_mask_restriction(A2):
             assert link.covers == FacePoset(link.nodes, link.ranks, link.below).covers
             links += 1
     assert links > 100
+
+
+def test_link_nodes_are_the_nodes_above_its_bottom():
+    """The nodes of a link, reached from its bottom up the interval's cover
+    index, are those of the bottom's ``above`` mask: on every link of every
+    hatQ top of rank >= 2."""
+    links = 0
+    for _, group, ns in _hatQ_families():
+        for n in ns:
+            for top in iter_qnodes(group, n):
+                if top.rank < 2:
+                    continue
+                interval = build_interval(top)
+                for b in range(1, len(interval) - 1):
+                    link = link_poset(interval.nodes[b], top)
+                    above = {interval.nodes[i] for i in members(interval.above[b])}
+                    assert set(link.nodes[1:]) == above
+                    links += 1
+    assert links == 3054
 
 
 def test_is_pure_counterexample():
@@ -774,26 +795,45 @@ def test_intervals_above_the_bottom_are_bruhat_boxes(A2, B2):
 
 def test_bottom_only_walks_match_the_walks_over_every_x(A2, B2):
     """On every ``build_interval`` poset of the differential set and the
-    rank-8 B2 n=2 (e; w0, w0) top, thinness and Eulerian-ness from the
-    bottom alone equal the walks over every x on the same masks, given
-    without the builder's fact; the Eulerian walk reads ``above`` of the
-    bottom only."""
+    rank-8 B2 n=2 (e; w0, w0) top, purity, thinness, Eulerian-ness and the
+    boundary's Euler characteristic equal those of the walks over every x
+    on the same masks, given without the builder's fact, and the all-pairs
+    oracle; they leave ``above`` and the up-cover masks unformed."""
     built = [poset for poset in _differential_posets(A2) if poset._boxes]
     assert len(built) == 244
     for poset in [*built, rank8_top(B2)]:
+        checks = (is_pure, is_thin, is_eulerian, open_boundary_euler)
+        verdicts = [check(poset) for check in checks]
+        assert poset._above is None and poset._cover_masks is None
         plain = FacePoset(poset.nodes, poset.ranks, poset.below)
         assert not plain._boxes and posets._graded(poset)
-        assert is_thin(poset) == is_thin(plain)
-        read = set()
+        assert verdicts == [check(plain) for check in checks]
+        assert verdicts[2] == oracle_is_eulerian(plain)
 
-        class Reads(tuple):
-            def __getitem__(self, i):
-                read.add(i)
-                return tuple.__getitem__(self, i)
 
-        poset.above = Reads(poset.above)
-        assert is_eulerian(poset) == is_eulerian(plain) == oracle_is_eulerian(plain)
-        assert read == {0}
+def test_lazy_masks_match_the_eager_reverse_pass(A2):
+    """``above`` and ``up_cover_masks()`` are formed together on the first
+    read of either (each read first on every other poset), equal the
+    reverse pass that construction once ran, and are the same objects at
+    every later read: on the differential posets (built intervals, braid
+    posets, links and posets from covers), the same posets given by their
+    masks alone, ``from_qnodes`` posets and the random graded posets."""
+    differential = list(_differential_posets(A2))
+    tops = [top for top in iter_qnodes(A2, 2) if top.rank >= 2]
+    for i, poset in enumerate([
+        *differential,
+        *(FacePoset(p.nodes, p.ranks, p.below) for p in differential),
+        *(FacePoset.from_qnodes(interval_labels(top))
+          for top in random.Random(29).sample(tops, 20)),
+        *random_graded_posets(random.Random(3), 300),
+    ]):
+        assert poset._above is None and poset._cover_masks is None
+        first = poset.above if i % 2 else poset.up_cover_masks()
+        assert poset._above is not None and poset._cover_masks is not None
+        above, masks = poset.above, poset.up_cover_masks()
+        assert first is (above if i % 2 else masks)
+        assert (above, masks) == oracles.reverse_pass_masks(poset)
+    assert i + 1 == 2 * len(differential) + 20 + 300
 
 
 @pytest.mark.parametrize(
