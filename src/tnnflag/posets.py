@@ -20,20 +20,17 @@ Every poset holds ``below`` and indexes the upper covers of each node
 once, as increasing tuples.  The ``above`` masks and the masks of the
 upper covers are formed together, in one reverse pass over the index,
 only when one of them is first read: by the shelling search and by the
-walks over every x, not by the checks of a poset from
-:func:`build_interval`.  ``verify.regularity_checks`` turns the verdicts
-into report entries.  Purity (:func:`is_pure`): O(1) per node when every
-cover raises the rank by one, read off the first and last up-cover of
-each node (the answer is kept on the poset); a height pass over the
-covers otherwise.  Thinness (:func:`is_thin`): a parity pass over the
-up-cover masks of the covers of each x settles x when every count of
-paths of two covers is 2; otherwise the counts, with a mask test only
-where a count is not 2; the verdict is kept on the poset.  Eulerian-ness
-(:func:`is_eulerian`): a node count on the even-length intervals only,
-one AND and one popcount per pair, with the y above x read rank band by
-rank band from a slice of ``above[x]``; on a graded poset the intervals
-of length 2 are decided by the kept thinness verdict and the count starts
-at length 4.
+Eulerian walk over every x.  ``verify.regularity_checks`` turns the
+verdicts into report entries.  Purity (:func:`is_pure`): O(1) per node
+when every cover raises the rank by one, read off the first and last
+up-cover of each node (the answer is kept on the poset); a height pass
+over the covers otherwise.  Thinness (:func:`is_thin`): the paths of two
+covers from x, counted on the index; a count other than 2 fails on a
+graded poset, and on one that is not graded only where no node below
+its end lies above a cover of x.  Eulerian-ness (:func:`is_eulerian`): a
+node count on the intervals of even length from 2, two ANDs and two
+popcounts per pair, with the y above x read rank band by rank band from
+a slice of the mask of the nodes above x.
 
 Both walks start from the bottom alone on a graded poset from
 :func:`build_interval`.  There every interval [x, y] with x above the
@@ -45,9 +42,9 @@ and so are their products, mu being multiplicative (Stanley, EC1, Prop.
 3.8.2).  So only the closed cells [0^, y], the subject of the paper's
 first theorem, are tested.  The builder records the fact on the poset;
 the posets of the other constructors, and any poset that is not graded,
-take the walks over every x, which stay the oracle.  From the bottom
-alone, thinness counts the paths of two covers on the index, and the
-Eulerian count reads the nodes above the bottom off the ``below`` masks.  The Euler characteristic of the open boundary
+take the walks over every x, which stay the oracle.  From the bottom,
+which lies below every other node, neither walk forms a mask beyond
+``below``.  The Euler characteristic of the open boundary
 (:func:`open_boundary_euler`): the Mobius function from the bottom to the
 top, in one pass in rank order over ``below``, with the nodes of value 1
 and -1 in two signed masks.
@@ -136,15 +133,12 @@ def qnode_leq(a: QNode, b: QNode) -> bool:
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # binary digits as false and true bytes
-_BYTE_BITS = bytes.maketrans(b"\0\1", b"01")  # and back
 
 
 def members(mask: int) -> list[int]:
     """The set bits of ``mask``, in increasing order: one C-level pass over
     its binary digits, lowest first."""
     return list(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
-
-
 
 
 class FacePoset:
@@ -163,18 +157,17 @@ class FacePoset:
     the index are formed at construction.  ``above`` is ORed over the index
     in one reverse pass, which also forms the mask of each node's upper
     covers (:meth:`up_cover_masks`), on the first read of either; the
-    shelling search and the walks over every x read them, the checks of a
-    poset from :func:`build_interval` do not.  ``below`` takes about
-    0.05 n^2 bytes for n nodes (508 bytes per node on the 9,698 nodes of
-    the A3 n=2 top (e ; w0, w0)); the reverse pass adds about 0.23 n^2
-    bytes (2,202 bytes per node there).  The poset is
-    immutable, so what is derived from it alone is kept once computed: the
-    two mask tuples, the cover pairs (:attr:`covers`), whether every cover
-    raises the rank by one (:func:`_graded`), and the verdict of
-    :func:`is_thin`, which :func:`is_eulerian` reads for its intervals of
-    length 2.  :func:`build_interval` also records that every interval
-    above the bottom is a box of Bruhat intervals (``_boxes``), so that
-    those two walk from the bottom alone.
+    shelling search and the Eulerian walk over every x read them, the
+    thinness and Eulerian checks of a poset from :func:`build_interval`
+    do not.  ``below`` takes about 0.05 n^2 bytes for n nodes (508 bytes
+    per node on the 9,698 nodes of the A3 n=2 top (e ; w0, w0)); the
+    reverse pass adds about 0.23 n^2 bytes (2,202 bytes per node there).
+    The poset is immutable, so what is derived from it alone is kept once
+    computed: the two mask tuples, the cover pairs (:attr:`covers`) and
+    whether every cover raises the rank by one (:func:`_graded`).
+    :func:`build_interval` also records that every interval above the
+    bottom is a box of Bruhat intervals (``_boxes``), so that
+    :func:`is_thin` and :func:`is_eulerian` walk from the bottom alone.
     """
 
     def __init__(self, nodes, ranks, below, ups=None):
@@ -198,7 +191,6 @@ class FacePoset:
         # above and the up-cover masks, formed together when either is first read
         self._above = self._cover_masks = None
         self._graded = None  # the answer of _graded, kept at its first call
-        self._thin = None  # the verdict of is_thin, kept at its first call
         # set by build_interval alone: every [x, y] with x above the bottom
         # is a product of Bruhat intervals
         self._boxes = False
@@ -363,10 +355,11 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> FacePoset:
     2.7.10) and thin (ibid., Lemma 2.7.3), and so are their duals.  So is
     a product of them: ranks add, and mu is multiplicative on products
     (Stanley, EC1, Prop. 3.8.2), so mu(x, y) = (-1)^(r(y) - r(x)); an
-    Eulerian graded poset is thin (see :func:`is_eulerian`).  The poset
-    returned records this fact (``_boxes``; no other constructor sets it),
-    and :func:`is_thin` and :func:`is_eulerian` then test only the
-    intervals [0^, y], the closed cells.
+    Eulerian graded poset is thin (an interval of length 2 with m middle
+    nodes has mu = m - 1).  The poset returned records this fact
+    (``_boxes``; no other constructor sets it), and :func:`is_thin` and
+    :func:`is_eulerian` then test only the intervals [0^, y], the closed
+    cells.
 
     The lower covers of (v, wbar) are the labels (v', wbar) with v' an
     upper Bruhat cover of v, and (v, wbar) with one factor replaced by a
@@ -467,7 +460,7 @@ def braid_poset(group: WeylGroup, letters) -> FacePoset:
 def link_poset(bottom: QNode, top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> FacePoset:
     """Face poset of the link: strata strictly above bottom, up to top."""
     interval = build_interval(top, node_cap=node_cap)
-    if bottom == top or bottom not in interval.nodes:
+    if bottom == top or bottom not in interval.nodes[1:]:
         raise ValueError("bottom must be strictly below top")
     b = interval.index(bottom)
     ups = interval.up_covers()
@@ -540,58 +533,35 @@ def is_thin(poset: FacePoset) -> bool:
 
     [x, y] has only chains of length 2 iff y is two covers above x and
     every element strictly between covers x.  Count the paths x < z < y
-    of two covers into each such y.  If every element between x and y
-    covers x, each of them is also covered by y (an element strictly
-    between it and y would lie between x and y without covering x), so the
-    count is the number of elements between.  Hence a count of 2 passes,
-    and any other count fails iff every element between covers x: only
-    those y need the mask test.
-
-    A parity pass over the kept up-cover masks settles most x first.  Bit y of
-    the XOR of the masks of the covers of x is the parity of the count of
-    y, and the covers' cover counts sum to the total count.  If the XOR is
-    0, every count is even, so at least 2; if besides the total is twice
-    the number of y reached (the popcount of the OR), every count is 2 and
-    x passes.  Any other x takes the exact count.
+    of two covers into each such y, on the up-cover index.  If every
+    element between x and y covers x, each of them is also covered by y
+    (an element strictly between it and y would lie between x and y
+    without covering x), so the count is the number of elements between.
+    Hence a count of 2 passes, and any other count fails iff every element
+    between covers x, that is, iff no node of ``below[y]`` lies above a
+    cover of x.  On a graded poset (:func:`_graded`) every node strictly
+    between x and y has rank r(x) + 1 and covers x, so any count other
+    than 2 fails without that test.
 
     On a graded poset from :func:`build_interval` (``_boxes`` set) every
     interval [x, y] with x above the bottom is a product of Bruhat
     intervals, which is thin (the proof is in that function's docstring),
-    so only x = 0^ is counted, straight from the index: neither the
-    parity pass nor the mask test is run, so no mask is formed.  On a
-    graded poset every node strictly between x and a y two covers above it
-    has rank r(x) + 1, so it covers x, and any count other than 2 fails.
-
-    The poset is immutable, so the verdict is kept on it at the first call
-    and returned by every later one (:func:`is_eulerian` reads it too).
+    so only x = 0^ is counted.  No mask beyond ``below`` is read.
     """
-    if poset._thin is not None:
-        return poset._thin
-    ups = poset.up_covers()
-    bottom_only = poset._boxes and _graded(poset)
-    masks = None if bottom_only else poset.up_cover_masks()
-    thin = True
-    for x in range(1 if bottom_only else len(ups)):
-        mids = ups[x]
-        if not bottom_only:
-            odd = reached = total = 0
-            for z in mids:
-                odd ^= masks[z]
-                reached |= masks[z]
-                total += len(ups[z])
-            if not odd and total == 2 * reached.bit_count():
-                continue
+    ups, below = poset.up_covers(), poset.below
+    graded = _graded(poset)
+    for x in range(1 if graded and poset._boxes else len(ups)):
         paths: dict[int, int] = {}
-        for z in mids:
+        for z in ups[x]:
             for y in ups[z]:
                 paths[y] = paths.get(y, 0) + 1
-        unpaired = [y for y, count in paths.items() if count != 2]
-        if unpaired and (bottom_only or any(not poset.above[x] & poset.below[y] & ~masks[x]
-                                            for y in unpaired)):
-            thin = False
-            break
-    poset._thin = thin
-    return thin
+        covering = sum(1 << z for z in ups[x])
+        # a count other than 2 fails on a graded poset, and on any other one
+        # iff no node below y lies above a cover of x
+        if any(graded or not any(below[w] & covering for w in members(below[y]))
+               for y, count in paths.items() if count != 2):
+            return False
+    return True
 
 
 def mobius(poset: FacePoset, x: int, y: int) -> int:
@@ -644,83 +614,49 @@ def is_eulerian(poset: FacePoset) -> bool:
     When r(y) - r(x) is odd the bracket is +-2, so S == 0 follows.  Hence
     a smallest interval where the condition fails has even length, and by
     induction on the interval size it is enough to count the nodes of the
-    even-length intervals.
-
-    On a graded poset (:func:`_graded`) the intervals of length 2 are the
-    thinness condition: the m nodes strictly between x and y all cover x,
-    so mu(x, y) = m - 1, which is 1 iff m == 2.  So a poset that is not
-    thin is not Eulerian, and on a thin one the count starts at length 4;
-    :func:`is_thin` keeps its verdict on the poset, so a caller that ran it
-    first pays nothing here.  A poset that is not graded counts from
-    length 2.
+    intervals of length 2, 4, ...
 
     On a graded poset from :func:`build_interval` (``_boxes`` set) every
     interval [x, y] with x above the bottom is a product of Bruhat
     intervals, which is Eulerian (Verma's theorem, with mu multiplicative
     on products; the proof is in that function's docstring).  So a
-    smallest interval where the condition fails is some [0^, y] of even
-    length >= 4, and only x = 0^ is walked, with the nodes above it read
-    off bit 0 of the ``below`` masks in one linear pass, so the ``above``
-    masks are not formed.
+    smallest interval where the condition fails is some [0^, y], and only
+    x = 0^ is walked, with every other node above it: the ``above`` masks
+    are not formed.  Every other poset walks every x over ``above``.
 
-    One popcount decides a pair x < y of one rank parity.  Let F be the
-    nodes z >= x, ``odd`` the mask of the nodes of odd rank, E_in and O_in
-    the numbers of nodes of even and of odd rank in [x, y), and O_out the
-    number of odd rank strictly below y outside F.  F ^ odd is (F and even) plus (odd outside
-    F), so ``(below[y] & (F ^ odd)).bit_count()`` is E_in + O_out, and
-    O_in + O_out is odd_below[y], the odd nodes strictly below y.  [x, y]
-    balances iff E_in + [r(y) even] == O_in + [r(y) odd], that is iff
-    E_in - O_in is 1 for r(x) odd and -1 for r(x) even (r(y) has the parity
-    of r(x)); adding O_in + O_out, iff the popcount is odd_below[y] + 1 for
-    r(x) odd and odd_below[y] - 1 for r(x) even.  The walk over every x
-    visits each y from many x, so it lists odd_below[y] for every node
-    once; the walk from the bottom alone visits each y once and takes it
-    there, a second popcount.
+    Two popcounts decide a pair x < y of one rank parity.  Let F be the
+    nodes z >= x and ``odd`` the mask of the nodes of odd rank.  F ^ odd
+    is (F and even) plus (odd outside F), so the popcount of ``below[y]``
+    masked by it, less that of ``below[y] & odd``, is E - O for the
+    numbers E and O of nodes of even and of odd rank in [x, y).  [x, y]
+    balances iff E - O is 1 for r(x) odd and -1 for r(x) even (r(y) has
+    the parity of r(x)).
 
     Nodes are stored in rank order, so each rank is a contiguous band of
     indices.  A table made once per call gives each rank the bands of the
-    ranks 2, 4, ... (4, 6, ... when graded) above it that hold nodes, as
-    (first index, all-ones mask of the width) pairs; the y above x are read
-    band by band from a slice of the mask of the nodes above x, a small
-    int.  ``odd`` is ORed from the bands.
+    ranks 2, 4, ... above it that hold nodes, as (first index, all-ones
+    mask of the width) pairs; the y above x are read band by band from a
+    slice of the mask of the nodes above x, a small int.  ``odd`` is ORed
+    from the bands.
     """
-    shortest = 2  # the shortest interval length counted
-    bottom_only = False
-    if _graded(poset):
-        if not is_thin(poset):
-            return False
-        shortest = 4
-        bottom_only = poset._boxes
     ranks, below = poset.ranks, poset.below
     bands: dict[int, tuple[int, int]] = {}  # rank -> (first index, all-ones mask of its width)
     for i, r in enumerate(ranks):
         start, full = bands.get(r, (i, 0))
         bands[r] = (start, full << 1 | 1)
     odd = sum(full << start for r, (start, full) in bands.items() if r % 2)  # disjoint bands
-    # rank -> the bands of the ranks shortest, shortest + 2, ... above it that hold nodes
-    table = {r: [bands[t] for t in range(r + shortest, max(bands) + 1, 2) if t in bands]
-             for r in bands}
-
-    def visited(x: int, up: int) -> list[int]:
-        """The y counted from x, in index order: ``up`` holds the nodes above x."""
-        return [start + k for start, full in table[ranks[x]] for k in members(up >> start & full)]
-
-    if bottom_only:
-        # the nodes whose below mask holds 0, as binary digits, highest first
-        up = int(bytes([m & 1 for m in reversed(below)]).translate(_BYTE_BITS), 2)
-        flip, sign = (up | 1) ^ odd, 1 if ranks[0] % 2 else -1
-        return all((below[y] & flip).bit_count() - (below[y] & odd).bit_count() == sign
-                   for y in visited(0, up))
-    odd_below = [(mask & odd).bit_count() for mask in below]
-    # the popcount each y needs, for x of even rank and for x of odd rank
-    needs = ([c - 1 for c in odd_below], [c + 1 for c in odd_below])
-    for x, up in enumerate(poset.above):
-        if not up:
-            continue
-        flip = (up | 1 << x) ^ odd
-        need = needs[ranks[x] % 2]
-        if any((below[y] & flip).bit_count() != need[y] for y in visited(x, up)):
-            return False
+    # rank -> the bands of the ranks 2, 4, ... above it that hold nodes
+    table = {r: [bands[t] for t in range(r + 2, max(bands) + 1, 2) if t in bands] for r in bands}
+    # (x, the mask of the nodes above x): the bottom is below every other node
+    starts = ([(0, (1 << len(below)) - 2)] if poset._boxes and _graded(poset)
+              else enumerate(poset.above))
+    for x, up in starts:
+        flip, sign = (up | 1 << x) ^ odd, 1 if ranks[x] % 2 else -1
+        for start, full in table[ranks[x]]:
+            for k in members(up >> start & full):
+                mask = below[start + k]
+                if (mask & flip).bit_count() - (mask & odd).bit_count() != sign:
+                    return False
     return True
 
 

@@ -454,8 +454,10 @@ def test_link_posets(A1):
     vertex_link = link_poset(make_qnode(s, (s, e)), top)
     assert vertex_link.f_vector() == (2, 1)
     assert is_pure(vertex_link) and is_thin(vertex_link)
-    with pytest.raises(ValueError):
-        link_poset(top, top)
+    # neither the top nor the interval's synthetic bottom is a link's bottom
+    for bottom in (top, BOTTOM):
+        with pytest.raises(ValueError, match="strictly below top"):
+            link_poset(bottom, top)
 
 
 def test_link_poset_matches_mask_restriction(A2):
@@ -538,8 +540,8 @@ def test_open_boundary_euler_needs_unique_maximum():
         (["a", "b"], [("a", "b")]),
         # a diamond with a tail: [a, t] has the single middle element c
         (["a", "b", "c", "t"], [("a", "c"), ("b", "c"), ("c", "t")]),
-        # four atoms below a top: the path count 4 is even, so the parity
-        # pass of is_thin needs the total to reject it
+        # four atoms below a top: [0^, t] has the path count 4, even but
+        # not 2
         (["a", "b", "c", "d", "t"], [(x, "t") for x in "abcd"]),
     ],
 )
@@ -560,8 +562,9 @@ def test_path_count_three_on_a_length_two_interval():
 
 def test_path_count_off_two_on_a_longer_interval():
     """[0^, y] has one path of two covers (through r) but length 3 (through
-    an edge), so the path count is not 2 and the mask test passes it; every
-    interval of length 2 has two middle elements."""
+    an edge), so the path count is not 2, but a node below y (e) lies above
+    a cover of 0^ (p) on this ungraded poset, and it passes; every interval
+    of length 2 has two middle elements."""
     poset = from_covers(
         ["p", "q", "e", "f", "r", "y"],
         [("p", "e"), ("q", "e"), ("p", "f"), ("q", "f"), ("e", "y"), ("f", "y"), ("r", "y")],
@@ -622,14 +625,26 @@ def test_graded_fast_path_matches_height_pass(A2, monkeypatch):
 
 
 def test_thin_path_count_matches_mask_scan(A2):
-    """Thinness by two-step path counts equals the mask scan on every
-    differential poset."""
+    """Thinness by two-step path counts on the up-cover index equals the
+    mask scan and the chain-length table, and forms neither ``above`` nor
+    the up-cover masks: on the differential posets, the same posets given
+    by their masks alone, ``from_qnodes`` posets and the random graded
+    posets."""
+    differential = list(_differential_posets(A2))
+    tops = [top for top in iter_qnodes(A2, 2) if top.rank >= 2]
     verdicts = set()
-    for poset in _differential_posets(A2):
+    for poset in [
+        *differential,
+        *(FacePoset(p.nodes, p.ranks, p.below) for p in differential),
+        *(FacePoset.from_qnodes(interval_labels(top))
+          for top in random.Random(29).sample(tops, 20)),
+        *random_graded_posets(random.Random(3), 300),
+    ]:
         thin = is_thin(poset)
-        assert thin == mask_scan_is_thin(poset)
-        verdicts.add(thin)
-    assert verdicts == {True, False}
+        assert poset._above is None and poset._cover_masks is None
+        assert thin == mask_scan_is_thin(poset) == oracle_is_thin(poset)
+        verdicts.add((posets._graded(poset), thin))  # (graded, thin)
+    assert verdicts == {(True, True), (True, False), (False, False)}
 
 
 def test_eulerian_boundary_and_covers_match_oracles(A2, monkeypatch):
@@ -639,16 +654,22 @@ def test_eulerian_boundary_and_covers_match_oracles(A2, monkeypatch):
     covers in order and gives ``above`` as the transpose of ``below``, on
     the builders' posets and on posets given by their masks alone.
 
-    The Eulerian verdict is the same on a fresh poset, after ``is_thin``
-    has kept its verdict, and by the walk from length 2 that a poset which
-    is not graded takes; the kept thinness verdict equals the mask scan at
-    every call.  Graded thin, graded not thin and ungraded posets occur."""
+    The Eulerian walk never calls ``is_thin``: with it made to raise, the
+    verdict on each poset and on the same masks alone equals the all-pairs
+    Mobius test.  Graded thin, graded not thin and ungraded posets occur."""
     verdicts = set()
     kinds = set()
     maxima = 0
+
+    def no_thin(poset):
+        raise AssertionError("is_eulerian called is_thin")
+
     for poset in _differential_posets(A2):
-        assert poset._thin is None
-        eulerian = is_eulerian(poset)
+        masks_only = FacePoset(poset.nodes, poset.ranks, poset.below)
+        with monkeypatch.context() as m:
+            m.setattr(posets, "is_thin", no_thin)
+            eulerian = is_eulerian(poset)
+            assert is_eulerian(masks_only) == eulerian == oracle_is_eulerian(poset)
         ups = poset.up_covers()
         assert type(ups) is tuple and all(type(u) is tuple for u in ups)
         assert poset.up_covers() is ups
@@ -659,14 +680,9 @@ def test_eulerian_boundary_and_covers_match_oracles(A2, monkeypatch):
             for i in members(mask):
                 transpose[i] |= 1 << j
         assert list(poset.above) == transpose
-        masks_only = FacePoset(poset.nodes, poset.ranks, poset.below)
         assert masks_only.up_covers() == ups and masks_only.above == poset.above
         thin = mask_scan_is_thin(poset)
-        assert is_thin(masks_only) == is_thin(masks_only) == is_thin(poset) == thin
-        assert is_eulerian(masks_only) == eulerian == oracle_is_eulerian(poset)
-        with monkeypatch.context() as m:
-            m.setattr(posets, "_graded", lambda poset: False)
-            assert is_eulerian(poset) == eulerian
+        assert is_thin(masks_only) == is_thin(poset) == thin
         graded = posets._graded(poset)
         kinds.add((graded, thin and graded))
         verdicts.add(eulerian)
@@ -872,9 +888,9 @@ def test_hatQ_counts_a_differing_verdict_as_a_builder_mismatch(monkeypatch):
     assert len(entry["witness"]["bad"]) == 1 and entry["witness"]["bad"][0].startswith("A2 n=2")
 
 
-def test_thin_parity_pass_falls_back_on_counts_one_and_three():
+def test_thin_counts_one_and_three_fail_on_a_graded_poset():
     """From 0^, y1 has one path of two covers and y2 three: the mean count
-    is 2 but the parities are odd, so the exact rule decides, and fails."""
+    is 2, but on a graded poset any count other than 2 fails."""
     poset = from_covers(
         ["a", "b", "c", "y1", "y2"], [("a", "y1"), ("a", "y2"), ("b", "y2"), ("c", "y2")]
     )
@@ -882,19 +898,22 @@ def test_thin_parity_pass_falls_back_on_counts_one_and_three():
     assert (two_step_paths(poset, 0, y1), two_step_paths(poset, 0, y2)) == (1, 3)
     ups = poset.up_covers()
     assert sum(len(ups[z]) for z in ups[0]) == 2 * len({y1, y2})
+    assert posets._graded(poset)
     assert not is_thin(poset) and not oracle_is_thin(poset) and not mask_scan_is_thin(poset)
 
 
-def test_thin_parity_pass_falls_back_to_a_passing_mask_test():
+def test_thin_odd_count_passes_on_an_ungraded_poset():
     """From 0^, y has three paths of two covers (through p, q, r) but also
     chains of length 3 (through e or f, then m or m'), so [0^, y] is no
-    interval of length 2: the count is odd, and the mask test passes it."""
+    interval of length 2: on this ungraded poset the count 3 passes, since
+    a node below y (m) lies above a cover of 0^ (e)."""
     poset = from_covers(
         ["p", "q", "r", "e", "f", "m", "m'", "y"],
         [("e", "m"), ("f", "m"), ("e", "m'"), ("f", "m'"),
          ("p", "y"), ("q", "y"), ("r", "y"), ("m", "y"), ("m'", "y")],
     )
     assert two_step_paths(poset, 0, poset.index("y")) == 3
+    assert not posets._graded(poset)
     assert is_thin(poset) and oracle_is_thin(poset) and mask_scan_is_thin(poset)
 
 
