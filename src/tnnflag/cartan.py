@@ -50,20 +50,6 @@ class GeneralizedCartanMatrix:
         """Positions of thickening vertices (labels ``inf*``)."""
         return tuple(i for i, lab in enumerate(self.labels) if lab.startswith(INF_PREFIX))
 
-    def submatrix(self, positions) -> "GeneralizedCartanMatrix":
-        pos = tuple(positions)
-        return GeneralizedCartanMatrix(
-            tuple(self.labels[p] for p in pos),
-            tuple(tuple(self.entries[p][q] for q in pos) for p in pos),
-        )
-
-    def to_json(self) -> dict:
-        return {"labels": list(self.labels), "matrix": [list(row) for row in self.entries]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "GeneralizedCartanMatrix":
-        return cls(tuple(data["labels"]), tuple(tuple(row) for row in data["matrix"]))
-
 
 def _chain(rank: int) -> list[list[int]]:
     a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]

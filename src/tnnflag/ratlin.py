@@ -92,10 +92,6 @@ def mat_mul(*ms: Mat) -> Mat:
     return fraction_matrix((int_mul(*(m for m, _ in forms)), prod(d for _, d in forms)))
 
 
-def transpose(a: Mat) -> Mat:
-    return tuple(zip(*a))
-
-
 def int_det(a: IntMat) -> int:
     """Determinant of a square int matrix by Bareiss elimination.
 
@@ -189,11 +185,3 @@ def mat_inv(a: Mat) -> Mat:
 
 def submatrix(a: Mat, rows, cols) -> Mat:
     return tuple(tuple(a[i][j] for j in cols) for i in rows)
-
-
-def mat_to_json(a: Mat) -> list[list[str]]:
-    return [[str(x) for x in row] for row in a]
-
-
-def mat_from_json(rows) -> Mat:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)

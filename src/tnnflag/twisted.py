@@ -96,11 +96,25 @@ class ZPoint:
         return f"ZPoint(factors={self.factors!r})"
 
     def to_json(self) -> dict:
-        return {"factors": [ratlin.mat_to_json(g) for g in self.factors]}
+        """``{"factors": [matrix, ...]}``, each entry of a matrix a ``"p/q"`` string."""
+        return {"factors": [[[str(x) for x in row] for row in g] for g in self.factors]}
 
     @classmethod
-    def from_json(cls, data: dict) -> "ZPoint":
-        return cls(tuple(ratlin.mat_from_json(g) for g in data["factors"]))
+    def from_json(cls, data) -> "ZPoint":
+        """The point ``to_json`` wrote.  ValueError on anything else: a
+        malformed layout, an entry that is no rational, or a factor that
+        ``ZPoint`` refuses."""
+        factors = data.get("factors") if isinstance(data, dict) else None
+        if not (isinstance(factors, list) and all(
+                isinstance(g, list) and all(
+                    isinstance(row, list) and all(isinstance(x, str) for x in row) for row in g)
+                for g in factors)):
+            raise ValueError("factors must be a list of matrices, each matrix a list of rows, "
+                             "each row a list of strings")
+        try:
+            return cls(tuple(tuple(tuple(Fraction(x) for x in row) for row in g) for g in factors))
+        except ZeroDivisionError:
+            raise ValueError("an entry has denominator 0") from None
 
 
 def _check_factors(forms) -> tuple[slk.FlagPoint, ...]:
@@ -159,14 +173,6 @@ def stratum(z: ZPoint) -> tuple[WeylElt, tuple[WeylElt, ...]]:
     return z._stratum
 
 
-def nonempty(v: WeylElt, wbar) -> bool:
-    """The stratum (v, wbar) is nonempty iff v is below the Demazure product."""
-    group = v.group
-    wbar = tuple(wbar)
-    group.check_same(v, *wbar)
-    return group.bruhat_leq(v, group.m_star(wbar))
-
-
 def convolution(z: ZPoint) -> slk.FlagPoint:
     return slk.FlagPoint.of_form(_product(z))
 
@@ -212,8 +218,8 @@ def parametrize_cell(
     if group is not type_a_group(k):
         raise ContextMismatchError(f"parametrize_cell takes elements of type_a_group({k}), "
                                    f"not of {group!r}")
-    if not nonempty(v, wbar):
-        raise ValueError("empty stratum: v is not below the Demazure product")
+    # raises ValueError on an empty stratum, where v is not below m_star(wbar)
+    vbar = positive_tuple(v, wbar)
     if words is None:
         words = [w.word for w in wbar]
     words = [tuple(word) for word in words]
@@ -222,7 +228,6 @@ def parametrize_cell(
     for w, word in zip(wbar, words):
         if group.from_word(word) != w or len(word) != w.length:
             raise ValueError(f"{word!r} is not a reduced word of {w.describe()}")
-    vbar = positive_tuple(v, wbar)
     dim = sum(w.length for w in wbar) - v.length
     params = [Fraction(p) for p in params]
     if len(params) != dim:

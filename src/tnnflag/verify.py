@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import product
 
-from . import jsonio, posets, ratlin, slk, twisted
+from . import posets, ratlin, slk, twisted
 from .cartan import cartan_of_type
 from .posets import (
     DEFAULT_NODE_CAP,
@@ -201,6 +201,11 @@ def check_regular_ball(
     return interval_report("check_regular_ball", top, BALL_CHECKS, inputs, node_cap, budget)
 
 
+def _word(w) -> list[int]:
+    """The canonical word of w with 1-based letters, as the reports write it."""
+    return [t + 1 for t in w.word]
+
+
 @_timed
 def cell_report(v, wbar, words, runs, seed: int) -> CellReport:
     """The stratum (v, wbar), ``words`` the reduced words of wbar, parametrized
@@ -209,8 +214,7 @@ def cell_report(v, wbar, words, runs, seed: int) -> CellReport:
     A failed internal assertion fails that point's check, with the error as
     witness; an empty stratum or a bad parameter raises ValueError."""
     report = CellReport("cell", {
-        "k": v.group.rank + 1, "n": len(wbar), "v": jsonio.element_to_json(v),
-        "w": [jsonio.element_to_json(w) for w in wbar],
+        "k": v.group.rank + 1, "n": len(wbar), "v": _word(v), "w": [_word(w) for w in wbar],
         "dimension": sum(w.length for w in wbar) - v.length,
     }, seed=seed)
     for idx, params in enumerate(runs):
@@ -222,7 +226,8 @@ def cell_report(v, wbar, words, runs, seed: int) -> CellReport:
             continue
         sv, swbar = twisted.stratum(z)
         report.points.append({
-            "params": strs, "point": z.to_json(), "stratum": jsonio.stratum_to_json(sv, swbar),
+            "params": strs, "point": z.to_json(),
+            "stratum": {"v": _word(sv), "w": [_word(w) for w in swbar]},
             "factor_tnn": [slk.is_tnn(g) for g in z.factors],
             "det": [str(ratlin.det(g)) for g in z.factors],
         })

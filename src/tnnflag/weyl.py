@@ -495,7 +495,7 @@ def positive_tuple(v: WeylElt, wbar) -> tuple[WeylElt, ...]:
     word = tuple(t for w in wbar for t in w.word)
     taken, u = group._descent_greedy(v, word)
     if u is not group.identity:
-        raise ValueError("v is not below the Demazure product of the tuple")
+        raise ValueError("empty stratum: v is not below the Demazure product of the tuple")
     if not is_positive_subexpression(group, word, taken):
         raise AssertionError("greedy output violates the positivity condition")
     parts: list[WeylElt] = []

@@ -181,7 +181,7 @@ def word_product(k, word):
 def phi_flag(f):
     """Duality on flags, g B+ -> iota(w0dot^{-1} g) B+, with w0dot^{-1} multiplied out."""
     k = len(f.rep)
-    return slk.FlagPoint(slk.iota(frac_mat_mul(ratlin.transpose(slk.w0_dot(k)), f.rep)))
+    return slk.FlagPoint(slk.iota(frac_mat_mul(tuple(zip(*slk.w0_dot(k))), f.rep)))
 
 
 def is_upper_triangular(a):

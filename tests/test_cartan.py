@@ -61,7 +61,7 @@ def test_thicken_a3_three_factors_matches_diagram():
     out = thicken(a, 3)
     assert out.labels == ("1", "2", "3", "inf1", "inf2")
     # original block preserved exactly
-    assert out.submatrix(range(3)).entries == a.entries
+    assert tuple(row[:3] for row in out.entries[:3]) == a.entries
     # every inf vertex joined to every other vertex by a -2 pair
     for p in (3, 4):
         for q in range(5):
@@ -75,10 +75,5 @@ def test_thicken_invariants(family, rank, n):
     a = cartan_of_type(family, rank)
     out = thicken(a, n)
     GeneralizedCartanMatrix(out.labels, out.entries)  # revalidates
-    assert out.submatrix(range(a.rank)).entries == a.entries
+    assert tuple(row[:a.rank] for row in out.entries[:a.rank]) == a.entries
     assert thicken(thicken(a, 1), n) == thicken(a, n)
-
-
-def test_json_round_trip():
-    a = thicken(cartan_of_type("A", 2), 3)
-    assert GeneralizedCartanMatrix.from_json(a.to_json()) == a

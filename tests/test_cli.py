@@ -210,15 +210,29 @@ def test_cell_command_fails_a_point_that_breaks_an_assertion(capsys, monkeypatch
 
 
 def test_cell_command_random(capsys):
-    code, out, _ = run(
-        capsys,
-        "cell", "--k", "3", "--n", "2", "--v", "", "--w", "(1,2);(2,1)",
-        "--random", "10", "--seed", "7",
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert len(payload["points"]) == 10
-    assert all(c["status"] == "pass" for c in payload["checks"])
+    """Random points pass their checks, on a k=3 n=2 and a k=4 n=1 stratum.
+    Every point the report writes decodes by ``ZPoint.from_json`` to a
+    point of the report's stratum, which encodes back to the point as
+    written."""
+    for k, n, v, w, count in (("3", "2", "", "(1,2);(2,1)", 10), ("4", "1", "(2)", "(1,2,3,2)", 3)):
+        code, out, _ = run(
+            capsys,
+            "cell", "--k", k, "--n", n, "--v", v, "--w", w,
+            "--random", str(count), "--seed", "7",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload["points"]) == count
+        assert all(c["status"] == "pass" for c in payload["checks"])
+        group = type_a_group(int(k))
+        for point in payload["points"]:
+            z = twisted.ZPoint.from_json(point["point"])
+            label = point["stratum"]
+            assert twisted.stratum(z) == (
+                group.from_word(t - 1 for t in label["v"]),
+                tuple(group.from_word(t - 1 for t in word) for word in label["w"]),
+            )
+            assert z.to_json() == point["point"]
 
 
 @pytest.mark.parametrize(

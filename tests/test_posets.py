@@ -628,8 +628,9 @@ def test_thin_path_count_matches_mask_scan(A2):
     """Thinness by two-step path counts on the up-cover index equals the
     mask scan and the chain-length table, and forms neither ``above`` nor
     the up-cover masks: on the differential posets, the same posets given
-    by their masks alone, ``from_qnodes`` posets and the random graded
-    posets."""
+    by their masks alone, ``from_qnodes`` posets, the random graded posets
+    and two ungraded thin face posets.  All four (graded, thin) kinds
+    occur."""
     differential = list(_differential_posets(A2))
     tops = [top for top in iter_qnodes(A2, 2) if top.rank >= 2]
     verdicts = set()
@@ -639,12 +640,17 @@ def test_thin_path_count_matches_mask_scan(A2):
         *(FacePoset.from_qnodes(interval_labels(top))
           for top in random.Random(29).sample(tops, 20)),
         *random_graded_posets(random.Random(3), 300),
+        # the boundary of a triangle and of a tetrahedron, each with an
+        # isolated vertex: ungraded and thin, which no poset above is
+        *(simplicial_face_poset([*map(frozenset, combinations(range(d + 1), d)),
+                                 frozenset({d + 1})])
+          for d in (2, 3)),
     ]:
         thin = is_thin(poset)
         assert poset._above is None and poset._cover_masks is None
         assert thin == mask_scan_is_thin(poset) == oracle_is_thin(poset)
         verdicts.add((posets._graded(poset), thin))  # (graded, thin)
-    assert verdicts == {(True, True), (True, False), (False, False)}
+    assert verdicts == set(product((True, False), repeat=2))
 
 
 def test_eulerian_boundary_and_covers_match_oracles(A2, monkeypatch):

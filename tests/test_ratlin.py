@@ -102,7 +102,7 @@ def test_shapes_are_checked():
         ratlin.det(((1, 2), (3,)))
     with pytest.raises(ValueError, match="cannot multiply"):
         ratlin.mat_mul(wide, wide)
-    assert ratlin.mat_mul(wide, ratlin.transpose(wide)) == ((14, 32), (32, 77))
+    assert ratlin.mat_mul(wide, tuple(zip(*wide))) == ((14, 32), (32, 77))
 
 
 def test_integer_forms():
@@ -204,7 +204,7 @@ def test_mat_mul_is_associative(chain):
 @given(square_pair())
 def test_det_of_transpose(pair):
     a = pair[0]
-    assert ratlin.det(ratlin.transpose(a)) == ratlin.det(a)
+    assert ratlin.det(tuple(zip(*a))) == ratlin.det(a)
 
 
 @SETTINGS

@@ -302,7 +302,7 @@ def test_w0_dot_closed_form():
     for k in range(2, 7):
         w0d = slk.w0_dot(k)
         assert w0d == w0_dot_by_word(k)
-        assert ratlin.transpose(w0d) == ratlin.mat_inv(w0d)
+        assert tuple(zip(*w0d)) == ratlin.mat_inv(w0d)
 
 
 def test_bruhat_cell_matches_elimination_oracle_random():
@@ -400,7 +400,7 @@ def test_is_tnn_at_k8():
     )
     assert all(x > 0 for row in g for x in row)
     assert slk.is_tnn(g)
-    assert slk.is_tnn(ratlin.transpose(g))
+    assert slk.is_tnn(tuple(zip(*g)))
     # swapping two rows and two columns keeps every entry and det(g) positive,
     # but the minor on rows 1, 2 and columns 1, 3 becomes negative
     swapped = (g[1], g[0]) + g[2:]

@@ -77,19 +77,6 @@ def test_stratum_examples(S3):
         assert v == from_perm(S3, slk.opposite_cell(prod))
 
 
-def test_nonempty(S3):
-    e = S3.identity
-    s1, s2 = S3.simple(0), S3.simple(1)
-    for w in S3.elements_up_to_length(3):
-        assert twisted.nonempty(e, (w, w))
-    A1 = type_a_group(2)
-    s = A1.simple(0)
-    assert twisted.nonempty(s, (s, A1.identity))
-    assert not twisted.nonempty(s, (A1.identity, A1.identity))
-    w0 = S3.from_word((0, 1, 0))
-    assert twisted.nonempty(w0, (S3.multiply(s1, s2), S3.multiply(s2, s1)))
-
-
 def test_zpoint_validation():
     """No factors, factors of mixed sizes and a singular factor are refused by
     both constructors; the singular factor also by double_bruhat_embed."""
@@ -132,7 +119,8 @@ def test_zpoint_refuses_sizes_outside_two_to_k_max():
             with pytest.raises(ValueError, match=message):
                 twisted.ZPoint.of_forms(tuple(ratlin.int_form(g, square=True) for g in factors))
             with pytest.raises(ValueError, match=message):
-                twisted.ZPoint.from_json({"factors": [ratlin.mat_to_json(g) for g in factors]})
+                twisted.ZPoint.from_json({"factors": [[[str(x) for x in row] for row in g]
+                                                      for g in factors]})
     for k in (2, slk.K_MAX):
         assert twisted.ZPoint((identity(k),)).k == k
 
@@ -724,6 +712,23 @@ def test_generic_bounds(S3):
 def test_zpoint_json_round_trip():
     z = twisted.ZPoint((oracles.y_gen(2, 0, Fraction(3, 2)), slk.sdot(2, 0)))
     assert twisted.ZPoint.from_json(z.to_json()) == z
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"factors": [["12", "34"]]}, "^factors must be a list of matrices"),
+    ({}, "^factors must be a list of matrices"),
+    ({"factors": 5}, "^factors must be a list of matrices"),
+    ({"factors": [[["1", None], ["0", "1"]]]}, "^factors must be a list of matrices"),
+    ([[["1", "0"], ["0", "1"]]], "^factors must be a list of matrices"),
+    ({"factors": [[["1", "1/0"], ["0", "1"]]]}, "^an entry has denominator 0$"),
+], ids=["string-rows", "no-factors", "factors-not-a-list", "null-entry", "top-level-list",
+        "zero-denominator"])
+def test_zpoint_from_json_refuses_malformed_input(data, message):
+    """Rows given as strings used to be read character by character, and the
+    other inputs raised KeyError, TypeError or ZeroDivisionError; each is
+    now a ValueError, which the command line reports as a usage error."""
+    with pytest.raises(ValueError, match=message):
+        twisted.ZPoint.from_json(data)
 
 
 # -- properties over random points (hypothesis) --------------------------------
