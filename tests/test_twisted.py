@@ -77,6 +77,25 @@ def test_stratum_examples(S3):
         assert v == from_perm(S3, slk.opposite_cell(prod))
 
 
+def test_nonempty(S3):
+    """The stratum (v, wbar) is nonempty iff v is below the Demazure product
+    of wbar; positive_tuple decides it and refuses an empty stratum."""
+    from tnnflag.weyl import positive_tuple
+
+    e = S3.identity
+    s1, s2 = S3.simple(0), S3.simple(1)
+    for w in S3.elements_up_to_length(3):
+        assert positive_tuple(e, (w, w)) == (e, e)
+    A1 = type_a_group(2)
+    s = A1.simple(0)
+    assert positive_tuple(s, (s, A1.identity)) == (s, A1.identity)
+    with pytest.raises(ValueError, match="^empty stratum: "):
+        positive_tuple(s, (A1.identity, A1.identity))
+    w0 = S3.from_word((0, 1, 0))
+    wbar = (S3.multiply(s1, s2), S3.multiply(s2, s1))
+    assert positive_tuple(w0, wbar) == (s1, S3.multiply(s2, s1))
+
+
 def test_zpoint_validation():
     """No factors, factors of mixed sizes and a singular factor are refused by
     both constructors; the singular factor also by double_bruhat_embed."""

@@ -173,15 +173,6 @@ def test_positive_tuple_examples(A1, A2):
     assert candidates == [got]
     with pytest.raises(ValueError):
         positive_tuple(A2.from_word((0, 1, 0)), (s1, s1))
-    # the stratum (v, wbar) is nonempty iff v is below the Demazure product
-    # of wbar, and positive_tuple refuses an empty one
-    for w in A2.elements_up_to_length(3):
-        assert positive_tuple(A2.identity, (w, w)) == (A2.identity, A2.identity)
-    assert positive_tuple(s, (s, e)) == (s, e)
-    with pytest.raises(ValueError, match="^empty stratum: "):
-        positive_tuple(s, (e, e))
-    w0 = A2.from_word((0, 1, 0))
-    assert positive_tuple(w0, wbar) == (s1, A2.multiply(s2, s1))
 
 
 def test_positive_tuple_exhaustive_a2(A2):
