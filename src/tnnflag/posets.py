@@ -11,10 +11,13 @@ Intervals and braid posets are built from Bruhat covers in key space:
 each label has one integer key (mixed-radix positions of its coordinates
 for intervals, the mask of kept letters for braid posets), and its lower
 covers are the labels at its key plus the offsets of its coordinates'
-covers.  One pass in rank order ORs the masks together and fills the
-up-cover index; no cover pair is listed or sorted on the way.
-``FacePoset.from_qnodes``, which compares every pair by :func:`qnode_leq`,
-is their oracle.
+covers, read from a dense table with a slot per key.  An interval is
+listed in one pass per label, into rank columns of labels and keys, with
+one Demazure product per factor combination; the key alone gives the
+label's cover offsets.  One pass in rank order ORs the masks together,
+strict as they are built, and fills the up-cover index; no cover pair is
+listed or sorted on the way.  ``FacePoset.from_qnodes``, which compares
+every pair by :func:`qnode_leq`, is their oracle.
 
 Every poset holds ``below`` and indexes the upper covers of each node
 once, as increasing tuples.  The ``above`` masks and the masks of the
@@ -69,7 +72,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import compress, count, product
+from itertools import chain, compress, count, product
 
 from .weyl import WeylElt, WeylGroup
 
@@ -99,6 +102,9 @@ class QNode(namedtuple("QNode", ("v", "wbar", "rank"))):
     record, equal only to a label with equal fields, never to a plain tuple."""
 
     __slots__ = ()
+    # a label from a (v, wbar, rank) tuple, without namedtuple's check of
+    # the field count: half the time of QNode(v, wbar, rank)
+    _make = classmethod(tuple.__new__)
 
     def __eq__(self, other):
         return other.__class__ is self.__class__ and tuple.__eq__(self, other)
@@ -201,7 +207,7 @@ class FacePoset:
         the lower covers of node ``i`` (node 0 for a minimal node): the
         pass of :func:`_cover_index` with each node keyed by its index."""
         offsets = ([lo - hi for lo in lower[hi]] for hi in range(1, len(nodes)))
-        return cls(nodes, ranks, *_cover_index(range(1, len(nodes)), offsets))
+        return cls(nodes, ranks, *_cover_index(range(1, len(nodes)), offsets, len(nodes)))
 
     @classmethod
     def from_qnodes(cls, qnodes, node_cap: int = DEFAULT_NODE_CAP) -> "FacePoset":
@@ -299,21 +305,25 @@ class FacePoset:
 # -- builders ------------------------------------------------------------------
 
 
-def _cover_index(keys, offsets) -> tuple[list[int], list[list[int]]]:
+def _cover_index(keys, offsets, size: int) -> tuple[list[int], list[list[int]]]:
     """``below`` and the up-cover index of the nodes 1, 2, ... (in rank
     order, above the bottom at node 0), in key space: node i has the key
-    ``keys[i - 1]``, and its lower covers are the nodes keyed by its key
-    plus a difference in ``offsets[i - 1]``, or the bottom if there is none.
-    One pass in node order ORs their masks into ``below[i]`` and appends i
-    to their buckets, so every bucket fills in increasing order.
+    ``keys[i - 1]`` in ``range(size)``, and its lower covers are the nodes
+    keyed by its key plus a difference in ``offsets[i - 1]`` (each sum in
+    ``range(size)``), or the bottom if there is none.  A dense table of
+    ``size`` slots holds the node of each key, 0 where there is none.  One
+    pass in node order ORs their masks into ``below[i]`` and appends i to
+    their buckets, so every bucket fills in increasing order.
     """
-    get = {k: i for i, k in enumerate(keys, start=1)}.get  # node indices are >= 1
+    node = [0] * size  # node indices are >= 1
+    for i, k in enumerate(keys, start=1):
+        node[k] = i
     below = [0]
     ups: list[list[int]] = [[] for _ in range(len(keys) + 1)]
     for hi, (k, offs) in enumerate(zip(keys, offsets), start=1):
         mask = 0
         for d in offs:
-            if lo := get(k + d):
+            if lo := node[k + d]:
                 mask |= below[lo] | 1 << lo
                 ups[lo].append(hi)
         if not mask:
@@ -369,13 +379,18 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> FacePoset:
 
     A label's key is mixed radix: v's position among the u with top.v <= u
     <= m_star(top.wbar), then each factor's position in the lower interval
-    of its top factor.  The labels are listed in the order of
-    :func:`interval_labels`, each with its key, into buckets by rank, and
-    ``node_cap`` is checked per label, before any cover is looked up; the
-    v over a wbar, with their positions, are listed once per distinct
-    Demazure product m_star(wbar) and reused for every wbar with it.  Then
-    the key offsets of the covers are made once per v and once per wbar,
-    and :func:`_cover_index` finds the lower covers.
+    of its top factor, so ``divmod(key, len(vs))`` is the factor
+    combination's digit, first factor fastest, and v's.  The labels are
+    listed in the order of :func:`interval_labels` into rank columns, one
+    of labels and one of keys, and ``node_cap`` is checked per label,
+    before any cover is looked up.  The Demazure product of a combination
+    is one :meth:`WeylGroup.demazure` of its prefix (the product of all
+    factors but the last, taken once per prefix) with its last factor, or
+    that factor itself when n = 1; the v below it, with their positions,
+    are listed once per distinct product.  Then the key offsets of the
+    covers are made once per v and once per combination, and
+    :func:`_cover_index` finds the lower covers in a table of
+    |vs| * prod_i |[e, w_i]| slots, made only after the cap check.
     """
     group = top.v.group
     vs = [u for u in group.lower_interval(group.m_star(top.wbar)) if group.bruhat_leq(top.v, u)]
@@ -385,23 +400,31 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> FacePoset:
     for values in factors:
         digits.append([p * stride for p in range(len(values))])
         stride *= len(values)
-    buckets: list[list] = [[] for _ in range(top.rank + 1)]  # (label, key, v digit, wbar index)
-    below_m: dict[int, list] = {}  # m.serial -> (v digit, v) for top.v <= v <= m
+    labels: list[list] = [[] for _ in range(top.rank + 1)]  # rank columns of labels
+    keys: list[list] = [[] for _ in range(top.rank + 1)]  # and of their keys
+    below_m: dict[int, list] = {}  # m.serial -> (v digit, v, l(v)) for top.v <= v <= m
+    make = QNode._make
     count = 1  # the bottom
-    for c, (wbar, ds) in enumerate(zip(product(*factors), product(*digits))):
-        base = sum(ds)
-        length = sum([w.length for w in wbar])
-        m = group.m_star(wbar)
-        pairs = below_m.get(m.serial)
-        if pairs is None:
-            pairs = below_m[m.serial] = [(vdigit[v.serial], v) for v in group.lower_interval(m)
-                                         if v.serial in vdigit]
-        for d, v in pairs:
-            rank = length - v.length
-            buckets[rank].append((QNode(v, wbar, rank), base + d, d, c))
-            count += 1
-            if count > node_cap:
-                raise CapExceededError(f"poset exceeds node cap {node_cap}")
+    *heads, last = factors
+    for head, hds in zip(product(*heads), product(*digits[:-1])):
+        prefix = group.m_star(head) if head else None
+        hbase, hlength = sum(hds), sum([w.length for w in head])
+        for w, wd in zip(last, digits[-1]):
+            m = group.demazure(prefix, w) if head else w
+            triples = below_m.get(m.serial)
+            if triples is None:
+                triples = below_m[m.serial] = [(vdigit[v.serial], v, v.length)
+                                               for v in group.lower_interval(m)
+                                               if v.serial in vdigit]
+            wbar, base, length = head + (w,), hbase + wd, hlength + w.length
+            for d, v, vlength in triples:
+                rank = length - vlength
+                labels[rank].append(make((v, wbar, rank)))
+                keys[rank].append(base + d)
+                count += 1
+                if count > node_cap:
+                    raise CapExceededError(f"poset exceeds node cap {node_cap}")
+    del below_m
     # key offsets: v moves up one cover, a factor down one
     vmoves: list[tuple[int, ...]] = [()] * len(vs)
     for p, u in enumerate(vs):
@@ -414,16 +437,17 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> FacePoset:
         digit = {u.serial: d for u, d in zip(values, ds)}
         fmoves.append([tuple(digit[cover.serial] - d for cover in group.lower_covers(u))
                        for u, d in zip(values, ds)])
-    wmoves = [sum(moves, ()) for moves in product(*fmoves)]
-    labels = [entry for bucket in buckets for entry in bucket]
-    nodes = [BOTTOM, *(q for q, _, _, _ in labels)]
-    ranks = [labels[0][0].rank - 1, *(q.rank for q, _, _, _ in labels)]
-    keys = [key for _, key, _, _ in labels]
-    offsets = [vmoves[d] + wmoves[c] for _, _, d, c in labels]
-    # the poset's masks can reuse what the label lists and move tables held
-    del buckets, below_m, labels, vmoves, fmoves, wmoves
-    below, ups = _cover_index(keys, offsets)
-    del keys, offsets
+    # by the combination digit key // len(vs), which runs first factor fastest
+    wmoves = [sum(moves, ()) for moves in product(*reversed(fmoves))]
+    nodes = [BOTTOM, *chain.from_iterable(labels)]
+    ranks = [nodes[1].rank - 1]
+    for rank, column in enumerate(labels):
+        ranks += [rank] * len(column)
+    del labels
+    keys = list(chain.from_iterable(keys))
+    nv = len(vs)
+    below, ups = _cover_index(keys, (vmoves[k % nv] + wmoves[k // nv] for k in keys), stride)
+    del keys
     poset = FacePoset(nodes, ranks, below, ups)
     poset._boxes = True
     return poset
@@ -452,7 +476,8 @@ def braid_poset(group: WeylGroup, letters) -> FacePoset:
     elements.sort(key=lambda q: q.rank)
 
     keys = [sum(1 << i for i, x in enumerate(q.wbar) if x.length) for q in elements]
-    below, ups = _cover_index(keys, [[-(1 << i) for i in members(k)] for k in keys])
+    below, ups = _cover_index(keys, [[-(1 << i) for i in members(k)] for k in keys],
+                              1 << len(letters))
     ranks = [elements[0].rank - 1, *(q.rank for q in elements)]
     return FacePoset([BOTTOM, *elements], ranks, below, ups)
 

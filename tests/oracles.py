@@ -47,14 +47,28 @@ reads its memo inside each call, and the two must return the same
 certificate, attempts and backtracks.  ``check_rao`` checks a certificate
 against the definition of a recursive atom ordering, reading the order
 from ``below`` alone.
+
+``bucket_build_interval`` is the interval builder that
+``posets.build_interval`` replaced, kept as its differential oracle: it
+buckets a 4-tuple per label, takes each combination's Demazure product
+whole and looks the cover keys up in a dict (``dict_cover_index``).
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from tnnflag import ratlin, slk
-from tnnflag.posets import DEFAULT_SHELLING_BUDGET, ShellingResult, _BudgetSpent
+from tnnflag.posets import (
+    BOTTOM,
+    DEFAULT_NODE_CAP,
+    DEFAULT_SHELLING_BUDGET,
+    CapExceededError,
+    FacePoset,
+    QNode,
+    ShellingResult,
+    _BudgetSpent,
+)
 from tnnflag.weyl import i_embed, th_element, th_word
 
 
@@ -657,3 +671,86 @@ def check_rao(poset, cert) -> bool:
                         return False
             todo.append((a, zmask))
     return True
+
+
+def dict_cover_index(keys, offsets) -> tuple[list[int], list[list[int]]]:
+    """The cover index of :func:`bucket_build_interval`, keyed by a dict:
+    ``below`` and the up-cover index of the nodes 1, 2, ... (in rank
+    order, above the bottom at node 0), in key space: node i has the key
+    ``keys[i - 1]``, and its lower covers are the nodes keyed by its key
+    plus a difference in ``offsets[i - 1]``, or the bottom if there is none.
+    One pass in node order ORs their masks into ``below[i]`` and appends i
+    to their buckets, so every bucket fills in increasing order.
+    """
+    get = {k: i for i, k in enumerate(keys, start=1)}.get  # node indices are >= 1
+    below = [0]
+    ups: list[list[int]] = [[] for _ in range(len(keys) + 1)]
+    for hi, (k, offs) in enumerate(zip(keys, offsets), start=1):
+        mask = 0
+        for d in offs:
+            if lo := get(k + d):
+                mask |= below[lo] | 1 << lo
+                ups[lo].append(hi)
+        if not mask:
+            mask = 1
+            ups[0].append(hi)
+        below.append(mask)
+    return below, ups
+
+
+def bucket_build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> FacePoset:
+    """The builder that ``posets.build_interval`` replaced: each label is
+    listed with its key, v digit and factor-combination index into buckets
+    by rank, the Demazure product of each combination is taken whole, the
+    lower-cover offsets of each label are one concatenated tuple, and
+    :func:`dict_cover_index` looks the keys up in a dict."""
+    group = top.v.group
+    vs = [u for u in group.lower_interval(group.m_star(top.wbar)) if group.bruhat_leq(top.v, u)]
+    vdigit = {u.serial: p for p, u in enumerate(vs)}
+    factors = [group.lower_interval(w) for w in top.wbar]
+    digits, stride = [], len(vs)
+    for values in factors:
+        digits.append([p * stride for p in range(len(values))])
+        stride *= len(values)
+    buckets: list[list] = [[] for _ in range(top.rank + 1)]  # (label, key, v digit, wbar index)
+    below_m: dict[int, list] = {}  # m.serial -> (v digit, v) for top.v <= v <= m
+    count = 1  # the bottom
+    for c, (wbar, ds) in enumerate(zip(product(*factors), product(*digits))):
+        base = sum(ds)
+        length = sum([w.length for w in wbar])
+        m = group.m_star(wbar)
+        pairs = below_m.get(m.serial)
+        if pairs is None:
+            pairs = below_m[m.serial] = [(vdigit[v.serial], v) for v in group.lower_interval(m)
+                                         if v.serial in vdigit]
+        for d, v in pairs:
+            rank = length - v.length
+            buckets[rank].append((QNode(v, wbar, rank), base + d, d, c))
+            count += 1
+            if count > node_cap:
+                raise CapExceededError(f"poset exceeds node cap {node_cap}")
+    # key offsets: v moves up one cover, a factor down one
+    vmoves: list[tuple[int, ...]] = [()] * len(vs)
+    for p, u in enumerate(vs):
+        for cover in group.lower_covers(u):
+            d = vdigit.get(cover.serial)
+            if d is not None:
+                vmoves[d] += (p - d,)
+    fmoves = []
+    for values, ds in zip(factors, digits):
+        digit = {u.serial: d for u, d in zip(values, ds)}
+        fmoves.append([tuple(digit[cover.serial] - d for cover in group.lower_covers(u))
+                       for u, d in zip(values, ds)])
+    wmoves = [sum(moves, ()) for moves in product(*fmoves)]
+    labels = [entry for bucket in buckets for entry in bucket]
+    nodes = [BOTTOM, *(q for q, _, _, _ in labels)]
+    ranks = [labels[0][0].rank - 1, *(q.rank for q, _, _, _ in labels)]
+    keys = [key for _, key, _, _ in labels]
+    offsets = [vmoves[d] + wmoves[c] for _, _, d, c in labels]
+    # the poset's masks can reuse what the label lists and move tables held
+    del buckets, below_m, labels, vmoves, fmoves, wmoves
+    below, ups = dict_cover_index(keys, offsets)
+    del keys, offsets
+    poset = FacePoset(nodes, ranks, below, ups)
+    poset._boxes = True
+    return poset

@@ -259,6 +259,18 @@ def test_poset_and_cell_reports_are_timed(capsys, argv):
     assert reports[0]["status"] == "pass"
 
 
+def test_sub_millisecond_poset_report_is_timed(capsys):
+    """The smallest interval, (e ; s1) in A1, builds and checks in well
+    under a millisecond; its report keeps that time in microseconds rather
+    than rounding it to 0."""
+    for _ in range(3):
+        code, out, _ = run(capsys, "poset", "A", "1", "--top", "e;(1)")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["inputs"]["nodes"] == 4
+        assert payload["elapsed_s"] > 0
+
+
 def test_cell_command_rejects_bad_input(capsys):
     code, _, err = run(
         capsys,

@@ -215,6 +215,8 @@ def test_qnode_record(A1):
     assert fields == (s, (s, s), 1)
     assert node != fields and fields != node and not node == fields and not fields == node
     assert node not in {fields} and fields not in {node}
+    made = posets.QNode._make(fields)  # the builder's way, without the field count check
+    assert made == node and type(made) is posets.QNode and made.rank == 1
     for name in ("v", "wbar", "rank", "other"):
         with pytest.raises(AttributeError):
             setattr(node, name, e)
@@ -288,25 +290,26 @@ def test_node_cap(A2):
 def test_node_cap_boundary(A2, monkeypatch):
     """A cap of exactly the node count passes; one less raises while the
     labels are still being listed, before any cover is looked up and before
-    any key index or mask is made, and a cap of half the count raises after
-    that many labels."""
+    any key table or mask is made, and a cap of half the count raises after
+    that many labels.  The builder makes every label through
+    ``QNode._make``, which counts them here."""
     s1, s2 = A2.simple(0), A2.simple(1)
     top = make_qnode(A2.identity, (A2.multiply(s1, s2), A2.multiply(s2, s1)))
     poset = build_interval(top)
     assert_same_poset(build_interval(top, node_cap=len(poset)), poset)
 
     listed = []
-    make = posets.QNode
+    make = posets.QNode._make
 
-    def label(*args):
-        q = make(*args)
+    def label(fields):
+        q = make(fields)
         listed.append(q)
         return q
 
     def no_index(*args):
         raise AssertionError("the index was built past the node cap")
 
-    monkeypatch.setattr(posets, "QNode", label)
+    monkeypatch.setattr(posets.QNode, "_make", label)
     monkeypatch.setattr(posets, "_cover_index", no_index)
     monkeypatch.setattr(A2, "lower_covers", no_index)
     with pytest.raises(CapExceededError):
@@ -388,6 +391,34 @@ def test_integer_keys_match_tuple_key_builder():
                 assert_same_poset(build_interval(top), tuple_key_build_interval(top))
                 tops += 1
     assert tops == 244
+
+
+def test_interval_builder_matches_bucket_oracle():
+    """build_interval (rank columns of keys, a dense key table, prefix
+    Demazure products) equals the builder it replaced,
+    ``oracles.bucket_build_interval``: the same nodes in the same order,
+    ranks, masks, up-cover index and box flag, on every hatQ top, every top
+    of rank >= 5 of the interval families (affine A1 up to length 4) and
+    the rank-12 A3 n=2 top (e ; w0, w0)."""
+    tops = [top for _, group, ns in _hatQ_families() for n in ns for top in iter_qnodes(group, n)]
+    hatq = len(tops)
+    for family, rank, n, cap in (("A", 2, 3, None), ("B", 3, 1, None), ("B", 2, 2, None),
+                                 ("A", 3, 1, None), ("affine-A", 1, 2, 4)):
+        group = WeylGroup(cartan_of_type(family, rank))
+        tops += [top for top in iter_qnodes(group, n, length_cap=cap) if top.rank >= 5]
+    A3 = WeylGroup(cartan_of_type("A", 3))
+    w0 = A3.from_word((0, 1, 0, 2, 1, 0))
+    tops.append(make_qnode(A3.identity, (w0, w0)))
+    nodes = 0
+    for top in tops:
+        poset, oracle = build_interval(top), oracles.bucket_build_interval(top)
+        assert poset.nodes == oracle.nodes
+        assert poset.ranks == oracle.ranks
+        assert poset.below == oracle.below
+        assert poset.up_covers() == oracle.up_covers()
+        assert poset._boxes is oracle._boxes is True
+        nodes += len(poset.nodes)
+    assert (hatq, len(tops), nodes) == (244, 873, 140_968)
 
 
 def test_braid_cover_builder_matches_pairwise_order(A2, S4):
