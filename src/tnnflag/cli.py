@@ -35,25 +35,29 @@ class WordParseError(ValueError):
 
 
 def parse_word(group: WeylGroup, text: str) -> tuple[int, ...]:
-    """Parse a word like "1,2,1", "(1,2)", "e", or "" (identity)."""
+    """Parse a word like "1,2,1", "(1,2)", "e", or "" (identity).
+
+    An error's position is that of the bad letter in ``text`` itself.
+    """
     raw = text.strip()
-    pos = 0
+    pos = len(text) - len(text.lstrip())  # where raw starts in text
     if raw.startswith("(") and raw.endswith(")"):
-        pos = 1
-        raw = raw[1:-1].strip()
-    if raw in ("", "e"):
+        pos += 1
+        raw = raw[1:-1]
+    if raw.strip() in ("", "e"):
         return ()
     letters = []
     for piece in raw.split(","):
         token = piece.strip()
+        at = pos + piece.find(token)  # the piece's start when it is blank
         if not token:
-            raise WordParseError("empty letter", text, pos)
+            raise WordParseError("empty letter", text, at)
         try:
             i = int(token)
         except ValueError:
-            raise WordParseError(f"bad letter {token!r}", text, pos) from None
+            raise WordParseError(f"bad letter {token!r}", text, at) from None
         if not 1 <= i <= group.rank:
-            raise WordParseError(f"vertex {i} out of range 1..{group.rank}", text, pos)
+            raise WordParseError(f"vertex {i} out of range 1..{group.rank}", text, at)
         letters.append(i - 1)
         pos += len(piece) + 1
     return tuple(letters)
@@ -139,7 +143,7 @@ def cmd_poset(args) -> int:
             "n": args.n,
             "top": top.describe(),
             "nodes": len(poset.nodes),
-            "covers": len(poset.covers),
+            "covers": sum(map(len, poset.up_covers())),
             "f_vector": list(poset.f_vector()),
         }
 

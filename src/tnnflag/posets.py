@@ -169,8 +169,8 @@ class FacePoset:
     per node on the 9,698 nodes of the A3 n=2 top (e ; w0, w0)); the
     reverse pass adds about 0.23 n^2 bytes (2,202 bytes per node there).
     The poset is immutable, so what is derived from it alone is kept once
-    computed: the two mask tuples, the cover pairs (:attr:`covers`) and
-    whether every cover raises the rank by one (:func:`_graded`).
+    computed: the two mask tuples and whether every cover raises the rank
+    by one (:func:`_graded`).
     :func:`build_interval` also records that every interval above the
     bottom is a box of Bruhat intervals (``_boxes``), so that
     :func:`is_thin` and :func:`is_eulerian` walk from the bottom alone.
@@ -193,7 +193,6 @@ class FacePoset:
                     if not inner >> lo & 1:
                         ups[lo].append(hi)
         self._ups = tuple(map(tuple, ups))
-        self._covers = None  # listed from the index when first read
         # above and the up-cover masks, formed together when either is first read
         self._above = self._cover_masks = None
         self._graded = None  # the answer of _graded, kept at its first call
@@ -249,13 +248,12 @@ class FacePoset:
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Cover pairs (lo, hi): lo < hi with nothing strictly between.
 
-        Sorted.  Listed once, on first read, from :meth:`up_covers`, which
-        the builders pass in and a poset given by its masks alone reads off
-        ``below``.
+        Sorted.  Listed at each read from :meth:`up_covers`, which the
+        builders pass in and a poset given by its masks alone reads off
+        ``below``; a reader that only walks or counts the covers reads the
+        index instead.
         """
-        if self._covers is None:
-            self._covers = tuple([(lo, hi) for lo, his in enumerate(self._ups) for hi in his])
-        return self._covers
+        return tuple([(lo, hi) for lo, his in enumerate(self._ups) for hi in his])
 
     def up_covers(self) -> tuple[tuple[int, ...], ...]:
         """The upper covers of each node, increasing; shared, not copied."""
@@ -340,13 +338,13 @@ def interval_labels(top: QNode):
     group = top.v.group
     # v' <= m_star(wbar') <= m_star(top.wbar): test top.v <= v' once per v'
     above_v = {
-        u.serial for u in group.lower_interval(group.m_star(top.wbar))
+        u for u in group.lower_interval(group.m_star(top.wbar))
         if group.bruhat_leq(top.v, u)
     }
     for combo in product(*(group.lower_interval(w) for w in top.wbar)):
         length = sum(w.length for w in combo)
         for v in group.lower_interval(group.m_star(combo)):
-            if v.serial in above_v:
+            if v in above_v:
                 yield QNode(v, combo, length - v.length)
 
 
@@ -394,7 +392,7 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> FacePoset:
     """
     group = top.v.group
     vs = [u for u in group.lower_interval(group.m_star(top.wbar)) if group.bruhat_leq(top.v, u)]
-    vdigit = {u.serial: p for p, u in enumerate(vs)}
+    vdigit = {u: p for p, u in enumerate(vs)}
     factors = [group.lower_interval(w) for w in top.wbar]
     digits, stride = [], len(vs)
     for values in factors:
@@ -402,7 +400,7 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> FacePoset:
         stride *= len(values)
     labels: list[list] = [[] for _ in range(top.rank + 1)]  # rank columns of labels
     keys: list[list] = [[] for _ in range(top.rank + 1)]  # and of their keys
-    below_m: dict[int, list] = {}  # m.serial -> (v digit, v, l(v)) for top.v <= v <= m
+    below_m: dict[WeylElt, list] = {}  # m -> (v digit, v, l(v)) for top.v <= v <= m
     make = QNode._make
     count = 1  # the bottom
     *heads, last = factors
@@ -411,11 +409,10 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> FacePoset:
         hbase, hlength = sum(hds), sum([w.length for w in head])
         for w, wd in zip(last, digits[-1]):
             m = group.demazure(prefix, w) if head else w
-            triples = below_m.get(m.serial)
+            triples = below_m.get(m)
             if triples is None:
-                triples = below_m[m.serial] = [(vdigit[v.serial], v, v.length)
-                                               for v in group.lower_interval(m)
-                                               if v.serial in vdigit]
+                triples = below_m[m] = [(vdigit[v], v, v.length)
+                                        for v in group.lower_interval(m) if v in vdigit]
             wbar, base, length = head + (w,), hbase + wd, hlength + w.length
             for d, v, vlength in triples:
                 rank = length - vlength
@@ -429,13 +426,13 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> FacePoset:
     vmoves: list[tuple[int, ...]] = [()] * len(vs)
     for p, u in enumerate(vs):
         for cover in group.lower_covers(u):
-            d = vdigit.get(cover.serial)
+            d = vdigit.get(cover)
             if d is not None:
                 vmoves[d] += (p - d,)
     fmoves = []
     for values, ds in zip(factors, digits):
-        digit = {u.serial: d for u, d in zip(values, ds)}
-        fmoves.append([tuple(digit[cover.serial] - d for cover in group.lower_covers(u))
+        digit = dict(zip(values, ds))
+        fmoves.append([tuple(digit[cover] - d for cover in group.lower_covers(u))
                        for u, d in zip(values, ds)])
     # by the combination digit key // len(vs), which runs first factor fastest
     wmoves = [sum(moves, ()) for moves in product(*reversed(fmoves))]
@@ -1027,7 +1024,7 @@ def to_dot(poset: FacePoset, name: str = "face_poset") -> str:
             ws = ",".join(w.describe() for w in node.wbar)
             label = f"{node.v.describe()} | {ws} | {node.rank}"
         lines.append(f'  n{i} [label="{label}"];')
-    for lo, hi in poset.covers:
-        lines.append(f"  n{lo} -> n{hi};")
+    for lo, his in enumerate(poset.up_covers()):
+        lines.extend(f"  n{lo} -> n{hi};" for hi in his)
     lines.append("}")
     return "\n".join(lines)

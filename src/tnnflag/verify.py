@@ -405,7 +405,7 @@ def suite_hatQ(seed: int = DEFAULT_SEED, budget: int = DEFAULT_SHELLING_BUDGET) 
                 # so the premise that makes it exact is tested on the pairwise order
                 pairwise = FacePoset.from_qnodes(interval_labels(top))
                 if any(pairwise.ranks[hi] - pairwise.ranks[lo] != 1
-                       for lo, hi in pairwise.covers):
+                       for lo, his in enumerate(pairwise.up_covers()) for hi in his):
                     bad.append({"top": label, "check": "cover-rank-drop"})
                 # the built poset's walks start from the bottom alone, by the
                 # box lemma of build_interval; the pairwise one walks every x
@@ -556,10 +556,9 @@ def suite_double_bruhat(seed: int = DEFAULT_SEED, budget=None) -> RunReport:
 
 
 @_timed
-def suite_cell_containment(
-    seed: int = DEFAULT_SEED, budget=None, samples: int = 25
-) -> RunReport:
+def suite_cell_containment(seed: int = DEFAULT_SEED, budget=None) -> RunReport:
     """Every seeded positive parametrization lands in its stratum (k=3, n=2)."""
+    samples = 25
     report = RunReport(
         "verify cell-containment", {"k": 3, "n": 2, "samples": samples}, seed=seed
     )

@@ -9,7 +9,8 @@ one-line permutation models do not exist.
 Each :class:`WeylGroup` interns its elements: equal group elements are the
 same object and carry the same canonical reduced word (the
 lexicographically smallest one, obtained by repeatedly stripping the
-smallest left descent).
+smallest left descent).  So an element compares and hashes by identity,
+and elements of different groups are never equal.
 
 Multiplying by a simple reflection s_i changes one row of a matrix on
 the left (s_i g) and the columns of the neighbours of i on the right
@@ -46,29 +47,19 @@ def _identity_mat(n: int) -> IntMat:
 
 
 class WeylElt:
-    """Immutable group element: geometric matrix, inverse, canonical word."""
+    """Immutable group element: geometric matrix, inverse, canonical word.
 
-    __slots__ = ("group", "geom", "geom_inv", "word", "length", "serial")
+    Interned by its group, so it compares and hashes by identity.
+    """
 
-    def __init__(self, group, geom, geom_inv, word, serial):
+    __slots__ = ("group", "geom", "geom_inv", "word", "length")
+
+    def __init__(self, group, geom, geom_inv, word):
         self.group = group
         self.geom = geom
         self.geom_inv = geom_inv
         self.word = word
         self.length = len(word)
-        self.serial = serial
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, WeylElt)
-            and self.group is other.group
-            and self.geom == other.geom
-        )
-
-    def __hash__(self):
-        return hash((id(self.group), self.geom))
 
     def __repr__(self):
         return f"W[{self.describe()}]"
@@ -151,7 +142,7 @@ class WeylGroup:
         elt = self._elts.get(geom)
         if elt is None:
             word = self._canonical_word(geom, geom_inv)
-            elt = WeylElt(self, geom, geom_inv, word, len(self._elts))
+            elt = WeylElt(self, geom, geom_inv, word)
             self._elts[geom] = elt
         return elt
 
@@ -207,7 +198,7 @@ class WeylGroup:
     def multiply(self, u: WeylElt, v: WeylElt) -> WeylElt:
         """u v; a factor of length 1 is a simple reflection and costs O(m^2)."""
         self.check_same(u, v)
-        key = (u.serial, v.serial)
+        key = (u, v)
         out = self._mul_cache.get(key)
         if out is None:
             if v.length == 1:
@@ -256,7 +247,7 @@ class WeylGroup:
             return True
         if v.length == w.length:
             return v is w
-        key = (v.serial, w.serial)
+        key = (v, w)
         cached = self._bruhat_cache.get(key)
         if cached is not None:
             return cached
@@ -272,14 +263,14 @@ class WeylGroup:
     def lower_interval(self, w: WeylElt) -> tuple[WeylElt, ...]:
         """All u <= w, as subword products of the canonical word of w."""
         self.check_same(w)
-        cached = self._lower_cache.get(w.serial)
+        cached = self._lower_cache.get(w)
         if cached is None:
             elems = {self.identity}
             for t in w.word:
                 s = self._simples[t]
                 elems |= {self.multiply(u, s) for u in elems}
             cached = self._remember(
-                "lower", w.serial, tuple(sorted(elems, key=lambda u: (u.length, u.word))))
+                "lower", w, tuple(sorted(elems, key=lambda u: (u.length, u.word))))
         return cached
 
     def lower_covers(self, w: WeylElt) -> tuple[WeylElt, ...]:
@@ -291,10 +282,10 @@ class WeylGroup:
         one-letter deletions of the canonical word of length l(w) - 1.
         """
         self.check_same(w)
-        cached = self._cover_cache.get(w.serial)
+        cached = self._cover_cache.get(w)
         if cached is None:
             word = w.word
-            cached = self._remember("cover", w.serial, tuple(dict.fromkeys(
+            cached = self._remember("cover", w, tuple(dict.fromkeys(
                 u for u in (self.from_word(word[:p] + word[p + 1:]) for p in range(len(word)))
                 if u.length == w.length - 1
             )))
@@ -323,7 +314,7 @@ class WeylGroup:
     def demazure(self, x: WeylElt, y: WeylElt) -> WeylElt:
         """Demazure product x * y, greedy over the canonical word of y, memoized."""
         self.check_same(x, y)
-        key = (x.serial, y.serial)
+        key = (x, y)
         u = self._demazure_cache.get(key)
         if u is None:
             u = x

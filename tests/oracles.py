@@ -706,23 +706,22 @@ def bucket_build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> FaceP
     :func:`dict_cover_index` looks the keys up in a dict."""
     group = top.v.group
     vs = [u for u in group.lower_interval(group.m_star(top.wbar)) if group.bruhat_leq(top.v, u)]
-    vdigit = {u.serial: p for p, u in enumerate(vs)}
+    vdigit = {u: p for p, u in enumerate(vs)}
     factors = [group.lower_interval(w) for w in top.wbar]
     digits, stride = [], len(vs)
     for values in factors:
         digits.append([p * stride for p in range(len(values))])
         stride *= len(values)
     buckets: list[list] = [[] for _ in range(top.rank + 1)]  # (label, key, v digit, wbar index)
-    below_m: dict[int, list] = {}  # m.serial -> (v digit, v) for top.v <= v <= m
+    below_m: dict = {}  # m -> (v digit, v) for top.v <= v <= m
     count = 1  # the bottom
     for c, (wbar, ds) in enumerate(zip(product(*factors), product(*digits))):
         base = sum(ds)
         length = sum([w.length for w in wbar])
         m = group.m_star(wbar)
-        pairs = below_m.get(m.serial)
+        pairs = below_m.get(m)
         if pairs is None:
-            pairs = below_m[m.serial] = [(vdigit[v.serial], v) for v in group.lower_interval(m)
-                                         if v.serial in vdigit]
+            pairs = below_m[m] = [(vdigit[v], v) for v in group.lower_interval(m) if v in vdigit]
         for d, v in pairs:
             rank = length - v.length
             buckets[rank].append((QNode(v, wbar, rank), base + d, d, c))
@@ -733,13 +732,13 @@ def bucket_build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> FaceP
     vmoves: list[tuple[int, ...]] = [()] * len(vs)
     for p, u in enumerate(vs):
         for cover in group.lower_covers(u):
-            d = vdigit.get(cover.serial)
+            d = vdigit.get(cover)
             if d is not None:
                 vmoves[d] += (p - d,)
     fmoves = []
     for values, ds in zip(factors, digits):
-        digit = {u.serial: d for u, d in zip(values, ds)}
-        fmoves.append([tuple(digit[cover.serial] - d for cover in group.lower_covers(u))
+        digit = dict(zip(values, ds))
+        fmoves.append([tuple(digit[cover] - d for cover in group.lower_covers(u))
                        for u, d in zip(values, ds)])
     wmoves = [sum(moves, ()) for moves in product(*fmoves)]
     labels = [entry for bucket in buckets for entry in bucket]

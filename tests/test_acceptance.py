@@ -86,7 +86,7 @@ def test_acceptance_5_sl2_triangle():
 
 def test_acceptance_6_cell_parametrization_containment():
     suite = verify.SUITES["cell-containment"]
-    report = _run(6, "cell parametrization containment", suite, 120.0, samples=25)
+    report = _run(6, "cell parametrization containment", suite, 120.0)
     assert report.checks[0]["witness"]["strata"] == 167
 
 

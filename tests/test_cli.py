@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from tnnflag import twisted, verify
 from tnnflag.cartan import cartan_of_type
 from tnnflag.cli import main, parse_top_spec, parse_word, split_top_level, WordParseError
-from tnnflag.posets import make_qnode
+from tnnflag.posets import FacePoset, build_interval, make_qnode
 from tnnflag.verify import check_regular_ball
 from tnnflag.weyl import WeylGroup, type_a_group
 
@@ -42,6 +42,15 @@ def test_parse_word(S3):
     for text in ("inf1", "1,inf1,2", "0", "(2,0)"):
         with pytest.raises(WordParseError):
             parse_word(S3, text)
+
+
+@pytest.mark.parametrize("text, pos", [
+    ("  1,x", 4), ("( 1, x)", 5), (" (1,5)", 4), ("1, 2 ,9", 6), ("1,,2", 2), (" x", 1),
+])
+def test_parse_word_error_position_counts_in_the_given_text(S3, text, pos):
+    with pytest.raises(WordParseError) as info:
+        parse_word(S3, text)
+    assert info.value.pos == pos
 
 
 def test_poset_refuses_a_thickening_letter(capsys):
@@ -74,6 +83,24 @@ def test_poset_command_triangle(capsys, tmp_path):
     assert payload["inputs"]["f_vector"] == [3, 3, 1]
     assert dot.read_text().startswith("digraph")
     assert json.loads(js.read_text()) == payload
+
+
+def test_poset_command_counts_covers_without_listing_them(capsys, tmp_path, monkeypatch):
+    group = WeylGroup(cartan_of_type("A", 2))
+    top = make_qnode(*parse_top_spec(group, "e;(1,2,1),(1,2,1)", 2))
+    listed = len(build_interval(top).covers)
+
+    def unlisted(poset):
+        raise AssertionError("cover pairs listed")
+
+    monkeypatch.setattr(FacePoset, "covers", property(unlisted))
+    dot = tmp_path / "top.dot"
+    for extra in ([], ["--dot", str(dot)]):
+        code, out, _ = run(capsys, "poset", "A", "2", "--n", "2", "--top", "e;(1,2,1),(1,2,1)",
+                           "--check", "pure", *extra)
+        assert code == 0
+        assert json.loads(out)["inputs"]["covers"] == listed
+    assert dot.read_text().count("->") == listed
 
 
 def test_python_m_runs_the_cli_from_a_checkout(capsys):
@@ -492,8 +519,7 @@ def test_every_suite_reports_its_verify_command(monkeypatch):
     strata = verify.iter_qnodes
     monkeypatch.setattr(verify, "iter_qnodes", lambda *a, **kw: islice(strata(*a, **kw), 3))
     for name, suite in verify.SUITES.items():
-        kwargs = {"samples": 1} if name == "cell-containment" else {}
-        assert suite(budget=0, **kwargs).to_json()["command"] == f"verify {name}"
+        assert suite(budget=0).to_json()["command"] == f"verify {name}"
 
 
 WORD_TOKENS = ["1", "2", "3", "0", "e", "inf1", ",", "(", ")", " ", "x", "-"]

@@ -140,23 +140,23 @@ def oracle_covers(poset):
 
 
 def tuple_key_build_interval(top):
-    """``build_interval`` with each label keyed by the tuple of its serials:
+    """``build_interval`` with each label keyed by the tuple of its elements:
     the lower covers of (v, wbar) are looked up by the keys of (u, wbar),
     u an upper cover of v, and of wbar with one factor moved down a cover."""
     group = top.v.group
-    ups = {}  # serial of v -> serials of its upper covers
+    ups = {}  # v -> its upper covers
     for u in group.lower_interval(group.m_star(top.wbar)):
         for c in group.lower_covers(u):
-            ups.setdefault(c.serial, []).append(u.serial)
+            ups.setdefault(c, []).append(u)
 
     def key(q):
-        return (q.v.serial, *(w.serial for w in q.wbar))
+        return (q.v, *q.wbar)
 
     def candidates(q):
         v, *ws = key(q)
         out = [(u, *ws) for u in ups.get(v, ())]
         for f, w in enumerate(q.wbar):
-            out.extend((v, *ws[:f], c.serial, *ws[f + 1:]) for c in group.lower_covers(w))
+            out.extend((v, *ws[:f], c, *ws[f + 1:]) for c in group.lower_covers(w))
         return out
 
     elements = sorted(interval_labels(top), key=lambda q: q.rank)
@@ -820,21 +820,21 @@ def test_intervals_above_the_bottom_are_bruhat_boxes(A2, B2):
     tops = [top for _, group, ns in _hatQ_families() for n in ns for top in iter_qnodes(group, n)]
     tops += [top for group, n in ((A2, 3), (B2, 2)) for top in iter_qnodes(group, n)
              if top.rank >= 5]
-    sizes = {}  # group -> {(u.serial, w.serial): |[u, w]|} for u <= w
+    sizes = {}  # group -> {(u, w): |[u, w]|} for u <= w
     pairs = 0
     for top in tops:
         group = top.v.group
         if group not in sizes:
             sizes[group] = {
-                (u.serial, w.serial): sum(group.bruhat_leq(u, z) for z in group.lower_interval(w))
+                (u, w): sum(group.bruhat_leq(u, z) for z in group.lower_interval(w))
                 for w in group.elements_up_to_length(64) for u in group.lower_interval(w)
             }
         size = sizes[group]
         poset = build_interval(top)
         assert poset._boxes
         above, below = poset.above, poset.below
-        vs = [None, *(q.v.serial for q in poset.nodes[1:])]
-        ws = [None, *(tuple(w.serial for w in q.wbar) for q in poset.nodes[1:])]
+        vs = [None, *(q.v for q in poset.nodes[1:])]
+        ws = [None, *(q.wbar for q in poset.nodes[1:])]
         for x in range(1, len(poset)):
             vx, wx = vs[x], ws[x]
             for y in members(above[x]):

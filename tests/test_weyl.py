@@ -40,6 +40,28 @@ def test_context_mismatch(A1, A2):
         A2.multiply(A2.simple(0), A1.simple(0))
 
 
+def test_interned_elements_compare_by_identity(A2):
+    """Every route to an element gives the same object, which is what
+    compares and hashes; the same word in another group is another element."""
+    s1, s2 = A2.simple(0), A2.simple(1)
+    w = A2.from_word((0, 1, 0))
+    forms = (A2.multiply(A2.multiply(s1, s2), s1), A2.multiply(s2, A2.multiply(s1, s2)),
+             A2.inverse(A2.inverse(w)), w.inverse().inverse())
+    assert all(u is w for u in forms)
+    found = {w: "w0"}
+    assert [found.get(u) for u in forms] == ["w0"] * len(forms)
+    other = WeylGroup(cartan_of_type("A", 2))
+    foreign = other.from_word((0, 1, 0))
+    assert foreign.geom == w.geom and foreign.word == w.word
+    assert foreign != w and foreign not in found
+    for call in (lambda: A2.multiply(w, foreign), lambda: A2.multiply(foreign, w),
+                 lambda: A2.bruhat_leq(foreign, w), lambda: A2.bruhat_leq(s1, foreign),
+                 lambda: A2.demazure(w, foreign), lambda: A2.demazure(foreign, s1),
+                 lambda: A2.lower_interval(foreign), lambda: A2.lower_covers(foreign)):
+        with pytest.raises(ContextMismatchError):
+            call()
+
+
 def _left_descents(group, w):
     return {i for i in range(group.rank) if group.has_left_descent(w, i)}
 
