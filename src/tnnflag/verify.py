@@ -129,8 +129,9 @@ def _timed(fn):
 
 
 def known_checks(names) -> list[str]:
-    """The names as a list, or a ValueError naming the first one outside ``CHECKS``."""
-    names = list(names)
+    """The names as a list, each once in the order first given, or a
+    ValueError naming the first one outside ``CHECKS``."""
+    names = list(dict.fromkeys(names))
     for name in names:
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r} (known: {', '.join(CHECKS)})")
@@ -142,7 +143,8 @@ def regularity_checks(
 ) -> list[dict]:
     """Report entries of the named checks on the poset.
 
-    Names (``CHECKS``, each checked before any runs): ``pure``, ``thin``,
+    Names (``CHECKS``, each checked before any runs, and each run once in
+    the order first given): ``pure``, ``thin``,
     ``eulerian``, ``shelling`` (pass on a certified shelling, else
     inconclusive, as the search never proves a poset not shellable;
     witness: the search's work), ``boundary_sphere_euler``: the open
@@ -357,15 +359,19 @@ def _hatQ_families():
 
 
 def iter_qnodes(group: WeylGroup, n: int, length_cap: int | None = None):
-    """All nonempty stratum labels with n factors over a finite group."""
+    """All nonempty stratum labels with n factors over a finite group.
+
+    Every v below the Demazure product of wbar is a label, so each is made
+    as it is, without the checks of :func:`make_qnode`."""
     cap = length_cap
     if cap is None:
         cap = 64  # finite groups exhaust well before this
     elems = group.elements_up_to_length(cap)
+    make = QNode._make
     for wbar in product(elems, repeat=n):
-        m = group.m_star(wbar)
-        for v in group.lower_interval(m):
-            yield make_qnode(v, wbar)
+        length = sum(w.length for w in wbar)
+        for v in group.lower_interval(group.m_star(wbar)):
+            yield make((v, wbar, length - v.length))
 
 
 def _sweep_poset(poset, where: dict, budget: int, bad: list, inconclusive: list) -> None:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tnnflag import twisted, verify
+from tnnflag import posets, twisted, verify
 from tnnflag.cartan import cartan_of_type
 from tnnflag.cli import main, parse_top_spec, parse_word, split_top_level, WordParseError
 from tnnflag.posets import FacePoset, build_interval, make_qnode
@@ -127,6 +127,19 @@ def test_poset_command_checks_list(capsys):
     assert code == 0
     payload = json.loads(out)
     assert [c["check"] for c in payload["checks"]] == ["pure", "thin", "eulerian"]
+
+
+@pytest.mark.parametrize("checks, names", [("thin,thin", ["thin"]),
+                                           ("thin,pure,thin,pure", ["thin", "pure"])])
+def test_poset_command_runs_a_repeated_check_once(capsys, monkeypatch, checks, names):
+    """A check named twice runs once and reports one entry, in the order
+    the names first appear."""
+    calls = []
+    real = posets.is_thin
+    monkeypatch.setattr(posets, "is_thin", lambda poset: calls.append(1) or real(poset))
+    code, out, err = run(capsys, "poset", "A", "1", "--top", "e;(1)", "--check", checks)
+    assert (code, err, len(calls)) == (0, "", 1)
+    assert [c["check"] for c in json.loads(out)["checks"]] == names
 
 
 def test_poset_rank8_ball_by_atom_ordering(capsys):

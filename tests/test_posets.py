@@ -851,13 +851,16 @@ def test_bottom_only_walks_match_the_walks_over_every_x(A2, B2):
     rank-8 B2 n=2 (e; w0, w0) top, purity, thinness, Eulerian-ness and the
     boundary's Euler characteristic equal those of the walks over every x
     on the same masks, given without the builder's fact, and the all-pairs
-    oracle; they leave ``above`` and the up-cover masks unformed."""
+    oracle; they leave ``above`` and the up-cover masks unformed.  The
+    Eulerian verdict and mu(0^, top) are the Mobius walk from the bottom
+    kept on the poset; the masks-only copy runs the band walk over every x."""
     built = [poset for poset in _differential_posets(A2) if poset._boxes]
     assert len(built) == 244
     for poset in [*built, rank8_top(B2)]:
         checks = (is_pure, is_thin, is_eulerian, open_boundary_euler)
         verdicts = [check(poset) for check in checks]
         assert poset._above is None and poset._cover_masks is None
+        assert poset._from_bottom == (verdicts[3] - 1, verdicts[2])
         plain = FacePoset(poset.nodes, poset.ranks, poset.below)
         assert not plain._boxes and posets._graded(poset)
         assert verdicts == [check(plain) for check in checks]
@@ -896,16 +899,34 @@ def test_lazy_masks_match_the_eager_reverse_pass(A2):
         pytest.param(simplicial_face_poset(two_spheres(5), lambda d: d + 7), id="length-6"),
         pytest.param(from_covers(["a", "b", "c", "y"], [(x, "y") for x in "abc"]),
                      id="three-middle-nodes"),
+        # mu(0^, y) = 2 below a top t: the first wrong sign is not the last
+        # node, and mu(0^, t) = -1 counts y's value 2 (1 if it were dropped)
+        pytest.param(from_covers(["a", "b", "c", "y", "z", "t"],
+                                 [*((x, "y") for x in "abc"), ("a", "z"), ("b", "z"),
+                                  ("y", "t"), ("z", "t")]),
+                     id="three-middle-nodes-below-a-top"),
+        # the poset of test_eulerian_fails_first_on_a_long_interval
+        pytest.param(simplicial_face_poset(two_spheres(5)), id="length-6-from-0"),
+        # the 7-vertex torus with a top: every mu(0^, z) is 1 or -1, and
+        # mu(0^, top) = chi - 1 = -1 has the wrong sign for length 4
+        pytest.param(simplicial_face_poset([frozenset({i, (i + d) % 7, (i + 3) % 7})
+                                            for i in range(7) for d in (1, 2)]),
+                     id="torus"),
     ],
 )
 def test_builder_fact_still_refuses_an_unbalanced_cell(poset):
     """The builder's fact spares only the intervals above the bottom: a
     graded poset that carries it and has an unbalanced [0^, y] is not
-    Eulerian, and one with three nodes in [0^, y] of length 2 is not thin."""
+    Eulerian, and one with three nodes in [0^, y] of length 2 is not thin.
+    The Mobius walk from the bottom goes on past the first wrong sign:
+    mu(0^, top) and the boundary equal the value-class and chain oracles."""
     assert posets._graded(poset) and not oracle_is_eulerian(poset)
     poset._boxes = True
     assert not is_eulerian(poset)
     assert is_thin(poset) == oracle_is_thin(poset)
+    top = len(poset) - 1
+    assert mobius(poset, 0, top) == oracles.mobius_by_value_classes(poset, 0, top)
+    assert open_boundary_euler(poset) == oracle_open_boundary_euler(poset)
 
 
 def test_hatQ_counts_a_differing_verdict_as_a_builder_mismatch(monkeypatch):
@@ -952,6 +973,36 @@ def test_thin_odd_count_passes_on_an_ungraded_poset():
     assert two_step_paths(poset, 0, poset.index("y")) == 3
     assert not posets._graded(poset)
     assert is_thin(poset) and oracle_is_thin(poset) and mask_scan_is_thin(poset)
+
+
+def test_boundary_and_mobius_read_one_walk_whichever_runs_first(A2, monkeypatch):
+    """mu(0^, last node) and the boundary's Euler characteristic are the
+    same with ``is_eulerian`` run before them and after them, equal the
+    value-class oracle, and are read off one walk kept on the poset, on
+    every differential poset; ``is_eulerian`` gives the same verdict either
+    way.  The signed-mask walk runs once per poset where some mu(0^, z)
+    lacks its Eulerian sign, and never where none does."""
+    walks = []
+    real = posets._mobius_walk
+    monkeypatch.setattr(posets, "_mobius_walk", lambda *args: walks.append(args) or real(*args))
+    maxima, signs = 0, set()
+    for first, last in zip(_differential_posets(A2), _differential_posets(A2)):
+        top = len(first) - 1
+        unique = top and first.below[top] == (1 << top) - 1
+        walks.clear()
+        eulerian = is_eulerian(first)
+        after = (mobius(first, 0, top), unique and open_boundary_euler(first))
+        kept = first._from_bottom
+        before = (mobius(last, 0, top), unique and open_boundary_euler(last))
+        assert is_eulerian(last) == eulerian
+        assert after == before and first._from_bottom is kept == last._from_bottom
+        assert len(walks) == (0 if kept[1] else 2)
+        assert after[0] == kept[0] == oracles.mobius_by_value_classes(first, 0, top)
+        assert kept[1] == all(mobius(first, 0, z) == (-1) ** (first.ranks[z] - first.ranks[0])
+                              for z in range(1, top + 1))
+        maxima += bool(unique)
+        signs.add(kept[1])
+    assert maxima == 423 and signs == {True, False}
 
 
 @pytest.mark.parametrize(
@@ -1155,6 +1206,20 @@ def test_hatQ_sweep_b2_n2_sampled(B2):
         poset = build_interval(node)
         assert is_pure(poset), node.describe()
         assert is_thin(poset), node.describe()
+
+
+@pytest.mark.parametrize("family, rank, n, cap, count", [
+    ("A", 2, 3, None, 1167), ("B", 3, 1, None, 847), ("B", 2, 2, None, 401),
+    ("A", 3, 1, None, 213), ("affine-A", 1, 2, 4, 657), ("A", 1, 3, None, 15),
+])
+def test_iter_qnodes_lists_the_validated_labels(family, rank, n, cap, count):
+    """The labels that ``iter_qnodes`` makes without ``make_qnode``'s checks
+    are those ``make_qnode`` gives, in the same order."""
+    group = WeylGroup(cartan_of_type(family, rank))
+    elems = group.elements_up_to_length(64 if cap is None else cap)
+    validated = [make_qnode(v, wbar) for wbar in product(elems, repeat=n)
+                 for v in group.lower_interval(group.m_star(wbar))]
+    assert list(iter_qnodes(group, n, cap)) == validated and len(validated) == count
 
 
 def test_dot_export(triangle):
