@@ -33,7 +33,7 @@ graded poset, and on one that is not graded only where no node below
 its end lies above a cover of x.  Eulerian-ness (:func:`is_eulerian`): a
 node count on the intervals of even length from 2, two ANDs and two
 popcounts per pair, with the y above x read rank band by rank band from
-a slice of the mask of the nodes above x.
+a slice of the mask of the nodes above x; the verdict is kept.
 
 Thinness and Eulerian-ness start from the bottom alone on a graded poset
 from :func:`build_interval`.  There every interval [x, y] with x above
@@ -43,23 +43,22 @@ label between x and y is in the interval.  Bruhat intervals are thin and
 Eulerian (Verma 1971; Bjorner-Brenti 2005, Lemma 2.7.3 and Cor. 2.7.10),
 and so are their products, mu being multiplicative (Stanley, EC1, Prop.
 3.8.2).  So only the closed cells [0^, y], the subject of the paper's
-first theorem, are tested.  The builder records the fact on the poset;
-the posets of the other constructors, and any poset that is not graded,
-take the walks over every x, which stay the oracle.  From the bottom,
-which lies below every other node, no walk forms a mask beyond
-``below``.
+first theorem, are tested, and for Eulerian-ness only those of even
+length (the boxes balance the others; see :func:`is_eulerian`).  The
+builder records the fact on the poset; the posets of the other
+constructors, and any poset that is not graded, take the walks over
+every x, which stay the oracle.  From the bottom, which lies below every
+other node, no walk forms a mask beyond ``below``.
 
 The Euler characteristic of the open boundary
 (:func:`open_boundary_euler`) is 1 + mu(0^, top) by Philip Hall's
 theorem (Stanley, EC1, Sec. 3.8).  :func:`mobius` computes mu in one
 pass in rank order over ``below``, with the nodes of value 1 and -1 in
-two signed masks.  From the bottom over every node the pass is run once
-per poset and kept (:func:`_walk_from_bottom`), and it also tells
-whether every mu(0^, z) had its Eulerian sign: while they all have, each
-value is read off a count of the nodes below z at odd rank distance from
-the bottom, one AND and two popcounts per node.  The Eulerian verdict of
-a built interval is that sign flag, and mu(0^, top) the walk's last
-value, so the two checks share one walk.
+two signed masks.  Once :func:`is_eulerian` has kept the verdict True,
+mu(0^, top) is the Eulerian sign (-1)^(r(top) - r(0^)) and no pass runs;
+before that check, or on a poset that failed it, the pass runs.  On a
+built interval a True verdict, and so that mu, rests on the boxes above
+the bottom, which ``verify hatQ`` checks against the pairwise order.
 
 Shellability is certified on the poset, not on its chains:
 :func:`find_shelling` searches for a recursive atom ordering (Bjorner-Wachs
@@ -180,9 +179,9 @@ class FacePoset:
     reverse pass adds about 0.23 n^2 bytes (2,202 bytes per node there).
     The poset is immutable, so what is derived from it alone is kept once
     computed: the two mask tuples, whether every cover raises the rank
-    by one (:func:`_graded`), and the two results of the Mobius walk from
-    the bottom over every node (:func:`_walk_from_bottom`): mu(0^, last
-    node) and whether every mu(0^, z) had its Eulerian sign.
+    by one (:func:`_graded`), and the Eulerian verdict
+    (:func:`is_eulerian`), off which :func:`mobius` reads mu(0^, last
+    node) when it is True.
     :func:`build_interval` also records that every interval above the
     bottom is a box of Bruhat intervals (``_boxes``), so that
     :func:`is_thin` and :func:`is_eulerian` walk from the bottom alone.
@@ -208,7 +207,7 @@ class FacePoset:
         # above and the up-cover masks, formed together when either is first read
         self._above = self._cover_masks = None
         self._graded = None  # the answer of _graded, kept at its first call
-        self._from_bottom = None  # (mu, sign flag) of _walk_from_bottom, kept likewise
+        self._eulerian = None  # the verdict of is_eulerian, kept likewise
         # set by build_interval alone: every [x, y] with x above the bottom
         # is a product of Bruhat intervals
         self._boxes = False
@@ -222,19 +221,19 @@ class FacePoset:
         return cls(nodes, ranks, *_cover_index(range(1, len(nodes)), offsets, len(nodes)))
 
     @classmethod
-    def from_qnodes(cls, qnodes, node_cap: int = DEFAULT_NODE_CAP) -> "FacePoset":
+    def from_qnodes(cls, qnodes) -> "FacePoset":
         """Stratum labels ordered by :func:`qnode_leq` on every pair, plus the
         bottom: the pairwise oracle of :func:`build_interval` and
         :func:`braid_poset`.
 
-        ``node_cap`` bounds the node count, bottom included; an iterator of
-        labels is abandoned as soon as it passes the cap.
+        ``DEFAULT_NODE_CAP`` bounds the node count, bottom included; an
+        iterator of labels is abandoned as soon as it passes the cap.
         """
         elements = []
         for q in qnodes:
             elements.append(q)
-            if len(elements) + 1 > node_cap:
-                raise CapExceededError(f"poset exceeds node cap {node_cap}")
+            if len(elements) + 1 > DEFAULT_NODE_CAP:
+                raise CapExceededError(f"poset exceeds node cap {DEFAULT_NODE_CAP}")
         elements.sort(key=lambda q: q.rank)
         nodes = [BOTTOM, *elements]
         ranks = [min((q.rank for q in elements), default=0) - 1]
@@ -492,9 +491,9 @@ def braid_poset(group: WeylGroup, letters) -> FacePoset:
     return FacePoset([BOTTOM, *elements], ranks, below, ups)
 
 
-def link_poset(bottom: QNode, top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> FacePoset:
+def link_poset(bottom: QNode, top: QNode) -> FacePoset:
     """Face poset of the link: strata strictly above bottom, up to top."""
-    interval = build_interval(top, node_cap=node_cap)
+    interval = build_interval(top)
     if bottom == top or bottom not in interval.nodes[1:]:
         raise ValueError("bottom must be strictly below top")
     b = interval.index(bottom)
@@ -599,24 +598,32 @@ def is_thin(poset: FacePoset) -> bool:
     return True
 
 
-def _mobius_walk(poset: FacePoset, x: int, zs) -> int:
-    """mu(x, y), y being the last node of ``zs``, in one pass in rank order.
+def mobius(poset: FacePoset, x: int, y: int) -> int:
+    """Mobius function of the interval [x, y], in one pass in rank order.
 
-    mu(x, z) = -sum of mu(x, u) over x <= u < z.  ``zs`` lists, in index
-    order, the nodes z of [x, y] among others that are not above x and are
-    skipped; index order lists every u < z before z.  The nodes seen so far
-    with mu = 1 (x first) and with mu = -1 are kept as two signed masks, so
-    each z costs two ANDs and popcounts; the rare other nonzero values are
-    kept in a dict of one mask per value, so a poset that is not Eulerian
-    still gets exact values.  The nodes are read off ``below`` alone, so
-    the ``above`` masks are not formed.
+    mu(x, z) = -sum of mu(x, u) over x <= u < z.  The nodes z of [x, y] are
+    visited in index order, which lists every u < z before z.  The nodes
+    seen so far with mu = 1 (x first) and with mu = -1 are kept as two
+    signed masks, so each z costs two ANDs and popcounts; the rare other
+    nonzero values are kept in a dict of one mask per value, so a poset
+    that is not Eulerian still gets exact values.  The nodes of [x, y] are
+    read off ``below`` alone: those of ``below[y]`` and y whose own mask
+    holds x, so the ``above`` masks are not formed.
+
+    From the bottom to the last node, once :func:`is_eulerian` has kept
+    the verdict True, mu is (-1)^(r(y) - r(x)) with no walk, as on every
+    interval of an Eulerian poset; this call never runs that check.
     """
+    if not poset.leq(x, y):
+        raise ValueError("x is not below y")
+    if poset._eulerian and x == 0 and y == len(poset.nodes) - 1:
+        return -1 if (poset.ranks[y] - poset.ranks[x]) % 2 else 1
     plus, minus = 1 << x, 0  # the nodes u seen so far with mu(x, u) == 1, == -1
     others: dict[int, int] = {}  # any other nonzero value c -> its nodes so far
     below = poset.below
     mu = 1
     bit = 1 << x
-    for z in zs:
+    for z in members(below[y] | 1 << y):
         mask = below[z]
         if not mask & bit:  # z is not above x
             continue
@@ -632,59 +639,10 @@ def _mobius_walk(poset: FacePoset, x: int, zs) -> int:
     return mu
 
 
-def _walk_from_bottom(poset: FacePoset) -> tuple[int, bool]:
-    """mu(0^, last node) and the sign flag: whether every mu(0^, z) has its
-    Eulerian sign e(z) = (-1)^(r(z) - r(0^)).  The poset is immutable, so
-    the pair is kept on it at the first call and returned by every later
-    one.
-
-    The nodes are walked in index order, rank band by rank band.  While
-    every u before z has mu(0^, u) = e(u), mu(0^, z) = -sum of e(u) over
-    the nodes u of ``below[z]``, which is O - E for the numbers O and E of
-    those nodes at odd and at even rank distance from the bottom.  With
-    ``flip`` the mask of the nodes at odd distance, O is the popcount of
-    ``below[z] & flip`` and E the popcount of ``below[z]`` less O, so
-    mu(0^, z) = 2 O - |below[z]|: one AND and two popcounts per node, and
-    no mask grows but ``flip``.  A node strictly below z has a smaller
-    rank, so ``flip`` is ORed one band at a time, after its band is
-    walked.  If every node passes, mu(0^, last) is the e of the last band.
-    At the first node with another value the flag is False, and mu(0^,
-    last), read only off the nodes below the last, is that of
-    :func:`_mobius_walk` from the bottom, exact on any poset.
-    """
-    if poset._from_bottom is None:
-        below, ranks = poset.below, poset.ranks
-        # the nodes at odd rank distance from the bottom so far, the sign e
-        # of the band, and its end; the bottom alone has the lowest rank
-        flip, sign, hi = 0, 1, 1
-        for r in range(ranks[0] + 1, ranks[-1] + 1):
-            lo, hi, sign = hi, bisect_left(ranks, r + 1, hi), -sign
-            if any(2 * (mask & flip).bit_count() - mask.bit_count() != sign
-                   for mask in below[lo:hi]):
-                poset._from_bottom = (_mobius_walk(poset, 0, range(len(below))), False)
-                break
-            if sign < 0:
-                flip |= (1 << hi) - (1 << lo)
-        else:
-            poset._from_bottom = (sign, True)
-    return poset._from_bottom
-
-
-def mobius(poset: FacePoset, x: int, y: int) -> int:
-    """Mobius function of the interval [x, y], in one pass in rank order
-    (:func:`_mobius_walk`) over the nodes of ``below[y]`` and y.  From the
-    bottom to the last node it is the walk kept on the poset
-    (:func:`_walk_from_bottom`), run at most once per poset."""
-    if not poset.leq(x, y):
-        raise ValueError("x is not below y")
-    if x == 0 and y == len(poset.nodes) - 1:
-        return _walk_from_bottom(poset)[0]
-    return _mobius_walk(poset, x, members(poset.below[y] | 1 << y))
-
-
 def is_eulerian(poset: FacePoset) -> bool:
     """mu(x, y) == (-1)^(r(y) - r(x)) on every interval, tested on the
-    intervals of even length only.
+    intervals of even length only.  The poset is immutable, so the verdict
+    is kept on it at the first call and returned by every later one.
 
     Let S be the signed rank count, the sum of (-1)^r(z) over x <= z <= y.
     If the condition holds on every proper subinterval of [x, y], the
@@ -699,28 +657,22 @@ def is_eulerian(poset: FacePoset) -> bool:
     induction on the interval size it is enough to count the nodes of the
     intervals of length 2, 4, ...
 
-    On a graded poset from :func:`build_interval` (``_boxes`` set) every
-    interval [x, y] with x above the bottom is a product of Bruhat
-    intervals, which is Eulerian (Verma's theorem, with mu multiplicative
-    on products; the proof is in that function's docstring).  So the
-    poset is Eulerian iff mu(0^, z) = (-1)^(r(z) - r(0^)) at every z, and
-    the verdict is the sign flag of the Mobius walk from the bottom
-    (:func:`_walk_from_bottom`), which is kept on the poset, so that
-    :func:`open_boundary_euler` reads mu(0^, top) off the same walk.  It
-    forms no mask beyond ``below``.
+    The count runs from each start x over the y above x.  On a graded
+    poset from :func:`build_interval` (``_boxes`` set) the one start is the
+    bottom, below every other node, so no ``above`` mask is formed: every
+    [x, y] with x above the bottom is a product of Bruhat intervals, which
+    is Eulerian (Verma's theorem, mu being multiplicative on products; the
+    proof is in that function's docstring).  So a smallest failing
+    interval is an even-length [0^, y], and the dual recursion balances
+    the odd-length ones, which are not counted.  A True verdict thus puts
+    mu(0^, y) = (-1)^(r(y) - r(0^)) at every y, and mu(0^, top), which
+    :func:`mobius` reads off it, rests on the box premise as the verdict
+    does.  The premise is checked against the pairwise order on every top
+    by ``verify hatQ`` (``builder-matches-pairwise``) and on 1,496,256
+    pairs by ``test_intervals_above_the_bottom_are_bruhat_boxes``.  Every
+    other poset starts at every x, over ``above``, so its verdict rests on
+    no premise; that walk is the oracle.
 
-    The flag is the verdict of the node count below, run from the bottom
-    alone: both fail first at the same node z, in index order.  Suppose
-    every u in [0^, z) has mu(0^, u) = (-1)^(r(u) - r(0^)).  Then the
-    first recursion above gives mu(0^, z) = (-1)^(r(0^) + r(z)) -
-    (-1)^r(0^) S for [0^, z], so mu(0^, z) has its Eulerian sign iff
-    S == 0, the balance of [0^, z] that the count tests.  Every [u, z]
-    with u above the bottom holds the condition, so by the dual recursion
-    S == 0 when r(z) - r(0^) is odd: the first z where the flag fails has
-    a length that the count tests, and the count passes at every z before.
-
-    Every other poset walks every x over ``above``, counting the nodes of
-    the intervals of even length; that walk stays the oracle of the flag.
     Two popcounts decide a pair x < y of one rank parity.  Let F be the
     nodes z >= x and ``odd`` the mask of the nodes of odd rank.  F ^ odd
     is (F and even) plus (odd outside F), so the popcount of ``below[y]``
@@ -730,29 +682,36 @@ def is_eulerian(poset: FacePoset) -> bool:
     the parity of r(x)).
 
     Nodes are stored in rank order, so each rank is a contiguous band of
-    indices.  A table made once per call gives each rank the bands of the
-    ranks 2, 4, ... above it that hold nodes, as (first index, all-ones
-    mask of the width) pairs; the y above x are read band by band from a
-    slice of the mask of the nodes above x, a small int.  ``odd`` is ORed
-    from the bands.
+    indices, found once per call by bisection on ``ranks``.  The y above x
+    are read band by band, at the ranks 2, 4, ... above x: off a slice of
+    ``below`` for a band wholly above x (every band, from the bottom), else
+    off a slice of the mask of the nodes above x.  ``odd`` is ORed from them.
     """
-    if poset._boxes and _graded(poset):
-        return _walk_from_bottom(poset)[1]
+    if poset._eulerian is not None:
+        return poset._eulerian
     ranks, below = poset.ranks, poset.below
-    bands: dict[int, tuple[int, int]] = {}  # rank -> (first index, all-ones mask of its width)
-    for i, r in enumerate(ranks):
-        start, full = bands.get(r, (i, 0))
-        bands[r] = (start, full << 1 | 1)
-    odd = sum(full << start for r, (start, full) in bands.items() if r % 2)  # disjoint bands
-    # rank -> the bands of the ranks 2, 4, ... above it that hold nodes
-    table = {r: [bands[t] for t in range(r + 2, max(bands) + 1, 2) if t in bands] for r in bands}
-    for x, up in enumerate(poset.above):
+    n, low = len(ranks), ranks[0]
+    # by rank from the bottom's: (first index, end, all-ones mask of the band's width)
+    bands, odd, lo = [], 0, 0
+    for r in range(low, ranks[-1] + 1):
+        hi = bisect_left(ranks, r + 1, lo)
+        full = (1 << hi - lo) - 1
+        bands.append((lo, hi, full))
+        if r % 2:
+            odd |= full << lo
+        lo = hi
+    # (x, the mask of the nodes above x): the bottom is below every other node
+    starts = [(0, (1 << n) - 2)] if poset._boxes and _graded(poset) else enumerate(poset.above)
+    for x, up in starts:
         flip, sign = (up | 1 << x) ^ odd, 1 if ranks[x] % 2 else -1
-        for start, full in table[ranks[x]]:
-            for k in members(up >> start & full):
-                mask = below[start + k]
+        for start, end, full in bands[ranks[x] - low + 2::2]:  # the ranks 2, 4, ... above x
+            hits = up >> start & full  # the y of the band above x
+            masks = below[start:end] if hits == full else [below[start + k] for k in members(hits)]
+            for mask in masks:
                 if (mask & flip).bit_count() - (mask & odd).bit_count() != sign:
+                    poset._eulerian = False
                     return False
+    poset._eulerian = True
     return True
 
 
@@ -1078,9 +1037,9 @@ def open_boundary_euler(poset: FacePoset) -> int:
     Proper part: all nodes strictly below the unique maximum, bottom
     excluded.  By Philip Hall's theorem (Stanley, EC1, Sec. 3.8) its
     reduced Euler characteristic is mu(bottom, top).  The top is the last
-    node, so :func:`mobius` reads mu off the walk from the bottom kept on
-    the poset: after :func:`is_eulerian` on a built interval no second
-    walk runs, and before it this call runs the walk that it then reads.
+    node, so after :func:`is_eulerian` has kept the verdict True,
+    :func:`mobius` reads mu off it without a walk; before that check, or
+    on a poset that failed it, the Mobius walk runs.
     """
     top = len(poset.nodes) - 1  # a unique maximum comes last in rank order
     if top == 0 or poset.below[top] != (1 << top) - 1:
@@ -1091,9 +1050,9 @@ def open_boundary_euler(poset: FacePoset) -> int:
 # -- export ----------------------------------------------------------------------
 
 
-def to_dot(poset: FacePoset, name: str = "face_poset") -> str:
+def to_dot(poset: FacePoset) -> str:
     """Hasse diagram in DOT format, one node per poset element."""
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    lines = ["digraph face_poset {", "  rankdir=BT;"]
     for i, node in enumerate(poset.nodes):
         if isinstance(node, _Sentinel):
             label = node.name

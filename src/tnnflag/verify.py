@@ -189,18 +189,15 @@ def interval_report(command: str, top: QNode, names, on_build, node_cap: int,
                      checks=regularity_checks(poset, names, budget))
 
 
-def check_regular_ball(
-    top: QNode,
-    node_cap: int = DEFAULT_NODE_CAP,
-    budget: int = DEFAULT_SHELLING_BUDGET,
-) -> RunReport:
+def check_regular_ball(top: QNode) -> RunReport:
     """Bjorner's criterion on the closed interval below a stratum: the
     ``BALL_CHECKS`` of :func:`regularity_checks`, one entry each."""
     def inputs(poset):
         return {"top": top.describe(), "rank": top.rank, "nodes": len(poset.nodes),
                 "f_vector": list(poset.f_vector())}
 
-    return interval_report("check_regular_ball", top, BALL_CHECKS, inputs, node_cap, budget)
+    return interval_report("check_regular_ball", top, BALL_CHECKS, inputs, DEFAULT_NODE_CAP,
+                           DEFAULT_SHELLING_BUDGET)
 
 
 def _word(w) -> list[int]:

@@ -71,12 +71,6 @@ class WeylElt:
         labels = self.group.gcm.labels
         return "*".join(f"s{labels[i]}" for i in self.word)
 
-    def inverse(self) -> "WeylElt":
-        return self.group._intern(self.geom_inv, self.geom)
-
-    def __mul__(self, other) -> "WeylElt":
-        return self.group.multiply(self, other)
-
 
 class WeylGroup:
     """Context object owning element interning and memo caches."""

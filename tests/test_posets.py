@@ -574,6 +574,12 @@ def test_open_boundary_euler_needs_unique_maximum():
         # four atoms below a top: [0^, t] has the path count 4, even but
         # not 2
         (["a", "b", "c", "d", "t"], [(x, "t") for x in "abcd"]),
+        # a path 1-2-3-4 under y and a triangle 5-6-7 under w: [1, y] has
+        # the single middle element 12, and y ends a rank band that w,
+        # not above 1, shares, so the walk from 1 reads that band in part
+        ([*"1234567", "12", "23", "34", "56", "67", "57", "w", "y"],
+         [(v, e) for e in ("12", "23", "34", "56", "67", "57") for v in e]
+         + [(e, "w") for e in ("56", "67", "57")] + [(e, "y") for e in ("12", "23", "34")]),
     ],
 )
 def test_not_thin_not_eulerian(elements, pairs):
@@ -852,15 +858,15 @@ def test_bottom_only_walks_match_the_walks_over_every_x(A2, B2):
     boundary's Euler characteristic equal those of the walks over every x
     on the same masks, given without the builder's fact, and the all-pairs
     oracle; they leave ``above`` and the up-cover masks unformed.  The
-    Eulerian verdict and mu(0^, top) are the Mobius walk from the bottom
-    kept on the poset; the masks-only copy runs the band walk over every x."""
+    Eulerian verdict, from the bottom alone, is kept on the poset and
+    mu(0^, top) is read off it; the masks-only copy walks every x."""
     built = [poset for poset in _differential_posets(A2) if poset._boxes]
     assert len(built) == 244
     for poset in [*built, rank8_top(B2)]:
         checks = (is_pure, is_thin, is_eulerian, open_boundary_euler)
         verdicts = [check(poset) for check in checks]
         assert poset._above is None and poset._cover_masks is None
-        assert poset._from_bottom == (verdicts[3] - 1, verdicts[2])
+        assert poset._eulerian is verdicts[2]
         plain = FacePoset(poset.nodes, poset.ranks, poset.below)
         assert not plain._boxes and posets._graded(poset)
         assert verdicts == [check(plain) for check in checks]
@@ -975,34 +981,59 @@ def test_thin_odd_count_passes_on_an_ungraded_poset():
     assert is_thin(poset) and oracle_is_thin(poset) and mask_scan_is_thin(poset)
 
 
-def test_boundary_and_mobius_read_one_walk_whichever_runs_first(A2, monkeypatch):
+def test_boundary_and_mobius_agree_whichever_runs_first(A2):
     """mu(0^, last node) and the boundary's Euler characteristic are the
-    same with ``is_eulerian`` run before them and after them, equal the
-    value-class oracle, and are read off one walk kept on the poset, on
-    every differential poset; ``is_eulerian`` gives the same verdict either
-    way.  The signed-mask walk runs once per poset where some mu(0^, z)
-    lacks its Eulerian sign, and never where none does."""
-    walks = []
-    real = posets._mobius_walk
-    monkeypatch.setattr(posets, "_mobius_walk", lambda *args: walks.append(args) or real(*args))
-    maxima, signs = 0, set()
+    same with ``is_eulerian`` run before them (``mobius`` then reads the
+    kept verdict) and after them (the Mobius walk runs), and equal the
+    value-class and chain oracles, on every differential poset; the
+    verdict is the same either way and kept on the poset.  On a built
+    interval it is True iff every mu(0^, z) has its Eulerian sign; on any
+    poset a True verdict implies that."""
+    maxima, verdicts = 0, set()
     for first, last in zip(_differential_posets(A2), _differential_posets(A2)):
         top = len(first) - 1
         unique = top and first.below[top] == (1 << top) - 1
-        walks.clear()
         eulerian = is_eulerian(first)
         after = (mobius(first, 0, top), unique and open_boundary_euler(first))
-        kept = first._from_bottom
         before = (mobius(last, 0, top), unique and open_boundary_euler(last))
-        assert is_eulerian(last) == eulerian
-        assert after == before and first._from_bottom is kept == last._from_bottom
-        assert len(walks) == (0 if kept[1] else 2)
-        assert after[0] == kept[0] == oracles.mobius_by_value_classes(first, 0, top)
-        assert kept[1] == all(mobius(first, 0, z) == (-1) ** (first.ranks[z] - first.ranks[0])
-                              for z in range(1, top + 1))
+        assert last._eulerian is None
+        assert is_eulerian(last) is eulerian is first._eulerian is last._eulerian
+        assert after == before
+        assert after[0] == oracles.mobius_by_value_classes(first, 0, top)
+        if unique:
+            assert after[1] == oracle_open_boundary_euler(first)
+        signs = all(mobius(last, 0, z) == (-1) ** (last.ranks[z] - last.ranks[0])
+                    for z in range(1, top))
+        signs = signs and before[0] == (-1) ** (last.ranks[top] - last.ranks[0])
+        assert signs == eulerian if first._boxes else signs >= eulerian
         maxima += bool(unique)
-        signs.add(kept[1])
-    assert maxima == 423 and signs == {True, False}
+        verdicts.add(eulerian)
+    assert maxima == 423 and verdicts == {True, False}
+
+
+@pytest.mark.parametrize("eulerian_first", [True, False])
+def test_an_unbalanced_odd_interval_from_the_bottom_is_not_eulerian(eulerian_first):
+    """0^ < a, b < u < z, with u covering a and b and z covering u: the
+    even-length [0^, u] balances but [0^, z] of length 3 does not, and
+    [a, z] of length 2 has one middle node.  The poset is not from the
+    builder, so the verdict walks every x: it is False in either call
+    order, mu(0^, z) is 0 and the boundary's chi is 1 where a 2-ball's
+    boundary has 0."""
+    def diamond_under_z():
+        return from_covers(["a", "b", "u", "z"], [("a", "u"), ("b", "u"), ("u", "z")])
+
+    poset = diamond_under_z()
+    z = poset.index("z")
+    assert z == len(poset) - 1 and posets._graded(poset) and not poset._boxes
+    if eulerian_first:
+        assert not is_eulerian(poset)
+    assert mobius(poset, 0, z) == oracles.mobius_by_value_classes(poset, 0, z) == 0
+    assert open_boundary_euler(poset) == oracle_open_boundary_euler(poset) == 1
+    assert not is_eulerian(poset) and poset._eulerian is False
+    names = ["eulerian", "boundary_sphere_euler"][::1 if eulerian_first else -1]
+    by_name = {c["check"]: c for c in verify.regularity_checks(diamond_under_z(), names)}
+    assert by_name["eulerian"]["status"] == "fail"
+    assert by_name["boundary_sphere_euler"]["witness"] == {"chi": 1, "expected": 0}
 
 
 @pytest.mark.parametrize(

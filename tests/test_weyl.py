@@ -46,7 +46,7 @@ def test_interned_elements_compare_by_identity(A2):
     s1, s2 = A2.simple(0), A2.simple(1)
     w = A2.from_word((0, 1, 0))
     forms = (A2.multiply(A2.multiply(s1, s2), s1), A2.multiply(s2, A2.multiply(s1, s2)),
-             A2.inverse(A2.inverse(w)), w.inverse().inverse())
+             A2.inverse(A2.inverse(w)), A2.inverse(w))  # w0 is an involution
     assert all(u is w for u in forms)
     found = {w: "w0"}
     assert [found.get(u) for u in forms] == ["w0"] * len(forms)
