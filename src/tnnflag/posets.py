@@ -7,17 +7,19 @@ order is (v', wbar') <= (v, wbar) iff v <= v' and wbar' <= wbar
 componentwise.  Posets are finite, carry the synthetic bottom at node 0,
 and are immutable after construction.
 
-Intervals and braid posets are built from Bruhat covers in key space:
-each label has one integer key (mixed-radix positions of its coordinates
-for intervals, the mask of kept letters for braid posets), and its lower
-covers are the labels at its key plus the offsets of its coordinates'
-covers, read from a dense table with a slot per key.  An interval is
-listed in one pass per label, into rank columns of labels and keys, with
-one Demazure product per factor combination; the key alone gives the
-label's cover offsets.  One pass in rank order ORs the masks together,
-strict as they are built, and fills the up-cover index; no cover pair is
-listed or sorted on the way.  ``FacePoset.from_qnodes``, which compares
-every pair by :func:`qnode_leq`, is their oracle.
+Every face poset here is built by :func:`build_interval`, from Bruhat
+covers in key space: a braid poset is the interval below
+(m_star(sbar); sbar), and the link of a label b is the box [b, top] with
+b replaced by the bottom.  Each label has one integer key (mixed-radix
+positions of its coordinates), and its lower covers are the labels at
+its key plus the offsets of its coordinates' covers, read from a dense
+table with a slot per key.  An interval is listed in one pass per label,
+into rank columns of labels and keys, with one Demazure product per
+factor combination; the key alone gives the label's cover offsets.  One
+pass in rank order ORs the masks together, strict as they are built, and
+fills the up-cover index; no cover pair is listed or sorted on the way.
+``FacePoset.from_qnodes``, which compares every pair by
+:func:`qnode_leq`, is their oracle.
 
 Every poset holds ``below`` and indexes the upper covers of each node
 once, as increasing tuples.  The ``above`` masks and the masks of the
@@ -45,10 +47,11 @@ and so are their products, mu being multiplicative (Stanley, EC1, Prop.
 3.8.2).  So only the closed cells [0^, y], the subject of the paper's
 first theorem, are tested, and for Eulerian-ness only those of even
 length (the boxes balance the others; see :func:`is_eulerian`).  The
-builder records the fact on the poset; the posets of the other
-constructors, and any poset that is not graded, take the walks over
-every x, which stay the oracle.  From the bottom, which lies below every
-other node, no walk forms a mask beyond ``below``.
+builder records the fact on the poset, braid posets and links included;
+the posets of the other constructors, and any poset that is not graded,
+take the walks over every x, which stay the oracle.  From the bottom,
+which lies below every other node, no walk forms a mask beyond
+``below``.
 
 The Euler characteristic of the open boundary
 (:func:`open_boundary_euler`) is 1 + mu(0^, top) by Philip Hall's
@@ -213,14 +216,6 @@ class FacePoset:
         self._boxes = False
 
     @classmethod
-    def from_lower_covers(cls, nodes, ranks, lower) -> "FacePoset":
-        """Nodes in rank order with the bottom at node 0, and ``lower[i]``
-        the lower covers of node ``i`` (node 0 for a minimal node): the
-        pass of :func:`_cover_index` with each node keyed by its index."""
-        offsets = ([lo - hi for lo in lower[hi]] for hi in range(1, len(nodes)))
-        return cls(nodes, ranks, *_cover_index(range(1, len(nodes)), offsets, len(nodes)))
-
-    @classmethod
     def from_qnodes(cls, qnodes) -> "FacePoset":
         """Stratum labels ordered by :func:`qnode_leq` on every pair, plus the
         bottom: the pairwise oracle of :func:`build_interval` and
@@ -360,7 +355,8 @@ def interval_labels(top: QNode):
                 yield QNode(v, combo, length - v.length)
 
 
-def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> FacePoset:
+def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP,
+                   _bottom: QNode | None = None) -> FacePoset:
     """Closed interval [0^, top]: all labels weakly below top, plus a bottom.
 
     Above the bottom every interval is a box of Bruhat intervals.  Let x
@@ -379,7 +375,12 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> FacePoset:
     nodes has mu = m - 1).  The poset returned records this fact
     (``_boxes``; no other constructor sets it), and :func:`is_thin` and
     :func:`is_eulerian` then test only the intervals [0^, y], the closed
-    cells.
+    cells.  By the same monotony a braid poset is an interval (every label
+    below (m_star(sbar); sbar) has v = m_star(sbar)) and a link is a box
+    (every label between b and top is in [b, top]).  With ``_bottom`` a
+    label b strictly below top, the box [b, top] is built with b as 0^: v
+    over [top.v, v_b], factor i over [w_{b,i}, w_i], cover offsets that
+    leave the box dropped, ranks from 0 at the covers of b.
 
     The lower covers of (v, wbar) are the labels (v', wbar) with v' an
     upper Bruhat cover of v, and (v, wbar) with one factor replaced by a
@@ -388,8 +389,8 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> FacePoset:
     (``verify hatQ`` checks both on the pairwise order).
 
     A label's key is mixed radix: v's position among the u with top.v <= u
-    <= m_star(top.wbar), then each factor's position in the lower interval
-    of its top factor, so ``divmod(key, len(vs))`` is the factor
+    <= m_star(top.wbar) (<= v_b in a box), then each factor's position in
+    the lower interval of its top factor (above w_{b,i} in a box), so ``divmod(key, len(vs))`` is the factor
     combination's digit, first factor fastest, and v's.  The labels are
     listed in the order of :func:`interval_labels` into rank columns, one
     of labels and one of keys, and ``node_cap`` is checked per label,
@@ -403,9 +404,12 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> FacePoset:
     |vs| * prod_i |[e, w_i]| slots, made only after the cap check.
     """
     group = top.v.group
-    vs = [u for u in group.lower_interval(group.m_star(top.wbar)) if group.bruhat_leq(top.v, u)]
-    vdigit = {u: p for p, u in enumerate(vs)}
+    vmax = group.m_star(top.wbar) if _bottom is None else _bottom.v
+    vs = [u for u in group.lower_interval(vmax) if group.bruhat_leq(top.v, u)]
     factors = [group.lower_interval(w) for w in top.wbar]
+    if _bottom is not None:  # the box [b, top], whose every combination has m_star above v_b
+        factors = [[u for u in f if group.bruhat_leq(b, u)] for b, f in zip(_bottom.wbar, factors)]
+    vdigit = {u: p for p, u in enumerate(vs)}
     digits, stride = [], len(vs)
     for values in factors:
         digits.append([p * stride for p in range(len(values))])
@@ -414,7 +418,7 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> FacePoset:
     keys: list[list] = [[] for _ in range(top.rank + 1)]  # and of their keys
     below_m: dict[WeylElt, list] = {}  # m -> (v digit, v, l(v)) for top.v <= v <= m
     make = QNode._make
-    count = 1  # the bottom
+    count = 1 if _bottom is None else 0  # the bottom: 0^, or b, listed with the labels
     *heads, last = factors
     for head, hds in zip(product(*heads), product(*digits[:-1])):
         prefix = group.m_star(head) if head else None
@@ -444,12 +448,15 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> FacePoset:
     fmoves = []
     for values, ds in zip(factors, digits):
         digit = dict(zip(values, ds))
-        fmoves.append([tuple(digit[cover] - d for cover in group.lower_covers(u))
+        fmoves.append([tuple(digit[c] - d for c in group.lower_covers(u) if c in digit)
                        for u, d in zip(values, ds)])
     # by the combination digit key // len(vs), which runs first factor fastest
     wmoves = [sum(moves, ()) for moves in product(*reversed(fmoves))]
+    # a link drops b, alone in its rank column, so that its covers rest on 0^
+    skip = 0 if _bottom is None else _bottom.rank + 1
+    labels, keys = labels[skip:], keys[skip:]
     nodes = [BOTTOM, *chain.from_iterable(labels)]
-    ranks = [nodes[1].rank - 1]
+    ranks = [nodes[1].rank - skip - 1]
     for rank, column in enumerate(labels):
         ranks += [rank] * len(column)
     del labels
@@ -468,53 +475,33 @@ def braid_poset(group: WeylGroup, letters) -> FacePoset:
     ``letters`` lists simple reflections as 0-based vertex positions; nodes
     are pairs (w, sbar') with sbar' a componentwise subword and
     m_star(sbar') = w = m_star(sbar).  The lower covers of a node drop one
-    kept letter.
+    kept letter.  It is the interval below (w; sbar), built by
+    :func:`build_interval` under ``DEFAULT_NODE_CAP``: a label (v, sbar')
+    there has w <= v <= m_star(sbar') <= m_star(sbar) = w, so v = w.
     """
     letters = tuple(letters)
     if not letters:
         raise ValueError("empty word")
     sbar = tuple(group.simple(t) for t in letters)
     w = group.m_star(sbar)
-    elements = []
-    for mask in range(1 << len(letters)):
-        combo = tuple(
-            sbar[i] if mask & (1 << i) else group.identity for i in range(len(letters))
-        )
-        if group.m_star(combo) == w:
-            elements.append(QNode(w, combo, mask.bit_count() - w.length))
-    elements.sort(key=lambda q: q.rank)
-
-    keys = [sum(1 << i for i, x in enumerate(q.wbar) if x.length) for q in elements]
-    below, ups = _cover_index(keys, [[-(1 << i) for i in members(k)] for k in keys],
-                              1 << len(letters))
-    ranks = [elements[0].rank - 1, *(q.rank for q in elements)]
-    return FacePoset([BOTTOM, *elements], ranks, below, ups)
+    return build_interval(QNode(w, sbar, len(letters) - w.length))
 
 
 def link_poset(bottom: QNode, top: QNode) -> FacePoset:
-    """Face poset of the link: strata strictly above bottom, up to top."""
-    interval = build_interval(top)
-    if bottom == top or bottom not in interval.nodes[1:]:
+    """Face poset of the link: strata strictly above bottom, up to top.
+
+    ``bottom`` must be a node of [0^, top] other than 0^ and top.  Every
+    label between it and top is in that interval, so the link is the box
+    [bottom, top] with bottom as 0^, built by :func:`build_interval`
+    without the rest of the interval; ``DEFAULT_NODE_CAP`` bounds the link.
+    """
+    group = top.v.group
+    if not (isinstance(bottom, QNode) and bottom != top and len(bottom.wbar) == len(top.wbar)
+            and bottom.rank == sum(w.length for w in bottom.wbar) - bottom.v.length
+            and group.bruhat_leq(bottom.v, group.m_star(bottom.wbar))
+            and qnode_leq(bottom, top)):
         raise ValueError("bottom must be strictly below top")
-    b = interval.index(bottom)
-    ups = interval.up_covers()
-    # the nodes above bottom, reached up the cover index
-    reached, stack = {b}, [b]
-    while stack:
-        for hi in ups[stack.pop()]:
-            if hi not in reached:
-                reached.add(hi)
-                stack.append(hi)
-    keep = sorted(reached - {b})
-    pos = {b: 0, **{old: new for new, old in enumerate(keep, start=1)}}
-    lower: list[list[int]] = [[] for _ in range(len(keep) + 1)]
-    for lo in (b, *keep):  # every upper cover of these is above bottom
-        for hi in ups[lo]:
-            lower[pos[hi]].append(pos[lo])
-    ranks = [interval.ranks[i] - bottom.rank - 1 for i in keep]
-    return FacePoset.from_lower_covers(
-        [BOTTOM, *(interval.nodes[i] for i in keep)], [min(ranks) - 1, *ranks], lower
-    )
+    return build_interval(top, DEFAULT_NODE_CAP, bottom)
 
 
 # -- regularity checks -----------------------------------------------------------
@@ -721,22 +708,22 @@ def maximal_chains(poset: FacePoset) -> list[tuple[int, ...]]:
     Each chain is strictly increasing (a cover goes up in index order), and
     the list is strictly increasing in lexicographic order: the walk takes
     the upper covers of each node in increasing order, and no maximal chain
-    is a prefix of another.
+    is a prefix of another.  The walk's stack is explicit: no reference cycle.
     """
     ups = poset.up_covers()
     chains: list[tuple[int, ...]] = []
-
-    def walk(i, acc):
-        if not ups[i]:
-            chains.append(tuple(acc))
-            return
-        for j in ups[i]:
-            acc.append(j)
-            walk(j, acc)
-            acc.pop()
-
-    for i in ups[0]:
-        walk(i, [i])
+    path: list[int] = []  # the chain so far
+    stack = [iter(ups[0])]  # the covers not yet taken of 0 and of each node of path
+    while stack:
+        for j in stack[-1]:
+            if ups[j]:
+                path.append(j)
+                stack.append(iter(ups[j]))
+                break
+            chains.append((*path, j))
+        else:
+            stack.pop()
+            del path[-1:]
     return chains
 
 
@@ -956,6 +943,7 @@ def _atom_orderings(ups, cover, above, ranks, top_rank: int, budget: int):
         found = admits(0, 0)
     except _BudgetSpent:
         found = False
+    del admits  # it refers to itself: break the cycle
     return (cert if found else None), attempts, backtracks
 
 
@@ -963,20 +951,19 @@ def _induced_chains(cert, cover, top: int, synthetic: bool) -> list[tuple[int, .
     """The maximal chains in the lexicographic order of the atom orderings:
     the walk from the bottom visits the atoms of each state in the order of
     ``cert``, down to the states of intervals of length 2, whose atoms the
-    top covers.  A synthetic ``top`` is left off the chains."""
+    top covers.  A synthetic ``top`` is left off the chains.  The walk's
+    stack is explicit: no reference cycle."""
     top_bit = 1 << top
     tail = () if synthetic else (top,)
     chains: list[tuple[int, ...]] = []
-
-    def walk(x: int, first: int, prefix: tuple[int, ...]) -> None:
+    stack = [(0, 0, ())]  # (x, first, the chain up to x), the next state last
+    while stack:
+        x, first, prefix = stack.pop()
         steps = cert[x, first]
         if cover[steps[0]] == top_bit:
             chains.extend([(*prefix, a, *tail) for a in steps[::2]])
-        else:
-            for a, z in zip(steps[::2], steps[1::2]):
-                walk(a, z, (*prefix, a))
-
-    walk(0, 0, ())
+        else:  # the states of the atoms, last atom first
+            stack.extend([(a, z, (*prefix, a)) for a, z in zip(steps[-2::-2], steps[::-2])])
     return chains
 
 
@@ -1006,9 +993,13 @@ def find_shelling(poset: FacePoset, budget: int = DEFAULT_SHELLING_BUDGET) -> Sh
             counts[x] = sum([counts[u] for u in ups[x]])
     facets = counts[0] if ups[0] else 0
     if facets <= 1:
-        chains = maximal_chains(poset)
-        # the chain, if any, is its own ordering: one atom per state
-        cert = {(x, 0): (y, 0) for chain in chains for x, y in zip((0, *chain), chain)}
+        # the chain, if any, read up the index, is its own ordering: one atom per state
+        path, x = [], 0
+        while ups[x]:
+            x = ups[x][0]
+            path.append(x)
+        cert = {(x, 0): (y, 0) for x, y in zip((0, *path), path)}
+        chains = [tuple(path)] if path else []
         return ShellingResult("shellable", chains, facets, 0, budget, certificate=cert)
     maximal = [x for x in range(n) if not ups[x]]
     if not _graded(poset) or len({ranks[x] for x in maximal}) > 1:

@@ -52,6 +52,10 @@ from ``below`` alone.
 ``posets.build_interval`` replaced, kept as its differential oracle: it
 buckets a 4-tuple per label, takes each combination's Demazure product
 whole and looks the cover keys up in a dict (``dict_cover_index``).
+``braid_poset_by_masks`` is the braid builder that ``posets.braid_poset``
+replaced, kept as its differential oracle: it lists every subword of the
+word as a mask of kept letters.  ``from_lower_covers`` makes a poset from
+the lower covers of each node, by the same dict.
 """
 
 from fractions import Fraction
@@ -753,3 +757,36 @@ def bucket_build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP) -> FaceP
     poset = FacePoset(nodes, ranks, below, ups)
     poset._boxes = True
     return poset
+
+
+def from_lower_covers(nodes, ranks, lower) -> FacePoset:
+    """Nodes in rank order with the bottom at node 0, and ``lower[i]`` the
+    lower covers of node ``i`` (node 0 for a minimal node): the pass of
+    :func:`dict_cover_index` with each node keyed by its index."""
+    offsets = ([lo - hi for lo in lower[hi]] for hi in range(1, len(nodes)))
+    return FacePoset(nodes, ranks, *dict_cover_index(range(1, len(nodes)), offsets))
+
+
+def braid_poset_by_masks(group, letters) -> FacePoset:
+    """The builder that ``posets.braid_poset`` replaced: every subword of
+    ``letters`` is a mask of kept letters, a subword is a node when its
+    Demazure product is that of the whole word, and the lower covers of a
+    node drop one kept letter."""
+    letters = tuple(letters)
+    if not letters:
+        raise ValueError("empty word")
+    sbar = tuple(group.simple(t) for t in letters)
+    w = group.m_star(sbar)
+    elements = []
+    for mask in range(1 << len(letters)):
+        combo = tuple(
+            sbar[i] if mask & (1 << i) else group.identity for i in range(len(letters))
+        )
+        if group.m_star(combo) == w:
+            elements.append(QNode(w, combo, mask.bit_count() - w.length))
+    elements.sort(key=lambda q: q.rank)
+    keys = [sum(1 << i for i, x in enumerate(q.wbar) if x.length) for q in elements]
+    offsets = [[-(1 << i) for i in range(len(letters)) if k >> i & 1] for k in keys]
+    below, ups = dict_cover_index(keys, offsets)
+    ranks = [elements[0].rank - 1, *(q.rank for q in elements)]
+    return FacePoset([BOTTOM, *elements], ranks, below, ups)

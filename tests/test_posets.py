@@ -1,6 +1,7 @@
 """Face poset construction and the regularity checks on known shapes."""
 
 import dataclasses
+import gc
 import random
 from itertools import combinations, product
 
@@ -163,7 +164,7 @@ def tuple_key_build_interval(top):
     index = {key(q): i for i, q in enumerate(elements, start=1)}
     lower = [()] + [[index[c] for c in candidates(q) if c in index] or [0] for q in elements]
     ranks = [elements[0].rank - 1, *(q.rank for q in elements)]
-    return FacePoset.from_lower_covers([BOTTOM, *elements], ranks, lower)
+    return oracles.from_lower_covers([BOTTOM, *elements], ranks, lower)
 
 
 def mask_scan_is_thin(poset):
@@ -460,19 +461,54 @@ def test_braid_poset_a1_double_letter(A1):
 
 
 def test_braid_equals_interval_slice(A2):
-    """Braid posets agree with intervals restricted to the fixed product."""
+    """Every label below (m_star(sbar); sbar) has v = m_star(sbar), so the
+    slice of that interval at v = m_star(sbar) is the whole interval, and
+    the braid poset equals it: the same nodes, ranks, masks and covers, on
+    every A2 word of length <= 4."""
     for length in range(1, 5):
         for letters in product(range(2), repeat=length):
-            poset = braid_poset(A2, letters)
             sbar = tuple(A2.simple(t) for t in letters)
             w = A2.m_star(sbar)
             interval = build_interval(make_qnode(w, sbar))
-            sliced = {
-                node.describe()
-                for node in interval.nodes[1:]
-                if node.v == w
-            }
-            assert {node.describe() for node in poset.nodes[1:]} == sliced
+            assert all(node.v is w for node in interval.nodes[1:])
+            assert_same_poset(braid_poset(A2, letters), interval)
+
+
+def by_labels(poset):
+    """The rank of each node, the order and the covers, as pairs of nodes
+    rather than of indices."""
+    nodes = poset.nodes
+    order = {(nodes[lo], nodes[hi]) for hi, mask in enumerate(poset.below)
+             for lo in members(mask)}
+    covers = {(nodes[lo], nodes[hi]) for lo, hi in poset.covers}
+    return dict(zip(nodes, poset.ranks)), order, covers
+
+
+def test_braid_poset_matches_mask_oracle(A2, B2, S4):
+    """braid_poset equals the mask builder it replaced,
+    ``oracles.braid_poset_by_masks``, regardless of node order: the same
+    labels with the same ranks, the same order and the same covers between
+    labels, on every word of A2 and B2 of length <= 6 and of A3 of length
+    <= 5.  Only the braid poset, an interval, carries the builder's fact."""
+    words = 0
+    for group, rank, longest in ((A2, 2, 6), (S4, 3, 5), (B2, 2, 6)):
+        for length in range(1, longest + 1):
+            for letters in product(range(rank), repeat=length):
+                poset = braid_poset(group, letters)
+                oracle = oracles.braid_poset_by_masks(group, letters)
+                assert poset._boxes and not oracle._boxes
+                assert len(poset) == len(oracle)
+                assert by_labels(poset) == by_labels(oracle)
+                words += 1
+    assert words == 126 + 363 + 126 == 615
+
+
+def test_braid_poset_honours_the_node_cap(A1):
+    """Every one of the 32,767 nonempty subwords of s1^15 keeps the product
+    s1, more than ``DEFAULT_NODE_CAP`` nodes, so the builder refuses it."""
+    with pytest.raises(CapExceededError):
+        braid_poset(A1, (0,) * 15)
+    assert len(braid_poset(A1, (0,) * 10)) == 1 << 10
 
 
 def test_link_posets(A1):
@@ -485,14 +521,55 @@ def test_link_posets(A1):
     vertex_link = link_poset(make_qnode(s, (s, e)), top)
     assert vertex_link.f_vector() == (2, 1)
     assert is_pure(vertex_link) and is_thin(vertex_link)
-    # neither the top nor the interval's synthetic bottom is a link's bottom
-    for bottom in (top, BOTTOM):
+    assert vertex_link._boxes and vertex_link.ranks == (-1, 0, 0, 1)
+
+
+def test_link_poset_refuses_what_is_no_label_below_top(A1, A2):
+    """A link's bottom must be a node of [0^, top] other than 0^ and top:
+    the top, 0^, a label not below top, a label of an empty stratum and a
+    label with a wrong rank are each refused, as is a label with another
+    number of factors."""
+    e, s = A1.identity, A1.simple(0)
+    top = make_qnode(e, (s, s))
+    s1, s2 = A2.simple(0), A2.simple(1)
+    a2_top = make_qnode(s1, (A2.multiply(s1, s2), s1))
+    for bottom, over in [
+        (top, top),
+        (BOTTOM, top),
+        ("(e ; s1,s1)", top),
+        (make_qnode(s, (s, s)), make_qnode(s, (s, e))),  # s is not below e in factor 2
+        (make_qnode(e, (e, s)), make_qnode(s, (s, s))),  # v = e is not above top.v = s
+        (posets.QNode(s, (e, e), -1), top),  # empty: s is not below m_star(e, e) = e
+        (posets.QNode(s, (s, s), 2), top),  # (s ; s, s) has rank 1
+        (make_qnode(s, (s,)), top),  # one factor, not two
+        (make_qnode(s1, (s1, s2)), a2_top),  # s2 is not below s1 in the last factor
+    ]:
         with pytest.raises(ValueError, match="strictly below top"):
-            link_poset(bottom, top)
+            link_poset(bottom, over)
+    assert len(link_poset(make_qnode(s1, (s1, s1)), a2_top)) > 1
+
+
+def test_link_poset_bounds_its_own_size(S4, monkeypatch):
+    """The double Bruhat link of (w0 ; e, w0) in the A3 n=2 interval below
+    (e ; w0, w0) has 576 nodes, where the interval has 9,698: the node cap
+    is checked against the link, which builds under a cap of 576 and not
+    under 575."""
+    w0 = S4.from_word((0, 1, 0, 2, 1, 0))
+    e = S4.identity
+    bottom, top = make_qnode(w0, (e, w0)), make_qnode(e, (w0, w0))
+    monkeypatch.setattr(posets, "DEFAULT_NODE_CAP", 576)
+    link = link_poset(bottom, top)
+    assert len(link) == 576 and link._boxes
+    assert is_eulerian(link) and open_boundary_euler(link) == 1 + (-1) ** (link.ranks[-1] + 1)
+    monkeypatch.setattr(posets, "DEFAULT_NODE_CAP", 575)
+    with pytest.raises(CapExceededError):
+        link_poset(bottom, top)
+    monkeypatch.undo()
+    assert len(build_interval(top)) == 9_698
 
 
 def test_link_poset_matches_mask_restriction(A2):
-    """link_poset, built from the interval's covers, equals the interval's
+    """link_poset, built as the box above its bottom, equals the interval's
     masks restricted to the nodes above the bottom, on every link of
     sampled A2 n=2 tops."""
     rng = random.Random(8)
@@ -516,9 +593,11 @@ def test_link_poset_matches_mask_restriction(A2):
 
 
 def test_link_nodes_are_the_nodes_above_its_bottom():
-    """The nodes of a link, reached from its bottom up the interval's cover
-    index, are those of the bottom's ``above`` mask: on every link of every
-    hatQ top of rank >= 2."""
+    """A link, built as the box above its bottom, is byte for byte the
+    interval restricted to the nodes of the bottom's ``above`` mask, in
+    the interval's order, with ranks shifted so that the covers of the
+    bottom have rank 0: the same nodes, ranks, masks and up-cover index, on
+    every link of every hatQ top of rank >= 2."""
     links = 0
     for _, group, ns in _hatQ_families():
         for n in ns:
@@ -526,10 +605,18 @@ def test_link_nodes_are_the_nodes_above_its_bottom():
                 if top.rank < 2:
                     continue
                 interval = build_interval(top)
+                ups = interval.up_covers()
                 for b in range(1, len(interval) - 1):
                     link = link_poset(interval.nodes[b], top)
-                    above = {interval.nodes[i] for i in members(interval.above[b])}
-                    assert set(link.nodes[1:]) == above
+                    keep = members(interval.above[b])
+                    pos = {b: 0, **{old: new for new, old in enumerate(keep, start=1)}}
+                    shift = interval.ranks[b] + 1
+                    assert link.nodes == (BOTTOM, *(interval.nodes[i] for i in keep))
+                    assert link.ranks == (-1, *(interval.ranks[i] - shift for i in keep))
+                    assert link.below == (0, *(sum(1 << pos[j] for j in members(interval.below[i])
+                                                   if j in pos) for i in keep))
+                    assert link.up_covers() == tuple(tuple(pos[j] for j in ups[i])
+                                                     for i in (b, *keep))
                     links += 1
     assert links == 3054
 
@@ -861,7 +948,7 @@ def test_bottom_only_walks_match_the_walks_over_every_x(A2, B2):
     Eulerian verdict, from the bottom alone, is kept on the poset and
     mu(0^, top) is read off it; the masks-only copy walks every x."""
     built = [poset for poset in _differential_posets(A2) if poset._boxes]
-    assert len(built) == 244
+    assert len(built) == 244 + 62 + 36  # the hatQ tops, braid posets and links
     for poset in [*built, rank8_top(B2)]:
         checks = (is_pure, is_thin, is_eulerian, open_boundary_euler)
         verdicts = [check(poset) for check in checks]
@@ -1136,10 +1223,10 @@ def test_check_regular_ball_a2_pair(A2):
     assert all(c["status"] == "pass" for c in report.checks)
 
 
-NOT_THIN = FacePoset.from_lower_covers(
+NOT_THIN = oracles.from_lower_covers(
     [BOTTOM, "a", "b", "c", "t"], [0, 1, 1, 1, 2], [[], [0], [0], [0], [1, 2, 3]])
 # a < c < t and b < t: one maximum, chains of two lengths
-UNGRADED = FacePoset.from_lower_covers(
+UNGRADED = oracles.from_lower_covers(
     [BOTTOM, "a", "b", "c", "t"], [0, 1, 1, 2, 3], [[], [0], [0], [1], [2, 3]])
 
 
@@ -1358,6 +1445,46 @@ def test_atom_ordering_matches_chain_search(A2):
     assert find_shelling(FacePoset([BOTTOM], [0], [0]), budget=0) == empty
     chain = from_covers(["a", "b"], [("a", "b")])
     assert find_shelling(chain, budget=0) == ShellingResult("shellable", [(1, 2)], 1, 0, 0)
+
+
+def test_exhausted_search_stays_exhausted_at_its_own_attempt_count():
+    """A search that runs to its end is ``exhausted`` also when its budget
+    is exactly the attempts it takes: each exhausted search of the random
+    graded posets, run again with its own attempt count as budget, gives
+    the same result."""
+    runs = []
+    for poset in random_graded_posets(random.Random(3), 300):
+        res = find_shelling(poset)
+        if res.status == "inconclusive":
+            assert res.exhausted and res.attempts
+            again = find_shelling(poset, res.attempts)
+            assert again == dataclasses.replace(res, budget=res.attempts)
+            runs.append(res.attempts)
+    assert len(runs) == 20 and runs[0] == 8
+
+
+def test_chain_walks_leave_no_reference_cycle(A2):
+    """The chain listing, the search and the chain order it induces leave
+    nothing for the cyclic collector: with it off, a collection after each
+    result is dropped frees no object, on the A2 n=2 top (e ; w0, w0)."""
+    w0 = A2.from_word((0, 1, 0))
+    poset = build_interval(make_qnode(A2.identity, (w0, w0)))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        chains = maximal_chains(poset)
+        count = len(chains)
+        del chains
+        assert gc.collect() == 0
+        res = find_shelling(poset)
+        order = list(res.order)
+        del res
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert count == len(order) == 8_160
 
 
 def rank8_top(B2):

@@ -444,6 +444,13 @@ def test_mr_matrix_validation():
         slk.mr_matrix(2, (0,), (0,), (Fraction(1),))
 
 
+def test_mr_form_refuses_a_zero_parameter():
+    """A parameter must be positive: zero is refused like a negative one."""
+    with pytest.raises(ValueError, match="parameters must be positive"):
+        slk.mr_form(3, (0,), (None,), [0])
+    assert slk.mr_form(3, (0,), (None,), [1]) == slk.mr_form(3, (0,), (None,), [Fraction(1)])
+
+
 def test_iota_properties():
     rng = random.Random(3)
     for k in (2, 3, 4):

@@ -96,6 +96,17 @@ def test_nonempty(S3):
     assert positive_tuple(w0, wbar) == (s1, S3.multiply(s2, s1))
 
 
+def test_parametrize_cell_refuses_a_word_that_is_not_reduced_for_its_factor(S3):
+    """A word given for a factor must be a reduced word of it: a word of
+    the right length for another element, and a longer word for the right
+    element, are each refused before any chart is made."""
+    e, w = S3.identity, S3.from_word((0, 1))
+    assert twisted.parametrize_cell(e, (w,), [1, 1], words=[(0, 1)]).factors
+    for word in [(1, 0), (0, 1, 1, 1)]:
+        with pytest.raises(ValueError, match="is not a reduced word of"):
+            twisted.parametrize_cell(e, (w,), [1, 1], words=[word])
+
+
 def test_zpoint_validation():
     """No factors, factors of mixed sizes and a singular factor are refused by
     both constructors; the singular factor also by double_bruhat_embed."""
