@@ -22,23 +22,23 @@ fills the up-cover index; no cover pair is listed or sorted on the way.
 :func:`qnode_leq`, is their oracle.
 
 Every poset holds ``below`` and indexes the upper covers of each node
-once, as increasing tuples.  The ``above`` masks and the masks of the
-upper covers are formed together, in one reverse pass over the index,
-only when one of them is first read: by the shelling search and by the
-Eulerian walk over every x.  ``verify.regularity_checks`` turns the
-verdicts into report entries.  Purity (:func:`is_pure`): O(1) per node
-when every cover raises the rank by one, read off the first and last
-up-cover of each node (the answer is kept on the poset); a height pass
-over the covers otherwise.  Thinness (:func:`is_thin`): the paths of two
-covers from x, counted on the index; a count other than 2 fails on a
-graded poset, and on one that is not graded only where no node below
-its end lies above a cover of x.  Eulerian-ness (:func:`is_eulerian`): a
-node count on the intervals of even length from 2, two ANDs and two
-popcounts per pair, with the y above x read rank band by rank band from
-a slice of the mask of the nodes above x; the verdict is kept.
+once, as increasing tuples.  Every poset is graded, as Bjorner's
+criterion (1984, "Posets, regular CW complexes and Bruhat order") needs:
+:class:`FacePoset` refuses a cover that does not raise the rank by one.
+The ``above`` masks and the masks of the upper covers are formed
+together, in one reverse pass over the index, only when one of them is
+first read: by the shelling search and by the Eulerian walk over every
+x.  ``verify.regularity_checks`` turns the verdicts into report entries.
+Purity (:func:`is_pure`) is the constructor's refusal, and always holds.
+Thinness (:func:`is_thin`): the paths of two covers from x, counted on
+the index; any count other than 2 fails.  Eulerian-ness
+(:func:`is_eulerian`): a node count on the intervals of even length from
+2, two ANDs and two popcounts per pair, with the y above x read rank
+band by rank band from a slice of the mask of the nodes above x; the
+verdict is kept.
 
-Thinness and Eulerian-ness start from the bottom alone on a graded poset
-from :func:`build_interval`.  There every interval [x, y] with x above
+Thinness and Eulerian-ness start from the bottom alone on a poset from
+:func:`build_interval`.  There every interval [x, y] with x above
 the bottom is the product [v_y, v_x]* x prod_i [w_{x,i}, w_{y,i}] of
 Bruhat intervals, because the Demazure product is monotone, so every
 label between x and y is in the interval.  Bruhat intervals are thin and
@@ -48,10 +48,9 @@ and so are their products, mu being multiplicative (Stanley, EC1, Prop.
 first theorem, are tested, and for Eulerian-ness only those of even
 length (the boxes balance the others; see :func:`is_eulerian`).  The
 builder records the fact on the poset, braid posets and links included;
-the posets of the other constructors, and any poset that is not graded,
-take the walks over every x, which stay the oracle.  From the bottom,
-which lies below every other node, no walk forms a mask beyond
-``below``.
+the posets of the other constructors take the walks over every x, which
+stay the oracle.  From the bottom, which lies below every other node, no
+walk forms a mask beyond ``below``.
 
 The Euler characteristic of the open boundary
 (:func:`open_boundary_euler`) is 1 + mu(0^, top) by Philip Hall's
@@ -180,9 +179,11 @@ class FacePoset:
     do not.  ``below`` takes about 0.05 n^2 bytes for n nodes (508 bytes
     per node on the 9,698 nodes of the A3 n=2 top (e ; w0, w0)); the
     reverse pass adds about 0.23 n^2 bytes (2,202 bytes per node there).
+    The poset is graded by construction: ``ValueError`` refuses ranks that
+    decrease along the node order, or a cover that does not raise the rank
+    by exactly one, read off the first and last upper cover of each node.
     The poset is immutable, so what is derived from it alone is kept once
-    computed: the two mask tuples, whether every cover raises the rank
-    by one (:func:`_graded`), and the Eulerian verdict
+    computed: the two mask tuples and the Eulerian verdict
     (:func:`is_eulerian`), off which :func:`mobius` reads mu(0^, last
     node) when it is True.
     :func:`build_interval` also records that every interval above the
@@ -207,10 +208,17 @@ class FacePoset:
                     if not inner >> lo & 1:
                         ups[lo].append(hi)
         self._ups = tuple(map(tuple, ups))
+        # the upper covers of a node are increasing indices and ranks do not
+        # decrease along the index, so both ends at r + 1 put every cover there
+        ranks = self.ranks
+        if list(ranks) != sorted(ranks):
+            raise ValueError("not graded: the ranks fall along the node order")
+        for r, his in zip(ranks, self._ups):
+            if his and not ranks[his[0]] == ranks[his[-1]] == r + 1:
+                raise ValueError("not graded: a cover does not raise the rank by one")
         # above and the up-cover masks, formed together when either is first read
         self._above = self._cover_masks = None
-        self._graded = None  # the answer of _graded, kept at its first call
-        self._eulerian = None  # the verdict of is_eulerian, kept likewise
+        self._eulerian = None  # the verdict of is_eulerian, kept at its first call
         # set by build_interval alone: every [x, y] with x above the bottom
         # is a product of Bruhat intervals
         self._boxes = False
@@ -507,80 +515,38 @@ def link_poset(bottom: QNode, top: QNode) -> FacePoset:
 # -- regularity checks -----------------------------------------------------------
 
 
-def _graded(poset: FacePoset) -> bool:
-    """Every cover raises the rank by exactly 1.
-
-    The upper covers of a node are increasing indices, and ranks do not
-    decrease along the index order, so their ranks rise from the first
-    cover to the last: both ends at the node's rank plus 1 put every cover
-    there, with O(1) work per node.  The poset is immutable, so the answer
-    is kept on it at the first call and returned by every later one.
-    """
-    if poset._graded is None:
-        poset._graded = True
-        ranks = poset.ranks
-        for r, his in zip(ranks, poset.up_covers()):
-            if his and not ranks[his[0]] == ranks[his[-1]] == r + 1:
-                poset._graded = False
-                break
-    return poset._graded
-
-
 def is_pure(poset: FacePoset) -> bool:
     """All maximal chains between comparable pairs have equal length.
 
-    Below the bottom this holds iff every cover raises the height (the
-    length of the longest chain from the bottom) by exactly 1.  When every
-    cover raises the rank by 1 (:func:`_graded`), every chain from the
-    bottom to z has length r(z) - r(bottom), so that is the height and the
-    poset is pure.  Otherwise the heights are computed in one pass over the
-    covers.
+    Always True: :class:`FacePoset` refuses a poset with a cover that does
+    not raise the rank by exactly one, so every chain of covers from x to y
+    has length r(y) - r(x).  That refusal is the certificate; the function
+    stays so that reports keep their ``pure`` entry.
     """
-    if _graded(poset):
-        return True
-    ups = poset.up_covers()
-    height = [0] * len(ups)
-    # every cover into lo comes from a smaller lo
-    for lo, his in enumerate(ups):
-        h = height[lo] + 1
-        for hi in his:
-            if height[hi] < h:
-                height[hi] = h
-    return all(height[hi] == height[lo] + 1 for lo, his in enumerate(ups) for hi in his)
+    return True
 
 
 def is_thin(poset: FacePoset) -> bool:
     """Every interval of length 2 has exactly two intermediate elements.
 
-    [x, y] has only chains of length 2 iff y is two covers above x and
-    every element strictly between covers x.  Count the paths x < z < y
-    of two covers into each such y, on the up-cover index.  If every
-    element between x and y covers x, each of them is also covered by y
-    (an element strictly between it and y would lie between x and y
-    without covering x), so the count is the number of elements between.
-    Hence a count of 2 passes, and any other count fails iff every element
-    between covers x, that is, iff no node of ``below[y]`` lies above a
-    cover of x.  On a graded poset (:func:`_graded`) every node strictly
-    between x and y has rank r(x) + 1 and covers x, so any count other
-    than 2 fails without that test.
+    Count the paths x < z < y of two covers into each y two covers above
+    x, on the up-cover index.  Every cover raises the rank by one (the
+    constructor refuses any other poset), so every node strictly between x
+    and y has rank r(x) + 1, covers x and is covered by y: the count is
+    the number of elements between, and any count other than 2 fails.
 
-    On a graded poset from :func:`build_interval` (``_boxes`` set) every
-    interval [x, y] with x above the bottom is a product of Bruhat
-    intervals, which is thin (the proof is in that function's docstring),
-    so only x = 0^ is counted.  No mask beyond ``below`` is read.
+    On a poset from :func:`build_interval` (``_boxes`` set) every interval
+    [x, y] with x above the bottom is a product of Bruhat intervals, which
+    is thin (the proof is in that function's docstring), so only x = 0^ is
+    counted.  No mask is read.
     """
-    ups, below = poset.up_covers(), poset.below
-    graded = _graded(poset)
-    for x in range(1 if graded and poset._boxes else len(ups)):
+    ups = poset.up_covers()
+    for x in range(1 if poset._boxes else len(ups)):
         paths: dict[int, int] = {}
         for z in ups[x]:
             for y in ups[z]:
                 paths[y] = paths.get(y, 0) + 1
-        covering = sum(1 << z for z in ups[x])
-        # a count other than 2 fails on a graded poset, and on any other one
-        # iff no node below y lies above a cover of x
-        if any(graded or not any(below[w] & covering for w in members(below[y]))
-               for y, count in paths.items() if count != 2):
+        if any(count != 2 for count in paths.values()):
             return False
     return True
 
@@ -644,8 +610,8 @@ def is_eulerian(poset: FacePoset) -> bool:
     induction on the interval size it is enough to count the nodes of the
     intervals of length 2, 4, ...
 
-    The count runs from each start x over the y above x.  On a graded
-    poset from :func:`build_interval` (``_boxes`` set) the one start is the
+    The count runs from each start x over the y above x.  On a poset
+    from :func:`build_interval` (``_boxes`` set) the one start is the
     bottom, below every other node, so no ``above`` mask is formed: every
     [x, y] with x above the bottom is a product of Bruhat intervals, which
     is Eulerian (Verma's theorem, mu being multiplicative on products; the
@@ -688,7 +654,7 @@ def is_eulerian(poset: FacePoset) -> bool:
             odd |= full << lo
         lo = hi
     # (x, the mask of the nodes above x): the bottom is below every other node
-    starts = [(0, (1 << n) - 2)] if poset._boxes and _graded(poset) else enumerate(poset.above)
+    starts = [(0, (1 << n) - 2)] if poset._boxes else enumerate(poset.above)
     for x, up in starts:
         flip, sign = (up | 1 << x) ^ odd, 1 if ranks[x] % 2 else -1
         for start, end, full in bands[ranks[x] - low + 2::2]:  # the ranks 2, 4, ... above x
@@ -975,13 +941,14 @@ def find_shelling(poset: FacePoset, budget: int = DEFAULT_SHELLING_BUDGET) -> Sh
     down.  Up to one chain is a shelling as it is, and its certificate
     gives each node of the chain its one atom.  Otherwise a poset with
     several maximal nodes gets a synthetic top above them, one rank up, and
-    a graded poset (every cover raises the rank by one, all maximal nodes
-    of one rank) is searched by :func:`_atom_orderings`, which reads the
-    rank of the top.  ``certificate`` is the search's dict of states, and
-    ``order`` lists the chains in the order it induces, as
+    is searched by :func:`_atom_orderings`, which reads the rank of the
+    top; the poset is graded by construction, so it only needs all its
+    maximal nodes at one rank.  ``certificate`` is the search's dict of
+    states, and ``order`` lists the chains in the order it induces, as
     :func:`maximal_chains` tuples, only when it is read.  The search never
-    proves a poset not shellable: an exhausted search and a poset that is
-    not graded are ``inconclusive`` with ``exhausted`` set, and a spent
+    proves a poset not shellable: an exhausted search and a poset whose
+    maximal nodes have several ranks (its maximal chains have several
+    lengths) are ``inconclusive`` with ``exhausted`` set, and a spent
     budget is ``inconclusive`` without it; neither has a certificate.
     """
     n = len(poset.nodes)
@@ -1002,7 +969,7 @@ def find_shelling(poset: FacePoset, budget: int = DEFAULT_SHELLING_BUDGET) -> Sh
         chains = [tuple(path)] if path else []
         return ShellingResult("shellable", chains, facets, 0, budget, certificate=cert)
     maximal = [x for x in range(n) if not ups[x]]
-    if not _graded(poset) or len({ranks[x] for x in maximal}) > 1:
+    if len({ranks[x] for x in maximal}) > 1:
         return ShellingResult("inconclusive", None, facets, 0, budget, exhausted=True)
     synthetic = len(maximal) > 1
     if synthetic:  # on copies: the poset keeps its own index and masks

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import random
+from functools import partial
 from itertools import combinations, product
 
 import oracles
@@ -36,10 +37,12 @@ from tnnflag.verify import _hatQ_families, check_regular_ball, iter_qnodes
 from tnnflag.weyl import WeylGroup
 
 
-def from_covers(elements, pairs):
-    """Poset generated by the relations lo < hi in ``pairs``, plus BOTTOM.
+def relation_order(elements, pairs):
+    """Nodes, ranks and ``below`` masks of the order generated by the
+    relations lo < hi in ``pairs``, plus BOTTOM.
 
-    Nodes are stored by height, with BOTTOM at node 0 below every element.
+    Nodes are stored by height, with BOTTOM at node 0 below every element,
+    and each element's rank is its height.
     """
     below = {e: set() for e in elements}
     for lo, hi in pairs:
@@ -57,37 +60,53 @@ def from_covers(elements, pairs):
         height[e] = max((height[d] + 1 for d in below[e]), default=0)
     order = sorted(elements, key=height.get)
     index = {e: i for i, e in enumerate(order, start=1)}
-    return FacePoset(
-        [BOTTOM, *order],
-        [-1, *(height[e] for e in order)],
-        [0] + [1 | sum(1 << index[d] for d in below[e]) for e in order],
-    )
+    return ([BOTTOM, *order], [-1, *(height[e] for e in order)],
+            [0] + [1 | sum(1 << index[d] for d in below[e]) for e in order])
 
 
-def chain_length_bounds(poset):
-    """(minlen, maxlen) of cover paths from x to y, keyed by pairs (x, y)."""
-    ups = poset.up_covers()
+def from_covers(elements, pairs):
+    """The poset of :func:`relation_order`, given by its masks alone."""
+    return FacePoset(*relation_order(elements, pairs))
+
+
+def chain_length_bounds(ups):
+    """(minlen, maxlen) of cover paths from x to y, keyed by pairs (x, y),
+    from the upper cover lists of nodes stored in rank order."""
     minlen, maxlen = {}, {}
-    for x in range(len(poset)):
+    for x in range(len(ups)):
         minlen[x, x] = maxlen[x, x] = 0
-        for z in range(x, len(poset)):  # rank order: everything above x
+        for z in range(x, len(ups)):  # rank order: everything above x
             if (x, z) not in minlen:
                 continue
             for y in ups[z]:
-                minlen[x, y] = min(minlen.get((x, y), len(poset)), minlen[x, z] + 1)
+                minlen[x, y] = min(minlen.get((x, y), len(ups)), minlen[x, z] + 1)
                 maxlen[x, y] = max(maxlen.get((x, y), 0), maxlen[x, z] + 1)
     return minlen, maxlen
 
 
+def oracle_up_covers(below):
+    """The upper cover lists of :func:`oracle_covers`, one per node."""
+    ups = [[] for _ in below]
+    for lo, hi in oracle_covers(below):
+        ups[lo].append(hi)
+    return ups
+
+
+def relation_is_pure(elements, pairs):
+    """The chain-length table on the covers of the relations' order, read
+    off its masks by the definition: every comparable pair has maximal
+    chains of one length."""
+    minlen, maxlen = chain_length_bounds(oracle_up_covers(relation_order(elements, pairs)[2]))
+    return minlen == maxlen
+
+
 def oracle_is_pure(poset):
-    minlen, maxlen = chain_length_bounds(poset)
-    return all(
-        minlen[x, y] == maxlen[x, y] for x in range(len(poset)) for y in members(poset.above[x])
-    )
+    minlen, maxlen = chain_length_bounds(poset.up_covers())
+    return minlen == maxlen
 
 
 def oracle_is_thin(poset):
-    minlen, maxlen = chain_length_bounds(poset)
+    minlen, maxlen = chain_length_bounds(poset.up_covers())
     return all(
         (poset.above[x] & poset.below[y]).bit_count() == 2
         for (x, y), longest in maxlen.items()
@@ -129,13 +148,14 @@ def oracle_open_boundary_euler(poset):
     return sum(g.values())
 
 
-def oracle_covers(poset):
-    """Pairs lo < hi with no node strictly between them."""
-    below = [set(members(mask)) for mask in poset.below]
+def oracle_covers(below):
+    """Pairs lo < hi with no node strictly between them, from the masks
+    ``below`` of the nodes strictly below each node."""
+    below = [set(members(mask)) for mask in below]
     return tuple(
         (lo, hi)
-        for lo in range(len(poset))
-        for hi in range(len(poset))
+        for lo in range(len(below))
+        for hi in range(len(below))
         if lo in below[hi] and not any(lo in below[mid] for mid in below[hi])
     )
 
@@ -568,30 +588,6 @@ def test_link_poset_bounds_its_own_size(S4, monkeypatch):
     assert len(build_interval(top)) == 9_698
 
 
-def test_link_poset_matches_mask_restriction(A2):
-    """link_poset, built as the box above its bottom, equals the interval's
-    masks restricted to the nodes above the bottom, on every link of
-    sampled A2 n=2 tops."""
-    rng = random.Random(8)
-    tops = [top for top in iter_qnodes(A2, 2) if top.rank >= 2]
-    links = 0
-    for top in rng.sample(tops, 15):
-        interval = build_interval(top)
-        for b in range(1, len(interval) - 1):
-            keep = members(interval.above[b])
-            pos = {old: new for new, old in enumerate(keep, start=1)}
-            below = [0] + [
-                1 | sum(1 << pos[j] for j in members(interval.below[i]) if j in pos)
-                for i in keep
-            ]
-            link = link_poset(interval.nodes[b], top)
-            assert link.nodes[1:] == tuple(interval.nodes[i] for i in keep)
-            assert link.below == tuple(below)
-            assert link.covers == FacePoset(link.nodes, link.ranks, link.below).covers
-            links += 1
-    assert links > 100
-
-
 def test_link_nodes_are_the_nodes_above_its_bottom():
     """A link, built as the box above its bottom, is byte for byte the
     interval restricted to the nodes of the bottom's ``above`` mask, in
@@ -621,15 +617,47 @@ def test_link_nodes_are_the_nodes_above_its_bottom():
     assert links == 3054
 
 
+def assert_refused(elements, pairs):
+    """The chain-length table finds the relations impure, and ``FacePoset``
+    refuses their order, given by masks or with its up-cover index."""
+    assert not relation_is_pure(elements, pairs)
+    nodes, ranks, below = relation_order(elements, pairs)
+    for index in (None, oracle_up_covers(below)):
+        with pytest.raises(ValueError, match="not graded"):
+            FacePoset(nodes, ranks, below, index)
+
+
 def test_is_pure_counterexample():
-    # 4-chain with an extra element glued between its ends: the pair
-    # (a, d) has maximal chains of lengths 3 and 2
-    poset = from_covers(
+    """A 4-chain with an extra element glued between its ends: the pair
+    (a, d) has maximal chains of lengths 3 and 2, so the cover x < d skips
+    a rank and the poset is refused."""
+    assert_refused(
         ["a", "b", "c", "d", "x"],
         [("a", "b"), ("b", "c"), ("c", "d"), ("a", "x"), ("x", "d")],
     )
-    assert not is_pure(poset)
-    assert not is_eulerian(poset)
+
+
+def test_face_poset_refuses_a_cover_that_skips_a_rank():
+    """A cover that raises the rank by 2, or by 0 before one that raises it
+    by 1, is refused, as are ranks that fall along the node order: there
+    the first and last upper cover of the bottom have rank 0 and the one
+    between them rank 2, which the first and last alone would let pass.
+    Covers given as an index are refused likewise: a < c < t and b < t,
+    with t at rank 3.  A chain with ranks that go up one at a time from
+    any start is accepted."""
+    for ranks, below in [
+        ([-1, 0, 2, 3], [0, 1, 3, 7]),  # the cover a < b skips rank 1
+        ([-1, 0, 0, 1], [0, 1, 3, 3]),  # a is covered by b at its rank, by c one up
+        ([-1, 0, 2, 0], [0, 1, 1, 1]),  # three atoms, the middle one at rank 2
+    ]:
+        with pytest.raises(ValueError, match="not graded"):
+            FacePoset([BOTTOM, *"abc"[:len(ranks) - 1]], ranks, below)
+    with pytest.raises(ValueError, match="not graded"):
+        oracles.from_lower_covers([BOTTOM, "a", "b", "c", "t"], [0, 1, 1, 2, 3],
+                                  [[], [0], [0], [1], [2, 3]])
+    for start in (-1, 0, 5):
+        chain = FacePoset([BOTTOM, "a", "b"], [start, start + 1, start + 2], [0, 1, 3])
+        assert is_pure(chain) and chain.covers == ((0, 1), (1, 2))
 
 
 def test_boolean_lattice_pure_thin():
@@ -686,18 +714,35 @@ def test_path_count_three_on_a_length_two_interval():
 
 def test_path_count_off_two_on_a_longer_interval():
     """[0^, y] has one path of two covers (through r) but length 3 (through
-    an edge), so the path count is not 2, but a node below y (e) lies above
-    a cover of 0^ (p) on this ungraded poset, and it passes; every interval
-    of length 2 has two middle elements."""
-    poset = from_covers(
+    an edge): the cover r < y skips a rank, and the poset is refused."""
+    assert_refused(
         ["p", "q", "e", "f", "r", "y"],
         [("p", "e"), ("q", "e"), ("p", "f"), ("q", "f"), ("e", "y"), ("f", "y"), ("r", "y")],
     )
-    assert two_step_paths(poset, 0, poset.index("y")) == 1
-    assert is_thin(poset) and mask_scan_is_thin(poset) and oracle_is_thin(poset)
+
+
+def _links_and_relations(A2):
+    """Three sampled links, as (bottom, top) pairs, of each of twelve
+    sampled A2 n=2 tops, then 300 seeded relation sets (elements, pairs)
+    on up to 8 elements: all drawn from one generator."""
+    rng = random.Random(5)
+    tops = [top for top in iter_qnodes(A2, 2) if top.rank >= 2]
+    links = []
+    for top in rng.sample(tops, 12):
+        nodes = build_interval(top).nodes
+        links += [(nodes[i], top) for i in rng.sample(range(1, len(nodes) - 1), 3)]
+    relations = []
+    for _ in range(300):
+        size = rng.randint(1, 8)
+        pairs = [(i, j) for i in range(size) for j in range(i + 1, size) if rng.random() < 0.35]
+        relations.append((list(range(size)), pairs))
+    return links, relations
 
 
 def _differential_posets(A2):
+    """Every hatQ interval, every A2 braid poset of a word of length <= 5,
+    the sampled links, and the orders of the seeded relation sets that the
+    chain-length table finds pure (``FacePoset`` refuses the others)."""
     for _, group, ns in _hatQ_families():
         for n in ns:
             for top in iter_qnodes(group, n):
@@ -705,56 +750,54 @@ def _differential_posets(A2):
     for length in range(1, 6):
         for letters in product(range(2), repeat=length):
             yield braid_poset(A2, letters)
-    rng = random.Random(5)
-    tops = [top for top in iter_qnodes(A2, 2) if top.rank >= 2]
-    for top in rng.sample(tops, 12):
-        interval = build_interval(top)
-        for i in rng.sample(range(1, len(interval) - 1), 3):
-            yield link_poset(interval.nodes[i], top)
-    for _ in range(300):
-        size = rng.randint(1, 8)
-        pairs = [(i, j) for i in range(size) for j in range(i + 1, size) if rng.random() < 0.35]
-        yield from_covers(list(range(size)), pairs)
+    links, relations = _links_and_relations(A2)
+    for bottom, top in links:
+        yield link_poset(bottom, top)
+    for elements, pairs in relations:
+        if relation_is_pure(elements, pairs):
+            yield from_covers(elements, pairs)
 
 
 def test_pure_and_thin_match_chain_length_oracle(A2):
     """The cover-based checks equal the chain-length table on every interval
     of the hatQ families, every short A2 braid word, sampled links and
-    seeded random posets."""
-    verdicts = set()
+    seeded random posets: all of them pure, thin or not."""
+    thin_seen = set()
     for poset in _differential_posets(A2):
-        pure, thin = is_pure(poset), is_thin(poset)
-        assert (pure, thin) == (oracle_is_pure(poset), oracle_is_thin(poset))
-        verdicts.add((pure, thin))
-    assert {pure for pure, _ in verdicts} == {thin for _, thin in verdicts} == {True, False}
+        assert is_pure(poset) is oracle_is_pure(poset) is True
+        thin = is_thin(poset)
+        assert thin == oracle_is_thin(poset)
+        thin_seen.add(thin)
+    assert thin_seen == {True, False}
 
 
-def test_graded_fast_path_matches_height_pass(A2, monkeypatch):
-    """Gradedness read off the first and last up-cover of each node equals
-    the per-cover definition, and purity by rank bands equals the height
-    pass alone and the chain-length table, on every differential poset."""
-    graded_seen, pure_seen = set(), set()
-    for poset in _differential_posets(A2):
-        ranks = poset.ranks
-        graded = posets._graded(poset)
-        assert graded == all(ranks[hi] == ranks[lo] + 1
-                             for lo, his in enumerate(poset.up_covers()) for hi in his)
-        pure = is_pure(poset)
-        with monkeypatch.context() as m:
-            m.setattr(posets, "_graded", lambda poset: False)
-            assert is_pure(poset) == pure == oracle_is_pure(poset)
-        graded_seen.add(graded)
-        pure_seen.add(pure)
-    assert graded_seen == pure_seen == {True, False}
+def test_refusal_matches_chain_length_purity(A2):
+    """``from_covers``, with height ranks, is refused exactly when the
+    chain-length table, on the cover lists read off the masks by the
+    definition, finds the relations impure, on the 300 seeded relation
+    sets of the differential posets; the same order given with its
+    up-cover index is refused likewise."""
+    kinds = {True: 0, False: 0}
+    for elements, pairs in _links_and_relations(A2)[1]:
+        if relation_is_pure(elements, pairs):
+            poset = from_covers(elements, pairs)
+            assert FacePoset(poset.nodes, poset.ranks, poset.below,
+                             poset.up_covers()).covers == poset.covers
+            kinds[True] += 1
+        else:
+            assert_refused(elements, pairs)
+            kinds[False] += 1
+    assert kinds == {True: 220, False: 80}
 
 
 def test_thin_path_count_matches_mask_scan(A2):
     """Thinness by two-step path counts on the up-cover index equals the
     mask scan and the chain-length table, and forms neither ``above`` nor
     the up-cover masks: on the differential posets, the same posets given
-    by their masks alone, ``from_qnodes`` posets, the random graded posets
-    and two ungraded thin face posets.  All four (graded, thin) kinds
-    occur."""
+    by their masks alone, ``from_qnodes`` posets and the random graded
+    posets; both verdicts occur.  The boundary of a triangle and of a
+    tetrahedron, each with an isolated vertex under the top, would be thin
+    and not graded: they are refused."""
     differential = list(_differential_posets(A2))
     tops = [top for top in iter_qnodes(A2, 2) if top.rank >= 2]
     verdicts = set()
@@ -764,17 +807,16 @@ def test_thin_path_count_matches_mask_scan(A2):
         *(FacePoset.from_qnodes(interval_labels(top))
           for top in random.Random(29).sample(tops, 20)),
         *random_graded_posets(random.Random(3), 300),
-        # the boundary of a triangle and of a tetrahedron, each with an
-        # isolated vertex: ungraded and thin, which no poset above is
-        *(simplicial_face_poset([*map(frozenset, combinations(range(d + 1), d)),
-                                 frozenset({d + 1})])
-          for d in (2, 3)),
     ]:
         thin = is_thin(poset)
         assert poset._above is None and poset._cover_masks is None
         assert thin == mask_scan_is_thin(poset) == oracle_is_thin(poset)
-        verdicts.add((posets._graded(poset), thin))  # (graded, thin)
-    assert verdicts == set(product((True, False), repeat=2))
+        verdicts.add(thin)
+    assert verdicts == {True, False}
+    for d in (2, 3):
+        with pytest.raises(ValueError, match="not graded"):
+            simplicial_face_poset([*map(frozenset, combinations(range(d + 1), d)),
+                                   frozenset({d + 1})])
 
 
 def test_eulerian_boundary_and_covers_match_oracles(A2, monkeypatch):
@@ -786,7 +828,7 @@ def test_eulerian_boundary_and_covers_match_oracles(A2, monkeypatch):
 
     The Eulerian walk never calls ``is_thin``: with it made to raise, the
     verdict on each poset and on the same masks alone equals the all-pairs
-    Mobius test.  Graded thin, graded not thin and ungraded posets occur."""
+    Mobius test.  Thin and not thin posets occur."""
     verdicts = set()
     kinds = set()
     maxima = 0
@@ -804,7 +846,7 @@ def test_eulerian_boundary_and_covers_match_oracles(A2, monkeypatch):
         assert type(ups) is tuple and all(type(u) is tuple for u in ups)
         assert poset.up_covers() is ups
         listed = tuple((lo, hi) for lo, his in enumerate(ups) for hi in his)
-        assert poset.covers == listed == oracle_covers(poset)
+        assert poset.covers == listed == oracle_covers(poset.below)
         transpose = [0] * len(poset)
         for j, mask in enumerate(poset.below):
             for i in members(mask):
@@ -813,16 +855,15 @@ def test_eulerian_boundary_and_covers_match_oracles(A2, monkeypatch):
         assert masks_only.up_covers() == ups and masks_only.above == poset.above
         thin = mask_scan_is_thin(poset)
         assert is_thin(masks_only) == is_thin(poset) == thin
-        graded = posets._graded(poset)
-        kinds.add((graded, thin and graded))
+        kinds.add(thin)
         verdicts.add(eulerian)
         top = len(poset) - 1
         if top and poset.below[top] == (1 << top) - 1:
             maxima += 1
             assert open_boundary_euler(poset) == oracle_open_boundary_euler(poset)
     assert verdicts == {True, False}
-    assert kinds == {(True, True), (True, False), (False, False)}
-    assert maxima == 423
+    assert kinds == {True, False}
+    assert maxima == 404
 
 
 def simplicial_face_poset(facets, rank_of=lambda dim: dim):
@@ -854,42 +895,48 @@ def two_spheres(d):
 
 
 @pytest.mark.parametrize(
-    "poset, eulerian",
+    "make, eulerian",
     [
         # the triangle's faces (B3) with ranks from 3 and from 4: both signs
-        pytest.param(simplicial_face_poset([frozenset("abc")], lambda d: d + 4), True,
+        pytest.param(partial(simplicial_face_poset, [frozenset("abc")], lambda d: d + 4), True,
                      id="B3-from-3"),
-        pytest.param(simplicial_face_poset([frozenset("abc")], lambda d: d + 5), True,
+        pytest.param(partial(simplicial_face_poset, [frozenset("abc")], lambda d: d + 5), True,
                      id="B3-from-4"),
-        # rank gaps: B3 with its top two ranks up is Eulerian, one rank up
-        # it is not; a diamond with ranks -1, 0, 0, 3 is Eulerian
-        pytest.param(simplicial_face_poset([frozenset("abc")], lambda d: d + 2 * (d == 2)),
-                     True, id="B3-gap-2"),
-        pytest.param(simplicial_face_poset([frozenset("abc")], lambda d: d + (d == 2)),
-                     False, id="B3-gap-1"),
-        pytest.param(simplicial_face_poset([frozenset("ab")], lambda d: d + 2 * (d == 1)),
-                     True, id="diamond-gap"),
-        pytest.param(FacePoset([BOTTOM, "a", "b", "c"], [-1, 0, 2, 3], [0, 1, 3, 7]), False,
-                     id="chain-gap"),
+        # rank gaps, refused (None): B3 with its top two ranks up and one
+        # rank up, a diamond with ranks -1, 0, 0, 3, a chain -1, 0, 2, 3
+        pytest.param(partial(simplicial_face_poset, [frozenset("abc")],
+                             lambda d: d + 2 * (d == 2)), None, id="B3-gap-2"),
+        pytest.param(partial(simplicial_face_poset, [frozenset("abc")], lambda d: d + (d == 2)),
+                     None, id="B3-gap-1"),
+        pytest.param(partial(simplicial_face_poset, [frozenset("ab")],
+                             lambda d: d + 2 * (d == 1)), None, id="diamond-gap"),
+        pytest.param(partial(FacePoset, [BOTTOM, "a", "b", "c"], [-1, 0, 2, 3], [0, 1, 3, 7]),
+                     None, id="chain-gap"),
         # [0^, top] of length 4 and of length 6 fails and every proper
         # interval holds; shifted by one rank and by seven, and with the
-        # rank below the top left empty
-        pytest.param(simplicial_face_poset(two_spheres(3)), False, id="length-4"),
-        pytest.param(simplicial_face_poset(two_spheres(3), lambda d: d + 1), False,
+        # rank below the top left empty (refused)
+        pytest.param(partial(simplicial_face_poset, two_spheres(3)), False, id="length-4"),
+        pytest.param(partial(simplicial_face_poset, two_spheres(3), lambda d: d + 1), False,
                      id="length-4-from-1"),
-        pytest.param(simplicial_face_poset(two_spheres(5), lambda d: d + 7), False,
+        pytest.param(partial(simplicial_face_poset, two_spheres(5), lambda d: d + 7), False,
                      id="length-6-from-6"),
-        pytest.param(simplicial_face_poset(two_spheres(5), lambda d: d + 2 * (d == 5)), False,
-                     id="length-6-gap"),
+        pytest.param(partial(simplicial_face_poset, two_spheres(5), lambda d: d + 2 * (d == 5)),
+                     None, id="length-6-gap"),
         # one 4-sphere with a top is the 5-simplex: Eulerian, ranks from 1
-        pytest.param(simplicial_face_poset([frozenset(range(6))], lambda d: d + 2), True,
-                     id="simplex-from-1"),
+        pytest.param(partial(simplicial_face_poset, [frozenset(range(6))], lambda d: d + 2),
+                     True, id="simplex-from-1"),
     ],
 )
-def test_eulerian_on_rank_gaps_and_shifted_ranks(poset, eulerian):
-    """The band walk reads the nodes in rank order, skips ranks that hold no
-    node, and keeps the sign of the count for ranks that start above 0."""
-    assert is_eulerian(poset) == oracle_is_eulerian(poset) == eulerian
+def test_eulerian_on_rank_gaps_and_shifted_ranks(make, eulerian):
+    """The band walk reads the nodes in rank order and keeps the sign of
+    the count for ranks that start above 0.  A rank gap, a cover that
+    skips a rank, is refused when the poset is made (``eulerian`` None)."""
+    if eulerian is None:
+        with pytest.raises(ValueError, match="not graded"):
+            make()
+    else:
+        poset = make()
+        assert is_eulerian(poset) == oracle_is_eulerian(poset) == eulerian
 
 
 def test_eulerian_fails_first_on_a_long_interval():
@@ -955,7 +1002,7 @@ def test_bottom_only_walks_match_the_walks_over_every_x(A2, B2):
         assert poset._above is None and poset._cover_masks is None
         assert poset._eulerian is verdicts[2]
         plain = FacePoset(poset.nodes, poset.ranks, poset.below)
-        assert not plain._boxes and posets._graded(poset)
+        assert not plain._boxes
         assert verdicts == [check(plain) for check in checks]
         assert verdicts[2] == oracle_is_eulerian(plain)
 
@@ -1013,7 +1060,7 @@ def test_builder_fact_still_refuses_an_unbalanced_cell(poset):
     Eulerian, and one with three nodes in [0^, y] of length 2 is not thin.
     The Mobius walk from the bottom goes on past the first wrong sign:
     mu(0^, top) and the boundary equal the value-class and chain oracles."""
-    assert posets._graded(poset) and not oracle_is_eulerian(poset)
+    assert not oracle_is_eulerian(poset)
     poset._boxes = True
     assert not is_eulerian(poset)
     assert is_thin(poset) == oracle_is_thin(poset)
@@ -1039,6 +1086,29 @@ def test_hatQ_counts_a_differing_verdict_as_a_builder_mismatch(monkeypatch):
     assert len(entry["witness"]["bad"]) == 1 and entry["witness"]["bad"][0].startswith("A2 n=2")
 
 
+def test_hatQ_reports_a_pairwise_cover_that_skips_a_rank(monkeypatch):
+    """``verify hatQ`` builds each top's pairwise order, which FacePoset
+    refuses when a cover skips a rank: with every relation below the A1
+    n=1 label (e ; s1) dropped from ``qnode_leq``, that top's one cover
+    rises from 0^ by two ranks, and the report, with no traceback, has one
+    ``cover-rank-drop`` entry on it and skips its builder comparison."""
+    real = posets.qnode_leq
+
+    def drop_below_e_s1(a, b):
+        if b.v.group.rank == 1 and len(b.wbar) == 1 and b.rank == 1:
+            return False
+        return real(a, b)
+
+    monkeypatch.setattr(posets, "qnode_leq", drop_below_e_s1)
+    report = verify.suite_hatQ()
+    failed = {c["check"]: c["witness"] for c in report.checks if c["status"] != "pass"}
+    assert failed == {"A1-n1-intervals": {
+        "intervals": 3, "shellings": 3,
+        "bad": [{"top": "A1 n=1 top=(e ; s1)", "check": "cover-rank-drop"}]}}
+    by_name = {c["check"]: c for c in report.checks}
+    assert by_name["builder-matches-pairwise"]["witness"] == {"intervals": 244}
+
+
 def test_thin_counts_one_and_three_fail_on_a_graded_poset():
     """From 0^, y1 has one path of two covers and y2 three: the mean count
     is 2, but on a graded poset any count other than 2 fails."""
@@ -1049,23 +1119,19 @@ def test_thin_counts_one_and_three_fail_on_a_graded_poset():
     assert (two_step_paths(poset, 0, y1), two_step_paths(poset, 0, y2)) == (1, 3)
     ups = poset.up_covers()
     assert sum(len(ups[z]) for z in ups[0]) == 2 * len({y1, y2})
-    assert posets._graded(poset)
     assert not is_thin(poset) and not oracle_is_thin(poset) and not mask_scan_is_thin(poset)
 
 
-def test_thin_odd_count_passes_on_an_ungraded_poset():
+def test_thin_odd_count_on_an_ungraded_poset_is_refused():
     """From 0^, y has three paths of two covers (through p, q, r) but also
     chains of length 3 (through e or f, then m or m'), so [0^, y] is no
-    interval of length 2: on this ungraded poset the count 3 passes, since
-    a node below y (m) lies above a cover of 0^ (e)."""
-    poset = from_covers(
+    interval of length 2: the covers p, q, r < y skip a rank, and the
+    poset is refused."""
+    assert_refused(
         ["p", "q", "r", "e", "f", "m", "m'", "y"],
         [("e", "m"), ("f", "m"), ("e", "m'"), ("f", "m'"),
          ("p", "y"), ("q", "y"), ("r", "y"), ("m", "y"), ("m'", "y")],
     )
-    assert two_step_paths(poset, 0, poset.index("y")) == 3
-    assert not posets._graded(poset)
-    assert is_thin(poset) and oracle_is_thin(poset) and mask_scan_is_thin(poset)
 
 
 def test_boundary_and_mobius_agree_whichever_runs_first(A2):
@@ -1095,7 +1161,7 @@ def test_boundary_and_mobius_agree_whichever_runs_first(A2):
         assert signs == eulerian if first._boxes else signs >= eulerian
         maxima += bool(unique)
         verdicts.add(eulerian)
-    assert maxima == 423 and verdicts == {True, False}
+    assert maxima == 404 and verdicts == {True, False}
 
 
 @pytest.mark.parametrize("eulerian_first", [True, False])
@@ -1111,7 +1177,7 @@ def test_an_unbalanced_odd_interval_from_the_bottom_is_not_eulerian(eulerian_fir
 
     poset = diamond_under_z()
     z = poset.index("z")
-    assert z == len(poset) - 1 and posets._graded(poset) and not poset._boxes
+    assert z == len(poset) - 1 and not poset._boxes
     if eulerian_first:
         assert not is_eulerian(poset)
     assert mobius(poset, 0, z) == oracles.mobius_by_value_classes(poset, 0, z) == 0
@@ -1144,32 +1210,43 @@ def test_mobius_of_small_posets(elements, pairs, node, value):
         mobius(poset, len(poset) - 1, 0)
 
 
+def mobius_values_poset():
+    """Four atoms, y above three of them (mu(0^, y) = 2) and z above all
+    four (mu(0^, z) = 3), below a top t: mu(0^, t) = -2 reads two values
+    other than 1 and -1."""
+    return from_covers(["a", "b", "c", "d", "y", "z", "t"],
+                       [*((x, "y") for x in "abc"), *((x, "z") for x in "abcd"),
+                        ("y", "t"), ("z", "t")])
+
+
 def test_mobius_matches_recursion_oracle(A2):
     """The one-pass Mobius function equals the recursion on every comparable
-    pair of the differential posets; non-Eulerian ones give other values."""
+    pair of the differential posets and :func:`mobius_values_poset`;
+    non-Eulerian ones give other values."""
     values = set()
-    for poset in _differential_posets(A2):
+    for poset in [*_differential_posets(A2), mobius_values_poset()]:
         for x in range(len(poset)):
             memo = {}
             for y in members(poset.above[x]):
                 mu = mobius(poset, x, y)
                 assert mu == oracle_mobius(poset, x, y, memo)
                 values.add(mu)
-    assert {-1, 0, 1, 2, 3} <= values
+    assert {-2, -1, 0, 1, 2, 3} <= values
 
 
 def test_mobius_matches_value_class_oracle(A2):
     """The signed masks for mu = 1 and mu = -1, with a dict for any other
     value, equal one mask per value on every comparable pair of the
-    differential posets, and the other values occur."""
+    differential posets and :func:`mobius_values_poset`, and the other
+    values occur."""
     values = set()
-    for poset in _differential_posets(A2):
+    for poset in [*_differential_posets(A2), mobius_values_poset()]:
         for x in range(len(poset)):
             for y in [x, *members(poset.above[x])]:
                 mu = mobius(poset, x, y)
                 assert mu == oracles.mobius_by_value_classes(poset, x, y)
                 values.add(mu)
-    assert {-1, 0, 1, 2, 3} <= values
+    assert {-2, -1, 0, 1, 2, 3} <= values
 
 
 def test_simplex_boundary_shells_in_any_order():
@@ -1225,9 +1302,10 @@ def test_check_regular_ball_a2_pair(A2):
 
 NOT_THIN = oracles.from_lower_covers(
     [BOTTOM, "a", "b", "c", "t"], [0, 1, 1, 1, 2], [[], [0], [0], [0], [1, 2, 3]])
-# a < c < t and b < t: one maximum, chains of two lengths
-UNGRADED = oracles.from_lower_covers(
-    [BOTTOM, "a", "b", "c", "t"], [0, 1, 1, 2, 3], [[], [0], [0], [1], [2, 3]])
+# two disjoint edges ab and cd below a top: the proper part is disconnected
+NOT_SHELLABLE = oracles.from_lower_covers(
+    [BOTTOM, "a", "b", "c", "d", "ab", "cd", "t"], [0, 1, 1, 1, 1, 2, 2, 3],
+    [[], [0], [0], [0], [0], [1, 2], [3, 4], [5, 6]])
 
 
 def _ball_and_checks(pure, thin, eulerian, shelling, boundary):
@@ -1250,16 +1328,17 @@ def _ball_and_checks(pure, thin, eulerian, shelling, boundary):
         {"status": "pass", "witness": {"certificate": "rao", "facets": 3,
                                        "attempts": 3, "backtracks": 0}},
         {"status": "fail", "witness": {"chi": 3, "expected": 2}})),
-    (UNGRADED, _ball_and_checks(
-        "fail", "fail", "fail",
-        {"status": "inconclusive", "witness": {"certificate": "rao", "facets": 2,
-                                               "attempts": 0, "backtracks": 0,
+    (NOT_SHELLABLE, _ball_and_checks(
+        "pass", "fail", "fail",
+        {"status": "inconclusive", "witness": {"certificate": "rao", "facets": 4,
+                                               "attempts": 24, "backtracks": 6,
                                                "exhausted": True}},
         {"status": "fail", "witness": {"chi": 2, "expected": 0}})),
-], ids=["three-middle-nodes", "ungraded"])
+], ids=["three-middle-nodes", "not-shellable"])
 def test_every_check_reports_its_failures(poset, expected):
     """Each check's entry on a poset that fails it: the ball rolls up to
-    fail, and an ungraded poset's shelling is inconclusive, exhausted."""
+    fail, and an exhausted search's shelling is inconclusive.  Purity holds
+    on every poset that can be made."""
     assert verify.regularity_checks(poset, verify.CHECKS) == expected
 
 
@@ -1382,13 +1461,13 @@ def test_maximal_chains_are_sorted_index_tuples(A2):
     assert {0, 1} <= lengths
 
 
-def random_graded_posets(rng, count):
-    """Bounded graded posets of rank 2 to 4: one to three nodes on each
-    inner rank and one top, each node covering some nodes of the rank below
-    and covered by some of the rank above."""
+def random_graded_posets(rng, count, ranks=(2, 4), width=3):
+    """Bounded graded posets of a rank in ``ranks`` (2 to 4 by default): one
+    to ``width`` nodes on each inner rank and one top, each node covering
+    some nodes of the rank below and covered by some of the rank above."""
     for _ in range(count):
-        rank = rng.randint(2, 4)
-        levels = [[(r, i) for i in range(rng.randint(1, 3))] for r in range(1, rank)]
+        rank = rng.randint(*ranks)
+        levels = [[(r, i) for i in range(rng.randint(1, width))] for r in range(1, rank)]
         levels.append([(rank, 0)])
         pairs = []
         for lower, upper in zip(levels, levels[1:]):
@@ -1403,13 +1482,14 @@ def test_atom_ordering_matches_chain_search(A2):
     differential posets and seeded random bounded graded posets.
 
     The oracle runs on the posets of at most 200 chains (the rest take
-    seconds each in it; they are graded and shellable, with no oracle
-    verdict, None).  On a graded poset the verdicts agree (an exhausted
-    ordering search where the chain search finds no shelling), and every
-    returned order is the set of maximal chains; up to 1,000 chains it is
-    also validated pairwise.  A poset that is not graded is inconclusive,
-    also where the chain search finds a non-pure shelling.  Budgets 0 and 1
-    leave every poset of two or more chains inconclusive.
+    seconds each in it; they are shellable, with no oracle verdict, None).
+    Where the maximal chains have one length the verdicts agree (an
+    exhausted ordering search where the chain search finds no shelling),
+    and every returned order is the set of maximal chains; up to 1,000
+    chains it is also validated pairwise.  A poset whose maximal nodes lie
+    at several ranks, so that its chains have several lengths, is
+    inconclusive, also where the chain search finds a non-pure shelling.
+    Budgets 0 and 1 leave every poset of two or more chains inconclusive.
     """
     verdicts = {}
     posets_seen = [*_differential_posets(A2), *random_graded_posets(random.Random(3), 300)]
@@ -1419,26 +1499,26 @@ def test_atom_ordering_matches_chain_search(A2):
         chain_search = None
         if len(chains) <= 200:
             chain_search = oracles.shelling_search([frozenset(c) for c in chains]).status
-        graded = len({len(c) for c in chains}) <= 1
+        one_length = len({len(c) for c in chains}) <= 1
         if res.shellable:
-            assert graded and len(res.order) == len(chains) == res.facets
+            assert one_length and len(res.order) == len(chains) == res.facets
             assert set(res.order) == set(chains)
             if len(chains) <= 1000:
                 assert shelling_of_facets(res.order, search=False).shellable
         else:
             assert res.status == "inconclusive" and res.exhausted and res.order is None
-        key = (graded, res.status, chain_search)
+        key = (one_length, res.status, chain_search)
         verdicts[key] = verdicts.get(key, 0) + 1
         if len(chains) >= 2:
             for budget in (0, 1):
                 spent = find_shelling(poset, budget)
-                assert spent.status == "inconclusive" and spent.exhausted == (not graded)
+                assert spent.status == "inconclusive" and spent.exhausted == (not one_length)
     assert verdicts == {
         (True, "shellable", "shellable"): 710,
         (True, "shellable", None): 19,
         (True, "inconclusive", "not_shellable"): 30,
-        (False, "inconclusive", "shellable"): 158,
-        (False, "inconclusive", "not_shellable"): 25,
+        (False, "inconclusive", "shellable"): 90,
+        (False, "inconclusive", "not_shellable"): 13,
     }
     # no facet, and one facet, are shellings without a test
     empty = ShellingResult("shellable", [], 0, 0, 0)
@@ -1539,11 +1619,16 @@ def test_certificate_is_a_recursive_atom_ordering(A2, B2):
     top; an inconclusive one carries none.  The certificate is left out of
     equality and repr.  Each certificate
     with two or more atoms at the bottom fails the check with one of them
-    dropped, and with Z_2 emptied."""
+    dropped, and with Z_2 emptied.  Ninety wider posets (rank 3 or 4, up
+    to six nodes a rank) end in one whose search steps back from a dead
+    end with two atoms placed before it succeeds, so a certificate made
+    after a backtrack is checked too."""
     checked = mutants = 0
     hatq = [build_interval(top) for _, group, ns in _hatQ_families()
             for n in ns for top in iter_qnodes(group, n)]
-    for poset in [*hatq, *random_graded_posets(random.Random(3), 300), rank8_top(B2)]:
+    wide = list(random_graded_posets(random.Random(49), 90, ranks=(3, 4), width=6))
+    backtracked = []
+    for poset in [*hatq, *random_graded_posets(random.Random(3), 300), rank8_top(B2), *wide]:
         res = find_shelling(poset)
         if not res.shellable:
             assert res.certificate is None
@@ -1551,12 +1636,15 @@ def test_certificate_is_a_recursive_atom_ordering(A2, B2):
         cert = res.certificate
         assert oracles.check_rao(poset, cert)
         checked += 1
+        if res.backtracks:
+            backtracked.append((res.backtracks, res.attempts))
         root = cert.get((0, 0))
         if root and len(root) >= 4:
             for steps in (root[:-2], (*root[:3], 0, *root[4:])):
                 assert not oracles.check_rao(poset, {**cert, (0, 0): steps})
             mutants += 2
-    assert (len(hatq), checked, mutants) == (244, 525, 758)
+    assert (len(hatq), checked, mutants) == (244, 610, 898)
+    assert backtracked == [(1, 70)]
     res = find_shelling(hatq[-1])
     assert res == dataclasses.replace(res, certificate=None)
     assert "certificate" not in repr(res)
