@@ -206,9 +206,10 @@ def parametrize_cell(
     is ``positive_tuple(v, wbar)``.  ``words`` optionally fixes the reduced
     word per factor; the canonical words are used otherwise.  ``params``
     supplies one positive rational per skipped letter, across factors
-    left to right.  With ``check`` on, each factor is asserted to lie in
-    the opposite cell of its v_i, and the point in the stratum (v, wbar),
-    which includes the Bruhat cell w_i of each factor.
+    left to right; ``slk.mr_form`` refuses one that is not positive.
+    With ``check`` on, each factor is asserted to lie in the opposite cell
+    of its v_i, and the point in the stratum (v, wbar), which includes the
+    Bruhat cell w_i of each factor.
     The elements must come from ``type_a_group(k)``, which :func:`stratum`
     answers in: any other group raises ``ContextMismatchError``.
     """
@@ -232,8 +233,6 @@ def parametrize_cell(
     params = [Fraction(p) for p in params]
     if len(params) != dim:
         raise ValueError(f"cell has dimension {dim}, got {len(params)} parameters")
-    if any(p <= 0 for p in params):
-        raise ValueError("parameters must be positive")
     factors = []
     pos = 0
     for vi, word in zip(vbar, words):

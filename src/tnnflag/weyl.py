@@ -1,21 +1,33 @@
 """Weyl-group arithmetic over any generalized Cartan matrix.
 
-Elements are stored as integer matrices of the geometric representation
-acting on the simple-root basis, together with the matrix of the inverse.
-That representation is faithful for every Coxeter group attached to a GCM,
-so it also covers the infinite groups produced by thickening, where
+An element w is stored as two integer vectors of length m, the rank: its
+chamber vector, whose entry i is the height of w^{-1}(alpha_i), and its
+co-chamber vector, whose entry i is the height of w(alpha_i).  A root is
+either positive or negative, so the negative entries of the chamber
+vector are exactly the left descents of w, and those of the co-chamber
+vector its right descents.  Since s_i(alpha_j) = alpha_j - a_ij alpha_i,
+multiplying w by s_i on the left acts on the chamber vector by
+y_j <- y_j - a_ij y_i, over the nonzero a_ij of row i of the GCM, and
+multiplying on the right acts on the co-chamber vector in the same way.
+The chamber vector is the position vector of the numbers game
+(Bjorner-Brenti 2005, section 4.3) started from all ones.
+
+The chamber vector determines the element, for every GCM: its negative
+entries are the left descents, and the vector of s_i w is a function of
+the vector of w, so by induction on the length two elements with the same
+vector strip the same left descents down to the identity, the only
+element with no negative entry.  (Equivalently, no element but e fixes a
+point of the open fundamental chamber: Kac 1990, Prop. 3.12.)  So the
+vectors also cover the infinite groups produced by thickening, where
 one-line permutation models do not exist.
 
-Each :class:`WeylGroup` interns its elements: equal group elements are the
-same object and carry the same canonical reduced word (the
-lexicographically smallest one, obtained by repeatedly stripping the
-smallest left descent).  So an element compares and hashes by identity,
-and elements of different groups are never equal.
-
-Multiplying by a simple reflection s_i changes one row of a matrix on
-the left (s_i g) and the columns of the neighbours of i on the right
-(g s_i), so it costs O(m^2) instead of the O(m^3) of a full product.
-Canonical words and every product with a simple reflection use it.
+Each :class:`WeylGroup` interns its elements by chamber vector: equal
+group elements are the same object and carry the same canonical reduced
+word (the lexicographically smallest one, obtained by repeatedly
+stripping the smallest left descent).  So an element compares and hashes
+by identity, and elements of different groups are never equal.  A
+product u v lets the canonical word of u act on the chamber vector of v;
+the chamber vector of the inverse of u is the co-chamber vector of u.
 
 Letters of words are 0-based positions into ``gcm.labels``.  A
 subexpression of a word is a tuple of the same length whose entries are
@@ -25,7 +37,6 @@ either the original letter or ``None`` (the identity placeholder).
 from __future__ import annotations
 
 from .cartan import GeneralizedCartanMatrix, thicken
-from .ratlin import IntMat, int_mul
 
 Word = tuple[int, ...]
 SubWord = tuple  # entries: int letter or None placeholder
@@ -42,22 +53,18 @@ class ContextMismatchError(ValueError):
     """Raised when elements from different Weyl groups are combined."""
 
 
-def _identity_mat(n: int) -> IntMat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 class WeylElt:
-    """Immutable group element: geometric matrix, inverse, canonical word.
+    """Immutable group element: chamber and co-chamber vectors, canonical word.
 
     Interned by its group, so it compares and hashes by identity.
     """
 
-    __slots__ = ("group", "geom", "geom_inv", "word", "length")
+    __slots__ = ("group", "chamber", "co_chamber", "word", "length")
 
-    def __init__(self, group, geom, geom_inv, word):
+    def __init__(self, group, chamber, co_chamber, word):
         self.group = group
-        self.geom = geom
-        self.geom_inv = geom_inv
+        self.chamber = chamber
+        self.co_chamber = co_chamber
         self.word = word
         self.length = len(word)
 
@@ -80,25 +87,9 @@ class WeylGroup:
         self.rank = gcm.rank
         self.base = base
         self.inf_positions = gcm.inf_positions()
-        m = self.rank
-        refl = []
-        for i in range(m):
-            rows = []
-            for r in range(m):
-                if r != i:
-                    rows.append(tuple(1 if c == r else 0 for c in range(m)))
-                else:
-                    rows.append(tuple(
-                        (1 if c == i else 0) - gcm.entries[i][c] for c in range(m)
-                    ))
-            refl.append(tuple(rows))
-        self._refl: tuple[IntMat, ...] = tuple(refl)
-        # row i of s_i as its nonzero (column, coefficient) pairs
-        self._refl_terms = tuple(
-            tuple((c, x) for c, x in enumerate(refl[i][i]) if x) for i in range(m)
-        )
-        self._id = _identity_mat(m)
-        self._elts: dict[IntMat, WeylElt] = {}
+        # row i of the GCM as its nonzero (j, a_ij) pairs, the support of s_i's action
+        self._rows = tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in gcm.entries)
+        self._elts: dict[tuple[int, ...], WeylElt] = {}
         # the capped memo caches by name, plain dicts read with .get and
         # filled by _remember, and how often each was cleared at its cap
         self._memos = {name: {} for name in ("mul", "bruhat", "lower", "cover", "demazure", "perm")}
@@ -106,10 +97,9 @@ class WeylGroup:
          self._demazure_cache, self._perm_cache) = self._memos.values()
         self._clears = dict.fromkeys(self._memos, 0)
         self._thickened: dict[int, WeylGroup] = {}
-        self.identity = self._intern(self._id, self._id)
-        self._simples = tuple(
-            self._intern(self._refl[i], self._refl[i]) for i in range(m)
-        )
+        ones = (1,) * self.rank
+        self.identity = self._elts[ones] = WeylElt(self, ones, ones, ())
+        self._simples = tuple(self._intern(self._act((i,), ones)) for i in range(self.rank))
 
     def __repr__(self):
         return f"WeylGroup({'x'.join(self.gcm.labels)})"
@@ -132,52 +122,53 @@ class WeylGroup:
 
     # -- interning and canonical words ------------------------------------
 
-    def _intern(self, geom: IntMat, geom_inv: IntMat) -> WeylElt:
-        elt = self._elts.get(geom)
+    def _act(self, letters, y: tuple[int, ...]) -> tuple[int, ...]:
+        """Let s_i act for each letter i in turn: on a chamber vector that is
+        left multiplication, on a co-chamber vector right multiplication."""
+        y = list(y)
+        rows = self._rows
+        for i in letters:
+            yi = y[i]
+            for j, a in rows[i]:
+                y[j] -= a * yi
+        return tuple(y)
+
+    def _intern(self, chamber: tuple[int, ...]) -> WeylElt:
+        elt = self._elts.get(chamber)
         if elt is None:
-            word = self._canonical_word(geom, geom_inv)
-            elt = WeylElt(self, geom, geom_inv, word)
-            self._elts[geom] = elt
+            word = self._canonical_word(chamber)
+            # the co-chamber vector of e, multiplied by the word's letters on the right
+            elt = WeylElt(self, chamber, self._act(word, self.identity.chamber), word)
+            self._elts[chamber] = elt
         return elt
 
-    def _canonical_word(self, geom: IntMat, geom_inv: IntMat) -> Word:
+    def _canonical_word(self, chamber: tuple[int, ...]) -> Word:
         """Lexicographically smallest reduced word, by left-descent stripping.
 
         The canonical word of w is its smallest left descent i followed by
         the canonical word of s_i w, so stripping stops at the first
-        interned element and appends that element's word.
+        interned element (at the latest the identity, interned from the
+        start) and appends that element's word.
         """
         letters = []
-        g, gi = geom, geom_inv
-        m = self.rank
-        while (known := self._elts.get(g)) is None and g != self._id:
-            for i in range(m):
-                if all(gi[r][i] <= 0 for r in range(m)):
+        y = list(chamber)
+        rows = self._rows
+        while (known := self._elts.get(tuple(y))) is None:
+            for i, yi in enumerate(y):
+                if yi < 0:
                     break
             else:
                 raise ArithmeticError("non-identity element has no left descent")
-            g = self._simple_times(i, g)
-            gi = self._times_simple(gi, i)
+            # s_i acts in place, not through _act: this loop is the cost of every new element
+            for j, a in rows[i]:
+                y[j] -= a * yi
             letters.append(i)
             if len(letters) > _MAX_CANONICAL_LEN:
                 raise ArithmeticError("canonical word exceeds safety cap")
-        word = tuple(letters) + (known.word if known is not None else ())
+        word = tuple(letters) + known.word
         if len(word) > _MAX_CANONICAL_LEN:
             raise ArithmeticError("canonical word exceeds safety cap")
         return word
-
-    def _simple_times(self, i: int, g: IntMat) -> IntMat:
-        """s_i g: row i becomes sum_c (s_i)_{ic} g_c, the other rows stay."""
-        terms = [(x, g[c]) for c, x in self._refl_terms[i]]
-        row = tuple(sum(x * col[j] for x, col in terms) for j in range(self.rank))
-        return g[:i] + (row,) + g[i + 1:]
-
-    def _times_simple(self, g: IntMat, i: int) -> IntMat:
-        """g s_i: column j drops a_ij times column i, so only the neighbours of i and i change."""
-        a = self.gcm.entries[i]
-        return tuple(
-            tuple(y - x * c for y, c in zip(row, a)) if (x := row[i]) else row for row in g
-        )
 
     # -- basic group operations -------------------------------------------
 
@@ -190,25 +181,17 @@ class WeylGroup:
                 raise ContextMismatchError(f"{e!r} belongs to {e.group!r}, not {self!r}")
 
     def multiply(self, u: WeylElt, v: WeylElt) -> WeylElt:
-        """u v; a factor of length 1 is a simple reflection and costs O(m^2)."""
+        """u v: the letters of u act on the chamber vector of v, last letter first."""
         self.check_same(u, v)
         key = (u, v)
         out = self._mul_cache.get(key)
         if out is None:
-            if v.length == 1:
-                i = v.word[0]
-                out = self._intern(self._times_simple(u.geom, i), self._simple_times(i, u.geom_inv))
-            elif u.length == 1:
-                i = u.word[0]
-                out = self._intern(self._simple_times(i, v.geom), self._times_simple(v.geom_inv, i))
-            else:
-                out = self._intern(int_mul(u.geom, v.geom), int_mul(v.geom_inv, u.geom_inv))
-            self._remember("mul", key, out)
+            out = self._remember("mul", key, self._intern(self._act(reversed(u.word), v.chamber)))
         return out
 
     def inverse(self, u: WeylElt) -> WeylElt:
         self.check_same(u)
-        return self._intern(u.geom_inv, u.geom)
+        return self._intern(u.co_chamber)
 
     def from_word(self, letters) -> WeylElt:
         out = self.identity
@@ -222,13 +205,11 @@ class WeylGroup:
 
     def has_left_descent(self, w: WeylElt, i: int) -> bool:
         """True iff l(s_i w) < l(w), read off the sign of w^{-1}(alpha_i)."""
-        gi = w.geom_inv
-        return all(gi[r][i] <= 0 for r in range(self.rank))
+        return w.chamber[i] < 0
 
     def has_right_descent(self, w: WeylElt, i: int) -> bool:
         """True iff l(w s_i) < l(w), read off the sign of w(alpha_i)."""
-        g = w.geom
-        return all(g[r][i] <= 0 for r in range(self.rank))
+        return w.co_chamber[i] < 0
 
     # -- Bruhat order -------------------------------------------------------
 

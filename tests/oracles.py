@@ -18,8 +18,13 @@ The twisted-layer oracles (``frac_stratum``, ``frac_alpha``,
 ``frac_phi_Z``) take the public Fraction factors of a point and multiply
 them out, w0dot^{-1} included, where ``src`` works on integer forms.
 
-``bruhat_by_subwords`` reads the Bruhat order off the lower interval, and
-``canonical_word`` strips left descents all the way to the identity, where
+``bruhat_by_subwords`` reads the Bruhat order off the lower interval.
+The geometric representation is built from ``gcm.entries`` alone
+(``geometric_reflections``, ``geometric_matrices``): an element is a pair
+of integer matrices, multiplied out in full.  Column sums of the matrices
+give the heights that ``WeylGroup`` keeps as chamber and co-chamber
+vectors, their negative columns the descents, and ``canonical_word``
+strips left descents on the matrices all the way to the identity, where
 ``WeylGroup`` stops at the first element it has interned.
 ``all_reduced_words`` lists every reduced word by stripping right descents.
 ``positive_tuple_by_thickening`` is the route of the paper to the positive
@@ -340,15 +345,51 @@ def positive_tuple_by_thickening(v, wbar):
     return tuple(parts)
 
 
-def canonical_word(group, geom, geom_inv):
-    """Lexicographically smallest reduced word of the element (geom,
-    geom_inv): the smallest left descent is stripped until the identity is
-    reached, without stopping at an element the group has interned."""
+def geometric_reflections(gcm):
+    """The simple reflections of the geometric representation, from
+    ``gcm.entries`` alone: column j of s_i is s_i(alpha_j) = alpha_j -
+    a_ij alpha_i, in the basis of simple roots."""
+    m, a = gcm.rank, gcm.entries
+    return tuple(
+        tuple(tuple((r == c) - (a[i][c] if r == i else 0) for c in range(m)) for r in range(m))
+        for i in range(m)
+    )
+
+
+def geometric_matrices(gcm, word):
+    """The matrices (g, g^{-1}) of the product of a word's letters (None
+    entries are skipped), one full matrix product per letter."""
+    refl = geometric_reflections(gcm)
+    g = g_inv = tuple(tuple(int(r == c) for c in range(gcm.rank)) for r in range(gcm.rank))
+    for i in word:
+        if i is not None:
+            g, g_inv = frac_mat_mul(g, refl[i]), frac_mat_mul(refl[i], g_inv)
+    return g, g_inv
+
+
+def column_sums(mat):
+    """The heights of the roots in the columns of a geometric matrix: of
+    w(alpha_i) for the matrix of w, of w^{-1}(alpha_i) for its inverse."""
+    return tuple(sum(col) for col in zip(*mat))
+
+
+def negative_columns(mat):
+    """The i whose column is a negative root: the right descents of the
+    element of a geometric matrix, the left descents of its inverse's."""
+    return {i for i, col in enumerate(zip(*mat)) if all(x <= 0 for x in col)}
+
+
+def canonical_word(gcm, g, g_inv):
+    """Lexicographically smallest reduced word of the element with
+    geometric matrix g and inverse g_inv: the smallest left descent is
+    stripped by full matrix products until the identity is reached,
+    without stopping at an element a group has interned."""
+    refl = geometric_reflections(gcm)
+    identity = geometric_matrices(gcm, ())[0]
     letters = []
-    while geom != group._id:
-        i = next(i for i in range(group.rank) if all(row[i] <= 0 for row in geom_inv))
-        geom = group._simple_times(i, geom)
-        geom_inv = group._times_simple(geom_inv, i)
+    while g != identity:
+        i = min(negative_columns(g_inv))
+        g, g_inv = frac_mat_mul(refl[i], g), frac_mat_mul(g_inv, refl[i])
         letters.append(i)
     return tuple(letters)
 

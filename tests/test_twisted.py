@@ -201,8 +201,9 @@ def test_parametrize_cell_examples():
         twisted.parametrize_cell(s, (e, e), [])
     with pytest.raises(ValueError):
         twisted.parametrize_cell(e, (s, s), [Fraction(1)])  # wrong count
-    with pytest.raises(ValueError):
-        twisted.parametrize_cell(e, (s, s), [Fraction(1), Fraction(-1)])
+    for bad in (Fraction(-1), Fraction(0)):
+        with pytest.raises(ValueError, match="parameters must be positive"):
+            twisted.parametrize_cell(e, (s, s), [Fraction(1), bad])
 
 
 def test_parametrize_cell_refuses_a_foreign_group(A2, monkeypatch):

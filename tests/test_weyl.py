@@ -52,7 +52,7 @@ def test_interned_elements_compare_by_identity(A2):
     assert [found.get(u) for u in forms] == ["w0"] * len(forms)
     other = WeylGroup(cartan_of_type("A", 2))
     foreign = other.from_word((0, 1, 0))
-    assert foreign.geom == w.geom and foreign.word == w.word
+    assert (foreign.chamber, foreign.co_chamber, foreign.word) == (w.chamber, w.co_chamber, w.word)
     assert foreign != w and foreign not in found
     for call in (lambda: A2.multiply(w, foreign), lambda: A2.multiply(foreign, w),
                  lambda: A2.bruhat_leq(foreign, w), lambda: A2.bruhat_leq(s1, foreign),
@@ -352,6 +352,22 @@ def test_b2_group_structure(B2):
     w0 = B2.from_word((0, 1, 0, 1))
     assert w0.length == 4
     assert B2.multiply(w0, w0) is B2.identity
+
+
+@pytest.mark.parametrize("family, rank, order, longest", [
+    ("A", 6, 5040, 21), ("B", 5, 3840, 25), ("C", 5, 3840, 25), ("D", 5, 1920, 20),
+])
+def test_rank_five_and_six_groups_are_enumerated_faithfully(family, rank, order, longest):
+    """Interning by chamber vector tells every element apart: the walk to
+    length 64 finds the whole finite group, with distinct chamber vectors
+    and words, and one longest element, which is its own inverse."""
+    group = WeylGroup(cartan_of_type(family, rank))
+    elems = group.elements_up_to_length(64)
+    assert len(elems) == len({u.chamber for u in elems}) == len({u.word for u in elems}) == order
+    top = max(u.length for u in elems)
+    w0s = [u for u in elems if u.length == top]
+    assert (top, len(w0s)) == (longest, 1)
+    assert group.inverse(w0s[0]) is w0s[0]
 
 
 @pytest.mark.parametrize("family, rank", [("A", 3), ("B", 3), ("affine-A", 1)])

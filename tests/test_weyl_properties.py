@@ -1,25 +1,27 @@
 """Group laws of the Weyl layer on random words, with hypothesis.
 
 Over A3, B3, C3, D4, affine A2 and the thickening of A2 for two factors:
-the simple-reflection updates against full products of geometric
-matrices, canonical words against left-descent stripping by full
-products and, in fresh groups built in random order, against stripping
-to the identity past interned elements, geom * geom_inv = I, associativity of the product and of the
-Demazure product, the uniqueness of positive subexpressions in random
-reduced words, and the from_perm / perm_of bridge in type A.  The
-from_perm and Demazure memos are driven past a small cap.
+chamber and co-chamber vectors, descents, canonical words, products and
+inverses against the geometric-matrix oracle of ``oracles`` (full
+products of reflection matrices built from the GCM alone), the
+simple-reflection updates of both vectors, canonical words in fresh
+groups built in random order against stripping to the identity past
+interned elements, g * g^{-1} = I on the oracle and u u^{-1} = e in the
+group, associativity of the product and of the Demazure product, the
+uniqueness of positive subexpressions in random reduced words, and the
+from_perm / perm_of bridge in type A.  The from_perm, Demazure and
+product memos are driven past a small cap.
 """
-
 from functools import cache
 
 import oracles
 import pytest
+from oracles import column_sums, frac_mat_mul, geometric_matrices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tnnflag import weyl
 from tnnflag.cartan import cartan_of_type
-from tnnflag.ratlin import int_mul
 from tnnflag.weyl import (
     WeylGroup,
     from_perm,
@@ -51,24 +53,37 @@ def words(draw, count):
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
 
-def product_of(g, word):
-    """(geom, geom_inv) of a word, one full matrix product per letter."""
-    geom = geom_inv = g._id
-    for i in word:
-        geom = int_mul(geom, g._refl[i])
-        geom_inv = int_mul(g._refl[i], geom_inv)
-    return geom, geom_inv
+def left_descents(g, u):
+    return {i for i in range(g.rank) if g.has_left_descent(u, i)}
 
 
-def canonical_by_products(g, geom, geom_inv):
-    """Strip the smallest left descent, updating both matrices by full products."""
-    letters = []
-    while geom != g._id:
-        i = next(i for i in range(g.rank) if all(row[i] <= 0 for row in geom_inv))
-        geom = int_mul(g._refl[i], geom)
-        geom_inv = int_mul(geom_inv, g._refl[i])
-        letters.append(i)
-    return tuple(letters)
+def right_descents(g, u):
+    return {i for i in range(g.rank) if g.has_right_descent(u, i)}
+
+
+def assert_matches_oracle(g, u, mat, inv):
+    """u is the element with geometric matrix mat and inverse inv."""
+    assert (u.chamber, u.co_chamber) == (column_sums(inv), column_sums(mat))
+    assert u.word == oracles.canonical_word(g.gcm, mat, inv)
+
+
+@SETTINGS
+@given(words(2))
+def test_chamber_vectors_match_the_geometric_oracle(case):
+    """The chamber vector of a word's product is the column sums of the
+    oracle's inverse matrix, the co-chamber vector those of its matrix;
+    the descents are the negative columns, and the canonical word,
+    products and inverses agree with full matrix products."""
+    g, (word, other) = case
+    u, v = g.from_word(word), g.from_word(other)
+    mat, inv = geometric_matrices(g.gcm, word)
+    v_mat, v_inv = geometric_matrices(g.gcm, other)
+    assert_matches_oracle(g, u, mat, inv)
+    assert left_descents(g, u) == oracles.negative_columns(inv)
+    assert right_descents(g, u) == oracles.negative_columns(mat)
+    assert_matches_oracle(g, g.multiply(u, v), frac_mat_mul(mat, v_mat), frac_mat_mul(v_inv, inv))
+    assert_matches_oracle(g, g.multiply(v, u), frac_mat_mul(v_mat, mat), frac_mat_mul(inv, v_inv))
+    assert_matches_oracle(g, g.inverse(u), inv, mat)
 
 
 @SETTINGS
@@ -76,18 +91,16 @@ def canonical_by_products(g, geom, geom_inv):
 def test_simple_reflection_updates_match_full_products(case):
     g, (word,) = case
     u = g.from_word(word)
-    assert (u.geom, u.geom_inv) == product_of(g, word)
-    assert u.word == canonical_by_products(g, u.geom, u.geom_inv)
-    for i in range(g.rank):
-        s = g._refl[i]
-        assert g._simple_times(i, u.geom) == int_mul(s, u.geom)
-        assert g._times_simple(u.geom, i) == int_mul(u.geom, s)
+    mat, inv = geometric_matrices(g.gcm, word)
+    assert_matches_oracle(g, u, mat, inv)
+    for i, s in enumerate(oracles.geometric_reflections(g.gcm)):
+        # s_i acts on the chamber vector from the left, on the co-chamber vector from the right
+        assert g._act((i,), u.chamber) == column_sums(frac_mat_mul(inv, s))
+        assert g._act((i,), u.co_chamber) == column_sums(frac_mat_mul(mat, s))
         right = g.multiply(u, g.simple(i))
-        assert (right.geom, right.geom_inv) == (int_mul(u.geom, s), int_mul(s, u.geom_inv))
-        assert right.word == canonical_by_products(g, right.geom, right.geom_inv)
+        assert_matches_oracle(g, right, frac_mat_mul(mat, s), frac_mat_mul(s, inv))
         left = g.multiply(g.simple(i), u)
-        assert (left.geom, left.geom_inv) == (int_mul(s, u.geom), int_mul(u.geom_inv, s))
-        assert left.word == canonical_by_products(g, left.geom, left.geom_inv)
+        assert_matches_oracle(g, left, frac_mat_mul(s, mat), frac_mat_mul(inv, s))
 
 
 @st.composite
@@ -106,14 +119,15 @@ def test_canonical_words_match_full_stripping(case):
     products with the previous element and their inverses are built in
     random order in a fresh group."""
     g, word_list = case
-    prev = g.identity
+    prev, prev_word, built = g.identity, [], []
     for word in word_list:
         u = g.from_word(word)
-        g.multiply(prev, u)
-        g.inverse(u)
-        prev = u
+        built += [(u, word), (g.multiply(prev, u), prev_word + word), (g.inverse(u), word[::-1])]
+        prev, prev_word = u, word
+    for elt, word in built:
+        assert elt.chamber == column_sums(geometric_matrices(g.gcm, word)[1])
     for elt in g._elts.values():
-        assert elt.word == oracles.canonical_word(g, elt.geom, elt.geom_inv)
+        assert_matches_oracle(g, elt, *geometric_matrices(g.gcm, elt.word))
 
 
 @SETTINGS
@@ -121,8 +135,11 @@ def test_canonical_words_match_full_stripping(case):
 def test_geom_times_inverse_is_identity(case):
     g, (word,) = case
     u = g.from_word(word)
-    assert int_mul(u.geom, u.geom_inv) == int_mul(u.geom_inv, u.geom) == g._id
-    assert g.multiply(u, g.inverse(u)) is g.identity
+    mat, inv = geometric_matrices(g.gcm, word)
+    assert frac_mat_mul(mat, inv) == frac_mat_mul(inv, mat) == geometric_matrices(g.gcm, ())[0]
+    assert (g.inverse(u).chamber, g.inverse(u).co_chamber) == (u.co_chamber, u.chamber)
+    assert g.inverse(g.inverse(u)) is u
+    assert g.multiply(u, g.inverse(u)) is g.identity is g.multiply(g.inverse(u), u)
 
 
 @SETTINGS
@@ -217,11 +234,12 @@ def test_multiply_cache_clears_and_still_multiplies(monkeypatch):
     g = WeylGroup(cartan_of_type("A", 2))
     elts = g.elements_up_to_length(3)
     assert g.cache_stats()["mul"]["clears"] == 0  # the real cap is far off
+    inverses = {x: geometric_matrices(g.gcm, x.word)[1] for x in elts}
     monkeypatch.setattr(weyl, "_CACHE_CAP", 3)
     for _ in range(2):
         for x in elts:
             for y in elts:
-                assert g.multiply(x, y).geom == int_mul(x.geom, y.geom)
+                assert g.multiply(x, y).chamber == column_sums(frac_mat_mul(inverses[y], inverses[x]))
                 assert len(g._mul_cache) <= 4
     stats = g.cache_stats()
     # 72 misses: the first clears the 6 products left by the walk above,
