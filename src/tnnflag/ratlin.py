@@ -16,6 +16,7 @@ those kernels between one ``int_form`` per argument and one
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -40,16 +41,14 @@ def int_form(a, square: bool = False) -> IntForm:
     tuples over the lcm.  Raises ValueError on ragged rows, and on a
     non-square a if ``square``.
     """
-    width = len(a[0]) if a else 0
-    if any(len(row) != width for row in a):
+    # each test is one pass in C: the set of row lengths, of row types, of entry types
+    if len(set(map(len, a))) > 1:
         raise ValueError("matrix rows have different lengths")
+    width = len(a[0]) if a else 0
     if square and width != len(a):
         raise ValueError(f"need a square matrix, got {len(a)}x{width}")
-    if (
-        type(a) is tuple
-        and all(type(row) is tuple for row in a)
-        and {type(x) for row in a for x in row} <= {int}
-    ):
+    if (type(a) is tuple and set(map(type, a)) <= {tuple}
+            and set(map(type, chain.from_iterable(a))) <= {int}):
         return a, 1
     d = lcm(*(x.denominator for row in a for x in row))
     if d == 1:

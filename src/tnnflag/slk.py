@@ -26,6 +26,7 @@ of a form alike; ``ratlin.int_form`` hands an int matrix back as it is.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -75,7 +76,8 @@ def word_form(k: int, word) -> IntForm:
             cols[i], cols[i + 1] = [-x for x in cols[i + 1]], cols[i]
             dens[i], dens[i + 1] = dens[i + 1], dens[i]
             continue
-        a = Fraction(a)
+        if type(a) is not Fraction:
+            a = Fraction(a)
         if not a:
             continue
         target, source = (i + 1, i) if kind == "x" else (i, i + 1)
@@ -135,18 +137,19 @@ def w0_inverse_times(g):
     )
 
 
-def _echelon(m: IntMat) -> tuple[list[list[int]], list[int]]:
+def _echelon(m: IntMat) -> tuple[list[Sequence[int]], list[int]]:
     """Column elimination of m B+ on an int matrix: columns and pivot rows.
 
     Column j is cleared at the pivot row pr of each earlier column pj by
     col_j <- p col_j - a col_pj, with p = col_pj[pr] > 0 and a =
     col_j[pr], then divided by the gcd of its entries, signed so that its
-    pivot, its lowest nonzero entry, is positive.  Only right
+    pivot, its lowest nonzero entry, is positive (a column whose pivot is
+    positive and whose gcd is 1 is kept as it is, list or tuple).  Only right
     multiplication by B+ is used, so the columns are the unique primitive
     integer vectors with positive pivots that span the flag of m, and
     dividing each by its pivot gives the echelon representative.
     """
-    cols: list[list[int]] = []
+    cols: list[Sequence[int]] = []
     pivots: list[int] = []
     for col in zip(*m):
         for earlier, pr in zip(cols, pivots):
@@ -162,7 +165,7 @@ def _echelon(m: IntMat) -> tuple[list[list[int]], list[int]]:
         c = gcd(*col)
         if col[piv] < 0:
             c = -c
-        cols.append([x // c for x in col])
+        cols.append(col if c == 1 else [x // c for x in col])
         pivots.append(piv)
     return cols, pivots
 

@@ -29,6 +29,14 @@ by identity, and elements of different groups are never equal.  A
 product u v lets the canonical word of u act on the chamber vector of v;
 the chamber vector of the inverse of u is the co-chamber vector of u.
 
+The memoized methods (``multiply``, ``bruhat_leq``, ``demazure``,
+``lower_interval``, ``lower_covers``) read their memo first and run
+``check_same`` only on a miss, before any shortcut: a memo key holds
+interned elements, which compare by identity, and is stored only after
+its check passed, so a hit proves that the arguments belong to the group.
+In type A, ``from_perm`` reads the chamber vector off the one-line form
+(entry i is p^{-1}(i+2) - p^{-1}(i+1)) and interns it once.
+
 Letters of words are 0-based positions into ``gcm.labels``.  A
 subexpression of a word is a tuple of the same length whose entries are
 either the original letter or ``None`` (the identity placeholder).
@@ -36,7 +44,7 @@ either the original letter or ``None`` (the identity placeholder).
 
 from __future__ import annotations
 
-from .cartan import GeneralizedCartanMatrix, thicken
+from .cartan import GeneralizedCartanMatrix, cartan_of_type, thicken
 
 Word = tuple[int, ...]
 SubWord = tuple  # entries: int letter or None placeholder
@@ -182,10 +190,10 @@ class WeylGroup:
 
     def multiply(self, u: WeylElt, v: WeylElt) -> WeylElt:
         """u v: the letters of u act on the chamber vector of v, last letter first."""
-        self.check_same(u, v)
         key = (u, v)
         out = self._mul_cache.get(key)
         if out is None:
+            self.check_same(u, v)
             out = self._remember("mul", key, self._intern(self._act(reversed(u.word), v.chamber)))
         return out
 
@@ -194,10 +202,15 @@ class WeylGroup:
         return self._intern(u.co_chamber)
 
     def from_word(self, letters) -> WeylElt:
+        """The product of the simple reflections of the letters, skipping ``None``;
+        ValueError on a letter outside 0..rank-1."""
         out = self.identity
+        rank = self.rank
         for i in letters:
             if i is None:
                 continue
+            if not 0 <= i < rank:
+                raise ValueError(f"letter {i!r} is outside 0..{rank - 1}")
             out = self.multiply(out, self._simples[i])
         return out
 
@@ -215,6 +228,10 @@ class WeylGroup:
 
     def bruhat_leq(self, v: WeylElt, w: WeylElt) -> bool:
         """Bruhat order via the left-descent recursion, memoized."""
+        key = (v, w)
+        cached = self._bruhat_cache.get(key)
+        if cached is not None:
+            return cached
         self.check_same(v, w)
         if v.length > w.length:
             return False
@@ -222,10 +239,6 @@ class WeylGroup:
             return True
         if v.length == w.length:
             return v is w
-        key = (v, w)
-        cached = self._bruhat_cache.get(key)
-        if cached is not None:
-            return cached
         i = w.word[0]  # canonical word starts with the smallest left descent
         s = self._simples[i]
         sw = self.multiply(s, w)
@@ -237,9 +250,9 @@ class WeylGroup:
 
     def lower_interval(self, w: WeylElt) -> tuple[WeylElt, ...]:
         """All u <= w, as subword products of the canonical word of w."""
-        self.check_same(w)
         cached = self._lower_cache.get(w)
         if cached is None:
+            self.check_same(w)
             elems = {self.identity}
             for t in w.word:
                 s = self._simples[t]
@@ -256,9 +269,9 @@ class WeylGroup:
         one letter of any reduced word of w; so the covers are the
         one-letter deletions of the canonical word of length l(w) - 1.
         """
-        self.check_same(w)
         cached = self._cover_cache.get(w)
         if cached is None:
+            self.check_same(w)
             word = w.word
             cached = self._remember("cover", w, tuple(dict.fromkeys(
                 u for u in (self.from_word(word[:p] + word[p + 1:]) for p in range(len(word)))
@@ -288,10 +301,10 @@ class WeylGroup:
 
     def demazure(self, x: WeylElt, y: WeylElt) -> WeylElt:
         """Demazure product x * y, greedy over the canonical word of y, memoized."""
-        self.check_same(x, y)
         key = (x, y)
         u = self._demazure_cache.get(key)
         if u is None:
+            self.check_same(x, y)
             u = x
             for t in y.word:
                 if not self.has_right_descent(u, t):
@@ -489,8 +502,6 @@ def type_a_group(k: int) -> WeylGroup:
         raise ValueError("k must be >= 2")
     g = _TYPE_A.get(k)
     if g is None:
-        from .cartan import cartan_of_type
-
         g = WeylGroup(cartan_of_type("A", k - 1))
         _TYPE_A[k] = g
     return g
@@ -506,23 +517,26 @@ def perm_of(w: WeylElt) -> tuple[int, ...]:
 
 
 def from_perm(group: WeylGroup, p) -> WeylElt:
-    """Type A element with one-line form p (1-based values), memoized per group."""
+    """Type A element with one-line form p (1-based values), memoized per group.
+
+    Entry i of the chamber vector is the height of p^{-1}(alpha_i) =
+    e_{p^{-1}(i+1)} - e_{p^{-1}(i+2)}, that is p^{-1}(i+2) - p^{-1}(i+1), so
+    it is read off the inverse permutation and interned once.  ValueError
+    unless p is a permutation of 1..rank+1 and the GCM of the group is that
+    of A_rank.
+    """
     p = tuple(p)
     cached = group._perm_cache.get(p)
     if cached is not None:
         return cached
     k = group.rank + 1
+    # an entry in the memo proves that the GCM passed this test
+    if not group._perm_cache and group.gcm.entries != cartan_of_type("A", k - 1).entries:
+        raise ValueError(f"from_perm needs a group of type A_{k - 1}, not {group!r}")
     if sorted(p) != list(range(1, k + 1)):
         raise ValueError(f"not a permutation of 1..{k}: {p!r}")
-    q = list(p)
-    word = []
-    while True:
-        for i in range(k - 1):
-            if q.index(i + 1) > q.index(i + 2):
-                break
-        else:
-            break
-        a, b = q.index(i + 1), q.index(i + 2)
-        q[a], q[b] = q[b], q[a]
-        word.append(i)
-    return group._remember("perm", p, group.from_word(word))
+    inv = [0] * (k + 1)
+    for pos, x in enumerate(p):
+        inv[x] = pos
+    return group._remember("perm", p, group._intern(
+        tuple(b - a for a, b in zip(inv[1:], inv[2:]))))

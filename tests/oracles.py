@@ -33,6 +33,13 @@ the interleaved word of the thickened group, split at the inf letters.
 ``chain_h_vector`` computes the h-vector of an order complex from chain
 counts alone, and ``wall_counts`` reads the same numbers off a facet order
 when it is a shelling; neither uses a shelling search.
+``perm_by_swaps`` is the route that ``weyl.from_perm`` replaced: it sorts
+the one-line form by swapping the values i+1 and i+2 at the smallest left
+descent i and multiplies the swapped letters out with ``from_word``, where
+``from_perm`` reads the chamber vector off the inverse permutation.
+``int_form_by_scan`` is the shape and type test that ``ratlin.int_form``
+replaced, one Python-level scan per row and per entry, with the same
+refusals and rebuilds.
 ``members_by_lowest_bit`` lists the set bits of a mask by clearing the
 lowest one at a time, the loop that ``posets.members`` replaced.
 ``mobius_by_value_classes`` keeps one mask per value of mu, where
@@ -65,7 +72,7 @@ the lower covers of each node, by the same dict.
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, lcm
 
 from tnnflag import ratlin, slk
 from tnnflag.posets import (
@@ -392,6 +399,45 @@ def canonical_word(gcm, g, g_inv):
         g, g_inv = frac_mat_mul(refl[i], g), frac_mat_mul(g_inv, refl[i])
         letters.append(i)
     return tuple(letters)
+
+
+def perm_by_swaps(group, p):
+    """The type A element with one-line form p, by the word that sorts p
+    one left descent at a time."""
+    k = group.rank + 1
+    if sorted(p) != list(range(1, k + 1)):
+        raise ValueError(f"not a permutation of 1..{k}: {p!r}")
+    q = list(p)
+    word = []
+    while True:
+        for i in range(k - 1):
+            if q.index(i + 1) > q.index(i + 2):
+                break
+        else:
+            break
+        a, b = q.index(i + 1), q.index(i + 2)
+        q[a], q[b] = q[b], q[a]
+        word.append(i)
+    return group.from_word(word)
+
+
+def int_form_by_scan(a, square=False):
+    """``ratlin.int_form`` with its shape and type tests as Python-level scans."""
+    width = len(a[0]) if a else 0
+    if any(len(row) != width for row in a):
+        raise ValueError("matrix rows have different lengths")
+    if square and width != len(a):
+        raise ValueError(f"need a square matrix, got {len(a)}x{width}")
+    if (
+        type(a) is tuple
+        and all(type(row) is tuple for row in a)
+        and {type(x) for row in a for x in row} <= {int}
+    ):
+        return a, 1
+    d = lcm(*(x.denominator for row in a for x in row))
+    if d == 1:
+        return tuple(tuple(x.numerator for x in row) for row in a), 1
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in a), d
 
 
 def members_by_lowest_bit(mask: int) -> list[int]:

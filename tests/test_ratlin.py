@@ -145,6 +145,49 @@ def test_int_form_keeps_an_int_matrix():
         ratlin.int_form(((1, 2, 3), (4, 5, 6)), square=True)
 
 
+def test_int_form_matches_the_scan_oracle():
+    """The C-level passes of int_form give the same form, or the same
+    refusal, as the Python-level scans they replaced."""
+    rng = random.Random(39)
+    cases = [
+        (), ((),), ((1, 2), (3, 4)), ((1, 2, 3), (4, 5, 6)), ([1, 2], [3, 4]), [[1, 2], [3, 4]],
+        [(1, 2), (3, 4)], ((True, False), (False, True)), ((Fraction(3, 1), 2), (0, 1)),
+        ((Fraction(1, 2), 2), (0, Fraction(-5, 6))), ((1, 2), (3, 4), (5,)), ((1,), (2, 3)),
+        ((1, 2), [3, 4]), ((1, 2), (3, Fraction(1, 3), 4)), ((1, 2, 3),), ((1,), (2,)),
+    ]
+    for _ in range(300):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        a = rand_matrix(rng, rows, cols)
+        if rng.random() < 0.3:
+            a = tuple(tuple(x.numerator if isinstance(x, Fraction) else x for x in row)
+                      for row in a)
+        if rng.random() < 0.2:
+            a = tuple(list(row) for row in a)
+        if rng.random() < 0.2:
+            a = a[:-1] + (a[-1][:-1],) if cols > 1 else a + ((1, 2),)
+        cases.append(a)
+    def form_or_message(int_form, a, square):
+        try:
+            return int_form(a, square=square)
+        except ValueError as error:
+            return str(error)
+
+    refused = kept = 0
+    for a in cases:
+        for square in (False, True):
+            got = form_or_message(ratlin.int_form, a, square)
+            assert got == form_or_message(oracles.int_form_by_scan, a, square), (a, square)
+            if isinstance(got, str):
+                refused += 1
+                continue
+            m, d = got
+            assert type(m) is tuple and all(type(row) is tuple for row in m)
+            assert set(type(x) for row in m for x in row) <= {int}
+            kept += m is a
+    # both refusals, ragged and non-square, and the int matrix kept as it is, are reached
+    assert refused > 100 and kept > 50
+
+
 BIG = 10**12
 # numerators and denominators up to 10^12, and small ints, zero included
 ENTRIES = st.one_of(

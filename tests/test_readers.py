@@ -21,8 +21,8 @@ SRC = ROOT / "src" / "tnnflag"
 # definitions kept without a reader, each with the reader it waits for
 ALLOWED = {
     "ZPoint.from_json": "decodes the points of `cell` reports; `cell --point FILE` "
-                        "will read it (ROADMAP item 2)",
-    "WeylGroup.cache_stats": "the `stats` block of the reports will read it (ROADMAP item 12)",
+                        "will read it (ROADMAP item 3)",
+    "WeylGroup.cache_stats": "the `stats` block of the reports will read it (ROADMAP item 14)",
 }
 
 

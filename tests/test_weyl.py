@@ -5,11 +5,12 @@ the monoid products, and full subexpression enumeration for positivity.
 """
 
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
-from oracles import all_reduced_words, bruhat_by_subwords, positive_tuple_by_thickening
+from oracles import (all_reduced_words, bruhat_by_subwords, perm_by_swaps,
+                     positive_tuple_by_thickening)
 from tnnflag import weyl
 from tnnflag.cartan import cartan_of_type
 from tnnflag.verify import brute_circ_r, brute_demazure, iter_qnodes
@@ -23,6 +24,7 @@ from tnnflag.weyl import (
     positive_tuple,
     th_element,
     th_word,
+    type_a_group,
 )
 
 
@@ -341,8 +343,66 @@ def test_perm_bridge(S4):
     perms = [tuple(rng.sample(range(1, 5), 4)) for _ in range(20)]
     for p in perms:
         assert perm_of(from_perm(S4, p)) == p
-    with pytest.raises(ValueError):
-        from_perm(S4, (1, 1, 2, 3))
+    for bad in ((1, 1, 2, 3), (1, 2, 3), (1, 2, 3, 5), (0, 1, 2, 3), (1, 2, 3, 4, 5)):
+        with pytest.raises(ValueError, match="not a permutation of 1..4"):
+            from_perm(S4, bad)
+    # a chamber vector read off a one-line form is one of A_3 only
+    b3 = WeylGroup(cartan_of_type("B", 3))
+    for p in ((1, 2, 3, 4), (2, 1, 3, 4), (4, 3, 2, 1)):
+        with pytest.raises(ValueError, match="type A_3"):
+            from_perm(b3, p)
+    assert b3.cache_stats()["perm"]["size"] == 0 and len(b3._elts) == 4
+
+
+def test_from_perm_matches_the_swap_sort_oracle():
+    """The chamber vector read off the one-line form interns the element that
+    the sorting word multiplies out to: every permutation for k <= 6, and
+    200 seeded ones each at k = 8, 12 and 16, on fresh groups."""
+    rng = random.Random(39)
+    for k in (2, 3, 4, 5, 6, 8, 12, 16):
+        group = WeylGroup(cartan_of_type("A", k - 1))
+        if k <= 6:
+            perms = list(permutations(range(1, k + 1)))
+        else:
+            perms = [tuple(rng.sample(range(1, k + 1), k)) for _ in range(200)]
+        for p in perms:
+            w = from_perm(group, p)
+            assert w is perm_by_swaps(group, p) and perm_of(w) == p
+            assert from_perm(group, perm_of(w)) is w
+    assert from_perm(type_a_group(16), tuple(range(16, 0, -1))).length == 120
+
+
+def test_from_word_refuses_a_letter_outside_the_rank(S4):
+    for letter in (-1, -3, 3, 4):
+        with pytest.raises(ValueError, match=rf"letter {letter} is outside 0\.\.2"):
+            S4.from_word((0, letter))
+    assert S4.from_word((0, None, 2)) is S4.multiply(S4.simple(0), S4.simple(2))
+
+
+def test_memo_hits_still_refuse_a_foreign_element():
+    """The five memoized methods check the group on a miss only; a hit
+    cannot come from another group's element, so every call with one raises,
+    also where the memo of the group's own elements is warm and where a
+    length shortcut of bruhat_leq would answer."""
+    group, other = WeylGroup(cartan_of_type("A", 2)), WeylGroup(cartan_of_type("A", 2))
+    own = group.elements_up_to_length(3)
+    for u in own:
+        group.lower_interval(u)
+        group.lower_covers(u)
+        for v in own:
+            group.multiply(u, v)
+            group.bruhat_leq(u, v)
+            group.demazure(u, v)
+    assert all(group.cache_stats()[name]["size"] for name in ("mul", "bruhat", "lower", "cover",
+                                                              "demazure"))
+    for x in other.elements_up_to_length(3):
+        for method in (group.lower_interval, group.lower_covers):
+            with pytest.raises(ContextMismatchError):
+                method(x)
+        for method in (group.multiply, group.bruhat_leq, group.demazure):
+            for args in [(x, x)] + [pair for u in own for pair in ((u, x), (x, u))]:
+                with pytest.raises(ContextMismatchError):
+                    method(*args)
 
 
 def test_b2_group_structure(B2):
