@@ -14,12 +14,13 @@ b replaced by the bottom.  Each label has one integer key (mixed-radix
 positions of its coordinates), and its lower covers are the labels at
 its key plus the offsets of its coordinates' covers, read from a dense
 table with a slot per key.  An interval is listed in one pass per label,
-into rank columns of labels and keys, with one Demazure product per
-factor combination; the key alone gives the label's cover offsets.  One
-pass in rank order ORs the masks together, strict as they are built, and
-fills the up-cover index; no cover pair is listed or sorted on the way.
-``FacePoset.from_qnodes``, which compares every pair by
-:func:`qnode_leq`, is their oracle.
+into rank columns of keys, with one Demazure product per factor
+combination; the key alone gives the label's cover offsets.  One pass in
+rank order ORs the masks together, strict as they are built, and fills
+the up-cover index; no cover pair is listed or sorted on the way.  The
+poset keeps the keys, and its ``nodes`` decode a label from its key only
+when it is read: no check reads a label.  ``FacePoset.from_qnodes``,
+which compares every pair by :func:`qnode_leq`, is their oracle.
 
 Every poset holds ``below`` and indexes the upper covers of each node
 once, as increasing tuples.  Every poset is graded, as Bjorner's
@@ -164,7 +165,13 @@ class FacePoset:
     Node 0 is the synthetic bottom (the empty face, ``BOTTOM`` for every
     poset built here), below every other node, and the nodes are stored in
     rank order: ranks strictly increase along the order, so every node
-    strictly below node ``i`` has an index smaller than ``i``.
+    strictly below node ``i`` has an index smaller than ``i``.  ``nodes``
+    is a tuple, except on a poset from :func:`build_interval`: there it is
+    a read-only sequence that keeps each label as its integer key and
+    decodes it on each read, and equals the tuple of the labels.  The keys
+    take about 37 bytes per node (a list slot and an int); on the 9,698
+    nodes of the A3 n=2 top (e ; w0, w0) the poset takes 693 bytes per
+    node, against 735 with a tuple of labels.
 
     ``below[i]`` and ``above[i]`` are int bitmasks of the nodes strictly
     below and above node ``i``.  The upper covers of every node are
@@ -192,7 +199,7 @@ class FacePoset:
     """
 
     def __init__(self, nodes, ranks, below, ups=None):
-        self.nodes: tuple = tuple(nodes)
+        self.nodes: Sequence = nodes if isinstance(nodes, _IntervalLabels) else tuple(nodes)
         self.ranks: tuple[int, ...] = tuple(ranks)
         self.below: tuple[int, ...] = tuple(below)
         n = len(self.nodes)
@@ -363,6 +370,46 @@ def interval_labels(top: QNode):
                 yield QNode(v, combo, length - v.length)
 
 
+class _IntervalLabels(Sequence):
+    """The nodes of a poset from :func:`build_interval`: ``BOTTOM``, then
+    a label per key, decoded on each read.
+
+    A key's digits, v's position in ``vs`` and then each factor's position
+    in its list of ``factors``, first factor fastest, give the label
+    (v, wbar) of rank sum_i l(w_i) - l(v).  Reads behave as on the tuple of
+    the labels, which it equals; a slice is such a tuple.
+    """
+
+    def __init__(self, keys: list[int], vs: list[WeylElt], factors: list[Sequence[WeylElt]]):
+        self._keys, self._vs, self._factors = keys, vs, factors
+
+    def _label(self, key: int) -> QNode:
+        key, d = divmod(key, len(self._vs))
+        v, wbar = self._vs[d], []
+        for values in self._factors:
+            key, p = divmod(key, len(values))
+            wbar.append(values[p])
+        return QNode._make((v, tuple(wbar), sum([w.length for w in wbar]) - v.length))
+
+    def __len__(self):
+        return len(self._keys) + 1
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        i = range(len(self))[i]  # IndexError past either end, as on a tuple
+        return self._label(self._keys[i - 1]) if i else BOTTOM
+
+    def __iter__(self):
+        yield BOTTOM
+        yield from map(self._label, self._keys)
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _IntervalLabels)):
+            return tuple(self) == other
+        return NotImplemented
+
+
 def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP,
                    _bottom: QNode | None = None) -> FacePoset:
     """Closed interval [0^, top]: all labels weakly below top, plus a bottom.
@@ -398,15 +445,18 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP,
 
     A label's key is mixed radix: v's position among the u with top.v <= u
     <= m_star(top.wbar) (<= v_b in a box), then each factor's position in
-    the lower interval of its top factor (above w_{b,i} in a box), so ``divmod(key, len(vs))`` is the factor
-    combination's digit, first factor fastest, and v's.  The labels are
-    listed in the order of :func:`interval_labels` into rank columns, one
-    of labels and one of keys, and ``node_cap`` is checked per label,
-    before any cover is looked up.  The Demazure product of a combination
-    is one :meth:`WeylGroup.demazure` of its prefix (the product of all
-    factors but the last, taken once per prefix) with its last factor, or
-    that factor itself when n = 1; the v below it, with their positions,
-    are listed once per distinct product.  Then the key offsets of the
+    the lower interval of its top factor (above w_{b,i} in a box), so
+    ``divmod(key, len(vs))`` is the factor combination's digit, first
+    factor fastest, and v's.  The labels are listed in the order of
+    :func:`interval_labels` into rank columns of their keys; no label is
+    made.  ``node_cap`` is checked per label, before any cover is looked
+    up.  The poset keeps the keys in node order, with ``vs`` and the
+    factors' values, and its ``nodes`` decode a label from them when it is
+    read.  The Demazure product of a combination is one
+    :meth:`WeylGroup.demazure` of its prefix (the product of all factors
+    but the last, taken once per prefix) with its last factor, or that
+    factor itself when n = 1; the v below it, with their positions, are
+    listed once per distinct product.  Then the key offsets of the
     covers are made once per v and once per combination, and
     :func:`_cover_index` finds the lower covers in a table of
     |vs| * prod_i |[e, w_i]| slots, made only after the cap check.
@@ -422,10 +472,8 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP,
     for values in factors:
         digits.append([p * stride for p in range(len(values))])
         stride *= len(values)
-    labels: list[list] = [[] for _ in range(top.rank + 1)]  # rank columns of labels
-    keys: list[list] = [[] for _ in range(top.rank + 1)]  # and of their keys
-    below_m: dict[WeylElt, list] = {}  # m -> (v digit, v, l(v)) for top.v <= v <= m
-    make = QNode._make
+    keys: list[list] = [[] for _ in range(top.rank + 1)]  # rank columns of keys
+    below_m: dict[WeylElt, list] = {}  # m -> (v digit, l(v)) for top.v <= v <= m
     count = 1 if _bottom is None else 0  # the bottom: 0^, or b, listed with the labels
     *heads, last = factors
     for head, hds in zip(product(*heads), product(*digits[:-1])):
@@ -433,15 +481,13 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP,
         hbase, hlength = sum(hds), sum([w.length for w in head])
         for w, wd in zip(last, digits[-1]):
             m = group.demazure(prefix, w) if head else w
-            triples = below_m.get(m)
-            if triples is None:
-                triples = below_m[m] = [(vdigit[v], v, v.length)
-                                        for v in group.lower_interval(m) if v in vdigit]
-            wbar, base, length = head + (w,), hbase + wd, hlength + w.length
-            for d, v, vlength in triples:
-                rank = length - vlength
-                labels[rank].append(make((v, wbar, rank)))
-                keys[rank].append(base + d)
+            pairs = below_m.get(m)
+            if pairs is None:
+                pairs = below_m[m] = [(vdigit[v], v.length)
+                                      for v in group.lower_interval(m) if v in vdigit]
+            base, length = hbase + wd, hlength + w.length
+            for d, vlength in pairs:
+                keys[length - vlength].append(base + d)
                 count += 1
                 if count > node_cap:
                     raise CapExceededError(f"poset exceeds node cap {node_cap}")
@@ -462,17 +508,15 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP,
     wmoves = [sum(moves, ()) for moves in product(*reversed(fmoves))]
     # a link drops b, alone in its rank column, so that its covers rest on 0^
     skip = 0 if _bottom is None else _bottom.rank + 1
-    labels, keys = labels[skip:], keys[skip:]
-    nodes = [BOTTOM, *chain.from_iterable(labels)]
-    ranks = [nodes[1].rank - skip - 1]
-    for rank, column in enumerate(labels):
+    columns = keys[skip:]
+    ranks = [next(rank for rank, column in enumerate(columns) if column) - 1]
+    for rank, column in enumerate(columns):
         ranks += [rank] * len(column)
-    del labels
-    keys = list(chain.from_iterable(keys))
+    keys = list(chain.from_iterable(columns))
+    del columns
     nv = len(vs)
     below, ups = _cover_index(keys, (vmoves[k % nv] + wmoves[k // nv] for k in keys), stride)
-    del keys
-    poset = FacePoset(nodes, ranks, below, ups)
+    poset = FacePoset(_IntervalLabels(keys, vs, factors), ranks, below, ups)
     poset._boxes = True
     return poset
 

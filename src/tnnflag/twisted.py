@@ -204,7 +204,8 @@ def parametrize_cell(
     Factor i is the Marsh-Rietsch point ``slk.mr_form`` of the positive
     subexpression for v_i in a reduced word of w_i, where (v_1, ..., v_n)
     is ``positive_tuple(v, wbar)``.  ``words`` optionally fixes the reduced
-    word per factor; the canonical words are used otherwise.  ``params``
+    word per factor, each checked to be one; the canonical words, reduced
+    by construction, are used otherwise.  ``params``
     supplies one positive rational per skipped letter, across factors
     left to right; ``slk.mr_form`` refuses one that is not positive.
     With ``check`` on, each factor is asserted to lie in the opposite cell
@@ -221,14 +222,15 @@ def parametrize_cell(
                                    f"not of {group!r}")
     # raises ValueError on an empty stratum, where v is not below m_star(wbar)
     vbar = positive_tuple(v, wbar)
-    if words is None:
+    if words is None:  # the canonical words, reduced words of their factors
         words = [w.word for w in wbar]
-    words = [tuple(word) for word in words]
-    if len(words) != len(wbar):
-        raise ValueError("need one reduced word per factor")
-    for w, word in zip(wbar, words):
-        if group.from_word(word) != w or len(word) != w.length:
-            raise ValueError(f"{word!r} is not a reduced word of {w.describe()}")
+    else:
+        words = [tuple(word) for word in words]
+        if len(words) != len(wbar):
+            raise ValueError("need one reduced word per factor")
+        for w, word in zip(wbar, words):
+            if group.from_word(word) != w or len(word) != w.length:
+                raise ValueError(f"{word!r} is not a reduced word of {w.describe()}")
     dim = sum(w.length for w in wbar) - v.length
     params = [Fraction(p) for p in params]
     if len(params) != dim:

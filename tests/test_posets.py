@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import random
+from collections import Counter
 from functools import partial
 from itertools import combinations, product
 
@@ -15,6 +16,7 @@ from tnnflag.posets import (
     BOTTOM,
     CapExceededError,
     FacePoset,
+    QNode,
     ShellingResult,
     braid_poset,
     build_interval,
@@ -236,7 +238,7 @@ def test_qnode_record(A1):
     assert fields == (s, (s, s), 1)
     assert node != fields and fields != node and not node == fields and not fields == node
     assert node not in {fields} and fields not in {node}
-    made = posets.QNode._make(fields)  # the builder's way, without the field count check
+    made = posets.QNode._make(fields)  # the decoder's way, without the field count check
     assert made == node and type(made) is posets.QNode and made.rank == 1
     for name in ("v", "wbar", "rank", "other"):
         with pytest.raises(AttributeError):
@@ -311,42 +313,49 @@ def test_node_cap(A2):
 def test_node_cap_boundary(A2, monkeypatch):
     """A cap of exactly the node count passes; one less raises while the
     labels are still being listed, before any cover is looked up and before
-    any key table or mask is made, and a cap of half the count raises after
-    that many labels.  The builder makes every label through
-    ``QNode._make``, which counts them here."""
+    any key table or mask is made, and a cap of half the count raises in
+    the factor combination whose labels pass it, at the label that does.
+    The builder takes one Demazure product per combination it lists, after
+    the one of top.wbar, which count the combinations here."""
     s1, s2 = A2.simple(0), A2.simple(1)
     top = make_qnode(A2.identity, (A2.multiply(s1, s2), A2.multiply(s2, s1)))
     poset = build_interval(top)
     assert_same_poset(build_interval(top, node_cap=len(poset)), poset)
+    # the factor combinations in listing order, and their label counts
+    combos = list(product(*(A2.lower_interval(w) for w in top.wbar)))
+    sizes = Counter(q.wbar for q in interval_labels(top))
 
     listed = []
-    make = posets.QNode._make
+    demazure = A2.demazure
 
-    def label(fields):
-        q = make(fields)
-        listed.append(q)
-        return q
+    def product_of(x, y):
+        listed.append((x, y))
+        return demazure(x, y)
 
     def no_index(*args):
         raise AssertionError("the index was built past the node cap")
 
-    monkeypatch.setattr(posets.QNode, "_make", label)
+    monkeypatch.setattr(A2, "demazure", product_of)
     monkeypatch.setattr(posets, "_cover_index", no_index)
     monkeypatch.setattr(A2, "lower_covers", no_index)
     with pytest.raises(CapExceededError):
         build_interval(top, node_cap=len(poset) - 1)
-    # each label was made once, and the last one tipped the count over the cap
-    assert len(listed) == len(poset) - 1
-    assert set(listed) == set(poset.nodes[1:])
+    # each combination was listed once, and its last label tipped the count over the cap
+    assert listed == [top.wbar, *combos]
 
-    # a cap well below the count stops the listing part way: the cap is
-    # checked per label, not once the listing has ended
+    # a cap well below the count stops the listing part way, in the
+    # combination whose labels, with the bottom, pass the cap
     listed.clear()
     node_cap = len(poset) // 2
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError) as raised:
         build_interval(top, node_cap=node_cap)
-    assert len(listed) == node_cap < len(poset) - 1
-    assert set(listed) < set(poset.nodes[1:])
+    done = listed[1:]
+    assert done == combos[:len(done)] and len(done) < len(combos)
+    labels = sum(sizes[c] for c in done)
+    assert labels - sizes[done[-1]] < node_cap <= labels
+    # and within that combination, at the label that passed the cap: the
+    # builder's count of the bottom and the labels listed is one above it
+    assert raised.traceback[-1].frame.f_locals["count"] == node_cap + 1
 
 
 def assert_same_poset(poset, other):
@@ -440,6 +449,68 @@ def test_interval_builder_matches_bucket_oracle():
         assert poset._boxes is oracle._boxes is True
         nodes += len(poset.nodes)
     assert (hatq, len(tops), nodes) == (244, 873, 140_968)
+
+
+def test_decoded_labels_match_the_interval_labels(A2):
+    """A built interval keeps each label as its key and decodes it on
+    read: its nodes are the bottom and then the labels of
+    :func:`interval_labels`, stably sorted by rank (the node order of
+    ``FacePoset.from_qnodes``), on every hatQ top, every braid poset of
+    ``verify braid``, three sampled links of each of twelve A2 n=2 tops
+    and the rank-12 A3 n=2 top (e ; w0, w0)."""
+    def rank(q):
+        return q.rank
+
+    cases = [(top, None) for _, group, ns in _hatQ_families() for n in ns
+             for top in iter_qnodes(group, n)]
+    for length in range(1, 6):
+        for letters in product(range(2), repeat=length):
+            sbar = tuple(A2.simple(t) for t in letters)
+            cases.append((make_qnode(A2.m_star(sbar), sbar), letters))
+    links, _ = _links_and_relations(A2)
+    A3 = WeylGroup(cartan_of_type("A", 3))
+    w0 = A3.from_word((0, 1, 0, 2, 1, 0))
+    cases += [*((top, bottom) for bottom, top in links), (make_qnode(A3.identity, (w0, w0)), None)]
+    for top, extra in cases:
+        labels = interval_labels(top)
+        if isinstance(extra, QNode):  # the link above extra
+            poset = link_poset(extra, top)
+            labels = [q for q in labels if q != extra and qnode_leq(extra, q)]
+        else:
+            poset = braid_poset(A2, extra) if extra else build_interval(top)
+        assert tuple(poset.nodes) == (BOTTOM, *sorted(labels, key=rank))
+    assert len(cases) == 244 + 62 + 36 + 1
+
+
+def test_decoded_labels_read_as_a_tuple(B2):
+    """The nodes of a built interval answer every read as the tuple of its
+    labels does: length, negative indices, slices, ``IndexError`` past
+    either end, ``index`` of every node and ``ValueError`` on a label that
+    is absent, and ``==`` / ``!=`` with the tuple from either side."""
+    w = B2.from_word((0, 1, 0, 1))
+    top = make_qnode(B2.identity, (w, w))
+    poset = build_interval(top)
+    nodes, labels = poset.nodes, (BOTTOM, *sorted(interval_labels(top), key=lambda q: q.rank))
+    assert len(nodes) == len(labels) == 402 and labels[0] is BOTTOM
+    assert nodes[-1] == labels[-1] == QNode(B2.identity, (w, w), 8)
+    assert nodes[-len(nodes)] is BOTTOM and nodes[-2] == labels[-2]
+    for part in (slice(1, 5), slice(None, None, -7), slice(-3, None), slice(5, 2), slice(None)):
+        assert type(nodes[part]) is tuple and nodes[part] == labels[part]
+    for i in (len(nodes), -len(nodes) - 1):
+        with pytest.raises(IndexError):
+            nodes[i]
+    assert [poset.index(q) for q in labels] == list(range(len(labels)))
+    assert labels[5] in nodes and BOTTOM in nodes
+    s = B2.simple(0)
+    absent = (QNode(s, (w, w), 9), make_qnode(s, (s, s, s)), "0^")
+    for label in absent:
+        assert label not in nodes
+        with pytest.raises(ValueError):
+            poset.index(label)
+    assert nodes == labels and labels == nodes and not nodes != labels and not labels != nodes
+    for other in (labels[:-1], labels[1:] + labels[:1], list(labels)):
+        assert nodes != other and other != nodes and not nodes == other and not other == nodes
+    assert nodes == build_interval(poset.nodes[-1]).nodes
 
 
 def test_braid_cover_builder_matches_pairwise_order(A2, S4):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -105,6 +106,29 @@ def test_parametrize_cell_refuses_a_word_that_is_not_reduced_for_its_factor(S3):
     for word in [(1, 0), (0, 1, 1, 1)]:
         with pytest.raises(ValueError, match="is not a reduced word of"):
             twisted.parametrize_cell(e, (w,), [1, 1], words=[word])
+
+
+def test_parametrize_cell_reads_no_canonical_word_back(S3, monkeypatch):
+    """Without ``words`` the factors' canonical words are used, which are
+    reduced words of their factors, so parametrize_cell multiplies none of
+    them out to check it (the calls of the functions it calls are not
+    counted); a given word still is checked, and a wrong one refused."""
+    calls = []
+    from_word = S3.from_word
+
+    def counted(letters):
+        if sys._getframe(1).f_code is twisted.parametrize_cell.__code__:
+            calls.append(tuple(letters))
+        return from_word(letters)
+
+    monkeypatch.setattr(S3, "from_word", counted)
+    w0 = S3.from_word((0, 1, 0))
+    wbar = (w0, S3.from_word((1, 0)))
+    assert twisted.parametrize_cell(S3.simple(1), wbar, [1, 2, 3, 4]).factors
+    assert calls == []
+    with pytest.raises(ValueError, match="is not a reduced word of"):
+        twisted.parametrize_cell(S3.simple(1), wbar, [1, 2, 3, 4], words=[(1, 0, 1), (0, 1)])
+    assert calls == [(1, 0, 1), (0, 1)]
 
 
 def test_zpoint_validation():
