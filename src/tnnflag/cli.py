@@ -160,6 +160,9 @@ def cmd_cell(args) -> int:
         raise WordParseError(f"expected {args.n} factor words", args.w, 0)
     words = [parse_word(group, part) for part in word_parts]
     wbar = tuple(group.from_word(word) for word in words)
+    for part, word, w in zip(word_parts, words, wbar):
+        if w.length != len(word):
+            raise ValueError(f"{part.strip()!r} is not a reduced word of {w.describe()}")
     if args.params is not None and args.random:
         raise ValueError("--params and --random are mutually exclusive")
     if args.random:

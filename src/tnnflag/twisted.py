@@ -33,7 +33,7 @@ from math import prod
 
 from . import ratlin, slk
 from .ratlin import IntForm, Mat
-from .weyl import (ContextMismatchError, WeylElt, WeylGroup, from_perm, perm_of, positive_tuple,
+from .weyl import (ContextMismatchError, WeylElt, WeylGroup, _positive_split, from_perm, perm_of,
                    type_a_group)
 
 
@@ -203,11 +203,12 @@ def parametrize_cell(
 
     Factor i is the Marsh-Rietsch point ``slk.mr_form`` of the positive
     subexpression for v_i in a reduced word of w_i, where (v_1, ..., v_n)
-    is ``positive_tuple(v, wbar)``.  ``words`` optionally fixes the reduced
-    word per factor, each checked to be one; the canonical words, reduced
-    by construction, are used otherwise.  ``params``
-    supplies one positive rational per skipped letter, across factors
-    left to right; ``slk.mr_form`` refuses one that is not positive.
+    is ``positive_tuple(v, wbar)``; one greedy over the concatenated words
+    gives them all (``weyl._positive_split``).  ``words`` optionally fixes
+    the reduced word per factor, each checked to be one; the canonical
+    words, reduced by construction, are used otherwise.  ``params`` supplies
+    one positive rational per skipped letter, across factors left to
+    right; ``slk.mr_form`` refuses one that is not positive.
     With ``check`` on, each factor is asserted to lie in the opposite cell
     of its v_i, and the point in the stratum (v, wbar), which includes the
     Bruhat cell w_i of each factor.
@@ -220,8 +221,7 @@ def parametrize_cell(
     if group is not type_a_group(k):
         raise ContextMismatchError(f"parametrize_cell takes elements of type_a_group({k}), "
                                    f"not of {group!r}")
-    # raises ValueError on an empty stratum, where v is not below m_star(wbar)
-    vbar = positive_tuple(v, wbar)
+    group.check_same(*wbar)
     if words is None:  # the canonical words, reduced words of their factors
         words = [w.word for w in wbar]
     else:
@@ -231,18 +231,17 @@ def parametrize_cell(
         for w, word in zip(wbar, words):
             if group.from_word(word) != w or len(word) != w.length:
                 raise ValueError(f"{word!r} is not a reduced word of {w.describe()}")
+    subs, vbar = _positive_split(v, wbar, words)  # ValueError on an empty stratum
     dim = sum(w.length for w in wbar) - v.length
     params = [Fraction(p) for p in params]
     if len(params) != dim:
         raise ValueError(f"cell has dimension {dim}, got {len(params)} parameters")
     factors = []
     pos = 0
-    for vi, word in zip(vbar, words):
-        sub = group.positive_subexpression(vi, word)
+    for vi, word, sub in zip(vbar, words, subs):
         need = len(word) - vi.length
-        chunk = params[pos:pos + need]
+        form = slk.mr_form(k, word, sub, params[pos:pos + need])
         pos += need
-        form = slk.mr_form(k, word, sub, chunk)
         if check and slk.opposite_cell(form[0]) != perm_of(vi):
             raise AssertionError("cell point left its opposite Schubert cell")
         factors.append(form)

@@ -40,6 +40,9 @@ In type A, ``from_perm`` reads the chamber vector off the one-line form
 Letters of words are 0-based positions into ``gcm.labels``.  A
 subexpression of a word is a tuple of the same length whose entries are
 either the original letter or ``None`` (the identity placeholder).
+Positive subexpressions come from one descent greedy, ``_positive_split``:
+a word's is the one-factor case of a tuple's, and its docstring proves
+that cutting the greedy at the factor boundaries is exact.
 """
 
 from __future__ import annotations
@@ -345,38 +348,16 @@ class WeylGroup:
             raise ValueError(f"word {word!r} is not reduced")
         return w
 
-    def _descent_greedy(self, v: WeylElt, word) -> tuple[SubWord, WeylElt]:
-        """Scan the word right to left keeping u = v, taking a letter exactly
-        when it is a right descent of the current u; the subexpression taken
-        and the u left at the end."""
-        u = v
-        taken: list = [None] * len(word)
-        for pos in range(len(word) - 1, -1, -1):
-            t = word[pos]
-            if self.has_right_descent(u, t):
-                u = self.multiply(u, self._simples[t])
-                taken[pos] = t
-        return tuple(taken), u
-
     def positive_subexpression(self, v: WeylElt, word) -> SubWord:
-        """The unique positive subexpression for v in the reduced word.
-
-        The descent greedy, which ends at the identity exactly when v is
-        below the product of the word.  The defining positivity condition
-        (every prefix ascends at the following letter of the full word) is
-        re-checked on the output.
-        """
+        """The unique positive subexpression for v in the reduced word, the
+        one-factor case of :func:`_positive_split`."""
         self.check_same(v)
         word = tuple(word)
-        self.assert_reduced(word)
-        taken, u = self._descent_greedy(v, word)
-        if u is not self.identity:
-            raise ValueError("element is not below the word in Bruhat order")
-        if not is_positive_subexpression(self, word, taken):
-            raise AssertionError("greedy output violates the positivity condition")
-        if self.from_word(taken) != v:
-            raise AssertionError("taken letters do not multiply back to v")
-        return taken
+        w = self.assert_reduced(word)
+        try:
+            return _positive_split(v, (w,), (word,))[0][0]
+        except ValueError:
+            raise ValueError("element is not below the word in Bruhat order") from None
 
     # -- thickening ------------------------------------------------------------
 
@@ -453,42 +434,58 @@ def th_element(tgroup: WeylGroup, wbar) -> WeylElt:
     return out
 
 
-def positive_tuple(v: WeylElt, wbar) -> tuple[WeylElt, ...]:
-    """The unique tuple below wbar, positive in wbar, with product v.
+def _positive_split(v: WeylElt, wbar, words) -> tuple[tuple[SubWord, ...], tuple[WeylElt, ...]]:
+    """The positive tuple (v_1, ..., v_n) of v in wbar, and the positive
+    subexpression for each v_i in ``words[i]``, a reduced word of w_i.
 
-    The paper reads it off the positive subexpression of v in the
-    interleaved word th(wbar) of the thickened group (:func:`th_word`).
-    That descent greedy never leaves the parabolic subgroup on the
-    original vertices, which is the base group: an element u there sends
-    the simple root of an inf vertex to a positive root, so no inf letter
-    is a right descent and none is taken, and an original letter is a
-    right descent of u exactly when it is one in the base group.  So the
-    same greedy runs here, in the base group, over the concatenated
-    canonical words of the factors, and is split at the factor
-    boundaries.  It ends at the identity exactly when v is below
-    m_star(wbar); ``tests/oracles.py`` keeps the thickened route.
+    The descent greedy (scan right to left keeping u = v, take a letter
+    exactly when it is a right descent of u) over the concatenated words
+    ends at e exactly when v <= m_star(wbar), ValueError otherwise; the
+    letters taken are positive for v, and are cut at the factor
+    boundaries.  The cut is exact: the taken letters form a reduced
+    subword, so the product V of the pieces before piece i has
+    l(V p) = l(V) + l(p) for every prefix p inside piece i, and
+    l(p s) < l(p) would give l(V p s) < l(V p), against the positivity of
+    the whole.  So each piece is positive in its own word, hence by
+    uniqueness the positive subexpression for its product v_i.  The greedy
+    over piece i takes u to circ_r(u, w_i^{-1}), which does not depend on
+    the word, and v_i is read off u before and after it.  Checked on the
+    output: the whole is positive, m_bullet(vbar) = m_star(vbar) = v, v_i <= w_i.
     """
-    wbar = tuple(wbar)
     group = v.group
     group.check_same(v, *wbar)
-    word = tuple(t for w in wbar for t in w.word)
-    taken, u = group._descent_greedy(v, word)
+    u, subs, vbar = v, [], []
+    for word in reversed(words):
+        before, taken = u, [None] * len(word)
+        for pos in range(len(word) - 1, -1, -1):
+            if group.has_right_descent(u, word[pos]):
+                u = group.multiply(u, group._simples[word[pos]])
+                taken[pos] = word[pos]
+        subs.insert(0, tuple(taken))
+        vbar.insert(0, group.multiply(group.inverse(u), before))
     if u is not group.identity:
         raise ValueError("empty stratum: v is not below the Demazure product of the tuple")
-    if not is_positive_subexpression(group, word, taken):
+    if not is_positive_subexpression(group, sum(words, ()), sum(subs, ())):
         raise AssertionError("greedy output violates the positivity condition")
-    parts: list[WeylElt] = []
-    pos = 0
-    for w in wbar:
-        parts.append(group.from_word(taken[pos:pos + w.length]))
-        pos += w.length
-    vbar = tuple(parts)
     if group.m_bullet(vbar) != v or group.m_star(vbar) != v:
         raise AssertionError("tuple does not multiply back to v")
-    for vi, wi in zip(vbar, wbar):
-        if not group.bruhat_leq(vi, wi):
-            raise AssertionError("tuple entry escapes its factor interval")
-    return vbar
+    if not all(map(group.bruhat_leq, vbar, wbar)):
+        raise AssertionError("tuple entry escapes its factor interval")
+    return tuple(subs), tuple(vbar)
+
+
+def positive_tuple(v: WeylElt, wbar) -> tuple[WeylElt, ...]:
+    """The unique tuple below wbar, positive in wbar, with product v:
+    :func:`_positive_split` on the canonical words; ValueError when v is
+    not below m_star(wbar).  The paper reads it off the positive
+    subexpression of v in th(wbar) (:func:`th_word`), whose greedy never
+    leaves the base group and takes no inf letter: an element u there
+    sends the simple root of an inf vertex to a positive root, and has an
+    original letter as a right descent exactly when the base group says
+    so.  ``tests/oracles.py`` keeps the thickened route.
+    """
+    wbar = tuple(wbar)
+    return _positive_split(v, wbar, [w.word for w in wbar])[1]
 
 
 # -- type A bridge ----------------------------------------------------------------

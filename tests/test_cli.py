@@ -326,6 +326,18 @@ def test_cell_command_rejects_bad_input(capsys):
     assert code == 2
 
 
+def test_cell_refuses_a_word_that_is_not_reduced_as_typed(capsys):
+    """A --w part whose product is shorter than its letters is refused with
+    exit 2 and the part as the user typed it, not its 0-based letters."""
+    code, _, err = run(capsys, "cell", "--k", "3", "--n", "1", "--w", "(1,1)", "--params", "1,2")
+    assert code == 2
+    assert "'(1,1)' is not a reduced word" in err and "(0, 0)" not in err
+    code, _, err = run(capsys, "cell", "--k", "3", "--n", "2", "--w", "(1,2);(2, 1,1)",
+                       "--params", "1,2,3")
+    assert code == 2
+    assert "'(2, 1,1)' is not a reduced word" in err
+
+
 def test_verify_command(capsys):
     code, out, _ = run(capsys, "verify", "sl2-triangle")
     assert code == 0

@@ -131,6 +131,39 @@ def test_parametrize_cell_reads_no_canonical_word_back(S3, monkeypatch):
     assert calls == [(1, 0, 1), (0, 1)]
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_parametrize_cell_runs_one_greedy_per_point(S3, monkeypatch, n):
+    """Every factor's subexpression and the positive tuple come off one
+    descent greedy over the concatenated words, with the canonical words
+    and with given ones: one positivity check per point, and no
+    per-factor ``positive_subexpression``."""
+    from tnnflag import weyl
+
+    checks, per_factor = [], []
+    is_positive = weyl.is_positive_subexpression
+    per_factor_greedy = WeylGroup.positive_subexpression
+
+    def counted_check(*args):
+        checks.append(args)
+        return is_positive(*args)
+
+    def counted_greedy(*args):
+        per_factor.append(args)
+        return per_factor_greedy(*args)
+
+    monkeypatch.setattr(weyl, "is_positive_subexpression", counted_check)
+    monkeypatch.setattr(WeylGroup, "positive_subexpression", counted_greedy)
+    v, w0, c = S3.simple(1), S3.from_word((0, 1, 0)), S3.from_word((0, 1))
+    wbar = (w0, c, w0)[:n]
+    dim = sum(w.length for w in wbar) - v.length
+    for words in (None, [(1, 0, 1), (0, 1), (1, 0, 1)][:n]):
+        checks.clear()
+        z = twisted.parametrize_cell(v, wbar, range(1, dim + 1), words=words)
+        assert twisted.stratum(z) == (v, wbar)
+        assert len(checks) == 1
+    assert per_factor == []
+
+
 def test_zpoint_validation():
     """No factors, factors of mixed sizes and a singular factor are refused by
     both constructors; the singular factor also by double_bruhat_embed."""
@@ -247,6 +280,10 @@ def test_parametrize_cell_refuses_a_foreign_group(A2, monkeypatch):
     for check in (True, False):
         with pytest.raises(ContextMismatchError, match=r"type_a_group\(3\)"):
             twisted.parametrize_cell(s1, (s1,), [], check=check)
+    # a factor of another group, with its word given or not
+    for words in (None, [(0,)]):
+        with pytest.raises(ContextMismatchError):
+            twisted.parametrize_cell(S3.identity, (s1,), [1], words=words)
 
 
 def test_parametrize_cell_builds_no_thickened_group(monkeypatch):

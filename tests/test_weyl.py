@@ -247,6 +247,61 @@ def test_positive_tuple_refuses_what_the_thickened_route_refuses(A2):
     assert refused > 0
 
 
+@pytest.mark.parametrize("family,rank,n,cap,count", POSITIVE_TUPLE_FAMILIES)
+def test_the_cut_greedy_gives_each_factors_positive_subexpression(family, rank, n, cap, count):
+    """One greedy over the concatenated words, cut at the factor boundaries,
+    against independent routes, on sampled labels with up to three reduced
+    words per factor: each piece is positive in its own word, the products
+    are the thickened route's tuple, and on a word of length <= 6 the piece
+    is the only positive subexpression for its product (all 2^L subwords)."""
+    group = WeylGroup(cartan_of_type(family, rank))
+    rng = random.Random(43)
+    reduced_words: dict = {}
+    labels = list(iter_qnodes(group, n, cap))
+    for q in rng.sample(labels, min(len(labels), 300)):
+        for w in q.wbar:
+            if w not in reduced_words:
+                reduced_words[w] = all_reduced_words(group, w)
+        choices = [rng.sample(reduced_words[w], min(3, len(reduced_words[w]))) for w in q.wbar]
+        want = positive_tuple_by_thickening(q.v, q.wbar)
+        for j in range(max(map(len, choices))):
+            words = [c[j % len(c)] for c in choices]
+            subs, vbar = weyl._positive_split(q.v, q.wbar, words)
+            assert vbar == want, (q, words)
+            for word, sub, vi in zip(words, subs, vbar):
+                assert is_positive_subexpression(group, word, sub), (q, words)
+                assert group.from_word(sub) is vi
+                if len(word) <= 6:
+                    positive = [
+                        other for mask in range(1 << len(word))
+                        for other in [tuple(t if mask >> i & 1 else None
+                                            for i, t in enumerate(word))]
+                        if group.from_word(other) is vi
+                        and is_positive_subexpression(group, word, other)
+                    ]
+                    assert positive == [sub], (q, words)
+
+
+def test_the_cut_asserts_each_product_and_each_factor_interval(A2, monkeypatch):
+    """A wrong ``m_star`` alone, a wrong ``m_bullet`` alone and a wrong
+    Bruhat test each trip an internal assertion of the cut, so neither
+    product check can stand in for the other."""
+    s1, s2 = A2.simple(0), A2.simple(1)
+    w0 = A2.from_word((0, 1, 0))
+    v, wbar = A2.multiply(s1, s2), (w0, s2)
+    assert positive_tuple(v, wbar) == (s1, s2)
+    for name in ("m_star", "m_bullet"):
+        with monkeypatch.context() as patch:
+            patch.setattr(A2, name, lambda ws: w0)
+            with pytest.raises(AssertionError, match="does not multiply back to v"):
+                positive_tuple(v, wbar)
+    with monkeypatch.context() as patch:
+        patch.setattr(A2, "bruhat_leq", lambda x, y: False)
+        with pytest.raises(AssertionError, match="escapes its factor interval"):
+            positive_tuple(v, wbar)
+    assert positive_tuple(v, wbar) == (s1, s2)
+
+
 def test_th_word_and_embed(A1, A2):
     e, s = A1.identity, A1.simple(0)
     T = A1.thickened(2)
