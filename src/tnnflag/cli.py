@@ -143,7 +143,7 @@ def cmd_poset(args) -> int:
             "n": args.n,
             "top": top.describe(),
             "nodes": len(poset.nodes),
-            "covers": sum(map(len, poset.up_covers())),
+            "covers": len(poset.covers),
             "f_vector": list(poset.f_vector()),
         }
 

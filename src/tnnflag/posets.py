@@ -267,15 +267,18 @@ class FacePoset:
         return i == j or bool(self.below[j] >> i & 1)
 
     @property
-    def covers(self) -> tuple[tuple[int, int], ...]:
+    def covers(self) -> Sequence[tuple[int, int]]:
         """Cover pairs (lo, hi): lo < hi with nothing strictly between.
 
-        Sorted.  Listed at each read from :meth:`up_covers`, which the
-        builders pass in and a poset given by its masks alone reads off
-        ``below``; a reader that only walks or counts the covers reads the
-        index instead.
+        Sorted, as a view of :meth:`up_covers`, which the builders pass in
+        and a poset given by its masks alone reads off ``below``: its
+        ``len`` sums the index's lists and lists no pair, and the first
+        other read of the view lists the pairs once, as the tuple that the
+        view equals (see :class:`_LazyTuple`).
         """
-        return tuple([(lo, hi) for lo, his in enumerate(self._ups) for hi in his])
+        ups = self._ups
+        return _LazyTuple(sum(map(len, ups)),
+                          lambda: [(lo, hi) for lo, his in enumerate(ups) for hi in his])
 
     def up_covers(self) -> tuple[tuple[int, ...], ...]:
         """The upper covers of each node, increasing; shared, not copied."""
@@ -311,15 +314,14 @@ class FacePoset:
         self._above, self._cover_masks = tuple(above), tuple(cover)
 
     def f_vector(self) -> tuple[int, ...]:
-        """Node counts per rank, bottom excluded."""
-        ranks = self.ranks[1:]
-        if not ranks:
+        """Node counts per rank, bottom excluded, from the lowest rank above
+        it to the highest: the ranks are sorted, so each rank's count is the
+        width of its band, whose first index is found by bisection."""
+        ranks = self.ranks
+        if len(ranks) < 2:
             return ()
-        lo, hi = min(ranks), max(ranks)
-        out = [0] * (hi - lo + 1)
-        for r in ranks:
-            out[r - lo] += 1
-        return tuple(out)
+        starts = [bisect_left(ranks, r, 1) for r in range(ranks[1], ranks[-1] + 2)]
+        return tuple(b - a for a, b in zip(starts, starts[1:]))
 
 
 # -- builders ------------------------------------------------------------------
@@ -757,22 +759,26 @@ class ShellingResult:
         return self.status == "shellable"
 
 
-class _ChainOrder(Sequence):
-    """The chains of a certified shelling, listed on first read.
+class _LazyTuple(Sequence):
+    """A tuple whose length is known before its items, listed on first read:
+    the chains of a certified shelling, the cover pairs of a poset.
 
-    ``len`` is known without the listing; indexing, slicing and iteration
-    list the chains once and keep them.
+    ``len`` (and truth) read the count given, without the listing.
+    Indexing, slicing, iteration and ``==`` list the items once, as a
+    tuple, and keep it: a slice is a tuple, and the view equals the tuple
+    of its items and any view of the same items; unlike a tuple it is not
+    hashable.
     """
 
     def __init__(self, count: int, listing):
         self._count = count
         self._listing = listing
-        self._chains = None
+        self._items = None
 
-    def _list(self) -> list[tuple[int, ...]]:
-        if self._chains is None:
-            self._chains, self._listing = self._listing(), None
-        return self._chains
+    def _list(self) -> tuple:
+        if self._items is None:
+            self._items, self._listing = tuple(self._listing()), None
+        return self._items
 
     def __len__(self):
         return self._count
@@ -783,8 +789,13 @@ class _ChainOrder(Sequence):
     def __iter__(self):
         return iter(self._list())
 
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _LazyTuple)):
+            return len(other) == self._count and tuple(other) == self._list()
+        return NotImplemented
+
     def __repr__(self):
-        return f"_ChainOrder({self._count} chains)"
+        return f"_LazyTuple({self._count} items)"
 
 
 def _facet_vertices(facets) -> tuple[list[tuple], list[tuple[int, ...]]]:
@@ -1029,7 +1040,7 @@ def find_shelling(poset: FacePoset, budget: int = DEFAULT_SHELLING_BUDGET) -> Sh
     if cert is None:
         exhausted = attempts <= budget
         return ShellingResult("inconclusive", None, facets, attempts, budget, backtracks, exhausted)
-    order = _ChainOrder(facets, lambda: _induced_chains(cert, cover, top, synthetic))
+    order = _LazyTuple(facets, lambda: _induced_chains(cert, cover, top, synthetic))
     return ShellingResult("shellable", order, facets, attempts, budget, backtracks, certificate=cert)
 
 

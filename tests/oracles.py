@@ -42,6 +42,9 @@ replaced, one Python-level scan per row and per entry, with the same
 refusals and rebuilds.
 ``members_by_lowest_bit`` lists the set bits of a mask by clearing the
 lowest one at a time, the loop that ``posets.members`` replaced.
+``oracle_covers`` lists the cover pairs of a poset by the definition, from
+``below`` alone, where ``FacePoset.covers`` reads them off the up-cover
+index.
 ``mobius_by_value_classes`` keeps one mask per value of mu, where
 ``posets.mobius`` keeps the values 1 and -1 in two signed masks.
 ``reverse_pass_masks`` is the pass that every ``FacePoset`` once ran at
@@ -448,6 +451,18 @@ def members_by_lowest_bit(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def oracle_covers(below) -> tuple[tuple[int, int], ...]:
+    """Pairs lo < hi with no node strictly between them, sorted, from the
+    masks ``below`` of the nodes strictly below each node."""
+    below = [set(members_by_lowest_bit(mask)) for mask in below]
+    return tuple(
+        (lo, hi)
+        for lo in range(len(below))
+        for hi in range(len(below))
+        if lo in below[hi] and not any(lo in below[mid] for mid in below[hi])
+    )
 
 
 def mobius_by_value_classes(poset, x: int, y: int) -> int:

@@ -87,9 +87,9 @@ def chain_length_bounds(ups):
 
 
 def oracle_up_covers(below):
-    """The upper cover lists of :func:`oracle_covers`, one per node."""
+    """The upper cover lists of ``oracles.oracle_covers``, one per node."""
     ups = [[] for _ in below]
-    for lo, hi in oracle_covers(below):
+    for lo, hi in oracles.oracle_covers(below):
         ups[lo].append(hi)
     return ups
 
@@ -148,18 +148,6 @@ def oracle_open_boundary_euler(poset):
     for x in reversed(range(1, top)):
         g[x] = 1 - sum(g[y] for y in members(poset.above[x]) if y != top)
     return sum(g.values())
-
-
-def oracle_covers(below):
-    """Pairs lo < hi with no node strictly between them, from the masks
-    ``below`` of the nodes strictly below each node."""
-    below = [set(members(mask)) for mask in below]
-    return tuple(
-        (lo, hi)
-        for lo in range(len(below))
-        for hi in range(len(below))
-        if lo in below[hi] and not any(lo in below[mid] for mid in below[hi])
-    )
 
 
 def tuple_key_build_interval(top):
@@ -861,6 +849,76 @@ def test_refusal_matches_chain_length_purity(A2):
     assert kinds == {True: 220, False: 80}
 
 
+def test_cover_count_lists_no_pair(A2, monkeypatch):
+    """``len`` and truth of ``covers`` sum the up-cover index and list no
+    pair, with the listing made to raise: the count is the definition's
+    on a built interval, a braid poset, a link and posets given by their
+    masks alone, the bottom alone among them.  The chain order of a
+    certified shelling is counted likewise."""
+    w0 = A2.from_word((0, 1, 0))
+    top = make_qnode(A2.identity, (w0, w0))
+    bottom = next(q for q in interval_labels(top) if q.rank == 1)
+    chosen = [build_interval(top), braid_poset(A2, (0, 1, 0, 1)), link_poset(bottom, top),
+              from_covers(["a", "b", "ab"], [("a", "ab"), ("b", "ab")]), from_covers([], [])]
+    counts = [len(oracles.oracle_covers(poset.below)) for poset in chosen]
+    order = find_shelling(chosen[0]).order
+
+    def unlisted(view):
+        raise AssertionError("items listed")
+
+    monkeypatch.setattr(posets._LazyTuple, "_list", unlisted)
+    assert [len(poset.covers) for poset in chosen] == counts
+    assert [bool(poset.covers) for poset in chosen] == [True] * 4 + [False]
+    assert counts[0] == 611 and len(order) == 8_160
+    with pytest.raises(AssertionError, match="items listed"):
+        chosen[0].covers[0]
+
+
+def test_cover_view_reads_as_the_listed_tuple(A2):
+    """On every differential poset ``covers`` equals the tuple of the
+    definition's cover pairs, either way round, and another view of them,
+    and iterates, indexes (negative indices and
+    IndexError past either end included) and slices, to tuples, as it
+    does; it equals no list and no shorter tuple."""
+    for poset in _differential_posets(A2):
+        listed = oracles.oracle_covers(poset.below)
+        view = poset.covers
+        assert view == listed and listed == view and view == poset.covers
+        assert not view != listed
+        assert view != list(listed) and view != listed[:-1] and poset.covers != listed[1:]
+        assert len(view) == len(listed) and tuple(view) == listed and list(view) == list(listed)
+        for i in range(-len(listed), len(listed), max(1, len(listed) // 7)):
+            assert view[i] == listed[i]
+        for part in (slice(1, 3), slice(-3, None), slice(None, None, -2), slice(5, 2)):
+            assert type(view[part]) is tuple and view[part] == listed[part]
+        for i in (len(listed), -len(listed) - 1):
+            with pytest.raises(IndexError):
+                view[i]
+
+
+def counted_f_vector(ranks):
+    """Node counts per rank above the bottom, zeros between included, by a
+    ``Counter`` over the ranks."""
+    counts = Counter(ranks[1:])
+    return tuple(counts[r] for r in range(min(counts), max(counts) + 1)) if counts else ()
+
+
+def test_f_vector_matches_rank_counter(A2, B2):
+    """``f_vector`` by rank band equals a ``Counter`` over the ranks on
+    every differential poset (built intervals, braid posets, links and
+    posets given by their masks alone), on posets of ``from_qnodes``, on
+    the bottom alone and on a single rank of atoms."""
+    posets_seen = list(_differential_posets(A2))
+    for group in (A2, B2):
+        for top in iter_qnodes(group, 1):
+            posets_seen.append(FacePoset.from_qnodes(interval_labels(top)))
+    posets_seen += [from_covers([], []), from_covers(list("abc"), [])]
+    for poset in posets_seen:
+        assert poset.f_vector() == counted_f_vector(poset.ranks)
+    assert from_covers([], []).f_vector() == ()
+    assert from_covers(list("abc"), []).f_vector() == (3,)
+
+
 def test_thin_path_count_matches_mask_scan(A2):
     """Thinness by two-step path counts on the up-cover index equals the
     mask scan and the chain-length table, and forms neither ``above`` nor
@@ -917,7 +975,7 @@ def test_eulerian_boundary_and_covers_match_oracles(A2, monkeypatch):
         assert type(ups) is tuple and all(type(u) is tuple for u in ups)
         assert poset.up_covers() is ups
         listed = tuple((lo, hi) for lo, his in enumerate(ups) for hi in his)
-        assert poset.covers == listed == oracle_covers(poset.below)
+        assert poset.covers == listed == oracles.oracle_covers(poset.below)
         transpose = [0] * len(poset)
         for j, mask in enumerate(poset.below):
             for i in members(mask):
