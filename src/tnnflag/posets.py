@@ -18,9 +18,10 @@ into rank columns of keys, with one Demazure product per factor
 combination; the key alone gives the label's cover offsets.  One pass in
 rank order ORs the masks together, strict as they are built, and fills
 the up-cover index; no cover pair is listed or sorted on the way.  The
-poset keeps the keys, and its ``nodes`` decode a label from its key only
-when it is read: no check reads a label.  ``FacePoset.from_qnodes``,
-which compares every pair by :func:`qnode_leq`, is their oracle.
+poset keeps the keys, and its ``nodes`` decode every label from its key,
+once, on the first read: no check reads a label.
+``FacePoset.from_qnodes``, which compares every pair by :func:`qnode_leq`,
+is their oracle.
 
 Every poset holds ``below`` and indexes the upper covers of each node
 once, as increasing tuples.  Every poset is graded, as Bjorner's
@@ -167,11 +168,12 @@ class FacePoset:
     rank order: ranks strictly increase along the order, so every node
     strictly below node ``i`` has an index smaller than ``i``.  ``nodes``
     is a tuple, except on a poset from :func:`build_interval`: there it is
-    a read-only sequence that keeps each label as its integer key and
-    decodes it on each read, and equals the tuple of the labels.  The keys
-    take about 37 bytes per node (a list slot and an int); on the 9,698
-    nodes of the A3 n=2 top (e ; w0, w0) the poset takes 693 bytes per
-    node, against 735 with a tuple of labels.
+    a :class:`_LazyTuple` that keeps each label as its integer key, decodes
+    every label on the first read other than ``len`` and keeps the tuple of
+    the labels, which it equals, in place of the keys.  The keys take about
+    37 bytes per node (a list slot and an int); on the 9,698 nodes of the
+    A3 n=2 top (e ; w0, w0) the poset takes 693 bytes per node before its
+    labels are read, and 788 after.
 
     ``below[i]`` and ``above[i]`` are int bitmasks of the nodes strictly
     below and above node ``i``.  The upper covers of every node are
@@ -199,7 +201,7 @@ class FacePoset:
     """
 
     def __init__(self, nodes, ranks, below, ups=None):
-        self.nodes: Sequence = nodes if isinstance(nodes, _IntervalLabels) else tuple(nodes)
+        self.nodes: Sequence = nodes if isinstance(nodes, _LazyTuple) else tuple(nodes)
         self.ranks: tuple[int, ...] = tuple(ranks)
         self.below: tuple[int, ...] = tuple(below)
         n = len(self.nodes)
@@ -259,9 +261,6 @@ class FacePoset:
 
     def __len__(self):
         return len(self.nodes)
-
-    def index(self, node) -> int:
-        return self.nodes.index(node)
 
     def leq(self, i: int, j: int) -> bool:
         return i == j or bool(self.below[j] >> i & 1)
@@ -372,46 +371,6 @@ def interval_labels(top: QNode):
                 yield QNode(v, combo, length - v.length)
 
 
-class _IntervalLabels(Sequence):
-    """The nodes of a poset from :func:`build_interval`: ``BOTTOM``, then
-    a label per key, decoded on each read.
-
-    A key's digits, v's position in ``vs`` and then each factor's position
-    in its list of ``factors``, first factor fastest, give the label
-    (v, wbar) of rank sum_i l(w_i) - l(v).  Reads behave as on the tuple of
-    the labels, which it equals; a slice is such a tuple.
-    """
-
-    def __init__(self, keys: list[int], vs: list[WeylElt], factors: list[Sequence[WeylElt]]):
-        self._keys, self._vs, self._factors = keys, vs, factors
-
-    def _label(self, key: int) -> QNode:
-        key, d = divmod(key, len(self._vs))
-        v, wbar = self._vs[d], []
-        for values in self._factors:
-            key, p = divmod(key, len(values))
-            wbar.append(values[p])
-        return QNode._make((v, tuple(wbar), sum([w.length for w in wbar]) - v.length))
-
-    def __len__(self):
-        return len(self._keys) + 1
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(len(self))[i]))
-        i = range(len(self))[i]  # IndexError past either end, as on a tuple
-        return self._label(self._keys[i - 1]) if i else BOTTOM
-
-    def __iter__(self):
-        yield BOTTOM
-        yield from map(self._label, self._keys)
-
-    def __eq__(self, other):
-        if isinstance(other, (tuple, _IntervalLabels)):
-            return tuple(self) == other
-        return NotImplemented
-
-
 def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP,
                    _bottom: QNode | None = None) -> FacePoset:
     """Closed interval [0^, top]: all labels weakly below top, plus a bottom.
@@ -452,9 +411,10 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP,
     factor fastest, and v's.  The labels are listed in the order of
     :func:`interval_labels` into rank columns of their keys; no label is
     made.  ``node_cap`` is checked per label, before any cover is looked
-    up.  The poset keeps the keys in node order, with ``vs`` and the
-    factors' values, and its ``nodes`` decode a label from them when it is
-    read.  The Demazure product of a combination is one
+    up.  The poset's ``nodes`` are a :class:`_LazyTuple` over the keys in
+    node order: its ``len`` decodes nothing, and its first other read
+    decodes every label from its key's digits, with ``vs`` and the
+    factors' values, once.  The Demazure product of a combination is one
     :meth:`WeylGroup.demazure` of its prefix (the product of all factors
     but the last, taken once per prefix) with its last factor, or that
     factor itself when n = 1; the v below it, with their positions, are
@@ -518,7 +478,17 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP,
     del columns
     nv = len(vs)
     below, ups = _cover_index(keys, (vmoves[k % nv] + wmoves[k // nv] for k in keys), stride)
-    poset = FacePoset(_IntervalLabels(keys, vs, factors), ranks, below, ups)
+
+    def label(key: int) -> QNode:
+        key, d = divmod(key, nv)
+        v, wbar = vs[d], []
+        for values in factors:
+            key, p = divmod(key, len(values))
+            wbar.append(values[p])
+        return QNode._make((v, tuple(wbar), sum([w.length for w in wbar]) - v.length))
+
+    nodes = _LazyTuple(len(keys) + 1, lambda: (BOTTOM, *map(label, keys)))
+    poset = FacePoset(nodes, ranks, below, ups)
     poset._boxes = True
     return poset
 
@@ -761,7 +731,8 @@ class ShellingResult:
 
 class _LazyTuple(Sequence):
     """A tuple whose length is known before its items, listed on first read:
-    the chains of a certified shelling, the cover pairs of a poset.
+    the labels of a built interval, the cover pairs of a poset, the chains
+    of a certified shelling.
 
     ``len`` (and truth) read the count given, without the listing.
     Indexing, slicing, iteration and ``==`` list the items once, as a

@@ -487,18 +487,37 @@ def test_decoded_labels_read_as_a_tuple(B2):
     for i in (len(nodes), -len(nodes) - 1):
         with pytest.raises(IndexError):
             nodes[i]
-    assert [poset.index(q) for q in labels] == list(range(len(labels)))
+    assert [poset.nodes.index(q) for q in labels] == list(range(len(labels)))
     assert labels[5] in nodes and BOTTOM in nodes
     s = B2.simple(0)
     absent = (QNode(s, (w, w), 9), make_qnode(s, (s, s, s)), "0^")
     for label in absent:
         assert label not in nodes
         with pytest.raises(ValueError):
-            poset.index(label)
+            poset.nodes.index(label)
     assert nodes == labels and labels == nodes and not nodes != labels and not labels != nodes
     for other in (labels[:-1], labels[1:] + labels[:1], list(labels)):
         assert nodes != other and other != nodes and not nodes == other and not other == nodes
     assert nodes == build_interval(poset.nodes[-1]).nodes
+
+
+def test_labels_are_decoded_once_on_first_read(B2, monkeypatch):
+    """``len`` of a built interval's nodes decodes no label, and two full
+    reads decode each key once: the first read keeps the labels."""
+    w = B2.from_word((0, 1, 0, 1))
+    top = make_qnode(B2.identity, (w, w))
+    poset = build_interval(top)
+    decoded = []
+
+    def make(cls, fields):
+        decoded.append(fields)
+        return tuple.__new__(cls, fields)
+
+    monkeypatch.setattr(posets.QNode, "_make", classmethod(make))
+    assert len(poset.nodes) == 402 and not decoded
+    first, second = tuple(poset.nodes), list(poset.nodes)
+    assert len(decoded) == 401 and len(set(decoded)) == 401
+    assert first == tuple(second) == (BOTTOM, *sorted(interval_labels(top), key=lambda q: q.rank))
 
 
 def test_braid_cover_builder_matches_pairwise_order(A2, S4):
@@ -725,7 +744,7 @@ def test_boolean_lattice_pure_thin():
     assert is_pure(poset)
     assert is_thin(poset)
     assert is_eulerian(poset)
-    assert mobius(poset, 0, poset.index("ab")) == 1
+    assert mobius(poset, 0, poset.nodes.index("ab")) == 1
     assert open_boundary_euler(poset) == 2  # two points: the 0-sphere
 
 
@@ -767,7 +786,7 @@ def test_path_count_three_on_a_length_two_interval():
     """Three atoms below a top: three paths of two covers into the top of a
     genuine length-2 interval."""
     poset = from_covers(["a", "b", "c", "t"], [("a", "t"), ("b", "t"), ("c", "t")])
-    assert two_step_paths(poset, 0, poset.index("t")) == 3
+    assert two_step_paths(poset, 0, poset.nodes.index("t")) == 3
     assert not is_thin(poset)
 
 
@@ -1244,7 +1263,7 @@ def test_thin_counts_one_and_three_fail_on_a_graded_poset():
     poset = from_covers(
         ["a", "b", "c", "y1", "y2"], [("a", "y1"), ("a", "y2"), ("b", "y2"), ("c", "y2")]
     )
-    y1, y2 = poset.index("y1"), poset.index("y2")
+    y1, y2 = poset.nodes.index("y1"), poset.nodes.index("y2")
     assert (two_step_paths(poset, 0, y1), two_step_paths(poset, 0, y2)) == (1, 3)
     ups = poset.up_covers()
     assert sum(len(ups[z]) for z in ups[0]) == 2 * len({y1, y2})
@@ -1305,7 +1324,7 @@ def test_an_unbalanced_odd_interval_from_the_bottom_is_not_eulerian(eulerian_fir
         return from_covers(["a", "b", "u", "z"], [("a", "u"), ("b", "u"), ("u", "z")])
 
     poset = diamond_under_z()
-    z = poset.index("z")
+    z = poset.nodes.index("z")
     assert z == len(poset) - 1 and not poset._boxes
     if eulerian_first:
         assert not is_eulerian(poset)
@@ -1330,7 +1349,7 @@ def test_an_unbalanced_odd_interval_from_the_bottom_is_not_eulerian(eulerian_fir
 )
 def test_mobius_of_small_posets(elements, pairs, node, value):
     poset = from_covers(elements, pairs)
-    assert mobius(poset, 0, poset.index(node)) == value
+    assert mobius(poset, 0, poset.nodes.index(node)) == value
     for x in range(len(poset)):
         memo = {}
         for y in [x, *members(poset.above[x])]:
@@ -1506,7 +1525,7 @@ def test_rank1_witness_case_analysis(A2, B2):
                     return tuple(out)
 
                 poset = build_interval(node)
-                top_idx = poset.index(node)
+                top_idx = poset.nodes.index(node)
                 covered = {
                     poset.nodes[lo]
                     for lo, hi in poset.covers

@@ -5,7 +5,10 @@ aside), is read when its name is referenced in ``src/`` outside its own
 definition (an ``ast.Name`` id or an ``ast.Attribute`` attr, so
 docstrings and comments do not count), is in ``tnnflag.__all__``, or is
 named in ``benchmarks/*.py`` or ``demos/*.py``.  Code that only tests
-read belongs in the tests.
+read belongs in the tests.  Names are matched bare, not by type, so a
+method counts as read when any other object's attribute of that name is
+(a ``FacePoset.index`` would pass on the tuple ``.index`` that
+``verify.overall_status`` reads).
 """
 
 import ast
