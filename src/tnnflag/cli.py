@@ -152,7 +152,7 @@ def cmd_poset(args) -> int:
 
 
 def cmd_cell(args) -> int:
-    slk._check_k(args.k)  # before the group, whose Cartan matrix is k x k
+    slk._check_k(args.k)  # k >= 2 before the group, whose Cartan matrix is k x k
     group = type_a_group(args.k)
     v = group.from_word(parse_word(group, args.v))
     word_parts = split_top_level(args.w, ";")

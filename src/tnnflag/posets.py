@@ -172,8 +172,9 @@ class FacePoset:
     every label on the first read other than ``len`` and keeps the tuple of
     the labels, which it equals, in place of the keys.  The keys take about
     37 bytes per node (a list slot and an int); on the 9,698 nodes of the
-    A3 n=2 top (e ; w0, w0) the poset takes 693 bytes per node before its
-    labels are read, and 788 after.
+    A3 n=2 top (e ; w0, w0) the poset takes 700 bytes per node before its
+    labels are read, and 742 after: the labels of one factor combination
+    share one ``wbar`` tuple.
 
     ``below[i]`` and ``above[i]`` are int bitmasks of the nodes strictly
     below and above node ``i``.  The upper covers of every node are
@@ -414,7 +415,9 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP,
     up.  The poset's ``nodes`` are a :class:`_LazyTuple` over the keys in
     node order: its ``len`` decodes nothing, and its first other read
     decodes every label from its key's digits, with ``vs`` and the
-    factors' values, once.  The Demazure product of a combination is one
+    factors' values, once.  The labels of one factor combination share
+    one ``wbar`` tuple, decoded once in a dict held only while the labels
+    are listed.  The Demazure product of a combination is one
     :meth:`WeylGroup.demazure` of its prefix (the product of all factors
     but the last, taken once per prefix) with its last factor, or that
     factor itself when n = 1; the v below it, with their positions, are
@@ -479,15 +482,22 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP,
     nv = len(vs)
     below, ups = _cover_index(keys, (vmoves[k % nv] + wmoves[k // nv] for k in keys), stride)
 
-    def label(key: int) -> QNode:
-        key, d = divmod(key, nv)
-        v, wbar = vs[d], []
-        for values in factors:
-            key, p = divmod(key, len(values))
-            wbar.append(values[p])
-        return QNode._make((v, tuple(wbar), sum([w.length for w in wbar]) - v.length))
+    def labels():
+        yield BOTTOM
+        combos: dict[int, tuple] = {}  # combination digit -> (wbar, its length)
+        for key in keys:
+            c, d = divmod(key, nv)
+            combo = combos.get(c)
+            if combo is None:
+                wbar, rest = [], c
+                for values in factors:
+                    rest, p = divmod(rest, len(values))
+                    wbar.append(values[p])
+                combo = combos[c] = tuple(wbar), sum([w.length for w in wbar])
+            v = vs[d]
+            yield QNode._make((v, combo[0], combo[1] - v.length))
 
-    nodes = _LazyTuple(len(keys) + 1, lambda: (BOTTOM, *map(label, keys)))
+    nodes = _LazyTuple(len(keys) + 1, labels)
     poset = FacePoset(nodes, ranks, below, ups)
     poset._boxes = True
     return poset

@@ -12,6 +12,10 @@ flag of g, which keeps its cell.  Also
 total nonnegativity by fraction-free Neville elimination (exhaustive
 minors for singular input) and the involution iota.
 
+Every size k >= 2 is taken.  The one cap, ``K_MAX``, bounds the minors
+that ``is_tnn`` enumerates for a singular matrix, the only path here
+whose cost grows exponentially in k.
+
 Generator letters are 0-based, the same letters as ``weyl`` words:
 letter i (x_i, y_i, sdot_i) touches rows and columns i and i+1.
 
@@ -34,16 +38,15 @@ from math import gcd, lcm
 from . import ratlin
 from .ratlin import IntForm, IntMat, Mat
 
-# is_tnn enumerates all minors of a singular input (about 0.25 s of CPU per
-# dense matrix at k=8), so k is capped; nonsingular input is decided in O(k^3)
+# largest k at which is_tnn decides a singular matrix by its C(2k, k) - 1
+# minors: the all-ones matrix, TNN, so every minor is read, takes about 0.2 s
+# of CPU at k=8 and 0.8 s at k=9
 K_MAX = 8
 
 
 def _check_k(k: int) -> None:
     if k < 2:
         raise ValueError("k must be >= 2")
-    if k > K_MAX:
-        raise ValueError(f"k={k} exceeds the configured cap K_MAX={K_MAX}")
 
 
 def _check_index(k: int, i: int) -> None:
@@ -278,8 +281,8 @@ def is_tnn(g) -> bool:
     multipliers, and the diagonal pivots of g are positive.  Positive
     pivots prove g nonsingular, since det g is a positive multiple of
     their product.  The theorem needs nonsingular input, so a singular g
-    is decided by enumerating all C(2k, k) - 1 minors; that path is what
-    ``K_MAX`` bounds.
+    is decided by enumerating all C(2k, k) - 1 minors, and refused with
+    ``ValueError`` before any minor is read when k > ``K_MAX``.
     """
     m = ratlin.int_form(g, square=True)[0]
     pivots = _neville_pivots(m)
@@ -288,6 +291,9 @@ def is_tnn(g) -> bool:
     if ratlin.int_det(m):
         return False
     k = len(m)
+    if k > K_MAX:
+        raise ValueError(f"k={k} exceeds the configured cap K_MAX={K_MAX} "
+                         "on the minors of a singular matrix")
     return all(
         ratlin.int_det(ratlin.submatrix(m, rows, cols)) >= 0
         for size in range(1, k + 1)

@@ -118,8 +118,8 @@ class ZPoint:
 
 
 def _check_factors(forms) -> tuple[slk.FlagPoint, ...]:
-    """The flag of each factor: at least one factor, all of one size k with
-    2 <= k <= ``slk.K_MAX``, none singular.
+    """The flag of each factor: at least one factor, all of one size k >= 2,
+    none singular.
 
     Each form is square.  The flag is built from the factor's own form,
     so its ``rep`` is the factor; its elimination raises on a singular

@@ -417,19 +417,31 @@ def test_cell_stratum_failure_exits_1(capsys, monkeypatch):
 
 
 def test_cell_checks_k_before_building_the_group(capsys, monkeypatch):
-    """k above the cap is a usage error that names K_MAX, raised before the
-    k x k Cartan matrix of the Weyl group is built."""
-    from tnnflag import cli, slk
+    """k below 2 is a usage error, raised before the k x k Cartan matrix of
+    the Weyl group is built."""
+    from tnnflag import cli
 
     def no_group(k):
         raise AssertionError(f"type_a_group({k}) called")
 
     monkeypatch.setattr(cli, "type_a_group", no_group)
-    code, _, err = run(
-        capsys, "cell", "--k", str(slk.K_MAX + 1), "--n", "1", "--w", "(1)",
-    )
+    code, _, err = run(capsys, "cell", "--k", "1", "--n", "1", "--w", "(1)")
     assert code == 2
-    assert err.startswith("error:") and f"K_MAX={slk.K_MAX}" in err
+    assert err.startswith("error:") and "k must be >= 2" in err
+
+
+def test_cell_command_past_k_max(capsys):
+    """k = 16 is past ``slk.K_MAX``, which bounds only is_tnn's minors: two
+    random points of the top cell (e; w0) pass every check."""
+    from tnnflag import slk
+
+    w0 = ",".join(str(i) for j in range(1, 16) for i in range(j, 0, -1))
+    code, out, _ = run(capsys, "cell", "--k", "16", "--n", "1", "--v", "e", "--w", f"({w0})",
+                       "--random", "2")
+    assert code == 0 and 16 > slk.K_MAX
+    payload = json.loads(out)
+    assert payload["status"] == "pass" and len(payload["points"]) == 2
+    assert payload["checks"] and all(c["status"] == "pass" for c in payload["checks"])
 
 
 def test_cell_zero_denominator_is_usage_error(capsys):

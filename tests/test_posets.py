@@ -503,7 +503,8 @@ def test_decoded_labels_read_as_a_tuple(B2):
 
 def test_labels_are_decoded_once_on_first_read(B2, monkeypatch):
     """``len`` of a built interval's nodes decodes no label, and two full
-    reads decode each key once: the first read keeps the labels."""
+    reads decode each key once: the first read keeps the labels.  The
+    labels of one factor combination share one ``wbar`` tuple."""
     w = B2.from_word((0, 1, 0, 1))
     top = make_qnode(B2.identity, (w, w))
     poset = build_interval(top)
@@ -518,6 +519,8 @@ def test_labels_are_decoded_once_on_first_read(B2, monkeypatch):
     first, second = tuple(poset.nodes), list(poset.nodes)
     assert len(decoded) == 401 and len(set(decoded)) == 401
     assert first == tuple(second) == (BOTTOM, *sorted(interval_labels(top), key=lambda q: q.rank))
+    labels = first[1:]
+    assert len({id(q.wbar) for q in labels}) == len({q.wbar for q in labels}) < 401
 
 
 def test_braid_cover_builder_matches_pairwise_order(A2, S4):

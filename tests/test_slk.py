@@ -3,12 +3,12 @@
 import random
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import comb, factorial
 
 import oracles
 import pytest
 
-from tnnflag import ratlin, slk
+from tnnflag import ratlin, slk, twisted
 from tnnflag.weyl import from_perm, perm_of, type_a_group
 
 
@@ -178,15 +178,16 @@ def test_word_matrix_matches_product_oracle():
 def test_word_matrix_validation():
     with pytest.raises(ValueError, match="unknown generator kind"):
         slk.word_matrix(3, [("x", 0, 2), ("z", 0, 1)])
-    # letters run over 0..k-2; -1 would otherwise index the last column
-    for k in range(2, slk.K_MAX + 1):
+    # letters run over 0..k-2; -1 would otherwise index the last column.
+    # Sizes past K_MAX are built too: the cap bounds only is_tnn's minors.
+    for k in range(2, slk.K_MAX + 2):
         for kind, a in (("x", 1), ("y", 1), ("s", None)):
             for i in (-1, k - 1):
                 with pytest.raises(ValueError, match="out of range"):
                     slk.word_matrix(k, [(kind, i, a)])
             slk.word_matrix(k, [(kind, 0, a), (kind, k - 2, a)])
-    for k in (1, slk.K_MAX + 1):
-        with pytest.raises(ValueError):
+    for k in (0, 1):
+        with pytest.raises(ValueError, match="^k must be >= 2$"):
             slk.word_matrix(k, [])
     assert slk.word_matrix(3, []) == ratlin.identity(3)
 
@@ -575,6 +576,38 @@ def test_double_bruhat_labels():
     assert slk.double_bruhat_labels(ratlin.identity(3)) == ((1, 2, 3), (1, 2, 3))
 
 
-def test_k_cap():
-    with pytest.raises(ValueError):
-        slk.word_matrix(9, [("x", 0, 1)])
+def test_k_cap(monkeypatch):
+    """K_MAX bounds only the minors is_tnn enumerates for a singular matrix.
+
+    A singular (K_MAX + 1)-square matrix is refused with ValueError naming
+    K_MAX before any minor is read (``ratlin.submatrix`` calls are
+    counted).  A singular matrix at k = K_MAX is still decided by its
+    minors: all C(2k, k) - 1 of them for a TNN one, fewer for one that is
+    not.  A nonsingular 16 x 16 double-Bruhat product, TNN or not, is
+    decided by Neville elimination, with no minor read.  The size checks
+    take k = K_MAX + 1."""
+    calls = []
+    submatrix = ratlin.submatrix
+    monkeypatch.setattr(ratlin, "submatrix", lambda *a: calls.append(a) or submatrix(*a))
+
+    def ones(k):
+        return tuple(tuple(1 for _ in range(k)) for _ in range(k))
+
+    big = slk.K_MAX + 1
+    with pytest.raises(ValueError, match=f"K_MAX={slk.K_MAX}"):
+        slk.is_tnn(ones(big))
+    assert calls == []
+    k = slk.K_MAX
+    assert slk.is_tnn(ones(k)) and len(calls) == comb(2 * k, k) - 1
+    calls.clear()
+    negative = ((1, -1) + (1,) * (k - 2),) + ones(k)[1:]
+    assert ratlin.det(negative) == 0 and not slk.is_tnn(negative)
+    assert 0 < len(calls) < comb(2 * k, k) - 1
+    calls.clear()
+    w0_word = tuple(i + 1 for i in word_of(16, slk.w0_perm(16)))
+    g = twisted.db_positive(16, w0_word, w0_word, range(1, 2 * len(w0_word) + 1))
+    swapped = (g[1], g[0]) + g[2:]
+    assert slk.is_tnn(g) and not slk.is_tnn(swapped) and ratlin.det(swapped) != 0
+    assert calls == []
+    assert slk.word_matrix(big, [("x", 0, 1)])[0][1] == 1
+    assert slk.w0_dot(big)[0][big - 1] == 1

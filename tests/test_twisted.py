@@ -188,27 +188,26 @@ def test_zpoint_validation():
         twisted.double_bruhat_embed(frac_singular)
 
 
-def test_zpoint_refuses_sizes_outside_two_to_k_max():
-    """Factors of size 0, 1 and K_MAX + 1 are refused when the point is
-    made, by ``ZPoint``, ``ZPoint.of_forms`` and ``ZPoint.from_json``, with
-    the messages of slk's size check; they used to be made, and refused
-    only later by ``stratum``.  Sizes 2 and K_MAX are made."""
+def test_zpoint_refuses_sizes_below_two():
+    """Factors of size 0 and 1 are refused when the point is made, by
+    ``ZPoint``, ``ZPoint.of_forms`` and ``ZPoint.from_json``, with the
+    message of slk's size check; they used to be made, and refused only
+    later by ``stratum``.  Sizes 2, K_MAX and K_MAX + 1 are made: the cap
+    bounds only is_tnn's minors."""
 
     def identity(k):
         return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
 
-    big = slk.K_MAX + 1
-    for k, message in ((0, "^k must be >= 2$"), (1, "^k must be >= 2$"),
-                       (big, f"^k={big} exceeds the configured cap K_MAX={slk.K_MAX}$")):
+    for k in (0, 1):
         for factors in ((identity(k),), (identity(k), identity(k))):
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match="^k must be >= 2$"):
                 twisted.ZPoint(factors)
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match="^k must be >= 2$"):
                 twisted.ZPoint.of_forms(tuple(ratlin.int_form(g, square=True) for g in factors))
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match="^k must be >= 2$"):
                 twisted.ZPoint.from_json({"factors": [[[str(x) for x in row] for row in g]
                                                       for g in factors]})
-    for k in (2, slk.K_MAX):
+    for k in (2, slk.K_MAX, slk.K_MAX + 1):
         assert twisted.ZPoint((identity(k),)).k == k
 
 
@@ -698,6 +697,36 @@ def test_duality_images_reproducible_in_sl2():
             assert twisted.gauge_eq(rebuilt, image)
 
 
+def sample_strata(k, n, count, rng):
+    """``count`` seeded strata (v, wbar) of SL_k^n, without listing an
+    interval.  Each factor is a uniform random permutation; v is the
+    product of a random subword of the canonical word of m_star(wbar), each
+    letter kept with one probability drawn per stratum, so v <=
+    m_star(wbar) (subword property) and the stratum is not empty."""
+    group = type_a_group(k)
+    for _ in range(count):
+        wbar = tuple(from_perm(group, rng.sample(range(1, k + 1), k)) for _ in range(n))
+        keep = rng.random()
+        v = group.from_word([i for i in group.m_star(wbar).word if rng.random() < keep])
+        yield v, wbar
+
+
+def test_strata_at_k16():
+    """Twenty seeded strata at k = 16, n = 3, past ``slk.K_MAX``: the checked
+    chart lands in its stratum, phi_Z (checked) in the dual stratum, and
+    phi_Z twice is gauge equivalent to the point."""
+    rng = random.Random(16)
+    strata = list(sample_strata(16, 3, 20, rng))
+    assert len(set(strata)) == 20 and 16 > slk.K_MAX
+    for v, wbar in strata:
+        dim = sum(w.length for w in wbar) - v.length
+        z = twisted.parametrize_cell(v, wbar, twisted.random_params(dim, rng), check=True)
+        assert twisted.stratum(z) == (v, wbar)
+        image = twisted.phi_Z(z)
+        assert twisted.stratum(image) == twisted.dual_stratum(v, wbar)
+        assert twisted.gauge_eq(twisted.phi_Z(image), z)
+
+
 def test_double_bruhat_embed_examples(S3):
     A1 = type_a_group(2)
     # identity: (id, w0dot) with factor labels e and w0
@@ -747,10 +776,12 @@ def test_db_positive_validation():
         twisted.db_positive(2, (1,), (1,), [Fraction(1)])
     with pytest.raises(ValueError):
         twisted.db_positive(2, (1,), (1,), [Fraction(1), Fraction(-2)])
-    # empty words still meet the size checks, so the minors path of is_tnn stays capped
-    for k in (1, slk.K_MAX + 1):
-        with pytest.raises(ValueError, match="k"):
-            twisted.db_positive(k, (), (), [])
+    # empty words still meet the size check; the identity is nonsingular, so
+    # is_tnn decides it past K_MAX without reading a minor
+    with pytest.raises(ValueError, match="^k must be >= 2$"):
+        twisted.db_positive(1, (), (), [])
+    big = slk.K_MAX + 1
+    assert twisted.db_positive(big, (), (), []) == ratlin.identity(big)
 
 
 def test_db_positive_matches_product_oracle():
