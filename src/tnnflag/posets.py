@@ -65,14 +65,14 @@ built interval a True verdict, and so that mu, rests on the boxes above
 the bottom, which ``verify hatQ`` checks against the pairwise order.
 
 Shellability is certified on the poset, not on its chains:
-:func:`find_shelling` searches for a recursive atom ordering (Bjorner-Wachs
-1983, "On lexicographically shellable posets", Thm 3.2: a bounded graded
-poset admits one iff it is CL-shellable), with a synthetic top when the
-maximal nodes are several.  The search tells the intervals of length <= 2,
-which take their atoms in any order, by rank, and its certificate is its
-memo, read before each recursive call; the result carries it.  The
-lexicographic order of the maximal chains it induces is a shelling; it is
-listed only when it is read.  An exhausted search proves only "not
+:func:`find_shelling` searches a closed interval [0^, top] for a
+recursive atom ordering (Bjorner-Wachs 1983, "On lexicographically
+shellable posets", Thm 3.2: a bounded graded poset admits one iff it is
+CL-shellable).  The search tells the intervals of length <= 2, which
+take their atoms in any order, by rank, and its certificate is its memo,
+read before each recursive call; the result carries it.  The
+lexicographic order of the maximal chains it induces is a shelling; it
+is listed only when it is read.  An exhausted search proves only "not
 CL-shellable", so it reports ``inconclusive``.
 ``shelling_of_facets`` only validates a given order of explicit facets,
 pairwise; the backtracking search over chain orders is a test oracle
@@ -727,9 +727,6 @@ class ShellingResult:
     attempts: int
     budget: int
     backtracks: int = 0  # dead ends the search stepped back from
-    # inconclusive only: the search ran to its end within budget (no
-    # recursive atom ordering exists), rather than out of budget
-    exhausted: bool = False
     # shellable only: the recursive atom ordering, keyed by state as
     # _atom_orderings returns it; left out of == and repr
     certificate: dict | None = field(default=None, compare=False, repr=False)
@@ -737,6 +734,12 @@ class ShellingResult:
     @property
     def shellable(self):
         return self.status == "shellable"
+
+    @property
+    def exhausted(self) -> bool:
+        """Inconclusive, and the search ran to its end (no recursive atom
+        ordering exists): it stops at the first attempt past the budget."""
+        return self.status == "inconclusive" and self.attempts <= self.budget
 
 
 class _LazyTuple(Sequence):
@@ -844,13 +847,13 @@ class _BudgetSpent(Exception):
     pass
 
 
-def _atom_orderings(ups, cover, above, ranks, top_rank: int, budget: int):
+def _atom_orderings(ups, cover, above, ranks, budget: int):
     """Depth-first search for a recursive atom ordering of [0, top].
 
     ``ups[x]`` lists the upper covers of node x, ``cover[x]`` is their mask
     and ``above[x]`` the mask of the nodes strictly above x, in a graded
-    poset with bottom 0 and a maximum top of rank ``top_rank`` (a synthetic
-    top has no entry in ``ranks``).  A state (x, F) asks for an order a_1,
+    poset with bottom 0 and a maximum top, the last node, of rank
+    ``ranks[-1]``.  A state (x, F) asks for an order a_1,
     ..., a_t of the atoms of [x, top] that begins with the atoms in F, such
     that for every j:
 
@@ -870,7 +873,7 @@ def _atom_orderings(ups, cover, above, ranks, top_rank: int, budget: int):
     certificate is None when there is no ordering or when attempts passed
     ``budget`` (then the search stopped).
     """
-    short = top_rank - 2  # x with r(x) >= short has an interval of length <= 2
+    short = ranks[-1] - 2  # x with r(x) >= short has an interval of length <= 2
     cert: dict[tuple[int, int], tuple[int, ...] | None] = {}
     known = cert.get
     attempts = backtracks = 0
@@ -949,79 +952,66 @@ def _atom_orderings(ups, cover, above, ranks, top_rank: int, budget: int):
     return (cert if found else None), attempts, backtracks
 
 
-def _induced_chains(cert, cover, top: int, synthetic: bool) -> list[tuple[int, ...]]:
+def _induced_chains(cert, cover, top: int) -> list[tuple[int, ...]]:
     """The maximal chains in the lexicographic order of the atom orderings:
     the walk from the bottom visits the atoms of each state in the order of
     ``cert``, down to the states of intervals of length 2, whose atoms the
-    top covers.  A synthetic ``top`` is left off the chains.  The walk's
-    stack is explicit: no reference cycle."""
+    top covers.  The walk's stack is explicit: no reference cycle."""
     top_bit = 1 << top
-    tail = () if synthetic else (top,)
     chains: list[tuple[int, ...]] = []
     stack = [(0, 0, ())]  # (x, first, the chain up to x), the next state last
     while stack:
         x, first, prefix = stack.pop()
         steps = cert[x, first]
         if cover[steps[0]] == top_bit:
-            chains.extend([(*prefix, a, *tail) for a in steps[::2]])
+            chains.extend([(*prefix, a, top) for a in steps[::2]])
         else:  # the states of the atoms, last atom first
             stack.extend([(a, z, (*prefix, a)) for a, z in zip(steps[-2::-2], steps[::-2])])
     return chains
 
 
-def find_shelling(poset: FacePoset, budget: int = DEFAULT_SHELLING_BUDGET) -> ShellingResult:
-    """Shelling of the order complex of the poset minus bottom, certified by
-    a recursive atom ordering.
+def _top(poset: FacePoset) -> int:
+    """The last node if every other node lies below it, else ``ValueError``."""
+    top = len(poset.nodes) - 1
+    if top == 0 or poset.below[top] != (1 << top) - 1:
+        raise ValueError("poset has no unique maximum above the bottom")
+    return top
 
-    ``facets`` counts the maximal chains by a sum over the covers, top
-    down.  Up to one chain is a shelling as it is, and its certificate
-    gives each node of the chain its one atom.  Otherwise a poset with
-    several maximal nodes gets a synthetic top above them, one rank up, and
-    is searched by :func:`_atom_orderings`, which reads the rank of the
-    top; the poset is graded by construction, so it only needs all its
-    maximal nodes at one rank.  ``certificate`` is the search's dict of
-    states, and ``order`` lists the chains in the order it induces, as
+
+def find_shelling(poset: FacePoset, budget: int = DEFAULT_SHELLING_BUDGET) -> ShellingResult:
+    """Shelling of the order complex of the closed interval [0^, top] minus
+    its bottom, certified by a recursive atom ordering.
+
+    A poset without a unique top above the bottom raises ``ValueError``:
+    Bjorner-Wachs's criterion is for bounded graded posets.  ``facets``
+    counts the maximal chains by a sum over the covers, top down.  One
+    chain is a shelling as it is, and its certificate gives each node of
+    the chain its one atom.  Otherwise :func:`_atom_orderings` searches
+    the poset's own index and masks.  ``certificate`` is the search's dict
+    of states, and ``order`` lists the chains in the order it induces, as
     :func:`maximal_chains` tuples, only when it is read.  The search never
-    proves a poset not shellable: an exhausted search and a poset whose
-    maximal nodes have several ranks (its maximal chains have several
-    lengths) are ``inconclusive`` with ``exhausted`` set, and a spent
-    budget is ``inconclusive`` without it; neither has a certificate.
+    proves a poset not shellable: an exhausted search and a spent budget
+    are ``inconclusive``, told apart by ``exhausted``, with no certificate.
     """
-    n = len(poset.nodes)
-    ranks = poset.ranks
-    ups, cover, above = poset.up_covers(), poset.up_cover_masks(), poset.above
-    counts = [1] * n
-    for x in range(n - 1, -1, -1):
-        if ups[x]:
-            counts[x] = sum([counts[u] for u in ups[x]])
-    facets = counts[0] if ups[0] else 0
-    if facets <= 1:
-        # the chain, if any, read up the index, is its own ordering: one atom per state
+    top = _top(poset)
+    ups = poset.up_covers()
+    counts = [1] * (top + 1)
+    for x in range(top - 1, -1, -1):
+        counts[x] = sum([counts[u] for u in ups[x]])
+    facets = counts[0]
+    if facets == 1:
+        # the chain, read up the index, is its own ordering: one atom per state
         path, x = [], 0
-        while ups[x]:
+        while x != top:
             x = ups[x][0]
             path.append(x)
         cert = {(x, 0): (y, 0) for x, y in zip((0, *path), path)}
-        chains = [tuple(path)] if path else []
-        return ShellingResult("shellable", chains, facets, 0, budget, certificate=cert)
-    maximal = [x for x in range(n) if not ups[x]]
-    if len({ranks[x] for x in maximal}) > 1:
-        return ShellingResult("inconclusive", None, facets, 0, budget, exhausted=True)
-    synthetic = len(maximal) > 1
-    if synthetic:  # on copies: the poset keeps its own index and masks
-        top = n
-        ups, cover = [*ups, ()], [*cover, 0]
-        for x in maximal:
-            ups[x], cover[x] = (top,), 1 << top
-        above = [mask | 1 << top for mask in above] + [0]
-    else:
-        top = maximal[0]
-    top_rank = ranks[maximal[0]] + synthetic
-    cert, attempts, backtracks = _atom_orderings(ups, cover, above, ranks, top_rank, budget)
+        return ShellingResult("shellable", [tuple(path)], facets, 0, budget, certificate=cert)
+    cover = poset.up_cover_masks()
+    cert, attempts, backtracks = _atom_orderings(ups, cover, poset.above, poset.ranks, budget)
     if cert is None:
-        exhausted = attempts <= budget
-        return ShellingResult("inconclusive", None, facets, attempts, budget, backtracks, exhausted)
-    order = _LazyTuple(facets, lambda: _induced_chains(cert, cover, top, synthetic))
+        return ShellingResult("inconclusive", None, facets, attempts, budget, backtracks)
+    order = _LazyTuple(facets, lambda: _induced_chains(cert, cover, top))
     return ShellingResult("shellable", order, facets, attempts, budget, backtracks, certificate=cert)
 
 
@@ -1029,16 +1019,14 @@ def open_boundary_euler(poset: FacePoset) -> int:
     """Euler characteristic of the order complex of the proper part.
 
     Proper part: all nodes strictly below the unique maximum, bottom
-    excluded.  By Philip Hall's theorem (Stanley, EC1, Sec. 3.8) its
-    reduced Euler characteristic is mu(bottom, top).  The top is the last
-    node, so after :func:`is_eulerian` has kept the verdict True,
+    excluded; a poset without one raises ``ValueError``, as in
+    :func:`find_shelling`.  By Philip Hall's theorem (Stanley, EC1, Sec.
+    3.8) its reduced Euler characteristic is mu(bottom, top).  The top is
+    the last node, so after :func:`is_eulerian` has kept the verdict True,
     :func:`mobius` reads mu off it without a walk; before that check, or
     on a poset that failed it, the Mobius walk runs.
     """
-    top = len(poset.nodes) - 1  # a unique maximum comes last in rank order
-    if top == 0 or poset.below[top] != (1 << top) - 1:
-        raise ValueError("poset has no unique maximum above the bottom")
-    return 1 + mobius(poset, 0, top)
+    return 1 + mobius(poset, 0, _top(poset))
 
 
 # -- export ----------------------------------------------------------------------

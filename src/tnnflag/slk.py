@@ -12,8 +12,8 @@ flag of g, which keeps its cell.  Also
 total nonnegativity by fraction-free Neville elimination (exhaustive
 minors for singular input) and the involution iota.
 
-Every size k >= 2 is taken.  The one cap, ``K_MAX``, bounds the minors
-that ``is_tnn`` enumerates for a singular matrix, the only path here
+Every size k >= 2 is taken.  The one cap, ``K_MAX``, bounds the number
+of minors that ``is_tnn`` reads of a singular matrix, the only path here
 whose cost grows exponentially in k.
 
 Generator letters are 0-based, the same letters as ``weyl`` words:
@@ -32,15 +32,15 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import combinations
-from math import gcd, lcm
+from itertools import combinations, islice
+from math import comb, gcd, lcm
 
 from . import ratlin
 from .ratlin import IntForm, IntMat, Mat
 
-# largest k at which is_tnn decides a singular matrix by its C(2k, k) - 1
-# minors: the all-ones matrix, TNN, so every minor is read, takes about 0.2 s
-# of CPU at k=8 and 0.8 s at k=9
+# is_tnn reads at most C(2 K_MAX, K_MAX) - 1 = 12,869 minors of a singular
+# matrix, all those of a K_MAX-square one: about 0.2 s of CPU when all are
+# read (the all-ones matrix, TNN) at K_MAX = 8
 K_MAX = 8
 
 
@@ -281,8 +281,10 @@ def is_tnn(g) -> bool:
     multipliers, and the diagonal pivots of g are positive.  Positive
     pivots prove g nonsingular, since det g is a positive multiple of
     their product.  The theorem needs nonsingular input, so a singular g
-    is decided by enumerating all C(2k, k) - 1 minors, and refused with
-    ``ValueError`` before any minor is read when k > ``K_MAX``.
+    is decided by its minors, smallest first, up to the first negative
+    one.  At most C(2 K_MAX, K_MAX) - 1 minors are read, all those of a
+    ``K_MAX``-square matrix: a larger g whose first that many minors are
+    nonnegative is refused with ``ValueError``.
     """
     m = ratlin.int_form(g, square=True)[0]
     pivots = _neville_pivots(m)
@@ -291,15 +293,19 @@ def is_tnn(g) -> bool:
     if ratlin.int_det(m):
         return False
     k = len(m)
-    if k > K_MAX:
-        raise ValueError(f"k={k} exceeds the configured cap K_MAX={K_MAX} "
-                         "on the minors of a singular matrix")
-    return all(
-        ratlin.int_det(ratlin.submatrix(m, rows, cols)) >= 0
+    cap = comb(2 * K_MAX, K_MAX) - 1
+    minors = (
+        ratlin.int_det(ratlin.submatrix(m, rows, cols))
         for size in range(1, k + 1)
         for rows in combinations(range(k), size)
         for cols in combinations(range(k), size)
     )
+    if any(d < 0 for d in islice(minors, cap)):
+        return False
+    if k > K_MAX:  # minors are left unread
+        raise ValueError(f"the first {cap} minors of a singular {k}x{k} matrix are "
+                         f"nonnegative; the cap K_MAX={K_MAX} stops the rest")
+    return True
 
 
 def mr_form(k: int, word, taken, params) -> IntForm:

@@ -503,18 +503,18 @@ def suite_duality(seed: int = DEFAULT_SEED, budget=None) -> RunReport:
     for q in iter_qnodes(type_a_group(3), 2):
         strata += 1
         v, wbar = q.v, q.wbar
-        expected = twisted.dual_stratum(v, wbar)
+        where = {"stratum": (v.describe(), [w.describe() for w in wbar])}
         for _ in range(10):
             params = twisted.random_params(q.rank, rng)
-            z = twisted.parametrize_cell(v, wbar, params, check=check)
-            image = twisted.phi_Z(z, check=check)
-            if twisted.stratum(image) != expected:
-                bad.append({"stratum": (v.describe(), [w.describe() for w in wbar]),
-                            "check": "stratum-map"})
+            try:  # the checked chart and phi_Z assert the strata
+                z = twisted.parametrize_cell(v, wbar, params, check=check)
+                image = twisted.phi_Z(z, check=check)
+                back = twisted.phi_Z(image, check=check)
+            except AssertionError as exc:
+                bad.append({**where, "check": "stratum-map", "error": str(exc)})
                 break
-            if not twisted.gauge_eq(twisted.phi_Z(image, check=check), z):
-                bad.append({"stratum": (v.describe(), [w.describe() for w in wbar]),
-                            "check": "involution"})
+            if not twisted.gauge_eq(back, z):
+                bad.append({**where, "check": "involution"})
                 break
     report.add_sweep("phi-involution-and-stratum-map", {"strata": strata}, bad)
     return report
@@ -538,14 +538,16 @@ def suite_double_bruhat(seed: int = DEFAULT_SEED, budget=None) -> RunReport:
                 expected = twisted.db_stratum_convention(group, v, w)
                 for _ in range(3):
                     params = twisted.random_params(v.length + w.length, rng)
-                    g = twisted.db_positive(
-                        k,
-                        tuple(t + 1 for t in v.word),
-                        tuple(t + 1 for t in w.word),
-                        params,
-                    )
-                    if not slk.is_tnn(g):
-                        bad.append({"v": v.describe(), "w": w.describe(), "check": "tnn"})
+                    try:  # db_positive asserts its product TNN
+                        g = twisted.db_positive(
+                            k,
+                            tuple(t + 1 for t in v.word),
+                            tuple(t + 1 for t in w.word),
+                            params,
+                        )
+                    except AssertionError as exc:
+                        bad.append({"v": v.describe(), "w": w.describe(), "check": "tnn",
+                                    "error": str(exc)})
                         break
                     got = twisted.stratum(twisted.double_bruhat_embed(g))
                     if got != expected:
@@ -573,9 +575,11 @@ def suite_cell_containment(seed: int = DEFAULT_SEED, budget=None) -> RunReport:
     for q in iter_qnodes(type_a_group(3), 2):
         strata += 1
         for _ in range(samples):
-            z = twisted.parametrize_cell(q.v, q.wbar, twisted.random_params(q.rank, rng))
-            if twisted.stratum(z) != (q.v, q.wbar):
-                bad.append({"v": q.v.describe(), "wbar": [w.describe() for w in q.wbar]})
+            try:  # the checked chart asserts the point's stratum
+                twisted.parametrize_cell(q.v, q.wbar, twisted.random_params(q.rank, rng))
+            except AssertionError as exc:
+                bad.append({"v": q.v.describe(), "wbar": [w.describe() for w in q.wbar],
+                            "error": str(exc)})
                 break
     report.add_sweep("containment", {"strata": strata}, bad)
     return report

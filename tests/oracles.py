@@ -700,8 +700,8 @@ def check_rao(poset, cert) -> bool:
     poset, by Bjorner-Wachs 1983 ("On lexicographically shellable posets",
     Def. 3.1) read literally.
 
-    The top is the one maximal node, or a synthetic node ``len(poset.nodes)``
-    above every node when the maximal nodes are several.  ``cert`` is keyed
+    The top is the one maximal node, found from ``below``; a poset with
+    several raises ``ValueError``.  ``cert`` is keyed
     as ``posets.find_shelling`` keeps it: a state (x, F) maps to the flat
     tuple (a_1, Z_1, a_2, Z_2, ...), each set of covers of a node given as
     the mask of their positions in the increasing list of its covers.  From
@@ -714,17 +714,12 @@ def check_rao(poset, cert) -> bool:
     nor the poset's up-cover index or masks is read.
     """
     n = len(poset.nodes)
-    below = list(poset.below)
+    below = poset.below
     under = 0  # every node below some node
     for mask in below:
         under |= mask
-    maximal = [m for m in range(n) if not under >> m & 1]
-    if len(maximal) > 1:
-        top = n
-        below.append((1 << n) - 1)
-    else:
-        top = maximal[0]
-    nodes = range(len(below))
+    (top,) = [m for m in range(n) if not under >> m & 1]
+    nodes = range(n)
 
     def leq(i, j):
         return i == j or bool(below[j] >> i & 1)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tnnflag import posets, twisted, verify
+from tnnflag import posets, slk, twisted, verify
 from tnnflag.cartan import cartan_of_type
 from tnnflag.cli import main, parse_top_spec, parse_word, split_top_level, WordParseError
 from tnnflag.posets import build_interval, make_qnode
@@ -414,6 +414,33 @@ def test_cell_stratum_failure_exits_1(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["status"] == "fail"
     assert any(c["status"] == "fail" for c in payload["checks"])
+
+
+def _wrong_stratum(z, real=twisted.stratum):
+    v, wbar = real(z)
+    return v.group.from_word((0,)), wbar
+
+
+@pytest.mark.parametrize("suite, module, name, broken, error", [
+    ("cell-containment", twisted, "stratum", _wrong_stratum,
+     "parametrized point landed outside its stratum"),
+    ("duality", twisted, "dual_stratum", lambda v, wbar: (v, tuple(wbar)),
+     "duality image landed outside the predicted stratum"),
+    ("double-bruhat", slk, "is_tnn", lambda g: False,
+     "double Bruhat product is not totally nonnegative"),
+], ids=["cell-containment", "duality", "double-bruhat"])
+def test_verify_suite_reports_a_failed_assertion(capsys, monkeypatch, suite, module, name,
+                                                 broken, error):
+    """A point that breaks the assertion of a checked chart, of ``phi_Z``
+    or of ``db_positive`` (forced here) fails its suite's sweep with the
+    error as witness: exit 1 and a ``fail`` entry, not a traceback."""
+    monkeypatch.setattr(module, name, broken)
+    code, out, err = run(capsys, "verify", suite)
+    payload = json.loads(out)
+    assert (code, payload["status"], err) == (1, "fail", "")
+    failed = [c for c in payload["checks"] if c["status"] == "fail"]
+    assert failed and all(entry["error"] == error
+                          for c in failed for entry in c["witness"]["bad"])
 
 
 def test_cell_checks_k_before_building_the_group(capsys, monkeypatch):

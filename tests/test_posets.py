@@ -1628,29 +1628,59 @@ def random_graded_posets(rng, count, ranks=(2, 4), width=3):
         yield from_covers([x for level in levels for x in level], pairs)
 
 
+def with_top(poset):
+    """The poset with one more node, one rank above its last, above every
+    node: a bounded poset whose order complex is the cone over the
+    poset's, shellable iff the poset's is."""
+    n = len(poset)
+    return FacePoset([*poset.nodes, "top"], [*poset.ranks, poset.ranks[-1] + 1],
+                     [*poset.below, (1 << n) - 1])
+
+
+def bounded(poset):
+    """The poset itself when it has a unique top, else :func:`with_top` of
+    it when its maximal nodes share a rank, else None."""
+    ups = poset.up_covers()
+    maximal = [x for x in range(len(poset)) if not ups[x]]
+    if len(maximal) == 1:
+        return poset
+    return with_top(poset) if len({poset.ranks[x] for x in maximal}) == 1 else None
+
+
 def test_atom_ordering_matches_chain_search(A2):
     """The recursive atom ordering against the chain search oracle, on the
     differential posets and seeded random bounded graded posets.
 
-    The oracle runs on the posets of at most 200 chains (the rest take
-    seconds each in it; they are shellable, with no oracle verdict, None).
-    Where the maximal chains have one length the verdicts agree (an
-    exhausted ordering search where the chain search finds no shelling),
-    and every returned order is the set of maximal chains; up to 1,000
-    chains it is also validated pairwise.  A poset whose maximal nodes lie
-    at several ranks, so that its chains have several lengths, is
-    inconclusive, also where the chain search finds a non-pure shelling.
-    Budgets 0 and 1 leave every poset of two or more chains inconclusive.
+    A poset whose maximal nodes share a rank is searched with a top put
+    above them (:func:`bounded`).  The oracle runs on the posets of at
+    most 200 chains (the rest take seconds each in it; they are shellable,
+    with no oracle verdict, None).  Where the maximal chains have one
+    length the verdicts agree (an exhausted ordering search where the
+    chain search finds no shelling), and every returned order is the set
+    of maximal chains; up to 1,000 chains it is also validated pairwise.
+    A poset whose maximal nodes lie at several ranks, so that its chains
+    have several lengths, is refused with ``ValueError``, also where the
+    chain search finds a non-pure shelling; so is the bottom alone.
+    Budgets 0 and 1 leave every poset of two or more chains inconclusive,
+    and not exhausted.
     """
     verdicts = {}
     posets_seen = [*_differential_posets(A2), *random_graded_posets(random.Random(3), 300)]
     for poset in posets_seen:
-        chains = maximal_chains(poset)
-        res = find_shelling(poset)
+        closed = bounded(poset)
+        chains = maximal_chains(poset if closed is None else closed)
         chain_search = None
         if len(chains) <= 200:
             chain_search = oracles.shelling_search([frozenset(c) for c in chains]).status
         one_length = len({len(c) for c in chains}) <= 1
+        if closed is None:
+            assert not one_length
+            with pytest.raises(ValueError, match="no unique maximum"):
+                find_shelling(poset)
+            key = (one_length, "refused", chain_search)
+            verdicts[key] = verdicts.get(key, 0) + 1
+            continue
+        res = find_shelling(closed)
         if res.shellable:
             assert one_length and len(res.order) == len(chains) == res.facets
             assert set(res.order) == set(chains)
@@ -1662,20 +1692,64 @@ def test_atom_ordering_matches_chain_search(A2):
         verdicts[key] = verdicts.get(key, 0) + 1
         if len(chains) >= 2:
             for budget in (0, 1):
-                spent = find_shelling(poset, budget)
-                assert spent.status == "inconclusive" and spent.exhausted == (not one_length)
+                spent = find_shelling(closed, budget)
+                assert spent.status == "inconclusive" and not spent.exhausted
     assert verdicts == {
         (True, "shellable", "shellable"): 710,
         (True, "shellable", None): 19,
         (True, "inconclusive", "not_shellable"): 30,
-        (False, "inconclusive", "shellable"): 90,
-        (False, "inconclusive", "not_shellable"): 13,
+        (False, "refused", "shellable"): 90,
+        (False, "refused", "not_shellable"): 13,
     }
-    # no facet, and one facet, are shellings without a test
-    empty = ShellingResult("shellable", [], 0, 0, 0)
-    assert find_shelling(FacePoset([BOTTOM], [0], [0]), budget=0) == empty
+    # the bottom alone has no top; one facet is a shelling without a test
+    with pytest.raises(ValueError, match="no unique maximum"):
+        find_shelling(FacePoset([BOTTOM], [0], [0]), budget=0)
     chain = from_covers(["a", "b"], [("a", "b")])
     assert find_shelling(chain, budget=0) == ShellingResult("shellable", [(1, 2)], 1, 0, 0)
+
+
+def test_shelling_and_boundary_refuse_the_same_unbounded_posets():
+    """``find_shelling`` and ``open_boundary_euler`` share one check for a
+    unique top above the bottom: both refuse the bottom alone, two maximal
+    nodes at one rank and maximal nodes at two ranks with the same
+    ``ValueError``; both take the first two with a top put above."""
+    unbounded = [
+        FacePoset([BOTTOM], [0], [0]),
+        from_covers(list("abcd"), [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]),
+        from_covers(list("abc"), [("a", "b")]),
+    ]
+    for poset in unbounded:
+        messages = []
+        for kernel in (find_shelling, open_boundary_euler):
+            with pytest.raises(ValueError) as info:
+                kernel(poset)
+            messages.append(str(info.value))
+        assert messages == ["poset has no unique maximum above the bottom"] * 2
+    for poset, chi in zip(map(with_top, unbounded[:2]), (0, 0)):
+        assert find_shelling(poset).shellable and open_boundary_euler(poset) == chi
+
+
+def test_exhausted_follows_from_the_attempts():
+    """On every inconclusive result of the random graded posets,
+    ``exhausted == (attempts <= budget)``, and it says whether the search
+    ran to its end: an exhausted result is the unbounded search's, and
+    otherwise the unbounded search takes more attempts than the budget.
+    Each poset is searched at budgets 0, 1, half its unbounded attempts,
+    one short of them, and at them."""
+    seen = {True: 0, False: 0}
+    for poset in random_graded_posets(random.Random(3), 300):
+        full = find_shelling(poset)
+        for budget in {0, 1, full.attempts // 2, max(full.attempts - 1, 0), full.attempts}:
+            res = find_shelling(poset, budget)
+            if res.status != "inconclusive":
+                continue
+            assert res.exhausted == (res.attempts <= budget)
+            if res.exhausted:
+                assert res == dataclasses.replace(full, budget=budget)
+            else:
+                assert full.attempts > budget
+            seen[res.exhausted] += 1
+    assert seen == {True: 20, False: 875}
 
 
 def test_exhausted_search_stays_exhausted_at_its_own_attempt_count():
@@ -1727,17 +1801,18 @@ def rank8_top(B2):
 def test_atom_orderings_match_cover_scan_oracle(A2, B2, monkeypatch):
     """The search kernel equals the kernel it replaced, kept in
     ``tests/oracles.py``: the same certificate (entries in the same order),
-    attempts and backtracks on every differential poset (the 244 hatQ tops
-    among them), the 300 random graded posets and the rank-8 B2 n=2
-    (e; w0, w0) top; and the same attempts when a budget of 0, 1 or half
-    the unbounded count stops the search.  The 30 searches that find no
+    attempts and backtracks on every differential poset whose maximal
+    nodes share a rank, with a top put above several (:func:`bounded`; the
+    244 hatQ tops among them), the 300 random graded posets and the rank-8
+    B2 n=2 (e; w0, w0) top; and the same attempts when a budget of 0, 1 or
+    half the unbounded count stops the search.  The 30 searches that find no
     ordering backtrack, so the dead-end memo is compared too."""
     kernel = posets._atom_orderings
     runs = []
 
-    def both(ups, cover, above, ranks, top_rank, budget):
-        got = kernel(ups, cover, above, ranks, top_rank, budget)
-        # the top is the last node, or the synthetic one after them
+    def both(ups, cover, above, ranks, budget):
+        got = kernel(ups, cover, above, ranks, budget)
+        # the top is the last node
         want = oracles.atom_orderings_by_cover_scan(ups, cover, above, len(ups) - 1, budget)
         assert got[1:] == want[1:]
         assert (got[0] is None) == (want[0] is None)
@@ -1748,8 +1823,9 @@ def test_atom_orderings_match_cover_scan_oracle(A2, B2, monkeypatch):
 
     monkeypatch.setattr(posets, "_atom_orderings", both)
     searched = 0
-    for poset in [*_differential_posets(A2), *random_graded_posets(random.Random(3), 300),
-                  rank8_top(B2)]:
+    closed = map(bounded, [*_differential_posets(A2), *random_graded_posets(random.Random(3), 300),
+                           rank8_top(B2)])
+    for poset in filter(None, closed):
         res = find_shelling(poset)
         if not res.attempts:
             continue
@@ -1802,10 +1878,11 @@ def test_certificate_is_a_recursive_atom_ordering(A2, B2):
 
 
 def test_find_shelling_keeps_the_poset_index():
-    """A search with a synthetic top works on copies: the poset's up-cover
-    index and kept masks are the same objects with the same values after
-    it, and a second search gives the same result."""
-    poset = from_covers(list("abcd"), [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
+    """The search reads the poset's own up-cover index and kept masks and
+    changes none: they are the same objects with the same values after it,
+    and a second search gives the same result."""
+    poset = from_covers(list("abcde"), [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
+                                        ("c", "e"), ("d", "e")])
     ups, masks, above = poset.up_covers(), poset.up_cover_masks(), poset.above
     values = (list(ups), list(masks), list(above))
     first = find_shelling(poset)

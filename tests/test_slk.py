@@ -3,7 +3,9 @@
 import random
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 from math import comb, factorial
+from operator import add
 
 import oracles
 import pytest
@@ -577,15 +579,18 @@ def test_double_bruhat_labels():
 
 
 def test_k_cap(monkeypatch):
-    """K_MAX bounds only the minors is_tnn enumerates for a singular matrix.
+    """K_MAX bounds only the number of minors is_tnn reads of a singular
+    matrix: C(2 K_MAX, K_MAX) - 1, all those of a K_MAX-square one.
 
-    A singular (K_MAX + 1)-square matrix is refused with ValueError naming
-    K_MAX before any minor is read (``ratlin.submatrix`` calls are
-    counted).  A singular matrix at k = K_MAX is still decided by its
-    minors: all C(2k, k) - 1 of them for a TNN one, fewer for one that is
-    not.  A nonsingular 16 x 16 double-Bruhat product, TNN or not, is
-    decided by Neville elimination, with no minor read.  The size checks
-    take k = K_MAX + 1."""
+    The singular (K_MAX + 1)-square all-ones matrix is refused with
+    ValueError naming K_MAX after that many minors (``ratlin.submatrix``
+    calls are counted), all nonnegative.  A singular (K_MAX + 1)-square
+    matrix with positive entries and a negative 2 x 2 minor is answered
+    False, the minors read smallest first.  A singular matrix at k = K_MAX
+    is decided by its minors: all C(2k, k) - 1 of them for a TNN one,
+    fewer for one that is not.  A nonsingular 16 x 16 double-Bruhat
+    product, TNN or not, is decided by Neville elimination, with no minor
+    read.  The size checks take k = K_MAX + 1."""
     calls = []
     submatrix = ratlin.submatrix
     monkeypatch.setattr(ratlin, "submatrix", lambda *a: calls.append(a) or submatrix(*a))
@@ -594,9 +599,20 @@ def test_k_cap(monkeypatch):
         return tuple(tuple(1 for _ in range(k)) for _ in range(k))
 
     big = slk.K_MAX + 1
+    cap = comb(2 * slk.K_MAX, slk.K_MAX) - 1
     with pytest.raises(ValueError, match=f"K_MAX={slk.K_MAX}"):
         slk.is_tnn(ones(big))
-    assert calls == []
+    assert len(calls) == cap == 12_869
+    calls.clear()
+    rng = random.Random(9)
+    rows = [tuple(rng.randint(1, 9) for _ in range(big)) for _ in range(big - 1)]
+    mixed = (*rows, tuple(map(add, rows[0], rows[1])))
+    assert ratlin.det(mixed) == 0 and any(
+        ratlin.det(ratlin.submatrix(mixed, r, c)) < 0
+        for r in combinations(range(big), 2) for c in combinations(range(big), 2))
+    calls.clear()
+    assert slk.is_tnn(mixed) is False and big * big < len(calls) < comb(big, 2) ** 2 + big * big
+    calls.clear()
     k = slk.K_MAX
     assert slk.is_tnn(ones(k)) and len(calls) == comb(2 * k, k) - 1
     calls.clear()
