@@ -11,17 +11,17 @@ Every face poset here is built by :func:`build_interval`, from Bruhat
 covers in key space: a braid poset is the interval below
 (m_star(sbar); sbar), and the link of a label b is the box [b, top] with
 b replaced by the bottom.  Each label has one integer key (mixed-radix
-positions of its coordinates), and its lower covers are the labels at
-its key plus the offsets of its coordinates' covers, read from a dense
-table with a slot per key.  An interval is listed in one pass per label,
-into rank columns of keys, with one Demazure product per factor
-combination; the key alone gives the label's cover offsets.  One pass in
-rank order ORs the masks together, strict as they are built, and fills
-the up-cover index; no cover pair is listed or sorted on the way.  The
-poset keeps the keys, and its ``nodes`` decode every label from its key,
-once, on the first read: no check reads a label.
-``FacePoset.from_qnodes``, which compares every pair by :func:`qnode_leq`,
-is their oracle.
+positions of its coordinates in the group's records of Bruhat intervals,
+:meth:`WeylGroup.interval`), and its lower covers are the labels at its
+key plus the records' offsets of its coordinates' covers, read from a
+dense table with a slot per key.  An interval is listed in one pass per
+label, into rank columns of keys, with one Demazure product per factor
+combination.  One pass in rank order ORs the masks together, strict as
+they are built, and fills the up-cover index; no cover pair is listed or
+sorted on the way.  The poset keeps the keys, and its ``nodes`` decode
+every label from its key, once, on the first read: no check reads a
+label.  ``FacePoset.from_qnodes``, which compares every pair by
+:func:`qnode_leq`, is their oracle.
 
 Every poset holds ``below`` and indexes the upper covers of each node
 once, as increasing tuples.  Every poset is graded, as Bjorner's
@@ -327,25 +327,29 @@ class FacePoset:
 # -- builders ------------------------------------------------------------------
 
 
-def _cover_index(keys, offsets, size: int) -> tuple[list[int], list[list[int]]]:
+def _cover_index(keys, nv: int, vmoves, wmoves, size: int) -> tuple[list[int], list[list[int]]]:
     """``below`` and the up-cover index of the nodes 1, 2, ... (in rank
     order, above the bottom at node 0), in key space: node i has the key
-    ``keys[i - 1]`` in ``range(size)``, and its lower covers are the nodes
-    keyed by its key plus a difference in ``offsets[i - 1]`` (each sum in
-    ``range(size)``), or the bottom if there is none.  A dense table of
-    ``size`` slots holds the node of each key, 0 where there is none.  One
-    pass in node order ORs their masks into ``below[i]`` and appends i to
-    their buckets, so every bucket fills in increasing order.
+    ``k = keys[i - 1]`` in ``range(size)``, and its lower covers are the
+    nodes keyed by k plus a difference in ``vmoves[k % nv]`` or nv times
+    one in ``wmoves[k // nv]``, or the bottom if there is none.  A dense
+    table of ``size`` slots holds the node of each key, 0 where there is
+    none.  One pass in node order ORs their masks into ``below[i]`` and
+    appends i to their buckets, so every bucket fills in increasing order.
     """
     node = [0] * size  # node indices are >= 1
     for i, k in enumerate(keys, start=1):
         node[k] = i
     below = [0]
     ups: list[list[int]] = [[] for _ in range(len(keys) + 1)]
-    for hi, (k, offs) in enumerate(zip(keys, offsets), start=1):
+    for hi, k in enumerate(keys, start=1):
         mask = 0
-        for d in offs:
-            if lo := node[k + d]:
+        for o in vmoves[k % nv]:
+            if lo := node[k + o]:
+                mask |= below[lo] | 1 << lo
+                ups[lo].append(hi)
+        for o in wmoves[k // nv]:
+            if lo := node[k + nv * o]:
                 mask |= below[lo] | 1 << lo
                 ups[lo].append(hi)
         if not mask:
@@ -405,72 +409,56 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP,
     is their transitive closure and every cover raises the rank by one
     (``verify hatQ`` checks both on the pairwise order).
 
-    A label's key is mixed radix: v's position among the u with top.v <= u
-    <= m_star(top.wbar) (<= v_b in a box), then each factor's position in
-    the lower interval of its top factor (above w_{b,i} in a box), so
-    ``divmod(key, len(vs))`` is the factor combination's digit, first
-    factor fastest, and v's.  The labels are listed in the order of
+    A label's key is mixed radix: v's position in the group's record
+    (:meth:`WeylGroup.interval`) of [top.v, m_star(top.wbar)] ([top.v, v_b]
+    in a box), then each factor's in that of [e, w_i] ([w_{b,i}, w_i] in a
+    box), so ``divmod(key, len(vs))`` is the factor combination's digit,
+    first factor fastest, and v's.  The labels are listed in the order of
     :func:`interval_labels` into rank columns of their keys; no label is
     made.  ``node_cap`` is checked per label, before any cover is looked
     up.  The poset's ``nodes`` are a :class:`_LazyTuple` over the keys in
     node order: its ``len`` decodes nothing, and its first other read
     decodes every label from its key's digits, with ``vs`` and the
-    factors' values, once.  The labels of one factor combination share
-    one ``wbar`` tuple, decoded once in a dict held only while the labels
-    are listed.  The Demazure product of a combination is one
+    factors' values, once.  The labels of one factor combination share one
+    ``wbar`` tuple, decoded once in a dict held only while the labels are
+    listed.  The Demazure product of a combination is one
     :meth:`WeylGroup.demazure` of its prefix (the product of all factors
     but the last, taken once per prefix) with its last factor, or that
-    factor itself when n = 1; the v below it, with their positions, are
-    listed once per distinct product.  Then the key offsets of the
-    covers are made once per v and once per combination, and
-    :func:`_cover_index` finds the lower covers in a table of
-    |vs| * prod_i |[e, w_i]| slots, made only after the cap check.
+    factor itself when n = 1; the positions of the v below it are the v
+    record's ``below`` of that product, kept across calls.  After the
+    listing, the records' offsets of v's upper covers and of the factors'
+    lower covers (in combination digits, joined once per combination)
+    find the lower covers in a table of |vs| * prod_i |[e, w_i]| slots.
     """
     group = top.v.group
-    vmax = group.m_star(top.wbar) if _bottom is None else _bottom.v
-    vs = [u for u in group.lower_interval(vmax) if group.bruhat_leq(top.v, u)]
-    factors = [group.lower_interval(w) for w in top.wbar]
-    if _bottom is not None:  # the box [b, top], whose every combination has m_star above v_b
-        factors = [[u for u in f if group.bruhat_leq(b, u)] for b, f in zip(_bottom.wbar, factors)]
-    vdigit = {u: p for p, u in enumerate(vs)}
-    digits, stride = [], len(vs)
+    # in the box [b, top] every combination has m_star above v_b
+    vrec = group.interval(top.v, group.m_star(top.wbar) if _bottom is None else _bottom.v)
+    lows = (group.identity,) * len(top.wbar) if _bottom is None else _bottom.wbar
+    frecs = list(map(group.interval, lows, top.wbar))
+    vs, nv, vlengths = vrec.elements, len(vrec.elements), vrec.lengths
+    factors = [r.elements for r in frecs]
+    digits, stride = [], nv
     for values in factors:
-        digits.append([p * stride for p in range(len(values))])
+        digits.append(range(0, stride * len(values), stride))
         stride *= len(values)
     keys: list[list] = [[] for _ in range(top.rank + 1)]  # rank columns of keys
-    below_m: dict[WeylElt, list] = {}  # m -> (v digit, l(v)) for top.v <= v <= m
     count = 1 if _bottom is None else 0  # the bottom: 0^, or b, listed with the labels
     *heads, last = factors
     for head, hds in zip(product(*heads), product(*digits[:-1])):
         prefix = group.m_star(head) if head else None
         hbase, hlength = sum(hds), sum([w.length for w in head])
         for w, wd in zip(last, digits[-1]):
-            m = group.demazure(prefix, w) if head else w
-            pairs = below_m.get(m)
-            if pairs is None:
-                pairs = below_m[m] = [(vdigit[v], v.length)
-                                      for v in group.lower_interval(m) if v in vdigit]
             base, length = hbase + wd, hlength + w.length
-            for d, vlength in pairs:
-                keys[length - vlength].append(base + d)
+            for d in vrec.below(group.demazure(prefix, w) if head else w):
+                keys[length - vlengths[d]].append(base + d)
                 count += 1
                 if count > node_cap:
                     raise CapExceededError(f"poset exceeds node cap {node_cap}")
-    del below_m
-    # key offsets: v moves up one cover, a factor down one
-    vmoves: list[tuple[int, ...]] = [()] * len(vs)
-    for p, u in enumerate(vs):
-        for cover in group.lower_covers(u):
-            d = vdigit.get(cover)
-            if d is not None:
-                vmoves[d] += (p - d,)
-    fmoves = []
-    for values, ds in zip(factors, digits):
-        digit = dict(zip(values, ds))
-        fmoves.append([tuple(digit[c] - d for c in group.lower_covers(u) if c in digit)
-                       for u, d in zip(values, ds)])
-    # by the combination digit key // len(vs), which runs first factor fastest
-    wmoves = [sum(moves, ()) for moves in product(*reversed(fmoves))]
+    # offsets, read only now: v moves up one cover, a factor down one (in
+    # units of the combination digit key // nv, first factor fastest)
+    wmoves = [()]
+    for r, ds in zip(frecs, digits):
+        wmoves = [w + moves for moves in r.scaled_down(ds.step // nv) for w in wmoves]
     # a link drops b, alone in its rank column, so that its covers rest on 0^
     skip = 0 if _bottom is None else _bottom.rank + 1
     columns = keys[skip:]
@@ -479,8 +467,7 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP,
         ranks += [rank] * len(column)
     keys = list(chain.from_iterable(columns))
     del columns
-    nv = len(vs)
-    below, ups = _cover_index(keys, (vmoves[k % nv] + wmoves[k // nv] for k in keys), stride)
+    below, ups = _cover_index(keys, nv, vrec.up, wmoves, stride)
 
     def labels():
         yield BOTTOM

@@ -496,7 +496,6 @@ def suite_duality(seed: int = DEFAULT_SEED, budget=None) -> RunReport:
     report = RunReport(
         "verify duality", {"k": 3, "n": 2, "points": 10, "checked": True}, seed=seed
     )
-    check = report.inputs["checked"]  # the report records how the points were checked
     rng = random.Random(seed)
     strata = 0
     bad = []
@@ -507,9 +506,9 @@ def suite_duality(seed: int = DEFAULT_SEED, budget=None) -> RunReport:
         for _ in range(10):
             params = twisted.random_params(q.rank, rng)
             try:  # the checked chart and phi_Z assert the strata
-                z = twisted.parametrize_cell(v, wbar, params, check=check)
-                image = twisted.phi_Z(z, check=check)
-                back = twisted.phi_Z(image, check=check)
+                z = twisted.parametrize_cell(v, wbar, params)
+                image = twisted.phi_Z(z)
+                back = twisted.phi_Z(image)
             except AssertionError as exc:
                 bad.append({**where, "check": "stratum-map", "error": str(exc)})
                 break

@@ -30,12 +30,12 @@ product u v lets the canonical word of u act on the chamber vector of v;
 the chamber vector of the inverse of u is the co-chamber vector of u.
 
 The memoized methods (``multiply``, ``bruhat_leq``, ``demazure``,
-``lower_interval``, ``lower_covers``) read their memo first and run
-``check_same`` only on a miss, before any shortcut: a memo key holds
-interned elements, which compare by identity, and is stored only after
-its check passed, so a hit proves that the arguments belong to the group.
-In type A, ``from_perm`` reads the chamber vector off the one-line form
-(entry i is p^{-1}(i+2) - p^{-1}(i+1)) and interns it once.
+``lower_interval``, ``lower_covers``, ``interval``) read their memo
+first and run ``check_same`` only on a miss, before any shortcut: a memo
+key holds interned elements, which compare by identity, and is stored
+only after its check passed, so a hit proves that the arguments belong
+to the group.  In type A, ``from_perm`` reads the chamber vector off the
+one-line form (entry i is p^{-1}(i+2) - p^{-1}(i+1)) and interns it once.
 
 Letters of words are 0-based positions into ``gcm.labels``.  A
 subexpression of a word is a tuple of the same length whose entries are
@@ -47,6 +47,8 @@ that cutting the greedy at the factor boundaries is exact.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .cartan import GeneralizedCartanMatrix, cartan_of_type, thicken
 
 Word = tuple[int, ...]
@@ -56,7 +58,7 @@ SubWord = tuple  # entries: int letter or None placeholder
 _MAX_CANONICAL_LEN = 10_000
 # memo caches are cleared when they exceed this many entries
 _CACHE_CAP = 1 << 21
-# lower-interval memo cap: each entry holds a whole lower interval, not one element
+# lower- and Bruhat-interval memo cap: each entry holds a whole interval, not one element
 _LOWER_CACHE_CAP = 4096
 
 
@@ -103,9 +105,9 @@ class WeylGroup:
         self._elts: dict[tuple[int, ...], WeylElt] = {}
         # the capped memo caches by name, plain dicts read with .get and
         # filled by _remember, and how often each was cleared at its cap
-        self._memos = {name: {} for name in ("mul", "bruhat", "lower", "cover", "demazure", "perm")}
+        self._memos = {name: {} for name in "mul bruhat lower cover demazure perm interval".split()}
         (self._mul_cache, self._bruhat_cache, self._lower_cache, self._cover_cache,
-         self._demazure_cache, self._perm_cache) = self._memos.values()
+         self._demazure_cache, self._perm_cache, self._interval_cache) = self._memos.values()
         self._clears = dict.fromkeys(self._memos, 0)
         self._thickened: dict[int, WeylGroup] = {}
         ones = (1,) * self.rank
@@ -125,7 +127,7 @@ class WeylGroup:
         """Store ``value`` at ``key`` in the named memo cache and return it,
         clearing the cache first when it holds more entries than its cap."""
         cache = self._memos[name]
-        if len(cache) > (_LOWER_CACHE_CAP if name == "lower" else _CACHE_CAP):
+        if len(cache) > (_LOWER_CACHE_CAP if name in ("lower", "interval") else _CACHE_CAP):
             cache.clear()
             self._clears[name] += 1
         cache[key] = value
@@ -282,6 +284,18 @@ class WeylGroup:
             )))
         return cached
 
+    def interval(self, u: WeylElt, w: WeylElt) -> "BruhatInterval":
+        """The record of the Bruhat interval [u, w], made once per group.
+
+        >>> g = WeylGroup(cartan_of_type("A", 2))
+        >>> [x.describe() for x in g.interval(g.simple(0), g.from_word((0, 1, 0))).elements]
+        ['s1', 's1*s2', 's2*s1', 's1*s2*s1']
+        """
+        if (record := self._interval_cache.get((u, w))) is None:
+            self.check_same(u, w)
+            record = self._remember("interval", (u, w), BruhatInterval(self, u, w))
+        return record
+
     def elements_up_to_length(self, cap: int) -> list[WeylElt]:
         """All elements of length <= cap (BFS; the group may be infinite)."""
         layer = [self.identity]
@@ -370,6 +384,45 @@ class WeylGroup:
             tg = WeylGroup(thicken(self.gcm, n), base=self)
             self._thickened[n] = tg
         return tg
+
+
+class BruhatInterval:
+    """The x with u <= x <= w in ``lower_interval(w)`` order, their
+    ``index`` and ``lengths``.  ``down[p]``, ``up[p]``: offsets from x_p to
+    its lower, upper covers inside, formed on first read.  ``scaled_down(s)``
+    keeps ``down`` times s, ``below(m)`` the positions of the x <= m."""
+
+    def __init__(self, group: WeylGroup, u: WeylElt, w: WeylElt):
+        self.group = group
+        self.elements = tuple(x for x in group.lower_interval(w) if group.bruhat_leq(u, x))
+        self.index = {x: p for p, x in enumerate(self.elements)}
+        self.lengths = tuple([x.length for x in self.elements])
+        self._scaled, self._below = {}, {}  # scale -> scaled down; m -> below(m)
+
+    @cached_property
+    def down(self) -> tuple[tuple[int, ...], ...]:
+        index = self.index
+        return tuple(tuple(index[c] - p for c in self.group.lower_covers(x) if c in index)
+                     for p, x in enumerate(self.elements))
+
+    @cached_property
+    def up(self) -> tuple[tuple[int, ...], ...]:
+        up = [()] * len(self.elements)
+        for p, offsets in enumerate(self.down):
+            for o in offsets:
+                up[p + o] += (-o,)
+        return tuple(up)
+
+    def scaled_down(self, scale: int) -> list[tuple[int, ...]]:
+        if (moves := self._scaled.get(scale)) is None:
+            moves = self._scaled[scale] = [tuple(map(scale.__mul__, o)) for o in self.down]
+        return moves
+
+    def below(self, m: WeylElt) -> tuple[int, ...]:
+        if (found := self._below.get(m)) is None:
+            found = self._below[m] = tuple([self.index[x] for x in self.group.lower_interval(m)
+                                            if x in self.index])
+        return found
 
 
 def is_positive_subexpression(group: WeylGroup, word, sub) -> bool:

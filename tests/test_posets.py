@@ -10,7 +10,7 @@ from itertools import combinations, product
 import oracles
 import pytest
 
-from tnnflag import posets, verify
+from tnnflag import posets, verify, weyl
 from tnnflag.cartan import cartan_of_type
 from tnnflag.posets import (
     BOTTOM,
@@ -298,20 +298,22 @@ def test_node_cap(A2):
         build_interval(make_qnode(A2.identity, (w0, w0)), node_cap=10)
 
 
-def test_node_cap_boundary(A2, monkeypatch):
+def test_node_cap_boundary(monkeypatch):
     """A cap of exactly the node count passes; one less raises while the
     labels are still being listed, before any cover is looked up and before
     any key table or mask is made, and a cap of half the count raises in
     the factor combination whose labels pass it, at the label that does.
     The builder takes one Demazure product per combination it lists, after
-    the one of top.wbar, which count the combinations here."""
+    the one of top.wbar, which count the combinations here.  The group is
+    fresh, so no interval record it reads holds cover offsets from an
+    earlier build: the refused builds form none."""
+    A2 = WeylGroup(cartan_of_type("A", 2))
     s1, s2 = A2.simple(0), A2.simple(1)
     top = make_qnode(A2.identity, (A2.multiply(s1, s2), A2.multiply(s2, s1)))
-    poset = build_interval(top)
-    assert_same_poset(build_interval(top, node_cap=len(poset)), poset)
     # the factor combinations in listing order, and their label counts
     combos = list(product(*(A2.lower_interval(w) for w in top.wbar)))
     sizes = Counter(q.wbar for q in interval_labels(top))
+    nodes = 1 + sum(sizes.values())
 
     listed = []
     demazure = A2.demazure
@@ -327,14 +329,14 @@ def test_node_cap_boundary(A2, monkeypatch):
     monkeypatch.setattr(posets, "_cover_index", no_index)
     monkeypatch.setattr(A2, "lower_covers", no_index)
     with pytest.raises(CapExceededError):
-        build_interval(top, node_cap=len(poset) - 1)
+        build_interval(top, node_cap=nodes - 1)
     # each combination was listed once, and its last label tipped the count over the cap
     assert listed == [top.wbar, *combos]
 
     # a cap well below the count stops the listing part way, in the
     # combination whose labels, with the bottom, pass the cap
     listed.clear()
-    node_cap = len(poset) // 2
+    node_cap = nodes // 2
     with pytest.raises(CapExceededError) as raised:
         build_interval(top, node_cap=node_cap)
     done = listed[1:]
@@ -344,6 +346,14 @@ def test_node_cap_boundary(A2, monkeypatch):
     # and within that combination, at the label that passed the cap: the
     # builder's count of the bottom and the labels listed is one above it
     assert raised.traceback[-1].frame.f_locals["count"] == node_cap + 1
+    # the records of v's range and of the two factors, with no offsets formed
+    records = A2._interval_cache.values()
+    assert len(records) == 3 and not any({"down", "up"} & vars(r).keys() for r in records)
+
+    monkeypatch.undo()
+    poset = build_interval(top)
+    assert len(poset) == nodes
+    assert_same_poset(build_interval(top, node_cap=nodes), poset)
 
 
 def assert_same_poset(poset, other):
@@ -698,6 +708,40 @@ def test_link_nodes_are_the_nodes_above_its_bottom():
     assert links == 3054
 
 
+def test_link_boxes_match_the_pairwise_order(A2):
+    """Every link of the A2 n=2 top (e ; w0, w0), built as a box from the
+    group's interval records, equals ``FacePoset.from_qnodes`` on the
+    labels strictly above its bottom, listed by :func:`interval_labels`:
+    the same nodes in the same order, masks and up-cover index, and the
+    ranks less the rank of the bottom's covers."""
+    w0 = A2.from_word((0, 1, 0))
+    top = make_qnode(A2.identity, (w0, w0))
+    labels = list(interval_labels(top))
+    for b in labels:
+        if b == top:
+            continue
+        link = link_poset(b, top)
+        oracle = FacePoset.from_qnodes(q for q in labels if q != b and qnode_leq(b, q))
+        assert link.nodes == oracle.nodes and link._boxes
+        assert link.ranks == tuple(r - b.rank - 1 for r in oracle.ranks)
+        assert link.below == oracle.below and link.up_covers() == oracle.up_covers()
+    assert len(labels) == 167
+
+
+def test_interval_records_cleared_at_their_cap_build_the_same_posets(monkeypatch):
+    """With the interval memo capped at 3 records, every A2 n=2 top builds
+    the poset of the uncached builder ``oracles.bucket_build_interval``,
+    while the memo is cleared on the way."""
+    monkeypatch.setattr(weyl, "_LOWER_CACHE_CAP", 3)
+    group = WeylGroup(cartan_of_type("A", 2))
+    tops = 0
+    for top in iter_qnodes(group, 2):
+        assert_same_poset(build_interval(top), oracles.bucket_build_interval(top))
+        assert group.cache_stats()["interval"]["size"] <= 4
+        tops += 1
+    assert tops == 167 and group.cache_stats()["interval"]["clears"] > 0
+
+
 def assert_refused(elements, pairs):
     """The chain-length table finds the relations impure, and ``FacePoset``
     refuses their order, given by masks or with its up-cover index."""
@@ -749,13 +793,6 @@ def test_boolean_lattice_pure_thin():
     assert is_eulerian(poset)
     assert mobius(poset, 0, poset.nodes.index("ab")) == 1
     assert open_boundary_euler(poset) == 2  # two points: the 0-sphere
-
-
-def test_open_boundary_euler_needs_unique_maximum():
-    # two maximal atoms; the bottom alone
-    for elements in (["a", "b"], []):
-        with pytest.raises(ValueError):
-            open_boundary_euler(from_covers(elements, []))
 
 
 @pytest.mark.parametrize(
@@ -1710,13 +1747,16 @@ def test_atom_ordering_matches_chain_search(A2):
 
 def test_shelling_and_boundary_refuse_the_same_unbounded_posets():
     """``find_shelling`` and ``open_boundary_euler`` share one check for a
-    unique top above the bottom: both refuse the bottom alone, two maximal
-    nodes at one rank and maximal nodes at two ranks with the same
+    unique top above the bottom: both refuse the bottom alone (at rank 0 or
+    -1), two maximal nodes at one rank (above two atoms, or the two atoms
+    themselves) and maximal nodes at two ranks with the same
     ``ValueError``; both take the first two with a top put above."""
     unbounded = [
         FacePoset([BOTTOM], [0], [0]),
         from_covers(list("abcd"), [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]),
         from_covers(list("abc"), [("a", "b")]),
+        from_covers(list("ab"), []),
+        from_covers([], []),
     ]
     for poset in unbounded:
         messages = []
@@ -1735,10 +1775,16 @@ def test_exhausted_follows_from_the_attempts():
     ran to its end: an exhausted result is the unbounded search's, and
     otherwise the unbounded search takes more attempts than the budget.
     Each poset is searched at budgets 0, 1, half its unbounded attempts,
-    one short of them, and at them."""
+    one short of them, and at them.  Only the last can reach the end, so
+    the 20 exhausted results are the 20 unbounded searches that end
+    inconclusive, each run again with its own attempt count as budget."""
     seen = {True: 0, False: 0}
+    runs = []  # the attempts of each unbounded search that ends inconclusive
     for poset in random_graded_posets(random.Random(3), 300):
         full = find_shelling(poset)
+        if full.status == "inconclusive":
+            assert full.exhausted and full.attempts
+            runs.append(full.attempts)
         for budget in {0, 1, full.attempts // 2, max(full.attempts - 1, 0), full.attempts}:
             res = find_shelling(poset, budget)
             if res.status != "inconclusive":
@@ -1750,21 +1796,6 @@ def test_exhausted_follows_from_the_attempts():
                 assert full.attempts > budget
             seen[res.exhausted] += 1
     assert seen == {True: 20, False: 875}
-
-
-def test_exhausted_search_stays_exhausted_at_its_own_attempt_count():
-    """A search that runs to its end is ``exhausted`` also when its budget
-    is exactly the attempts it takes: each exhausted search of the random
-    graded posets, run again with its own attempt count as budget, gives
-    the same result."""
-    runs = []
-    for poset in random_graded_posets(random.Random(3), 300):
-        res = find_shelling(poset)
-        if res.status == "inconclusive":
-            assert res.exhausted and res.attempts
-            again = find_shelling(poset, res.attempts)
-            assert again == dataclasses.replace(res, budget=res.attempts)
-            runs.append(res.attempts)
     assert len(runs) == 20 and runs[0] == 8
 
 
