@@ -795,6 +795,13 @@ def test_boolean_lattice_pure_thin():
     assert open_boundary_euler(poset) == 2  # two points: the 0-sphere
 
 
+def test_open_boundary_euler_needs_unique_maximum():
+    # two maximal atoms; the bottom alone
+    for elements in (["a", "b"], []):
+        with pytest.raises(ValueError):
+            open_boundary_euler(from_covers(elements, []))
+
+
 @pytest.mark.parametrize(
     "elements, pairs",
     [
@@ -1747,16 +1754,13 @@ def test_atom_ordering_matches_chain_search(A2):
 
 def test_shelling_and_boundary_refuse_the_same_unbounded_posets():
     """``find_shelling`` and ``open_boundary_euler`` share one check for a
-    unique top above the bottom: both refuse the bottom alone (at rank 0 or
-    -1), two maximal nodes at one rank (above two atoms, or the two atoms
-    themselves) and maximal nodes at two ranks with the same
+    unique top above the bottom: both refuse the bottom alone, two maximal
+    nodes at one rank and maximal nodes at two ranks with the same
     ``ValueError``; both take the first two with a top put above."""
     unbounded = [
         FacePoset([BOTTOM], [0], [0]),
         from_covers(list("abcd"), [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]),
         from_covers(list("abc"), [("a", "b")]),
-        from_covers(list("ab"), []),
-        from_covers([], []),
     ]
     for poset in unbounded:
         messages = []
@@ -1775,16 +1779,10 @@ def test_exhausted_follows_from_the_attempts():
     ran to its end: an exhausted result is the unbounded search's, and
     otherwise the unbounded search takes more attempts than the budget.
     Each poset is searched at budgets 0, 1, half its unbounded attempts,
-    one short of them, and at them.  Only the last can reach the end, so
-    the 20 exhausted results are the 20 unbounded searches that end
-    inconclusive, each run again with its own attempt count as budget."""
+    one short of them, and at them."""
     seen = {True: 0, False: 0}
-    runs = []  # the attempts of each unbounded search that ends inconclusive
     for poset in random_graded_posets(random.Random(3), 300):
         full = find_shelling(poset)
-        if full.status == "inconclusive":
-            assert full.exhausted and full.attempts
-            runs.append(full.attempts)
         for budget in {0, 1, full.attempts // 2, max(full.attempts - 1, 0), full.attempts}:
             res = find_shelling(poset, budget)
             if res.status != "inconclusive":
@@ -1796,6 +1794,21 @@ def test_exhausted_follows_from_the_attempts():
                 assert full.attempts > budget
             seen[res.exhausted] += 1
     assert seen == {True: 20, False: 875}
+
+
+def test_exhausted_search_stays_exhausted_at_its_own_attempt_count():
+    """A search that runs to its end is ``exhausted`` also when its budget
+    is exactly the attempts it takes: each exhausted search of the random
+    graded posets, run again with its own attempt count as budget, gives
+    the same result."""
+    runs = []
+    for poset in random_graded_posets(random.Random(3), 300):
+        res = find_shelling(poset)
+        if res.status == "inconclusive":
+            assert res.exhausted and res.attempts
+            again = find_shelling(poset, res.attempts)
+            assert again == dataclasses.replace(res, budget=res.attempts)
+            runs.append(res.attempts)
     assert len(runs) == 20 and runs[0] == 8
 
 
