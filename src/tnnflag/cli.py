@@ -6,10 +6,10 @@ codes are a stable contract: 0 all checks passed, 1 a check failed
 (counterexample in the report), 2 usage or build error.  The commands
 raise usage and build errors; :func:`main` alone turns them into exit 2.
 
-Word syntax: comma-separated vertex indices, 1-based, optionally wrapped
-in parentheses; the empty string or "e" is the identity.  The commands
-build their groups with ``cartan_of_type``, which has no thickening
-vertices, so ``inf1`` is refused like any other bad letter, and so is ``0``.
+Word syntax: comma-separated vertex labels as the reports print them (1..r,
+or 0..r in affine-A), optionally wrapped in parentheses; the empty string or
+"e" is the identity.  No group built by ``cartan_of_type`` has thickening
+vertices, so ``inf1`` is refused like any other bad letter.
 """
 
 from __future__ import annotations
@@ -35,10 +35,11 @@ class WordParseError(ValueError):
 
 
 def parse_word(group: WeylGroup, text: str) -> tuple[int, ...]:
-    """Parse a word like "1,2,1", "(1,2)", "e", or "" (identity).
+    """Parse a word of vertex labels like "1,2,1", "(1,2)", "e", or "" (identity).
 
     An error's position is that of the bad letter in ``text`` itself.
     """
+    letter = {label: i for i, label in enumerate(group.gcm.labels)}
     raw = text.strip()
     pos = len(text) - len(text.lstrip())  # where raw starts in text
     if raw.startswith("(") and raw.endswith(")"):
@@ -52,13 +53,9 @@ def parse_word(group: WeylGroup, text: str) -> tuple[int, ...]:
         at = pos + piece.find(token)  # the piece's start when it is blank
         if not token:
             raise WordParseError("empty letter", text, at)
-        try:
-            i = int(token)
-        except ValueError:
-            raise WordParseError(f"bad letter {token!r}", text, at) from None
-        if not 1 <= i <= group.rank:
-            raise WordParseError(f"vertex {i} out of range 1..{group.rank}", text, at)
-        letters.append(i - 1)
+        if token not in letter:
+            raise WordParseError(f"bad letter {token!r}", text, at)
+        letters.append(letter[token])
         pos += len(piece) + 1
     return tuple(letters)
 

@@ -11,17 +11,17 @@ Every face poset here is built by :func:`build_interval`, from Bruhat
 covers in key space: a braid poset is the interval below
 (m_star(sbar); sbar), and the link of a label b is the box [b, top] with
 b replaced by the bottom.  Each label has one integer key (mixed-radix
-positions of its coordinates in the group's records of Bruhat intervals,
-:meth:`WeylGroup.interval`), and its lower covers are the labels at its
-key plus the records' offsets of its coordinates' covers, read from a
-dense table with a slot per key.  An interval is listed in one pass per
-label, into rank columns of keys, with one Demazure product per factor
-combination.  One pass in rank order ORs the masks together, strict as
-they are built, and fills the up-cover index; no cover pair is listed or
-sorted on the way.  The poset keeps the keys, and its ``nodes`` decode
-every label from its key, once, on the first read: no check reads a
-label.  ``FacePoset.from_qnodes``, which compares every pair by
-:func:`qnode_leq`, is their oracle.
+positions of its coordinates in the group's records of the intervals
+[e, w], :meth:`WeylGroup.interval`, cut from below by ``above``), and its
+lower covers are the labels at its key plus the records' offsets of its
+coordinates' covers, read from a dense table with a slot per key.  An
+interval is listed in one pass per label, into rank columns of keys, with
+one Demazure product per factor combination.  One pass in rank order ORs
+the masks together, strict as they are built, and fills the up-cover
+index; no cover pair is listed or sorted on the way.  The poset keeps the
+keys, and its ``nodes`` decode every label from its key, once, on the
+first read: no check reads a label.  ``FacePoset.from_qnodes``, which
+compares every pair by :func:`qnode_leq`, is their oracle.
 
 Every poset holds ``below`` and indexes the upper covers of each node
 once, as increasing tuples.  Every poset is graded, as Bjorner's
@@ -85,7 +85,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, product
+from itertools import chain, compress, count, product, repeat
 
 from .weyl import WeylElt, WeylGroup
 
@@ -400,8 +400,8 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP,
     below (m_star(sbar); sbar) has v = m_star(sbar)) and a link is a box
     (every label between b and top is in [b, top]).  With ``_bottom`` a
     label b strictly below top, the box [b, top] is built with b as 0^: v
-    over [top.v, v_b], factor i over [w_{b,i}, w_i], cover offsets that
-    leave the box dropped, ranks from 0 at the covers of b.
+    over [top.v, v_b], factor i over [w_{b,i}, w_i], ranks from 0 at the
+    covers of b.
 
     The lower covers of (v, wbar) are the labels (v', wbar) with v' an
     upper Bruhat cover of v, and (v, wbar) with one factor replaced by a
@@ -410,37 +410,38 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP,
     (``verify hatQ`` checks both on the pairwise order).
 
     A label's key is mixed radix: v's position in the group's record
-    (:meth:`WeylGroup.interval`) of [top.v, m_star(top.wbar)] ([top.v, v_b]
-    in a box), then each factor's in that of [e, w_i] ([w_{b,i}, w_i] in a
-    box), so ``divmod(key, len(vs))`` is the factor combination's digit,
-    first factor fastest, and v's.  The labels are listed in the order of
+    (:meth:`WeylGroup.interval`) of [e, m_star(top.wbar)] ([e, v_b] in a
+    box), then each factor's in that of [e, w_i], each range cut from below
+    by its record's ``above`` (of top.v; of w_{b,i} in a box, e otherwise),
+    so ``divmod(key, len(vs))`` is the factor combination's digit, first
+    factor fastest, and v's.  The labels are listed in the order of
     :func:`interval_labels` into rank columns of their keys; no label is
     made.  ``node_cap`` is checked per label, before any cover is looked
     up.  The poset's ``nodes`` are a :class:`_LazyTuple` over the keys in
     node order: its ``len`` decodes nothing, and its first other read
-    decodes every label from its key's digits, with ``vs`` and the
-    factors' values, once.  The labels of one factor combination share one
-    ``wbar`` tuple, decoded once in a dict held only while the labels are
-    listed.  The Demazure product of a combination is one
-    :meth:`WeylGroup.demazure` of its prefix (the product of all factors
-    but the last, taken once per prefix) with its last factor, or that
-    factor itself when n = 1; the positions of the v below it are the v
-    record's ``below`` of that product, kept across calls.  After the
-    listing, the records' offsets of v's upper covers and of the factors'
-    lower covers (in combination digits, joined once per combination)
-    find the lower covers in a table of |vs| * prod_i |[e, w_i]| slots.
+    decodes every label from its key's digits, once.  The labels of one
+    factor combination share one ``wbar`` tuple, decoded once in a dict
+    held only while the labels are listed.  The Demazure product of a
+    combination is one :meth:`WeylGroup.demazure` of its prefix (the
+    product of all factors but the last, taken once per prefix) with its
+    last factor, or that factor itself when n = 1; v's range keeps the
+    record's ``below`` of it, kept across calls.  After the listing, the
+    records' offsets of v's upper covers and of the factors' lower covers
+    (in combination digits, joined once per combination) find the lower
+    covers in a table of |vs| * prod_i |[e, w_i]| slots; an offset that
+    leaves a range lands on an empty slot.
     """
     group = top.v.group
     # in the box [b, top] every combination has m_star above v_b
-    vrec = group.interval(top.v, group.m_star(top.wbar) if _bottom is None else _bottom.v)
-    lows = (group.identity,) * len(top.wbar) if _bottom is None else _bottom.wbar
-    frecs = list(map(group.interval, lows, top.wbar))
-    vs, nv, vlengths = vrec.elements, len(vrec.elements), vrec.lengths
-    factors = [r.elements for r in frecs]
-    digits, stride = [], nv
-    for values in factors:
-        digits.append(range(0, stride * len(values), stride))
-        stride *= len(values)
+    vrec = group.interval(group.m_star(top.wbar) if _bottom is None else _bottom.v)
+    frecs = list(map(group.interval, top.wbar))
+    vs, nv, vlengths, vcut = vrec.elements, len(vrec.elements), vrec.lengths, vrec.above(top.v)
+    factors, digits, stride = [], [], nv
+    for r, low in zip(frecs, repeat(group.identity) if _bottom is None else _bottom.wbar):
+        kept = members(r.above(low))  # the positions in [e, w_i] of the x in [low, w_i]
+        factors.append([r.elements[p] for p in kept])
+        digits.append([stride * p for p in kept])
+        stride *= len(r.elements)
     keys: list[list] = [[] for _ in range(top.rank + 1)]  # rank columns of keys
     count = 1 if _bottom is None else 0  # the bottom: 0^, or b, listed with the labels
     *heads, last = factors
@@ -450,15 +451,16 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP,
         for w, wd in zip(last, digits[-1]):
             base, length = hbase + wd, hlength + w.length
             for d in vrec.below(group.demazure(prefix, w) if head else w):
-                keys[length - vlengths[d]].append(base + d)
-                count += 1
-                if count > node_cap:
-                    raise CapExceededError(f"poset exceeds node cap {node_cap}")
+                if vcut >> d & 1:
+                    keys[length - vlengths[d]].append(base + d)
+                    count += 1
+                    if count > node_cap:
+                        raise CapExceededError(f"poset exceeds node cap {node_cap}")
     # offsets, read only now: v moves up one cover, a factor down one (in
-    # units of the combination digit key // nv, first factor fastest)
+    # combination digits key // nv, first factor fastest: len(wmoves) per step)
     wmoves = [()]
-    for r, ds in zip(frecs, digits):
-        wmoves = [w + moves for moves in r.scaled_down(ds.step // nv) for w in wmoves]
+    for r in frecs:
+        wmoves = [w + moves for moves in r.scaled_down(len(wmoves)) for w in wmoves]
     # a link drops b, alone in its rank column, so that its covers rest on 0^
     skip = 0 if _bottom is None else _bottom.rank + 1
     columns = keys[skip:]
@@ -477,9 +479,9 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP,
             combo = combos.get(c)
             if combo is None:
                 wbar, rest = [], c
-                for values in factors:
-                    rest, p = divmod(rest, len(values))
-                    wbar.append(values[p])
+                for r in frecs:
+                    rest, p = divmod(rest, len(r.elements))
+                    wbar.append(r.elements[p])
                 combo = combos[c] = tuple(wbar), sum([w.length for w in wbar])
             v = vs[d]
             yield QNode._make((v, combo[0], combo[1] - v.length))

@@ -30,11 +30,11 @@ product u v lets the canonical word of u act on the chamber vector of v;
 the chamber vector of the inverse of u is the co-chamber vector of u.
 
 The memoized methods (``multiply``, ``bruhat_leq``, ``demazure``,
-``lower_interval``, ``lower_covers``, ``interval``) read their memo
-first and run ``check_same`` only on a miss, before any shortcut: a memo
-key holds interned elements, which compare by identity, and is stored
-only after its check passed, so a hit proves that the arguments belong
-to the group.  In type A, ``from_perm`` reads the chamber vector off the
+``lower_covers``, ``interval``) read their memo first and run
+``check_same`` only on a miss, before any shortcut: a memo key holds
+interned elements, which compare by identity, and is stored only after
+its check passed, so a hit proves that the arguments belong to the
+group.  In type A, ``from_perm`` reads the chamber vector off the
 one-line form (entry i is p^{-1}(i+2) - p^{-1}(i+1)) and interns it once.
 
 Letters of words are 0-based positions into ``gcm.labels``.  A
@@ -58,7 +58,7 @@ SubWord = tuple  # entries: int letter or None placeholder
 _MAX_CANONICAL_LEN = 10_000
 # memo caches are cleared when they exceed this many entries
 _CACHE_CAP = 1 << 21
-# lower- and Bruhat-interval memo cap: each entry holds a whole interval, not one element
+# lower-interval memo cap: each entry holds the record of a whole interval, not one element
 _LOWER_CACHE_CAP = 4096
 
 
@@ -105,9 +105,9 @@ class WeylGroup:
         self._elts: dict[tuple[int, ...], WeylElt] = {}
         # the capped memo caches by name, plain dicts read with .get and
         # filled by _remember, and how often each was cleared at its cap
-        self._memos = {name: {} for name in "mul bruhat lower cover demazure perm interval".split()}
+        self._memos = {name: {} for name in "mul bruhat lower cover demazure perm".split()}
         (self._mul_cache, self._bruhat_cache, self._lower_cache, self._cover_cache,
-         self._demazure_cache, self._perm_cache, self._interval_cache) = self._memos.values()
+         self._demazure_cache, self._perm_cache) = self._memos.values()
         self._clears = dict.fromkeys(self._memos, 0)
         self._thickened: dict[int, WeylGroup] = {}
         ones = (1,) * self.rank
@@ -127,7 +127,7 @@ class WeylGroup:
         """Store ``value`` at ``key`` in the named memo cache and return it,
         clearing the cache first when it holds more entries than its cap."""
         cache = self._memos[name]
-        if len(cache) > (_LOWER_CACHE_CAP if name in ("lower", "interval") else _CACHE_CAP):
+        if len(cache) > (_LOWER_CACHE_CAP if name == "lower" else _CACHE_CAP):
             cache.clear()
             self._clears[name] += 1
         cache[key] = value
@@ -254,17 +254,8 @@ class WeylGroup:
         return self._remember("bruhat", key, res)
 
     def lower_interval(self, w: WeylElt) -> tuple[WeylElt, ...]:
-        """All u <= w, as subword products of the canonical word of w."""
-        cached = self._lower_cache.get(w)
-        if cached is None:
-            self.check_same(w)
-            elems = {self.identity}
-            for t in w.word:
-                s = self._simples[t]
-                elems |= {self.multiply(u, s) for u in elems}
-            cached = self._remember(
-                "lower", w, tuple(sorted(elems, key=lambda u: (u.length, u.word))))
-        return cached
+        """All u <= w: the elements of the record of [e, w]."""
+        return self.interval(w).elements
 
     def lower_covers(self, w: WeylElt) -> tuple[WeylElt, ...]:
         """The Bruhat lower covers of w, in order of the deleted position.
@@ -284,16 +275,17 @@ class WeylGroup:
             )))
         return cached
 
-    def interval(self, u: WeylElt, w: WeylElt) -> "BruhatInterval":
-        """The record of the Bruhat interval [u, w], made once per group.
+    def interval(self, w: WeylElt) -> "BruhatInterval":
+        """The record of the lower Bruhat interval [e, w], made once per group.
 
         >>> g = WeylGroup(cartan_of_type("A", 2))
-        >>> [x.describe() for x in g.interval(g.simple(0), g.from_word((0, 1, 0))).elements]
+        >>> r = g.interval(g.from_word((0, 1, 0)))
+        >>> [x.describe() for p, x in enumerate(r.elements) if r.above(g.simple(0)) >> p & 1]
         ['s1', 's1*s2', 's2*s1', 's1*s2*s1']
         """
-        if (record := self._interval_cache.get((u, w))) is None:
-            self.check_same(u, w)
-            record = self._remember("interval", (u, w), BruhatInterval(self, u, w))
+        if (record := self._lower_cache.get(w)) is None:
+            self.check_same(w)
+            record = self._remember("lower", w, BruhatInterval(self, w))
         return record
 
     def elements_up_to_length(self, cap: int) -> list[WeylElt]:
@@ -387,22 +379,25 @@ class WeylGroup:
 
 
 class BruhatInterval:
-    """The x with u <= x <= w in ``lower_interval(w)`` order, their
-    ``index`` and ``lengths``.  ``down[p]``, ``up[p]``: offsets from x_p to
-    its lower, upper covers inside, formed on first read.  ``scaled_down(s)``
-    keeps ``down`` times s, ``below(m)`` the positions of the x <= m."""
+    """[e, w]: the subword products of w's canonical word by length and word,
+    ``index``, ``lengths``; ``down[p]``, ``up[p]``, the offsets of x_p's lower,
+    upper covers (all in [e, w]), formed on first read; kept per argument,
+    ``scaled_down(s)``, ``below(m)``: the x <= m, ``above(u)``: a mask of the x >= u."""
 
-    def __init__(self, group: WeylGroup, u: WeylElt, w: WeylElt):
+    def __init__(self, group: WeylGroup, w: WeylElt):
         self.group = group
-        self.elements = tuple(x for x in group.lower_interval(w) if group.bruhat_leq(u, x))
+        elems = {group.identity}
+        for s in map(group.simple, w.word):
+            elems |= {group.multiply(u, s) for u in elems}
+        self.elements = tuple(sorted(elems, key=lambda u: (u.length, u.word)))
         self.index = {x: p for p, x in enumerate(self.elements)}
         self.lengths = tuple([x.length for x in self.elements])
-        self._scaled, self._below = {}, {}  # scale -> scaled down; m -> below(m)
+        self._scaled, self._below, self._above = {}, {}, {}  # scale or element -> kept value
 
     @cached_property
     def down(self) -> tuple[tuple[int, ...], ...]:
         index = self.index
-        return tuple(tuple(index[c] - p for c in self.group.lower_covers(x) if c in index)
+        return tuple(tuple(index[c] - p for c in self.group.lower_covers(x))
                      for p, x in enumerate(self.elements))
 
     @cached_property
@@ -423,6 +418,12 @@ class BruhatInterval:
             found = self._below[m] = tuple([self.index[x] for x in self.group.lower_interval(m)
                                             if x in self.index])
         return found
+
+    def above(self, u: WeylElt) -> int:
+        if (mask := self._above.get(u)) is None:
+            leq = self.group.bruhat_leq
+            mask = self._above[u] = sum([1 << p for p, x in enumerate(self.elements) if leq(u, x)])
+        return mask
 
 
 def is_positive_subexpression(group: WeylGroup, word, sub) -> bool:

@@ -60,6 +60,16 @@ def test_poset_refuses_a_thickening_letter(capsys):
     assert "bad letter 'inf1'" in err and "Traceback" not in err
 
 
+def test_poset_reads_affine_letters_as_the_labels_it_reports(capsys):
+    """affine-A labels its vertices 0..r, and a letter is read as the label
+    that the report prints: (0,1) is s0*s1, and 2 is no vertex of affine-A1."""
+    assert parse_word(WeylGroup(cartan_of_type("affine-A", 1)), "(0,1,0)") == (0, 1, 0)
+    code, out, _ = run(capsys, "poset", "affine-A", "1", "--top", "e;(0,1)", "--check", "pure")
+    assert code == 0 and json.loads(out)["inputs"]["top"] == "(e ; s0*s1)"
+    code, out, err = run(capsys, "poset", "affine-A", "1", "--top", "e;(1,2)", "--check", "pure")
+    assert code == 2 and not out and "bad letter '2' at position 3" in err
+
+
 def test_split_top_level():
     assert split_top_level("(1,2),(2,1)", ",") == ["(1,2)", "(2,1)"]
     with pytest.raises(WordParseError):
@@ -664,13 +674,14 @@ def test_fuzz_cell_words_and_params(v, w, params):
 @st.composite
 def poset_command_lines(draw):
     """(family, rank, n, top) for the poset command: any family and rank,
-    and tops that mostly have n factors over the family's vertices (1 to
-    rank + 1, the count of affine-A).  At most three letters per factor keep
-    each lower interval within 8 elements."""
+    and tops that mostly have n factors over the family's vertex labels
+    (drawn from 0 to rank + 1: those of affine-A are 0 to rank, the others'
+    1 to rank).  At most three letters per factor keep each lower interval
+    within 8 elements."""
     family = draw(st.sampled_from(["A", "B", "C", "D", "affine-A", "junk"]))
     rank = draw(st.integers(-2, 6))
     n = draw(st.integers(0, 3))
-    letters = st.sampled_from([str(i) for i in range(1, max(rank, 1) + 2)])
+    letters = st.sampled_from([str(i) for i in range(max(rank, 1) + 2)])
     word = st.one_of(
         st.just("e"),
         st.lists(letters, min_size=1, max_size=3).map(lambda ls: "(" + ",".join(ls) + ")"),

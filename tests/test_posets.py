@@ -346,9 +346,10 @@ def test_node_cap_boundary(monkeypatch):
     # and within that combination, at the label that passed the cap: the
     # builder's count of the bottom and the labels listed is one above it
     assert raised.traceback[-1].frame.f_locals["count"] == node_cap + 1
-    # the records of v's range and of the two factors, with no offsets formed
-    records = A2._interval_cache.values()
-    assert len(records) == 3 and not any({"down", "up"} & vars(r).keys() for r in records)
+    # the records read, those of the two factors among them, with no offsets formed on any
+    records = A2._lower_cache
+    assert set(top.wbar) <= records.keys()
+    assert not any({"down", "up"} & vars(r).keys() for r in records.values())
 
     monkeypatch.undo()
     poset = build_interval(top)
@@ -729,17 +730,33 @@ def test_link_boxes_match_the_pairwise_order(A2):
 
 
 def test_interval_records_cleared_at_their_cap_build_the_same_posets(monkeypatch):
-    """With the interval memo capped at 3 records, every A2 n=2 top builds
-    the poset of the uncached builder ``oracles.bucket_build_interval``,
-    while the memo is cleared on the way."""
+    """With the memo of lower-interval records capped at 3, every A2 n=2
+    top builds the poset of the uncached builder
+    ``oracles.bucket_build_interval``, while the memo is cleared on the way."""
     monkeypatch.setattr(weyl, "_LOWER_CACHE_CAP", 3)
     group = WeylGroup(cartan_of_type("A", 2))
     tops = 0
     for top in iter_qnodes(group, 2):
         assert_same_poset(build_interval(top), oracles.bucket_build_interval(top))
-        assert group.cache_stats()["interval"]["size"] <= 4
+        assert group.cache_stats()["lower"]["size"] <= 4
         tops += 1
-    assert tops == 167 and group.cache_stats()["interval"]["clears"] > 0
+    assert tops == 167 and group.cache_stats()["lower"]["clears"] > 0
+
+
+def test_interval_records_are_bounded_by_the_group():
+    """Building every B3 n=1 top on a fresh group leaves at most one record
+    per element w, that of [e, w], in all the group's memos: 48 = |W(B3)|,
+    with the memo never cleared, so none was dropped to stay under the
+    bound."""
+    group = WeylGroup(cartan_of_type("B", 3))
+    tops = 0
+    for top in iter_qnodes(group, 1):
+        build_interval(top)
+        tops += 1
+    stats = group.cache_stats()["lower"]
+    records = [r for memo in group._memos.values() for r in memo.values()
+               if isinstance(r, weyl.BruhatInterval)]
+    assert tops == 847 and len(records) == stats["size"] <= 48 and stats["clears"] == 0
 
 
 def assert_refused(elements, pairs):

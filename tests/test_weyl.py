@@ -438,7 +438,8 @@ def test_memo_hits_still_refuse_a_foreign_element():
     """The six memoized methods check the group on a miss only; a hit
     cannot come from another group's element, so every call with one raises,
     also where the memo of the group's own elements is warm and where a
-    length shortcut of bruhat_leq would answer."""
+    length shortcut of bruhat_leq would answer.  So do the kept masks and
+    lists of a record of [e, w]."""
     group, other = WeylGroup(cartan_of_type("A", 2)), WeylGroup(cartan_of_type("A", 2))
     own = group.elements_up_to_length(3)
     for u in own:
@@ -448,54 +449,63 @@ def test_memo_hits_still_refuse_a_foreign_element():
             group.multiply(u, v)
             group.bruhat_leq(u, v)
             group.demazure(u, v)
-            group.interval(u, v)
+            group.interval(u).above(v)
+            group.interval(u).below(v)
     assert all(group.cache_stats()[name]["size"] for name in ("mul", "bruhat", "lower", "cover",
-                                                              "demazure", "interval"))
+                                                              "demazure"))
     for x in other.elements_up_to_length(3):
-        for method in (group.lower_interval, group.lower_covers):
+        for method in (group.lower_interval, group.lower_covers, group.interval):
             with pytest.raises(ContextMismatchError):
                 method(x)
-        for method in (group.multiply, group.bruhat_leq, group.demazure, group.interval):
+        for method in (group.multiply, group.bruhat_leq, group.demazure):
             for args in [(x, x)] + [pair for u in own for pair in ((u, x), (x, u))]:
                 with pytest.raises(ContextMismatchError):
                     method(*args)
+        for u in own:
+            for method in (group.interval(u).above, group.interval(u).below):
+                with pytest.raises(ContextMismatchError):
+                    method(x)
 
 
 @pytest.mark.parametrize("family, rank, cap, pairs", [
     ("A", 2, 3, 19), ("B", 2, 4, 33), ("A", 3, 6, 213), ("affine-A", 1, 5, 61),
 ])
 def test_interval_records_match_lower_intervals_and_covers(family, rank, cap, pairs):
-    """The record of every Bruhat interval [u, w] (w of length <= cap)
-    lists the elements of lower_interval(w) above u, in that order, with
-    their positions and lengths; its ``down`` and ``up`` offsets are
-    lower_covers restricted to the interval and read from either end,
-    ``scaled_down`` multiplies ``down``, and ``below(m)`` lists the
-    positions of the elements under each m, by bruhat_leq; and the group
-    hands out the one record per pair.  ``pairs`` counts the pairs u <= w."""
+    """The record of every lower interval [e, w] (w of length <= cap)
+    against an oracle that reads no record, built from
+    elements_up_to_length, bruhat_leq and lower_covers: its elements are
+    the x <= w, by length and then word, with their positions and lengths;
+    its ``down`` and ``up`` offsets are lower_covers read from either end,
+    ``scaled_down`` multiplies ``down``, ``below(m)`` lists the positions
+    of the x <= m, for every m, and ``above(u)`` is the bitmask of those of
+    the x >= u, for every u, which cuts [u, w] out of [e, w]; and the group
+    hands out the one record per w.  ``pairs`` counts the pairs u <= w."""
     group = WeylGroup(cartan_of_type(family, rank))
     elts = group.elements_up_to_length(cap)
-    records = 0
+    cuts = 0
     for w in elts:
+        record = group.interval(w)
+        inside = sorted((x for x in elts if group.bruhat_leq(x, w)),
+                        key=lambda x: (x.length, x.word))
+        assert record.elements == tuple(inside)
+        assert record.index == {x: p for p, x in enumerate(inside)}
+        assert record.lengths == tuple(x.length for x in inside)
+        covers = {x: list(group.lower_covers(x)) for x in inside}
+        assert [[inside[p + o] for o in offsets] for p, offsets in enumerate(record.down)] \
+            == list(covers.values())
+        assert [sorted(p + o for o in offsets) for p, offsets in enumerate(record.up)] \
+            == [[q for q, y in enumerate(inside) if x in covers[y]] for x in inside]
+        assert record.scaled_down(3) == [tuple(3 * o for o in offs) for offs in record.down]
+        for m in elts:
+            assert record.below(m) == tuple(p for p, x in enumerate(inside)
+                                            if group.bruhat_leq(x, m))
         for u in elts:
-            if not group.bruhat_leq(u, w):
-                continue
-            record = group.interval(u, w)
-            inside = [x for x in group.lower_interval(w) if group.bruhat_leq(u, x)]
-            assert record.elements == tuple(inside)
-            assert record.index == {x: p for p, x in enumerate(inside)}
-            covers = {x: [c for c in group.lower_covers(x) if c in inside] for x in inside}
-            assert [[inside[p + o] for o in offsets] for p, offsets in enumerate(record.down)] \
-                == list(covers.values())
-            assert [sorted(p + o for o in offsets) for p, offsets in enumerate(record.up)] \
-                == [[q for q, y in enumerate(inside) if x in covers[y]] for x in inside]
-            assert record.scaled_down(3) == [tuple(3 * o for o in offs) for offs in record.down]
-            assert record.lengths == tuple(x.length for x in inside)
-            for m in elts:
-                assert record.below(m) == tuple(p for p, x in enumerate(inside)
-                                                if group.bruhat_leq(x, m))
-            assert group.interval(u, w) is record
-            records += 1
-    assert records == pairs
+            between = [p for p, x in enumerate(inside) if group.bruhat_leq(u, x)]
+            assert record.above(u) == sum(1 << p for p in between)
+            assert bool(between) == group.bruhat_leq(u, w)
+            cuts += bool(between)
+        assert group.interval(w) is record and group.lower_interval(w) is record.elements
+    assert cuts == pairs
 
 
 def test_b2_group_structure(B2):
