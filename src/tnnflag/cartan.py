@@ -61,8 +61,9 @@ def _chain(rank: int) -> list[list[int]]:
 def cartan_of_type(family: str, rank: int) -> GeneralizedCartanMatrix:
     """Standard GCM for a family letter and rank.
 
-    Supported: A (rank >= 1), B/C/D (rank >= 2), affine-A (rank >= 1,
-    giving a matrix of size rank+1).
+    Supported: A (rank >= 1), B/C/D (rank >= 2), G (rank 2 only: the
+    matrix [[2, -1], [-3, 2]]), affine-A (rank >= 1, giving a matrix of
+    size rank+1).
     """
     fam = family.strip().upper().replace("_", "-")
     if rank < 1:
@@ -89,6 +90,11 @@ def cartan_of_type(family: str, rank: int) -> GeneralizedCartanMatrix:
         if rank >= 3:
             a[rank - 3][rank - 1] = a[rank - 1][rank - 3] = -1
         labels = tuple(str(i + 1) for i in range(rank))
+    elif fam == "G":
+        if rank != 2:
+            raise ValueError(f"type G needs rank 2, got {rank}")
+        a = [[2, -1], [-3, 2]]
+        labels = ("1", "2")
     elif fam == "AFFINE-A":
         size = rank + 1
         if size == 2:

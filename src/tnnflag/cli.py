@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("poset", help="build an interval [0^, top] and run checks")
-    p.add_argument("family", help="Cartan family: A, B, C, D, affine-A")
+    p.add_argument("family", help="Cartan family: A, B, C, D, G, affine-A")
     p.add_argument("rank", type=int)
     p.add_argument("--n", type=int, default=1, help="number of factors")
     p.add_argument("--top", required=True, help='top stratum, e.g. "e;(1),(1)"')

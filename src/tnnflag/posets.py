@@ -14,14 +14,19 @@ b replaced by the bottom.  Each label has one integer key (mixed-radix
 positions of its coordinates in the group's records of the intervals
 [e, w], :meth:`WeylGroup.interval`, cut from below by ``above``), and its
 lower covers are the labels at its key plus the records' offsets of its
-coordinates' covers, read from a dense table with a slot per key.  An
-interval is listed in one pass per label, into rank columns of keys, with
-one Demazure product per factor combination.  One pass in rank order ORs
-the masks together, strict as they are built, and fills the up-cover
-index; no cover pair is listed or sorted on the way.  The poset keeps the
-keys, and its ``nodes`` decode every label from its key, once, on the
-first read: no check reads a label.  ``FacePoset.from_qnodes``, which
-compares every pair by :func:`qnode_leq`, is their oracle.
+coordinates' covers, read from a dense table with a slot per key.  What
+depends on the factor tuple alone is planned once per group: the plan of
+a tuple (kept in the group's ``plan`` memo, cleared with the records)
+holds the records, the table's size and each factor combination's base
+key, length and Demazure product.  An interval is listed in one pass per
+label, into rank columns of keys, over the plan's combinations, made in
+that pass when the plan is missing; the node cap is checked once per
+combination.  One pass in rank order ORs the masks together, strict as
+they are built, and fills the up-cover index; no cover pair is listed or
+sorted on the way.  The poset keeps the keys, and its ``nodes`` decode
+every label from its key, once, on the first read: no check reads a
+label.  ``FacePoset.from_qnodes``, which compares every pair by
+:func:`qnode_leq`, is their oracle.
 
 Every poset holds ``below`` and indexes the upper covers of each node
 once, as increasing tuples.  Every poset is graded, as Bjorner's
@@ -359,6 +364,49 @@ def _cover_index(keys, nv: int, vmoves, wmoves, size: int) -> tuple[list[int], l
     return below, ups
 
 
+class _Plan:
+    """What :func:`build_interval` lists for one factor tuple (and box
+    bottom b), whatever top.v: v's record ([e, m_star(wbar)], or [e, v_b]
+    in a box), the factors' records, the size of the key table, and each
+    combination of the cut factor ranges, in listing order, as its base
+    key, its length and its Demazure product, in three parallel lists.
+    A build makes the plan while it lists its labels and keeps it in the
+    group's ``plan`` memo, which is cleared with the records."""
+
+    __slots__ = ("vrec", "frecs", "stride", "bases", "lengths", "products")
+
+    def __init__(self, group: WeylGroup, wbar, bottom: QNode | None):
+        # in the box [b, top] every combination has m_star above v_b
+        self.vrec = group.interval(group.m_star(wbar) if bottom is None else bottom.v)
+        self.frecs = tuple(map(group.interval, wbar))
+        self.bases, self.lengths, self.products = [], [], []
+
+    def listing(self, group: WeylGroup, bottom: QNode | None):
+        """Yield each combination of the factor ranges [w_{b,i}, w_i] ([e,
+        w_i] with no bottom), in listing order, as its base key, length and
+        Demazure product, each appended to its list as it is yielded: a
+        listing stopped by the node cap leaves the plan part made, and it
+        is not kept."""
+        factors, digits, stride = [], [], len(self.vrec.elements)
+        for r, low in zip(self.frecs, repeat(group.identity) if bottom is None else bottom.wbar):
+            kept = members(r.above(low))  # the positions in [e, w_i] of the x in [low, w_i]
+            factors.append([r.elements[p] for p in kept])
+            digits.append([stride * p for p in kept])
+            stride *= len(r.elements)
+        self.stride = stride
+        bases, lengths, products, demazure = self.bases, self.lengths, self.products, group.demazure
+        *heads, last = factors
+        for head, hds in zip(product(*heads), product(*digits[:-1])):
+            prefix = group.m_star(head) if head else None
+            hbase, hlength = sum(hds), sum([w.length for w in head])
+            for w, wd in zip(last, digits[-1]):
+                base, length, m = hbase + wd, hlength + w.length, demazure(prefix, w) if head else w
+                bases.append(base)
+                lengths.append(length)
+                products.append(m)
+                yield base, length, m
+
+
 def interval_labels(top: QNode):
     """The labels weakly below top: every wbar' <= top.wbar componentwise
     (in product order of the factor lower intervals), then every v' with
@@ -414,53 +462,54 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP,
     box), then each factor's in that of [e, w_i], each range cut from below
     by its record's ``above`` (of top.v; of w_{b,i} in a box, e otherwise),
     so ``divmod(key, len(vs))`` is the factor combination's digit, first
-    factor fastest, and v's.  The labels are listed in the order of
-    :func:`interval_labels` into rank columns of their keys; no label is
-    made.  ``node_cap`` is checked per label, before any cover is looked
-    up.  The poset's ``nodes`` are a :class:`_LazyTuple` over the keys in
-    node order: its ``len`` decodes nothing, and its first other read
-    decodes every label from its key's digits, once.  The labels of one
-    factor combination share one ``wbar`` tuple, decoded once in a dict
-    held only while the labels are listed.  The Demazure product of a
-    combination is one :meth:`WeylGroup.demazure` of its prefix (the
-    product of all factors but the last, taken once per prefix) with its
-    last factor, or that factor itself when n = 1; v's range keeps the
-    record's ``below`` of it, kept across calls.  After the listing, the
-    records' offsets of v's upper covers and of the factors' lower covers
-    (in combination digits, joined once per combination) find the lower
-    covers in a table of |vs| * prod_i |[e, w_i]| slots; an offset that
-    leaves a range lands on an empty slot.
+    factor fastest, and v's.  Everything but v's cut depends on top.wbar
+    (and b) alone, so it is planned once per group (:class:`_Plan`, kept
+    in the ``plan`` memo under the key (top.wbar, b or None)): the
+    records, the table's size and, for each combination of the cut factor
+    ranges in listing order, its base key, its length and its Demazure
+    product, one :meth:`WeylGroup.demazure` of its prefix (the product of
+    all factors but the last, taken once per prefix) with its last factor,
+    or that factor itself when n = 1.  A build with no plan makes it in the
+    same pass that lists the labels, and keeps it only when the listing
+    passes the node cap; every build of intervals, link boxes and braid
+    posets lists on this one path.  For each combination, v runs over the
+    record's ``below`` of its Demazure product (kept across calls), tested
+    against ``above(top.v)`` label by label, in the order of
+    :func:`interval_labels`, into rank columns of keys; no label is made.
+    ``node_cap`` is checked once per combination, after its labels are
+    listed, before any cover is looked up.  The poset's ``nodes`` are a
+    :class:`_LazyTuple` over the keys in node order: its ``len`` decodes
+    nothing, and its first other read decodes every label from its key's
+    digits, once.  The labels of one factor combination share one
+    ``wbar`` tuple, decoded once in a dict held only while the labels are
+    listed.  After the listing, the records' offsets of v's upper covers
+    and of the factors' lower covers (in combination digits, joined once
+    per combination on every build: kept in the plans, they took 3 MB more
+    over the A3 n=2 tops) find the lower covers in a table of |vs| *
+    prod_i |[e, w_i]| slots; an offset that leaves a range lands on an
+    empty slot.
     """
     group = top.v.group
-    # in the box [b, top] every combination has m_star above v_b
-    vrec = group.interval(group.m_star(top.wbar) if _bottom is None else _bottom.v)
-    frecs = list(map(group.interval, top.wbar))
-    vs, nv, vlengths, vcut = vrec.elements, len(vrec.elements), vrec.lengths, vrec.above(top.v)
-    factors, digits, stride = [], [], nv
-    for r, low in zip(frecs, repeat(group.identity) if _bottom is None else _bottom.wbar):
-        kept = members(r.above(low))  # the positions in [e, w_i] of the x in [low, w_i]
-        factors.append([r.elements[p] for p in kept])
-        digits.append([stride * p for p in kept])
-        stride *= len(r.elements)
+    key = (top.wbar, _bottom)
+    plan = group._plan_cache.get(key)
+    if fresh := plan is None:
+        plan = _Plan(group, top.wbar, _bottom)
+        combos = plan.listing(group, _bottom)
+    else:
+        combos = zip(plan.bases, plan.lengths, plan.products)
+    vrec = plan.vrec
+    nv, vlengths, below_m, vcut = len(vrec.elements), vrec.lengths, vrec.below, vrec.above(top.v)
     keys: list[list] = [[] for _ in range(top.rank + 1)]  # rank columns of keys
     count = 1 if _bottom is None else 0  # the bottom: 0^, or b, listed with the labels
-    *heads, last = factors
-    for head, hds in zip(product(*heads), product(*digits[:-1])):
-        prefix = group.m_star(head) if head else None
-        hbase, hlength = sum(hds), sum([w.length for w in head])
-        for w, wd in zip(last, digits[-1]):
-            base, length = hbase + wd, hlength + w.length
-            for d in vrec.below(group.demazure(prefix, w) if head else w):
-                if vcut >> d & 1:
-                    keys[length - vlengths[d]].append(base + d)
-                    count += 1
-                    if count > node_cap:
-                        raise CapExceededError(f"poset exceeds node cap {node_cap}")
-    # offsets, read only now: v moves up one cover, a factor down one (in
-    # combination digits key // nv, first factor fastest: len(wmoves) per step)
-    wmoves = [()]
-    for r in frecs:
-        wmoves = [w + moves for moves in r.scaled_down(len(wmoves)) for w in wmoves]
+    for base, length, m in combos:
+        for d in below_m(m):
+            if vcut >> d & 1:
+                keys[length - vlengths[d]].append(base + d)
+                count += 1
+        if count > node_cap:
+            raise CapExceededError(f"poset exceeds node cap {node_cap}")
+    if fresh:
+        group._remember("plan", key, plan)
     # a link drops b, alone in its rank column, so that its covers rest on 0^
     skip = 0 if _bottom is None else _bottom.rank + 1
     columns = keys[skip:]
@@ -469,7 +518,13 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP,
         ranks += [rank] * len(column)
     keys = list(chain.from_iterable(columns))
     del columns
-    below, ups = _cover_index(keys, nv, vrec.up, wmoves, stride)
+    # offsets, read only now: v moves up one cover, a factor down one (in
+    # combination digits key // nv, first factor fastest: len(wmoves) per step)
+    wmoves = [()]
+    for r in plan.frecs:
+        wmoves = [w + moves for moves in r.scaled_down(len(wmoves)) for w in wmoves]
+    below, ups = _cover_index(keys, nv, vrec.up, wmoves, plan.stride)
+    vs, frecs = vrec.elements, plan.frecs
 
     def labels():
         yield BOTTOM

@@ -36,6 +36,10 @@ interned elements, which compare by identity, and is stored only after
 its check passed, so a hit proves that the arguments belong to the
 group.  In type A, ``from_perm`` reads the chamber vector off the
 one-line form (entry i is p^{-1}(i+2) - p^{-1}(i+1)) and interns it once.
+The group also holds the ``plan`` memo of :func:`posets.build_interval`,
+one build plan per factor tuple (and link bottom), which reads only
+interned elements and the group's records; it shares the cap of the
+``lower`` memo of records and is cleared with it.
 
 Letters of words are 0-based positions into ``gcm.labels``.  A
 subexpression of a word is a tuple of the same length whose entries are
@@ -58,7 +62,8 @@ SubWord = tuple  # entries: int letter or None placeholder
 _MAX_CANONICAL_LEN = 10_000
 # memo caches are cleared when they exceed this many entries
 _CACHE_CAP = 1 << 21
-# lower-interval memo cap: each entry holds the record of a whole interval, not one element
+# cap of the lower-interval and plan memos: each entry holds the record or the
+# build plan of a whole interval, not one element
 _LOWER_CACHE_CAP = 4096
 
 
@@ -105,9 +110,9 @@ class WeylGroup:
         self._elts: dict[tuple[int, ...], WeylElt] = {}
         # the capped memo caches by name, plain dicts read with .get and
         # filled by _remember, and how often each was cleared at its cap
-        self._memos = {name: {} for name in "mul bruhat lower cover demazure perm".split()}
+        self._memos = {name: {} for name in "mul bruhat lower cover demazure perm plan".split()}
         (self._mul_cache, self._bruhat_cache, self._lower_cache, self._cover_cache,
-         self._demazure_cache, self._perm_cache) = self._memos.values()
+         self._demazure_cache, self._perm_cache, self._plan_cache) = self._memos.values()
         self._clears = dict.fromkeys(self._memos, 0)
         self._thickened: dict[int, WeylGroup] = {}
         ones = (1,) * self.rank
@@ -119,17 +124,23 @@ class WeylGroup:
 
     def cache_stats(self) -> dict[str, dict[str, int]]:
         """Each capped memo cache's entry count and the number of times it
-        was cleared on passing its cap."""
+        was cleared on passing its cap (or, for ``plan``, with ``lower``):
+        ``mul``, ``bruhat``, ``lower`` (the records of [e, w]), ``cover``,
+        ``demazure``, ``perm`` and ``plan`` (the build plans of
+        :func:`posets.build_interval`)."""
         return {name: {"size": len(cache), "clears": self._clears[name]}
                 for name, cache in self._memos.items()}
 
     def _remember(self, name: str, key, value):
         """Store ``value`` at ``key`` in the named memo cache and return it,
-        clearing the cache first when it holds more entries than its cap."""
+        clearing the cache first when it holds more entries than its cap.
+        ``lower`` and ``plan`` hold records of intervals, under the smaller
+        cap; a plan reads records, so clearing them clears the plans too."""
         cache = self._memos[name]
-        if len(cache) > (_LOWER_CACHE_CAP if name == "lower" else _CACHE_CAP):
-            cache.clear()
-            self._clears[name] += 1
+        if len(cache) > (_LOWER_CACHE_CAP if name in ("lower", "plan") else _CACHE_CAP):
+            for cleared in (name, "plan") if name == "lower" else (name,):
+                self._memos[cleared].clear()
+                self._clears[cleared] += 1
         cache[key] = value
         return value
 

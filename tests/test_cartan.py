@@ -27,6 +27,15 @@ def test_bcd_and_affine():
     assert aff2.entries[0][2] == aff2.entries[2][0] == -1
 
 
+def test_g2_matrix_and_its_rank():
+    """G2 is the rank-2 type with the -3 entry; every other rank raises."""
+    g2 = cartan_of_type("G", 2)
+    assert g2.entries == ((2, -1), (-3, 2)) and g2.labels == ("1", "2")
+    for rank in (1, 3, 4):
+        with pytest.raises(ValueError, match="type G needs rank 2"):
+            cartan_of_type("G", rank)
+
+
 def test_unsupported_combinations():
     with pytest.raises(ValueError):
         cartan_of_type("B", 1)

@@ -301,12 +301,15 @@ def test_node_cap(A2):
 def test_node_cap_boundary(monkeypatch):
     """A cap of exactly the node count passes; one less raises while the
     labels are still being listed, before any cover is looked up and before
-    any key table or mask is made, and a cap of half the count raises in
-    the factor combination whose labels pass it, at the label that does.
-    The builder takes one Demazure product per combination it lists, after
-    the one of top.wbar, which count the combinations here.  The group is
-    fresh, so no interval record it reads holds cover offsets from an
-    earlier build: the refused builds form none."""
+    any key table or mask is made, and a cap of half the count raises at
+    the end of the factor combination whose labels pass it: the cap is
+    checked once per combination, after its labels are listed.  A build
+    with no plan for top.wbar takes one Demazure product per combination
+    it lists, after the one of top.wbar, which count the combinations
+    here; a refused build keeps no plan, and a build of a top whose plan is
+    kept takes no Demazure product.  The group is fresh, so no interval
+    record it reads holds cover offsets from an earlier build: the refused
+    builds form none."""
     A2 = WeylGroup(cartan_of_type("A", 2))
     s1, s2 = A2.simple(0), A2.simple(1)
     top = make_qnode(A2.identity, (A2.multiply(s1, s2), A2.multiply(s2, s1)))
@@ -343,18 +346,22 @@ def test_node_cap_boundary(monkeypatch):
     assert done == combos[:len(done)] and len(done) < len(combos)
     labels = sum(sizes[c] for c in done)
     assert labels - sizes[done[-1]] < node_cap <= labels
-    # and within that combination, at the label that passed the cap: the
-    # builder's count of the bottom and the labels listed is one above it
-    assert raised.traceback[-1].frame.f_locals["count"] == node_cap + 1
-    # the records read, those of the two factors among them, with no offsets formed on any
+    # after that whole combination: the builder counts the bottom and every label listed
+    assert raised.traceback[-1].frame.f_locals["count"] == 1 + labels
+    # the records read, those of the two factors among them, with no offsets
+    # formed on any, and no plan kept
     records = A2._lower_cache
     assert set(top.wbar) <= records.keys()
     assert not any({"down", "up"} & vars(r).keys() for r in records.values())
+    assert A2.cache_stats()["plan"] == {"size": 0, "clears": 0}
 
     monkeypatch.undo()
     poset = build_interval(top)
-    assert len(poset) == nodes
+    assert len(poset) == nodes and A2.cache_stats()["plan"]["size"] == 1
+    monkeypatch.setattr(A2, "demazure", product_of)
+    listed.clear()
     assert_same_poset(build_interval(top, node_cap=nodes), poset)
+    assert listed == []
 
 
 def assert_same_poset(poset, other):
@@ -730,17 +737,65 @@ def test_link_boxes_match_the_pairwise_order(A2):
 
 
 def test_interval_records_cleared_at_their_cap_build_the_same_posets(monkeypatch):
-    """With the memo of lower-interval records capped at 3, every A2 n=2
-    top builds the poset of the uncached builder
-    ``oracles.bucket_build_interval``, while the memo is cleared on the way."""
+    """With the memos of lower-interval records and of plans capped at 3,
+    every A2 n=2 top, built twice, builds the poset of the uncached builder
+    ``oracles.bucket_build_interval``, while both memos are cleared on the
+    way, the plans also with the records."""
     monkeypatch.setattr(weyl, "_LOWER_CACHE_CAP", 3)
     group = WeylGroup(cartan_of_type("A", 2))
     tops = 0
-    for top in iter_qnodes(group, 2):
-        assert_same_poset(build_interval(top), oracles.bucket_build_interval(top))
-        assert group.cache_stats()["lower"]["size"] <= 4
-        tops += 1
-    assert tops == 167 and group.cache_stats()["lower"]["clears"] > 0
+    for _ in range(2):
+        for top in iter_qnodes(group, 2):
+            assert_same_poset(build_interval(top), oracles.bucket_build_interval(top))
+            stats = group.cache_stats()
+            assert stats["lower"]["size"] <= 4 and stats["plan"]["size"] <= 4
+            tops += 1
+    stats = group.cache_stats()
+    assert tops == 2 * 167 and stats["plan"]["clears"] >= stats["lower"]["clears"] > 0
+
+
+def test_kept_plans_build_the_same_posets():
+    """Every top of A2 n <= 2, B2 n <= 2, A3 n=1, affine A1 n=2 (length <=
+    4) and G2 n=1, built on one group per family in a seeded shuffled
+    order, so that most builds read a plan kept by an earlier one, equals
+    ``oracles.bucket_build_interval``; and every link box of the A2 n=2
+    top (e ; w0, w0), built twice in a shuffled order on the same group,
+    equals ``FacePoset.from_qnodes`` on the labels above its bottom: the
+    same nodes, ranks (less those of the bottom's covers in a link),
+    masks and up-cover index."""
+    rng = random.Random(50)
+    builds = reused = 0
+    for family, rank, ns, cap in (("A", 2, (1, 2), None), ("B", 2, (1, 2), None),
+                                  ("A", 3, (1,), None), ("affine-A", 1, (2,), 4),
+                                  ("G", 2, (1,), None)):
+        group = WeylGroup(cartan_of_type(family, rank))
+        tops = [top for n in ns for top in iter_qnodes(group, n, length_cap=cap)]
+        rng.shuffle(tops)
+        for top in tops:
+            reused += (top.wbar, None) in group._plan_cache
+            poset, oracle = build_interval(top), oracles.bucket_build_interval(top)
+            assert poset.nodes == oracle.nodes and poset.ranks == oracle.ranks
+            assert poset.below == oracle.below and poset.up_covers() == oracle.up_covers()
+            builds += 1
+        assert group.cache_stats()["plan"] == {
+            "size": len({top.wbar for top in tops}), "clears": 0}
+    # 231 factor tuples, each with its plan made by the first build over it
+    assert (builds, reused) == (1563, 1563 - 231)
+
+    group = WeylGroup(cartan_of_type("A", 2))
+    w0 = group.from_word((0, 1, 0))
+    top = make_qnode(group.identity, (w0, w0))
+    labels = list(interval_labels(top))
+    bottoms = [b for b in labels if b != top] * 2
+    rng.shuffle(bottoms)
+    for b in bottoms:
+        reused += (top.wbar, b) in group._plan_cache
+        link = link_poset(b, top)
+        oracle = FacePoset.from_qnodes(q for q in labels if q != b and qnode_leq(b, q))
+        assert link.nodes == oracle.nodes
+        assert link.ranks == tuple(r - b.rank - 1 for r in oracle.ranks)
+        assert link.below == oracle.below and link.up_covers() == oracle.up_covers()
+    assert (len(bottoms), reused) == (2 * 166, 1563 - 231 + 166)
 
 
 def test_interval_records_are_bounded_by_the_group():

@@ -533,6 +533,19 @@ def test_rank_five_and_six_groups_are_enumerated_faithfully(family, rank, order,
     assert group.inverse(w0s[0]) is w0s[0]
 
 
+def test_g2_group_is_dihedral_of_order_twelve():
+    """W(G2) has 12 elements, one of each length but 0 and 6 twice, and a
+    longest element of length 6 with canonical word s1 s2 s1 s2 s1 s2,
+    its own inverse."""
+    group = WeylGroup(cartan_of_type("G", 2))
+    elems = group.elements_up_to_length(64)
+    assert len(elems) == len({u.chamber for u in elems}) == 12
+    assert sorted(u.length for u in elems) == [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]
+    w0 = max(elems, key=lambda u: u.length)
+    assert (w0.length, w0.word) == (6, (0, 1, 0, 1, 0, 1))
+    assert group.from_word((1, 0, 1, 0, 1, 0)) is w0 and group.inverse(w0) is w0
+
+
 @pytest.mark.parametrize("family, rank", [("A", 3), ("B", 3), ("affine-A", 1)])
 def test_lower_covers_match_definition(family, rank):
     """Lower covers are the u <= w of length l(w) - 1, listed once each."""

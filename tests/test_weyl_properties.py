@@ -246,4 +246,4 @@ def test_multiply_cache_clears_and_still_multiplies(monkeypatch):
     # then every fourth finds 4 entries and clears them
     assert stats["mul"]["clears"] == 1 + 71 // 4
     assert stats["mul"]["size"] == len(g._mul_cache)
-    assert set(stats) == {"mul", "bruhat", "lower", "cover", "demazure", "perm"}
+    assert set(stats) == {"mul", "bruhat", "lower", "cover", "demazure", "perm", "plan"}
