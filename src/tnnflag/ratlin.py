@@ -56,6 +56,14 @@ def int_form(a, square: bool = False) -> IntForm:
     return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in a), d
 
 
+def as_fractions(values) -> list[Fraction]:
+    """The values as a list of Fraction; a Fraction is kept as given.
+
+    A Fraction's denominator is positive, so its sign is its numerator's.
+    """
+    return [x if type(x) is Fraction else Fraction(x) for x in values]
+
+
 def fraction_matrix(form: IntForm) -> Mat:
     """The Fraction matrix m / d."""
     m, d = form

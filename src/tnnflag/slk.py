@@ -34,6 +34,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations, islice
 from math import comb, gcd, lcm
+from operator import mul
 
 from . import ratlin
 from .ratlin import IntForm, IntMat, Mat
@@ -313,7 +314,8 @@ def mr_form(k: int, word, taken, params) -> IntForm:
 
     ``word`` is a reduced word, ``taken`` the positive subexpression (same
     length, None at skipped positions), ``params`` one positive rational
-    per skipped position, consumed left to right.  The cells of the result
+    per skipped position, consumed left to right; a Fraction is taken as
+    given, and its sign is that of its numerator.  The cells of the result
     are checked by the caller, ``twisted.parametrize_cell``.
     """
     _check_k(k)
@@ -321,11 +323,11 @@ def mr_form(k: int, word, taken, params) -> IntForm:
     taken = tuple(taken)
     if len(word) != len(taken):
         raise ValueError("word and subexpression lengths differ")
-    params = [Fraction(p) for p in params]
+    params = ratlin.as_fractions(params)
     skipped = sum(1 for t in taken if t is None)
     if len(params) != skipped:
         raise ValueError(f"need {skipped} parameters, got {len(params)}")
-    if any(p <= 0 for p in params):
+    if any(p.numerator <= 0 for p in params):
         raise ValueError("parameters must be positive")
     if any(t is not None and t != letter for letter, t in zip(word, taken)):
         raise ValueError("subexpression letter differs from the word")
@@ -342,12 +344,17 @@ def mr_matrix(k: int, word, taken, params) -> Mat:
 
 
 def iota(g):
-    """Conjugation by diag(1,-1,1,...): negates the simple root groups."""
+    """Conjugation by D = diag(1,-1,1,...): negates the simple root groups.
+
+    Entry (r, c) changes sign when r + c is odd: even rows are multiplied
+    by the sign row (1, -1, 1, ...), odd rows by its negative.
+
+    >>> iota(((1, 2, 3), (4, 5, 6), (7, 8, 9)))
+    ((1, -2, 3), (-4, 5, -6), (7, -8, 9))
+    """
     k = len(g)
-    return tuple(
-        tuple(g[r][c] if (r + c) % 2 == 0 else -g[r][c] for c in range(k))
-        for r in range(k)
-    )
+    signs = ((1, -1) * k)[:k], ((-1, 1) * k)[:k]
+    return tuple(tuple(map(mul, row, signs[r & 1])) for r, row in enumerate(g))
 
 
 class FlagPoint:
@@ -356,7 +363,7 @@ class FlagPoint:
     Flags compare and hash by the columns of ``_echelon``: the primitive
     integer vectors with positive pivots that span the flag.  ``rep`` and
     ``canonical()`` are Fraction matrices, built on first use when the
-    flag was made from an integer form by ``of_form``.
+    flag was made from an integer form by ``of_form`` or ``with_form``.
     """
 
     __slots__ = ("_form", "_rep", "_cols", "_pivots", "_canonical")
@@ -369,6 +376,17 @@ class FlagPoint:
         """The flag of the matrix m / d, for a square integer form (m, d)."""
         f = cls.__new__(cls)
         f._set(form, None)
+        return f
+
+    def with_form(self, form: IntForm) -> "FlagPoint":
+        """This flag, represented by the square integer form ``form``.
+
+        ``form`` must span this flag; that is not checked.  The echelon is
+        shared, not recomputed, and ``rep`` is built from ``form``.
+        """
+        f = FlagPoint.__new__(FlagPoint)
+        f._form, f._rep, f._cols, f._pivots = form, None, self._cols, self._pivots
+        f._canonical = self._canonical
         return f
 
     def _set(self, form: IntForm, rep) -> None:

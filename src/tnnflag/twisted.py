@@ -14,9 +14,17 @@ point's public ``factors``, and for the result of ``db_positive``.
 
 Each matrix of a point is eliminated once.  Making a point builds the
 flag of each factor, which rejects a singular factor and gives its Bruhat
-cell; the product of the factors is built on first use.  The point keeps
-both, so ``stratum``, ``phi_Z``, ``alpha`` and ``convolution`` reuse
-them and the twisted layer takes no determinant.
+cell; the product of the factors, and the flag of the product P with
+its rows reversed (J P), are built on first use.  The point keeps all
+three, so ``stratum``, ``phi_Z``, ``alpha`` and ``convolution`` reuse
+them and the twisted layer takes no determinant.  The image of
+``phi_Z`` inherits two values from its source, by linear algebra:
+(i) w0dot^{-1} = S J with S = diag((-1)^(k-1-r)), and iota is conjugation
+by D = diag((-1)^r); as D S = (-1)^(k-1), iota(w0dot^{-1} P) =
+(-1)^(k-1) J P D spans the flag of J P, which is the image's first flag.
+(ii) The image's later factors iota(g_j^{-1}) have the inverses iota(g_j),
+so a second ``phi_Z`` takes the source's forms g_j as they are.  A point
+with nothing inherited eliminates and inverts (``ratlin.int_inv``).
 
 ``parametrize_cell`` and ``phi_Z`` assert theorem-level facts on every call
 unless passed ``check=False``: the cell parametrization lands in its
@@ -44,8 +52,16 @@ class ZPoint:
     flag, ``_flags``: one column elimination per factor, made when the
     point is, which also rejects a singular factor (no determinant is
     taken).  Everything inside the layer reads those.  The product of the
-    factors, ``_product``, and the result of :func:`stratum` are computed
-    on first use and kept; both depend on the factors alone.
+    factors, ``_product``, the flag of the product with its rows reversed,
+    ``_reversed``, and the result of :func:`stratum` are computed on first
+    use and kept; all depend on the factors alone.
+
+    A point made by :func:`phi_Z` has as first flag its source's
+    ``_reversed``, with its own first form as ``rep`` (identity (i) of the
+    module docstring), and keeps ``_inverses``, iota(h_n^{-1}), ...,
+    iota(h_2^{-1}) for its factors h_j: the source's forms, kept as
+    references (identity (ii)).  Other points keep None there.  Kept values
+    change neither equality, hashing nor ``repr``.
 
     The Fraction ``factors`` are the ones passed to ``ZPoint(factors)``,
     stored as a tuple of tuples of rows with the entries as given, or for
@@ -53,22 +69,29 @@ class ZPoint:
     Equality, hashing and ``repr`` are those of ``factors``.
     """
 
-    __slots__ = ("_forms", "_flags", "_factors", "_product", "_stratum")
+    __slots__ = ("_forms", "_flags", "_factors", "_inverses", "_product", "_reversed", "_stratum")
 
     def __init__(self, factors):
         factors = tuple(tuple(map(tuple, g)) for g in factors)
-        self._set(tuple(ratlin.int_form(g, square=True) for g in factors), factors)
+        forms = tuple(ratlin.int_form(g, square=True) for g in factors)
+        self._set(forms, _check_factors(forms), factors, None)
 
     @classmethod
     def of_forms(cls, forms) -> "ZPoint":
         """The point with these integer-form factors; its Fraction factors wait for a read."""
+        forms = tuple(forms)
+        return cls._of_parts(forms, _check_factors(forms))
+
+    @classmethod
+    def _of_parts(cls, forms, flags, inverses=None) -> "ZPoint":
+        """The point with these forms and flags of them, made by the caller."""
         z = cls.__new__(cls)
-        z._set(tuple(forms), None)
+        z._set(forms, flags, None, inverses)
         return z
 
-    def _set(self, forms, factors) -> None:
-        self._flags = _check_factors(forms)
-        self._forms, self._factors, self._product, self._stratum = forms, factors, None, None
+    def _set(self, forms, flags, factors, inverses) -> None:
+        self._forms, self._flags, self._factors, self._inverses = forms, flags, factors, inverses
+        self._product = self._reversed = self._stratum = None
 
     @property
     def factors(self) -> tuple[Mat, ...]:
@@ -144,6 +167,14 @@ def _product(z: ZPoint) -> IntForm:
     return z._product
 
 
+def _reversed_flag(z: ZPoint) -> slk.FlagPoint:
+    """The flag of g_1 ... g_n with its rows reversed, made once per point and kept."""
+    if z._reversed is None:
+        m, d = _product(z)
+        z._reversed = slk.FlagPoint.of_form((m[::-1], d))
+    return z._reversed
+
+
 def gauge_eq(z1: ZPoint, z2: ZPoint) -> bool:
     """Equality modulo the twisted gauge: the partial-product flags agree.
 
@@ -160,15 +191,16 @@ def stratum(z: ZPoint) -> tuple[WeylElt, tuple[WeylElt, ...]]:
     """(v, wbar): factorwise Bruhat cells and the opposite cell of the product.
 
     The Bruhat cells are the pivots of the flags the point keeps; the
-    opposite cell is read off the int matrix of the kept product, since a
-    positive scalar changes no cell.  Computed once per point and kept on
-    it, so the checks of ``parametrize_cell`` and ``phi_Z`` do not repeat
-    it.
+    opposite cell is w0 times the cell of the kept flag of the product
+    with rows reversed, as in ``slk.opposite_cell``, and :func:`phi_Z`
+    hands that flag to the image (identity (i) of the module docstring).
+    Computed once per point and kept on it, so the checks of
+    ``parametrize_cell`` and ``phi_Z`` do not repeat it.
     """
     if z._stratum is None:
         group = type_a_group(z.k)
         wbar = tuple(from_perm(group, f.cell) for f in z._flags)
-        v = from_perm(group, slk.opposite_cell(_product(z)[0]))
+        v = from_perm(group, tuple(z.k + 1 - p for p in _reversed_flag(z).cell))
         z._stratum = v, wbar
     return z._stratum
 
@@ -208,7 +240,8 @@ def parametrize_cell(
     the reduced word per factor, each checked to be one; the canonical
     words, reduced by construction, are used otherwise.  ``params`` supplies
     one positive rational per skipped letter, across factors left to
-    right; ``slk.mr_form`` refuses one that is not positive.
+    right, each read once (a Fraction as given); ``slk.mr_form`` refuses
+    one that is not positive.
     With ``check`` on, each factor is asserted to lie in the opposite cell
     of its v_i, and the point in the stratum (v, wbar), which includes the
     Bruhat cell w_i of each factor.
@@ -233,7 +266,7 @@ def parametrize_cell(
                 raise ValueError(f"{word!r} is not a reduced word of {w.describe()}")
     subs, vbar = _positive_split(v, wbar, words)  # ValueError on an empty stratum
     dim = sum(w.length for w in wbar) - v.length
-    params = [Fraction(p) for p in params]
+    params = ratlin.as_fractions(params)
     if len(params) != dim:
         raise ValueError(f"cell has dimension {dim}, got {len(params)} parameters")
     factors = []
@@ -263,23 +296,45 @@ def dual_stratum(v: WeylElt, wbar) -> tuple[WeylElt, tuple[WeylElt, ...]]:
 def phi_Z(z: ZPoint, check: bool = True) -> ZPoint:
     """Duality: (g_1,...,g_n) -> (iota(w0dot^{-1} g_1...g_n), iota(g_n^{-1}), ...).
 
+    The image's first flag is the source's flag of its reversed product,
+    by identity (i) of the module docstring; its later factors are the
+    source's ``_inverses`` when kept, by identity (ii), and come from
+    ``ratlin.int_inv`` otherwise; it keeps g_2, ..., g_n as its own.
+
     With ``check`` on, the stratum permutation of :func:`dual_stratum` is
-    asserted on every call.
+    asserted on every call.  Its first component w0 v, the Bruhat cell of
+    the image's first factor, is read off the source's own elimination,
+    so it holds by identity (i), a linear-algebra fact; the theorem's
+    content is in v' = w0 w_1 and in the later factors.
     """
     if check:
         label = stratum(z)
     m, d = _product(z)
-    first = slk.iota(slk.w0_inverse_times(m)), d
-    rest = [(slk.iota(r), e) for r, e in (ratlin.int_inv(f) for f in reversed(z._forms[1:]))]
-    out = ZPoint.of_forms((ratlin.reduced(first), *rest))
+    first = ratlin.reduced((slk.iota(slk.w0_inverse_times(m)), d))
+    rest = z._inverses
+    if rest is None:
+        rest = tuple((slk.iota(r), e) for r, e in map(ratlin.int_inv, reversed(z._forms[1:])))
+    flags = (_reversed_flag(z).with_form(first), *map(slk.FlagPoint.of_form, rest))
+    out = ZPoint._of_parts((first, *rest), flags, z._forms[1:])
     if check and stratum(out) != dual_stratum(*label):
         raise AssertionError("duality image landed outside the predicted stratum")
     return out
 
 
+# w0dot's form and flag per k, made once each
+_W0: dict[int, tuple[IntForm, slk.FlagPoint]] = {}
+
+
 def double_bruhat_embed(g: Mat) -> ZPoint:
     """Embedding of the reduced double Bruhat cell: g -> (g, w0dot)."""
-    return ZPoint.of_forms((ratlin.int_form(g, square=True), slk.w0_form(len(g))))
+    form = ratlin.int_form(g, square=True)
+    flags = _check_factors((form,))
+    k = len(form[0])
+    w0 = _W0.get(k)
+    if w0 is None:
+        w0_form = slk.w0_form(k)
+        w0 = _W0[k] = w0_form, slk.FlagPoint.of_form(w0_form)
+    return ZPoint._of_parts((form, w0[0]), (*flags, w0[1]))
 
 
 def db_positive(k: int, v_word, w_word, params) -> Mat:
@@ -289,14 +344,15 @@ def db_positive(k: int, v_word, w_word, params) -> Mat:
     one exception in the library: the recorded benchmark workloads call
     this function with them, so the letters shift to ``slk``'s 0-based
     ones here.  The parameter list supplies l(w) values for the y's then
-    l(v) values for the x's.  The output is asserted totally nonnegative.
+    l(v) values for the x's, each read once (a Fraction as given).  The
+    output is asserted totally nonnegative.
     """
     v_word = tuple(v_word)
     w_word = tuple(w_word)
-    params = [Fraction(p) for p in params]
+    params = ratlin.as_fractions(params)
     if len(params) != len(v_word) + len(w_word):
         raise ValueError(f"need {len(v_word) + len(w_word)} parameters")
-    if any(p <= 0 for p in params):
+    if any(p.numerator <= 0 for p in params):
         raise ValueError("parameters must be positive")
     it = iter(params)
     form = slk.word_form(

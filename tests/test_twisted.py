@@ -537,45 +537,55 @@ def test_phi_z_checked_mode_flag(monkeypatch):
 
 def test_stratum_is_computed_once_per_point(monkeypatch):
     """A checked duality round trip computes the stratum of each of its three
-    points once; the kept stratum changes neither equality nor hashing."""
+    points once: one elimination of the point's product with its rows
+    reversed, which phi_Z reuses as the image's first flag.  The kept
+    stratum changes neither equality nor hashing."""
     group = type_a_group(3)
     w0 = group.from_word((0, 1, 0))
     z = twisted.parametrize_cell(group.identity, (w0, w0), range(1, 7), check=False)
     fresh = twisted.ZPoint(z.factors)
     calls = []
-    real = slk.opposite_cell
+    real = slk._echelon
 
-    def counted(g):
-        calls.append(g)
-        return real(g)
+    def counted(m):
+        calls.append(m)
+        return real(m)
 
-    monkeypatch.setattr(slk, "opposite_cell", counted)
+    monkeypatch.setattr(slk, "_echelon", counted)
     label = twisted.stratum(z)
     assert twisted.stratum(z) is label
     image = twisted.phi_Z(z, check=True)
     back = twisted.phi_Z(image, check=True)
     assert twisted.stratum(back) == label
-    assert len(calls) == 3
+    kept = [p._reversed._form[0] for p in (z, image, back)]
+    assert [sum(m is r for m in calls) for r in kept] == [1, 1, 1]
+    assert kept == [twisted._product(p)[0][::-1] for p in (z, image, back)]
+    # the other two: the later factor of each image
+    assert len(calls) == 5
     assert z == fresh and hash(z) == hash(fresh) and repr(z) == repr(fresh)
     assert fresh._stratum is None and len({z, fresh}) == 1
 
 
 def test_checked_round_trip_kernel_counts(monkeypatch):
     """A checked duality round trip at k=3, n=2 (parametrize_cell, phi_Z twice,
-    gauge_eq) makes 13 column eliminations, 3 products and no determinant.
+    gauge_eq) makes 11 column eliminations, 3 products, 1 inverse and no
+    determinant.
 
     Each point eliminates each factor once, when it is made: the flag it
     keeps gives the factor's Bruhat cell and rejects a singular factor.  It
-    keeps its product too, for stratum, phi_Z and the last flag of alpha.
-    Before, the same round trip made 15 eliminations, 6 determinants and 7
-    products: a determinant per factor to reject singular ones, the factors
-    eliminated again for their cells and the first one again in alpha, and
-    every product rebuilt.
+    keeps its product too, for stratum, phi_Z and the last flag of alpha,
+    and the flag of its product with rows reversed, for its opposite cell.
+    The image of phi_Z takes that flag as its first flag instead of
+    eliminating its first factor, and the source's forms as the inverses
+    its own image needs, so the second phi_Z inverts nothing.  Before, the
+    same round trip made 13 eliminations and 2 inverses; earlier still,
+    15 eliminations, 6 determinants and 7 products.
     """
     group = type_a_group(3)
     w0 = group.from_word((0, 1, 0))
     counts = {}
-    for module, name in ((slk, "_echelon"), (ratlin, "int_det"), (ratlin, "int_mul")):
+    for module, name in ((slk, "_echelon"), (ratlin, "int_det"), (ratlin, "int_mul"),
+                         (ratlin, "int_inv")):
         real = getattr(module, name)
 
         def counted(*args, _real=real, _name=name):
@@ -588,7 +598,7 @@ def test_checked_round_trip_kernel_counts(monkeypatch):
     image = twisted.phi_Z(z, check=True)
     back = twisted.phi_Z(image, check=True)
     assert twisted.gauge_eq(back, z)
-    assert counts == {"_echelon": 13, "int_mul": 3}
+    assert counts == {"_echelon": 11, "int_mul": 3, "int_inv": 1}
 
 
 def test_kept_flags_are_the_flags_of_the_factors():
@@ -727,6 +737,72 @@ def test_strata_at_k16():
         assert twisted.gauge_eq(twisted.phi_Z(image), z)
 
 
+def _phi_z_by_inverses(z):
+    """phi_Z with nothing inherited: every factor eliminated, every inverse by int_inv."""
+    m, d = twisted._product(z)
+    first = ratlin.reduced((slk.iota(slk.w0_inverse_times(m)), d))
+    rest = [(slk.iota(r), e) for r, e in map(ratlin.int_inv, reversed(z._forms[1:]))]
+    return twisted.ZPoint.of_forms((first, *rest))
+
+
+def _check_inherited(point):
+    """The values a point inherited or keeps agree with the paths they replace."""
+    k = point.k
+    flag, oracle = point._flags[0], slk.FlagPoint.of_form(point._forms[0])
+    assert (flag._cols, flag._pivots) == (oracle._cols, oracle._pivots)
+    assert flag.rep == oracle.rep == point.factors[0] and flag.cell == oracle.cell
+    if point._inverses is not None:
+        assert len(point._inverses) == point.n - 1
+        for form, kept in zip(reversed(point._forms[1:]), point._inverses):
+            assert (slk.iota(kept[0]), kept[1]) == ratlin.int_inv(form)
+    group = type_a_group(k)
+    product = ratlin.int_mul(*(m for m, _ in point._forms))
+    assert twisted.stratum(point) == (
+        from_perm(group, slk.opposite_cell(product)),
+        tuple(from_perm(group, slk.bruhat_cell(m)) for m, _ in point._forms),
+    )
+    for fresh in (twisted.ZPoint.of_forms(point._forms), twisted.ZPoint(point.factors)):
+        assert fresh._inverses is None
+        assert point == fresh and hash(point) == hash(fresh) and repr(point) == repr(fresh)
+
+
+def _differential_strata():
+    for n in (1, 2):
+        for q in iter_qnodes(type_a_group(3), n):
+            yield q.v, q.wbar
+    rng = random.Random(2468)
+    for k in (2, 4, 5, 6, 7, 8):
+        for n in (1, 2, 3):
+            yield from sample_strata(k, n, 2, rng)
+    yield from sample_strata(16, 3, 5, rng)
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_phi_z_inherited_values_match_the_paths_they_replace(check):
+    """The image's first flag (identity (i)) against its own elimination, the
+    kept inverses (identity (ii)) against int_inv, the opposite cell read off
+    the kept reversed product against slk.opposite_cell, and every form of
+    the image and of its image against phi_Z with nothing inherited: on every
+    stratum of k=3, n <= 2, seeded strata at k = 2, 4..8 (both parities of
+    k - 1), n = 1..3, and five at k = 16, n = 3."""
+    rng = random.Random(1357)
+    count = 0
+    for v, wbar in _differential_strata():
+        dim = sum(w.length for w in wbar) - v.length
+        z = twisted.parametrize_cell(v, wbar, twisted.random_params(dim, rng), check=check)
+        image = twisted.phi_Z(z, check=check)
+        back = twisted.phi_Z(image, check=check)
+        assert image._forms == _phi_z_by_inverses(z)._forms
+        assert back._forms == _phi_z_by_inverses(image)._forms
+        assert image._inverses == z._forms[1:] and back._inverses == image._forms[1:]
+        assert all(a is b for a, b in zip(back._forms[1:], z._forms[1:]))
+        for point in (z, image, back):
+            _check_inherited(point)
+        assert twisted.stratum(image) == twisted.dual_stratum(v, wbar)
+        count += 1
+    assert count == 19 + 167 + 36 + 5
+
+
 def test_double_bruhat_embed_examples(S3):
     A1 = type_a_group(2)
     # identity: (id, w0dot) with factor labels e and w0
@@ -782,6 +858,34 @@ def test_db_positive_validation():
         twisted.db_positive(1, (), (), [])
     big = slk.K_MAX + 1
     assert twisted.db_positive(big, (), (), []) == ratlin.identity(big)
+
+
+def test_parameter_entry_points_read_int_string_and_fraction_alike():
+    """parametrize_cell, slk.mr_form and db_positive give the same forms for
+    int, "p/q" and Fraction parameters, and refuse 0 and negative ones, of
+    each kind, with the same message."""
+    group = type_a_group(3)
+    w0 = group.from_word((0, 1, 0))
+    values = [Fraction(3), Fraction(1, 2), Fraction(5, 7), Fraction(4)]
+
+    def entry_points(params):
+        return (
+            twisted.parametrize_cell(group.identity, (w0, group.from_word((1,))), params)._forms,
+            slk.mr_form(3, (0, 1, 0), (None, None, None), params[:3]),
+            twisted.db_positive(3, (1, 2), (2, 1), params),
+        )
+
+    expected = entry_points(values)
+    for params in ([3, "1/2", "5/7", 4], ["3", "2/4", Fraction(10, 14), "8/2"]):
+        assert entry_points(params) == expected
+    for bad in (0, "0", Fraction(0), "0/5", -1, "-1/2", Fraction(-3, 4), Fraction(1, -2)):
+        params = [bad] + values[1:]
+        with pytest.raises(ValueError, match="^parameters must be positive$"):
+            twisted.parametrize_cell(group.identity, (w0, group.from_word((1,))), params)
+        with pytest.raises(ValueError, match="^parameters must be positive$"):
+            slk.mr_form(3, (0, 1, 0), (None, None, None), params[:3])
+        with pytest.raises(ValueError, match="^parameters must be positive$"):
+            twisted.db_positive(3, (1, 2), (2, 1), params)
 
 
 def test_db_positive_matches_product_oracle():
