@@ -309,14 +309,14 @@ def is_tnn(g) -> bool:
     return True
 
 
-def mr_form(k: int, word, taken, params) -> IntForm:
-    """Integer form of the Marsh-Rietsch product: sdot at taken letters, y(param) at skipped ones.
+def mr_letters(k: int, word, taken, params) -> list:
+    """The letters of the Marsh-Rietsch product, as ``word_form`` reads them.
 
     ``word`` is a reduced word, ``taken`` the positive subexpression (same
     length, None at skipped positions), ``params`` one positive rational
     per skipped position, consumed left to right; a Fraction is taken as
-    given, and its sign is that of its numerator.  The cells of the result
-    are checked by the caller, ``twisted.parametrize_cell``.
+    given, and its sign is that of its numerator.  A taken letter is
+    ``("s", i, None)``, a skipped one ``("y", i, param)``.
     """
     _check_k(k)
     word = tuple(word)
@@ -332,10 +332,18 @@ def mr_form(k: int, word, taken, params) -> IntForm:
     if any(t is not None and t != letter for letter, t in zip(word, taken)):
         raise ValueError("subexpression letter differs from the word")
     it = iter(params)
-    return word_form(
-        k, [("y", letter, next(it)) if t is None else ("s", letter, None)
+    return [("y", letter, next(it)) if t is None else ("s", letter, None)
             for letter, t in zip(word, taken)]
-    )
+
+
+def mr_form(k: int, word, taken, params) -> IntForm:
+    """Integer form of the Marsh-Rietsch product: sdot at taken letters, y(param) at skipped ones.
+
+    The product of the letters of :func:`mr_letters`, which checks the
+    arguments.  ``twisted.parametrize_cell`` builds its factors the same
+    way, keeping the letters, and checks their cells.
+    """
+    return word_form(k, mr_letters(k, word, taken, params))
 
 
 def mr_matrix(k: int, word, taken, params) -> Mat:

@@ -17,14 +17,28 @@ flag of each factor, which rejects a singular factor and gives its Bruhat
 cell; the product of the factors, and the flag of the product P with
 its rows reversed (J P), are built on first use.  The point keeps all
 three, so ``stratum``, ``phi_Z``, ``alpha`` and ``convolution`` reuse
-them and the twisted layer takes no determinant.  The image of
-``phi_Z`` inherits two values from its source, by linear algebra:
+them and the twisted layer takes no determinant.  ``phi_Z`` needs the
+factors iota(g_j^{-1}) and takes no matrix inverse where one of three
+identities gives them:
 (i) w0dot^{-1} = S J with S = diag((-1)^(k-1-r)), and iota is conjugation
 by D = diag((-1)^r); as D S = (-1)^(k-1), iota(w0dot^{-1} P) =
 (-1)^(k-1) J P D spans the flag of J P, which is the image's first flag.
 (ii) The image's later factors iota(g_j^{-1}) have the inverses iota(g_j),
-so a second ``phi_Z`` takes the source's forms g_j as they are.  A point
-with nothing inherited eliminates and inverts (``ratlin.int_inv``).
+so a second ``phi_Z`` takes the source's flags of g_j as they are.
+(iii) g -> iota(g^{-1}) reverses products and fixes each letter
+y_i(t), x_i(t), sdot_i and sdot_i^{-1}: inverting a letter negates its
+off-diagonal entries and iota negates them back.  So for g = L_1 ... L_m,
+iota(g^{-1}) = L_m ... L_1, and a factor made by ``parametrize_cell`` is
+inverted by ``slk.word_form`` of its letters reversed, in O(k) column
+operations per letter.  This holds whichever of sdot_i and sdot_i^{-1}
+the chart puts at a taken letter.  A point with neither a chart nor a
+source (``ZPoint(factors)``, ``of_forms``, ``from_json``) inverts by
+``ratlin.int_inv``.
+
+``gauge_eq`` returns at once on points whose forms are equal: equal
+forms are equal matrices.  The chart and ``ZPoint(factors)`` make forms
+in lowest terms, so a duality round trip from the chart, which gives
+back its source's forms, takes that path.
 
 ``parametrize_cell`` and ``phi_Z`` assert theorem-level facts on every call
 unless passed ``check=False``: the cell parametrization lands in its
@@ -56,12 +70,16 @@ class ZPoint:
     ``_reversed``, and the result of :func:`stratum` are computed on first
     use and kept; all depend on the factors alone.
 
-    A point made by :func:`phi_Z` has as first flag its source's
-    ``_reversed``, with its own first form as ``rep`` (identity (i) of the
-    module docstring), and keeps ``_inverses``, iota(h_n^{-1}), ...,
-    iota(h_2^{-1}) for its factors h_j: the source's forms, kept as
-    references (identity (ii)).  Other points keep None there.  Kept values
-    change neither equality, hashing nor ``repr``.
+    ``_inverses`` holds the flags of iota(g_n^{-1}), ..., iota(g_2^{-1}),
+    the later factors of the image under :func:`phi_Z`, made by its first
+    call and kept.  A point made by :func:`phi_Z` has as first flag its
+    source's ``_reversed``, with its own first form as ``rep`` (identity
+    (i) of the module docstring), and is made with ``_inverses`` set: its
+    source's flags of g_2, ..., g_n, kept as references (identity (ii)).
+    A point made by :func:`parametrize_cell` keeps ``_letters``, the
+    ``slk.word_form`` letters of g_2, ..., g_n, from which its inverses
+    are built (identity (iii)).  Other points keep None in both.  Kept
+    values change neither equality, hashing nor ``repr``.
 
     The Fraction ``factors`` are the ones passed to ``ZPoint(factors)``,
     stored as a tuple of tuples of rows with the entries as given, or for
@@ -69,7 +87,8 @@ class ZPoint:
     Equality, hashing and ``repr`` are those of ``factors``.
     """
 
-    __slots__ = ("_forms", "_flags", "_factors", "_inverses", "_product", "_reversed", "_stratum")
+    __slots__ = ("_forms", "_flags", "_factors", "_inverses", "_letters", "_product", "_reversed",
+                 "_stratum")
 
     def __init__(self, factors):
         factors = tuple(tuple(map(tuple, g)) for g in factors)
@@ -91,7 +110,7 @@ class ZPoint:
 
     def _set(self, forms, flags, factors, inverses) -> None:
         self._forms, self._flags, self._factors, self._inverses = forms, flags, factors, inverses
-        self._product = self._reversed = self._stratum = None
+        self._letters = self._product = self._reversed = self._stratum = None
 
     @property
     def factors(self) -> tuple[Mat, ...]:
@@ -175,13 +194,32 @@ def _reversed_flag(z: ZPoint) -> slk.FlagPoint:
     return z._reversed
 
 
+def _inverse_flags(z: ZPoint) -> tuple[slk.FlagPoint, ...]:
+    """Flags of iota(g_n^{-1}), ..., iota(g_2^{-1}), made once per point and kept.
+
+    From the chart's letters reversed when the point keeps them (identity
+    (iii) of the module docstring), by ``ratlin.int_inv`` otherwise.
+    """
+    if z._inverses is None:
+        if z._letters is not None:
+            k = z.k
+            forms = (slk.word_form(k, letters[::-1]) for letters in reversed(z._letters))
+        else:
+            forms = ((slk.iota(r), e) for r, e in map(ratlin.int_inv, reversed(z._forms[1:])))
+        z._inverses = tuple(map(slk.FlagPoint.of_form, forms))
+    return z._inverses
+
+
 def gauge_eq(z1: ZPoint, z2: ZPoint) -> bool:
     """Equality modulo the twisted gauge: the partial-product flags agree.
 
     h_i = b_{i-1}^{-1} g_i b_i (b_0 = 1) telescopes to h_1...h_i = g_1...g_i b_i, so the
     gauge exists iff every b_i = (g_1...g_i)^{-1}(h_1...h_i) is in B+, that is, iff
-    g_1...g_i B+ = h_1...h_i B+ for every i: iff alpha(z1) == alpha(z2).
+    g_1...g_i B+ = h_1...h_i B+ for every i: iff alpha(z1) == alpha(z2).  Equal forms
+    are equal points, decided with no elimination.
     """
+    if z1._forms == z2._forms:
+        return True
     if z1.k != z2.k or z1.n != z2.n:
         return False
     return alpha(z1) == alpha(z2)
@@ -206,6 +244,11 @@ def stratum(z: ZPoint) -> tuple[WeylElt, tuple[WeylElt, ...]]:
 
 
 def convolution(z: ZPoint) -> slk.FlagPoint:
+    """The flag g_1 ... g_n B+, image of the point under the convolution map.
+
+    Well defined on gauge classes: the twisted gauge changes the product
+    to g_1 ... g_n b_n.  One elimination of the kept product per call.
+    """
     return slk.FlagPoint.of_form(_product(z))
 
 
@@ -240,8 +283,9 @@ def parametrize_cell(
     the reduced word per factor, each checked to be one; the canonical
     words, reduced by construction, are used otherwise.  ``params`` supplies
     one positive rational per skipped letter, across factors left to
-    right, each read once (a Fraction as given); ``slk.mr_form`` refuses
-    one that is not positive.
+    right, each read once (a Fraction as given); ``slk.mr_letters`` refuses
+    one that is not positive.  The point keeps the letters of its later
+    factors, from which :func:`phi_Z` builds their inverses.
     With ``check`` on, each factor is asserted to lie in the opposite cell
     of its v_i, and the point in the stratum (v, wbar), which includes the
     Bruhat cell w_i of each factor.
@@ -270,15 +314,18 @@ def parametrize_cell(
     if len(params) != dim:
         raise ValueError(f"cell has dimension {dim}, got {len(params)} parameters")
     factors = []
+    letters = []
     pos = 0
     for vi, word, sub in zip(vbar, words, subs):
         need = len(word) - vi.length
-        form = slk.mr_form(k, word, sub, params[pos:pos + need])
+        letters.append(slk.mr_letters(k, word, sub, params[pos:pos + need]))
+        form = slk.word_form(k, letters[-1])
         pos += need
         if check and slk.opposite_cell(form[0]) != perm_of(vi):
             raise AssertionError("cell point left its opposite Schubert cell")
         factors.append(form)
     z = ZPoint.of_forms(factors)
+    z._letters = letters[1:]
     if check and stratum(z) != (v, wbar):
         raise AssertionError("parametrized point landed outside its stratum")
     return z
@@ -297,9 +344,11 @@ def phi_Z(z: ZPoint, check: bool = True) -> ZPoint:
     """Duality: (g_1,...,g_n) -> (iota(w0dot^{-1} g_1...g_n), iota(g_n^{-1}), ...).
 
     The image's first flag is the source's flag of its reversed product,
-    by identity (i) of the module docstring; its later factors are the
-    source's ``_inverses`` when kept, by identity (ii), and come from
-    ``ratlin.int_inv`` otherwise; it keeps g_2, ..., g_n as its own.
+    by identity (i) of the module docstring.  Its later factors and their
+    flags are the source's ``_inverses``: inherited by identity (ii),
+    built from the chart's letters by identity (iii), or by
+    ``ratlin.int_inv`` for a point with neither.  The image keeps the
+    source's flags of g_2, ..., g_n as its own ``_inverses``.
 
     With ``check`` on, the stratum permutation of :func:`dual_stratum` is
     asserted on every call.  Its first component w0 v, the Bruhat cell of
@@ -311,11 +360,9 @@ def phi_Z(z: ZPoint, check: bool = True) -> ZPoint:
         label = stratum(z)
     m, d = _product(z)
     first = ratlin.reduced((slk.iota(slk.w0_inverse_times(m)), d))
-    rest = z._inverses
-    if rest is None:
-        rest = tuple((slk.iota(r), e) for r, e in map(ratlin.int_inv, reversed(z._forms[1:])))
-    flags = (_reversed_flag(z).with_form(first), *map(slk.FlagPoint.of_form, rest))
-    out = ZPoint._of_parts((first, *rest), flags, z._forms[1:])
+    rest = _inverse_flags(z)
+    forms = (first, *(f._form for f in rest))
+    out = ZPoint._of_parts(forms, (_reversed_flag(z).with_form(first), *rest), z._flags[1:])
     if check and stratum(out) != dual_stratum(*label):
         raise AssertionError("duality image landed outside the predicted stratum")
     return out

@@ -308,6 +308,23 @@ def test_w0_dot_closed_form():
         assert tuple(zip(*w0d)) == ratlin.mat_inv(w0d)
 
 
+def test_iota_of_the_inverse_reverses_words():
+    """g -> iota(g^{-1}) fixes x_i(a), y_i(a), sdot_i and sdot_i^{-1}, and
+    reverses products: iota(g^{-1}) is the word of g read backwards."""
+    rng = random.Random(53)
+    for k in (2, 3, 4, 5):
+        for i in range(k - 1):
+            a = rand_frac(rng, 1, 20)
+            for letters in ([("x", i, a)], [("y", i, a)], [("s", i, None)], [("s", i, None)] * 3):
+                g = slk.word_matrix(k, letters)
+                assert slk.iota(ratlin.mat_inv(g)) == g
+        for _ in range(6):
+            word = [(rng.choice("xys"), rng.randrange(k - 1), rand_frac(rng, 1, 20))
+                    for _ in range(rng.randint(1, 3 * k))]
+            m, d = ratlin.int_inv(slk.word_form(k, word))
+            assert ratlin.reduced((slk.iota(m), d)) == slk.word_form(k, word[::-1])
+
+
 def test_bruhat_cell_matches_elimination_oracle_random():
     rng = random.Random(101)
     for k in (2, 3, 4):

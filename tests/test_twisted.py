@@ -264,7 +264,8 @@ def test_parametrize_cell_examples():
 
 def test_parametrize_cell_refuses_a_foreign_group(A2, monkeypatch):
     """Elements of a group other than ``type_a_group(k)`` are refused, with
-    check on and off, before any matrix is built.  ``stratum`` answers in
+    check on and off, before any matrix is built: the letter and factor
+    builders are patched to raise.  ``stratum`` answers in
     ``type_a_group(k)``, so with check on a right point used to fail its
     check with a false AssertionError."""
     s1 = A2.simple(0)
@@ -275,7 +276,8 @@ def test_parametrize_cell_refuses_a_foreign_group(A2, monkeypatch):
     def no_matrix(*args):
         raise AssertionError("a matrix was built for a foreign group")
 
-    monkeypatch.setattr(slk, "mr_form", no_matrix)
+    for name in ("mr_letters", "word_form", "mr_form"):
+        monkeypatch.setattr(slk, name, no_matrix)
     for check in (True, False):
         with pytest.raises(ContextMismatchError, match=r"type_a_group\(3\)"):
             twisted.parametrize_cell(s1, (s1,), [], check=check)
@@ -539,7 +541,12 @@ def test_stratum_is_computed_once_per_point(monkeypatch):
     """A checked duality round trip computes the stratum of each of its three
     points once: one elimination of the point's product with its rows
     reversed, which phi_Z reuses as the image's first flag.  The kept
-    stratum changes neither equality nor hashing."""
+    stratum changes neither equality nor hashing.
+
+    One more elimination makes the flag of the first image's later factor,
+    built from the chart's letters reversed; the second image inherits its
+    source's flags.  Before the images kept their source's flags, each
+    image eliminated its later factor (5 eliminations in all)."""
     group = type_a_group(3)
     w0 = group.from_word((0, 1, 0))
     z = twisted.parametrize_cell(group.identity, (w0, w0), range(1, 7), check=False)
@@ -560,15 +567,16 @@ def test_stratum_is_computed_once_per_point(monkeypatch):
     kept = [p._reversed._form[0] for p in (z, image, back)]
     assert [sum(m is r for m in calls) for r in kept] == [1, 1, 1]
     assert kept == [twisted._product(p)[0][::-1] for p in (z, image, back)]
-    # the other two: the later factor of each image
-    assert len(calls) == 5
+    # the other one: the later factor of the first image
+    assert len(calls) == 4
+    assert image._flags[1] is z._inverses[0] and back._flags[1] is z._flags[1]
     assert z == fresh and hash(z) == hash(fresh) and repr(z) == repr(fresh)
     assert fresh._stratum is None and len({z, fresh}) == 1
 
 
 def test_checked_round_trip_kernel_counts(monkeypatch):
     """A checked duality round trip at k=3, n=2 (parametrize_cell, phi_Z twice,
-    gauge_eq) makes 11 column eliminations, 3 products, 1 inverse and no
+    gauge_eq) makes 8 column eliminations, 3 products, no inverse and no
     determinant.
 
     Each point eliminates each factor once, when it is made: the flag it
@@ -576,10 +584,15 @@ def test_checked_round_trip_kernel_counts(monkeypatch):
     keeps its product too, for stratum, phi_Z and the last flag of alpha,
     and the flag of its product with rows reversed, for its opposite cell.
     The image of phi_Z takes that flag as its first flag instead of
-    eliminating its first factor, and the source's forms as the inverses
-    its own image needs, so the second phi_Z inverts nothing.  Before, the
-    same round trip made 13 eliminations and 2 inverses; earlier still,
-    15 eliminations, 6 determinants and 7 products.
+    eliminating its first factor, and the source's flags of its later
+    factors as the inverses its own image needs, so the second phi_Z
+    neither inverts nor eliminates.  The first phi_Z builds the later
+    factor from the chart's letters reversed, with no inverse, and
+    gauge_eq returns on the equal forms of the point and its round trip
+    before any elimination.  Before, the same round trip made 11
+    eliminations and 1 inverse; before that, 13 eliminations and 2
+    inverses; earlier still, 15 eliminations, 6 determinants and 7
+    products.
     """
     group = type_a_group(3)
     w0 = group.from_word((0, 1, 0))
@@ -598,7 +611,7 @@ def test_checked_round_trip_kernel_counts(monkeypatch):
     image = twisted.phi_Z(z, check=True)
     back = twisted.phi_Z(image, check=True)
     assert twisted.gauge_eq(back, z)
-    assert counts == {"_echelon": 11, "int_mul": 3, "int_inv": 1}
+    assert counts == {"_echelon": 8, "int_mul": 3}
 
 
 def test_kept_flags_are_the_flags_of_the_factors():
@@ -745,16 +758,30 @@ def _phi_z_by_inverses(z):
     return twisted.ZPoint.of_forms((first, *rest))
 
 
+def _inverses_by_int_inv(z):
+    """The forms iota(g_n^{-1}), ..., iota(g_2^{-1}) by int_inv, in lowest terms."""
+    return tuple(ratlin.reduced((slk.iota(r), e))
+                 for r, e in map(ratlin.int_inv, reversed(z._forms[1:])))
+
+
+def _check_flag(flag, form):
+    """flag is the flag of form, with form as its rep, as a fresh elimination makes it."""
+    oracle = slk.FlagPoint.of_form(form)
+    assert flag._form == form
+    assert (flag._cols, flag._pivots) == (oracle._cols, oracle._pivots)
+    assert flag.rep == oracle.rep and flag.cell == oracle.cell
+
+
 def _check_inherited(point):
     """The values a point inherited or keeps agree with the paths they replace."""
     k = point.k
-    flag, oracle = point._flags[0], slk.FlagPoint.of_form(point._forms[0])
-    assert (flag._cols, flag._pivots) == (oracle._cols, oracle._pivots)
-    assert flag.rep == oracle.rep == point.factors[0] and flag.cell == oracle.cell
+    for flag, form in zip(point._flags, point._forms):
+        _check_flag(flag, form)
+    assert point._flags[0].rep == point.factors[0]
     if point._inverses is not None:
         assert len(point._inverses) == point.n - 1
-        for form, kept in zip(reversed(point._forms[1:]), point._inverses):
-            assert (slk.iota(kept[0]), kept[1]) == ratlin.int_inv(form)
+        for flag, form in zip(point._inverses, _inverses_by_int_inv(point)):
+            _check_flag(flag, form)
     group = type_a_group(k)
     product = ratlin.int_mul(*(m for m, _ in point._forms))
     assert twisted.stratum(point) == (
@@ -780,7 +807,8 @@ def _differential_strata():
 @pytest.mark.parametrize("check", [True, False])
 def test_phi_z_inherited_values_match_the_paths_they_replace(check):
     """The image's first flag (identity (i)) against its own elimination, the
-    kept inverses (identity (ii)) against int_inv, the opposite cell read off
+    kept inverses and their flags (identities (ii) and (iii)) against int_inv
+    and fresh eliminations, the opposite cell read off
     the kept reversed product against slk.opposite_cell, and every form of
     the image and of its image against phi_Z with nothing inherited: on every
     stratum of k=3, n <= 2, seeded strata at k = 2, 4..8 (both parities of
@@ -794,13 +822,94 @@ def test_phi_z_inherited_values_match_the_paths_they_replace(check):
         back = twisted.phi_Z(image, check=check)
         assert image._forms == _phi_z_by_inverses(z)._forms
         assert back._forms == _phi_z_by_inverses(image)._forms
-        assert image._inverses == z._forms[1:] and back._inverses == image._forms[1:]
+        assert image._inverses == z._flags[1:] and back._inverses == image._flags[1:]
+        assert all(a is b for a, b in zip(back._flags[1:], z._flags[1:]))
         assert all(a is b for a, b in zip(back._forms[1:], z._forms[1:]))
+        assert image._flags[1:] == z._inverses
         for point in (z, image, back):
             _check_inherited(point)
         assert twisted.stratum(image) == twisted.dual_stratum(v, wbar)
         count += 1
     assert count == 19 + 167 + 36 + 5
+
+
+def _points_with_given_words(rng):
+    """Checked chart points of k=3 n=2 and k=4 n=2, each factor on a
+    reduced word that is not the canonical one where it has another."""
+    for k, n in ((3, 2), (4, 2)):
+        group = type_a_group(k)
+        tops = list(product(group.elements_up_to_length(k * (k - 1) // 2), repeat=n))
+        for wbar in rng.sample(tops, 12) if len(tops) > 12 else tops:
+            words = [next((word for word in oracles.all_reduced_words(group, w)
+                           if word != w.word), w.word) for w in wbar]
+            for v in rng.sample(list(group.lower_interval(group.m_star(wbar))), 1):
+                dim = sum(w.length for w in wbar) - v.length
+                yield twisted.parametrize_cell(v, wbar, twisted.random_params(dim, rng),
+                                               words=words)
+
+
+def test_word_built_inverses_match_int_inv():
+    """Identity (iii): the later factors of phi_Z's image, built from the
+    chart's letters reversed, equal reduced(iota(int_inv(g))) form for form,
+    and their flags the flags of those forms.  On every stratum of k=3,
+    n <= 2, seeded strata at k = 2, 4..8 and 16 with n <= 3, and points
+    made on non-canonical reduced words.  A point with no chart inverts by
+    int_inv and gets the same forms."""
+    rng = random.Random(9753)
+    charted = []
+    for v, wbar in _differential_strata():
+        dim = sum(w.length for w in wbar) - v.length
+        charted.append(twisted.parametrize_cell(v, wbar, twisted.random_params(dim, rng),
+                                                check=False))
+    charted += _points_with_given_words(rng)
+    taken = 0
+    for z in charted:
+        assert z._inverses is None and len(z._letters) == z.n - 1
+        expected = _inverses_by_int_inv(z)
+        built = twisted._inverse_flags(z)
+        assert tuple(f._form for f in built) == expected
+        for flag, form in zip(built, expected):
+            _check_flag(flag, form)
+        assert twisted._inverse_flags(z) is built
+        plain = twisted.ZPoint.of_forms(z._forms)
+        assert plain._letters is None
+        assert tuple(f._form for f in twisted._inverse_flags(plain)) == expected
+        taken += any(kind == "s" for letters in z._letters for kind, _, _ in letters)
+    assert len(charted) == 19 + 167 + 36 + 5 + 12 + 12
+    assert taken > 100
+
+
+def test_gauge_eq_takes_equal_forms_without_elimination(monkeypatch):
+    """Distinct points with equal forms are gauge equal with no elimination
+    and no alpha; a gauge-perturbed point and a point of another stratum
+    still go through alpha, with the verdicts alpha gives."""
+    group = type_a_group(3)
+    w0 = group.from_word((0, 1, 0))
+    rng = random.Random(77)
+    z = twisted.parametrize_cell(group.from_word((0,)), (w0, w0), twisted.random_params(5, rng))
+    other = twisted.parametrize_cell(group.identity, (w0, w0), twisted.random_params(6, rng))
+    perturbed = perturb_gauge(z, rng)
+    back = twisted.phi_Z(twisted.phi_Z(z))
+    copies = [twisted.ZPoint(z.factors), twisted.ZPoint.of_forms(
+        tuple((tuple(map(tuple, m)), d) for m, d in z._forms)), back]
+    expected = {id(p): twisted.alpha(p) == twisted.alpha(z) for p in (perturbed, other)}
+    assert expected == {id(perturbed): True, id(other): False}
+    calls = {"alpha": 0, "_echelon": 0}
+    for module, name in ((twisted, "alpha"), (slk, "_echelon")):
+        real = getattr(module, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    for copy in copies:
+        assert copy is not z and copy._forms == z._forms
+        assert twisted.gauge_eq(copy, z) and twisted.gauge_eq(z, copy)
+    assert calls == {"alpha": 0, "_echelon": 0}
+    for point in (perturbed, other):
+        assert twisted.gauge_eq(point, z) is expected[id(point)]
+    assert calls["alpha"] == 4
 
 
 def test_double_bruhat_embed_examples(S3):
