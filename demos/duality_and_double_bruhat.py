@@ -8,7 +8,8 @@ stay totally nonnegative and land in one consistent stratum per label.
 
 from fractions import Fraction
 
-from tnnflag import phi_Z, stratum, type_a_group
+from tnnflag import ZPoint, phi_Z, stratum, type_a_group
+from tnnflag.ratlin import int_form
 from tnnflag.slk import double_bruhat_labels, is_tnn
 from tnnflag.twisted import (
     db_positive,
@@ -39,6 +40,16 @@ for v, wbar, dim in [
     iv, iwbar = stratum(image)
     back = phi_Z(image)
     print(f"  {show(v, wbar):<28s} -> {show(iv, iwbar):<28s} involution: {gauge_eq(back, z)}")
+print()
+
+print("phi_Z twice gives back the point itself; a point given by integer forms")
+print("(m, d), standing for m / d, not in lowest terms gets back an equal new point:")
+z = parametrize_cell(s1, (w0, w0), [Fraction(i + 2, 3) for i in range(5)])
+doubled = ZPoint.of_forms([(tuple(tuple(2 * x for x in row) for row in m), 2 * d)
+                           for m, d in map(int_form, z.factors)])
+for name, point in (("chart point", z), ("doubled forms", doubled)):
+    back = phi_Z(phi_Z(point))
+    print(f"  {name:<14s} round trip is the point: {back is point};  equal: {back == point}")
 print()
 
 print("positive double Bruhat points for SL3 (labels v, w; y's then x's):")

@@ -222,9 +222,15 @@ def opposite_cell(g) -> tuple[int, ...]:
     B- = w0dot B+ w0dot^{-1}.  w0dot^{-1} is the row reversal J times a
     diagonal sign matrix D, and J D = (J D J) J with J D J in B+, so the
     Bruhat cell of w0dot^{-1} g is that of g with its rows reversed.
+    g is a Fraction matrix or an int matrix, checked by ``ratlin.int_form``.
     """
-    k = len(g)
-    return tuple(k + 1 - p for p in bruhat_cell(g[::-1]))
+    return _opposite_cell(ratlin.int_form(g, square=True)[0])
+
+
+def _opposite_cell(m: IntMat) -> tuple[int, ...]:
+    """:func:`opposite_cell` of a square int matrix: one elimination of m with its rows reversed."""
+    k = len(m)
+    return tuple(k - p for p in _echelon(m[::-1])[1])
 
 
 def double_bruhat_labels(g) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -316,7 +322,8 @@ def mr_letters(k: int, word, taken, params) -> list:
     length, None at skipped positions), ``params`` one positive rational
     per skipped position, consumed left to right; a Fraction is taken as
     given, and its sign is that of its numerator.  A taken letter is
-    ``("s", i, None)``, a skipped one ``("y", i, param)``.
+    ``("s", i, None)``, a skipped one ``("y", i, param)``.  The arguments
+    are checked here; :func:`_mr_letters` builds the letters.
     """
     _check_k(k)
     word = tuple(word)
@@ -331,8 +338,16 @@ def mr_letters(k: int, word, taken, params) -> list:
         raise ValueError("parameters must be positive")
     if any(t is not None and t != letter for letter, t in zip(word, taken)):
         raise ValueError("subexpression letter differs from the word")
-    it = iter(params)
-    return [("y", letter, next(it)) if t is None else ("s", letter, None)
+    return _mr_letters(word, taken, iter(params))
+
+
+def _mr_letters(word, taken, params) -> list:
+    """The letters of :func:`mr_letters`, with its arguments unchecked.
+
+    ``params`` is an iterator, advanced once per skipped position, so
+    consecutive factors can share one.
+    """
+    return [("y", letter, next(params)) if t is None else ("s", letter, None)
             for letter, t in zip(word, taken)]
 
 
@@ -341,7 +356,8 @@ def mr_form(k: int, word, taken, params) -> IntForm:
 
     The product of the letters of :func:`mr_letters`, which checks the
     arguments.  ``twisted.parametrize_cell`` builds its factors the same
-    way, keeping the letters, and checks their cells.
+    way from :func:`_mr_letters`, having checked its arguments once for
+    all factors, keeps the letters, and checks the factors' cells.
     """
     return word_form(k, mr_letters(k, word, taken, params))
 

@@ -23,8 +23,12 @@ identities gives them:
 (i) w0dot^{-1} = S J with S = diag((-1)^(k-1-r)), and iota is conjugation
 by D = diag((-1)^r); as D S = (-1)^(k-1), iota(w0dot^{-1} P) =
 (-1)^(k-1) J P D spans the flag of J P, which is the image's first flag.
-(ii) The image's later factors iota(g_j^{-1}) have the inverses iota(g_j),
-so a second ``phi_Z`` takes the source's flags of g_j as they are.
+(ii) phi_Z is an involution on matrices, not only on gauge classes: the
+image's later factors iota(g_j^{-1}) have the inverses iota(g_j), and its
+product is iota(w0dot^{-1} g_1), so the image of the image is the source
+itself.  A second ``phi_Z`` takes the source's flags of g_j as they are,
+and when the first form it computes is the source's own first form, it
+returns the source point, with its kept flags and stratum.
 (iii) g -> iota(g^{-1}) reverses products and fixes each letter
 y_i(t), x_i(t), sdot_i and sdot_i^{-1}: inverting a letter negates its
 off-diagonal entries and iota negates them back.  So for g = L_1 ... L_m,
@@ -35,10 +39,12 @@ the chart puts at a taken letter.  A point with neither a chart nor a
 source (``ZPoint(factors)``, ``of_forms``, ``from_json``) inverts by
 ``ratlin.int_inv``.
 
-``gauge_eq`` returns at once on points whose forms are equal: equal
-forms are equal matrices.  The chart and ``ZPoint(factors)`` make forms
-in lowest terms, so a duality round trip from the chart, which gives
-back its source's forms, takes that path.
+The chart and ``ZPoint(factors)`` make forms in lowest terms, and so does
+``phi_Z`` for the first factor, so a duality round trip from either ends
+at its source.  A source whose first form is not in lowest terms (one
+made by ``of_forms``) gets a new point with the same factors.
+``gauge_eq`` returns at once on points whose forms are equal: equal forms
+are equal matrices.
 
 ``parametrize_cell`` and ``phi_Z`` assert theorem-level facts on every call
 unless passed ``check=False``: the cell parametrization lands in its
@@ -72,14 +78,15 @@ class ZPoint:
 
     ``_inverses`` holds the flags of iota(g_n^{-1}), ..., iota(g_2^{-1}),
     the later factors of the image under :func:`phi_Z`, made by its first
-    call and kept.  A point made by :func:`phi_Z` has as first flag its
-    source's ``_reversed``, with its own first form as ``rep`` (identity
-    (i) of the module docstring), and is made with ``_inverses`` set: its
-    source's flags of g_2, ..., g_n, kept as references (identity (ii)).
-    A point made by :func:`parametrize_cell` keeps ``_letters``, the
+    call and kept.  A point made by :func:`phi_Z` keeps the point it was
+    made from as ``_source``; it has as first flag its source's
+    ``_reversed``, with its own first form as ``rep`` (identity (i) of the
+    module docstring), and is made with ``_inverses`` set: its source's
+    flags of g_2, ..., g_n, kept as references (identity (ii)).  A point
+    made by :func:`parametrize_cell` keeps ``_letters``, the
     ``slk.word_form`` letters of g_2, ..., g_n, from which its inverses
-    are built (identity (iii)).  Other points keep None in both.  Kept
-    values change neither equality, hashing nor ``repr``.
+    are built (identity (iii)).  Other points keep None in all three.
+    Kept values change neither equality, hashing nor ``repr``.
 
     The Fraction ``factors`` are the ones passed to ``ZPoint(factors)``,
     stored as a tuple of tuples of rows with the entries as given, or for
@@ -88,7 +95,7 @@ class ZPoint:
     """
 
     __slots__ = ("_forms", "_flags", "_factors", "_inverses", "_letters", "_product", "_reversed",
-                 "_stratum")
+                 "_source", "_stratum")
 
     def __init__(self, factors):
         factors = tuple(tuple(map(tuple, g)) for g in factors)
@@ -97,19 +104,25 @@ class ZPoint:
 
     @classmethod
     def of_forms(cls, forms) -> "ZPoint":
-        """The point with these integer-form factors; its Fraction factors wait for a read."""
-        forms = tuple(forms)
+        """The point with these integer-form factors; its Fraction factors wait for a read.
+
+        Each form (m, d) needs a square m, checked by ``ratlin.int_form``
+        with its messages, and a positive d; ValueError otherwise.
+        """
+        forms = tuple(map(_checked_form, forms))
         return cls._of_parts(forms, _check_factors(forms))
 
     @classmethod
-    def _of_parts(cls, forms, flags, inverses=None) -> "ZPoint":
-        """The point with these forms and flags of them, made by the caller."""
+    def _of_parts(cls, forms, flags, source=None) -> "ZPoint":
+        """The point with these forms and flags of them, made by the caller;
+        ``source`` is the point :func:`phi_Z` made it from."""
         z = cls.__new__(cls)
-        z._set(forms, flags, None, inverses)
+        z._set(forms, flags, None, source)
         return z
 
-    def _set(self, forms, flags, factors, inverses) -> None:
-        self._forms, self._flags, self._factors, self._inverses = forms, flags, factors, inverses
+    def _set(self, forms, flags, factors, source) -> None:
+        self._forms, self._flags, self._factors, self._source = forms, flags, factors, source
+        self._inverses = None if source is None else source._flags[1:]
         self._letters = self._product = self._reversed = self._stratum = None
 
     @property
@@ -157,6 +170,15 @@ class ZPoint:
             return cls(tuple(tuple(tuple(Fraction(x) for x in row) for row in g) for g in factors))
         except ZeroDivisionError:
             raise ValueError("an entry has denominator 0") from None
+
+
+def _checked_form(form) -> IntForm:
+    """The form (m, d) with m checked square by ``ratlin.int_form`` and d > 0."""
+    m, d = form
+    m, e = ratlin.int_form(m, square=True)
+    if d <= 0:
+        raise ValueError(f"need a positive denominator, got {d}")
+    return m, d * e
 
 
 def _check_factors(forms) -> tuple[slk.FlagPoint, ...]:
@@ -283,12 +305,16 @@ def parametrize_cell(
     the reduced word per factor, each checked to be one; the canonical
     words, reduced by construction, are used otherwise.  ``params`` supplies
     one positive rational per skipped letter, across factors left to
-    right, each read once (a Fraction as given); ``slk.mr_letters`` refuses
-    one that is not positive.  The point keeps the letters of its later
-    factors, from which :func:`phi_Z` builds their inverses.
+    right, each read once (a Fraction as given); one that is not positive
+    is refused before any factor is built.  The letters come from
+    ``slk._mr_letters``, whose arguments the split and the count above
+    have checked, and the point is made from the forms and flags built
+    here, with no second check of either.  The point keeps the letters of
+    its later factors, from which :func:`phi_Z` builds their inverses.
     With ``check`` on, each factor is asserted to lie in the opposite cell
-    of its v_i, and the point in the stratum (v, wbar), which includes the
-    Bruhat cell w_i of each factor.
+    of its v_i, by one elimination of its form with rows reversed
+    (``slk._opposite_cell``), and the point in the stratum (v, wbar),
+    which includes the Bruhat cell w_i of each factor.
     The elements must come from ``type_a_group(k)``, which :func:`stratum`
     answers in: any other group raises ``ContextMismatchError``.
     """
@@ -313,18 +339,18 @@ def parametrize_cell(
     params = ratlin.as_fractions(params)
     if len(params) != dim:
         raise ValueError(f"cell has dimension {dim}, got {len(params)} parameters")
-    factors = []
+    if any(p.numerator <= 0 for p in params):
+        raise ValueError("parameters must be positive")
+    forms = []
     letters = []
-    pos = 0
+    it = iter(params)
     for vi, word, sub in zip(vbar, words, subs):
-        need = len(word) - vi.length
-        letters.append(slk.mr_letters(k, word, sub, params[pos:pos + need]))
+        letters.append(slk._mr_letters(word, sub, it))
         form = slk.word_form(k, letters[-1])
-        pos += need
-        if check and slk.opposite_cell(form[0]) != perm_of(vi):
+        if check and slk._opposite_cell(form[0]) != perm_of(vi):
             raise AssertionError("cell point left its opposite Schubert cell")
-        factors.append(form)
-    z = ZPoint.of_forms(factors)
+        forms.append(form)
+    z = ZPoint._of_parts(tuple(forms), tuple(map(slk.FlagPoint.of_form, forms)))
     z._letters = letters[1:]
     if check and stratum(z) != (v, wbar):
         raise AssertionError("parametrized point landed outside its stratum")
@@ -348,10 +374,24 @@ def phi_Z(z: ZPoint, check: bool = True) -> ZPoint:
     flags are the source's ``_inverses``: inherited by identity (ii),
     built from the chart's letters by identity (iii), or by
     ``ratlin.int_inv`` for a point with neither.  The image keeps the
-    source's flags of g_2, ..., g_n as its own ``_inverses``.
+    source, and the source's flags of g_2, ..., g_n as its own
+    ``_inverses``.
+
+    On a point made by ``phi_Z`` whose first form comes out as its
+    source's first form, the image is the source (identity (ii)): that
+    point is returned, and nothing is built.  So a round trip from the
+    chart ends where it started:
+
+    >>> from tnnflag.weyl import type_a_group
+    >>> S2 = type_a_group(2)
+    >>> s = S2.simple(0)
+    >>> z = parametrize_cell(S2.identity, (s, s), [1, 2])
+    >>> phi_Z(phi_Z(z)) is z
+    True
 
     With ``check`` on, the stratum permutation of :func:`dual_stratum` is
-    asserted on every call.  Its first component w0 v, the Bruhat cell of
+    asserted on every call, against the kept stratum of the source when
+    the source is returned.  Its first component w0 v, the Bruhat cell of
     the image's first factor, is read off the source's own elimination,
     so it holds by identity (i), a linear-algebra fact; the theorem's
     content is in v' = w0 w_1 and in the later factors.
@@ -360,9 +400,13 @@ def phi_Z(z: ZPoint, check: bool = True) -> ZPoint:
         label = stratum(z)
     m, d = _product(z)
     first = ratlin.reduced((slk.iota(slk.w0_inverse_times(m)), d))
-    rest = _inverse_flags(z)
-    forms = (first, *(f._form for f in rest))
-    out = ZPoint._of_parts(forms, (_reversed_flag(z).with_form(first), *rest), z._flags[1:])
+    source = z._source
+    if source is not None and first == source._forms[0]:
+        out = source
+    else:
+        rest = _inverse_flags(z)
+        forms = (first, *(f._form for f in rest))
+        out = ZPoint._of_parts(forms, (_reversed_flag(z).with_form(first), *rest), z)
     if check and stratum(out) != dual_stratum(*label):
         raise AssertionError("duality image landed outside the predicted stratum")
     return out

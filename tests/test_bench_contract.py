@@ -25,8 +25,11 @@ def test_traced_cells_items_are_correct():
     with Tracer() as tracer:
         outputs = [tracer.root(idx, item.kind, item.run) for idx, item in enumerate(items)]
     assert slk.bruhat_cell is original
-    assert tracer.calls["slk.bruhat_cell"] > 0
-    assert tracer.calls["slk.opposite_cell"] > 0
+    # the chart checks its factors' opposite cells through the kernel
+    # slk._opposite_cell, so the public readers see no call from this
+    # workload; is_tnn, called inside the package by db_positive, shows that
+    # the wrappers see calls made inside the package
+    assert tracer.calls["slk.bruhat_cell"] == tracer.calls["slk.opposite_cell"] == 0
     assert tracer.calls["slk.is_tnn"] > 0
     for item, out in zip(items, outputs):
         assert item.check(out) is None, item.key

@@ -233,7 +233,16 @@ def test_zpoint_equality_ignores_container_types():
 
 def test_zpoint_rejects_non_square_and_ragged_factors():
     """A 2x3 factor used to be accepted and labeled (e; (e,)); a ragged JSON
-    row used to raise IndexError."""
+    row used to raise IndexError.  ``of_forms`` used to take a ragged form
+    as a point of (e; e), a 3x2 form as a point whose stratum raised, and a
+    zero denominator as a point whose factors raised ZeroDivisionError."""
+    with pytest.raises(ValueError, match="^matrix rows have different lengths$"):
+        twisted.ZPoint.of_forms([(((1, 0), (0, 1, 5)), 1)])
+    with pytest.raises(ValueError, match="^need a square matrix, got 3x2$"):
+        twisted.ZPoint.of_forms([(((1, 0), (0, 1), (0, 0)), 1)])
+    for d in (0, -1):
+        with pytest.raises(ValueError, match=f"^need a positive denominator, got {d}$"):
+            twisted.ZPoint.of_forms([slk.w0_form(2), (((1, 0), (0, 1)), d)])
     with pytest.raises(ValueError, match="square"):
         twisted.ZPoint((((1, 0, 0), (0, 1, 0)),))
     with pytest.raises(ValueError, match="square"):
@@ -265,7 +274,8 @@ def test_parametrize_cell_examples():
 def test_parametrize_cell_refuses_a_foreign_group(A2, monkeypatch):
     """Elements of a group other than ``type_a_group(k)`` are refused, with
     check on and off, before any matrix is built: the letter and factor
-    builders are patched to raise.  ``stratum`` answers in
+    builders, the chart's private letter builder among them, are patched
+    to raise.  ``stratum`` answers in
     ``type_a_group(k)``, so with check on a right point used to fail its
     check with a false AssertionError."""
     s1 = A2.simple(0)
@@ -276,7 +286,7 @@ def test_parametrize_cell_refuses_a_foreign_group(A2, monkeypatch):
     def no_matrix(*args):
         raise AssertionError("a matrix was built for a foreign group")
 
-    for name in ("mr_letters", "word_form", "mr_form"):
+    for name in ("mr_letters", "_mr_letters", "word_form", "mr_form"):
         monkeypatch.setattr(slk, name, no_matrix)
     for check in (True, False):
         with pytest.raises(ContextMismatchError, match=r"type_a_group\(3\)"):
@@ -305,7 +315,8 @@ def test_parametrize_cell_builds_no_thickened_group(monkeypatch):
 
 
 def test_parametrize_cell_checks_opposite_cells(monkeypatch):
-    """check=True asserts each factor's opposite cell (forced wrong here);
+    """check=True asserts each factor's opposite cell (forced wrong here),
+    through the kernel ``slk._opposite_cell`` on the factor's int matrix;
     check=False skips the assertion and builds the same point."""
     group = type_a_group(3)
     w0 = group.from_word((0, 1, 0))
@@ -317,10 +328,10 @@ def test_parametrize_cell_checks_opposite_cells(monkeypatch):
         seen.append(g)
         return perm_of(w0)
 
-    monkeypatch.setattr(slk, "opposite_cell", wrong_opposite)
+    monkeypatch.setattr(slk, "_opposite_cell", wrong_opposite)
     with pytest.raises(AssertionError, match="opposite Schubert cell"):
         twisted.parametrize_cell(v, wbar, range(1, 5))
-    assert seen == [expected.factors[0]]
+    assert seen == [expected._forms[0][0]]
     seen.clear()
     assert twisted.parametrize_cell(v, wbar, range(1, 5), check=False) == expected
     assert seen == []
@@ -538,15 +549,17 @@ def test_phi_z_checked_mode_flag(monkeypatch):
 
 
 def test_stratum_is_computed_once_per_point(monkeypatch):
-    """A checked duality round trip computes the stratum of each of its three
+    """A checked duality round trip computes the stratum of each of its two
     points once: one elimination of the point's product with its rows
-    reversed, which phi_Z reuses as the image's first flag.  The kept
-    stratum changes neither equality nor hashing.
+    reversed, which phi_Z reuses as the image's first flag.  The round trip
+    ends at the point itself, whose kept stratum the second check reads.
+    The kept stratum changes neither equality nor hashing.
 
-    One more elimination makes the flag of the first image's later factor,
-    built from the chart's letters reversed; the second image inherits its
-    source's flags.  Before the images kept their source's flags, each
-    image eliminated its later factor (5 eliminations in all)."""
+    One more elimination makes the flag of the image's later factor, built
+    from the chart's letters reversed (3 in all).  Before the round trip
+    ended at its source, it made a third point and eliminated its reversed
+    product (4 in all); before the images kept their source's flags, each
+    image also eliminated its later factor (5 in all)."""
     group = type_a_group(3)
     w0 = group.from_word((0, 1, 0))
     z = twisted.parametrize_cell(group.identity, (w0, w0), range(1, 7), check=False)
@@ -563,39 +576,20 @@ def test_stratum_is_computed_once_per_point(monkeypatch):
     assert twisted.stratum(z) is label
     image = twisted.phi_Z(z, check=True)
     back = twisted.phi_Z(image, check=True)
-    assert twisted.stratum(back) == label
-    kept = [p._reversed._form[0] for p in (z, image, back)]
-    assert [sum(m is r for m in calls) for r in kept] == [1, 1, 1]
-    assert kept == [twisted._product(p)[0][::-1] for p in (z, image, back)]
-    # the other one: the later factor of the first image
-    assert len(calls) == 4
-    assert image._flags[1] is z._inverses[0] and back._flags[1] is z._flags[1]
+    assert back is z and twisted.stratum(back) is label
+    kept = [p._reversed._form[0] for p in (z, image)]
+    assert [sum(m is r for m in calls) for r in kept] == [1, 1]
+    assert kept == [twisted._product(p)[0][::-1] for p in (z, image)]
+    # the other one: the later factor of the image
+    assert len(calls) == 3
+    assert image._flags[1] is z._inverses[0] and image._inverses[0] is z._flags[1]
     assert z == fresh and hash(z) == hash(fresh) and repr(z) == repr(fresh)
     assert fresh._stratum is None and len({z, fresh}) == 1
 
 
-def test_checked_round_trip_kernel_counts(monkeypatch):
-    """A checked duality round trip at k=3, n=2 (parametrize_cell, phi_Z twice,
-    gauge_eq) makes 8 column eliminations, 3 products, no inverse and no
-    determinant.
-
-    Each point eliminates each factor once, when it is made: the flag it
-    keeps gives the factor's Bruhat cell and rejects a singular factor.  It
-    keeps its product too, for stratum, phi_Z and the last flag of alpha,
-    and the flag of its product with rows reversed, for its opposite cell.
-    The image of phi_Z takes that flag as its first flag instead of
-    eliminating its first factor, and the source's flags of its later
-    factors as the inverses its own image needs, so the second phi_Z
-    neither inverts nor eliminates.  The first phi_Z builds the later
-    factor from the chart's letters reversed, with no inverse, and
-    gauge_eq returns on the equal forms of the point and its round trip
-    before any elimination.  Before, the same round trip made 11
-    eliminations and 1 inverse; before that, 13 eliminations and 2
-    inverses; earlier still, 15 eliminations, 6 determinants and 7
-    products.
-    """
-    group = type_a_group(3)
-    w0 = group.from_word((0, 1, 0))
+def _count_kernels(monkeypatch) -> dict:
+    """Counts of the calls of slk._echelon and of ratlin's int_det, int_mul
+    and int_inv, made from here on, in the dict returned."""
     counts = {}
     for module, name in ((slk, "_echelon"), (ratlin, "int_det"), (ratlin, "int_mul"),
                          (ratlin, "int_inv")):
@@ -606,12 +600,59 @@ def test_checked_round_trip_kernel_counts(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(module, name, counted)
-    params = [Fraction(i, i + 1) for i in range(1, 6)]
-    z = twisted.parametrize_cell(group.from_word((0,)), (w0, w0), params, check=True)
+    return counts
+
+
+def _checked_round_trip(v, wbar, params):
+    """parametrize_cell, phi_Z twice and gauge_eq, all checked."""
+    z = twisted.parametrize_cell(v, wbar, params, check=True)
     image = twisted.phi_Z(z, check=True)
     back = twisted.phi_Z(image, check=True)
-    assert twisted.gauge_eq(back, z)
-    assert counts == {"_echelon": 8, "int_mul": 3}
+    assert back is z and twisted.gauge_eq(back, z)
+
+
+def test_checked_round_trip_kernel_counts(monkeypatch):
+    """A checked duality round trip at k=3, n=2 (parametrize_cell, phi_Z twice,
+    gauge_eq) makes 7 column eliminations, 2 products, no inverse and no
+    determinant.
+
+    The chart eliminates each factor once for its flag, which gives the
+    factor's Bruhat cell, and once with rows reversed for its opposite-cell
+    check.  Each point keeps its product, for stratum, phi_Z and the last
+    flag of alpha, and the flag of its product with rows reversed, for its
+    opposite cell.  The image of phi_Z takes that flag as its first flag
+    instead of eliminating its first factor, and builds its later factor
+    from the chart's letters reversed, with no inverse.  The second phi_Z
+    multiplies out the image's product for the check and finds the
+    source's first form: it returns the source, which gauge_eq takes with
+    no elimination.  Before the round trip ended at its source, it made 8
+    eliminations and 3 products; before that, 11 eliminations and 1
+    inverse; before that, 13 eliminations and 2 inverses; earlier still,
+    15 eliminations, 6 determinants and 7 products.
+    """
+    group = type_a_group(3)
+    w0 = group.from_word((0, 1, 0))
+    counts = _count_kernels(monkeypatch)
+    params = [Fraction(i, i + 1) for i in range(1, 6)]
+    _checked_round_trip(group.from_word((0,)), (w0, w0), params)
+    assert counts == {"_echelon": 7, "int_mul": 2}
+
+
+def test_checked_round_trip_kernel_counts_at_k16(monkeypatch):
+    """At k=16, n=3 a checked round trip makes 10 column eliminations and 2
+    int_mul calls, on three strata of ``test_strata_at_k16``: the chart's 3
+    factor flags, 3 opposite-cell checks and its reversed product, the
+    image's 2 later-factor flags and its reversed product.  Before the
+    round trip ended at its source, it made 11 and 3."""
+    rng = random.Random(16)
+    strata = list(sample_strata(16, 3, 20, rng))[:3]
+    params = [twisted.random_params(sum(w.length for w in wbar) - v.length, rng)
+              for v, wbar in strata]
+    counts = _count_kernels(monkeypatch)
+    for (v, wbar), ps in zip(strata, params):
+        counts.clear()
+        _checked_round_trip(v, wbar, ps)
+        assert counts == {"_echelon": 10, "int_mul": 2}
 
 
 def test_kept_flags_are_the_flags_of_the_factors():
@@ -879,10 +920,86 @@ def test_word_built_inverses_match_int_inv():
     assert taken > 100
 
 
+def _assert_same_point(point, scratch):
+    """point has the factors, flags, product, flag of the reversed product
+    and stratum of scratch, a point whose every value is computed afresh:
+    equal as matrices, whatever the denominators of the forms."""
+    assert point.factors == scratch.factors
+    assert len(point._flags) == len(scratch._flags)
+    for flag, other, factor in zip(point._flags, scratch._flags, point.factors):
+        assert (flag._cols, flag._pivots) == (other._cols, other._pivots)
+        assert flag.rep == factor
+    assert (ratlin.fraction_matrix(twisted._product(point))
+            == ratlin.fraction_matrix(twisted._product(scratch)))
+    mine, fresh = twisted._reversed_flag(point), twisted._reversed_flag(scratch)
+    assert (mine._cols, mine._pivots) == (fresh._cols, fresh._pivots)
+    assert twisted.stratum(point) == twisted.stratum(scratch)
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_round_trip_from_the_chart_ends_at_its_source(check):
+    """Identity (ii) on the whole point: phi_Z(phi_Z(z)) is z, and z's forms,
+    flags, product, reversed-product flag and stratum are those of the
+    round trip with nothing inherited, every factor eliminated and every
+    inverse taken by int_inv.  On every stratum of k=3, n <= 2, seeded
+    strata at k = 2, 4..8 and 16 with n <= 3, and the 20 strata of
+    ``test_strata_at_k16``."""
+    rng = random.Random(8642)
+    strata = [*_differential_strata(), *sample_strata(16, 3, 20, random.Random(16))]
+    for v, wbar in strata:
+        dim = sum(w.length for w in wbar) - v.length
+        z = twisted.parametrize_cell(v, wbar, twisted.random_params(dim, rng), check=check)
+        image = twisted.phi_Z(z, check=check)
+        assert image._source is z
+        assert twisted.phi_Z(image, check=check) is z
+        scratch = _phi_z_by_inverses(_phi_z_by_inverses(z))
+        assert z._forms == scratch._forms
+        _assert_same_point(z, scratch)
+        assert twisted.stratum(image) == twisted.dual_stratum(v, wbar)
+    assert len(strata) == 19 + 167 + 36 + 5 + 20
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_round_trip_of_other_points_builds_a_new_point(check):
+    """phi_Z returns the source only when the first form it computes is the
+    source's whole first form.  Otherwise it builds the point, with the
+    values of phi_Z with nothing inherited: for a point made by ``of_forms``
+    from forms not in lowest terms (whose second round trip, in lowest
+    terms, closes on the first image), for a gauge-perturbed image, which
+    keeps no source, and for a point whose kept source agrees with its
+    computed first form in the first row only."""
+    rng = random.Random(4321)
+    group = type_a_group(3)
+    w0 = group.from_word((0, 1, 0))
+    z = twisted.parametrize_cell(group.from_word((0,)), (w0, w0), twisted.random_params(5, rng))
+    image = twisted.phi_Z(z, check=check)
+    doubled = twisted.ZPoint.of_forms(
+        [(tuple(tuple(2 * x for x in row) for row in m), 2 * d) for m, d in z._forms])
+    first = z._forms[0][0]
+    other_first = (*first[:-1], tuple(a + b for a, b in zip(first[-1], first[0])))
+    other = twisted.ZPoint.of_forms(((other_first, z._forms[0][1]), *z._forms[1:]))
+    cases = [
+        doubled,
+        twisted.phi_Z(doubled, check=check),
+        perturb_gauge(image, rng),
+        twisted.ZPoint._of_parts(image._forms, image._flags, other),
+    ]
+    assert cases[1]._source is doubled and cases[3]._source is other
+    for point in cases:
+        out = twisted.phi_Z(point, check=check)
+        assert out is not point._source and out._source is point
+        _assert_same_point(out, _phi_z_by_inverses(point))
+        assert twisted.gauge_eq(twisted.phi_Z(out, check=check), point)
+    # in lowest terms after one round trip, the orbit of doubled has period 2
+    back = twisted.phi_Z(cases[1], check=check)
+    assert back._forms[0] == z._forms[0] and twisted.phi_Z(back, check=check) is cases[1]
+
+
 def test_gauge_eq_takes_equal_forms_without_elimination(monkeypatch):
-    """Distinct points with equal forms are gauge equal with no elimination
-    and no alpha; a gauge-perturbed point and a point of another stratum
-    still go through alpha, with the verdicts alpha gives."""
+    """Distinct points with equal forms, and a point and its round trip, which
+    is the point itself, are gauge equal with no elimination and no alpha;
+    a gauge-perturbed point and a point of another stratum still go through
+    alpha, with the verdicts alpha gives."""
     group = type_a_group(3)
     w0 = group.from_word((0, 1, 0))
     rng = random.Random(77)
@@ -891,7 +1008,7 @@ def test_gauge_eq_takes_equal_forms_without_elimination(monkeypatch):
     perturbed = perturb_gauge(z, rng)
     back = twisted.phi_Z(twisted.phi_Z(z))
     copies = [twisted.ZPoint(z.factors), twisted.ZPoint.of_forms(
-        tuple((tuple(map(tuple, m)), d) for m, d in z._forms)), back]
+        tuple((tuple(map(tuple, m)), d) for m, d in z._forms))]
     expected = {id(p): twisted.alpha(p) == twisted.alpha(z) for p in (perturbed, other)}
     assert expected == {id(perturbed): True, id(other): False}
     calls = {"alpha": 0, "_echelon": 0}
@@ -906,6 +1023,7 @@ def test_gauge_eq_takes_equal_forms_without_elimination(monkeypatch):
     for copy in copies:
         assert copy is not z and copy._forms == z._forms
         assert twisted.gauge_eq(copy, z) and twisted.gauge_eq(z, copy)
+    assert back is z and twisted.gauge_eq(back, z)
     assert calls == {"alpha": 0, "_echelon": 0}
     for point in (perturbed, other):
         assert twisted.gauge_eq(point, z) is expected[id(point)]
