@@ -42,8 +42,8 @@ for v, wbar, dim in [
     print(f"  {show(v, wbar):<28s} -> {show(iv, iwbar):<28s} involution: {gauge_eq(back, z)}")
 print()
 
-print("phi_Z twice gives back the point itself; a point given by integer forms")
-print("(m, d), standing for m / d, not in lowest terms gets back an equal new point:")
+print("phi_Z twice gives back the point itself, also for a point given by integer")
+print("forms (m, d), standing for m / d, with a common factor, kept in lowest terms:")
 z = parametrize_cell(s1, (w0, w0), [Fraction(i + 2, 3) for i in range(5)])
 doubled = ZPoint.of_forms([(tuple(tuple(2 * x for x in row) for row in m), 2 * d)
                            for m, d in map(int_form, z.factors)])

@@ -26,25 +26,21 @@ by D = diag((-1)^r); as D S = (-1)^(k-1), iota(w0dot^{-1} P) =
 (ii) phi_Z is an involution on matrices, not only on gauge classes: the
 image's later factors iota(g_j^{-1}) have the inverses iota(g_j), and its
 product is iota(w0dot^{-1} g_1), so the image of the image is the source
-itself.  A second ``phi_Z`` takes the source's flags of g_j as they are,
-and when the first form it computes is the source's own first form, it
-returns the source point, with its kept flags and stratum.
+itself.  When the first form a second ``phi_Z`` computes is the source's
+own first form, it returns the source point, with its kept flags and
+stratum.
 (iii) g -> iota(g^{-1}) reverses products and fixes each letter
 y_i(t), x_i(t), sdot_i and sdot_i^{-1}: inverting a letter negates its
 off-diagonal entries and iota negates them back.  So for g = L_1 ... L_m,
 iota(g^{-1}) = L_m ... L_1, and a factor made by ``parametrize_cell`` is
 inverted by ``slk.word_form`` of its letters reversed, in O(k) column
 operations per letter.  This holds whichever of sdot_i and sdot_i^{-1}
-the chart puts at a taken letter.  A point with neither a chart nor a
-source (``ZPoint(factors)``, ``of_forms``, ``from_json``) inverts by
+the chart puts at a taken letter.  A point with no chart inverts by
 ``ratlin.int_inv``.
 
-The chart and ``ZPoint(factors)`` make forms in lowest terms, and so does
-``phi_Z`` for the first factor, so a duality round trip from either ends
-at its source.  A source whose first form is not in lowest terms (one
-made by ``of_forms``) gets a new point with the same factors.
-``gauge_eq`` returns at once on points whose forms are equal: equal forms
-are equal matrices.
+Every point holds its forms in lowest terms, whichever constructor made
+it, so one matrix has one form: the image of an image is its source, and
+``gauge_eq`` returns at once on points whose forms are equal.
 
 ``parametrize_cell`` and ``phi_Z`` assert theorem-level facts on every call
 unless passed ``check=False``: the cell parametrization lands in its
@@ -68,34 +64,32 @@ from .weyl import (ContextMismatchError, WeylElt, WeylGroup, _positive_split, fr
 class ZPoint:
     """Tuple of SL_k factors representing a point of the twisted product.
 
-    A point keeps, for each factor, its integer form, ``_forms``, and its
-    flag, ``_flags``: one column elimination per factor, made when the
-    point is, which also rejects a singular factor (no determinant is
-    taken).  Everything inside the layer reads those.  The product of the
-    factors, ``_product``, the flag of the product with its rows reversed,
-    ``_reversed``, and the result of :func:`stratum` are computed on first
-    use and kept; all depend on the factors alone.
+    A point keeps, for each factor, its integer form in lowest terms,
+    ``_forms``, and its flag, ``_flags``: one column elimination per
+    factor, made when the point is, which also rejects a singular factor
+    (no determinant is taken).  Everything inside the layer reads those.
+    The product of the factors, ``_product``, the flag of the product with
+    its rows reversed, ``_reversed``, and the result of :func:`stratum` are
+    computed on first use and kept; all depend on the factors alone.
 
-    ``_inverses`` holds the flags of iota(g_n^{-1}), ..., iota(g_2^{-1}),
-    the later factors of the image under :func:`phi_Z`, made by its first
-    call and kept.  A point made by :func:`phi_Z` keeps the point it was
-    made from as ``_source``; it has as first flag its source's
-    ``_reversed``, with its own first form as ``rep`` (identity (i) of the
-    module docstring), and is made with ``_inverses`` set: its source's
-    flags of g_2, ..., g_n, kept as references (identity (ii)).  A point
-    made by :func:`parametrize_cell` keeps ``_letters``, the
-    ``slk.word_form`` letters of g_2, ..., g_n, from which its inverses
-    are built (identity (iii)).  Other points keep None in all three.
-    Kept values change neither equality, hashing nor ``repr``.
+    A point made by :func:`phi_Z` keeps the point it was made from as
+    ``_source``, and has as first flag its source's ``_reversed``, with its
+    own first form as ``rep`` (identity (i) of the module docstring).  A
+    point made by :func:`parametrize_cell` keeps ``_letters``, the
+    ``slk.word_form`` letters of g_2, ..., g_n, from which the later
+    factors of its image are built (identity (iii)).  Other points keep
+    None in both.  Kept values change neither equality, hashing nor
+    ``repr``.
 
     The Fraction ``factors`` are the ones passed to ``ZPoint(factors)``,
     stored as a tuple of tuples of rows with the entries as given, or for
-    a point made by ``of_forms`` are built on first read and kept.
-    Equality, hashing and ``repr`` are those of ``factors``.
+    a point made otherwise are built on first read and kept.  Equality and
+    hashing are those of the forms, one per matrix; ``repr`` is that of
+    ``factors``.
     """
 
-    __slots__ = ("_forms", "_flags", "_factors", "_inverses", "_letters", "_product", "_reversed",
-                 "_source", "_stratum")
+    __slots__ = ("_forms", "_flags", "_factors", "_letters", "_product", "_reversed", "_source",
+                 "_stratum")
 
     def __init__(self, factors):
         factors = tuple(tuple(map(tuple, g)) for g in factors)
@@ -104,10 +98,11 @@ class ZPoint:
 
     @classmethod
     def of_forms(cls, forms) -> "ZPoint":
-        """The point with these integer-form factors; its Fraction factors wait for a read.
+        """The point with these integer-form factors, each kept in lowest terms;
+        its Fraction factors wait for a read.
 
         Each form (m, d) needs a square m, checked by ``ratlin.int_form``
-        with its messages, and a positive d; ValueError otherwise.
+        with its messages, and a positive int d; ValueError otherwise.
         """
         forms = tuple(map(_checked_form, forms))
         return cls._of_parts(forms, _check_factors(forms))
@@ -122,7 +117,6 @@ class ZPoint:
 
     def _set(self, forms, flags, factors, source) -> None:
         self._forms, self._flags, self._factors, self._source = forms, flags, factors, source
-        self._inverses = None if source is None else source._flags[1:]
         self._letters = self._product = self._reversed = self._stratum = None
 
     @property
@@ -142,10 +136,10 @@ class ZPoint:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.factors == other.factors
+        return self._forms == other._forms
 
     def __hash__(self):
-        return hash(self.factors)
+        return hash(self._forms)
 
     def __repr__(self):
         return f"ZPoint(factors={self.factors!r})"
@@ -173,12 +167,15 @@ class ZPoint:
 
 
 def _checked_form(form) -> IntForm:
-    """The form (m, d) with m checked square by ``ratlin.int_form`` and d > 0."""
+    """The form (m, d) in lowest terms, with m checked square by
+    ``ratlin.int_form`` and d an int > 0."""
     m, d = form
     m, e = ratlin.int_form(m, square=True)
+    if not isinstance(d, int):
+        raise ValueError(f"need an int denominator, got {d!r}")
     if d <= 0:
         raise ValueError(f"need a positive denominator, got {d}")
-    return m, d * e
+    return ratlin.reduced((m, d * e))
 
 
 def _check_factors(forms) -> tuple[slk.FlagPoint, ...]:
@@ -217,19 +214,17 @@ def _reversed_flag(z: ZPoint) -> slk.FlagPoint:
 
 
 def _inverse_flags(z: ZPoint) -> tuple[slk.FlagPoint, ...]:
-    """Flags of iota(g_n^{-1}), ..., iota(g_2^{-1}), made once per point and kept.
+    """Flags of iota(g_n^{-1}), ..., iota(g_2^{-1}), the later factors of the image.
 
     From the chart's letters reversed when the point keeps them (identity
     (iii) of the module docstring), by ``ratlin.int_inv`` otherwise.
     """
-    if z._inverses is None:
-        if z._letters is not None:
-            k = z.k
-            forms = (slk.word_form(k, letters[::-1]) for letters in reversed(z._letters))
-        else:
-            forms = ((slk.iota(r), e) for r, e in map(ratlin.int_inv, reversed(z._forms[1:])))
-        z._inverses = tuple(map(slk.FlagPoint.of_form, forms))
-    return z._inverses
+    if z._letters is not None:
+        k = z.k
+        forms = (slk.word_form(k, letters[::-1]) for letters in reversed(z._letters))
+    else:
+        forms = ((slk.iota(r), e) for r, e in map(ratlin.int_inv, reversed(z._forms[1:])))
+    return tuple(map(slk.FlagPoint.of_form, forms))
 
 
 def gauge_eq(z1: ZPoint, z2: ZPoint) -> bool:
@@ -371,16 +366,14 @@ def phi_Z(z: ZPoint, check: bool = True) -> ZPoint:
 
     The image's first flag is the source's flag of its reversed product,
     by identity (i) of the module docstring.  Its later factors and their
-    flags are the source's ``_inverses``: inherited by identity (ii),
-    built from the chart's letters by identity (iii), or by
-    ``ratlin.int_inv`` for a point with neither.  The image keeps the
-    source, and the source's flags of g_2, ..., g_n as its own
-    ``_inverses``.
+    flags are built from the chart's letters by identity (iii), or by
+    ``ratlin.int_inv`` for a point with no chart.  The image keeps the
+    source.
 
-    On a point made by ``phi_Z`` whose first form comes out as its
-    source's first form, the image is the source (identity (ii)): that
-    point is returned, and nothing is built.  So a round trip from the
-    chart ends where it started:
+    Every point holds its forms in lowest terms, so on a point made by
+    ``phi_Z`` the first form computed is its source's first form, and the
+    image is the source (identity (ii)): that point is returned, and
+    nothing is built.  So a round trip ends where it started:
 
     >>> from tnnflag.weyl import type_a_group
     >>> S2 = type_a_group(2)

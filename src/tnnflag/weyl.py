@@ -170,29 +170,32 @@ class WeylGroup:
         """Lexicographically smallest reduced word, by left-descent stripping.
 
         The canonical word of w is its smallest left descent i followed by
-        the canonical word of s_i w, so stripping stops at the first
-        interned element (at the latest the identity, interned from the
-        start) and appends that element's word.
+        the canonical word of s_i w, so stripping runs down to the identity,
+        the one element with no left descent.  s_i changes only the entries
+        that row i of the GCM touches, none before its smallest vertex, and
+        no entry before i was negative, so the next scan starts there.
         """
         letters = []
         y = list(chamber)
         rows = self._rows
-        while (known := self._elts.get(tuple(y))) is None:
-            for i, yi in enumerate(y):
-                if yi < 0:
-                    break
-            else:
-                raise ArithmeticError("non-identity element has no left descent")
-            # s_i acts in place, not through _act: this loop is the cost of every new element
-            for j, a in rows[i]:
+        n = len(y)
+        i = 0
+        # s_i acts in place, not through _act: this loop is the cost of every new element
+        while i < n:
+            yi = y[i]
+            if yi >= 0:
+                i += 1
+                continue
+            row = rows[i]
+            for j, a in row:
                 y[j] -= a * yi
             letters.append(i)
             if len(letters) > _MAX_CANONICAL_LEN:
                 raise ArithmeticError("canonical word exceeds safety cap")
-        word = tuple(letters) + known.word
-        if len(word) > _MAX_CANONICAL_LEN:
-            raise ArithmeticError("canonical word exceeds safety cap")
-        return word
+            i = row[0][0]
+        if tuple(y) != self.identity.chamber:
+            raise ArithmeticError("non-identity element has no left descent")
+        return tuple(letters)
 
     # -- basic group operations -------------------------------------------
 

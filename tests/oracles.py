@@ -24,8 +24,10 @@ The geometric representation is built from ``gcm.entries`` alone
 of integer matrices, multiplied out in full.  Column sums of the matrices
 give the heights that ``WeylGroup`` keeps as chamber and co-chamber
 vectors, their negative columns the descents, and ``canonical_word``
-strips left descents on the matrices all the way to the identity, where
-``WeylGroup`` stops at the first element it has interned.
+strips left descents on the matrices all the way to the identity.
+``canonical_words_by_lookup`` is the stripping that
+``WeylGroup._canonical_word`` replaced: it looks each stripped vector up
+among the words it has made and stops at the first one it knows.
 ``all_reduced_words`` lists every reduced word by stripping right descents.
 ``positive_tuple_by_thickening`` is the route of the paper to the positive
 tuple of ``weyl.positive_tuple``: the positive subexpression of v inside
@@ -402,6 +404,28 @@ def canonical_word(gcm, g, g_inv):
         g, g_inv = frac_mat_mul(refl[i], g), frac_mat_mul(g_inv, refl[i])
         letters.append(i)
     return tuple(letters)
+
+
+def canonical_words_by_lookup(gcm, chambers):
+    """The canonical word of each chamber vector in turn, by stripping the
+    smallest left descent until the vector is one whose word is known (the
+    identity's, or that of an earlier vector of the list), then appending
+    that word.  The rows of the GCM act on the vectors as in ``WeylGroup``."""
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in gcm.entries]
+    known = {(1,) * gcm.rank: ()}
+    out = []
+    for chamber in chambers:
+        letters = []
+        y = list(chamber)
+        while (tail := known.get(tuple(y))) is None:
+            i = next(i for i, yi in enumerate(y) if yi < 0)
+            yi = y[i]
+            for j, a in rows[i]:
+                y[j] -= a * yi
+            letters.append(i)
+        known[tuple(chamber)] = word = tuple(letters) + tail
+        out.append(word)
+    return out
 
 
 def perm_by_swaps(group, p):

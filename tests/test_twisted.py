@@ -5,13 +5,14 @@ import random
 import sys
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tnnflag import ratlin, slk, twisted
+from tnnflag import ratlin, slk, twisted, verify
 from tnnflag.verify import brute_circ_r, brute_demazure, iter_qnodes
 from tnnflag.weyl import ContextMismatchError, WeylGroup, from_perm, perm_of, type_a_group
 
@@ -235,13 +236,18 @@ def test_zpoint_rejects_non_square_and_ragged_factors():
     """A 2x3 factor used to be accepted and labeled (e; (e,)); a ragged JSON
     row used to raise IndexError.  ``of_forms`` used to take a ragged form
     as a point of (e; e), a 3x2 form as a point whose stratum raised, and a
-    zero denominator as a point whose factors raised ZeroDivisionError."""
+    zero denominator as a point whose factors raised ZeroDivisionError.  A
+    denominator that is not an int is refused: the forms are reduced by
+    their gcd, which takes ints only."""
     with pytest.raises(ValueError, match="^matrix rows have different lengths$"):
         twisted.ZPoint.of_forms([(((1, 0), (0, 1, 5)), 1)])
     with pytest.raises(ValueError, match="^need a square matrix, got 3x2$"):
         twisted.ZPoint.of_forms([(((1, 0), (0, 1), (0, 0)), 1)])
     for d in (0, -1):
         with pytest.raises(ValueError, match=f"^need a positive denominator, got {d}$"):
+            twisted.ZPoint.of_forms([slk.w0_form(2), (((1, 0), (0, 1)), d)])
+    for d in (Fraction(2), 2.0):
+        with pytest.raises(ValueError, match="^need an int denominator, got "):
             twisted.ZPoint.of_forms([slk.w0_form(2), (((1, 0), (0, 1)), d)])
     with pytest.raises(ValueError, match="square"):
         twisted.ZPoint((((1, 0, 0), (0, 1, 0)),))
@@ -548,6 +554,21 @@ def test_phi_z_checked_mode_flag(monkeypatch):
         twisted.phi_Z(z)
 
 
+def test_verify_duality_fails_without_iota(monkeypatch):
+    """``verify duality`` decides the involution inside phi_Z: the round
+    trip ends at its source, so its ``gauge_eq(back, z)`` holds because back
+    is z.  What the suite sees is the stratum map.  With ``slk.iota``
+    replaced by the identity, images land outside the predicted strata and
+    the suite reports ``fail``, with ``stratum-map`` entries only."""
+    monkeypatch.setattr(slk, "iota", lambda g: g)
+    report = verify.suite_duality()
+    assert report.status == "fail"
+    (check,) = report.checks
+    bad = check["witness"]["bad"]
+    assert check["status"] == "fail" and bad
+    assert {entry["check"] for entry in bad} == {"stratum-map"}
+
+
 def test_stratum_is_computed_once_per_point(monkeypatch):
     """A checked duality round trip computes the stratum of each of its two
     points once: one elimination of the point's product with its rows
@@ -559,7 +580,10 @@ def test_stratum_is_computed_once_per_point(monkeypatch):
     from the chart's letters reversed (3 in all).  Before the round trip
     ended at its source, it made a third point and eliminated its reversed
     product (4 in all); before the images kept their source's flags, each
-    image also eliminated its later factor (5 in all)."""
+    image also eliminated its later factor (5 in all).  The image used to
+    keep its source's flags of the later factors, as the inverses its own
+    image would need; the round trip returns the source and never read
+    them, so the image keeps only its source."""
     group = type_a_group(3)
     w0 = group.from_word((0, 1, 0))
     z = twisted.parametrize_cell(group.identity, (w0, w0), range(1, 7), check=False)
@@ -582,7 +606,7 @@ def test_stratum_is_computed_once_per_point(monkeypatch):
     assert kept == [twisted._product(p)[0][::-1] for p in (z, image)]
     # the other one: the later factor of the image
     assert len(calls) == 3
-    assert image._flags[1] is z._inverses[0] and image._inverses[0] is z._flags[1]
+    assert image._source is z
     assert z == fresh and hash(z) == hash(fresh) and repr(z) == repr(fresh)
     assert fresh._stratum is None and len({z, fresh}) == 1
 
@@ -814,15 +838,15 @@ def _check_flag(flag, form):
 
 
 def _check_inherited(point):
-    """The values a point inherited or keeps agree with the paths they replace."""
+    """The values a point inherited or keeps agree with the paths they replace.
+
+    A duality image used to keep its source's flags of the later factors
+    as inverses, checked here against int_inv; no point keeps inverses
+    now, and ``test_word_built_inverses_match_int_inv`` checks the built ones."""
     k = point.k
     for flag, form in zip(point._flags, point._forms):
         _check_flag(flag, form)
     assert point._flags[0].rep == point.factors[0]
-    if point._inverses is not None:
-        assert len(point._inverses) == point.n - 1
-        for flag, form in zip(point._inverses, _inverses_by_int_inv(point)):
-            _check_flag(flag, form)
     group = type_a_group(k)
     product = ratlin.int_mul(*(m for m, _ in point._forms))
     assert twisted.stratum(point) == (
@@ -830,7 +854,6 @@ def _check_inherited(point):
         tuple(from_perm(group, slk.bruhat_cell(m)) for m, _ in point._forms),
     )
     for fresh in (twisted.ZPoint.of_forms(point._forms), twisted.ZPoint(point.factors)):
-        assert fresh._inverses is None
         assert point == fresh and hash(point) == hash(fresh) and repr(point) == repr(fresh)
 
 
@@ -847,13 +870,15 @@ def _differential_strata():
 
 @pytest.mark.parametrize("check", [True, False])
 def test_phi_z_inherited_values_match_the_paths_they_replace(check):
-    """The image's first flag (identity (i)) against its own elimination, the
-    kept inverses and their flags (identities (ii) and (iii)) against int_inv
-    and fresh eliminations, the opposite cell read off
+    """The image's first flag (identity (i)) against its own elimination, its
+    later factors and their flags (identity (iii)) against int_inv and fresh
+    eliminations, the round trip's end (identity (ii)) against the source,
+    the opposite cell read off
     the kept reversed product against slk.opposite_cell, and every form of
     the image and of its image against phi_Z with nothing inherited: on every
     stratum of k=3, n <= 2, seeded strata at k = 2, 4..8 (both parities of
-    k - 1), n = 1..3, and five at k = 16, n = 3."""
+    k - 1), n = 1..3, and five at k = 16, n = 3.  The kept inverses each image
+    used to inherit from its source were checked here too; they are gone."""
     rng = random.Random(1357)
     count = 0
     for v, wbar in _differential_strata():
@@ -863,10 +888,7 @@ def test_phi_z_inherited_values_match_the_paths_they_replace(check):
         back = twisted.phi_Z(image, check=check)
         assert image._forms == _phi_z_by_inverses(z)._forms
         assert back._forms == _phi_z_by_inverses(image)._forms
-        assert image._inverses == z._flags[1:] and back._inverses == image._flags[1:]
-        assert all(a is b for a, b in zip(back._flags[1:], z._flags[1:]))
-        assert all(a is b for a, b in zip(back._forms[1:], z._forms[1:]))
-        assert image._flags[1:] == z._inverses
+        assert back is z and image._source is z
         for point in (z, image, back):
             _check_inherited(point)
         assert twisted.stratum(image) == twisted.dual_stratum(v, wbar)
@@ -895,7 +917,8 @@ def test_word_built_inverses_match_int_inv():
     and their flags the flags of those forms.  On every stratum of k=3,
     n <= 2, seeded strata at k = 2, 4..8 and 16 with n <= 3, and points
     made on non-canonical reduced words.  A point with no chart inverts by
-    int_inv and gets the same forms."""
+    int_inv and gets the same forms.  The flags are built on each call: the
+    per-point cache they were kept in is gone."""
     rng = random.Random(9753)
     charted = []
     for v, wbar in _differential_strata():
@@ -905,13 +928,12 @@ def test_word_built_inverses_match_int_inv():
     charted += _points_with_given_words(rng)
     taken = 0
     for z in charted:
-        assert z._inverses is None and len(z._letters) == z.n - 1
+        assert len(z._letters) == z.n - 1
         expected = _inverses_by_int_inv(z)
         built = twisted._inverse_flags(z)
         assert tuple(f._form for f in built) == expected
         for flag, form in zip(built, expected):
             _check_flag(flag, form)
-        assert twisted._inverse_flags(z) is built
         plain = twisted.ZPoint.of_forms(z._forms)
         assert plain._letters is None
         assert tuple(f._form for f in twisted._inverse_flags(plain)) == expected
@@ -963,11 +985,12 @@ def test_round_trip_from_the_chart_ends_at_its_source(check):
 def test_round_trip_of_other_points_builds_a_new_point(check):
     """phi_Z returns the source only when the first form it computes is the
     source's whole first form.  Otherwise it builds the point, with the
-    values of phi_Z with nothing inherited: for a point made by ``of_forms``
-    from forms not in lowest terms (whose second round trip, in lowest
-    terms, closes on the first image), for a gauge-perturbed image, which
-    keeps no source, and for a point whose kept source agrees with its
-    computed first form in the first row only."""
+    values of phi_Z with nothing inherited: for a gauge-perturbed image,
+    which keeps no source, and for a point whose kept source agrees with
+    its computed first form in the first row only.  A point made by
+    ``of_forms`` from doubled forms used to be a third case, closing its
+    orbit on its first image; ``of_forms`` now keeps the forms in lowest
+    terms, and its round trip ends at the point itself."""
     rng = random.Random(4321)
     group = type_a_group(3)
     w0 = group.from_word((0, 1, 0))
@@ -975,24 +998,73 @@ def test_round_trip_of_other_points_builds_a_new_point(check):
     image = twisted.phi_Z(z, check=check)
     doubled = twisted.ZPoint.of_forms(
         [(tuple(tuple(2 * x for x in row) for row in m), 2 * d) for m, d in z._forms])
+    assert doubled._forms == z._forms
+    assert twisted.phi_Z(twisted.phi_Z(doubled, check=check), check=check) is doubled
     first = z._forms[0][0]
     other_first = (*first[:-1], tuple(a + b for a, b in zip(first[-1], first[0])))
     other = twisted.ZPoint.of_forms(((other_first, z._forms[0][1]), *z._forms[1:]))
     cases = [
-        doubled,
-        twisted.phi_Z(doubled, check=check),
         perturb_gauge(image, rng),
         twisted.ZPoint._of_parts(image._forms, image._flags, other),
     ]
-    assert cases[1]._source is doubled and cases[3]._source is other
+    assert cases[1]._source is other
     for point in cases:
         out = twisted.phi_Z(point, check=check)
         assert out is not point._source and out._source is point
         _assert_same_point(out, _phi_z_by_inverses(point))
-        assert twisted.gauge_eq(twisted.phi_Z(out, check=check), point)
-    # in lowest terms after one round trip, the orbit of doubled has period 2
-    back = twisted.phi_Z(cases[1], check=check)
-    assert back._forms[0] == z._forms[0] and twisted.phi_Z(back, check=check) is cases[1]
+        assert twisted.phi_Z(out, check=check) is point
+
+
+def _points_of_every_constructor(check):
+    """(name, point) for each way a point is made: ZPoint(factors) with int
+    and with Fraction entries, the chart, of_forms with forms scaled by 2 and
+    by 6, from_json, double_bruhat_embed, and phi_Z images made through the
+    chart's letters and through int_inv."""
+    rng = random.Random(6060)
+    group = type_a_group(3)
+    w0 = group.from_word((0, 1, 0))
+    chart = twisted.parametrize_cell(group.from_word((0,)), (w0, w0),
+                                     twisted.random_params(5, rng), check=check)
+    ints = twisted.ZPoint([[[2, 1, 0], [1, 1, 0], [0, 3, 1]], [[0, 1, 0], [-1, 0, 0], [0, 0, 1]]])
+    fractions = twisted.ZPoint(tuple(_random_factor(3, rng) for _ in range(2)))
+    yield "ZPoint of ints", ints
+    yield "ZPoint of Fractions", fractions
+    yield "chart", chart
+    for c in (2, 6):
+        yield f"of_forms times {c}", twisted.ZPoint.of_forms(
+            [(tuple(tuple(c * x for x in row) for row in m), c * d) for m, d in chart._forms])
+    yield "from_json", twisted.ZPoint.from_json(json.loads(json.dumps(fractions.to_json())))
+    g = twisted.db_positive(3, (1, 2), (2, 1), [Fraction(1, 2), 2, 3, Fraction(5, 3)])
+    yield "double_bruhat_embed", twisted.double_bruhat_embed(g)
+    yield "image by letters", twisted.phi_Z(chart, check=check)
+    yield "image by int_inv", twisted.phi_Z(fractions, check=check)
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_every_constructor_makes_lowest_terms_forms(check):
+    """Lowest terms are an invariant of a point: whichever constructor made
+    it, every form (m, d) has d > 0 and gcd(d, entries of m) = 1, so one
+    matrix has one form, and the round trip of the point ends at the point
+    itself, phi_Z(phi_Z(p)) is p.  An image ends its half of the round trip
+    at its source, phi_Z(p) is p's source; the source keeps no image, so
+    phi_Z of the source is a new point, equal to p form for form."""
+    points = dict(_points_of_every_constructor(check))
+    assert len(points) == 9
+    assert points["image by letters"]._source._letters is not None
+    assert points["image by int_inv"]._source._letters is None
+    for name, point in points.items():
+        for m, d in point._forms:
+            assert d > 0 and gcd(d, *(x for row in m for x in row)) == 1, name
+        if name.startswith("image"):
+            source = twisted.phi_Z(point, check=check)
+            assert source is point._source, name
+            again = twisted.phi_Z(source, check=check)
+            assert again._forms == point._forms and again == point, name
+        else:
+            assert twisted.phi_Z(twisted.phi_Z(point, check=check), check=check) is point, name
+    for c in (2, 6):
+        scaled = points[f"of_forms times {c}"]
+        assert scaled._forms == points["chart"]._forms and scaled == points["chart"]
 
 
 def test_gauge_eq_takes_equal_forms_without_elimination(monkeypatch):

@@ -9,8 +9,8 @@ from itertools import permutations, product
 
 import pytest
 
-from oracles import (all_reduced_words, bruhat_by_subwords, perm_by_swaps,
-                     positive_tuple_by_thickening)
+from oracles import (all_reduced_words, bruhat_by_subwords, canonical_words_by_lookup,
+                     perm_by_swaps, positive_tuple_by_thickening)
 from tnnflag import weyl
 from tnnflag.cartan import cartan_of_type
 from tnnflag.verify import brute_circ_r, brute_demazure, iter_qnodes
@@ -563,6 +563,39 @@ def test_lower_covers_match_definition(family, rank):
             for p in range(len(word))
         )
     assert shorter > 0
+
+
+def test_canonical_word_strips_to_the_identity_as_the_lookup_did():
+    """``_canonical_word`` strips to the identity with no lookup after each
+    letter, and resumes its descent scan at the smallest vertex the
+    stripped letter touches.  Its words are those of the stripping that
+    stopped at the first known element (``canonical_words_by_lookup``), on
+    every element up to length 8 of A4, B3, D4, G2 and affine A2, taken in a
+    seeded order, and on 500 seeded elements of S16."""
+    rng = random.Random(54)
+    checked = 0
+    for family, rank in (("A", 4), ("B", 3), ("D", 4), ("G", 2), ("affine-A", 2)):
+        group = WeylGroup(cartan_of_type(family, rank))
+        elts = group.elements_up_to_length(8)
+        rng.shuffle(elts)
+        chambers = [u.chamber for u in elts]
+        words = [group._canonical_word(c) for c in chambers]
+        assert words == [u.word for u in elts]
+        assert words == canonical_words_by_lookup(group.gcm, chambers)
+        checked += len(elts)
+    s16 = WeylGroup(cartan_of_type("A", 15))
+    elts = [from_perm(s16, rng.sample(range(1, 17), 16)) for _ in range(500)]
+    chambers = [u.chamber for u in elts]
+    assert [u.word for u in elts] == canonical_words_by_lookup(s16.gcm, chambers)
+    assert [s16._canonical_word(c) for c in chambers] == [u.word for u in elts]
+    assert checked == 115 + 47 + 162 + 12 + 109
+
+
+def test_canonical_word_refuses_a_vector_it_cannot_strip_to_the_identity(A2):
+    """A vector with no negative entry that is not the identity's has no
+    left descent to strip: ArithmeticError, as before."""
+    with pytest.raises(ArithmeticError, match="no left descent"):
+        A2._canonical_word((2, 1))
 
 
 def test_canonical_word_cap_in_infinite_thickened_group(monkeypatch):

@@ -114,10 +114,10 @@ def fresh_builds(draw):
 @SETTINGS
 @given(fresh_builds())
 def test_canonical_words_match_full_stripping(case):
-    """Stopping at the first interned element gives the word that stripping
-    to the identity gives, for every element interned while words, their
-    products with the previous element and their inverses are built in
-    random order in a fresh group."""
+    """Stripping on the chamber vector gives the word that stripping the
+    geometric matrices to the identity gives, for every element interned
+    while words, their products with the previous element and their
+    inverses are built in random order in a fresh group."""
     g, word_list = case
     prev, prev_word, built = g.identity, [], []
     for word in word_list:
