@@ -20,7 +20,7 @@ import random
 import sys
 from fractions import Fraction
 
-from . import posets, slk, twisted, verify
+from . import posets, ratlin, twisted, verify
 from .cartan import cartan_of_type
 from .posets import CapExceededError, make_qnode, to_dot
 from .weyl import WeylGroup, type_a_group
@@ -93,16 +93,8 @@ def parse_top_spec(group: WeylGroup, text: str, n: int):
 
 
 def parse_params(text: str) -> list[Fraction]:
-    out = []
-    for piece in text.split(","):
-        token = piece.strip()
-        if not token:
-            continue
-        try:
-            out.append(Fraction(token))
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"bad parameter {token!r}") from None
-    return out
+    """The comma-separated positive rationals of ``--params``; empty tokens are skipped."""
+    return ratlin.positive_fractions(t for t in map(str.strip, text.split(",")) if t)
 
 
 def nonnegative_int(text: str) -> int:
@@ -149,7 +141,6 @@ def cmd_poset(args) -> int:
 
 
 def cmd_cell(args) -> int:
-    slk._check_k(args.k)  # k >= 2 before the group, whose Cartan matrix is k x k
     group = type_a_group(args.k)
     v = group.from_word(parse_word(group, args.v))
     word_parts = split_top_level(args.w, ";")

@@ -10,7 +10,8 @@ result.  The kernels ``int_mul``, ``int_det`` (Bareiss) and
 ``int_inv`` (fraction-free Gauss-Jordan) loop on Python ints, and every
 division in them is exact.  ``mat_mul``, ``det`` and ``mat_inv`` are
 those kernels between one ``int_form`` per argument and one
-``fraction_matrix`` per result.
+``fraction_matrix`` per result.  ``positive_fractions`` reads the
+positive rational parameters of every chart.
 """
 
 from __future__ import annotations
@@ -56,12 +57,28 @@ def int_form(a, square: bool = False) -> IntForm:
     return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in a), d
 
 
-def as_fractions(values) -> list[Fraction]:
-    """The values as a list of Fraction; a Fraction is kept as given.
+def positive_fractions(values) -> list[Fraction]:
+    """The values as a list of positive Fractions: the one reader of parameters.
 
-    A Fraction's denominator is positive, so its sign is its numerator's.
+    Each value is an int (not a bool), a string that ``Fraction`` reads,
+    or a Fraction, which is kept as given.  Any other value (a float, a
+    bool, None, "1/0") raises ValueError naming it, and a value <= 0
+    raises ValueError too.
     """
-    return [x if type(x) is Fraction else Fraction(x) for x in values]
+    out = []
+    for x in values:
+        if type(x) is not Fraction:
+            if type(x) not in (int, str):
+                raise ValueError(f"bad parameter {x!r}")
+            try:
+                x = Fraction(x)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"bad parameter {x!r}") from None
+        # a Fraction's denominator is positive, so its sign is its numerator's
+        if x.numerator <= 0:
+            raise ValueError("parameters must be positive")
+        out.append(x)
+    return out
 
 
 def fraction_matrix(form: IntForm) -> Mat:

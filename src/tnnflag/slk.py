@@ -315,56 +315,41 @@ def is_tnn(g) -> bool:
     return True
 
 
-def mr_letters(k: int, word, taken, params) -> list:
-    """The letters of the Marsh-Rietsch product, as ``word_form`` reads them.
+def mr_matrix(k: int, word, taken, params) -> Mat:
+    """The Marsh-Rietsch product: sdot at taken letters, y(param) at skipped ones.
 
     ``word`` is a reduced word, ``taken`` the positive subexpression (same
     length, None at skipped positions), ``params`` one positive rational
-    per skipped position, consumed left to right; a Fraction is taken as
-    given, and its sign is that of its numerator.  A taken letter is
-    ``("s", i, None)``, a skipped one ``("y", i, param)``.  The arguments
-    are checked here; :func:`_mr_letters` builds the letters.
+    per skipped position, consumed left to right and read by
+    ``ratlin.positive_fractions``.  The arguments are checked here, and
+    :func:`_mr_letters` builds the letters.
     """
     _check_k(k)
     word = tuple(word)
     taken = tuple(taken)
     if len(word) != len(taken):
         raise ValueError("word and subexpression lengths differ")
-    params = ratlin.as_fractions(params)
+    params = ratlin.positive_fractions(params)
     skipped = sum(1 for t in taken if t is None)
     if len(params) != skipped:
         raise ValueError(f"need {skipped} parameters, got {len(params)}")
-    if any(p.numerator <= 0 for p in params):
-        raise ValueError("parameters must be positive")
     if any(t is not None and t != letter for letter, t in zip(word, taken)):
         raise ValueError("subexpression letter differs from the word")
-    return _mr_letters(word, taken, iter(params))
+    return ratlin.fraction_matrix(word_form(k, _mr_letters(word, taken, iter(params))))
 
 
 def _mr_letters(word, taken, params) -> list:
-    """The letters of :func:`mr_letters`, with its arguments unchecked.
+    """The letters of :func:`mr_matrix`, as ``word_form`` reads them, with
+    its arguments unchecked: ``("s", i, None)`` at a taken letter,
+    ``("y", i, param)`` at a skipped one.
 
     ``params`` is an iterator, advanced once per skipped position, so
-    consecutive factors can share one.
+    consecutive factors can share one.  ``twisted.parametrize_cell``
+    builds its factors from these letters too, having checked its
+    arguments once for all factors.
     """
     return [("y", letter, next(params)) if t is None else ("s", letter, None)
             for letter, t in zip(word, taken)]
-
-
-def mr_form(k: int, word, taken, params) -> IntForm:
-    """Integer form of the Marsh-Rietsch product: sdot at taken letters, y(param) at skipped ones.
-
-    The product of the letters of :func:`mr_letters`, which checks the
-    arguments.  ``twisted.parametrize_cell`` builds its factors the same
-    way from :func:`_mr_letters`, having checked its arguments once for
-    all factors, keeps the letters, and checks the factors' cells.
-    """
-    return word_form(k, mr_letters(k, word, taken, params))
-
-
-def mr_matrix(k: int, word, taken, params) -> Mat:
-    """``mr_form`` as a Fraction matrix."""
-    return ratlin.fraction_matrix(mr_form(k, word, taken, params))
 
 
 def iota(g):

@@ -293,19 +293,20 @@ def parametrize_cell(
 ) -> ZPoint:
     """Positive parametrization of the stratum (v, wbar) of SL_k products.
 
-    Factor i is the Marsh-Rietsch point ``slk.mr_form`` of the positive
+    Factor i is the Marsh-Rietsch point (``slk.mr_matrix``) of the positive
     subexpression for v_i in a reduced word of w_i, where (v_1, ..., v_n)
     is ``positive_tuple(v, wbar)``; one greedy over the concatenated words
     gives them all (``weyl._positive_split``).  ``words`` optionally fixes
     the reduced word per factor, each checked to be one; the canonical
     words, reduced by construction, are used otherwise.  ``params`` supplies
     one positive rational per skipped letter, across factors left to
-    right, each read once (a Fraction as given); one that is not positive
-    is refused before any factor is built.  The letters come from
-    ``slk._mr_letters``, whose arguments the split and the count above
-    have checked, and the point is made from the forms and flags built
-    here, with no second check of either.  The point keeps the letters of
-    its later factors, from which :func:`phi_Z` builds their inverses.
+    right, read once by ``ratlin.positive_fractions`` before any factor
+    is built.  The letters come from ``slk._mr_letters``, the builder
+    ``slk.mr_matrix`` calls, whose arguments the split and the count
+    above have checked, and the point is made from the forms and flags
+    built here, with no second check of either.  The point keeps the
+    letters of its later factors, from which :func:`phi_Z` builds their
+    inverses.
     With ``check`` on, each factor is asserted to lie in the opposite cell
     of its v_i, by one elimination of its form with rows reversed
     (``slk._opposite_cell``), and the point in the stratum (v, wbar),
@@ -331,11 +332,9 @@ def parametrize_cell(
                 raise ValueError(f"{word!r} is not a reduced word of {w.describe()}")
     subs, vbar = _positive_split(v, wbar, words)  # ValueError on an empty stratum
     dim = sum(w.length for w in wbar) - v.length
-    params = ratlin.as_fractions(params)
+    params = ratlin.positive_fractions(params)
     if len(params) != dim:
         raise ValueError(f"cell has dimension {dim}, got {len(params)} parameters")
-    if any(p.numerator <= 0 for p in params):
-        raise ValueError("parameters must be positive")
     forms = []
     letters = []
     it = iter(params)
@@ -428,16 +427,14 @@ def db_positive(k: int, v_word, w_word, params) -> Mat:
     one exception in the library: the recorded benchmark workloads call
     this function with them, so the letters shift to ``slk``'s 0-based
     ones here.  The parameter list supplies l(w) values for the y's then
-    l(v) values for the x's, each read once (a Fraction as given).  The
-    output is asserted totally nonnegative.
+    l(v) values for the x's, read once by ``ratlin.positive_fractions``.
+    The output is asserted totally nonnegative.
     """
     v_word = tuple(v_word)
     w_word = tuple(w_word)
-    params = ratlin.as_fractions(params)
+    params = ratlin.positive_fractions(params)
     if len(params) != len(v_word) + len(w_word):
         raise ValueError(f"need {len(v_word) + len(w_word)} parameters")
-    if any(p.numerator <= 0 for p in params):
-        raise ValueError("parameters must be positive")
     it = iter(params)
     form = slk.word_form(
         k,

@@ -456,15 +456,14 @@ def test_verify_suite_reports_a_failed_assertion(capsys, monkeypatch, suite, mod
 def test_cell_checks_k_before_building_the_group(capsys, monkeypatch):
     """k below 2 is a usage error, raised before the k x k Cartan matrix of
     the Weyl group is built."""
-    from tnnflag import cli
+    from tnnflag import weyl
 
-    def no_group(k):
-        raise AssertionError(f"type_a_group({k}) called")
-
-    monkeypatch.setattr(cli, "type_a_group", no_group)
+    built = []
+    monkeypatch.setattr(weyl, "cartan_of_type", lambda *args: built.append(args))
     code, _, err = run(capsys, "cell", "--k", "1", "--n", "1", "--w", "(1)")
     assert code == 2
     assert err.startswith("error:") and "k must be >= 2" in err
+    assert built == []
 
 
 def test_cell_command_past_k_max(capsys):

@@ -1,6 +1,7 @@
 """Exact-matrix kernels: integer elimination against the Fraction oracles, and algebraic laws."""
 
 import random
+import re
 from fractions import Fraction
 
 import oracles
@@ -259,3 +260,20 @@ def test_int_form_round_trips_through_fractions(a):
     assert d > 0 and ratlin.fraction_matrix(form) == a
     assert all(type(x) is int for row in m for x in row)
     assert ratlin.reduced(form) == form
+
+
+def test_positive_fractions_keeps_fractions_and_names_bad_values():
+    """A Fraction comes back as the same object, an int or a string as its
+    Fraction; a value of another type, or a string Fraction refuses, is
+    named in the ValueError, and a value <= 0 is refused on its own."""
+    half = Fraction(1, 2)
+    out = ratlin.positive_fractions([half, 3, "2/6", " 7 ", "0.25"])
+    assert out == [half, 3, Fraction(1, 3), 7, Fraction(1, 4)] and out[0] is half
+    assert all(type(x) is Fraction for x in out)
+    assert ratlin.positive_fractions(iter(())) == []
+    for bad in (1.5, True, False, None, "1/0", "abc", "", [1], 2j):
+        with pytest.raises(ValueError, match=f"^bad parameter {re.escape(repr(bad))}$"):
+            ratlin.positive_fractions([1, bad])
+    for bad in (0, -1, "0", "-3/4", Fraction(0), Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="^parameters must be positive$"):
+            ratlin.positive_fractions([1, bad])

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from itertools import product
@@ -279,9 +280,9 @@ def test_parametrize_cell_examples():
 
 def test_parametrize_cell_refuses_a_foreign_group(A2, monkeypatch):
     """Elements of a group other than ``type_a_group(k)`` are refused, with
-    check on and off, before any matrix is built: the letter and factor
-    builders, the chart's private letter builder among them, are patched
-    to raise.  ``stratum`` answers in
+    check on and off, before any matrix is built: the chart's letter
+    builder ``slk._mr_letters`` and ``slk.word_form`` are patched to
+    raise.  ``stratum`` answers in
     ``type_a_group(k)``, so with check on a right point used to fail its
     check with a false AssertionError."""
     s1 = A2.simple(0)
@@ -292,7 +293,7 @@ def test_parametrize_cell_refuses_a_foreign_group(A2, monkeypatch):
     def no_matrix(*args):
         raise AssertionError("a matrix was built for a foreign group")
 
-    for name in ("mr_letters", "_mr_letters", "word_form", "mr_form"):
+    for name in ("_mr_letters", "word_form"):
         monkeypatch.setattr(slk, name, no_matrix)
     for check in (True, False):
         with pytest.raises(ContextMismatchError, match=r"type_a_group\(3\)"):
@@ -1159,32 +1160,56 @@ def test_db_positive_validation():
     assert twisted.db_positive(big, (), (), []) == ratlin.identity(big)
 
 
-def test_parameter_entry_points_read_int_string_and_fraction_alike():
-    """parametrize_cell, slk.mr_form and db_positive give the same forms for
-    int, "p/q" and Fraction parameters, and refuse 0 and negative ones, of
-    each kind, with the same message."""
+def test_parameter_entry_points_read_int_string_and_fraction_alike(capsys):
+    """parametrize_cell, slk.mr_matrix, db_positive and the cell command
+    read their parameters through ``ratlin.positive_fractions``: int, "p/q"
+    (decimals too) and Fraction parameters give the same points, 0 and
+    negative ones of each kind are refused with one message, and a float,
+    a bool, None, "1/0" or junk is refused with ValueError naming it (the
+    command exits 2 with no traceback)."""
+    from tnnflag import cli
+
     group = type_a_group(3)
     w0 = group.from_word((0, 1, 0))
+    wbar = (w0, group.from_word((1,)))
     values = [Fraction(3), Fraction(1, 2), Fraction(5, 7), Fraction(4)]
 
     def entry_points(params):
         return (
-            twisted.parametrize_cell(group.identity, (w0, group.from_word((1,))), params)._forms,
-            slk.mr_form(3, (0, 1, 0), (None, None, None), params[:3]),
+            twisted.parametrize_cell(group.identity, wbar, params)._forms,
+            slk.mr_matrix(3, (0, 1, 0), (None, None, None), params[:3]),
             twisted.db_positive(3, (1, 2), (2, 1), params),
         )
 
+    def command(params):
+        return cli.main(["cell", "--k", "3", "--n", "2", "--v", "e", "--w", "(1,2,1);(2)",
+                         "--params=" + ",".join(map(str, params))])
+
     expected = entry_points(values)
-    for params in ([3, "1/2", "5/7", 4], ["3", "2/4", Fraction(10, 14), "8/2"]):
+    for params in ([3, "1/2", "5/7", 4], ["3", "2/4", Fraction(10, 14), "8/2"],
+                   ["3.0", "0.5", "5/7", " 4 "]):
         assert entry_points(params) == expected
-    for bad in (0, "0", Fraction(0), "0/5", -1, "-1/2", Fraction(-3, 4), Fraction(1, -2)):
-        params = [bad] + values[1:]
-        with pytest.raises(ValueError, match="^parameters must be positive$"):
-            twisted.parametrize_cell(group.identity, (w0, group.from_word((1,))), params)
-        with pytest.raises(ValueError, match="^parameters must be positive$"):
-            slk.mr_form(3, (0, 1, 0), (None, None, None), params[:3])
-        with pytest.raises(ValueError, match="^parameters must be positive$"):
+    assert command(["3", "0.5", "10/14", "4"]) == 0
+    point = json.loads(capsys.readouterr().out)["points"][0]["point"]
+    assert point == twisted.parametrize_cell(group.identity, wbar, values).to_json()
+
+    def refused(params, message, typed=True):
+        with pytest.raises(ValueError, match=message):
+            twisted.parametrize_cell(group.identity, wbar, params)
+        with pytest.raises(ValueError, match=message):
+            slk.mr_matrix(3, (0, 1, 0), (None, None, None), params[:3])
+        with pytest.raises(ValueError, match=message):
             twisted.db_positive(3, (1, 2), (2, 1), params)
+        if typed:
+            assert command(params) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err
+
+    for bad in (0, "0", Fraction(0), "0/5", -1, "-1/2", Fraction(-3, 4), Fraction(1, -2)):
+        refused([bad] + values[1:], "^parameters must be positive$")
+    # typed on the command line, 1.5 is the decimal "1.5", read exactly as 3/2
+    for bad in (1.5, True, None, "1/0", "abc"):
+        refused([bad] + values[1:], f"^bad parameter {re.escape(repr(bad))}$", bad != 1.5)
 
 
 def test_db_positive_matches_product_oracle():
