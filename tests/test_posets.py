@@ -867,6 +867,13 @@ def test_boolean_lattice_pure_thin():
     assert open_boundary_euler(poset) == 2  # two points: the 0-sphere
 
 
+def test_open_boundary_euler_needs_unique_maximum():
+    # two maximal atoms; the bottom alone
+    for elements in (["a", "b"], []):
+        with pytest.raises(ValueError):
+            open_boundary_euler(from_covers(elements, []))
+
+
 @pytest.mark.parametrize(
     "elements, pairs",
     [
@@ -1820,14 +1827,12 @@ def test_atom_ordering_matches_chain_search(A2):
 def test_shelling_and_boundary_refuse_the_same_unbounded_posets():
     """``find_shelling`` and ``open_boundary_euler`` share one check for a
     unique top above the bottom: both refuse the bottom alone, two maximal
-    nodes at one rank, maximal nodes at two ranks and two maximal atoms
-    with the same ``ValueError``; both take the first two with a top put
-    above."""
+    nodes at one rank and maximal nodes at two ranks with the same
+    ``ValueError``; both take the first two with a top put above."""
     unbounded = [
         FacePoset([BOTTOM], [0], [0]),
         from_covers(list("abcd"), [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]),
         from_covers(list("abc"), [("a", "b")]),
-        from_covers(["a", "b"], []),
     ]
     for poset in unbounded:
         messages = []

@@ -456,11 +456,9 @@ def test_mr_matrix_examples():
 
 
 def test_mr_matrix_validation():
-    """Bad arguments are refused with their own messages; zero is refused
-    like a negative parameter, and an int reads as its Fraction."""
+    """Bad arguments are refused with their own messages."""
     bad = [
         ((2, (0,), (None,), (Fraction(-1),)), "^parameters must be positive$"),
-        ((3, (0,), (None,), [0]), "^parameters must be positive$"),
         ((2, (0,), (None,), ()), "^need 1 parameters, got 0$"),
         ((2, (0,), (0,), (Fraction(1),)), "^need 0 parameters, got 1$"),
         ((3, (0, 1), (None,), (1,)), "^word and subexpression lengths differ$"),
@@ -470,6 +468,12 @@ def test_mr_matrix_validation():
     for args, message in bad:
         with pytest.raises(ValueError, match=message):
             slk.mr_matrix(*args)
+
+
+def test_mr_form_refuses_a_zero_parameter():
+    """A parameter must be positive: zero is refused like a negative one."""
+    with pytest.raises(ValueError, match="^parameters must be positive$"):
+        slk.mr_matrix(3, (0,), (None,), [0])
     assert slk.mr_matrix(3, (0,), (None,), [1]) == slk.mr_matrix(3, (0,), (None,), [Fraction(1)])
 
 
