@@ -61,11 +61,10 @@ walk forms a mask beyond ``below``.
 
 The Euler characteristic of the open boundary
 (:func:`open_boundary_euler`) is 1 + mu(0^, top) by Philip Hall's
-theorem (Stanley, EC1, Sec. 3.8).  :func:`mobius` computes mu in one
-pass in rank order over ``below``, with the nodes of value 1 and -1 in
-two signed masks.  Once :func:`is_eulerian` has kept the verdict True,
-mu(0^, top) is the Eulerian sign (-1)^(r(top) - r(0^)) and no pass runs;
-before that check, or on a poset that failed it, the pass runs.  On a
+theorem (Stanley, EC1, Sec. 3.8).  It takes mu(0^, top) from the
+Eulerian verdict, which it asks for: when True, the Eulerian sign
+(-1)^(r(top) - r(0^)); else :func:`mobius`, one pass in rank order over
+``below``, with the nodes of value 1 and -1 in two signed masks.  On a
 built interval a True verdict, and so that mu, rests on the boxes above
 the bottom, which ``verify hatQ`` checks against the pairwise order.
 
@@ -198,9 +197,9 @@ class FacePoset:
     decrease along the node order, or a cover that does not raise the rank
     by exactly one, read off the first and last upper cover of each node.
     The poset is immutable, so what is derived from it alone is kept once
-    computed: the two mask tuples and the Eulerian verdict
-    (:func:`is_eulerian`), off which :func:`mobius` reads mu(0^, last
-    node) when it is True.
+    computed: the two mask tuples, the ``covers`` view and the Eulerian
+    verdict (:func:`is_eulerian`), which :func:`open_boundary_euler` reads.
+    A poset with no nodes has no bottom and raises ``ValueError``.
     :func:`build_interval` also records that every interval above the
     bottom is a box of Bruhat intervals (``_boxes``), so that
     :func:`is_thin` and :func:`is_eulerian` walk from the bottom alone.
@@ -211,6 +210,8 @@ class FacePoset:
         self.ranks: tuple[int, ...] = tuple(ranks)
         self.below: tuple[int, ...] = tuple(below)
         n = len(self.nodes)
+        if not n:
+            raise ValueError("no bottom: node 0 must be the bottom")
         if ups is None:
             ups = [[] for _ in range(n)]
             # lo is covered by hi iff it lies below no node below hi
@@ -231,8 +232,8 @@ class FacePoset:
         for r, his in zip(ranks, self._ups):
             if his and not ranks[his[0]] == ranks[his[-1]] == r + 1:
                 raise ValueError("not graded: a cover does not raise the rank by one")
-        # above and the up-cover masks, formed together when either is first read
-        self._above = self._cover_masks = None
+        # above and the up-cover masks (formed together) and covers: on first read
+        self._above = self._cover_masks = self._covers = None
         self._eulerian = None  # the verdict of is_eulerian, kept at its first call
         # set by build_interval alone: every [x, y] with x above the bottom
         # is a product of Bruhat intervals
@@ -278,12 +279,14 @@ class FacePoset:
         Sorted, as a view of :meth:`up_covers`, which the builders pass in
         and a poset given by its masks alone reads off ``below``: its
         ``len`` sums the index's lists and lists no pair, and the first
-        other read of the view lists the pairs once, as the tuple that the
-        view equals (see :class:`_LazyTuple`).
+        other read lists the pairs once, as the tuple that the view equals
+        (see :class:`_LazyTuple`); the view is kept, so reads share it.
         """
-        ups = self._ups
-        return _LazyTuple(sum(map(len, ups)),
-                          lambda: [(lo, hi) for lo, his in enumerate(ups) for hi in his])
+        if self._covers is None:
+            ups = self._ups
+            self._covers = _LazyTuple(sum(map(len, ups)),
+                                      lambda: [(lo, hi) for lo, his in enumerate(ups) for hi in his])
+        return self._covers
 
     def up_covers(self) -> tuple[tuple[int, ...], ...]:
         """The upper covers of each node, increasing; shared, not copied."""
@@ -631,16 +634,12 @@ def mobius(poset: FacePoset, x: int, y: int) -> int:
     nonzero values are kept in a dict of one mask per value, so a poset
     that is not Eulerian still gets exact values.  The nodes of [x, y] are
     read off ``below`` alone: those of ``below[y]`` and y whose own mask
-    holds x, so the ``above`` masks are not formed.
-
-    From the bottom to the last node, once :func:`is_eulerian` has kept
-    the verdict True, mu is (-1)^(r(y) - r(x)) with no walk, as on every
-    interval of an Eulerian poset; this call never runs that check.
+    holds x, so the ``above`` masks are not formed.  The walk always runs:
+    :func:`open_boundary_euler`, not this function, reads the Eulerian
+    verdict.
     """
     if not poset.leq(x, y):
         raise ValueError("x is not below y")
-    if poset._eulerian and x == 0 and y == len(poset.nodes) - 1:
-        return -1 if (poset.ranks[y] - poset.ranks[x]) % 2 else 1
     plus, minus = 1 << x, 0  # the nodes u seen so far with mu(x, u) == 1, == -1
     others: dict[int, int] = {}  # any other nonzero value c -> its nodes so far
     below = poset.below
@@ -689,8 +688,8 @@ def is_eulerian(poset: FacePoset) -> bool:
     interval is an even-length [0^, y], and the dual recursion balances
     the odd-length ones, which are not counted.  A True verdict thus puts
     mu(0^, y) = (-1)^(r(y) - r(0^)) at every y, and mu(0^, top), which
-    :func:`mobius` reads off it, rests on the box premise as the verdict
-    does.  The premise is checked against the pairwise order on every top
+    :func:`open_boundary_euler` reads off it, rests on the box premise as
+    the verdict does, checked against the pairwise order on every top
     by ``verify hatQ`` (``builder-matches-pairwise``) and on 1,496,256
     pairs by ``test_intervals_above_the_bottom_are_bruhat_boxes``.  Every
     other poset starts at every x, over ``above``, so its verdict rests on
@@ -1065,12 +1064,15 @@ def open_boundary_euler(poset: FacePoset) -> int:
     Proper part: all nodes strictly below the unique maximum, bottom
     excluded; a poset without one raises ``ValueError``, as in
     :func:`find_shelling`.  By Philip Hall's theorem (Stanley, EC1, Sec.
-    3.8) its reduced Euler characteristic is mu(bottom, top).  The top is
-    the last node, so after :func:`is_eulerian` has kept the verdict True,
-    :func:`mobius` reads mu off it without a walk; before that check, or
-    on a poset that failed it, the Mobius walk runs.
+    3.8) its reduced Euler characteristic is mu(bottom, top): the Eulerian
+    sign (-1)^(r(top) - r(bottom)) when :func:`is_eulerian` holds (the
+    verdict is kept: either order of the two checks computes it once),
+    else the :func:`mobius` walk.
     """
-    return 1 + mobius(poset, 0, _top(poset))
+    top = _top(poset)
+    if is_eulerian(poset):
+        return 1 + (-1) ** (poset.ranks[top] - poset.ranks[0])
+    return 1 + mobius(poset, 0, top)
 
 
 # -- export ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ import functools
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 
 from . import posets, ratlin, slk, twisted
 from .cartan import cartan_of_type
@@ -143,23 +143,22 @@ def regularity_checks(
 ) -> list[dict]:
     """Report entries of the named checks on the poset.
 
-    Names (``CHECKS``, each checked before any runs, and each run once in
-    the order first given): ``pure``, ``thin``,
-    ``eulerian``, ``shelling`` (pass on a certified shelling, else
-    inconclusive, as the search never proves a poset not shellable;
-    witness: the search's work), ``boundary_sphere_euler``: the open
-    boundary has the Euler characteristic of a sphere one dimension below
-    the top (witness: both values), and ``ball``: the ``BALL_CHECKS`` of
-    Bjorner's criterion as one entry, whose witness lists their entries.
-    The kernels are looked up on the ``posets`` module at each call, so
-    wrappers put on its names apply.
+    Names (``CHECKS``, each checked before any runs, each listed once in
+    the order first given): ``pure``, ``thin``, ``eulerian``,
+    ``shelling`` (pass on a certified shelling, else inconclusive, as the
+    search never proves a poset not shellable; witness: the search's
+    work), ``boundary_sphere_euler``: the open boundary has the Euler
+    characteristic of a sphere one dimension below the top (witness: both
+    values), and ``ball``: the ``BALL_CHECKS`` of Bjorner's criterion as
+    one entry, whose witness lists their entries, shared with those named.
+    Each check runs once per call.  The kernels are looked up on the
+    ``posets`` module at each call, so wrappers put on its names apply.
     """
+    names = known_checks(names)
     report = RunReport("regularity_checks", {}, budget=budget)
-    for name in known_checks(names):
-        if name == "ball":
-            ball = RunReport("ball", {}, checks=regularity_checks(poset, BALL_CHECKS, budget))
-            report.add(name, ball.status, {"checks": ball.checks})
-        elif name == "shelling":
+    for name in dict.fromkeys(chain.from_iterable(BALL_CHECKS if n == "ball" else [n]
+                                                  for n in names)):
+        if name == "shelling":
             res = posets.find_shelling(poset, budget=budget)
             witness = {"certificate": "rao", "facets": res.facets,
                        "attempts": res.attempts, "backtracks": res.backtracks}
@@ -175,7 +174,12 @@ def regularity_checks(
             test = {"pure": posets.is_pure, "thin": posets.is_thin,
                     "eulerian": posets.is_eulerian}[name]
             report.add(name, test(poset))
-    return report.checks
+    entries = {c["check"]: c for c in report.checks}
+    if "ball" in names:
+        parts = [entries[n] for n in BALL_CHECKS]
+        report.add("ball", overall_status(c["status"] for c in parts), {"checks": parts})
+        entries["ball"] = report.checks[-1]
+    return [entries[n] for n in names]
 
 
 @_timed
@@ -447,8 +451,7 @@ def suite_sl2_triangle(seed: int = DEFAULT_SEED, budget: int = DEFAULT_SHELLING_
     e, s = group.identity, group.simple(0)
     poset = build_interval(make_qnode(e, (s, s)))
     report.add("f-vector", poset.f_vector() == (3, 3, 1), {"f": list(poset.f_vector())})
-    [ball] = regularity_checks(poset, ["ball"], budget)
-    boundary = next(c for c in ball["witness"]["checks"] if c["check"] == "boundary_sphere_euler")
+    boundary, ball = regularity_checks(poset, ["boundary_sphere_euler", "ball"], budget)
     chi = boundary["witness"]["chi"]
     report.add("boundary-euler", chi == 0, {"chi": chi})
     report.add("regular-ball", ball["status"], ball["witness"])

@@ -5,7 +5,7 @@ import gc
 import random
 from collections import Counter
 from functools import partial
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import oracles
 import pytest
@@ -987,6 +987,21 @@ def test_refusal_matches_chain_length_purity(A2):
     assert kinds == {True: 220, False: 80}
 
 
+def test_covers_view_is_kept_and_lists_once(A2):
+    """Every read of ``covers`` returns the one view made on the first, so
+    reads of its items share one listing: on the A2 n=2 top (e ; w0, w0),
+    built and given by its masks alone."""
+    w0 = A2.from_word((0, 1, 0))
+    built = build_interval(make_qnode(A2.identity, (w0, w0)))
+    for poset in (built, FacePoset(built.nodes, built.ranks, built.below)):
+        view, listings = poset.covers, []
+        listing = view._listing
+        view._listing = lambda: listings.append(1) or listing()
+        assert poset.covers is view and len(poset.covers) == 611
+        assert poset.covers[0] == (0, 1) and list(poset.covers) == list(view)
+        assert poset.covers[-1] == view[-1] and listings == [1]
+
+
 def test_cover_count_lists_no_pair(A2, monkeypatch):
     """``len`` and truth of ``covers`` sum the up-cover index and list no
     pair, with the listing made to raise: the count is the definition's
@@ -1403,20 +1418,23 @@ def test_thin_odd_count_on_an_ungraded_poset_is_refused():
 
 def test_boundary_and_mobius_agree_whichever_runs_first(A2):
     """mu(0^, last node) and the boundary's Euler characteristic are the
-    same with ``is_eulerian`` run before them (``mobius`` then reads the
-    kept verdict) and after them (the Mobius walk runs), and equal the
-    value-class and chain oracles, on every differential poset; the
-    verdict is the same either way and kept on the poset.  On a built
-    interval it is True iff every mu(0^, z) has its Eulerian sign; on any
-    poset a True verdict implies that."""
+    same with ``is_eulerian`` run before them and after them, and equal
+    the value-class and chain oracles, on every differential poset.
+    ``mobius`` is the walk and leaves the verdict alone; the boundary asks
+    for it, so run first it computes the verdict, which is the same either
+    way and kept on the poset.  On a built interval it is True iff every
+    mu(0^, z) has its Eulerian sign; on any poset a True verdict implies
+    that."""
     maxima, verdicts = 0, set()
     for first, last in zip(_differential_posets(A2), _differential_posets(A2)):
         top = len(first) - 1
         unique = top and first.below[top] == (1 << top) - 1
         eulerian = is_eulerian(first)
         after = (mobius(first, 0, top), unique and open_boundary_euler(first))
-        before = (mobius(last, 0, top), unique and open_boundary_euler(last))
+        walk = mobius(last, 0, top)
         assert last._eulerian is None
+        before = (walk, unique and open_boundary_euler(last))
+        assert last._eulerian is (eulerian if unique else None)
         assert is_eulerian(last) is eulerian is first._eulerian is last._eulerian
         assert after == before
         assert after[0] == oracles.mobius_by_value_classes(first, 0, top)
@@ -1454,6 +1472,75 @@ def test_an_unbalanced_odd_interval_from_the_bottom_is_not_eulerian(eulerian_fir
     by_name = {c["check"]: c for c in verify.regularity_checks(diamond_under_z(), names)}
     assert by_name["eulerian"]["status"] == "fail"
     assert by_name["boundary_sphere_euler"]["witness"] == {"chi": 1, "expected": 0}
+
+
+def _order_posets(A2):
+    """Makers of fresh posets with a unique top: a built interval, the same
+    masks alone and the non-Eulerian, non-thin diamond under a chain."""
+    top = make_qnode(A2.identity, (A2.from_word((0, 1, 0)),))
+    diamond = (["a", "b", "u", "z"], [("a", "u"), ("b", "u"), ("u", "z")])
+
+    def masks_only():
+        built = build_interval(top)
+        return FacePoset(built.nodes, built.ranks, built.below)
+
+    return [partial(build_interval, top), masks_only, partial(from_covers, *diamond)]
+
+
+def test_each_check_runs_once_whatever_the_order(A2, monkeypatch):
+    """Every order of the five ball checks, alone and with ``ball`` at each
+    place, gives the same entries by name, on a fresh built interval, the
+    same masks alone and a poset that is neither Eulerian nor thin; the
+    boundary, run before the Eulerian check or after it, is 1 + mu(0^,
+    top) by the value-class oracle.  Each call runs the shelling search,
+    the thinness walk and the boundary once, and the Eulerian walk, whose
+    verdict is kept, once per poset, wherever ``ball`` and its checks are
+    named."""
+    calls = Counter()
+
+    def counted(name, kernel):
+        def wrapper(poset, *args, **kwargs):
+            calls[name] += 1
+            if name == "is_eulerian" and poset._eulerian is None:
+                calls["eulerian walk"] += 1
+            return kernel(poset, *args, **kwargs)
+        return wrapper
+
+    for name in ("find_shelling", "is_thin", "open_boundary_euler", "is_eulerian"):
+        monkeypatch.setattr(posets, name, counted(name, getattr(posets, name)))
+    orders = [*permutations(verify.BALL_CHECKS), *permutations([*verify.BALL_CHECKS, "ball"])]
+    statuses = set()
+    for make in _order_posets(A2):
+        expected = None
+        for names in orders:
+            calls.clear()
+            entries = verify.regularity_checks(make(), names)
+            assert [c["check"] for c in entries] == list(names)
+            by_name = {c["check"]: c for c in entries}
+            if "ball" in by_name:
+                parts = by_name.pop("ball")["witness"]["checks"]
+                assert [c["check"] for c in parts] == list(verify.BALL_CHECKS)
+                assert parts == [by_name[n] for n in verify.BALL_CHECKS]
+            expected = expected or by_name
+            assert by_name == expected, names
+            assert max(calls[n] for n in ("find_shelling", "is_thin", "open_boundary_euler")) == 1
+            assert calls["eulerian walk"] == 1
+        poset = make()
+        chi = 1 + oracles.mobius_by_value_classes(poset, 0, len(poset) - 1)
+        assert expected["boundary_sphere_euler"]["witness"]["chi"] == chi
+        statuses.add(tuple(c["status"] for c in expected.values()))
+    assert len(orders) == 840 and len(statuses) == 2
+
+
+def test_a_poset_with_no_nodes_is_refused():
+    """Node 0 is the bottom, so ``FacePoset`` refuses a poset with no nodes,
+    before the shelling search, the Eulerian and thin checks, the boundary
+    or the ball checks could index it."""
+    entry_points = [find_shelling, is_eulerian, open_boundary_euler, is_thin,
+                    lambda p: verify.regularity_checks(p, ["ball"])]
+    for entry in entry_points:
+        with pytest.raises(ValueError, match="no bottom"):
+            entry(FacePoset([], [], []))
 
 
 @pytest.mark.parametrize(
