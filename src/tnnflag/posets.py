@@ -61,12 +61,12 @@ walk forms a mask beyond ``below``.
 
 The Euler characteristic of the open boundary
 (:func:`open_boundary_euler`) is 1 + mu(0^, top) by Philip Hall's
-theorem (Stanley, EC1, Sec. 3.8).  It takes mu(0^, top) from the
-Eulerian verdict, which it asks for: when True, the Eulerian sign
-(-1)^(r(top) - r(0^)); else :func:`mobius`, one pass in rank order over
-``below``, with the nodes of value 1 and -1 in two signed masks.  On a
-built interval a True verdict, and so that mu, rests on the boxes above
-the bottom, which ``verify hatQ`` checks against the pairwise order.
+theorem (Stanley, EC1, Sec. 3.8).  On a built interval it asks for the
+Eulerian verdict, whose walk starts from the bottom alone, and when True
+takes the Eulerian sign (-1)^(r(top) - r(0^)), which rests on the boxes
+above the bottom that ``verify hatQ`` checks against the pairwise order.
+Otherwise :func:`mobius` walks once in rank order over ``below``, with
+one mask per nonzero value of mu, and forms no ``above`` mask.
 
 Shellability is certified on the poset, not on its chains:
 :func:`find_shelling` searches a closed interval [0^, top] for a
@@ -198,11 +198,11 @@ class FacePoset:
     by exactly one, read off the first and last upper cover of each node.
     The poset is immutable, so what is derived from it alone is kept once
     computed: the two mask tuples, the ``covers`` view and the Eulerian
-    verdict (:func:`is_eulerian`), which :func:`open_boundary_euler` reads.
-    A poset with no nodes has no bottom and raises ``ValueError``.
-    :func:`build_interval` also records that every interval above the
-    bottom is a box of Bruhat intervals (``_boxes``), so that
-    :func:`is_thin` and :func:`is_eulerian` walk from the bottom alone.
+    verdict (:func:`is_eulerian`).  A poset with no nodes has no bottom
+    and raises ``ValueError``.  :func:`build_interval` also records that
+    every interval above the bottom is a box of Bruhat intervals
+    (``_boxes``), so that :func:`is_thin`, :func:`is_eulerian` and
+    :func:`open_boundary_euler` walk from the bottom alone.
     """
 
     def __init__(self, nodes, ranks, below, ups=None):
@@ -427,7 +427,7 @@ def interval_labels(top: QNode):
                 yield QNode(v, combo, length - v.length)
 
 
-def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP,
+def build_interval(top: QNode, node_cap: int | None = None,
                    _bottom: QNode | None = None) -> FacePoset:
     """Closed interval [0^, top]: all labels weakly below top, plus a bottom.
 
@@ -479,11 +479,11 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP,
     record's ``below`` of its Demazure product (kept across calls), tested
     against ``above(top.v)`` label by label, in the order of
     :func:`interval_labels`, into rank columns of keys; no label is made.
-    ``node_cap`` is checked once per combination, after its labels are
-    listed, before any cover is looked up.  The poset's ``nodes`` are a
-    :class:`_LazyTuple` over the keys in node order: its ``len`` decodes
-    nothing, and its first other read decodes every label from its key's
-    digits, once.  The labels of one factor combination share one
+    ``node_cap`` (``DEFAULT_NODE_CAP`` at the call when None) is checked
+    once per combination, after its labels are listed, before any cover is
+    looked up.  The poset's ``nodes`` are a :class:`_LazyTuple` over the
+    keys in node order: its ``len`` decodes nothing, and its first other
+    read decodes every label from its key's digits, once.  The labels of one factor combination share one
     ``wbar`` tuple, decoded once in a dict held only while the labels are
     listed.  After the listing, the records' offsets of v's upper covers
     and of the factors' lower covers (in combination digits, joined once
@@ -493,6 +493,7 @@ def build_interval(top: QNode, node_cap: int = DEFAULT_NODE_CAP,
     empty slot.
     """
     group = top.v.group
+    node_cap = DEFAULT_NODE_CAP if node_cap is None else node_cap
     key = (top.wbar, _bottom)
     plan = group._plan_cache.get(key)
     if fresh := plan is None:
@@ -582,7 +583,7 @@ def link_poset(bottom: QNode, top: QNode) -> FacePoset:
             and group.bruhat_leq(bottom.v, group.m_star(bottom.wbar))
             and qnode_leq(bottom, top)):
         raise ValueError("bottom must be strictly below top")
-    return build_interval(top, DEFAULT_NODE_CAP, bottom)
+    return build_interval(top, _bottom=bottom)
 
 
 # -- regularity checks -----------------------------------------------------------
@@ -628,36 +629,23 @@ def mobius(poset: FacePoset, x: int, y: int) -> int:
     """Mobius function of the interval [x, y], in one pass in rank order.
 
     mu(x, z) = -sum of mu(x, u) over x <= u < z.  The nodes z of [x, y] are
-    visited in index order, which lists every u < z before z.  The nodes
-    seen so far with mu = 1 (x first) and with mu = -1 are kept as two
-    signed masks, so each z costs two ANDs and popcounts; the rare other
-    nonzero values are kept in a dict of one mask per value, so a poset
-    that is not Eulerian still gets exact values.  The nodes of [x, y] are
-    read off ``below`` alone: those of ``below[y]`` and y whose own mask
-    holds x, so the ``above`` masks are not formed.  The walk always runs:
-    :func:`open_boundary_euler`, not this function, reads the Eulerian
-    verdict.
+    visited in index order, which lists every u < z before z, and the nodes
+    seen so far are kept as one mask per nonzero value of mu (x alone at
+    1), so each z costs one AND and popcount per value.  The nodes of
+    [x, y] are read off ``below`` alone: those of ``below[y]`` and y whose
+    own mask holds x, so the ``above`` masks are not formed.
     """
     if not poset.leq(x, y):
         raise ValueError("x is not below y")
-    plus, minus = 1 << x, 0  # the nodes u seen so far with mu(x, u) == 1, == -1
-    others: dict[int, int] = {}  # any other nonzero value c -> its nodes so far
+    classes = {1: 1 << x}  # each nonzero value c -> the nodes u seen so far with mu(x, u) == c
     below = poset.below
-    mu = 1
-    bit = 1 << x
+    mu, bit = 1, 1 << x
     for z in members(below[y] | 1 << y):
         mask = below[z]
-        if not mask & bit:  # z is not above x
-            continue
-        mu = (mask & minus).bit_count() - (mask & plus).bit_count()
-        if others:
-            mu -= sum(c * (mask & nodes).bit_count() for c, nodes in others.items())
-        if mu == 1:
-            plus |= 1 << z
-        elif mu == -1:
-            minus |= 1 << z
-        elif mu:
-            others[mu] = others.get(mu, 0) | 1 << z
+        if mask & bit:  # z is above x
+            mu = -sum([c * (mask & nodes).bit_count() for c, nodes in classes.items()])
+            if mu:
+                classes[mu] = classes.get(mu, 0) | 1 << z
     return mu
 
 
@@ -825,22 +813,6 @@ class _LazyTuple(Sequence):
         return f"_LazyTuple({self._count} items)"
 
 
-def _facet_vertices(facets) -> tuple[list[tuple], list[tuple[int, ...]]]:
-    """Sorted members of each facet, and the indices of its distinct
-    vertices (numbered by first appearance)."""
-    universe: dict = {}
-    members = []
-    vertices = []
-    for f in facets:
-        try:
-            mem = tuple(sorted(f))
-        except TypeError:
-            mem = tuple(sorted(f, key=repr))
-        members.append(mem)
-        vertices.append(tuple(universe.setdefault(x, len(universe)) for x in dict.fromkeys(mem)))
-    return members, vertices
-
-
 def _pairwise_rule(used: list[int], mask: int, vertices) -> bool:
     """Validity of the facet ``mask`` after the facets ``used``, scanning each of them."""
     walls = []
@@ -858,8 +830,9 @@ def _pairwise_rule(used: list[int], mask: int, vertices) -> bool:
 
 
 def shelling_of_facets(facets, search: bool = False) -> ShellingResult:
-    """Validate a given order of explicit facets (any hashable vertices) as a
-    shelling, by the pairwise rule.
+    """Validate a given order of explicit facets as a shelling, by the
+    pairwise rule.  A facet's vertices are node indices (a chain of
+    :func:`maximal_chains`, say), read as bit positions of its mask.
 
     A facet F may follow the earlier facets iff F meets their union in a
     pure subcomplex of codimension one: some ridge F - {x} lies in an
@@ -877,11 +850,11 @@ def shelling_of_facets(facets, search: bool = False) -> ShellingResult:
     if search:
         raise ValueError("shelling_of_facets only validates a given order; "
                          "the chain-order search is a test oracle in tests/oracles.py")
-    members, vertices = _facet_vertices(facets)
+    members = [tuple(sorted(f)) for f in facets]
     n = len(members)
-    masks = [sum(1 << v for v in vs) for vs in vertices]
+    masks = [sum(1 << v for v in set(mem)) for mem in members]
     for idx in range(1, n):
-        if not _pairwise_rule(masks[:idx], masks[idx], vertices[idx]):
+        if not _pairwise_rule(masks[:idx], masks[idx], members[idx]):
             return ShellingResult("not_shellable", None, n, idx, DEFAULT_SHELLING_BUDGET)
     return ShellingResult("shellable", members, n, max(n - 1, 0), DEFAULT_SHELLING_BUDGET)
 
@@ -1064,13 +1037,14 @@ def open_boundary_euler(poset: FacePoset) -> int:
     Proper part: all nodes strictly below the unique maximum, bottom
     excluded; a poset without one raises ``ValueError``, as in
     :func:`find_shelling`.  By Philip Hall's theorem (Stanley, EC1, Sec.
-    3.8) its reduced Euler characteristic is mu(bottom, top): the Eulerian
-    sign (-1)^(r(top) - r(bottom)) when :func:`is_eulerian` holds (the
-    verdict is kept: either order of the two checks computes it once),
-    else the :func:`mobius` walk.
+    3.8) its reduced Euler characteristic is mu(bottom, top): on a poset
+    from :func:`build_interval` (``_boxes``), whose Eulerian walk starts
+    from the bottom, the Eulerian sign (-1)^(r(top) - r(bottom)) when
+    :func:`is_eulerian` holds (the verdict is kept); else the
+    :func:`mobius` walk, which forms no ``above`` mask.
     """
     top = _top(poset)
-    if is_eulerian(poset):
+    if poset._boxes and is_eulerian(poset):
         return 1 + (-1) ** (poset.ranks[top] - poset.ranks[0])
     return 1 + mobius(poset, 0, top)
 

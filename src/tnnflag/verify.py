@@ -22,7 +22,6 @@ from itertools import chain, product
 from . import posets, ratlin, slk, twisted
 from .cartan import cartan_of_type
 from .posets import (
-    DEFAULT_NODE_CAP,
     DEFAULT_SHELLING_BUDGET,
     FacePoset,
     QNode,
@@ -200,8 +199,8 @@ def check_regular_ball(top: QNode) -> RunReport:
         return {"top": top.describe(), "rank": top.rank, "nodes": len(poset.nodes),
                 "f_vector": list(poset.f_vector())}
 
-    return interval_report("check_regular_ball", top, BALL_CHECKS, inputs, DEFAULT_NODE_CAP,
-                           DEFAULT_SHELLING_BUDGET)
+    return interval_report("check_regular_ball", top, BALL_CHECKS, inputs,
+                           posets.DEFAULT_NODE_CAP, DEFAULT_SHELLING_BUDGET)
 
 
 def _word(w) -> list[int]:

@@ -47,8 +47,9 @@ lowest one at a time, the loop that ``posets.members`` replaced.
 ``oracle_covers`` lists the cover pairs of a poset by the definition, from
 ``below`` alone, where ``FacePoset.covers`` reads them off the up-cover
 index.
-``mobius_by_value_classes`` keeps one mask per value of mu, where
-``posets.mobius`` keeps the values 1 and -1 in two signed masks.
+``mobius_by_value_classes`` keeps one mask per value of mu, as
+``posets.mobius`` does, but lists the nodes of [x, y] off ``above``, where
+``posets.mobius`` reads them off ``below`` alone.
 ``reverse_pass_masks`` is the pass that every ``FacePoset`` once ran at
 construction, where it now forms ``above`` and the up-cover masks only
 when one of them is first read.
@@ -492,7 +493,8 @@ def oracle_covers(below) -> tuple[tuple[int, int], ...]:
 def mobius_by_value_classes(poset, x: int, y: int) -> int:
     """Mobius function of [x, y] in one pass in rank order, with one
     bitmask per value of mu (x alone has the value 1): each z costs one AND
-    and popcount per value.  The kernel that ``posets.mobius`` replaced."""
+    and popcount per value.  The nodes of [x, y] are read off ``above``,
+    which ``posets.mobius`` does not form, so the two stay independent."""
     if not poset.leq(x, y):
         raise ValueError("x is not below y")
     classes = {1: 1 << x}  # value c -> the nodes u seen so far with mu(x, u) == c

@@ -687,6 +687,29 @@ def test_link_poset_bounds_its_own_size(S4, monkeypatch):
     assert len(build_interval(top)) == 9_698
 
 
+def test_every_builder_reads_the_node_cap_at_the_call(A2, monkeypatch):
+    """``posets.DEFAULT_NODE_CAP``, set after import, bounds the four
+    builders alike: the interval, the braid poset, the link and
+    ``FacePoset.from_qnodes`` each build under a cap of their node count
+    and refuse a cap one lower."""
+    w0, s1 = A2.from_word((0, 1, 0)), A2.simple(0)
+    top = make_qnode(A2.identity, (w0, w0))
+    builders = {
+        "build_interval": partial(build_interval, top),
+        "braid_poset": partial(braid_poset, A2, (0, 1, 0, 1, 0)),
+        "link_poset": partial(link_poset, make_qnode(s1, (s1, s1)), top),
+        "from_qnodes": partial(FacePoset.from_qnodes, list(interval_labels(top))),
+    }
+    sizes = {name: len(build()) for name, build in builders.items()}
+    for name, build in builders.items():
+        monkeypatch.setattr(posets, "DEFAULT_NODE_CAP", sizes[name])
+        assert len(build()) == sizes[name], name
+        monkeypatch.setattr(posets, "DEFAULT_NODE_CAP", sizes[name] - 1)
+        with pytest.raises(CapExceededError):
+            build()
+    assert sizes["braid_poset"] == 12 and sizes["from_qnodes"] == sizes["build_interval"]
+
+
 def test_link_nodes_are_the_nodes_above_its_bottom():
     """A link, built as the box above its bottom, is byte for byte the
     interval restricted to the nodes of the bottom's ``above`` mask, in
@@ -1420,11 +1443,12 @@ def test_boundary_and_mobius_agree_whichever_runs_first(A2):
     """mu(0^, last node) and the boundary's Euler characteristic are the
     same with ``is_eulerian`` run before them and after them, and equal
     the value-class and chain oracles, on every differential poset.
-    ``mobius`` is the walk and leaves the verdict alone; the boundary asks
-    for it, so run first it computes the verdict, which is the same either
-    way and kept on the poset.  On a built interval it is True iff every
-    mu(0^, z) has its Eulerian sign; on any poset a True verdict implies
-    that."""
+    ``mobius`` is the walk and leaves the verdict alone.  On a built
+    interval the boundary asks for it, so run first it computes the
+    verdict, which is the same either way and kept on the poset; on any
+    other poset the boundary is the walk and leaves the verdict unset.  On
+    a built interval it is True iff every mu(0^, z) has its Eulerian sign;
+    on any poset a True verdict implies that."""
     maxima, verdicts = 0, set()
     for first, last in zip(_differential_posets(A2), _differential_posets(A2)):
         top = len(first) - 1
@@ -1434,7 +1458,7 @@ def test_boundary_and_mobius_agree_whichever_runs_first(A2):
         walk = mobius(last, 0, top)
         assert last._eulerian is None
         before = (walk, unique and open_boundary_euler(last))
-        assert last._eulerian is (eulerian if unique else None)
+        assert last._eulerian is (eulerian if unique and last._boxes else None)
         assert is_eulerian(last) is eulerian is first._eulerian is last._eulerian
         assert after == before
         assert after[0] == oracles.mobius_by_value_classes(first, 0, top)
@@ -1532,6 +1556,25 @@ def test_each_check_runs_once_whatever_the_order(A2, monkeypatch):
     assert len(orders) == 840 and len(statuses) == 2
 
 
+def test_boundary_alone_on_a_masks_only_poset_forms_no_above(S4):
+    """On the nodes, ranks, masks and up-cover index of the A3 n=2 top
+    (e ; w0, w0), 9,698 nodes, without the builder's box premise, the
+    boundary named alone is the Mobius walk over ``below``: it forms no
+    ``above`` mask and leaves the Eulerian verdict unset (the verdict walks
+    every x there).  Its chi is that of the built interval's checks with
+    the Eulerian one first and 1 + the value-class oracle's mu(0^, top)."""
+    w0 = S4.from_word((0, 1, 0, 2, 1, 0))
+    built = build_interval(make_qnode(S4.identity, (w0, w0)))
+    copy = FacePoset(built.nodes, built.ranks, built.below, built.up_covers())
+    (boundary,) = verify.regularity_checks(copy, ["boundary_sphere_euler"])
+    assert len(copy) == 9_698 and not copy._boxes
+    assert copy._above is None and copy._eulerian is None
+    _, first = verify.regularity_checks(built, ["eulerian", "boundary_sphere_euler"])
+    chi = boundary["witness"]["chi"]
+    assert chi == first["witness"]["chi"] == 1 + oracles.mobius_by_value_classes(copy, 0, 9_697)
+    assert boundary["status"] == first["status"] == "pass"
+
+
 def test_a_poset_with_no_nodes_is_refused():
     """Node 0 is the bottom, so ``FacePoset`` refuses a poset with no nodes,
     before the shelling search, the Eulerian and thin checks, the boundary
@@ -1589,10 +1632,9 @@ def test_mobius_matches_recursion_oracle(A2):
 
 
 def test_mobius_matches_value_class_oracle(A2):
-    """The signed masks for mu = 1 and mu = -1, with a dict for any other
-    value, equal one mask per value on every comparable pair of the
-    differential posets and :func:`mobius_values_poset`, and the other
-    values occur."""
+    """The walk over ``below`` equals the value classes read off ``above``
+    on every comparable pair of the differential posets and
+    :func:`mobius_values_poset`, and values other than 1 and -1 occur."""
     values = set()
     for poset in [*_differential_posets(A2), mobius_values_poset()]:
         for x in range(len(poset)):
